@@ -1750,8 +1750,7 @@ module Eobs = struct
         [ ("grain(cyc)", ()); ("traced off", ()); ("traced on", ());
           ("overhead", ()); ("budget", ()) ]
       rows;
-    line "(budget: one indirect_call + one mem_write = %d cycles per span)" budget;
-    assert (Tracer.dropped (Obs.tracer obs) = 0)
+    line "(budget: one indirect_call + one mem_write = %d cycles per span)" budget
 
   (* 2. the traced cross-domain path: every layer adds exactly one span *)
   let crossdomain_overhead () =
@@ -1770,6 +1769,8 @@ module Eobs = struct
       float_of_int (Clock.now clock - before) /. 100.
     in
     let off = cycles () in
+    let journal = Obs.journal obs in
+    let spans_before = Journal.count journal Journal.Span_exit in
     Obs.enable obs;
     let snap = Clock.snapshot clock in
     let on = cycles () in
@@ -1783,11 +1784,9 @@ module Eobs = struct
     line "traced run: %d cycles; counter deltas: %s" deltas.Clock.at
       (String.concat ", "
          (List.map (fun (n, d) -> Printf.sprintf "%s=%d" n d) deltas.Clock.counts));
-    (* what the tracer saw *)
-    let tracer = Obs.tracer obs in
-    line "ring: %d spans recorded, %d dropped (capacity %d)" (Tracer.recorded tracer)
-      (Tracer.dropped tracer) (Tracer.capacity tracer);
-    assert (Tracer.dropped tracer = 0);
+    (* what the journal saw: every span is a Span_enter/Span_exit pair *)
+    line "journal: %d spans recorded"
+      (Journal.count journal Journal.Span_exit - spans_before);
     (match Metrics.summary (Obs.metrics obs) ~domain:udom.Domain.id "proxy.call" with
     | Some s -> line "proxy.call latency: %s" (Metrics.summary_to_text s)
     | None -> ());

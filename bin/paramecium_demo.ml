@@ -233,12 +233,12 @@ let packets_cmd =
       done;
       Kernel.step k ~ticks:1 ();
       let obs = Clock.obs clock in
-      let tracer = Obs.tracer obs in
+      let j = Obs.journal obs in
+      let spans = Journal.spans j in
       say "";
-      say "trace: %d spans recorded, %d dropped (ring capacity %d)"
-        (Tracer.recorded tracer) (Tracer.dropped tracer) (Tracer.capacity tracer);
-      say "span tree (most recent %d spans):" (List.length (Tracer.spans tracer));
-      Format.printf "%a%!" Tracer.pp_tree tracer;
+      say "trace: %d spans recorded in the journal" (Journal.count j Journal.Span_exit);
+      say "span tree (the %d completed spans in the journal tail):" (List.length spans);
+      say "%s" (Journal.spans_to_text spans);
       say "";
       say "metrics:";
       print_string (Metrics.to_text (Obs.metrics obs));

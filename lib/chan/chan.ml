@@ -138,19 +138,8 @@ let slot_off t i = header_bytes + (i mod t.n_slots * (4 + t.sz_slot))
 (* ------------------------------------------------------------------ *)
 
 let with_span t ~domain ~meth f =
-  let clock = Machine.clock t.machine in
-  let obs = Clock.obs clock in
-  if not (Obs.enabled obs) then f ()
-  else begin
-    let tok =
-      Obs.span_begin obs ~now:(Clock.now clock) ~domain ~obj:("chan." ^ t.chan_name)
-        ~iface:"chan" ~meth
-    in
-    let r = f () in
-    Clock.advance clock (Machine.costs t.machine).Cost.mem_write;
-    Obs.span_end obs ~now:(Clock.now clock) tok;
-    r
-  end
+  Clock.span (Machine.clock t.machine) ~costs:(Machine.costs t.machine) ~domain
+    ~layer:"chan" ~obj:t.chan_name ~iface:"chan" ~meth f
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -80,19 +80,8 @@ let hwrite t off v =
   Physmem.write32 (Machine.phys t.machine) (t.hdr_phys + off) v
 
 let with_span t ~domain ~meth f =
-  let clock = Machine.clock t.machine in
-  let obs = Clock.obs clock in
-  if not (Obs.enabled obs) then f ()
-  else begin
-    let tok =
-      Obs.span_begin obs ~now:(Clock.now clock) ~domain
-        ~obj:("mpsc." ^ t.group_name) ~iface:"mpsc" ~meth
-    in
-    let r = f () in
-    Clock.advance clock (Machine.costs t.machine).Cost.mem_write;
-    Obs.span_end obs ~now:(Clock.now clock) tok;
-    r
-  end
+  Clock.span (Machine.clock t.machine) ~costs:(Machine.costs t.machine) ~domain
+    ~layer:"mpsc" ~obj:t.group_name ~iface:"mpsc" ~meth f
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

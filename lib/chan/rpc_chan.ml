@@ -246,19 +246,10 @@ type client_state = {
 }
 
 let with_flush_span conn f =
-  let clock = Machine.clock conn.api.Api.machine in
-  let obs = Clock.obs clock in
-  if not (Obs.enabled obs) then f ()
-  else begin
-    let tok =
-      Obs.span_begin obs ~now:(Clock.now clock) ~domain:conn.client_dom.Domain.id
-        ~obj:("chan." ^ Chan.name conn.req) ~iface:"chan" ~meth:"batch_flush"
-    in
-    let r = f () in
-    Clock.advance clock (Machine.costs conn.api.Api.machine).Cost.mem_write;
-    Obs.span_end obs ~now:(Clock.now clock) tok;
-    r
-  end
+  let machine = conn.api.Api.machine in
+  Clock.span (Machine.clock machine) ~costs:(Machine.costs machine)
+    ~domain:conn.client_dom.Domain.id ~layer:"chan" ~obj:(Chan.name conn.req)
+    ~iface:"chan" ~meth:"batch_flush" f
 
 let client api conn ?(max_polls = 10_000) () =
   let st = { next_id = 1; buffered = []; pending = Hashtbl.create 16 } in

@@ -12,7 +12,6 @@ module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Obs = Pm_obs.Obs
-module Flightrec = Pm_obs.Flightrec
 module Directory = Pm_nucleus.Directory
 module Events = Pm_nucleus.Events
 module Domain = Pm_nucleus.Domain
@@ -30,22 +29,22 @@ let create ~machine ~directory ~events ?domains () =
   { machine; directory; events; domains; last = None; runs = 0 }
 
 let run t =
+  let clock = Machine.clock t.machine in
   (* the history rules read the clock journal — the same one every
      nucleus site records into *)
-  let journal = Obs.journal (Clock.obs (Machine.clock t.machine)) in
+  let journal = Obs.journal (Clock.obs clock) in
   let report =
     Lint.run ~machine:t.machine ~directory:t.directory ~events:t.events
       ~journal ?domains:t.domains ()
   in
   t.last <- Some report;
   t.runs <- t.runs + 1;
-  let clock = Machine.clock t.machine in
-  let obs = Clock.obs clock in
   (* always-on black-box entry: one record per run, info = error count *)
-  Flightrec.record (Obs.flight obs) ~kind:Flightrec.Check
+  Pm_journal.Journal.record journal ~kind:Pm_journal.Journal.Check
     ~domain:(Pm_machine.Mmu.current_context (Machine.mmu t.machine))
     ~at:(Clock.now clock)
-    ~info:(List.length (Lint.errors report));
+    ~info:(List.length (Lint.errors report))
+    ~detail:"";
   report
 
 let last t = t.last

@@ -523,30 +523,16 @@ let report_to_string report =
       report.rules_run
       (String.concat "\n" (List.map finding_to_string fs))
 
-(* Machine-readable report: one JSON object per line of CI tooling. No
-   JSON library in the tree, so escape by hand — rule names are fixed
-   but subjects and details carry arbitrary paths and quotes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Machine-readable report: one JSON object per line of CI tooling. Rule
+   names are fixed, but subjects and details carry arbitrary paths and
+   quotes. *)
 let finding_to_json f =
+  let esc = Pm_journal.Json.escape in
   Printf.sprintf
     {|{"rule":"%s","severity":"%s","subject":"%s","detail":"%s"}|}
-    (json_escape f.rule)
+    (esc f.rule)
     (severity_to_string f.severity)
-    (json_escape f.subject) (json_escape f.detail)
+    (esc f.subject) (esc f.detail)
 
 let report_to_json report =
   Printf.sprintf {|{"rules_run":%d,"errors":%d,"findings":[%s]}|}

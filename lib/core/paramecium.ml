@@ -26,10 +26,8 @@ module Trace = Pm_journal.Trace
 module Query = Pm_query.Query
 
 (* observability core *)
-module Tracer = Pm_obs.Tracer
 module Metrics = Pm_obs.Metrics
 module Acct = Pm_obs.Acct
-module Flightrec = Pm_obs.Flightrec
 module Obs = Pm_obs.Obs
 
 (* simulated machine *)

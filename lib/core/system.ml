@@ -94,20 +94,11 @@ let wire_crash_dump kernel =
   let clock = Kernel.clock kernel in
   Pm_obj.Oerror.set_fail_hook (fun e ->
       Logs.debug (fun m ->
-          m "Oerror (%s); flight recorder (last 16 events):@\n%s"
-            (Pm_obj.Oerror.to_string e)
-            (Pm_obs.Flightrec.tail_to_text
-               (Pm_obs.Obs.flight (Clock.obs clock))
-               16)))
+          m "Oerror (%s); %s" (Pm_obj.Oerror.to_string e)
+            (Journal.flight_to_text (Pm_obs.Obs.journal (Clock.obs clock)) 16)))
 
-let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
-    ?(delegates = standard_delegates) () =
-  let rng = Prng.create ~seed in
-  let authority = Authority.create rng ~name:"certification-authority" ~key_bits in
-  List.iter
-    (fun (name, policy, latency) ->
-      ignore (Authority.add_delegate authority rng ~name ~policy ~latency ()))
-    delegates;
+(* boot a kernel under [authority] and wire every boot-time service *)
+let assemble ?costs ?frames ?page_size ?cpus ~rng authority =
   let kernel =
     Kernel.boot ?costs ?frames ?page_size ?cpus ~root:(Authority.ca authority) ()
   in
@@ -121,18 +112,18 @@ let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
   wire_crash_dump kernel;
   { kernel; authority; rng; stats; check }
 
-let with_authority ?costs ?frames ?page_size ~seed authority =
+let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
+    ?(delegates = standard_delegates) () =
   let rng = Prng.create ~seed in
-  let kernel = Kernel.boot ?costs ?frames ?page_size ~root:(Authority.ca authority) () in
-  wire_tracing kernel;
-  wire_chan kernel;
+  let authority = Authority.create rng ~name:"certification-authority" ~key_bits in
   List.iter
-    (Certsvc.add_grant (Kernel.certification kernel))
-    (Authority.grants authority);
-  let stats = wire_stats kernel in
-  let check = wire_check kernel in
-  wire_crash_dump kernel;
-  { kernel; authority; rng; stats; check }
+    (fun (name, policy, latency) ->
+      ignore (Authority.add_delegate authority rng ~name ~policy ~latency ()))
+    delegates;
+  assemble ?costs ?frames ?page_size ?cpus ~rng authority
+
+let with_authority ?costs ?frames ?page_size ~seed authority =
+  assemble ?costs ?frames ?page_size ~rng:(Prng.create ~seed) authority
 
 let kernel t = t.kernel
 let authority t = t.authority

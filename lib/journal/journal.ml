@@ -2,18 +2,20 @@
    nucleus mediates. Execution events (traps, interrupts, faults,
    crossings, dispatches, lint runs, crashes) and structural mutations
    (install, bind, interpose, page sharing, domain lifecycle,
-   transactions) land in one cycle-stamped stream.
+   transactions) land in one cycle-stamped stream, and so do the
+   observability spans. The flight recorder and the span tree are
+   views over its tail, not separate recorders.
 
-   Like the flight recorder it subsumes, recording is plain OCaml
-   stores and charges no simulated cycles — the history is a property
-   of the run, not a perturbation of it. Because the simulated machine
-   is deterministic, a [Full]-mode journal is also a *replayable* one:
-   re-running the same scenario on a fresh system must reproduce the
-   export byte for byte (see Replay / bin/pm_replay).
+   Recording is plain OCaml stores and charges no simulated cycles —
+   the history is a property of the run, not a perturbation of it.
+   Because the simulated machine is deterministic, a [Full]-mode
+   journal is also a *replayable* one: re-running the same scenario on
+   a fresh system must reproduce the export byte for byte (see Replay /
+   bin/pm_replay).
 
    Two modes:
    - [Tail] (default): only a bounded ring of recent events is kept —
-     the old flight-recorder memory bound — plus the structural archive,
+     the flight recorder's memory bound — plus the structural archive,
      which is always complete (mutations are rare).
    - [Full]: every event is retained, up to [retain]; beyond that the
      oldest events are compacted away (counted, never silently). *)
@@ -289,12 +291,12 @@ let set_mode t m =
   end
 
 (* Every event is stamped with the ambient request id; with tracing
-   off [Trace.current] is pinned to 0 — no call-site changes, no cost. *)
-let record t ~kind ~domain ~at ~info ~detail =
-  let e =
-    { seq = t.written; at; domain; kind; info; detail; rid = Trace.current ();
-      cpu = !cur_cpu }
-  in
+   off [Trace.current] is pinned to 0 — no call-site changes, no cost.
+   [rid] overrides it: a span's exit carries its enter's id even when
+   the body re-established another one. *)
+let record ?rid t ~kind ~domain ~at ~info ~detail =
+  let rid = match rid with Some r -> r | None -> Trace.current () in
+  let e = { seq = t.written; at; domain; kind; info; detail; rid; cpu = !cur_cpu } in
   t.tail.(t.written mod t.tail_cap) <- Some e;
   t.written <- t.written + 1;
   if is_execution kind then t.exec_written <- t.exec_written + 1;
@@ -326,8 +328,6 @@ let tail t =
   let first = if t.written <= t.tail_cap then 0 else t.written mod t.tail_cap in
   List.init n (fun k -> t.tail.((first + k) mod t.tail_cap))
   |> List.filter_map Fun.id
-
-let tail_exec t = List.filter (fun e -> is_execution e.kind) (tail t)
 
 let history t = buf_to_list t.history
 let structural t = buf_to_list t.structural
@@ -387,11 +387,67 @@ let stats_line t =
 let to_text t =
   String.concat "\n" (stats_line t :: List.map event_to_text (tail t))
 
-let tail_to_text t n =
-  let evs = tail t in
+(* the [n] most recent of [evs] *)
+let last n evs =
   let len = List.length evs in
-  let sel = if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs in
-  String.concat "\n" (List.map event_to_text sel)
+  if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs
+
+let tail_to_text t n = String.concat "\n" (List.map event_to_text (last n (tail t)))
+
+(* ---------------- views over the tail -------------------------------- *)
+
+(* The flight recorder: the tail restricted to the always-on records a
+   post-mortem wants — traps, interrupts, faults, crossings, dispatches,
+   lint runs and crashes. *)
+let in_flight = function
+  | Trap | Irq | Fault | Crossing | Sched | Check | Crash -> true
+  | _ -> false
+
+let flight t = List.filter (fun e -> in_flight e.kind) (tail t)
+
+let flight_to_text t n =
+  let evs = flight t in
+  let shown = if n > 0 then last n evs else evs in
+  let recorded =
+    List.fold_left (fun acc k -> if in_flight k then acc + count t k else acc) 0 all_kinds
+  in
+  String.concat "\n"
+    (Printf.sprintf "flight: %d recorded, %d shown" recorded (List.length shown)
+    :: List.map event_to_text shown)
+
+type span = { enter : event; exit_at : int; depth : int }
+
+(* Completed spans in the tail, in completion order. Every span helper
+   closes LIFO, so an exit pairs with the innermost open enter of the
+   same detail; an exit whose enter left the ring is skipped, and enters
+   still open at the end are not spans yet. *)
+let spans t =
+  let rec unwind stack detail =
+    match stack with
+    | [] -> None
+    | e :: rest -> if String.equal e.detail detail then Some (e, rest) else unwind rest detail
+  in
+  let step (stack, acc) e =
+    match e.kind with
+    | Span_enter -> (e :: stack, acc)
+    | Span_exit -> (
+      match unwind stack e.detail with
+      | None -> (stack, acc)
+      | Some (enter, rest) -> (rest, { enter; exit_at = e.at; depth = List.length rest } :: acc))
+    | _ -> (stack, acc)
+  in
+  List.rev (snd (List.fold_left step ([], []) (tail t)))
+
+(* One line per span in call-tree (pre-)order, indented by depth. *)
+let spans_to_text spans =
+  List.sort (fun a b -> compare a.enter.seq b.enter.seq) spans
+  |> List.map (fun s ->
+         let e = s.enter in
+         Printf.sprintf "#%-6d dom %-2d %s%s  %d..%d (%d cyc)%s" e.seq e.domain
+           (String.make (2 * s.depth) ' ')
+           e.detail e.at s.exit_at (s.exit_at - e.at)
+           (if e.rid = 0 then "" else Printf.sprintf "  rid=%d" e.rid))
+  |> String.concat "\n"
 
 (* ---------------- replay export / import ----------------------------- *)
 
@@ -425,41 +481,53 @@ let export t =
     t.history;
   Buffer.contents b
 
-let make_event seq at domain kstr info detail rid cpu =
-  match kind_of_string kstr with
-  | Some kind -> Ok { seq; at; domain; kind; info; detail; rid; cpu }
-  | None -> Error (Printf.sprintf "unknown event kind %S" kstr)
-
-(* Optional suffixes in emission order: [rid=N] then [cpu=N], either
-   alone, both, or neither. Try the most specific shape first. *)
-let event_of_line line =
-  let attempt fmt k = try Some (Scanf.sscanf line fmt k) with _ -> None in
-  let shapes =
-    [
-      (fun () ->
-        attempt " %d %d %d %s %d %S rid=%d cpu=%d"
-          (fun seq at domain kstr info detail rid cpu ->
-            make_event seq at domain kstr info detail rid cpu));
-      (fun () ->
-        attempt " %d %d %d %s %d %S rid=%d"
-          (fun seq at domain kstr info detail rid ->
-            make_event seq at domain kstr info detail rid 0));
-      (fun () ->
-        attempt " %d %d %d %s %d %S cpu=%d"
-          (fun seq at domain kstr info detail cpu ->
-            make_event seq at domain kstr info detail 0 cpu));
-    ]
+(* The optional suffix, exactly as [event_to_line] emits it: [ rid=N]
+   then [ cpu=N], each N positive and in canonical decimal. Anything
+   else — stray words, a zero, an overflow, the wrong order, a missing
+   value — is a named error rather than a silently dropped field. *)
+let suffix_of rest =
+  let field name s =
+    let p = name ^ "=" in
+    let lp = String.length p in
+    if String.length s <= lp || not (String.equal (String.sub s 0 lp) p) then None
+    else
+      let v = String.sub s lp (String.length s - lp) in
+      match int_of_string_opt v with
+      | Some n when n > 0 && String.equal (string_of_int n) v -> Some n
+      | _ -> None
   in
-  match List.find_map (fun f -> f ()) shapes with
-  | Some r -> r
-  | None -> (
-    try
-      Scanf.sscanf line " %d %d %d %s %d %S"
-        (fun seq at domain kstr info detail ->
-          make_event seq at domain kstr info detail 0 0)
-    with
-    | Scanf.Scan_failure m | Failure m -> Error m
-    | End_of_file -> Error "truncated event line")
+  let ids =
+    match String.split_on_char ' ' rest with
+    | [ "" ] -> Some (0, 0)
+    | [ ""; a ] -> (
+      match (field "rid" a, field "cpu" a) with
+      | Some rid, _ -> Some (rid, 0)
+      | None, Some cpu -> Some (0, cpu)
+      | None, None -> None)
+    | [ ""; a; b ] -> (
+      match (field "rid" a, field "cpu" b) with
+      | Some rid, Some cpu -> Some (rid, cpu)
+      | _ -> None)
+    | _ -> None
+  in
+  match ids with
+  | Some ids -> Ok ids
+  | None -> Error (Printf.sprintf "bad event suffix %S (expected [ rid=N][ cpu=N], N > 0)" rest)
+
+let event_of_line line =
+  match
+    Scanf.sscanf line " %d %d %d %s %d %S%n" (fun seq at domain kstr info detail n ->
+        (seq, at, domain, kstr, info, detail, n))
+  with
+  | exception (Scanf.Scan_failure m | Failure m | Invalid_argument m) -> Error m
+  | exception End_of_file -> Error "truncated event line"
+  | seq, at, domain, kstr, info, detail, n -> (
+    match kind_of_string kstr with
+    | None -> Error (Printf.sprintf "unknown event kind %S" kstr)
+    | Some kind ->
+      Result.map
+        (fun (rid, cpu) -> { seq; at; domain; kind; info; detail; rid; cpu })
+        (suffix_of (String.sub line n (String.length line - n))))
 
 type import_result = { events : event list; complete : bool }
 

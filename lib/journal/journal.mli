@@ -14,9 +14,10 @@
     journal is replayable: re-running the same scenario reproduces the
     {!export} byte for byte.
 
-    {!Pm_obs.Flightrec} is a view over this journal: the old bounded
-    black-box ring is the journal's [Tail] filtered to execution
-    events. *)
+    The black box and the span tracer are views over this journal, not
+    recorders of their own: {!flight} is the tail filtered to the
+    always-on execution records, {!spans} pairs the tail's
+    {!Span_enter}/{!Span_exit} events into completed spans. *)
 
 type kind =
   | Trap
@@ -48,8 +49,11 @@ type kind =
   | Cache_flush  (** a write-back cache flushed dirty blocks downstream *)
   | Req_begin  (** a traced request entered the system ([info] = rid) *)
   | Req_end  (** a traced request completed ([info] = rid) *)
-  | Span_enter  (** a traced request entered a layer ([detail] = layer) *)
-  | Span_exit  (** a traced request left a layer ([detail] = layer) *)
+  | Span_enter
+      (** a layer was entered: a traced request crossing the store/net
+          path, or an observability span ([detail] starts with the layer
+          name, e.g. ["kv"] or ["proxy echo.echo proxy:test.echo"]) *)
+  | Span_exit  (** the matching exit, same [detail] and [rid] as its enter *)
   | Trace_note  (** a point annotation on a traced request (demux, cache hit/miss, log append) *)
 
 val is_execution : kind -> bool
@@ -103,8 +107,10 @@ val set_mode : t -> mode -> unit
 val set_current_cpu : int -> unit
 val current_cpu : unit -> int
 
+(** [record t ...] appends one event stamped with the ambient request id
+    ({!Trace.current}), or with [rid] when given. *)
 val record :
-  t -> kind:kind -> domain:int -> at:int -> info:int -> detail:string -> unit
+  ?rid:int -> t -> kind:kind -> domain:int -> at:int -> info:int -> detail:string -> unit
 
 (** [mark t ~domain ~at label] records a {!Mark} and returns its seq. *)
 val mark : t -> domain:int -> at:int -> string -> int
@@ -135,9 +141,6 @@ val complete : t -> bool
 (** Surviving tail-ring events, oldest first. *)
 val tail : t -> event list
 
-(** The tail restricted to execution events — the flight-recorder view. *)
-val tail_exec : t -> event list
-
 (** The retained [Full]-mode history, oldest first. *)
 val history : t -> event list
 
@@ -152,7 +155,32 @@ val reset : t -> unit
 val event_to_text : event -> string
 val stats_line : t -> string
 val to_text : t -> string
+
+(** The [n] most recent tail events, one line each. *)
 val tail_to_text : t -> int -> string
+
+(** {2 Views over the tail} *)
+
+(** The flight recorder: the tail restricted to traps, interrupts,
+    faults, crossings, dispatches, lint runs and crashes, oldest first.
+    These are recorded whatever the tracing flags say. *)
+val flight : t -> event list
+
+(** [flight_to_text t n] is the black-box dump: a ["flight: ..."]
+    header, then the [n] most recent {!flight} events ([n <= 0]: all). *)
+val flight_to_text : t -> int -> string
+
+(** A completed span: its {!Span_enter} event, when it exited and how
+    many spans enclosed it. *)
+type span = { enter : event; exit_at : int; depth : int }
+
+(** The completed spans in the tail, in completion order: each
+    {!Span_exit} paired with the innermost open {!Span_enter} of the
+    same detail. Exits whose enter has left the ring are skipped. *)
+val spans : t -> span list
+
+(** One line per span in call-tree order, indented by depth. *)
+val spans_to_text : span list -> string
 
 (** {2 Replay export / import} *)
 
@@ -161,6 +189,10 @@ val tail_to_text : t -> int -> string
     identical runs — the replay contract. *)
 val export : t -> string
 
+(** [import s] parses an {!export}. Any line that is not exactly an
+    exported event — unknown kind, trailing words, a [rid=]/[cpu=]
+    suffix that is zero, out of range, misordered or empty — is a named
+    [Error]; no input makes it raise. *)
 val import : string -> (event list, string) result
 
 type import_result = { events : event list; complete : bool }

@@ -54,6 +54,34 @@ let measure t f =
   let result = f () in
   (result, now t - before)
 
+module Journal = Pm_journal.Journal
+
+(* The one span recorder. With the observability flag on, [f] runs
+   between Span_enter/Span_exit journal events; one simulated store
+   books the completed span and [on_exit] gets its inclusive cycles for
+   metrics and accounting. An exception still records the exit (without
+   the booking store) and is re-raised; the exit always carries the
+   enter's rid, whatever ambient request [f] left behind. *)
+let span t ~costs ~domain ~layer ~obj ~iface ~meth ?on_exit f =
+  if not (Pm_obs.Obs.enabled t.obs) then f ()
+  else begin
+    let j = Pm_obs.Obs.journal t.obs in
+    let detail = String.concat "" [ layer; " "; iface; "."; meth; " "; obj ] in
+    let rid = Pm_journal.Trace.current () and t0 = t.cycles in
+    let jot kind = Journal.record j ~rid ~kind ~domain ~at:t.cycles ~info:0 ~detail in
+    jot Journal.Span_enter;
+    match f () with
+    | r ->
+      advance t (Cost.span_store costs);
+      jot Journal.Span_exit;
+      (match on_exit with Some k -> k (t.cycles - t0) | None -> ());
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      jot Journal.Span_exit;
+      Printexc.raise_with_backtrace e bt
+  end
+
 type snapshot = { at : int; counts : (string * int) list }
 
 let snapshot t = { at = t.cycles; counts = counters t }

@@ -9,7 +9,7 @@ type t
 
 (** [create ?obs ()] makes a fresh clock. Passing [obs] shares an
     existing observability sink — how per-CPU clocks all feed the one
-    journal/tracer/accounting instance the machine owns. *)
+    journal/metrics/accounting instance the machine owns. *)
 val create : ?obs:Pm_obs.Obs.t -> unit -> t
 
 (** [advance t n] charges [n >= 0] cycles. *)
@@ -51,6 +51,28 @@ val measure : t -> (unit -> 'a) -> 'a * int
     disabled by default; instrumented paths charge no cycles until
     [Pm_obs.Obs.enable] is called. *)
 val obs : t -> Pm_obs.Obs.t
+
+(** [span t ~costs ~domain ~layer ~obj ~iface ~meth ?on_exit f] is the
+    one observability span. With {!obs} disabled it is [f ()] and
+    nothing else. Enabled, it journals a [Span_enter] whose detail is
+    ["layer iface.meth obj"] (so {!Pm_query.Query} attributes it to
+    [layer]), runs [f], charges one [Cost.span_store] to book the span,
+    journals the matching [Span_exit] and passes the span's inclusive
+    cycles to [on_exit]. If [f] raises, the exit is still journalled
+    (uncharged, [on_exit] skipped) and the exception re-raised. Enter
+    and exit carry the same request id even when [f] changes the
+    ambient one. *)
+val span :
+  t ->
+  costs:Cost.t ->
+  domain:int ->
+  layer:string ->
+  obj:string ->
+  iface:string ->
+  meth:string ->
+  ?on_exit:(int -> unit) ->
+  (unit -> 'a) ->
+  'a
 
 (** {2 Snapshots}
 

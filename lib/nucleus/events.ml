@@ -1,7 +1,6 @@
 module Machine = Pm_machine.Machine
 module Mmu = Pm_machine.Mmu
 module Clock = Pm_machine.Clock
-module Cost = Pm_machine.Cost
 module Obs = Pm_obs.Obs
 module Journal = Pm_journal.Journal
 
@@ -39,34 +38,29 @@ let deliver t cb arg =
    sample per call-back, gated on the tracing flag so the quiescent cost
    is one boolean test. *)
 let deliver_traced t obs ~kind ~num cb arg =
-  let clock = Machine.clock t.machine in
-  let t0 = Clock.now clock in
-  let tok =
-    Obs.span_begin obs ~now:t0 ~domain:cb.domain.Domain.id ~obj:"nucleus.events"
-      ~iface:kind ~meth:(string_of_int num)
-  in
-  deliver t cb arg;
-  Clock.advance clock (Machine.costs t.machine).Cost.mem_write;
-  let t1 = Clock.now clock in
-  Obs.span_end obs ~now:t1 tok;
-  Obs.observe obs ~domain:cb.domain.Domain.id ("events." ^ kind) (t1 - t0);
-  let acct = Obs.acct obs in
-  if String.equal kind "trap" then Pm_obs.Acct.trap acct ~domain:cb.domain.Domain.id (t1 - t0)
-  else Pm_obs.Acct.irq acct ~domain:cb.domain.Domain.id (t1 - t0)
+  let domain = cb.domain.Domain.id in
+  Clock.span (Machine.clock t.machine) ~costs:(Machine.costs t.machine) ~domain
+    ~layer:"events" ~obj:"nucleus.events" ~iface:kind ~meth:(string_of_int num)
+    ~on_exit:(fun cyc ->
+      Obs.observe obs ~domain ("events." ^ kind) cyc;
+      let acct = Obs.acct obs in
+      if String.equal kind "trap" then Pm_obs.Acct.trap acct ~domain cyc
+      else Pm_obs.Acct.irq acct ~domain cyc)
+    (fun () -> deliver t cb arg)
 
 let dispatch t event arg =
   let clock = Machine.clock t.machine in
   let obs = Clock.obs clock in
-  let fkind, kind, num =
+  let jkind, kind, num =
     match event with
-    | Trap n -> (Pm_obs.Flightrec.Trap, "trap", n)
-    | Irq n -> (Pm_obs.Flightrec.Irq, "irq", n)
+    | Trap n -> (Journal.Trap, "trap", n)
+    | Irq n -> (Journal.Irq, "irq", n)
   in
   (* always-on flight record — plain stores, no cycle charges; recorded
      before the table lookup so even an unhandled event leaves a trace *)
-  Pm_obs.Flightrec.record (Obs.flight obs) ~kind:fkind
+  Journal.record (Obs.journal obs) ~kind:jkind
     ~domain:(Mmu.current_context (Machine.mmu t.machine))
-    ~at:(Clock.now clock) ~info:num;
+    ~at:(Clock.now clock) ~info:num ~detail:"";
   match Hashtbl.find_opt t.table event with
   | None -> ()
   | Some cbs ->

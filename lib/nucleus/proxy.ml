@@ -32,10 +32,10 @@ let make ~machine ~vmem ~registry ~target ~importer =
       else begin
         let clock = ctx.Call_ctx.clock and costs = ctx.Call_ctx.costs in
         (* always-on flight record of the crossing, charged nothing *)
-        Pm_obs.Flightrec.record
-          (Pm_obs.Obs.flight (Clock.obs clock))
-          ~kind:Pm_obs.Flightrec.Crossing ~domain:importer.Domain.id
-          ~at:(Clock.now clock) ~info:target.Instance.domain;
+        Pm_journal.Journal.record
+          (Pm_obs.Obs.journal (Clock.obs clock))
+          ~kind:Pm_journal.Journal.Crossing ~domain:importer.Domain.id
+          ~at:(Clock.now clock) ~info:target.Instance.domain ~detail:"";
         (* referencing the interface entry faults into the kernel *)
         Clock.advance clock costs.Cost.page_fault;
         Clock.count clock "proxy_fault";
@@ -66,22 +66,15 @@ let make ~machine ~vmem ~registry ~target ~importer =
     let impl (ctx : Call_ctx.t) args =
       let obs = Clock.obs ctx.Call_ctx.clock in
       if not (Pm_obs.Obs.enabled obs) then forward ctx args
-      else begin
-        let clock = ctx.Call_ctx.clock in
-        let t0 = Clock.now clock in
-        let tok =
-          Pm_obs.Obs.span_begin obs ~now:t0 ~domain:importer.Domain.id
-            ~obj:(class_prefix ^ target.Instance.class_name)
-            ~iface:iface_name ~meth:m.Iface.mname
-        in
-        let result = forward ctx args in
-        Clock.advance clock ctx.Call_ctx.costs.Cost.mem_write;
-        let t1 = Clock.now clock in
-        Pm_obs.Obs.span_end obs ~now:t1 tok;
-        Pm_obs.Obs.observe obs ~domain:importer.Domain.id "proxy.call" (t1 - t0);
-        Pm_obs.Acct.crossing (Pm_obs.Obs.acct obs) ~domain:importer.Domain.id (t1 - t0);
-        result
-      end
+      else
+        let domain = importer.Domain.id in
+        Clock.span ctx.Call_ctx.clock ~costs:ctx.Call_ctx.costs ~domain ~layer:"proxy"
+          ~obj:(class_prefix ^ target.Instance.class_name)
+          ~iface:iface_name ~meth:m.Iface.mname
+          ~on_exit:(fun cyc ->
+            Pm_obs.Obs.observe obs ~domain "proxy.call" cyc;
+            Pm_obs.Acct.crossing (Pm_obs.Obs.acct obs) ~domain cyc)
+          (fun () -> forward ctx args)
     in
     { m with Iface.impl }
   in

@@ -7,6 +7,7 @@ module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Obs = Pm_obs.Obs
 module Metrics = Pm_obs.Metrics
+module Journal = Pm_journal.Journal
 
 type installed = { agent : Instance.t; original : Instance.t }
 
@@ -58,6 +59,30 @@ let uninterpose t path =
 
 let interposed t = Hashtbl.fold (fun path _ acc -> path :: acc) t.installed []
 
+(* The snapshot is two journal-derived views plus the metrics: how many
+   spans were ever recorded, and the completed ones the tail still
+   holds. *)
+let snapshot_text t =
+  let j = Obs.journal (obs t) in
+  let spans = Journal.spans j in
+  Printf.sprintf "spans: %d recorded, %d in the journal tail\n%s\n%s"
+    (Journal.count j Journal.Span_exit) (List.length spans) (Journal.spans_to_text spans)
+    (Metrics.to_text (Obs.metrics (obs t)))
+
+let span_to_json (s : Journal.span) =
+  let e = s.Journal.enter in
+  Printf.sprintf
+    "{\"seq\":%d,\"domain\":%d,\"rid\":%d,\"detail\":\"%s\",\"start\":%d,\"end\":%d,\"depth\":%d}"
+    e.Journal.seq e.Journal.domain e.Journal.rid (Pm_journal.Json.escape e.Journal.detail)
+    e.Journal.at s.Journal.exit_at s.Journal.depth
+
+let snapshot_json t =
+  let j = Obs.journal (obs t) in
+  Printf.sprintf "{\"recorded\":%d,\"spans\":[%s],\"metrics\":%s}"
+    (Journal.count j Journal.Span_exit)
+    (String.concat "," (List.map span_to_json (Journal.spans j)))
+    (Metrics.to_json (Obs.metrics (obs t)))
+
 let service_object t registry kdom =
   let unit_m body _ctx = function
     | [] ->
@@ -68,8 +93,8 @@ let service_object t registry kdom =
   let snapshot_m _ctx = function
     | [ Value.Str fmt ] ->
       (match fmt with
-      | "text" -> Ok (Value.Str (Obs.to_text (obs t)))
-      | "json" -> Ok (Value.Str (Obs.to_json (obs t)))
+      | "text" -> Ok (Value.Str (snapshot_text t))
+      | "json" -> Ok (Value.Str (snapshot_json t))
       | _ -> Error (Oerror.Type_error "snapshot(\"text\"|\"json\")"))
     | _ -> Error (Oerror.Type_error "snapshot(str)")
   in
@@ -98,10 +123,6 @@ let service_object t registry kdom =
     | [] -> Ok (Value.Bool (Obs.enabled (obs t)))
     | _ -> Error (Oerror.Type_error "enabled()")
   in
-  let dropped_m _ctx = function
-    | [] -> Ok (Value.Int (Pm_obs.Tracer.dropped (Obs.tracer (obs t))))
-    | _ -> Error (Oerror.Type_error "dropped()")
-  in
   let iface =
     Iface.make ~name:"trace"
       [
@@ -112,7 +133,6 @@ let service_object t registry kdom =
         Iface.meth ~name:"reset" ~args:[] ~ret:Vtype.Tunit
           (unit_m (fun () -> Obs.reset (obs t)));
         Iface.meth ~name:"enabled" ~args:[] ~ret:Vtype.Tbool enabled_m;
-        Iface.meth ~name:"dropped" ~args:[] ~ret:Vtype.Tint dropped_m;
         Iface.meth ~name:"snapshot" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr snapshot_m;
         Iface.meth ~name:"histogram" ~args:[ Vtype.Tint; Vtype.Tstr ] ~ret:Vtype.Tstr
           histogram_m;

@@ -35,8 +35,10 @@ val interposed : t -> string list
 
 (** [service_object t registry kdom] builds the kernel-domain service
     instance exporting the [trace] interface:
-    [start()], [stop()], [reset()], [enabled() : bool],
-    [snapshot(fmt) : str] with [fmt] one of ["text"]/["json"],
+    [start()], [stop()], [enabled() : bool],
+    [reset()] (zeroes metrics and accounting; never the journal),
+    [snapshot(fmt) : str] with [fmt] one of ["text"]/["json"] (the
+    journal's span view plus the metrics),
     [histogram(domain, name) : str],
     [interpose(path) : int] (the agent's handle), and
     [uninterpose(path)]. *)

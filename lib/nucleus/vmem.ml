@@ -2,7 +2,6 @@ module Machine = Pm_machine.Machine
 module Mmu = Pm_machine.Mmu
 module Physmem = Pm_machine.Physmem
 module Clock = Pm_machine.Clock
-module Cost = Pm_machine.Cost
 module Obs = Pm_obs.Obs
 module Journal = Pm_journal.Journal
 
@@ -57,29 +56,23 @@ let create machine =
          let fclock = Machine.clock machine in
          (* always-on flight record: unresolved faults are exactly what
             the black box is for *)
-         Pm_obs.Flightrec.record
-           (Obs.flight (Clock.obs fclock))
-           ~kind:Pm_obs.Flightrec.Fault ~domain:fault.Mmu.ctx ~at:(Clock.now fclock)
-           ~info:vpage;
+         Journal.record
+           (Obs.journal (Clock.obs fclock))
+           ~kind:Journal.Fault ~domain:fault.Mmu.ctx ~at:(Clock.now fclock) ~info:vpage
+           ~detail:"";
          match Hashtbl.find_opt t.fault_cbs (fault.Mmu.ctx, vpage) with
          | Some cb ->
            let clock = Machine.clock machine in
            let obs = Clock.obs clock in
-           if Obs.enabled obs then begin
+           if Obs.enabled obs then
              (* page-fault handling latency: the whole user callback *)
-             let t0 = Clock.now clock in
-             let tok =
-               Obs.span_begin obs ~now:t0 ~domain:fault.Mmu.ctx ~obj:"nucleus.vmem"
-                 ~iface:"fault" ~meth:(string_of_int vpage)
-             in
-             let resolved = cb fault in
-             Clock.advance clock (Machine.costs machine).Cost.mem_write;
-             let t1 = Clock.now clock in
-             Obs.span_end obs ~now:t1 tok;
-             Obs.observe obs ~domain:fault.Mmu.ctx "vmem.fault" (t1 - t0);
-             Pm_obs.Acct.fault (Obs.acct obs) ~domain:fault.Mmu.ctx (t1 - t0);
-             resolved
-           end
+             let domain = fault.Mmu.ctx in
+             Clock.span clock ~costs:(Machine.costs machine) ~domain ~layer:"vmem"
+               ~obj:"nucleus.vmem" ~iface:"fault" ~meth:(string_of_int vpage)
+               ~on_exit:(fun cyc ->
+                 Obs.observe obs ~domain "vmem.fault" cyc;
+                 Pm_obs.Acct.fault (Obs.acct obs) ~domain cyc)
+               (fun () -> cb fault)
            else cb fault
          | None -> false));
   t

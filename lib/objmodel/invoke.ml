@@ -28,24 +28,19 @@ let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
                (Printf.sprintf "%s.%s returned an ill-typed value" iface meth))
     end
 
+(* the flag is tested here as well as in [Clock.span] so the untraced
+   hot path allocates no closure *)
 let call (ctx : Call_ctx.t) obj ~iface ~meth args =
   let obs = Clock.obs ctx.clock in
   if not (Obs.enabled obs) then dispatch ctx obj ~iface ~meth args
-  else begin
-    let t0 = Clock.now ctx.clock in
-    let tok =
-      Obs.span_begin obs ~now:t0 ~domain:ctx.caller_domain
-        ~obj:obj.Instance.class_name ~iface ~meth
-    in
-    let result = dispatch ctx obj ~iface ~meth args in
-    (* one simulated store books the completed span into the ring *)
-    Clock.advance ctx.clock ctx.costs.Cost.mem_write;
-    let t1 = Clock.now ctx.clock in
-    Obs.span_end obs ~now:t1 tok;
-    Obs.observe obs ~domain:ctx.caller_domain "invoke.dispatch" (t1 - t0);
-    Pm_obs.Acct.dispatch (Obs.acct obs) ~domain:ctx.caller_domain (t1 - t0);
-    result
-  end
+  else
+    let domain = ctx.caller_domain in
+    Clock.span ctx.clock ~costs:ctx.costs ~domain ~layer:"invoke"
+      ~obj:obj.Instance.class_name ~iface ~meth
+      ~on_exit:(fun cyc ->
+        Obs.observe obs ~domain "invoke.dispatch" cyc;
+        Pm_obs.Acct.dispatch (Obs.acct obs) ~domain cyc)
+      (fun () -> dispatch ctx obj ~iface ~meth args)
 
 let call_exn ctx obj ~iface ~meth args =
   match call ctx obj ~iface ~meth args with

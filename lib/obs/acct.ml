@@ -1,7 +1,7 @@
 (* Per-domain resource accounting. One mutable slot per protection
    domain, updated from the existing instrumentation points (Invoke /
    Events / Vmem / Proxy / Scheduler) inside their [Obs.enabled]
-   branches — so accounting shares the tracer's zero-cost-when-off
+   branches — so accounting shares the spans' zero-cost-when-off
    guarantee and never calls [Clock.advance] itself. *)
 
 type slot = {
@@ -37,7 +37,20 @@ let find (t : t) domain = Hashtbl.find_opt t domain
 let domains (t : t) =
   Hashtbl.fold (fun d _ acc -> d :: acc) t [] |> List.sort_uniq compare
 
-let reset (t : t) = Hashtbl.reset t
+(* zero every slot in place: Domain.t holds the same records *)
+let reset (t : t) =
+  Hashtbl.iter
+    (fun _ s ->
+      s.cycles <- 0;
+      s.dispatches <- 0;
+      s.traps <- 0;
+      s.irqs <- 0;
+      s.faults <- 0;
+      s.crossings <- 0;
+      s.crossing_cycles <- 0;
+      s.sched_runs <- 0;
+      s.pages <- 0)
+    t
 
 let copy s = { s with cycles = s.cycles }
 

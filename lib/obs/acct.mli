@@ -40,7 +40,9 @@ val find : t -> int -> slot option
 (** Domain ids with slots, ascending. *)
 val domains : t -> int list
 
+(** Zeroes every slot in place; slots handed out earlier stay live. *)
 val reset : t -> unit
+
 val copy : slot -> slot
 
 (** [sub ~after ~before] — counter fields subtract, [pages] keeps the

@@ -149,12 +149,12 @@ let to_text t =
 
 let to_json t =
   let entry (d, n, v) =
-    Printf.sprintf "{\"domain\":%d,\"name\":\"%s\",\"value\":%d}" d (Tracer.json_escape n) v
+    Printf.sprintf "{\"domain\":%d,\"name\":\"%s\",\"value\":%d}" d (Pm_journal.Json.escape n) v
   in
   let histo_entry (d, n, s) =
     Printf.sprintf
       "{\"domain\":%d,\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d}"
-      d (Tracer.json_escape n) s.count s.sum s.min s.max s.p50 s.p90 s.p99
+      d (Pm_journal.Json.escape n) s.count s.sum s.min s.max s.p50 s.p90 s.p99
   in
   Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}"
     (String.concat "," (List.map entry (counters t)))

@@ -1,51 +1,33 @@
 type t = {
   mutable enabled : bool;
-  tracer : Tracer.t;
   metrics : Metrics.t;
   acct : Acct.t;
-  flight : Flightrec.t;
+  journal : Pm_journal.Journal.t;
 }
 
-let create ?capacity ?flight_capacity () =
+let create () =
   {
     enabled = false;
-    tracer = Tracer.create ?capacity ();
     metrics = Metrics.create ();
     acct = Acct.create ();
-    flight = Flightrec.create ?capacity:flight_capacity ();
+    journal = Pm_journal.Journal.create ();
   }
 
 let enabled t = t.enabled
 let enable t = t.enabled <- true
 let disable t = t.enabled <- false
-let tracer t = t.tracer
 let metrics t = t.metrics
 let acct t = t.acct
-let flight t = t.flight
-
-(* the journal behind the flight recorder: the complete event-sourced
-   history (structural mutations included) of which the flight ring is
-   the execution-only tail view *)
-let journal t = Flightrec.journal t.flight
-
-let span_begin t ~now ~domain ~obj ~iface ~meth =
-  Tracer.begin_span t.tracer ~now ~domain ~obj ~iface ~meth
-
-let span_end t ~now tok = Tracer.end_span t.tracer ~now tok
+let journal t = t.journal
 
 let observe t ~domain name v = Metrics.observe t.metrics ~domain name v
 let incr t ~domain name = Metrics.incr t.metrics ~domain name
 let add t ~domain name n = Metrics.add t.metrics ~domain name n
 let set_gauge t ~domain name v = Metrics.set_gauge t.metrics ~domain name v
 
+(* The journal is the system's history — boot binds, page shares,
+   transaction ids — not an observability buffer, so a reset leaves it
+   alone. Accounting slots are zeroed in place: Domain.t aliases them. *)
 let reset t =
-  Tracer.reset t.tracer;
   Metrics.reset t.metrics;
-  Acct.reset t.acct;
-  Flightrec.reset t.flight
-
-let to_text t = Tracer.to_text t.tracer ^ "\n" ^ Metrics.to_text t.metrics
-
-let to_json t =
-  Printf.sprintf "{\"trace\":%s,\"metrics\":%s}" (Tracer.to_json t.tracer)
-    (Metrics.to_json t.metrics)
+  Acct.reset t.acct

@@ -1,46 +1,40 @@
-(** The observability sink: one span {!Tracer}, one {!Metrics} registry
-    and one per-domain {!Acct} table behind a single cheap [enabled]
-    flag, plus an always-on {!Flightrec}.
+(** The observability sink: one cheap [enabled] flag in front of a
+    {!Metrics} registry and a per-domain {!Acct} table, plus the system
+    journal every recording site writes into.
 
     Every virtual clock owns one of these; instrumented hot paths —
     method dispatch, event delivery, page-fault handling, cross-domain
-    proxies, the scheduler — test {!enabled} and skip everything
-    (including all cycle charges and accounting updates) when tracing is
-    off, so a quiescent tracer costs nothing in simulated cycles. The
-    flight recorder is the one exception: it records regardless of the
-    flag, but with plain stores and no cycle charges. *)
+    proxies, channels, the scheduler — test {!enabled} and skip
+    everything (cycle charges, spans, accounting) when it is off, so a
+    quiescent sink costs nothing in simulated cycles. Spans are journal
+    events ({!Pm_machine.Clock.span} records them); the flight recorder
+    is the journal's always-on view, recorded regardless of the flag
+    with plain stores and no cycle charges. *)
 
 type t
 
-val create : ?capacity:int -> ?flight_capacity:int -> unit -> t
+val create : unit -> t
 
 val enabled : t -> bool
 val enable : t -> unit
 val disable : t -> unit
 
-val tracer : t -> Tracer.t
 val metrics : t -> Metrics.t
 val acct : t -> Acct.t
-val flight : t -> Flightrec.t
 
-(** The system journal the flight recorder views: the complete
-    event-sourced history, structural mutations included. *)
+(** The system journal: the complete event-sourced history, spans and
+    structural mutations included. *)
 val journal : t -> Pm_journal.Journal.t
 
-(** {2 Conveniences forwarding to the tracer / metrics} *)
+(** {2 Conveniences forwarding to the metrics} *)
 
-val span_begin :
-  t -> now:int -> domain:int -> obj:string -> iface:string -> meth:string -> Tracer.token
-
-val span_end : t -> now:int -> Tracer.token -> unit
 val observe : t -> domain:int -> string -> int -> unit
 val incr : t -> domain:int -> string -> unit
 val add : t -> domain:int -> string -> int -> unit
 val set_gauge : t -> domain:int -> string -> int -> unit
 
-(** Clears spans, metrics, accounting and the flight recorder; leaves
-    [enabled] untouched. *)
+(** Clears the metrics and zeroes every accounting slot in place (so
+    [Domain.t.acct] still aliases its slot). Leaves [enabled] and the
+    journal untouched: the journal is system history, not a trace
+    buffer. *)
 val reset : t -> unit
-
-val to_text : t -> string
-val to_json : t -> string

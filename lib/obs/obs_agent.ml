@@ -4,46 +4,40 @@ module Directory = Pm_nucleus.Directory
 module Interpose = Pm_components.Interpose
 module Machine = Pm_machine.Machine
 module Clock = Pm_machine.Clock
-module Cost = Pm_machine.Cost
 module Instance = Pm_obj.Instance
+module Iface = Pm_obj.Iface
+module Invoke = Pm_obj.Invoke
 module Path = Pm_names.Path
 module Namespace = Pm_names.Namespace
 module Obs = Pm_obs.Obs
 
-(* The trace agent is an ordinary interposer whose call/result hooks
-   bracket every forwarded method in a span.  Tokens for in-flight calls
-   live on a stack: hooks fire strictly LIFO (the forward is a plain
-   nested invocation), so pop pairs with the matching push even when
-   interposed methods call back through the same agent. *)
+(* The trace agent is an ordinary interposer whose every forwarded
+   method runs inside one span, and counts the errors it forwards. *)
 let trace_agent api dom ~target =
   let machine = api.Api.machine in
   let clock = Machine.clock machine in
   let obs = Clock.obs clock in
-  let open_tokens = Stack.create () in
-  let on_call ~iface ~meth _args =
-    if Obs.enabled obs then
-      Stack.push
-        (Obs.span_begin obs ~now:(Clock.now clock) ~domain:dom.Domain.id
-           ~obj:("trace:" ^ target.Instance.class_name)
-           ~iface ~meth)
-        open_tokens
+  let domain = dom.Domain.id and obj = "trace:" ^ target.Instance.class_name in
+  let traced (i : Iface.t) (m : Iface.meth) =
+    let iface = i.Iface.name and meth = m.Iface.mname in
+    let impl ctx args =
+      let result =
+        Clock.span clock ~costs:(Machine.costs machine) ~domain ~layer:"agent" ~obj ~iface
+          ~meth (fun () -> Invoke.call ctx target ~iface ~meth args)
+      in
+      (match result with
+      | Error _ when Obs.enabled obs -> Obs.incr obs ~domain "trace.errors"
+      | _ -> ());
+      result
+    in
+    (iface, meth, impl)
   in
-  let on_result ~iface:_ ~meth:_ _args result =
-    (* pop even if tracing was flipped off mid-call, so the stack cannot
-       grow stale tokens; record only when still enabled *)
-    match Stack.pop_opt open_tokens with
-    | None -> ()
-    | Some tok ->
-      if Obs.enabled obs then begin
-        Clock.advance clock (Machine.costs machine).Cost.mem_write;
-        let now = Clock.now clock in
-        Obs.span_end obs ~now tok;
-        match result with
-        | Ok _ -> ()
-        | Error _ -> Obs.incr obs ~domain:dom.Domain.id "trace.errors"
-      end
+  let overrides =
+    List.concat_map
+      (fun (i : Iface.t) -> List.map (traced i) i.Iface.methods)
+      target.Instance.interfaces
   in
-  Interpose.wrap api dom ~target ~on_call ~on_result ()
+  Interpose.wrap api dom ~target ~overrides ()
 
 let interpose api ~path =
   let dir = api.Api.directory in

@@ -1,6 +1,6 @@
 (** The trace interposer: an interposing agent (built with
-    {!Pm_components.Interpose}) whose hooks record a span per forwarded
-    method call into the clock's {!Pm_obs.Obs} sink.
+    {!Pm_components.Interpose}) that runs every forwarded method call
+    inside one journal span ({!Pm_machine.Clock.span}, layer ["agent"]).
 
     Installation follows the paper's recipe for interposition — replace
     the name-space entry with a superset object — so clients that re-bind

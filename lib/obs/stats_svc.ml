@@ -20,8 +20,8 @@ module Path = Pm_names.Path
 module Obs = Pm_obs.Obs
 module Acct = Pm_obs.Acct
 module Metrics = Pm_obs.Metrics
-module Flightrec = Pm_obs.Flightrec
-module Tracer = Pm_obs.Tracer
+module Journal = Pm_journal.Journal
+module Json = Pm_journal.Json
 
 type t = {
   api : Api.t;
@@ -57,7 +57,7 @@ let dom_line id name slot =
   Printf.sprintf "dom %-2d %-12s %s" id name (Acct.line slot)
 
 let dom_json id name slot =
-  Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s}" id (Tracer.json_escape name)
+  Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s}" id (Json.escape name)
     (Acct.to_json slot)
 
 let snapshot_text t =
@@ -131,11 +131,11 @@ let domain_json t (d : Domain.t) =
   let obj l =
     "{"
     ^ String.concat ","
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Tracer.json_escape n) v) l)
+        (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Json.escape n) v) l)
     ^ "}"
   in
   Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s,\"counters\":%s,\"gauges\":%s}"
-    d.Domain.id (Tracer.json_escape d.Domain.name) (Acct.to_json d.Domain.acct)
+    d.Domain.id (Json.escape d.Domain.name) (Acct.to_json d.Domain.acct)
     (obj (mine (Metrics.counters m)))
     (obj (mine (Metrics.gauges m)))
 
@@ -263,15 +263,7 @@ let kernel_iface t =
   in
   let flight_m _ctx = function
     (* n <= 0: the whole surviving ring; n > 0: just the last n events *)
-    | [ Value.Int n ] ->
-      let fl = Obs.flight (obs t) in
-      if n <= 0 then Ok (Value.Str (Flightrec.to_text fl))
-      else
-        Ok
-          (Value.Str
-             (Printf.sprintf "flight: %d recorded, tail %d\n%s"
-                (Flightrec.recorded fl) n
-                (Flightrec.tail_to_text fl n)))
+    | [ Value.Int n ] -> Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n))
     | _ -> Error (Oerror.Type_error "flight(int)")
   in
   let publish_m _ctx = function

@@ -42,7 +42,7 @@ let span_duration s = s.exit_at - s.enter_at
 (* ------------------------------------------------------------------ *)
 
 type pending_span = {
-  p_layer : string;
+  p_detail : string;
   p_enter : int;
   p_cpu : int;
   mutable p_kids_rev : span list;
@@ -60,6 +60,14 @@ type pending_req = {
   mutable p_issues : (int * int) list; (* block, issue_at; FIFO *)
 }
 
+(* A span's detail starts with its layer: store/net spans are the bare
+   layer ("kv"), observability spans add what ran ("proxy echo.echo
+   proxy:test.echo") — both attribute to the first word. *)
+let layer_of detail =
+  match String.index_opt detail ' ' with
+  | Some i -> String.sub detail 0 i
+  | None -> detail
+
 let fold ~complete events =
   if not complete then
     Error "query: incomplete history (journal not Full from boot, or compacted)"
@@ -75,15 +83,15 @@ let fold ~complete events =
           (Printf.sprintf "query: unbalanced span (exit %S with no enter, rid %d)"
              e.Journal.detail p.p_rid)
       | ps :: rest ->
-        if not (String.equal ps.p_layer e.Journal.detail) then
+        if not (String.equal ps.p_detail e.Journal.detail) then
           fail
             (Printf.sprintf
                "query: unbalanced span (exit %S inside %S, rid %d)"
-               e.Journal.detail ps.p_layer p.p_rid)
+               e.Journal.detail ps.p_detail p.p_rid)
         else begin
           let s =
             {
-              layer = ps.p_layer;
+              layer = layer_of ps.p_detail;
               enter_at = ps.p_enter;
               exit_at = e.Journal.at;
               cpu = ps.p_cpu;
@@ -124,7 +132,7 @@ let fold ~complete events =
               if p.p_stack <> [] then
                 fail
                   (Printf.sprintf "query: request %d ended inside span %S" rid
-                     (List.hd p.p_stack).p_layer)
+                     (List.hd p.p_stack).p_detail)
               else begin
                 Hashtbl.remove open_reqs rid;
                 done_rev :=
@@ -146,7 +154,7 @@ let fold ~complete events =
             | Some p ->
               p.p_stack <-
                 {
-                  p_layer = e.Journal.detail;
+                  p_detail = e.Journal.detail;
                   p_enter = e.Journal.at;
                   p_cpu = e.Journal.cpu;
                   p_kids_rev = [];

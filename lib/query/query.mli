@@ -7,7 +7,10 @@
     produce named [Error]s, never exceptions. *)
 
 type span = {
-  layer : string;  (** "kv", "log", "cache", "partition", "driver" *)
+  layer : string;
+      (** the first word of the span's detail: "kv", "log", "cache",
+          "partition", "driver", or an observability layer such as
+          "invoke", "proxy", "chan" *)
   enter_at : int;
   exit_at : int;
   cpu : int;  (** CPU the Span_enter was issued from (0 on uniprocessor) *)

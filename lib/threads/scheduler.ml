@@ -94,8 +94,7 @@ let fresh_thread t ?(priority = priorities / 2) ?(name = "thread") ?domain ~is_p
    traps, faults, crossings and dispatches before the crash. *)
 let dump_flight t =
   Logs.warn (fun m ->
-      m "flight recorder (last 8 events):@\n%s"
-        (Pm_obs.Flightrec.tail_to_text (Pm_obs.Obs.flight (Clock.obs t.clock)) 8))
+      m "%s" (Pm_journal.Journal.flight_to_text (Pm_obs.Obs.journal (Clock.obs t.clock)) 8))
 
 (* The crash itself goes into the journal (plain stores), so a replayed
    run reproduces the death in its history. *)
@@ -316,8 +315,8 @@ let run t ?budget () =
         let obs = Clock.obs t.clock in
         let th_dom = Option.value th.domain ~default:0 in
         (* always-on flight record of the dispatch *)
-        Pm_obs.Flightrec.record (Pm_obs.Obs.flight obs) ~kind:Pm_obs.Flightrec.Sched
-          ~domain:th_dom ~at:(Clock.now t.clock) ~info:th.tid;
+        Pm_journal.Journal.record (Pm_obs.Obs.journal obs) ~kind:Pm_journal.Journal.Sched
+          ~domain:th_dom ~at:(Clock.now t.clock) ~info:th.tid ~detail:"";
         if Pm_obs.Obs.enabled obs then begin
           (* scheduler metrics are system-wide: keyed to domain 0 *)
           Pm_obs.Obs.set_gauge obs ~domain:0 "sched.ready" (ready_count t);

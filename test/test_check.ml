@@ -659,12 +659,8 @@ let test_check_service_cross_domain () =
   | v -> Alcotest.failf "explain: %s" (Value.to_string v));
   Alcotest.(check int) "runs counted" 1 (Check_svc.runs (System.check sys));
   (* findings land in the flight recorder *)
-  let flight = Obs.flight (Clock.obs (System.clock sys)) in
-  let seen =
-    List.exists
-      (fun ev -> ev.Flightrec.kind = Flightrec.Check)
-      (Flightrec.events flight)
-  in
+  let flight = Journal.flight (Obs.journal (Clock.obs (System.clock sys))) in
+  let seen = List.exists (fun ev -> ev.Journal.kind = Journal.Check) flight in
   Alcotest.(check bool) "check recorded in the flight recorder" true seen
 
 let () =

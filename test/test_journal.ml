@@ -235,6 +235,95 @@ let test_import_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "imported a malformed event line"
 
+(* the optional suffix is exactly [ rid=N][ cpu=N] with N > 0: anything
+   trailing it used to import as Ok, silently zeroing or dropping ids *)
+let test_import_rejects_trailing_input () =
+  let import line = Journal.import ("pm-journal-v1 events=1 complete=1\n" ^ line) in
+  let base = "7 10 2 mark 0 \"x\"" in
+  List.iter
+    (fun suffix ->
+      match import (base ^ suffix) with
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S named" suffix) true
+          (contains e "bad event suffix")
+      | Ok _ -> Alcotest.failf "imported %S" (base ^ suffix))
+    [ " garbage here"; " rid=99999999999999999999999"; " cpu=2 rid=7"; " rid=7 cpu=";
+      " rid=0"; " cpu=-3"; " rid=07" ];
+  List.iter
+    (fun (suffix, rid, cpu) ->
+      match import (base ^ suffix) with
+      | Ok [ e ] ->
+        Alcotest.(check (pair int int)) (Printf.sprintf "%S ids" suffix) (rid, cpu)
+          (e.Journal.rid, e.Journal.cpu)
+      | Ok _ -> Alcotest.failf "%S: expected one event" suffix
+      | Error e -> Alcotest.failf "%S rejected: %s" suffix e)
+    [ ("", 0, 0); (" rid=7", 7, 0); (" cpu=2", 0, 2); (" rid=7 cpu=2", 7, 2) ]
+
+(* --- properties: export/import over arbitrary events and inputs ---------- *)
+
+let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:200 ~name gen f)
+
+let sample_kinds =
+  Journal.
+    [ Trap; Crossing; Crash; Install; Bind; Page_share; Mark; Blk_complete; Req_begin;
+      Span_enter; Span_exit; Trace_note ]
+
+(* kind, at, domain, info, detail (any bytes), rid and cpu (0 = absent) *)
+let gen_event =
+  QCheck2.Gen.(
+    let id = oneof [ return 0; int_range 1 max_int ] in
+    map
+      (fun ((kind, at, domain), (info, detail), (rid, cpu)) ->
+        (kind, at, domain, info, detail, rid, cpu))
+      (triple
+         (triple (oneofl sample_kinds) int int)
+         (pair int (string_size ~gen:char (int_bound 40)))
+         (pair id id)))
+
+let journal_of_events evs =
+  let j = Journal.create () in
+  Journal.set_mode j Journal.Full;
+  Fun.protect
+    ~finally:(fun () -> Journal.set_current_cpu 0)
+    (fun () ->
+      List.iter
+        (fun (kind, at, domain, info, detail, rid, cpu) ->
+          Journal.set_current_cpu cpu;
+          Journal.record j ~rid ~kind ~domain ~at ~info ~detail)
+        evs);
+  j
+
+let gen_input =
+  QCheck2.Gen.(
+    let bytes = string_size ~gen:char (int_bound 80) in
+    let export = map (fun evs -> Journal.export (journal_of_events evs)) (list_size (int_bound 4) gen_event) in
+    oneof
+      [
+        bytes;
+        map (fun s -> "pm-journal-v1 events=1 complete=1\n" ^ s) bytes;
+        (* a real export cut short *)
+        map2 (fun ex cut -> String.sub ex 0 (cut mod (String.length ex + 1))) export nat;
+        (* a real export with one byte overwritten *)
+        map3
+          (fun ex pos c ->
+            let b = Bytes.of_string ex in
+            Bytes.set b (pos mod Bytes.length b) c;
+            Bytes.to_string b)
+          export nat char;
+      ])
+
+let props =
+  [
+    prop "export/import round-trips any events" (QCheck2.Gen.list_size (QCheck2.Gen.int_bound 8) gen_event)
+      (fun evs ->
+        let j = journal_of_events evs in
+        match Journal.import (Journal.export j) with
+        | Ok got -> List.equal Journal.event_equal (Journal.history j) got
+        | Error _ -> false);
+    prop "import never raises" gen_input (fun s ->
+        match Journal.import_all s with Ok _ | Error _ -> true);
+  ]
+
 let test_first_divergence () =
   let j = Journal.create () in
   Journal.set_mode j Journal.Full;
@@ -636,6 +725,8 @@ let () =
             test_export_import_roundtrip;
           Alcotest.test_case "import rejects garbage" `Quick
             test_import_rejects_garbage;
+          Alcotest.test_case "import rejects trailing input" `Quick
+            test_import_rejects_trailing_input;
           Alcotest.test_case "first divergence" `Quick test_first_divergence;
           Alcotest.test_case "rid round-trip" `Quick test_rid_roundtrip;
           Alcotest.test_case "adversarial marks round-trip" `Quick
@@ -643,6 +734,7 @@ let () =
           Alcotest.test_case "truncated import fails soft" `Quick
             test_truncated_import_fails_soft;
         ] );
+      ("properties", props);
       ( "service",
         [
           Alcotest.test_case "cross-domain /nucleus/journal" `Quick

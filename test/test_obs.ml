@@ -1,51 +1,71 @@
-(* Tests for the observability subsystem: the ring-buffer tracer, the
+(* Tests for the observability subsystem: spans as journal events, the
    metrics registry, zero-cost-when-disabled instrumentation, the trace
    interposer's transparency, and the /nucleus/trace service. *)
 
 open Paramecium
 
-(* --- tracer ring buffer ---------------------------------------------- *)
+(* --- spans: one helper, journal events --------------------------------- *)
 
-let record tracer ~seq:_ n =
-  let tok =
-    Tracer.begin_span tracer ~now:(n * 10) ~domain:0 ~obj:"o" ~iface:"i"
-      ~meth:(string_of_int n)
-  in
-  Tracer.end_span tracer ~now:((n * 10) + 5) tok
+let traced_clock () =
+  let clock = Clock.create () in
+  Obs.enable (Clock.obs clock);
+  (clock, Obs.journal (Clock.obs clock))
 
-let test_ring_wraparound () =
-  let tracer = Tracer.create ~capacity:8 () in
-  for n = 0 to 19 do
-    record tracer ~seq:n n
-  done;
-  Alcotest.(check int) "recorded counts everything" 20 (Tracer.recorded tracer);
-  Alcotest.(check int) "overwritten spans are dropped" 12 (Tracer.dropped tracer);
-  let spans = Tracer.spans tracer in
-  Alcotest.(check int) "capacity survivors" 8 (List.length spans);
-  (match spans with
-  | oldest :: _ -> Alcotest.(check int) "oldest survivor" 12 oldest.Tracer.seq
-  | [] -> Alcotest.fail "no spans");
-  let seqs = List.map (fun s -> s.Tracer.seq) spans in
-  Alcotest.(check (list int)) "oldest-first order" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    seqs;
-  Tracer.reset tracer;
-  Alcotest.(check int) "reset empties" 0 (List.length (Tracer.spans tracer));
-  Alcotest.(check int) "reset zeroes recorded" 0 (Tracer.recorded tracer)
+let span clock ~obj f =
+  Clock.span clock ~costs:Cost.default ~domain:0 ~layer:"test" ~obj ~iface:"i" ~meth:"m" f
 
-let test_ring_nesting_depth () =
-  let tracer = Tracer.create () in
-  let a = Tracer.begin_span tracer ~now:0 ~domain:0 ~obj:"a" ~iface:"i" ~meth:"m" in
-  let b = Tracer.begin_span tracer ~now:1 ~domain:0 ~obj:"b" ~iface:"i" ~meth:"m" in
-  Alcotest.(check int) "two open" 2 (Tracer.depth tracer);
-  Tracer.end_span tracer ~now:2 b;
-  Tracer.end_span tracer ~now:3 a;
-  Alcotest.(check int) "all closed" 0 (Tracer.depth tracer);
-  match Tracer.spans tracer with
+let test_span_nesting_depth () =
+  let clock, j = traced_clock () in
+  span clock ~obj:"a" (fun () -> span clock ~obj:"b" (fun () -> Clock.advance clock 1));
+  match Journal.spans j with
   | [ inner; outer ] ->
-    Alcotest.(check int) "inner depth" 1 inner.Tracer.depth;
-    Alcotest.(check int) "outer depth" 0 outer.Tracer.depth;
-    Alcotest.(check string) "inner first (post-order completion)" "b" inner.Tracer.obj
+    Alcotest.(check int) "inner depth" 1 inner.Journal.depth;
+    Alcotest.(check int) "outer depth" 0 outer.Journal.depth;
+    Alcotest.(check string) "inner first (completion order)" "test i.m b"
+      inner.Journal.enter.Journal.detail;
+    Alcotest.(check int) "each span books one store" (1 + (2 * 2))
+      (outer.Journal.exit_at - outer.Journal.enter.Journal.at)
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
+
+(* a method that raises (not an [Error] — an OCaml exception) must still
+   leave a matched enter/exit, and the next span starts at depth 0 *)
+let test_span_closes_on_exception () =
+  let clock, j = traced_clock () in
+  let ctx = Call_ctx.make ~clock ~costs:Cost.default ~caller_domain:0 in
+  let registry = Registry.create () in
+  let iface =
+    Iface.make ~name:"bomb" [ Iface.meth ~name:"raise" ~args:[] ~ret:Vtype.Tunit (fun _ _ -> failwith "kaboom") ]
+  in
+  let bomb = Instance.create registry ~class_name:"test.bomb" ~domain:0 [ iface ] in
+  (match Invoke.call ctx bomb ~iface:"bomb" ~meth:"raise" [] with
+  | exception Failure m -> Alcotest.(check string) "exception propagates" "kaboom" m
+  | _ -> Alcotest.fail "the raise must propagate");
+  Alcotest.(check int) "one enter" 1 (Journal.count j Journal.Span_enter);
+  Alcotest.(check int) "one matching exit" 1 (Journal.count j Journal.Span_exit);
+  span clock ~obj:"after" ignore;
+  match List.rev (Journal.spans j) with
+  | after :: _ -> Alcotest.(check int) "no depth leaked" 0 after.Journal.depth
+  | [] -> Alcotest.fail "no spans"
+
+(* a traced wire parse inside the body re-establishes another ambient
+   request; the span still exits under the rid it entered with *)
+let test_span_exit_keeps_enter_rid () =
+  let clock, j = traced_clock () in
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      Trace.set_current 5;
+      span clock ~obj:"parse" (fun () -> Trace.set_current 9);
+      let rids kind =
+        List.filter_map
+          (fun e -> if e.Journal.kind = kind then Some e.Journal.rid else None)
+          (Journal.tail j)
+      in
+      Alcotest.(check (list int)) "enter rid" [ 5 ] (rids Journal.Span_enter);
+      Alcotest.(check (list int)) "exit rid = enter rid" [ 5 ] (rids Journal.Span_exit))
 
 (* --- metrics ---------------------------------------------------------- *)
 
@@ -128,8 +148,8 @@ let test_disabled_costs_nothing () =
   Alcotest.(check int) "enabled call adds exactly one mem_write"
     (Cost.traced_dispatch Cost.default)
     on;
-  Alcotest.(check int) "the span is in the ring" 1
-    (Tracer.recorded (Obs.tracer obs));
+  Alcotest.(check int) "the span is in the journal" 1
+    (Journal.count (Obs.journal obs) Journal.Span_exit);
   Obs.disable obs;
   let off2 =
     cost (fun () ->
@@ -430,20 +450,54 @@ let test_acct_slot_shared () =
   Alcotest.(check bool) "Domain.t.acct aliases the obs table" true
     (udom.Domain.acct == slot)
 
+(* /nucleus/trace reset, called from a user domain, zeroes metrics and
+   accounting in place: the journal's history (boot binds, page shares,
+   transaction ids) survives, and Domain.t still aliases its slot *)
+let test_reset_keeps_history () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "tenant" in
+  let obs = Clock.obs (Kernel.clock k) in
+  let j = Obs.journal obs in
+  Acct.dispatch (Obs.acct obs) ~domain:udom.Domain.id 10;
+  Obs.observe obs ~domain:udom.Domain.id "lat" 10;
+  let trace = Kernel.bind k udom "/nucleus/trace" in
+  let structural = List.length (Journal.structural j) in
+  let written = Journal.written j in
+  Alcotest.(check bool) "boot left a structural archive" true (structural > 0);
+  Mmu.switch_context (Machine.mmu (Kernel.machine k)) udom.Domain.id;
+  (match Invoke.call (Kernel.ctx k udom) trace ~iface:"trace" ~meth:"reset" [] with
+  | Ok Value.Unit -> ()
+  | _ -> Alcotest.fail "reset");
+  Mmu.switch_context (Machine.mmu (Kernel.machine k)) 0;
+  Alcotest.(check int) "structural archive intact" structural
+    (List.length (Journal.structural j));
+  Alcotest.(check bool) "journal not rewound" true (Journal.written j >= written);
+  Alcotest.(check bool) "Domain.t.acct still aliases the slot" true
+    (udom.Domain.acct == Acct.slot (Obs.acct obs) udom.Domain.id);
+  Alcotest.(check int) "slot zeroed in place" 0 udom.Domain.acct.Acct.dispatches;
+  Alcotest.(check bool) "metrics cleared" true
+    (Metrics.summary (Obs.metrics obs) ~domain:udom.Domain.id "lat" = None)
+
 (* --- flight recorder ---------------------------------------------------- *)
 
+(* the flight view is the journal's bounded tail filtered to the black-box
+   kinds: other events share the ring but are not shown *)
 let test_flightrec_ring () =
-  let f = Flightrec.create ~capacity:4 () in
+  let j = Journal.create ~tail_capacity:4 () in
   for n = 1 to 10 do
-    Flightrec.record f ~kind:Flightrec.Trap ~domain:0 ~at:(n * 10) ~info:n
+    Journal.record j ~kind:Journal.Trap ~domain:0 ~at:(n * 10) ~info:n ~detail:""
   done;
-  Alcotest.(check int) "recorded counts everything" 10 (Flightrec.recorded f);
-  let evs = Flightrec.events f in
+  Alcotest.(check int) "recorded counts everything" 10 (Journal.count j Journal.Trap);
+  let evs = Journal.flight j in
   Alcotest.(check int) "only capacity survive" 4 (List.length evs);
   Alcotest.(check (list int)) "oldest-first survivors" [ 7; 8; 9; 10 ]
-    (List.map (fun e -> e.Flightrec.info) evs);
-  Flightrec.reset f;
-  Alcotest.(check int) "reset empties" 0 (List.length (Flightrec.events f))
+    (List.map (fun e -> e.Journal.info) evs);
+  Journal.record j ~kind:Journal.Span_enter ~domain:0 ~at:200 ~info:0 ~detail:"x";
+  Alcotest.(check (list int)) "spans are not flight records" [ 8; 9; 10 ]
+    (List.map (fun e -> e.Journal.info) (Journal.flight j));
+  Journal.reset j;
+  Alcotest.(check int) "reset empties" 0 (List.length (Journal.flight j))
 
 let test_flightrec_always_on () =
   (* the black box records with tracing OFF — that is its whole point *)
@@ -452,7 +506,8 @@ let test_flightrec_always_on () =
   ignore (System.setup_networking sys ~placement:System.Certified ~addr:42 ());
   let obs = Clock.obs (Kernel.clock k) in
   Alcotest.(check bool) "tracing disabled" false (Obs.enabled obs);
-  let before = Flightrec.recorded (Obs.flight obs) in
+  let j = Obs.journal obs in
+  let before = Journal.count j Journal.Irq in
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
   let payload = Bytes.of_string (String.make 32 'x') in
   let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 payload in
@@ -460,46 +515,11 @@ let test_flightrec_always_on () =
   let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
   Nic.inject (Kernel.nic k) packet;
   Kernel.step k ~ticks:2 ();
-  let evs = Flightrec.events (Obs.flight obs) in
   Alcotest.(check bool) "events recorded while disabled" true
-    (Flightrec.recorded (Obs.flight obs) > before);
-  Alcotest.(check bool) "an interrupt is among them" true
-    (List.exists (fun e -> e.Flightrec.kind = Flightrec.Irq) evs)
-
-(* the black-box dump ships off-system as JSON and reads back verbatim,
-   extreme integers included *)
-let test_flightrec_json_roundtrip () =
-  let f = Flightrec.create ~capacity:8 () in
-  List.iteri
-    (fun i (kind, info) ->
-      Flightrec.record f ~kind ~domain:(i - 1) ~at:(i * 1_000) ~info)
-    [
-      (Flightrec.Trap, 0); (Flightrec.Irq, max_int); (Flightrec.Fault, min_int);
-      (Flightrec.Crossing, -1); (Flightrec.Sched, 42);
-    ];
-  (match Flightrec.of_json (Flightrec.to_json f) with
-  | Error e -> Alcotest.fail e
-  | Ok (recorded, capacity, events) ->
-    Alcotest.(check int) "recorded survives" (Flightrec.recorded f) recorded;
-    Alcotest.(check int) "capacity survives" (Flightrec.capacity f) capacity;
-    let orig = Flightrec.events f in
-    Alcotest.(check int) "every event came back" (List.length orig)
-      (List.length events);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check bool)
-          (Printf.sprintf "event %d round-trips" a.Flightrec.seq)
-          true
-          (a.Flightrec.seq = b.Flightrec.seq
-          && a.Flightrec.at = b.Flightrec.at
-          && a.Flightrec.domain = b.Flightrec.domain
-          && a.Flightrec.kind = b.Flightrec.kind
-          && a.Flightrec.info = b.Flightrec.info))
-      orig events);
-  (* malformed input is rejected, not misparsed *)
-  match Flightrec.of_json "{\"recorded\":}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parsed garbage"
+    (Journal.count j Journal.Irq > before);
+  Alcotest.(check bool) "an interrupt is in the flight view" true
+    (List.exists (fun e -> e.Journal.kind = Journal.Irq) (Journal.flight j));
+  Alcotest.(check int) "no spans while disabled" 0 (Journal.count j Journal.Span_enter)
 
 (* --- the /stats namespace ----------------------------------------------- *)
 
@@ -592,8 +612,10 @@ let test_stats_interposable () =
       Alcotest.(check bool) "snapshot flows through the agent" true
         (String.length s > 0)
     | _ -> Alcotest.fail "snapshot via agent");
-    Alcotest.(check bool) "the monitored call left a span" true
-      (Tracer.recorded (Obs.tracer (Clock.obs (Kernel.clock k))) >= 1);
+    Alcotest.(check bool) "the monitored call left an agent span" true
+      (List.exists
+         (fun s -> String.starts_with ~prefix:"agent " s.Journal.enter.Journal.detail)
+         (Journal.spans (Obs.journal (Clock.obs (Kernel.clock k)))));
     (match Obs_agent.remove api ~path:"/stats/kernel" ~agent ~original with
     | Error e -> Alcotest.fail e
     | Ok () ->
@@ -833,8 +855,11 @@ let () =
     [
       ( "tracer",
         [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "nesting depth" `Quick test_ring_nesting_depth;
+          Alcotest.test_case "nesting depth" `Quick test_span_nesting_depth;
+          Alcotest.test_case "exception closes the span" `Quick
+            test_span_closes_on_exception;
+          Alcotest.test_case "exit keeps the enter rid" `Quick
+            test_span_exit_keeps_enter_rid;
         ] );
       ( "metrics",
         [
@@ -861,13 +886,13 @@ let () =
             test_accounting_zero_cost_cross_domain;
           Alcotest.test_case "domain slot shared with obs" `Quick
             test_acct_slot_shared;
+          Alcotest.test_case "reset keeps the journal" `Quick
+            test_reset_keeps_history;
         ] );
       ( "flight-recorder",
         [
           Alcotest.test_case "fixed-capacity ring" `Quick test_flightrec_ring;
           Alcotest.test_case "always on" `Quick test_flightrec_always_on;
-          Alcotest.test_case "json round-trip" `Quick
-            test_flightrec_json_roundtrip;
         ] );
       ( "stats-namespace",
         [

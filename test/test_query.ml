@@ -167,6 +167,59 @@ let test_slowest_and_layer_totals () =
         Alcotest.(check bool) "totals render" true
           (String.length (Query.layer_totals_to_text reqs) > 0))
 
+(* Obs spans are ordinary journal spans: with both Obs and Trace on, a
+   request that crosses a proxy and flushes an Rpc_chan batch folds like
+   any store request, and the proxy and channel layers get rows. *)
+let test_obs_spans_attribute_proxy_and_chan () =
+  with_tracing (fun () ->
+      let sys = System.create () in
+      let k = System.kernel sys in
+      let api = Kernel.api k in
+      let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "client" in
+      let echo =
+        Instance.create api.Api.registry ~class_name:"test.echo" ~domain:kdom.Domain.id
+          [ Iface.make ~name:"echo"
+              [ Iface.meth ~name:"echo" ~args:[ Vtype.Tany ] ~ret:Vtype.Tany
+                  (fun _ctx -> function [ v ] -> Ok v | _ -> Error (Oerror.Type_error "echo")) ] ]
+      in
+      Kernel.register_at k "/svc/echo" echo;
+      let proxy = Kernel.bind k udom "/svc/echo" in
+      let conn = Rpc_chan.connect api ~client:udom ~server:kdom () in
+      Rpc_chan.serve api conn ~procedures:[ ("echo", fun _ctx b -> Ok b) ] ();
+      let client = Rpc_chan.client api conn () in
+      let clock = System.clock sys in
+      let obs = Clock.obs clock in
+      let j = Obs.journal obs in
+      Journal.set_mode j Journal.Full;
+      Obs.enable obs;
+      Mmu.switch_context (Machine.mmu (Kernel.machine k)) udom.Domain.id;
+      let ctx = Kernel.ctx k udom in
+      let batch =
+        Value.List
+          (List.init 4 (fun n -> Value.Pair (Value.Str "echo", Value.Blob (Bytes.make 8 (Char.chr (65 + n))))))
+      in
+      for n = 1 to 2 do
+        let rid = Journal.req_begin j ~domain:udom.Domain.id ~at:(Clock.now clock) ~detail:"mixed" in
+        ignore (Invoke.call_exn ctx proxy ~iface:"echo" ~meth:"echo" [ Value.Int n ]);
+        ignore (Invoke.call_exn ctx client ~iface:"rpc.batch" ~meth:"call_many" [ batch ]);
+        Journal.req_end j ~domain:udom.Domain.id ~at:(Clock.now clock) rid
+      done;
+      Obs.disable obs;
+      Mmu.switch_context (Machine.mmu (Kernel.machine k)) kdom.Domain.id;
+      match Query.fold ~complete:true (Journal.history j) with
+      | Error e -> Alcotest.fail e
+      | Ok reqs ->
+        Alcotest.(check int) "both requests folded" 2 (List.length reqs);
+        List.iter
+          (fun r ->
+            Alcotest.(check int) "attribution sums to the duration" (Query.duration r)
+              (List.fold_left (fun a (_, n) -> a + n) 0 (Query.attribution r)))
+          reqs;
+        let totals = Query.layer_totals reqs in
+        let row l = Option.value ~default:0 (List.assoc_opt l totals) in
+        Alcotest.(check bool) "a proxy row" true (row "proxy" > 0);
+        Alcotest.(check bool) "a chan row" true (row "chan" > 0))
+
 (* --- state-at-cycle over the structural archive -------------------------- *)
 
 let test_state_at_cycle () =
@@ -252,6 +305,8 @@ let () =
             test_fold_ignores_out_of_window_work;
           Alcotest.test_case "slowest and layer totals" `Quick
             test_slowest_and_layer_totals;
+          Alcotest.test_case "obs spans attribute proxy and chan" `Quick
+            test_obs_spans_attribute_proxy_and_chan;
         ] );
       ( "state-at-cycle",
         [ Alcotest.test_case "frame / binding / owner" `Quick test_state_at_cycle ] );
