@@ -21,40 +21,37 @@ let say fmt = Printf.printf (fmt ^^ "\n%!")
 
 (* transport layer without payload checksums: cheaper, weaker *)
 let fast_transport api (dom : Domain.t) =
-  let encode ctx = function
-    | [ Value.Int sport; Value.Int dport; Value.Blob payload ] ->
-      let b = Bytes.create (8 + Bytes.length payload) in
-      Bytes.set b 0 (Char.chr (sport lsr 8));
-      Bytes.set b 1 (Char.chr (sport land 0xff));
-      Bytes.set b 2 (Char.chr (dport lsr 8));
-      Bytes.set b 3 (Char.chr (dport land 0xff));
-      Bytes.set b 4 (Char.chr (Bytes.length payload lsr 8));
-      Bytes.set b 5 (Char.chr (Bytes.length payload land 0xff));
-      (* checksum field zero: "trust the link" *)
-      Bytes.set b 6 '\000';
-      Bytes.set b 7 '\000';
-      Bytes.blit payload 0 b 8 (Bytes.length payload);
-      (* header-only cost: this is the point of the replacement *)
-      Call_ctx.access ctx 8;
-      Ok (Value.Blob b)
-    | _ -> Error (Oerror.Type_error "encode(sport, dport, payload)")
+  let encode ctx sport dport payload =
+    let b = Bytes.create (8 + Bytes.length payload) in
+    Bytes.set b 0 (Char.chr (sport lsr 8));
+    Bytes.set b 1 (Char.chr (sport land 0xff));
+    Bytes.set b 2 (Char.chr (dport lsr 8));
+    Bytes.set b 3 (Char.chr (dport land 0xff));
+    Bytes.set b 4 (Char.chr (Bytes.length payload lsr 8));
+    Bytes.set b 5 (Char.chr (Bytes.length payload land 0xff));
+    (* checksum field zero: "trust the link" *)
+    Bytes.set b 6 '\000';
+    Bytes.set b 7 '\000';
+    Bytes.blit payload 0 b 8 (Bytes.length payload);
+    (* header-only cost: this is the point of the replacement *)
+    Call_ctx.access ctx 8;
+    Ok (Value.Blob b)
   in
-  let decode ctx = function
-    | [ Value.Blob raw ] when Bytes.length raw >= 8 ->
+  let decode ctx raw =
+    if Bytes.length raw < 8 then Error (Oerror.Fault "fast-transport: truncated")
+    else begin
       Call_ctx.access ctx 8;
       let g i = Char.code (Bytes.get raw i) in
       let sport = (g 0 lsl 8) lor g 1 and dport = (g 2 lsl 8) lor g 3 in
       let payload = Bytes.sub raw 8 (Bytes.length raw - 8) in
       Ok (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
-    | [ Value.Blob _ ] -> Error (Oerror.Fault "fast-transport: truncated")
-    | _ -> Error (Oerror.Type_error "decode(blob)")
+    end
   in
   let iface =
     Iface.make ~name:"layer"
       [
-        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tblob encode;
-        Iface.meth ~name:"decode" ~args:[ Vtype.Tblob ]
+        Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob encode;
+        Iface.fn1 ~name:"decode" Iface.Blob
           ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob))
           decode;
       ]
@@ -67,15 +64,12 @@ let analytics_construct (api : Api.t) (dom : Domain.t) =
   let iface =
     Iface.make ~name:"analytics"
       [
-        Iface.meth ~name:"scan" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tint
-          (fun ctx -> function
-            | [ Value.Blob b ] ->
-              (* touch every byte: exactly what the sandbox taxes *)
-              Call_ctx.access ctx (Bytes.length b);
-              let hits = ref 0 in
-              Bytes.iter (fun c -> if c = 'x' then incr hits) b;
-              Ok (Value.Int !hits)
-            | _ -> Error (Oerror.Type_error "scan(blob)"));
+        Iface.fn1 ~name:"scan" Iface.Blob ~ret:Vtype.Tint (fun ctx b ->
+            (* touch every byte: exactly what the sandbox taxes *)
+            Call_ctx.access ctx (Bytes.length b);
+            let hits = ref 0 in
+            Bytes.iter (fun c -> if c = 'x' then incr hits) b;
+            Ok (Value.Int !hits));
       ]
   in
   Instance.create api.Api.registry ~class_name:"appos.analytics" ~domain:dom.Domain.id

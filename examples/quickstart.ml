@@ -10,29 +10,20 @@ let say fmt = Printf.printf (fmt ^^ "\n%!")
 (* A trivial component: a key/value store exporting one interface. *)
 let kvstore_construct (api : Api.t) (dom : Domain.t) =
   let table : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
-  let put _ctx = function
-    | [ Value.Str k; v ] ->
-      Hashtbl.replace table k v;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "put(str, any)")
-  in
-  let get _ctx = function
-    | [ Value.Str k ] ->
-      (match Hashtbl.find_opt table k with
-      | Some v -> Ok v
-      | None -> Error (Oerror.Fault ("no such key " ^ k)))
-    | _ -> Error (Oerror.Type_error "get(str)")
-  in
-  let size _ctx = function
-    | [] -> Ok (Value.Int (Hashtbl.length table))
-    | _ -> Error (Oerror.Type_error "size()")
-  in
+  (* Each method is declared once: the argument descriptors give its
+     published signature, and the body receives the decoded values. *)
   let iface =
     Iface.make ~name:"kvstore"
       [
-        Iface.meth ~name:"put" ~args:[ Vtype.Tstr; Vtype.Tany ] ~ret:Vtype.Tunit put;
-        Iface.meth ~name:"get" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tany get;
-        Iface.meth ~name:"size" ~args:[] ~ret:Vtype.Tint size;
+        Iface.fn2 ~name:"put" Iface.Str Iface.Any ~ret:Vtype.Tunit (fun _ctx k v ->
+            Hashtbl.replace table k v;
+            Ok Value.Unit);
+        Iface.fn1 ~name:"get" Iface.Str ~ret:Vtype.Tany (fun _ctx k ->
+            match Hashtbl.find_opt table k with
+            | Some v -> Ok v
+            | None -> Error (Oerror.Fault ("no such key " ^ k)));
+        Iface.fn0 ~name:"size" ~ret:Vtype.Tint (fun _ctx ->
+            Ok (Value.Int (Hashtbl.length table)));
       ]
   in
   Instance.create api.Api.registry ~class_name:"example.kvstore" ~domain:dom.Domain.id

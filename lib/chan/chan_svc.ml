@@ -18,58 +18,44 @@ let fault msg = Error (Oerror.Fault msg)
 (* Endpoint objects                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let stats_value chan =
-  let s = Chan.stats chan in
-  Ok
-    (Value.List
-       [
-         Value.Int s.Chan.sends;
-         Value.Int s.Chan.recvs;
-         Value.Int s.Chan.doorbells;
-         Value.Int s.Chan.full_blocks;
-         Value.Int s.Chan.empty_blocks;
-         Value.Int s.Chan.drops;
-       ])
+(* the two methods both endpoints export *)
+let common chan =
+  [
+    Iface.fn0 ~name:"pending" ~ret:Vtype.Tint (fun _ ->
+        Ok (Value.Int (Chan.pending chan)));
+    Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+        let s = Chan.stats chan in
+        Ok
+          (Value.List
+             [
+               Value.Int s.Chan.sends;
+               Value.Int s.Chan.recvs;
+               Value.Int s.Chan.doorbells;
+               Value.Int s.Chan.full_blocks;
+               Value.Int s.Chan.empty_blocks;
+               Value.Int s.Chan.drops;
+             ]));
+  ]
 
 let tx_endpoint api chan =
-  let send_m _ctx = function
-    | [ Value.Blob msg ] ->
-      Chan.send chan msg;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "send(blob)")
-  in
-  let try_send_m _ctx = function
-    | [ Value.Blob msg ] -> Ok (Value.Bool (Chan.try_send chan msg))
-    | _ -> Error (Oerror.Type_error "try_send(blob)")
-  in
-  let pending_m _ctx = function
-    | [] -> Ok (Value.Int (Chan.pending chan))
-    | _ -> Error (Oerror.Type_error "pending()")
-  in
-  let stats_m _ctx = function
-    | [] -> stats_value chan
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
   let tx_iface =
     Iface.make ~name:"chan.tx"
-      [
-        Iface.meth ~name:"send" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tunit send_m;
-        Iface.meth ~name:"try_send" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tbool try_send_m;
-        Iface.meth ~name:"pending" ~args:[] ~ret:Vtype.Tint pending_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
-      ]
+      (Iface.fn1 ~name:"send" Iface.Blob ~ret:Vtype.Tunit (fun _ msg ->
+           Chan.send chan msg;
+           Ok Value.Unit)
+      :: Iface.fn1 ~name:"try_send" Iface.Blob ~ret:Vtype.Tbool (fun _ msg ->
+             Ok (Value.Bool (Chan.try_send chan msg)))
+      :: common chan)
   in
   (* a tx endpoint can pose as a receive sink ("stack".rx): what a NIC
      driver attaches to; a refused frame is dropped like a real NIC's *)
-  let rx_m _ctx = function
-    | [ Value.Blob frame ] ->
-      ignore (Chan.send_or_drop chan frame);
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "rx(blob)")
-  in
   let stack_iface =
     Iface.make ~name:"stack"
-      [ Iface.meth ~name:"rx" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tunit rx_m ]
+      [
+        Iface.fn1 ~name:"rx" Iface.Blob ~ret:Vtype.Tunit (fun _ frame ->
+            ignore (Chan.send_or_drop chan frame);
+            Ok Value.Unit);
+      ]
   in
   Instance.create api.Api.registry ~class_name:"chan.tx"
     ~domain:(Chan.producer chan).Domain.id
@@ -81,33 +67,14 @@ let rx_endpoint api chan =
     | Some d -> d
     | None -> invalid_arg "Chan_svc.rx_endpoint: channel has no consumer"
   in
-  let recv_m _ctx = function
-    | [] ->
-      Ok (Value.List (List.map (fun b -> Value.Blob b) (Chan.recv_batch chan ())))
-    | _ -> Error (Oerror.Type_error "recv()")
-  in
-  let arm_m _ctx = function
-    | [] ->
-      Chan.arm chan;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "arm()")
-  in
-  let pending_m _ctx = function
-    | [] -> Ok (Value.Int (Chan.pending chan))
-    | _ -> Error (Oerror.Type_error "pending()")
-  in
-  let stats_m _ctx = function
-    | [] -> stats_value chan
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
   let iface =
     Iface.make ~name:"chan.rx"
-      [
-        Iface.meth ~name:"recv" ~args:[] ~ret:(Vtype.Tlist Vtype.Tblob) recv_m;
-        Iface.meth ~name:"arm" ~args:[] ~ret:Vtype.Tunit arm_m;
-        Iface.meth ~name:"pending" ~args:[] ~ret:Vtype.Tint pending_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
-      ]
+      (Iface.fn0 ~name:"recv" ~ret:(Vtype.Tlist Vtype.Tblob) (fun _ ->
+           Ok (Value.List (List.map (fun b -> Value.Blob b) (Chan.recv_batch chan ()))))
+      :: Iface.fn0 ~name:"arm" ~ret:Vtype.Tunit (fun _ ->
+             Chan.arm chan;
+             Ok Value.Unit)
+      :: common chan)
   in
   Instance.create api.Api.registry ~class_name:"chan.rx" ~domain:dom.Domain.id
     [ iface ]
@@ -132,50 +99,38 @@ let create api ?doorbell_vec ~domain_of_id () =
     | Error e -> fault ("chan factory: " ^ Pm_names.Namespace.error_to_string e)
   in
   let ( let* ) = Result.bind in
-  let create_m ctx = function
-    | [ Value.Str name; Value.Int slots; Value.Int slot_size ] ->
-      if Hashtbl.mem chans name then fault ("chan factory: " ^ name ^ " exists")
-      else
-        let* dom = origin ctx in
-        let chan =
-          Chan.create machine vmem ~name ~slots ~slot_size ?doorbell_vec
-            ~producer:dom ()
-        in
-        let tx = tx_endpoint api chan in
-        let* () = register_endpoint name "tx" tx in
-        Hashtbl.replace chans name chan;
-        Ok (Value.Handle (Instance.handle tx))
-    | _ -> Error (Oerror.Type_error "create(str, int, int)")
-  in
-  let accept_m ctx = function
-    | [ Value.Str name ] ->
-      (match Hashtbl.find_opt chans name with
-      | None -> fault ("chan factory: no such channel " ^ name)
-      | Some chan ->
-        let* dom = origin ctx in
-        (match Chan.accept chan ~into:dom with
-        | exception Invalid_argument m -> fault m
-        | _base ->
-          let rx = rx_endpoint api chan in
-          let* () = register_endpoint name "rx" rx in
-          Ok (Value.Handle (Instance.handle rx))))
-    | _ -> Error (Oerror.Type_error "accept(str)")
-  in
-  let list_m _ctx = function
-    | [] ->
-      Ok
-        (Value.List
-           (Hashtbl.fold (fun name _ acc -> Value.Str name :: acc) chans []
-           |> List.sort compare))
-    | _ -> Error (Oerror.Type_error "list()")
-  in
   let iface =
     Iface.make ~name:"chanfactory"
       [
-        Iface.meth ~name:"create" ~args:[ Vtype.Tstr; Vtype.Tint; Vtype.Tint ]
-          ~ret:Vtype.Thandle create_m;
-        Iface.meth ~name:"accept" ~args:[ Vtype.Tstr ] ~ret:Vtype.Thandle accept_m;
-        Iface.meth ~name:"list" ~args:[] ~ret:(Vtype.Tlist Vtype.Tstr) list_m;
+        Iface.fn3 ~name:"create" Iface.Str Iface.Int Iface.Int ~ret:Vtype.Thandle
+          (fun ctx name slots slot_size ->
+            if Hashtbl.mem chans name then fault ("chan factory: " ^ name ^ " exists")
+            else
+              let* dom = origin ctx in
+              let chan =
+                Chan.create machine vmem ~name ~slots ~slot_size ?doorbell_vec
+                  ~producer:dom ()
+              in
+              let tx = tx_endpoint api chan in
+              let* () = register_endpoint name "tx" tx in
+              Hashtbl.replace chans name chan;
+              Ok (Value.Handle (Instance.handle tx)));
+        Iface.fn1 ~name:"accept" Iface.Str ~ret:Vtype.Thandle (fun ctx name ->
+            match Hashtbl.find_opt chans name with
+            | None -> fault ("chan factory: no such channel " ^ name)
+            | Some chan -> (
+              let* dom = origin ctx in
+              match Chan.accept chan ~into:dom with
+              | exception Invalid_argument m -> fault m
+              | _base ->
+                let rx = rx_endpoint api chan in
+                let* () = register_endpoint name "rx" rx in
+                Ok (Value.Handle (Instance.handle rx))));
+        Iface.fn0 ~name:"list" ~ret:(Vtype.Tlist Vtype.Tstr) (fun _ ->
+            Ok
+              (Value.List
+                 (Hashtbl.fold (fun name _ acc -> Value.Str name :: acc) chans []
+                 |> List.sort compare)));
       ]
   in
   Instance.create api.Api.registry ~class_name:"chan.factory"

@@ -104,18 +104,36 @@ let chunk ~slot_size segs =
   |> fun (chunks, cur, _) ->
   List.rev (match cur with [] -> chunks | _ -> List.rev cur :: chunks)
 
+(* The batch came from another domain: every header field is checked
+   against the batch length before it is used. The segments before the
+   first bad field are delivered, none after. *)
 let iter_segments ctx batch f =
   let rl = rid_len () in
-  let count = get16 batch 0 in
-  Call_ctx.access ctx 2;
-  if rl > 0 then Trace.set_current (get32 batch 2);
-  let off = ref (2 + rl) in
-  for _ = 1 to count do
-    let len = get16 batch !off in
+  let len = Bytes.length batch in
+  if len < 2 + rl then Error (Printf.sprintf "batch header truncated (%d bytes)" len)
+  else begin
+    let count = get16 batch 0 in
     Call_ctx.access ctx 2;
-    f (Bytes.sub batch (!off + 2) len);
-    off := !off + 2 + len
-  done
+    if rl > 0 then Trace.set_current (get32 batch 2);
+    let rec walk i off =
+      if i > count then Ok ()
+      else if off + 2 > len then
+        Error (Printf.sprintf "segment %d of %d: length field truncated" i count)
+      else begin
+        let slen = get16 batch off in
+        Call_ctx.access ctx 2;
+        if off + 2 + slen > len then
+          Error
+            (Printf.sprintf "segment %d of %d: %d bytes declared, %d present" i count slen
+               (len - off - 2))
+        else begin
+          f (Bytes.sub batch (off + 2) slen);
+          walk (i + 1) (off + 2 + slen)
+        end
+      end
+    in
+    walk 1 (2 + rl)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -160,7 +178,8 @@ let serve_batch conn ctx ~procedures ~raw batch =
             responses :=
               Wire.Transport.build ctx ~sport:id ~dport:status result :: !responses
           end
-        end);
+        end)
+  |> Result.iter_error (fun e -> Logs.warn (fun m -> m "rpc_chan server: %s" e));
   (match List.rev !responses with
   | [] -> ()
   | segs ->
@@ -212,24 +231,13 @@ let create_server api conn ~procedures () =
       Error e
   in
   serve api conn ~procedures:[] ~raw ();
-  let poll_m _ctx = function
-    | [] -> Ok (Value.Int (drain_server conn))
-    | _ -> Error (Oerror.Type_error "poll()")
-  in
-  let requests_m _ctx = function
-    | [] -> Ok (Value.Int !requests)
-    | _ -> Error (Oerror.Type_error "requests()")
-  in
-  let failures_m _ctx = function
-    | [] -> Ok (Value.Int !failures)
-    | _ -> Error (Oerror.Type_error "failures()")
-  in
   let iface =
     Iface.make ~name:"rpc.server"
       [
-        Iface.meth ~name:"poll" ~args:[] ~ret:Vtype.Tint poll_m;
-        Iface.meth ~name:"requests" ~args:[] ~ret:Vtype.Tint requests_m;
-        Iface.meth ~name:"failures" ~args:[] ~ret:Vtype.Tint failures_m;
+        Iface.fn0 ~name:"poll" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (drain_server conn)));
+        Iface.fn0 ~name:"requests" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !requests));
+        Iface.fn0 ~name:"failures" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !failures));
       ]
   in
   Instance.create api.Api.registry ~class_name:"chan.rpc_server"
@@ -269,13 +277,15 @@ let client api conn ?(max_polls = 10_000) () =
     id
   in
   let drain_responses ctx =
+    let warn e = Logs.warn (fun m -> m "rpc_chan client: %s" e) in
     List.iter
       (fun batch ->
         iter_segments ctx batch (fun seg ->
             match Wire.Transport.parse ctx seg with
-            | Error e -> Logs.warn (fun m -> m "rpc_chan client: %s" e)
+            | Error e -> warn e
             | Ok { Wire.Transport.sport = id; dport = status; payload } ->
-              Hashtbl.replace st.pending id (status, payload)))
+              Hashtbl.replace st.pending id (status, payload))
+        |> Result.iter_error warn)
       (Chan.recv_batch ~account:false conn.resp ())
   in
   let flush ctx =
@@ -311,75 +321,53 @@ let client api conn ?(max_polls = 10_000) () =
     in
     await 0
   in
-  let submit_m ctx = function
-    | [ Value.Str name; Value.Blob args ] -> Ok (Value.Int (submit ctx ~name ~args))
-    | _ -> Error (Oerror.Type_error "submit(str, blob)")
+  let call ctx ~name ~args =
+    let id = submit ctx ~name ~args in
+    ignore (flush ctx);
+    take ctx id
   in
-  let flush_m ctx = function
-    | [] -> Ok (Value.Int (flush ctx))
-    | _ -> Error (Oerror.Type_error "flush()")
+  (* the elements are [any] in the signature, so their shape is checked
+     here, before any call is submitted *)
+  let rec decode_calls acc = function
+    | [] -> Some (List.rev acc)
+    | Value.Pair (Value.Str name, Value.Blob args) :: rest ->
+      decode_calls ((name, args) :: acc) rest
+    | _ :: _ -> None
   in
-  let take_m ctx = function
-    | [ Value.Int id ] -> take ctx id
-    | _ -> Error (Oerror.Type_error "take(int)")
-  in
-  let call_m ctx = function
-    | [ Value.Str name; Value.Blob args ] ->
-      let id = submit ctx ~name ~args in
-      ignore (flush ctx);
-      take ctx id
-    | _ -> Error (Oerror.Type_error "call(str, blob)")
-  in
-  let call_many_m ctx = function
-    | [ Value.List calls ] ->
-      let ids =
-        List.map
-          (function
-            | Value.Pair (Value.Str name, Value.Blob args) ->
-              Ok (submit ctx ~name ~args)
-            | _ -> Error (Oerror.Type_error "call_many([(str, blob); ...])"))
-          calls
-      in
-      (match
-         List.find_opt (function Error _ -> true | Ok _ -> false) ids
-       with
-      | Some (Error e) -> Error e
-      | _ ->
-        ignore (flush ctx);
-        let rec collect acc = function
-          | [] -> Ok (Value.List (List.rev acc))
-          | Ok id :: rest ->
-            (match take ctx id with
-            | Ok v -> collect (v :: acc) rest
-            | Error e -> Error e)
-          | Error e :: _ -> Error e
-        in
-        collect [] ids)
-    | _ -> Error (Oerror.Type_error "call_many(list)")
-  in
-  let transport_call_m ctx = function
-    | [ Value.Blob req ] ->
-      let id = submit ctx ~name:"" ~args:req in
-      ignore (flush ctx);
-      take ctx id
-    | _ -> Error (Oerror.Type_error "call(blob)")
+  let call_many ctx calls =
+    let ids = List.map (fun (name, args) -> submit ctx ~name ~args) calls in
+    ignore (flush ctx);
+    let rec collect acc = function
+      | [] -> Ok (Value.List (List.rev acc))
+      | id :: rest ->
+        (match take ctx id with
+        | Ok v -> collect (v :: acc) rest
+        | Error e -> Error e)
+    in
+    collect [] ids
   in
   let batch_iface =
     Iface.make ~name:"rpc.batch"
       [
-        Iface.meth ~name:"submit" ~args:[ Vtype.Tstr; Vtype.Tblob ] ~ret:Vtype.Tint
-          submit_m;
-        Iface.meth ~name:"flush" ~args:[] ~ret:Vtype.Tint flush_m;
-        Iface.meth ~name:"take" ~args:[ Vtype.Tint ] ~ret:Vtype.Tblob take_m;
-        Iface.meth ~name:"call" ~args:[ Vtype.Tstr; Vtype.Tblob ] ~ret:Vtype.Tblob
-          call_m;
-        Iface.meth ~name:"call_many" ~args:[ Vtype.Tlist Vtype.Tany ]
-          ~ret:(Vtype.Tlist Vtype.Tblob) call_many_m;
+        Iface.fn2 ~name:"submit" Iface.Str Iface.Blob ~ret:Vtype.Tint
+          (fun ctx name args -> Ok (Value.Int (submit ctx ~name ~args)));
+        Iface.fn0 ~name:"flush" ~ret:Vtype.Tint (fun ctx -> Ok (Value.Int (flush ctx)));
+        Iface.fn1 ~name:"take" Iface.Int ~ret:Vtype.Tblob take;
+        Iface.fn2 ~name:"call" Iface.Str Iface.Blob ~ret:Vtype.Tblob (fun ctx name args ->
+            call ctx ~name ~args);
+        Iface.fn1 ~name:"call_many" (Iface.List Vtype.Tany) ~ret:(Vtype.Tlist Vtype.Tblob)
+          (fun ctx calls ->
+            match decode_calls [] calls with
+            | Some calls -> call_many ctx calls
+            | None -> Error (Oerror.Type_error "call_many([(str, blob); ...])"));
       ]
   in
   let transport_iface =
     Iface.make ~name:"rpc.transport"
-      [ Iface.meth ~name:"call" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tblob transport_call_m ]
+      [
+        Iface.fn1 ~name:"call" Iface.Blob ~ret:Vtype.Tblob (fun ctx req ->
+            call ctx ~name:"" ~args:req);
+      ]
   in
   Instance.create api.Api.registry ~class_name:"chan.rpc_client"
     ~domain:conn.client_dom.Domain.id

@@ -29,6 +29,22 @@
 
 type conn
 
+(** {2 Batch codec} *)
+
+(** [assemble ctx segs] marshals [segs] into one batch: the count, the
+    request id word when tracing is on, then each segment behind its
+    16-bit length. *)
+val assemble : Pm_obj.Call_ctx.t -> bytes list -> bytes
+
+(** [iter_segments ctx batch f] applies [f] to each segment of [batch]
+    in order; with tracing on, the header's request id becomes the
+    ambient one. A batch comes from another domain, so every header
+    field is checked against the batch length: at the first field that
+    does not fit, the walk stops with [Error] naming it, after [f] has
+    seen the segments before it. Never raises. *)
+val iter_segments :
+  Pm_obj.Call_ctx.t -> bytes -> (bytes -> unit) -> (unit, string) result
+
 val request_chan : conn -> Chan.t
 val response_chan : conn -> Chan.t
 

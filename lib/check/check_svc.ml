@@ -10,7 +10,6 @@ module Instance = Pm_obj.Instance
 module Iface = Pm_obj.Iface
 module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
-module Oerror = Pm_obj.Oerror
 module Obs = Pm_obs.Obs
 module Directory = Pm_nucleus.Directory
 module Events = Pm_nucleus.Events
@@ -51,32 +50,20 @@ let last t = t.last
 let runs t = t.runs
 
 let service_object t registry kdom =
-  let run_m _ctx = function
-    | [] -> Ok (Value.Int (List.length (Lint.errors (run t))))
-    | _ -> Error (Oerror.Type_error "run()")
-  in
-  let report_m _ctx = function
-    | [] ->
-      (match t.last with
-      | None -> Ok (Value.Str "no lint run yet")
-      | Some r -> Ok (Value.Str (Lint.report_to_string r)))
-    | _ -> Error (Oerror.Type_error "report()")
-  in
-  let explain_m _ctx = function
-    | [ Value.Str rule ] -> Ok (Value.Str (Lint.explain rule))
-    | _ -> Error (Oerror.Type_error "explain(str)")
-  in
-  let rules_m _ctx = function
-    | [] -> Ok (Value.Str (String.concat " " Lint.rules))
-    | _ -> Error (Oerror.Type_error "rules()")
-  in
+  let str s = Ok (Value.Str s) in
   let iface =
     Iface.make ~name:"check"
       [
-        Iface.meth ~name:"run" ~args:[] ~ret:Vtype.Tint run_m;
-        Iface.meth ~name:"report" ~args:[] ~ret:Vtype.Tstr report_m;
-        Iface.meth ~name:"explain" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr explain_m;
-        Iface.meth ~name:"rules" ~args:[] ~ret:Vtype.Tstr rules_m;
+        Iface.fn0 ~name:"run" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (List.length (Lint.errors (run t)))));
+        Iface.fn0 ~name:"report" ~ret:Vtype.Tstr (fun _ ->
+            match t.last with
+            | None -> str "no lint run yet"
+            | Some r -> str (Lint.report_to_string r));
+        Iface.fn1 ~name:"explain" Iface.Str ~ret:Vtype.Tstr (fun _ rule ->
+            str (Lint.explain rule));
+        Iface.fn0 ~name:"rules" ~ret:Vtype.Tstr (fun _ ->
+            str (String.concat " " Lint.rules));
       ]
   in
   Instance.create registry ~class_name:"nucleus.check" ~domain:kdom.Domain.id [ iface ]

@@ -74,32 +74,20 @@ let create api dom ~heap_pages =
     { base; free = [ { off = 0; size = heap_bytes } ]; live = Hashtbl.create 64;
       free_bytes = heap_bytes }
   in
-  let alloc_m ctx = function
-    | [ Value.Int size ] when size > 0 ->
-      (match alloc st ctx size with
-      | Some addr -> Ok (Value.Int addr)
-      | None -> Error (Oerror.Fault "allocator: out of memory"))
-    | _ -> Error (Oerror.Type_error "alloc(size>0)")
-  in
-  let free_m ctx = function
-    | [ Value.Int addr ] -> Result.map (fun () -> Value.Unit) (free st ctx addr)
-    | _ -> Error (Oerror.Type_error "free(addr)")
-  in
-  let avail_m _ctx = function
-    | [] -> Ok (Value.Int st.free_bytes)
-    | _ -> Error (Oerror.Type_error "avail()")
-  in
-  let allocated_m _ctx = function
-    | [] -> Ok (Value.Int (Hashtbl.length st.live))
-    | _ -> Error (Oerror.Type_error "allocated()")
-  in
   let iface =
     Iface.make ~name:"allocator"
       [
-        Iface.meth ~name:"alloc" ~args:[ Vtype.Tint ] ~ret:Vtype.Tint alloc_m;
-        Iface.meth ~name:"free" ~args:[ Vtype.Tint ] ~ret:Vtype.Tunit free_m;
-        Iface.meth ~name:"avail" ~args:[] ~ret:Vtype.Tint avail_m;
-        Iface.meth ~name:"allocated" ~args:[] ~ret:Vtype.Tint allocated_m;
+        Iface.fn1 ~name:"alloc" Iface.Int ~ret:Vtype.Tint (fun ctx size ->
+            if size <= 0 then Error (Oerror.Type_error "alloc(size>0)")
+            else
+              match alloc st ctx size with
+              | Some addr -> Ok (Value.Int addr)
+              | None -> Error (Oerror.Fault "allocator: out of memory"));
+        Iface.fn1 ~name:"free" Iface.Int ~ret:Vtype.Tunit (fun ctx addr ->
+            Result.map (fun () -> Value.Unit) (free st ctx addr));
+        Iface.fn0 ~name:"avail" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.free_bytes));
+        Iface.fn0 ~name:"allocated" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (Hashtbl.length st.live)));
       ]
   in
   Instance.create api.Api.registry ~class_name:"toolbox.allocator"

@@ -60,18 +60,13 @@ let wrap api dom ~target ?on_call ?on_result ?(overrides = []) () =
   let monitor =
     Iface.make ~name:"monitor"
       [
-        Iface.meth ~name:"calls" ~args:[] ~ret:Vtype.Tint (fun _ctx -> function
-          | [] -> Ok (Value.Int !calls)
-          | _ -> Error (Oerror.Type_error "calls()"));
-        Iface.meth ~name:"blob_bytes" ~args:[] ~ret:Vtype.Tint (fun _ctx -> function
-          | [] -> Ok (Value.Int !blob_bytes)
-          | _ -> Error (Oerror.Type_error "blob_bytes()"));
-        Iface.meth ~name:"reset" ~args:[] ~ret:Vtype.Tunit (fun _ctx -> function
-          | [] ->
+        Iface.fn0 ~name:"calls" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !calls));
+        Iface.fn0 ~name:"blob_bytes" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int !blob_bytes));
+        Iface.fn0 ~name:"reset" ~ret:Vtype.Tunit (fun _ ->
             calls := 0;
             blob_bytes := 0;
-            Ok Value.Unit
-          | _ -> Error (Oerror.Type_error "reset()"));
+            Ok Value.Unit);
       ]
   in
   Instance.create api.Api.registry

@@ -196,50 +196,27 @@ let create api dom ?(config = default_config) () =
   ignore
     (Events.register_popup api.Api.events (Events.Irq 1) ~domain:dom
        ~sched:api.Api.sched ~priority:0 (fun _ -> service_interrupt st ()));
-  let send_m ctx = function
-    | [ Value.Blob data ] -> send st ctx data
-    | _ -> Error (Oerror.Type_error "send(blob)")
-  in
-  let attach_m _ctx = function
-    | [ Value.Str path ] ->
-      (match Api.bind api dom (Path.of_string path) with
-      | Ok sink ->
-        st.sink <- Some sink;
-        Ok Value.Unit
-      | Error e ->
-        Error (Oerror.Fault (Pm_nucleus.Directory.bind_error_to_string e)))
-    | _ -> Error (Oerror.Type_error "attach(str)")
-  in
-  let detach_m _ctx = function
-    | [] ->
-      st.sink <- None;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "detach()")
-  in
-  let stats_m _ctx = function
-    | [] -> Ok (Value.Pair (Value.Int st.rx_count, Value.Int st.tx_count))
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
-  let mtu_m _ctx = function
-    | [] -> Ok (Value.Int Nic.mtu)
-    | _ -> Error (Oerror.Type_error "mtu()")
-  in
-  let dropped_m _ctx = function
-    | [] ->
-      in_domain st (fun () ->
-          Ok (Value.Int (Vmem.io_read vmem st.grant ~reg:reg_rx_dropped)))
-    | _ -> Error (Oerror.Type_error "dropped()")
-  in
   let iface =
     Iface.make ~name:"netdev"
       [
-        Iface.meth ~name:"send" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tunit send_m;
-        Iface.meth ~name:"attach" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit attach_m;
-        Iface.meth ~name:"detach" ~args:[] ~ret:Vtype.Tunit detach_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint))
-          stats_m;
-        Iface.meth ~name:"mtu" ~args:[] ~ret:Vtype.Tint mtu_m;
-        Iface.meth ~name:"dropped" ~args:[] ~ret:Vtype.Tint dropped_m;
+        Iface.fn1 ~name:"send" Iface.Blob ~ret:Vtype.Tunit (fun ctx data ->
+            send st ctx data);
+        Iface.fn1 ~name:"attach" Iface.Str ~ret:Vtype.Tunit (fun _ path ->
+            match Api.bind api dom (Path.of_string path) with
+            | Ok sink ->
+              st.sink <- Some sink;
+              Ok Value.Unit
+            | Error e ->
+              Error (Oerror.Fault (Pm_nucleus.Directory.bind_error_to_string e)));
+        Iface.fn0 ~name:"detach" ~ret:Vtype.Tunit (fun _ ->
+            st.sink <- None;
+            Ok Value.Unit);
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint)) (fun _ ->
+            Ok (Value.Pair (Value.Int st.rx_count, Value.Int st.tx_count)));
+        Iface.fn0 ~name:"mtu" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int Nic.mtu));
+        Iface.fn0 ~name:"dropped" ~ret:Vtype.Tint (fun _ ->
+            in_domain st (fun () ->
+                Ok (Value.Int (Vmem.io_read vmem st.grant ~reg:reg_rx_dropped))));
       ]
   in
   Instance.create api.Api.registry ~class_name:"toolbox.netdrv" ~domain:dom.Domain.id

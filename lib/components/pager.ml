@@ -10,7 +10,6 @@ module Iface = Pm_obj.Iface
 module Instance = Pm_obj.Instance
 module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
-module Oerror = Pm_obj.Oerror
 
 type page_state = {
   mutable frame : int option; (* resident frame, if any *)
@@ -137,33 +136,18 @@ let flush t =
   !written
 
 let make_instance t =
-  let base_m _ctx = function
-    | [] -> Ok (Value.Int t.base)
-    | _ -> Error (Oerror.Type_error "base()")
-  in
-  let pages_m _ctx = function
-    | [] -> Ok (Value.Int (Array.length t.pages))
-    | _ -> Error (Oerror.Type_error "pages()")
-  in
-  let stats_m _ctx = function
-    | [] ->
-      Ok
-        (Value.List
-           [ Value.Int t.faults; Value.Int t.pageins; Value.Int t.pageouts;
-             Value.Int t.resident ])
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
-  let flush_m _ctx = function
-    | [] -> Ok (Value.Int (flush t))
-    | _ -> Error (Oerror.Type_error "flush()")
-  in
   let iface =
     Iface.make ~name:"pager"
       [
-        Iface.meth ~name:"base" ~args:[] ~ret:Vtype.Tint base_m;
-        Iface.meth ~name:"pages" ~args:[] ~ret:Vtype.Tint pages_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
-        Iface.meth ~name:"flush" ~args:[] ~ret:Vtype.Tint flush_m;
+        Iface.fn0 ~name:"base" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int t.base));
+        Iface.fn0 ~name:"pages" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (Array.length t.pages)));
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            Ok
+              (Value.List
+                 [ Value.Int t.faults; Value.Int t.pageins; Value.Int t.pageouts;
+                   Value.Int t.resident ]));
+        Iface.fn0 ~name:"flush" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (flush t)));
       ]
   in
   Instance.create t.api.Api.registry ~class_name:"toolbox.pager"

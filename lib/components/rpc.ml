@@ -139,30 +139,18 @@ let create_server api dom ~stack_path ~port ~procedures =
       incr failures;
       Logs.warn (fun m -> m "rpc server: malformed mailbox entry")
   in
-  let poll_m ctx = function
-    | [] ->
-      (match stack_call ctx stack "recv" [ Value.Int port ] with
-      | Ok (Value.List entries) ->
-        List.iter (handle_one ctx) entries;
-        Ok (Value.Int (List.length entries))
-      | Ok _ -> fault "rpc server: recv shape"
-      | Error e -> Error e)
-    | _ -> Error (Oerror.Type_error "poll()")
-  in
-  let requests_m _ctx = function
-    | [] -> Ok (Value.Int !requests)
-    | _ -> Error (Oerror.Type_error "requests()")
-  in
-  let failures_m _ctx = function
-    | [] -> Ok (Value.Int !failures)
-    | _ -> Error (Oerror.Type_error "failures()")
-  in
   let iface =
     Iface.make ~name:"rpc.server"
       [
-        Iface.meth ~name:"poll" ~args:[] ~ret:Vtype.Tint poll_m;
-        Iface.meth ~name:"requests" ~args:[] ~ret:Vtype.Tint requests_m;
-        Iface.meth ~name:"failures" ~args:[] ~ret:Vtype.Tint failures_m;
+        Iface.fn0 ~name:"poll" ~ret:Vtype.Tint (fun ctx ->
+            match stack_call ctx stack "recv" [ Value.Int port ] with
+            | Ok (Value.List entries) ->
+              List.iter (handle_one ctx) entries;
+              Ok (Value.Int (List.length entries))
+            | Ok _ -> fault "rpc server: recv shape"
+            | Error e -> Error e);
+        Iface.fn0 ~name:"requests" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !requests));
+        Iface.fn0 ~name:"failures" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !failures));
       ]
   in
   Instance.create api.Api.registry ~class_name:"toolbox.rpc_server"
@@ -180,6 +168,19 @@ type client_state = {
 (* measurement state reachable from a live client instance, keyed by
    handle, so the measurement interface can be added after the fact *)
 let client_states : (int, client_state) Hashtbl.t = Hashtbl.create 8
+
+(* Both clients export the same ["rpc"] interface over their own carrier. *)
+let client_object api dom st call =
+  let iface =
+    Iface.make ~name:"rpc"
+      [ Iface.fn2 ~name:"call" Iface.Str Iface.Blob ~ret:Vtype.Tblob call ]
+  in
+  let inst =
+    Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
+      ~domain:dom.Domain.id [ iface ]
+  in
+  Hashtbl.replace client_states (Instance.handle inst) st;
+  inst
 
 let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
   let server_addr, server_port = server in
@@ -205,8 +206,7 @@ let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
     | Ok _ -> Error (Oerror.Fault "rpc client: recv shape")
     | Error e -> Error e
   in
-  let call_m (ctx : Call_ctx.t) = function
-    | [ Value.Str name; Value.Blob args ] ->
+  client_object api dom st (fun (ctx : Call_ctx.t) name args ->
       let started = Clock.now ctx.Call_ctx.clock in
       let id = st.next_id in
       st.next_id <- id + 1;
@@ -236,22 +236,7 @@ let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
             end
           end
       in
-      await 0
-    | _ -> Error (Oerror.Type_error "call(str, blob)")
-  in
-  let iface =
-    Iface.make ~name:"rpc"
-      [
-        Iface.meth ~name:"call" ~args:[ Vtype.Tstr; Vtype.Tblob ] ~ret:Vtype.Tblob
-          call_m;
-      ]
-  in
-  let inst =
-    Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
-      ~domain:dom.Domain.id [ iface ]
-  in
-  Hashtbl.replace client_states (Instance.handle inst) st;
-  inst
+      await 0)
 
 (* A client whose requests ride an arbitrary transport object — e.g. a
    shared-memory channel's ["rpc.transport"] (Rpc_chan) — instead of the
@@ -259,16 +244,14 @@ let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
    carrier differs. *)
 let create_client_via api dom ~transport () =
   let st = { next_id = 1; pending = Hashtbl.create 8; calls = 0; cycles = 0 } in
-  let call_m (ctx : Call_ctx.t) = function
-    | [ Value.Str name; Value.Blob args ] ->
+  client_object api dom st (fun (ctx : Call_ctx.t) name args ->
       let started = Clock.now ctx.Call_ctx.clock in
       let id = st.next_id in
       st.next_id <- id + 1;
       let req = encode_request ~id ~rport:0 ~name args in
-      (match
-         Invoke.call ctx transport ~iface:"rpc.transport" ~meth:"call"
-           [ Value.Blob req ]
-       with
+      match
+        Invoke.call ctx transport ~iface:"rpc.transport" ~meth:"call" [ Value.Blob req ]
+      with
       | Error e -> Error e
       | Ok (Value.Blob resp) ->
         (match decode_response resp with
@@ -282,39 +265,16 @@ let create_client_via api dom ~transport () =
             else fault ("rpc: remote error: " ^ Bytes.to_string payload)
           end)
       | Ok _ -> fault "rpc: transport shape")
-    | _ -> Error (Oerror.Type_error "call(str, blob)")
-  in
-  let iface =
-    Iface.make ~name:"rpc"
-      [
-        Iface.meth ~name:"call" ~args:[ Vtype.Tstr; Vtype.Tblob ] ~ret:Vtype.Tblob
-          call_m;
-      ]
-  in
-  let inst =
-    Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
-      ~domain:dom.Domain.id [ iface ]
-  in
-  Hashtbl.replace client_states (Instance.handle inst) st;
-  inst
 
 let add_measurement client =
   match Hashtbl.find_opt client_states (Instance.handle client) with
   | None -> invalid_arg "Rpc.add_measurement: not an rpc client"
   | Some st ->
-    let calls_m _ctx = function
-      | [] -> Ok (Value.Int st.calls)
-      | _ -> Error (Oerror.Type_error "calls()")
-    in
-    let cycles_m _ctx = function
-      | [] -> Ok (Value.Int st.cycles)
-      | _ -> Error (Oerror.Type_error "cycles()")
-    in
     let iface =
       Iface.make ~name:"rpc.measure"
         [
-          Iface.meth ~name:"calls" ~args:[] ~ret:Vtype.Tint calls_m;
-          Iface.meth ~name:"cycles" ~args:[] ~ret:Vtype.Tint cycles_m;
+          Iface.fn0 ~name:"calls" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.calls));
+          Iface.fn0 ~name:"cycles" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.cycles));
         ]
     in
     Instance.add_interface client iface

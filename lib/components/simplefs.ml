@@ -502,59 +502,36 @@ let mount api ~disk =
 let lift e = Error (Oerror.Fault (error_to_string e))
 
 let instance api dom t =
-  let str1 f ctx = function
-    | [ Value.Str p ] -> (match f t ctx p with Ok () -> Ok Value.Unit | Error e -> lift e)
-    | _ -> Error (Oerror.Type_error "expected (str)")
-  in
-  let write_m ctx = function
-    | [ Value.Str p; Value.Int off; Value.Blob data ] ->
-      (match write t ctx p ~offset:off data with
-      | Ok n -> Ok (Value.Int n)
-      | Error e -> lift e)
-    | _ -> Error (Oerror.Type_error "write(str, int, blob)")
-  in
-  let read_m ctx = function
-    | [ Value.Str p; Value.Int off; Value.Int len ] ->
-      (match read t ctx p ~offset:off ~len with
-      | Ok b -> Ok (Value.Blob b)
-      | Error e -> lift e)
-    | _ -> Error (Oerror.Type_error "read(str, int, int)")
-  in
-  let list_m ctx = function
-    | [ Value.Str p ] ->
-      (match list t ctx p with
-      | Ok names -> Ok (Value.List (List.map (fun n -> Value.Str n) names))
-      | Error e -> lift e)
-    | _ -> Error (Oerror.Type_error "list(str)")
-  in
-  let stat_m ctx = function
-    | [ Value.Str p ] ->
-      (match stat t ctx p with
-      | Ok (is_dir, size) ->
-        Ok (Value.Pair (Value.Int (if is_dir then 1 else 0), Value.Int size))
-      | Error e -> lift e)
-    | _ -> Error (Oerror.Type_error "stat(str)")
-  in
-  let sync_m _ctx = function
-    | [] ->
-      sync t;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "sync()")
+  let lift_map f = function Ok v -> Ok (f v) | Error e -> lift e in
+  let str1 name f =
+    Iface.fn1 ~name Iface.Str ~ret:Vtype.Tunit (fun ctx p ->
+        lift_map (fun () -> Value.Unit) (f t ctx p))
   in
   let iface =
     Iface.make ~name:"fs"
       [
-        Iface.meth ~name:"mkdir" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit (str1 mkdir);
-        Iface.meth ~name:"create" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit (str1 create);
-        Iface.meth ~name:"write" ~args:[ Vtype.Tstr; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tint write_m;
-        Iface.meth ~name:"read" ~args:[ Vtype.Tstr; Vtype.Tint; Vtype.Tint ]
-          ~ret:Vtype.Tblob read_m;
-        Iface.meth ~name:"remove" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit (str1 remove);
-        Iface.meth ~name:"list" ~args:[ Vtype.Tstr ] ~ret:(Vtype.Tlist Vtype.Tstr) list_m;
-        Iface.meth ~name:"stat" ~args:[ Vtype.Tstr ]
-          ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint)) stat_m;
-        Iface.meth ~name:"sync" ~args:[] ~ret:Vtype.Tunit sync_m;
+        str1 "mkdir" mkdir;
+        str1 "create" create;
+        Iface.fn3 ~name:"write" Iface.Str Iface.Int Iface.Blob ~ret:Vtype.Tint
+          (fun ctx p offset data ->
+            lift_map (fun n -> Value.Int n) (write t ctx p ~offset data));
+        Iface.fn3 ~name:"read" Iface.Str Iface.Int Iface.Int ~ret:Vtype.Tblob
+          (fun ctx p offset len ->
+            lift_map (fun b -> Value.Blob b) (read t ctx p ~offset ~len));
+        str1 "remove" remove;
+        Iface.fn1 ~name:"list" Iface.Str ~ret:(Vtype.Tlist Vtype.Tstr) (fun ctx p ->
+            lift_map
+              (fun names -> Value.List (List.map (fun n -> Value.Str n) names))
+              (list t ctx p));
+        Iface.fn1 ~name:"stat" Iface.Str ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint))
+          (fun ctx p ->
+            lift_map
+              (fun (is_dir, size) ->
+                Value.Pair (Value.Int (if is_dir then 1 else 0), Value.Int size))
+              (stat t ctx p));
+        Iface.fn0 ~name:"sync" ~ret:Vtype.Tunit (fun _ ->
+            sync t;
+            Ok Value.Unit);
       ]
   in
   Instance.create api.Api.registry ~class_name:"toolbox.simplefs" ~domain:dom.Domain.id

@@ -20,92 +20,65 @@ let fault msg = Error (Oerror.Fault msg)
 (* Layer objects: each exports interface "layer" with encode/decode.    *)
 (* ------------------------------------------------------------------ *)
 
+(* ((int * int) * blob): the framer's and transport's decoded header
+   pair and payload *)
+let header_payload = Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob)
+
+let layer_object api dom ~class_name ~encode ~decode =
+  Instance.create api.Api.registry ~class_name ~domain:dom.Domain.id
+    [ Iface.make ~name:"layer" [ encode; decode ] ]
+
 let framer_layer api dom =
-  let encode ctx = function
-    | [ Value.Int dst; Value.Int src; Value.Blob payload ] ->
-      Ok (Value.Blob (Wire.Frame.build ctx ~dst ~src payload))
-    | _ -> Error (Oerror.Type_error "encode(dst, src, payload)")
-  in
-  let decode ctx = function
-    | [ Value.Blob raw ] ->
-      (match Wire.Frame.parse ctx raw with
-      | Ok { Wire.Frame.dst; src; payload } ->
-        Ok (Value.Pair (Value.Pair (Value.Int dst, Value.Int src), Value.Blob payload))
-      | Error e -> fault e)
-    | _ -> Error (Oerror.Type_error "decode(blob)")
-  in
-  let iface =
-    Iface.make ~name:"layer"
-      [
-        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tblob encode;
-        Iface.meth ~name:"decode" ~args:[ Vtype.Tblob ]
-          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob))
-          decode;
-      ]
-  in
-  Instance.create api.Api.registry ~class_name:"stack.framer" ~domain:dom.Domain.id
-    [ iface ]
+  layer_object api dom ~class_name:"stack.framer"
+    ~encode:
+      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
+         (fun ctx dst src payload ->
+           Ok (Value.Blob (Wire.Frame.build ctx ~dst ~src payload))))
+    ~decode:
+      (Iface.fn1 ~name:"decode" Iface.Blob ~ret:header_payload (fun ctx raw ->
+           match Wire.Frame.parse ctx raw with
+           | Ok { Wire.Frame.dst; src; payload } ->
+             Ok
+               (Value.Pair
+                  (Value.Pair (Value.Int dst, Value.Int src), Value.Blob payload))
+           | Error e -> fault e))
 
 let net_layer api dom =
-  let encode ctx = function
-    | [ Value.Int src; Value.Int dst; Value.Int proto; Value.Blob payload ] ->
-      Ok (Value.Blob (Wire.Net.build ctx ~src ~dst ~ttl:default_ttl ~proto payload))
-    | _ -> Error (Oerror.Type_error "encode(src, dst, proto, payload)")
-  in
-  let decode ctx = function
-    | [ Value.Blob raw ] ->
-      (match Wire.Net.parse ctx raw with
-      | Ok { Wire.Net.src; dst; ttl = _; proto; payload } ->
-        Ok
-          (Value.Pair
-             ( Value.Pair (Value.Int src, Value.Int dst),
-               Value.Pair (Value.Int proto, Value.Blob payload) ))
-      | Error e -> fault e)
-    | _ -> Error (Oerror.Type_error "decode(blob)")
-  in
-  let iface =
-    Iface.make ~name:"layer"
-      [
-        Iface.meth ~name:"encode"
-          ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tint; Vtype.Tblob ] ~ret:Vtype.Tblob
-          encode;
-        Iface.meth ~name:"decode" ~args:[ Vtype.Tblob ]
-          ~ret:
-            (Vtype.Tpair
-               (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tpair (Vtype.Tint, Vtype.Tblob)))
-          decode;
-      ]
-  in
-  Instance.create api.Api.registry ~class_name:"stack.net" ~domain:dom.Domain.id [ iface ]
+  layer_object api dom ~class_name:"stack.net"
+    ~encode:
+      (Iface.fn4 ~name:"encode" Iface.Int Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
+         (fun ctx src dst proto payload ->
+           Ok
+             (Value.Blob (Wire.Net.build ctx ~src ~dst ~ttl:default_ttl ~proto payload))))
+    ~decode:
+      (Iface.fn1 ~name:"decode" Iface.Blob
+         ~ret:
+           (Vtype.Tpair
+              ( Vtype.Tpair (Vtype.Tint, Vtype.Tint),
+                Vtype.Tpair (Vtype.Tint, Vtype.Tblob) ))
+         (fun ctx raw ->
+           match Wire.Net.parse ctx raw with
+           | Ok { Wire.Net.src; dst; ttl = _; proto; payload } ->
+             Ok
+               (Value.Pair
+                  ( Value.Pair (Value.Int src, Value.Int dst),
+                    Value.Pair (Value.Int proto, Value.Blob payload) ))
+           | Error e -> fault e))
 
 let transport_layer api dom =
-  let encode ctx = function
-    | [ Value.Int sport; Value.Int dport; Value.Blob payload ] ->
-      Ok (Value.Blob (Wire.Transport.build ctx ~sport ~dport payload))
-    | _ -> Error (Oerror.Type_error "encode(sport, dport, payload)")
-  in
-  let decode ctx = function
-    | [ Value.Blob raw ] ->
-      (match Wire.Transport.parse ctx raw with
-      | Ok { Wire.Transport.sport; dport; payload } ->
-        Ok
-          (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
-      | Error e -> fault e)
-    | _ -> Error (Oerror.Type_error "decode(blob)")
-  in
-  let iface =
-    Iface.make ~name:"layer"
-      [
-        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tblob encode;
-        Iface.meth ~name:"decode" ~args:[ Vtype.Tblob ]
-          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob))
-          decode;
-      ]
-  in
-  Instance.create api.Api.registry ~class_name:"stack.transport" ~domain:dom.Domain.id
-    [ iface ]
+  layer_object api dom ~class_name:"stack.transport"
+    ~encode:
+      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
+         (fun ctx sport dport payload ->
+           Ok (Value.Blob (Wire.Transport.build ctx ~sport ~dport payload))))
+    ~decode:
+      (Iface.fn1 ~name:"decode" Iface.Blob ~ret:header_payload (fun ctx raw ->
+           match Wire.Transport.parse ctx raw with
+           | Ok { Wire.Transport.sport; dport; payload } ->
+             Ok
+               (Value.Pair
+                  (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
+           | Error e -> fault e))
 
 (* ------------------------------------------------------------------ *)
 (* Controller                                                           *)
@@ -295,162 +268,103 @@ let send st ctx ~dst ~sport ~dport payload =
   Ok Value.Unit
 
 let controller api dom st =
-  let rx_m ctx = function
-    | [ Value.Blob raw ] -> rx st ctx raw
-    | _ -> Error (Oerror.Type_error "rx(blob)")
+  let with_conn port k =
+    match Hashtbl.find_opt st.conns port with
+    | None -> fault "port not bound"
+    | Some conn -> k conn
   in
-  (* a burst of raw frames in one invocation: what a channel-backed
-     receive path hands over per doorbell, amortising the crossing *)
-  let rx_batch_m ctx = function
-    | [ Value.List frames ] ->
-      let ok =
-        List.fold_left
-          (fun acc v ->
-            match v with
-            | Value.Blob raw -> (
-              match rx st ctx raw with Ok _ -> acc + 1 | Error _ -> acc)
-            | _ -> acc)
-          0 frames
+  let set_filter code sandboxed =
+    match Pm_vm.Vm.decode (Bytes.to_string code) with
+    | Error e -> fault ("stack: bad filter object code: " ^ e)
+    | Ok program ->
+      let program =
+        if sandboxed then
+          (* rewrite once for the padded-MTU window every sandboxed run
+             will use *)
+          Pm_vm.Sfi_rewrite.rewrite program
+            ~window_size:(Pm_vm.Sfi_rewrite.padded_size Pm_machine.Nic.mtu)
+        else Ok program
       in
-      Ok (Value.Int ok)
-    | _ -> Error (Oerror.Type_error "rx_batch(list)")
-  in
-  let send_m ctx = function
-    | [ Value.Int dst; Value.Int sport; Value.Int dport; Value.Blob payload ] ->
-      send st ctx ~dst ~sport ~dport payload
-    | _ -> Error (Oerror.Type_error "send(dst, sport, dport, payload)")
-  in
-  let bind_port_m _ctx = function
-    | [ Value.Int port ] ->
-      if Hashtbl.mem st.conns port then fault "port already bound"
-      else begin
-        Hashtbl.replace st.conns port { mailbox = Queue.create (); sink = None };
-        Ok Value.Unit
-      end
-    | _ -> Error (Oerror.Type_error "bind_port(int)")
-  in
-  let unbind_port_m _ctx = function
-    | [ Value.Int port ] ->
-      Hashtbl.remove st.conns port;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "unbind_port(int)")
-  in
-  let recv_m _ctx = function
-    | [ Value.Int port ] ->
-      (match Hashtbl.find_opt st.conns port with
-      | None -> fault "port not bound"
-      | Some conn ->
-        let items = List.of_seq (Queue.to_seq conn.mailbox) in
-        Queue.clear conn.mailbox;
-        Ok (Value.List items))
-    | _ -> Error (Oerror.Type_error "recv(int)")
-  in
-  let pending_m _ctx = function
-    | [ Value.Int port ] ->
-      (match Hashtbl.find_opt st.conns port with
-      | None -> fault "port not bound"
-      | Some conn -> Ok (Value.Int (Queue.length conn.mailbox)))
-    | _ -> Error (Oerror.Type_error "pending(int)")
-  in
-  let stats_m _ctx = function
-    | [] ->
-      Ok
-        (Value.List
-           [ Value.Int st.rx_ok; Value.Int st.rx_dropped; Value.Int st.tx;
-             Value.Int st.rx_filtered ])
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
-  let set_filter_m _ctx = function
-    | [ Value.Blob code; Value.Bool sandboxed ] ->
-      (match Pm_vm.Vm.decode (Bytes.to_string code) with
-      | Error e -> fault ("stack: bad filter object code: " ^ e)
+      (match program with
+      | Error e -> fault ("stack: sfi rewrite failed: " ^ e)
       | Ok program ->
-        let program =
-          if sandboxed then begin
-            (* rewrite once for the padded-MTU window every sandboxed run
-               will use *)
-            match
-              Pm_vm.Sfi_rewrite.rewrite program
-                ~window_size:(Pm_vm.Sfi_rewrite.padded_size Pm_machine.Nic.mtu)
-            with
-            | Ok p -> Ok p
-            | Error e -> Error e
-          end
-          else Ok program
-        in
-        (match program with
-        | Error e -> fault ("stack: sfi rewrite failed: " ^ e)
-        | Ok program ->
-          st.filter <- Some program;
-          st.filter_sandboxed <- sandboxed;
-          (* attach-time static proof (pure, no clock cost): a raw
-             filter the verifier can bound is metered against its own
-             proven fuel; anything else keeps the blanket VM default *)
-          st.filter_fuel <-
-            (if sandboxed then None
-             else
-               match Pm_check.Verify.verify program with
-               | Pm_check.Verify.Verified { fuel; _ } -> Some fuel
-               | Pm_check.Verify.Rejected _ -> None);
-          Ok Value.Unit))
-    | _ -> Error (Oerror.Type_error "set_filter(blob, bool)")
-  in
-  let clear_filter_m _ctx = function
-    | [] ->
-      st.filter <- None;
-      st.filter_fuel <- None;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "clear_filter()")
-  in
-  let address_m _ctx = function
-    | [] -> Ok (Value.Int st.addr)
-    | _ -> Error (Oerror.Type_error "address()")
-  in
-  (* route a bound port's deliveries to a sink object instead of the
-     mailbox: the hook Pm_net uses to feed each port's receive ring *)
-  let attach_port_m _ctx = function
-    | [ Value.Int port; Value.Handle h ] ->
-      (match Hashtbl.find_opt st.conns port with
-      | None -> fault "port not bound"
-      | Some conn ->
-        (match Pm_nucleus.Directory.resolve_handle st.api.Api.directory h with
-        | None -> fault "attach_port: dead sink handle"
-        | Some sink ->
-          conn.sink <- Some sink;
-          Ok Value.Unit))
-    | _ -> Error (Oerror.Type_error "attach_port(int, handle)")
-  in
-  let detach_port_m _ctx = function
-    | [ Value.Int port ] ->
-      (match Hashtbl.find_opt st.conns port with
-      | Some conn -> conn.sink <- None
-      | None -> ());
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "detach_port(int)")
+        st.filter <- Some program;
+        st.filter_sandboxed <- sandboxed;
+        (* attach-time static proof (pure, no clock cost): a raw filter
+           the verifier can bound is metered against its own proven
+           fuel; anything else keeps the blanket VM default *)
+        st.filter_fuel <-
+          (if sandboxed then None
+           else
+             match Pm_check.Verify.verify program with
+             | Pm_check.Verify.Verified { fuel; _ } -> Some fuel
+             | Pm_check.Verify.Rejected _ -> None);
+        Ok Value.Unit)
   in
   let iface =
     Iface.make ~name:"stack"
       [
-        Iface.meth ~name:"rx" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tunit rx_m;
-        Iface.meth ~name:"rx_batch" ~args:[ Vtype.Tlist Vtype.Tblob ] ~ret:Vtype.Tint
-          rx_batch_m;
-        Iface.meth ~name:"send"
-          ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tint; Vtype.Tblob ] ~ret:Vtype.Tunit
-          send_m;
-        Iface.meth ~name:"bind_port" ~args:[ Vtype.Tint ] ~ret:Vtype.Tunit bind_port_m;
-        Iface.meth ~name:"unbind_port" ~args:[ Vtype.Tint ] ~ret:Vtype.Tunit
-          unbind_port_m;
-        Iface.meth ~name:"recv" ~args:[ Vtype.Tint ] ~ret:(Vtype.Tlist Vtype.Tany) recv_m;
-        Iface.meth ~name:"pending" ~args:[ Vtype.Tint ] ~ret:Vtype.Tint pending_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
-        Iface.meth ~name:"set_filter" ~args:[ Vtype.Tblob; Vtype.Tbool ]
-          ~ret:Vtype.Tunit set_filter_m;
-        Iface.meth ~name:"clear_filter" ~args:[] ~ret:Vtype.Tunit clear_filter_m;
-        Iface.meth ~name:"address" ~args:[] ~ret:Vtype.Tint address_m;
-        Iface.meth ~name:"attach_port" ~args:[ Vtype.Tint; Vtype.Thandle ]
-          ~ret:Vtype.Tunit attach_port_m;
-        Iface.meth ~name:"detach_port" ~args:[ Vtype.Tint ] ~ret:Vtype.Tunit
-          detach_port_m;
+        Iface.fn1 ~name:"rx" Iface.Blob ~ret:Vtype.Tunit (fun ctx raw -> rx st ctx raw);
+        (* a burst of raw frames in one invocation: what a channel-backed
+           receive path hands over per doorbell, amortising the crossing *)
+        Iface.fn1 ~name:"rx_batch" (Iface.List Vtype.Tblob) ~ret:Vtype.Tint
+          (fun ctx frames ->
+            let ok =
+              List.fold_left
+                (fun acc v ->
+                  match v with
+                  | Value.Blob raw -> (
+                    match rx st ctx raw with Ok _ -> acc + 1 | Error _ -> acc)
+                  | _ -> acc)
+                0 frames
+            in
+            Ok (Value.Int ok));
+        Iface.fn4 ~name:"send" Iface.Int Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tunit
+          (fun ctx dst sport dport payload -> send st ctx ~dst ~sport ~dport payload);
+        Iface.fn1 ~name:"bind_port" Iface.Int ~ret:Vtype.Tunit (fun _ port ->
+            if Hashtbl.mem st.conns port then fault "port already bound"
+            else begin
+              Hashtbl.replace st.conns port { mailbox = Queue.create (); sink = None };
+              Ok Value.Unit
+            end);
+        Iface.fn1 ~name:"unbind_port" Iface.Int ~ret:Vtype.Tunit (fun _ port ->
+            Hashtbl.remove st.conns port;
+            Ok Value.Unit);
+        Iface.fn1 ~name:"recv" Iface.Int ~ret:(Vtype.Tlist Vtype.Tany) (fun _ port ->
+            with_conn port (fun conn ->
+                let items = List.of_seq (Queue.to_seq conn.mailbox) in
+                Queue.clear conn.mailbox;
+                Ok (Value.List items)));
+        Iface.fn1 ~name:"pending" Iface.Int ~ret:Vtype.Tint (fun _ port ->
+            with_conn port (fun conn -> Ok (Value.Int (Queue.length conn.mailbox))));
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            Ok
+              (Value.List
+                 [ Value.Int st.rx_ok; Value.Int st.rx_dropped; Value.Int st.tx;
+                   Value.Int st.rx_filtered ]));
+        Iface.fn2 ~name:"set_filter" Iface.Blob Iface.Bool ~ret:Vtype.Tunit
+          (fun _ code sandboxed -> set_filter code sandboxed);
+        Iface.fn0 ~name:"clear_filter" ~ret:Vtype.Tunit (fun _ ->
+            st.filter <- None;
+            st.filter_fuel <- None;
+            Ok Value.Unit);
+        Iface.fn0 ~name:"address" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.addr));
+        (* route a bound port's deliveries to a sink object instead of
+           the mailbox: the hook Pm_net uses to feed each port's receive
+           ring *)
+        Iface.fn2 ~name:"attach_port" Iface.Int Iface.Handle ~ret:Vtype.Tunit
+          (fun _ port h ->
+            with_conn port (fun conn ->
+                match Pm_nucleus.Directory.resolve_handle st.api.Api.directory h with
+                | None -> fault "attach_port: dead sink handle"
+                | Some sink ->
+                  conn.sink <- Some sink;
+                  Ok Value.Unit));
+        Iface.fn1 ~name:"detach_port" Iface.Int ~ret:Vtype.Tunit (fun _ port ->
+            (match Hashtbl.find_opt st.conns port with
+            | Some conn -> conn.sink <- None
+            | None -> ());
+            Ok Value.Unit);
       ]
   in
   Instance.create api.Api.registry ~class_name:"stack.controller" ~domain:dom.Domain.id

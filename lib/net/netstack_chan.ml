@@ -66,20 +66,17 @@ let port_owner t port = Option.map (fun p -> p.owner) (Hashtbl.find_opt t.ports 
    lives in the stack's own domain, so delivery is a plain dispatch —
    the crossing to the application happens through the ring. *)
 let sink_object api ~stack_domain chan =
-  let deliver_m ctx = function
-    | [ Value.Int src; Value.Int sport; Value.Blob payload ] ->
-      let msg = Netwire.Delivery.build ctx ~src ~sport payload in
-      (* full ring = application not keeping up: drop like a NIC would
-         (counted in the ring's stats) rather than stall the stack *)
-      ignore (Chan.send_or_drop ~account:false chan msg);
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "deliver(src, sport, payload)")
-  in
   let iface =
     Iface.make ~name:"netsink"
       [
-        Iface.meth ~name:"deliver" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tunit deliver_m;
+        Iface.fn3 ~name:"deliver" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tunit
+          (fun ctx src sport payload ->
+            let msg = Netwire.Delivery.build ctx ~src ~sport payload in
+            (* full ring = application not keeping up: drop like a NIC
+               would (counted in the ring's stats) rather than stall the
+               stack *)
+            ignore (Chan.send_or_drop ~account:false chan msg);
+            Ok Value.Unit);
       ]
   in
   Instance.create api.Api.registry ~class_name:"net.sink"

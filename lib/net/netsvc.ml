@@ -17,35 +17,21 @@ let fault msg = Error (Oerror.Fault msg)
 
 (* The per-port transmit endpoint: lives in the owning domain, wraps its
    private MPSC send handle. *)
-let tx_endpoint api ~owner ~port txh =
-  let send_m ctx = function
-    | [ Value.Int dst; Value.Int sport; Value.Int dport; Value.Blob payload ] ->
-      Ok (Value.Bool (Netstack_chan.submit txh ctx ~dst ~sport ~dport payload))
-    | _ -> Error (Oerror.Type_error "send(dst, sport, dport, payload)")
-  in
-  let pending_m _ctx = function
-    | [] -> Ok (Value.Int (Chan.pending (Mpsc.sub_ring txh)))
-    | _ -> Error (Oerror.Type_error "pending()")
-  in
-  let stats_m _ctx = function
-    | [] ->
-      let s = Chan.stats (Mpsc.sub_ring txh) in
-      Ok
-        (Value.List
-           [ Value.Int s.Chan.sends; Value.Int s.Chan.drops ])
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
+let tx_endpoint api ~owner txh =
+  let ring = Mpsc.sub_ring txh in
   let iface =
     Iface.make ~name:"net.tx"
       [
-        Iface.meth ~name:"send"
-          ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tbool send_m;
-        Iface.meth ~name:"pending" ~args:[] ~ret:Vtype.Tint pending_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
+        Iface.fn4 ~name:"send" Iface.Int Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tbool
+          (fun ctx dst sport dport payload ->
+            Ok (Value.Bool (Netstack_chan.submit txh ctx ~dst ~sport ~dport payload)));
+        Iface.fn0 ~name:"pending" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (Chan.pending ring)));
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            let s = Chan.stats ring in
+            Ok (Value.List [ Value.Int s.Chan.sends; Value.Int s.Chan.drops ]));
       ]
   in
-  ignore port;
   Instance.create api.Api.registry ~class_name:"net.tx" ~domain:owner.Domain.id
     [ iface ]
 
@@ -69,53 +55,34 @@ let create api net ~domain_of_id () =
          (Path.of_string (Printf.sprintf "/net/%d/%s" port kind)))
   in
   let ( let* ) = Result.bind in
-  let bind_m ctx = function
-    | [ Value.Int port ] ->
-      let* owner = origin ctx in
-      (match Netstack_chan.bind net ~port ~owner () with
-      | Error e -> fault e
-      | Ok chan ->
-        let rx = Chan_svc.rx_endpoint api chan in
-        let* () = register_endpoint port "rx" rx in
-        let txh = Netstack_chan.attach_tx net ~producer:owner in
-        let tx = tx_endpoint api ~owner ~port txh in
-        let* () = register_endpoint port "tx" tx in
-        Ok (Value.Handle (Instance.handle rx)))
-    | _ -> Error (Oerror.Type_error "bind(int)")
-  in
-  let unbind_m _ctx = function
-    | [ Value.Int port ] ->
-      (match Netstack_chan.unbind net ~port with
-      | Error e -> fault e
-      | Ok () ->
-        unregister_endpoint port "rx";
-        unregister_endpoint port "tx";
-        Ok Value.Unit)
-    | _ -> Error (Oerror.Type_error "unbind(int)")
-  in
-  let list_m _ctx = function
-    | [] ->
-      Ok (Value.List (List.map (fun p -> Value.Int p) (Netstack_chan.ports net)))
-    | _ -> Error (Oerror.Type_error "list()")
-  in
-  let drain_m _ctx = function
-    | [] -> Ok (Value.Int (Netstack_chan.drain_tx net))
-    | _ -> Error (Oerror.Type_error "drain()")
-  in
-  let stats_m _ctx = function
-    | [] ->
-      let sent, failed = Netstack_chan.tx_stats net in
-      Ok (Value.List [ Value.Int sent; Value.Int failed ])
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
   let iface =
     Iface.make ~name:"netfactory"
       [
-        Iface.meth ~name:"bind" ~args:[ Vtype.Tint ] ~ret:Vtype.Thandle bind_m;
-        Iface.meth ~name:"unbind" ~args:[ Vtype.Tint ] ~ret:Vtype.Tunit unbind_m;
-        Iface.meth ~name:"list" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) list_m;
-        Iface.meth ~name:"drain" ~args:[] ~ret:Vtype.Tint drain_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
+        Iface.fn1 ~name:"bind" Iface.Int ~ret:Vtype.Thandle (fun ctx port ->
+            let* owner = origin ctx in
+            match Netstack_chan.bind net ~port ~owner () with
+            | Error e -> fault e
+            | Ok chan ->
+              let rx = Chan_svc.rx_endpoint api chan in
+              let* () = register_endpoint port "rx" rx in
+              let txh = Netstack_chan.attach_tx net ~producer:owner in
+              let tx = tx_endpoint api ~owner txh in
+              let* () = register_endpoint port "tx" tx in
+              Ok (Value.Handle (Instance.handle rx)));
+        Iface.fn1 ~name:"unbind" Iface.Int ~ret:Vtype.Tunit (fun _ port ->
+            match Netstack_chan.unbind net ~port with
+            | Error e -> fault e
+            | Ok () ->
+              unregister_endpoint port "rx";
+              unregister_endpoint port "tx";
+              Ok Value.Unit);
+        Iface.fn0 ~name:"list" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            Ok (Value.List (List.map (fun p -> Value.Int p) (Netstack_chan.ports net))));
+        Iface.fn0 ~name:"drain" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (Netstack_chan.drain_tx net)));
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            let sent, failed = Netstack_chan.tx_stats net in
+            Ok (Value.List [ Value.Int sent; Value.Int failed ]));
       ]
   in
   Instance.create api.Api.registry ~class_name:"net.factory"

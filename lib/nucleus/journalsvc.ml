@@ -8,67 +8,35 @@ module Oerror = Pm_obj.Oerror
 module Obs = Pm_obs.Obs
 module Journal = Pm_journal.Journal
 
-type t = { machine : Machine.t }
-
-let create machine = { machine }
-
-let journal t = Obs.journal (Clock.obs (Machine.clock t.machine))
-
-let service_object t registry kdom =
-  let j () = journal t in
-  let mode_m _ctx = function
-    | [] -> Ok (Value.Str (Journal.mode_to_string (Journal.mode (j ()))))
-    | _ -> Error (Oerror.Type_error "mode()")
-  in
-  let set_mode_m _ctx = function
-    | [ Value.Str m ] ->
-      (match Journal.mode_of_string m with
-      | Some mode ->
-        Journal.set_mode (j ()) mode;
-        Ok Value.Unit
-      | None -> Error (Oerror.Type_error "set_mode(\"tail\"|\"full\")"))
-    | _ -> Error (Oerror.Type_error "set_mode(str)")
-  in
-  let snapshot_m _ctx = function
-    | [ Value.Int n ] ->
-      let jn = j () in
-      if n <= 0 then Ok (Value.Str (Journal.to_text jn))
-      else Ok (Value.Str (Journal.tail_to_text jn n))
-    | _ -> Error (Oerror.Type_error "snapshot(int)")
-  in
-  let mark_m ctx = function
-    | [ Value.Str label ] ->
-      let clock = Machine.clock t.machine in
-      let seq =
-        Journal.mark (j ())
-          ~domain:ctx.Pm_obj.Call_ctx.origin_domain
-          ~at:(Clock.now clock) label
-      in
-      Ok (Value.Int seq)
-    | _ -> Error (Oerror.Type_error "mark(str)")
-  in
-  let export_m _ctx = function
-    | [] -> Ok (Value.Str (Journal.export (j ())))
-    | _ -> Error (Oerror.Type_error "export()")
-  in
-  let stats_m _ctx = function
-    | [] -> Ok (Value.Str (Journal.stats_line (j ())))
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
-  let complete_m _ctx = function
-    | [] -> Ok (Value.Bool (Journal.complete (j ())))
-    | _ -> Error (Oerror.Type_error "complete()")
-  in
+let service_object machine registry kdom =
+  let clock = Machine.clock machine in
+  let j () = Obs.journal (Clock.obs clock) in
+  let str s = Ok (Value.Str s) in
   let iface =
     Iface.make ~name:"journal"
       [
-        Iface.meth ~name:"mode" ~args:[] ~ret:Vtype.Tstr mode_m;
-        Iface.meth ~name:"set_mode" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit set_mode_m;
-        Iface.meth ~name:"snapshot" ~args:[ Vtype.Tint ] ~ret:Vtype.Tstr snapshot_m;
-        Iface.meth ~name:"mark" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tint mark_m;
-        Iface.meth ~name:"export" ~args:[] ~ret:Vtype.Tstr export_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:Vtype.Tstr stats_m;
-        Iface.meth ~name:"complete" ~args:[] ~ret:Vtype.Tbool complete_m;
+        Iface.fn0 ~name:"mode" ~ret:Vtype.Tstr (fun _ ->
+            str (Journal.mode_to_string (Journal.mode (j ()))));
+        Iface.fn1 ~name:"set_mode" Iface.Str ~ret:Vtype.Tunit (fun _ m ->
+            match Journal.mode_of_string m with
+            | Some mode ->
+              Journal.set_mode (j ()) mode;
+              Ok Value.Unit
+            | None -> Error (Oerror.Type_error "set_mode(\"tail\"|\"full\")"));
+        Iface.fn1 ~name:"snapshot" Iface.Int ~ret:Vtype.Tstr (fun _ n ->
+            if n <= 0 then str (Journal.to_text (j ()))
+            else str (Journal.tail_to_text (j ()) n));
+        Iface.fn1 ~name:"mark" Iface.Str ~ret:Vtype.Tint (fun ctx label ->
+            Ok
+              (Value.Int
+                 (Journal.mark (j ()) ~domain:ctx.Pm_obj.Call_ctx.origin_domain
+                    ~at:(Clock.now clock) label)));
+        Iface.fn0 ~name:"export" ~ret:Vtype.Tstr (fun _ ->
+            str (Journal.export (j ())));
+        Iface.fn0 ~name:"stats" ~ret:Vtype.Tstr (fun _ ->
+            str (Journal.stats_line (j ())));
+        Iface.fn0 ~name:"complete" ~ret:Vtype.Tbool (fun _ ->
+            Ok (Value.Bool (Journal.complete (j ()))));
       ]
   in
   Instance.create registry ~class_name:"nucleus.journal" ~domain:kdom.Domain.id

@@ -7,15 +7,7 @@
     ([export]). Like every nucleus service it can be bound cross-domain
     (through a proxy) and interposed on. *)
 
-type t
-
-val create : Pm_machine.Machine.t -> t
-
-(** The journal the service fronts — the one owned by the machine's
-    clock observability sink. *)
-val journal : t -> Pm_journal.Journal.t
-
-(** [service_object t registry kdom] builds the kernel-domain service
+(** [service_object machine registry kdom] builds the kernel-domain service
     instance exporting the [journal] interface:
     [mode() : str], [set_mode("tail"|"full")],
     [snapshot(n) : str] (full text when [n <= 0], last [n] events
@@ -23,4 +15,7 @@ val journal : t -> Pm_journal.Journal.t
     [export() : str] (the versioned replay stream),
     [stats() : str], and [complete() : bool]. *)
 val service_object :
-  t -> Pm_obj.Instance.t Pm_obj.Registry.t -> Domain.t -> Pm_obj.Instance.t
+  Pm_machine.Machine.t ->
+  Pm_obj.Instance.t Pm_obj.Registry.t ->
+  Domain.t ->
+  Pm_obj.Instance.t

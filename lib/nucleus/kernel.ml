@@ -34,8 +34,6 @@ type t = {
   blkdev : Blkdev.t;
   nucleus : Composite.t;
   tracesvc : Tracesvc.t;
-  journalsvc : Journalsvc.t;
-  querysvc : Querysvc.t;
   cpu : Pm_machine.Cpu.t option; (* SMP complex when booted with >1 CPUs *)
   smp : Pm_threads.Smp.t option; (* per-CPU schedulers over it *)
 }
@@ -51,8 +49,6 @@ let vmem t = t.api.Api.vmem
 let directory t = t.api.Api.directory
 let certification t = t.api.Api.certification
 let tracesvc t = t.tracesvc
-let journalsvc t = t.journalsvc
-let querysvc t = t.querysvc
 let loader t = t.loader
 let sched t = t.api.Api.sched
 let kernel_domain t = t.kernel_domain
@@ -85,188 +81,124 @@ let domain_of_id t id =
 
 let ok_int n = Ok (Value.Int n)
 let ok_str s = Ok (Value.Str s)
+let fault_of to_string e = Error (Oerror.Fault (to_string e))
+
+(* Directory and memory calls act for the caller's domain: resolve it
+   from the call context, or refuse the call. *)
+let for_caller t_ref ctx k =
+  let t = Option.get !t_ref in
+  match domain_of_id t ctx.Pm_obj.Call_ctx.origin_domain with
+  | Some dom -> k t dom
+  | None -> Error (Oerror.Domain_error "unknown caller domain")
+
+let with_handle t handle k =
+  match Directory.resolve_handle t.api.Api.directory handle with
+  | None -> Error (Oerror.Fault (Printf.sprintf "dangling handle %d" handle))
+  | Some inst -> k inst
 
 (* The directory object resolves names relative to the *caller's* domain
    view, so user programs get their own overrides applied — this needs
    the domain table, hence the forward reference through [t_ref]. *)
 let directory_object t_ref registry kdom =
-  let find_domain ctx =
-    let t = Option.get !t_ref in
-    domain_of_id t ctx.Pm_obj.Call_ctx.origin_domain
-  in
-  let bind_m ctx args =
-    match (find_domain ctx, args) with
-    | Some dom, [ Value.Str path ] ->
-      let t = Option.get !t_ref in
-      (match
-         Directory.bind t.api.Api.directory ctx ~view:dom.Domain.view ~domain:dom
-           (Path.of_string path)
-       with
-      | Ok inst -> ok_int (Instance.handle inst)
-      | Error e -> Error (Oerror.Fault (Directory.bind_error_to_string e)))
-    | None, _ -> Error (Oerror.Domain_error "unknown caller domain")
-    | _, _ -> Error (Oerror.Type_error "bind(str)")
-  in
-  let register_m ctx args =
-    let t = Option.get !t_ref in
-    match (find_domain ctx, args) with
-    | Some _, [ Value.Str path; Value.Int handle ] ->
-      (match Directory.resolve_handle t.api.Api.directory handle with
-      | None -> Error (Oerror.Fault (Printf.sprintf "dangling handle %d" handle))
-      | Some inst ->
-        (match Directory.register t.api.Api.directory (Path.of_string path) inst with
-        | Ok () -> Ok Value.Unit
-        | Error e -> Error (Oerror.Fault (Namespace.error_to_string e))))
-    | None, _ -> Error (Oerror.Domain_error "unknown caller domain")
-    | _, _ -> Error (Oerror.Type_error "register(str, handle)")
-  in
-  let unregister_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [ Value.Str path ] ->
-      (match Directory.unregister t.api.Api.directory (Path.of_string path) with
-      | Ok () -> Ok Value.Unit
-      | Error e -> Error (Oerror.Fault (Namespace.error_to_string e)))
-    | _ -> Error (Oerror.Type_error "unregister(str)")
-  in
-  let replace_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [ Value.Str path; Value.Int handle ] ->
-      (match Directory.resolve_handle t.api.Api.directory handle with
-      | None -> Error (Oerror.Fault (Printf.sprintf "dangling handle %d" handle))
-      | Some inst ->
-        (match Directory.replace t.api.Api.directory (Path.of_string path) inst with
-        | Ok old -> ok_int (Instance.handle old)
-        | Error e -> Error (Oerror.Fault (Directory.bind_error_to_string e))))
-    | _ -> Error (Oerror.Type_error "replace(str, handle)")
-  in
-  let list_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [ Value.Str path ] ->
-      (match Namespace.list (Directory.namespace t.api.Api.directory) (Path.of_string path) with
-      | Ok entries ->
-        Ok (Value.List (List.map (fun (seg, _) -> Value.Str seg) entries))
-      | Error e -> Error (Oerror.Fault (Namespace.error_to_string e)))
-    | _ -> Error (Oerror.Type_error "list(str)")
-  in
+  let dir () = (Option.get !t_ref).api.Api.directory in
   let iface =
     Iface.make ~name:"directory"
       [
-        Iface.meth ~name:"bind" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tint bind_m;
-        Iface.meth ~name:"register" ~args:[ Vtype.Tstr; Vtype.Tint ] ~ret:Vtype.Tunit
-          register_m;
-        Iface.meth ~name:"unregister" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit unregister_m;
-        Iface.meth ~name:"replace" ~args:[ Vtype.Tstr; Vtype.Tint ] ~ret:Vtype.Tint
-          replace_m;
-        Iface.meth ~name:"list" ~args:[ Vtype.Tstr ] ~ret:(Vtype.Tlist Vtype.Tstr) list_m;
+        Iface.fn1 ~name:"bind" Iface.Str ~ret:Vtype.Tint (fun ctx path ->
+            for_caller t_ref ctx (fun t dom ->
+                match
+                  Directory.bind t.api.Api.directory ctx ~view:dom.Domain.view
+                    ~domain:dom (Path.of_string path)
+                with
+                | Ok inst -> ok_int (Instance.handle inst)
+                | Error e -> fault_of Directory.bind_error_to_string e));
+        Iface.fn2 ~name:"register" Iface.Str Iface.Int ~ret:Vtype.Tunit
+          (fun ctx path handle ->
+            for_caller t_ref ctx (fun t _ ->
+                with_handle t handle (fun inst ->
+                    match
+                      Directory.register t.api.Api.directory (Path.of_string path) inst
+                    with
+                    | Ok () -> Ok Value.Unit
+                    | Error e -> fault_of Namespace.error_to_string e)));
+        Iface.fn1 ~name:"unregister" Iface.Str ~ret:Vtype.Tunit (fun _ path ->
+            match Directory.unregister (dir ()) (Path.of_string path) with
+            | Ok () -> Ok Value.Unit
+            | Error e -> fault_of Namespace.error_to_string e);
+        Iface.fn2 ~name:"replace" Iface.Str Iface.Int ~ret:Vtype.Tint
+          (fun _ path handle ->
+            with_handle (Option.get !t_ref) handle (fun inst ->
+                match Directory.replace (dir ()) (Path.of_string path) inst with
+                | Ok old -> ok_int (Instance.handle old)
+                | Error e -> fault_of Directory.bind_error_to_string e));
+        Iface.fn1 ~name:"list" Iface.Str ~ret:(Vtype.Tlist Vtype.Tstr) (fun _ path ->
+            match Namespace.list (Directory.namespace (dir ())) (Path.of_string path) with
+            | Ok entries ->
+              Ok (Value.List (List.map (fun (seg, _) -> Value.Str seg) entries))
+            | Error e -> fault_of Namespace.error_to_string e);
       ]
   in
   Instance.create registry ~class_name:"nucleus.directory" ~domain:kdom.Domain.id
     [ iface ]
 
 let memory_object t_ref registry kdom =
-  let find_domain ctx =
-    let t = Option.get !t_ref in
-    domain_of_id t ctx.Pm_obj.Call_ctx.origin_domain
-  in
-  let alloc_m ctx args =
-    let t = Option.get !t_ref in
-    match (find_domain ctx, args) with
-    | Some dom, [ Value.Int count; Value.Bool shared ] ->
-      let sharing = if shared then Vmem.Shared else Vmem.Exclusive in
-      (match Vmem.alloc_pages t.api.Api.vmem dom ~count ~sharing with
-      | vaddr -> ok_int vaddr
-      | exception (Vmem.Vmem_error m | Invalid_argument m) -> Error (Oerror.Fault m)
-      | exception Out_of_memory -> Error (Oerror.Fault "out of physical memory"))
-    | None, _ -> Error (Oerror.Domain_error "unknown caller domain")
-    | _, _ -> Error (Oerror.Type_error "alloc_pages(int, bool)")
-  in
-  let free_m ctx args =
-    let t = Option.get !t_ref in
-    match (find_domain ctx, args) with
-    | Some dom, [ Value.Int vaddr; Value.Int count ] ->
-      (match Vmem.free_pages t.api.Api.vmem dom ~vaddr ~count with
-      | () -> Ok Value.Unit
-      | exception Vmem.Vmem_error m -> Error (Oerror.Fault m))
-    | None, _ -> Error (Oerror.Domain_error "unknown caller domain")
-    | _, _ -> Error (Oerror.Type_error "free_pages(int, int)")
-  in
-  let pages_m ctx args =
-    let t = Option.get !t_ref in
-    match (find_domain ctx, args) with
-    | Some dom, [] -> ok_int (Vmem.pages_of t.api.Api.vmem dom)
-    | None, _ -> Error (Oerror.Domain_error "unknown caller domain")
-    | _, _ -> Error (Oerror.Type_error "pages()")
-  in
   let iface =
     Iface.make ~name:"memory"
       [
-        Iface.meth ~name:"alloc_pages" ~args:[ Vtype.Tint; Vtype.Tbool ] ~ret:Vtype.Tint
-          alloc_m;
-        Iface.meth ~name:"free_pages" ~args:[ Vtype.Tint; Vtype.Tint ] ~ret:Vtype.Tunit
-          free_m;
-        Iface.meth ~name:"pages" ~args:[] ~ret:Vtype.Tint pages_m;
+        Iface.fn2 ~name:"alloc_pages" Iface.Int Iface.Bool ~ret:Vtype.Tint
+          (fun ctx count shared ->
+            for_caller t_ref ctx (fun t dom ->
+                let sharing = if shared then Vmem.Shared else Vmem.Exclusive in
+                match Vmem.alloc_pages t.api.Api.vmem dom ~count ~sharing with
+                | vaddr -> ok_int vaddr
+                | exception (Vmem.Vmem_error m | Invalid_argument m) ->
+                  Error (Oerror.Fault m)
+                | exception Out_of_memory ->
+                  Error (Oerror.Fault "out of physical memory")));
+        Iface.fn2 ~name:"free_pages" Iface.Int Iface.Int ~ret:Vtype.Tunit
+          (fun ctx vaddr count ->
+            for_caller t_ref ctx (fun t dom ->
+                match Vmem.free_pages t.api.Api.vmem dom ~vaddr ~count with
+                | () -> Ok Value.Unit
+                | exception Vmem.Vmem_error m -> Error (Oerror.Fault m)));
+        Iface.fn0 ~name:"pages" ~ret:Vtype.Tint (fun ctx ->
+            for_caller t_ref ctx (fun t dom ->
+                ok_int (Vmem.pages_of t.api.Api.vmem dom)));
       ]
   in
   Instance.create registry ~class_name:"nucleus.memory" ~domain:kdom.Domain.id [ iface ]
 
 let events_object t_ref registry kdom =
-  let deliveries_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [] -> ok_int (Events.deliveries t.api.Api.events)
-    | _ -> Error (Oerror.Type_error "deliveries()")
-  in
-  let callbacks_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [ Value.Str kind; Value.Int num ] ->
-      let event =
-        match kind with
-        | "trap" -> Some (Events.Trap num)
-        | "irq" -> Some (Events.Irq num)
-        | _ -> None
-      in
-      (match event with
-      | Some e -> ok_int (Events.callbacks t.api.Api.events e)
-      | None -> Error (Oerror.Type_error "callbacks(\"trap\"|\"irq\", int)"))
-    | _ -> Error (Oerror.Type_error "callbacks(str, int)")
-  in
+  let events () = (Option.get !t_ref).api.Api.events in
   let iface =
     Iface.make ~name:"events"
       [
-        Iface.meth ~name:"deliveries" ~args:[] ~ret:Vtype.Tint deliveries_m;
-        Iface.meth ~name:"callbacks" ~args:[ Vtype.Tstr; Vtype.Tint ] ~ret:Vtype.Tint
-          callbacks_m;
+        Iface.fn0 ~name:"deliveries" ~ret:Vtype.Tint (fun _ ->
+            ok_int (Events.deliveries (events ())));
+        Iface.fn2 ~name:"callbacks" Iface.Str Iface.Int ~ret:Vtype.Tint (fun _ kind num ->
+            match kind with
+            | "trap" -> ok_int (Events.callbacks (events ()) (Events.Trap num))
+            | "irq" -> ok_int (Events.callbacks (events ()) (Events.Irq num))
+            | other ->
+              Error
+                (Oerror.Type_error
+                   (Printf.sprintf "callbacks(\"trap\"|\"irq\", int), not %S" other)));
       ]
   in
   Instance.create registry ~class_name:"nucleus.events" ~domain:kdom.Domain.id [ iface ]
 
 let certification_object t_ref registry kdom =
-  let stats_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [] ->
-      Ok
-        (Value.Pair
-           ( Value.Int (Certsvc.validations t.api.Api.certification),
-             Value.Int (Certsvc.failures t.api.Api.certification) ))
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
-  let root_m _ctx args =
-    let t = Option.get !t_ref in
-    match args with
-    | [] -> ok_str (Pm_secure.Principal.id (Certsvc.root t.api.Api.certification))
-    | _ -> Error (Oerror.Type_error "root()")
-  in
+  let cert () = (Option.get !t_ref).api.Api.certification in
   let iface =
     Iface.make ~name:"certification"
       [
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint))
-          stats_m;
-        Iface.meth ~name:"root" ~args:[] ~ret:Vtype.Tstr root_m;
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tpair (Vtype.Tint, Vtype.Tint)) (fun _ ->
+            Ok
+              (Value.Pair
+                 ( Value.Int (Certsvc.validations (cert ())),
+                   Value.Int (Certsvc.failures (cert ())) )));
+        Iface.fn0 ~name:"root" ~ret:Vtype.Tstr (fun _ ->
+            ok_str (Pm_secure.Principal.id (Certsvc.root (cert ()))));
       ]
   in
   Instance.create registry ~class_name:"nucleus.certification" ~domain:kdom.Domain.id
@@ -322,40 +254,34 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   in
   let loader = Loader.create api in
   let t_ref = ref None in
+  (* created in this order, so handles and the boot journal are stable *)
   let dir_obj = directory_object t_ref registry kernel_domain in
   let mem_obj = memory_object t_ref registry kernel_domain in
   let ev_obj = events_object t_ref registry kernel_domain in
   let cert_obj = certification_object t_ref registry kernel_domain in
   let tracesvc = Tracesvc.create machine in
   let trace_obj = Tracesvc.service_object tracesvc registry kernel_domain in
-  let journalsvc = Journalsvc.create machine in
-  let journal_obj = Journalsvc.service_object journalsvc registry kernel_domain in
-  let querysvc = Querysvc.create machine in
-  let query_obj = Querysvc.service_object querysvc registry kernel_domain in
-  (* the resident kernel: a static (link-time) composition of the seven
-     service objects *)
+  let journal_obj = Journalsvc.service_object machine registry kernel_domain in
+  let query_obj = Querysvc.service_object machine registry kernel_domain in
+  (* the seven services, each exporting the interface it is named after *)
+  let services =
+    [ ("events", ev_obj); ("memory", mem_obj); ("directory", dir_obj);
+      ("certification", cert_obj); ("trace", trace_obj); ("journal", journal_obj);
+      ("query", query_obj) ]
+  in
+  (* the resident kernel: a static (link-time) composition of them *)
   let nucleus =
     Composite.make registry ~class_name:"paramecium.nucleus"
-      ~domain:kernel_domain.Domain.id ~mode:Composite.Static
-      ~children:
-        [ ("events", ev_obj); ("memory", mem_obj); ("directory", dir_obj);
-          ("certification", cert_obj); ("trace", trace_obj);
-          ("journal", journal_obj); ("query", query_obj) ]
+      ~domain:kernel_domain.Domain.id ~mode:Composite.Static ~children:services
       ~exports:
-        [
-          { Composite.as_name = "events"; child = "events"; iface = "events" };
-          { Composite.as_name = "memory"; child = "memory"; iface = "memory" };
-          { Composite.as_name = "directory"; child = "directory"; iface = "directory" };
-          { Composite.as_name = "certification"; child = "certification";
-            iface = "certification" };
-          { Composite.as_name = "trace"; child = "trace"; iface = "trace" };
-          { Composite.as_name = "journal"; child = "journal"; iface = "journal" };
-          { Composite.as_name = "query"; child = "query"; iface = "query" };
-        ]
+        (List.map
+           (fun (name, _) -> { Composite.as_name = name; child = name; iface = name })
+           services)
   in
   (* boot binds go through the journal too, so state-at-cycle queries
      can answer for the nucleus services themselves *)
-  let boot_register path handle =
+  let boot_register name inst =
+    let path = "/nucleus/" ^ name and handle = Instance.handle inst in
     must_register ns path handle;
     let clock = Machine.clock machine in
     Pm_journal.Journal.record
@@ -364,18 +290,12 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
       ~at:(Clock.now clock)
       ~info:handle ~detail:path
   in
-  boot_register "/nucleus/events" (Instance.handle ev_obj);
-  boot_register "/nucleus/memory" (Instance.handle mem_obj);
-  boot_register "/nucleus/directory" (Instance.handle dir_obj);
-  boot_register "/nucleus/certification" (Instance.handle cert_obj);
-  boot_register "/nucleus/trace" (Instance.handle trace_obj);
-  boot_register "/nucleus/journal" (Instance.handle journal_obj);
-  boot_register "/nucleus/query" (Instance.handle query_obj);
-  boot_register "/nucleus/kernel" (Instance.handle (Composite.instance nucleus));
+  List.iter (fun (name, inst) -> boot_register name inst) services;
+  boot_register "kernel" (Composite.instance nucleus);
   let t =
     { machine; registry; ns; root_view; api; loader; kernel_domain;
       user_domains = []; nic; timer; console; disk; blkdev; nucleus; tracesvc;
-      journalsvc; querysvc; cpu; smp }
+      cpu; smp }
   in
   t_ref := Some t;
   jot machine ~kind:Pm_journal.Journal.Domain_up ~domain:kernel_domain.Domain.id

@@ -51,8 +51,6 @@ val vmem : t -> Vmem.t
 val directory : t -> Directory.t
 val certification : t -> Certsvc.t
 val tracesvc : t -> Tracesvc.t
-val journalsvc : t -> Journalsvc.t
-val querysvc : t -> Querysvc.t
 val loader : t -> Loader.t
 val sched : t -> Pm_threads.Scheduler.t
 val kernel_domain : t -> Domain.t

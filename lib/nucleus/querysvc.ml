@@ -18,94 +18,51 @@ module Obs = Pm_obs.Obs
 module Journal = Pm_journal.Journal
 module Query = Pm_query.Query
 
-type t = { machine : Machine.t }
-
-let create machine = { machine }
-
-let journal t = Obs.journal (Clock.obs (Machine.clock t.machine))
+let journal machine = Obs.journal (Clock.obs (Machine.clock machine))
 
 let fault msg = Error (Oerror.Fault msg)
 
 (* The causal fold needs the whole run: a Tail-mode or compacted
    journal would misattribute, so refuse it by name instead. *)
-let requests t =
-  let j = journal t in
+let with_requests machine k =
+  let j = journal machine in
   match Query.fold ~complete:(Journal.complete j) (Journal.history j) with
-  | Ok reqs -> Ok reqs
+  | Ok reqs -> k reqs
   | Error m -> fault m
 
-let service_object t registry kdom =
-  let snapshot_m _ctx = function
-    | [] -> (
-      match requests t with
-      | Error e -> Error e
-      | Ok reqs ->
-        Ok (Value.Str (String.concat "\n" (List.map Query.request_line reqs))))
-    | _ -> Error (Oerror.Type_error "snapshot()")
-  in
-  let request_m _ctx = function
-    | [ Value.Int rid ] -> (
-      match requests t with
-      | Error e -> Error e
-      | Ok reqs -> (
-        match List.find_opt (fun r -> r.Query.rid = rid) reqs with
-        | Some r -> Ok (Value.Str (Query.request_to_text r))
-        | None -> fault (Printf.sprintf "query: no request %d" rid)))
-    | _ -> Error (Oerror.Type_error "request(int)")
-  in
-  let slowest_m _ctx = function
-    | [ Value.Int k ] -> (
-      match requests t with
-      | Error e -> Error e
-      | Ok reqs ->
-        Ok
-          (Value.Str
-             (String.concat "\n"
-                (List.map Query.request_line (Query.slowest k reqs)))))
-    | _ -> Error (Oerror.Type_error "slowest(int)")
-  in
-  let layers_m _ctx = function
-    | [] -> (
-      match requests t with
-      | Error e -> Error e
-      | Ok reqs -> Ok (Value.Str (Query.layer_totals_to_text reqs)))
-    | _ -> Error (Oerror.Type_error "layers()")
+let service_object machine registry kdom =
+  let lines reqs =
+    Ok (Value.Str (String.concat "\n" (List.map Query.request_line reqs)))
   in
   (* state-at-cycle queries fold the structural archive, which is
      always complete — they work in any journal mode *)
-  let frame_m _ctx = function
-    | [ Value.Int frame; Value.Int at ] ->
-      let holders = Query.frame_holders (Journal.structural (journal t)) ~frame ~at in
-      Ok (Value.List (List.map (fun d -> Value.Int d) holders))
-    | _ -> Error (Oerror.Type_error "frame_holders(frame, at)")
-  in
-  let bound_m _ctx = function
-    | [ Value.Str path; Value.Int at ] -> (
-      match Query.bound_at (Journal.structural (journal t)) ~path ~at with
-      | Some h -> Ok (Value.Int h)
-      | None -> fault (Printf.sprintf "query: nothing bound at %s" path))
-    | _ -> Error (Oerror.Type_error "bound_at(path, at)")
-  in
-  let owner_m _ctx = function
-    | [ Value.Str name; Value.Int at ] -> (
-      match Query.owner_of (Journal.structural (journal t)) ~name ~at with
-      | Some d -> Ok (Value.Int d)
-      | None -> fault (Printf.sprintf "query: no component %s" name))
-    | _ -> Error (Oerror.Type_error "owner_of(name, at)")
-  in
+  let structural () = Journal.structural (journal machine) in
   let iface =
     Iface.make ~name:"query"
       [
-        Iface.meth ~name:"snapshot" ~args:[] ~ret:Vtype.Tstr snapshot_m;
-        Iface.meth ~name:"request" ~args:[ Vtype.Tint ] ~ret:Vtype.Tstr request_m;
-        Iface.meth ~name:"slowest" ~args:[ Vtype.Tint ] ~ret:Vtype.Tstr slowest_m;
-        Iface.meth ~name:"layers" ~args:[] ~ret:Vtype.Tstr layers_m;
-        Iface.meth ~name:"frame_holders" ~args:[ Vtype.Tint; Vtype.Tint ]
-          ~ret:(Vtype.Tlist Vtype.Tint) frame_m;
-        Iface.meth ~name:"bound_at" ~args:[ Vtype.Tstr; Vtype.Tint ]
-          ~ret:Vtype.Tint bound_m;
-        Iface.meth ~name:"owner_of" ~args:[ Vtype.Tstr; Vtype.Tint ]
-          ~ret:Vtype.Tint owner_m;
+        Iface.fn0 ~name:"snapshot" ~ret:Vtype.Tstr (fun _ -> with_requests machine lines);
+        Iface.fn1 ~name:"request" Iface.Int ~ret:Vtype.Tstr (fun _ rid ->
+            with_requests machine (fun reqs ->
+                match List.find_opt (fun r -> r.Query.rid = rid) reqs with
+                | Some r -> Ok (Value.Str (Query.request_to_text r))
+                | None -> fault (Printf.sprintf "query: no request %d" rid)));
+        Iface.fn1 ~name:"slowest" Iface.Int ~ret:Vtype.Tstr (fun _ k ->
+            with_requests machine (fun reqs -> lines (Query.slowest k reqs)));
+        Iface.fn0 ~name:"layers" ~ret:Vtype.Tstr (fun _ ->
+            with_requests machine (fun reqs ->
+                Ok (Value.Str (Query.layer_totals_to_text reqs))));
+        Iface.fn2 ~name:"frame_holders" Iface.Int Iface.Int ~ret:(Vtype.Tlist Vtype.Tint)
+          (fun _ frame at ->
+            let holders = Query.frame_holders (structural ()) ~frame ~at in
+            Ok (Value.List (List.map (fun d -> Value.Int d) holders)));
+        Iface.fn2 ~name:"bound_at" Iface.Str Iface.Int ~ret:Vtype.Tint (fun _ path at ->
+            match Query.bound_at (structural ()) ~path ~at with
+            | Some h -> Ok (Value.Int h)
+            | None -> fault (Printf.sprintf "query: nothing bound at %s" path));
+        Iface.fn2 ~name:"owner_of" Iface.Str Iface.Int ~ret:Vtype.Tint (fun _ name at ->
+            match Query.owner_of (structural ()) ~name ~at with
+            | Some d -> Ok (Value.Int d)
+            | None -> fault (Printf.sprintf "query: no component %s" name));
       ]
   in
   Instance.create registry ~class_name:"nucleus.query" ~domain:kdom.Domain.id

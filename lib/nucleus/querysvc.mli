@@ -5,14 +5,7 @@
     trees, top-K slowest, per-layer attribution, and state-at-cycle
     answers over the always-complete structural archive. *)
 
-type t
-
-val create : Pm_machine.Machine.t -> t
-
-(** The journal the service queries — the machine clock's. *)
-val journal : t -> Pm_journal.Journal.t
-
-(** [service_object t registry kdom] builds the kernel-domain service
+(** [service_object machine registry kdom] builds the kernel-domain service
     instance exporting the [query] interface:
     [snapshot() : str] (one line per traced request),
     [request(rid) : str] (the span tree),
@@ -22,4 +15,7 @@ val journal : t -> Pm_journal.Journal.t
     Span queries fault by name on an incomplete (non-[Full]) history;
     state-at-cycle queries work in any mode. *)
 val service_object :
-  t -> Pm_obj.Instance.t Pm_obj.Registry.t -> Domain.t -> Pm_obj.Instance.t
+  Pm_machine.Machine.t ->
+  Pm_obj.Instance.t Pm_obj.Registry.t ->
+  Domain.t ->
+  Pm_obj.Instance.t

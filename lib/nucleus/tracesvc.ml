@@ -84,61 +84,41 @@ let snapshot_json t =
     (Metrics.to_json (Obs.metrics (obs t)))
 
 let service_object t registry kdom =
-  let unit_m body _ctx = function
-    | [] ->
-      body ();
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "()")
+  let unit_m name body =
+    Iface.fn0 ~name ~ret:Vtype.Tunit (fun _ ->
+        body (obs t);
+        Ok Value.Unit)
   in
-  let snapshot_m _ctx = function
-    | [ Value.Str fmt ] ->
-      (match fmt with
-      | "text" -> Ok (Value.Str (snapshot_text t))
-      | "json" -> Ok (Value.Str (snapshot_json t))
-      | _ -> Error (Oerror.Type_error "snapshot(\"text\"|\"json\")"))
-    | _ -> Error (Oerror.Type_error "snapshot(str)")
-  in
-  let histogram_m _ctx = function
-    | [ Value.Int domain; Value.Str name ] ->
-      (match Metrics.summary (Obs.metrics (obs t)) ~domain name with
-      | Some s -> Ok (Value.Str (Metrics.summary_to_text s))
-      | None -> Error (Oerror.Fault (Printf.sprintf "no samples for %d/%s" domain name)))
-    | _ -> Error (Oerror.Type_error "histogram(int, str)")
-  in
-  let interpose_m _ctx = function
-    | [ Value.Str path ] ->
-      (match interpose t path with
-      | Ok agent -> Ok (Value.Int (Instance.handle agent))
-      | Error e -> Error (Oerror.Fault e))
-    | _ -> Error (Oerror.Type_error "interpose(str)")
-  in
-  let uninterpose_m _ctx = function
-    | [ Value.Str path ] ->
-      (match uninterpose t path with
-      | Ok () -> Ok Value.Unit
-      | Error e -> Error (Oerror.Fault e))
-    | _ -> Error (Oerror.Type_error "uninterpose(str)")
-  in
-  let enabled_m _ctx = function
-    | [] -> Ok (Value.Bool (Obs.enabled (obs t)))
-    | _ -> Error (Oerror.Type_error "enabled()")
-  in
+  let str s = Ok (Value.Str s) in
   let iface =
     Iface.make ~name:"trace"
       [
-        Iface.meth ~name:"start" ~args:[] ~ret:Vtype.Tunit
-          (unit_m (fun () -> Obs.enable (obs t)));
-        Iface.meth ~name:"stop" ~args:[] ~ret:Vtype.Tunit
-          (unit_m (fun () -> Obs.disable (obs t)));
-        Iface.meth ~name:"reset" ~args:[] ~ret:Vtype.Tunit
-          (unit_m (fun () -> Obs.reset (obs t)));
-        Iface.meth ~name:"enabled" ~args:[] ~ret:Vtype.Tbool enabled_m;
-        Iface.meth ~name:"snapshot" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr snapshot_m;
-        Iface.meth ~name:"histogram" ~args:[ Vtype.Tint; Vtype.Tstr ] ~ret:Vtype.Tstr
-          histogram_m;
-        Iface.meth ~name:"interpose" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tint interpose_m;
-        Iface.meth ~name:"uninterpose" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit
-          uninterpose_m;
+        unit_m "start" Obs.enable;
+        unit_m "stop" Obs.disable;
+        unit_m "reset" Obs.reset;
+        Iface.fn0 ~name:"enabled" ~ret:Vtype.Tbool (fun _ ->
+            Ok (Value.Bool (Obs.enabled (obs t))));
+        Iface.fn1 ~name:"snapshot" Iface.Str ~ret:Vtype.Tstr (fun _ -> function
+          | "text" -> str (snapshot_text t)
+          | "json" -> str (snapshot_json t)
+          | other ->
+            Error
+              (Oerror.Type_error
+                 (Printf.sprintf "snapshot(\"text\"|\"json\"), not %S" other)));
+        Iface.fn2 ~name:"histogram" Iface.Int Iface.Str ~ret:Vtype.Tstr
+          (fun _ domain name ->
+            match Metrics.summary (Obs.metrics (obs t)) ~domain name with
+            | Some s -> str (Metrics.summary_to_text s)
+            | None ->
+              Error (Oerror.Fault (Printf.sprintf "no samples for %d/%s" domain name)));
+        Iface.fn1 ~name:"interpose" Iface.Str ~ret:Vtype.Tint (fun _ path ->
+            match interpose t path with
+            | Ok agent -> Ok (Value.Int (Instance.handle agent))
+            | Error e -> Error (Oerror.Fault e));
+        Iface.fn1 ~name:"uninterpose" Iface.Str ~ret:Vtype.Tunit (fun _ path ->
+            match uninterpose t path with
+            | Ok () -> Ok Value.Unit
+            | Error e -> Error (Oerror.Fault e));
       ]
   in
   Instance.create registry ~class_name:"nucleus.trace" ~domain:kdom.Domain.id [ iface ]

@@ -20,8 +20,66 @@ type t = {
 
 val make : ?version:int -> ?state:Value.t ref -> name:string -> meth list -> t
 
-(** [meth ~name ~args ~ret impl] builds a method descriptor. *)
+(** [meth ~name ~args ~ret impl] builds a method descriptor from a raw
+    implementation. Components declare methods with {!fn0} .. {!fn4};
+    this is the primitive for forwarders and generic code. *)
 val meth : name:string -> args:Vtype.t list -> ret:Vtype.t -> impl -> meth
+
+(** {2 Typed declarations}
+
+    An argument descriptor names one argument's type once: the method's
+    published signature is derived from it, and the implementation
+    receives the decoded OCaml value. *)
+
+type _ arg =
+  | Int : int arg
+  | Bool : bool arg
+  | Str : string arg
+  | Blob : bytes arg
+  | Handle : int arg  (** an object handle *)
+  | List : Vtype.t -> Value.t list arg
+      (** a list of elements of the given type, passed through unwrapped
+          and uncopied *)
+  | Any : Value.t arg  (** any value, passed through *)
+
+type body = (Value.t, Oerror.t) result
+
+(** [fn2 ~name a b ~ret f] declares method [name] of signature
+    [(vtype a, vtype b) -> ret] whose implementation is [f] applied to
+    the decoded arguments. {!Invoke} checks every call against the
+    signature before [f] runs; a direct [impl] call of the wrong shape
+    returns [Type_error] without reaching [f]. The other arities are the
+    same. Decoding allocates nothing. *)
+val fn0 : name:string -> ret:Vtype.t -> (Call_ctx.t -> body) -> meth
+
+val fn1 : name:string -> 'a arg -> ret:Vtype.t -> (Call_ctx.t -> 'a -> body) -> meth
+
+val fn2 :
+  name:string ->
+  'a arg ->
+  'b arg ->
+  ret:Vtype.t ->
+  (Call_ctx.t -> 'a -> 'b -> body) ->
+  meth
+
+val fn3 :
+  name:string ->
+  'a arg ->
+  'b arg ->
+  'c arg ->
+  ret:Vtype.t ->
+  (Call_ctx.t -> 'a -> 'b -> 'c -> body) ->
+  meth
+
+val fn4 :
+  name:string ->
+  'a arg ->
+  'b arg ->
+  'c arg ->
+  'd arg ->
+  ret:Vtype.t ->
+  (Call_ctx.t -> 'a -> 'b -> 'c -> 'd -> body) ->
+  meth
 
 val find_method : t -> string -> meth option
 

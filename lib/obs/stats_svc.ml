@@ -141,25 +141,24 @@ let domain_json t (d : Domain.t) =
 
 let fmt_error meth = Error (Oerror.Type_error (meth ^ "(\"text\"|\"json\")"))
 
+(* "text" or "json": the one value-domain check on a format argument *)
+let text_or_json name ~text ~json =
+  Iface.fn1 ~name Iface.Str ~ret:Vtype.Tstr (fun _ -> function
+    | "text" -> Ok (Value.Str (text ()))
+    | "json" -> Ok (Value.Str (json ()))
+    | _ -> fmt_error name)
+
 let domain_iface t (d : Domain.t) =
-  let read_m _ctx = function
-    | [ Value.Str "text" ] -> Ok (Value.Str (domain_text t d))
-    | [ Value.Str "json" ] -> Ok (Value.Str (domain_json t d))
-    | [ Value.Str _ ] -> fmt_error "read"
-    | _ -> Error (Oerror.Type_error "read(str)")
-  in
-  let value_m _ctx = function
-    | [ Value.Str name ] ->
-      refresh t;
-      (match Acct.field d.Domain.acct name with
-      | Some v -> Ok (Value.Int v)
-      | None -> Error (Oerror.Fault (Printf.sprintf "no accounting field %S" name)))
-    | _ -> Error (Oerror.Type_error "value(str)")
-  in
   Iface.make ~name:"stats.domain"
     [
-      Iface.meth ~name:"read" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr read_m;
-      Iface.meth ~name:"value" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tint value_m;
+      text_or_json "read"
+        ~text:(fun () -> domain_text t d)
+        ~json:(fun () -> domain_json t d);
+      Iface.fn1 ~name:"value" Iface.Str ~ret:Vtype.Tint (fun _ name ->
+          refresh t;
+          match Acct.field d.Domain.acct name with
+          | Some v -> Ok (Value.Int v)
+          | None -> Error (Oerror.Fault (Printf.sprintf "no accounting field %S" name)));
     ]
 
 let domain_object t (d : Domain.t) =
@@ -243,47 +242,19 @@ let cpus_json t =
 (* ---------------- the /stats/kernel service object ------------------- *)
 
 let kernel_iface t =
-  let snapshot_m _ctx = function
-    | [ Value.Str "text" ] -> Ok (Value.Str (snapshot_text t))
-    | [ Value.Str "json" ] -> Ok (Value.Str (snapshot_json t))
-    | [ Value.Str _ ] -> fmt_error "snapshot"
-    | _ -> Error (Oerror.Type_error "snapshot(str)")
-  in
-  let diff_m _ctx = function
-    | [ Value.Str "text" ] -> Ok (Value.Str (diff_text t))
-    | [ Value.Str "json" ] -> Ok (Value.Str (diff_json t))
-    | [ Value.Str _ ] -> fmt_error "diff"
-    | _ -> Error (Oerror.Type_error "diff(str)")
-  in
-  let mark_m _ctx = function
-    | [] ->
-      mark t;
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "mark()")
-  in
-  let flight_m _ctx = function
-    (* n <= 0: the whole surviving ring; n > 0: just the last n events *)
-    | [ Value.Int n ] -> Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n))
-    | _ -> Error (Oerror.Type_error "flight(int)")
-  in
-  let publish_m _ctx = function
-    | [] -> Ok (Value.Int (publish t))
-    | _ -> Error (Oerror.Type_error "publish()")
-  in
-  let cpus_m _ctx = function
-    | [ Value.Str "text" ] -> Ok (Value.Str (cpus_text t))
-    | [ Value.Str "json" ] -> Ok (Value.Str (cpus_json t))
-    | [ Value.Str _ ] -> fmt_error "cpus"
-    | _ -> Error (Oerror.Type_error "cpus(str)")
-  in
+  let thunk f () = f t in
   Iface.make ~name:"stats"
     [
-      Iface.meth ~name:"snapshot" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr snapshot_m;
-      Iface.meth ~name:"diff" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr diff_m;
-      Iface.meth ~name:"mark" ~args:[] ~ret:Vtype.Tunit mark_m;
-      Iface.meth ~name:"flight" ~args:[ Vtype.Tint ] ~ret:Vtype.Tstr flight_m;
-      Iface.meth ~name:"publish" ~args:[] ~ret:Vtype.Tint publish_m;
-      Iface.meth ~name:"cpus" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tstr cpus_m;
+      text_or_json "snapshot" ~text:(thunk snapshot_text) ~json:(thunk snapshot_json);
+      text_or_json "diff" ~text:(thunk diff_text) ~json:(thunk diff_json);
+      Iface.fn0 ~name:"mark" ~ret:Vtype.Tunit (fun _ ->
+          mark t;
+          Ok Value.Unit);
+      (* n <= 0: the whole surviving ring; n > 0: just the last n events *)
+      Iface.fn1 ~name:"flight" Iface.Int ~ret:Vtype.Tstr (fun _ n ->
+          Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n)));
+      Iface.fn0 ~name:"publish" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (publish t)));
+      text_or_json "cpus" ~text:(thunk cpus_text) ~json:(thunk cpus_json);
     ]
 
 let create api ~domains () =

@@ -330,49 +330,29 @@ let create api dom ?(config = default_config) () =
       ~blocksize:(fun () -> st.block_size)
       ~stats:(fun () -> [ st.reads; st.writes; st.irq_acks ])
   in
-  let read_many_m ctx = function
-    | [ Value.List vs ] ->
-      let* bs =
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match v with
-            | Value.Int b -> Ok (b :: acc)
-            | _ -> Error (Oerror.Type_error "read_many(list int)"))
-          (Ok []) vs
-      in
-      let* datas =
-        Blockif.traced_span api "driver" (fun () -> read_many st ctx (List.rev bs))
-      in
-      Ok (Value.List (List.map (fun d -> Value.Blob d) datas))
-    | _ -> Error (Oerror.Type_error "read_many(list int)")
-  in
-  let write_many_m ctx = function
-    | [ Value.List vs ] ->
-      let* pairs =
-        List.fold_left
-          (fun acc v ->
-            let* acc = acc in
-            match v with
-            | Value.Pair (Value.Int b, Value.Blob d) -> Ok ((b, d) :: acc)
-            | _ -> Error (Oerror.Type_error "write_many(list (int, blob))"))
-          (Ok []) vs
-      in
-      let* n =
-        Blockif.traced_span api "driver" (fun () ->
-            write_many st ctx (List.rev pairs))
-      in
-      Ok (Value.Int n)
-    | _ -> Error (Oerror.Type_error "write_many(list (int, blob))")
-  in
+  (* Invoke has checked every element against the signature *)
   let ring_iface =
     Iface.make ~name:"blkring"
       [
-        Iface.meth ~name:"read_many" ~args:[ Vtype.Tlist Vtype.Tint ]
-          ~ret:(Vtype.Tlist Vtype.Tblob) read_many_m;
-        Iface.meth ~name:"write_many"
-          ~args:[ Vtype.Tlist (Vtype.Tpair (Vtype.Tint, Vtype.Tblob)) ]
-          ~ret:Vtype.Tint write_many_m;
+        Iface.fn1 ~name:"read_many" (Iface.List Vtype.Tint) ~ret:(Vtype.Tlist Vtype.Tblob)
+          (fun ctx vs ->
+            let bs = List.filter_map (function Value.Int b -> Some b | _ -> None) vs in
+            let* datas =
+              Blockif.traced_span api "driver" (fun () -> read_many st ctx bs)
+            in
+            Ok (Value.List (List.map (fun d -> Value.Blob d) datas)));
+        Iface.fn1 ~name:"write_many"
+          (Iface.List (Vtype.Tpair (Vtype.Tint, Vtype.Tblob)))
+          ~ret:Vtype.Tint
+          (fun ctx vs ->
+            let pairs =
+              List.filter_map
+                (function
+                  | Value.Pair (Value.Int b, Value.Blob d) -> Some (b, d) | _ -> None)
+                vs
+            in
+            Blockif.traced_span api "driver" (fun () ->
+                Result.map (fun n -> Value.Int n) (write_many st ctx pairs)));
       ]
   in
   let inst =

@@ -86,47 +86,19 @@ let blocksize l ctx = int_query l ctx "blocksize"
 (* Build the six standard methods from component callbacks. *)
 let methods ~read:read_f ~write:write_f ~flush:flush_f ~size:size_f
     ~blocksize:blocksize_f ~stats:stats_f =
-  let read_m ctx = function
-    | [ Value.Int block ] ->
-      let* data = read_f ctx block in
-      Ok (Value.Blob data)
-    | _ -> Error (Oerror.Type_error "read(int)")
-  in
-  let write_m ctx = function
-    | [ Value.Int block; Value.Blob data ] ->
-      let* () = write_f ctx block data in
-      Ok Value.Unit
-    | _ -> Error (Oerror.Type_error "write(int, blob)")
-  in
-  let flush_m ctx = function
-    | [] ->
-      let* n = flush_f ctx in
-      Ok (Value.Int n)
-    | _ -> Error (Oerror.Type_error "flush()")
-  in
-  let size_m ctx = function
-    | [] ->
-      let* n = size_f ctx in
-      Ok (Value.Int n)
-    | _ -> Error (Oerror.Type_error "size()")
-  in
-  let blocksize_m _ctx = function
-    | [] -> Ok (Value.Int (blocksize_f ()))
-    | _ -> Error (Oerror.Type_error "blocksize()")
-  in
-  let stats_m _ctx = function
-    | [] -> Ok (Value.List (List.map (fun n -> Value.Int n) (stats_f ())))
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
+  let int_result r = Result.map (fun n -> Value.Int n) r in
   Iface.make ~name:iface_name
     [
-      Iface.meth ~name:"read" ~args:[ Vtype.Tint ] ~ret:Vtype.Tblob read_m;
-      Iface.meth ~name:"write" ~args:[ Vtype.Tint; Vtype.Tblob ] ~ret:Vtype.Tunit
-        write_m;
-      Iface.meth ~name:"flush" ~args:[] ~ret:Vtype.Tint flush_m;
-      Iface.meth ~name:"size" ~args:[] ~ret:Vtype.Tint size_m;
-      Iface.meth ~name:"blocksize" ~args:[] ~ret:Vtype.Tint blocksize_m;
-      Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
+      Iface.fn1 ~name:"read" Iface.Int ~ret:Vtype.Tblob (fun ctx block ->
+          Result.map (fun data -> Value.Blob data) (read_f ctx block));
+      Iface.fn2 ~name:"write" Iface.Int Iface.Blob ~ret:Vtype.Tunit (fun ctx block data ->
+          Result.map (fun () -> Value.Unit) (write_f ctx block data));
+      Iface.fn0 ~name:"flush" ~ret:Vtype.Tint (fun ctx -> int_result (flush_f ctx));
+      Iface.fn0 ~name:"size" ~ret:Vtype.Tint (fun ctx -> int_result (size_f ctx));
+      Iface.fn0 ~name:"blocksize" ~ret:Vtype.Tint (fun _ ->
+          Ok (Value.Int (blocksize_f ())));
+      Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+          Ok (Value.List (List.map (fun n -> Value.Int n) (stats_f ()))));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -141,20 +113,23 @@ module Journal = Pm_journal.Journal
 let journal_of (api : Api.t) =
   Pm_obs.Obs.journal (Pm_machine.Clock.obs (Pm_machine.Machine.clock api.Api.machine))
 
-let jot api ~kind ~info ~detail =
+let jot ?rid api ~kind ~info ~detail =
   let clock = Pm_machine.Machine.clock api.Api.machine in
-  Journal.record (journal_of api) ~kind ~domain:0
+  Journal.record ?rid (journal_of api) ~kind ~domain:0
     ~at:(Pm_machine.Clock.now clock) ~info ~detail
 
 (* [traced_span api layer f] wraps one layer crossing of the current
    request in Span_enter/Span_exit events; the exit fires even when [f]
-   fails, so span trees stay balanced on error paths. *)
+   fails, so span trees stay balanced on error paths. A traced wire
+   parse inside [f] may leave another rid ambient, so the exit carries
+   the enter's rid, as [Clock.span] does. *)
 let traced_span api layer f =
   if not (Trace.enabled ()) then f ()
   else begin
-    jot api ~kind:Journal.Span_enter ~info:0 ~detail:layer;
+    let rid = Trace.current () in
+    jot api ~rid ~kind:Journal.Span_enter ~info:0 ~detail:layer;
     Fun.protect
-      ~finally:(fun () -> jot api ~kind:Journal.Span_exit ~info:0 ~detail:layer)
+      ~finally:(fun () -> jot api ~rid ~kind:Journal.Span_exit ~info:0 ~detail:layer)
       f
   end
 

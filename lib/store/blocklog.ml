@@ -105,39 +105,21 @@ let create api dom ~name ~lower ?(block_size = 512) () =
       gets = 0;
     }
   in
-  let append_m ctx = function
-    | [ Value.Blob payload ] ->
-      Blockif.traced_span api "log" (fun () ->
-          let* seq = append_op st ctx payload in
-          Blockif.traced_note api ~info:seq "log-append";
-          Ok (Value.Int seq))
-    | _ -> Error (Oerror.Type_error "append(blob)")
-  in
-  let get_m ctx = function
-    | [ Value.Int seq ] ->
-      Blockif.traced_span api "log" (fun () ->
-          let* payload = get_op st ctx seq in
-          Ok (Value.Blob payload))
-    | _ -> Error (Oerror.Type_error "get(int)")
-  in
-  let entries_m _ctx = function
-    | [] -> Ok (Value.Int st.entries)
-    | _ -> Error (Oerror.Type_error "entries()")
-  in
-  let recover_m ctx = function
-    | [] ->
-      Blockif.traced_span api "log" (fun () ->
-          let* n = recover_op st ctx in
-          Ok (Value.Int n))
-    | _ -> Error (Oerror.Type_error "recover()")
-  in
   let log_iface =
     Iface.make ~name:"log"
       [
-        Iface.meth ~name:"append" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tint append_m;
-        Iface.meth ~name:"get" ~args:[ Vtype.Tint ] ~ret:Vtype.Tblob get_m;
-        Iface.meth ~name:"entries" ~args:[] ~ret:Vtype.Tint entries_m;
-        Iface.meth ~name:"recover" ~args:[] ~ret:Vtype.Tint recover_m;
+        Iface.fn1 ~name:"append" Iface.Blob ~ret:Vtype.Tint (fun ctx payload ->
+            Blockif.traced_span api "log" (fun () ->
+                let* seq = append_op st ctx payload in
+                Blockif.traced_note api ~info:seq "log-append";
+                Ok (Value.Int seq)));
+        Iface.fn1 ~name:"get" Iface.Int ~ret:Vtype.Tblob (fun ctx seq ->
+            Blockif.traced_span api "log" (fun () ->
+                Result.map (fun payload -> Value.Blob payload) (get_op st ctx seq)));
+        Iface.fn0 ~name:"entries" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.entries));
+        Iface.fn0 ~name:"recover" ~ret:Vtype.Tint (fun ctx ->
+            Blockif.traced_span api "log" (fun () ->
+                Result.map (fun n -> Value.Int n) (recover_op st ctx)));
       ]
   in
   (* uniform block view: read i = raw record block, write only appends *)

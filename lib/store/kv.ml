@@ -123,64 +123,31 @@ let create api dom ~name ~log () =
       recovers = 0;
     }
   in
-  let put_m ctx = function
-    | [ Value.Blob key; Value.Blob value ] ->
-      let* seq = put_op st ctx ~key ~value in
-      Ok (Value.Int seq)
-    | _ -> Error (Oerror.Type_error "put(key, value)")
-  in
-  let get_m ctx = function
-    | [ Value.Blob key ] -> (
-      let* v = get_op st ctx ~key in
-      match v with
-      | Some value -> Ok (Value.Pair (Value.Bool true, Value.Blob value))
-      | None -> Ok (Value.Pair (Value.Bool false, Value.Blob Bytes.empty)))
-    | _ -> Error (Oerror.Type_error "get(key)")
-  in
-  let del_m ctx = function
-    | [ Value.Blob key ] ->
-      let* existed = del_op st ctx ~key in
-      Ok (Value.Bool existed)
-    | _ -> Error (Oerror.Type_error "del(key)")
-  in
-  let count_m _ctx = function
-    | [] -> Ok (Value.Int (Hashtbl.length st.index))
-    | _ -> Error (Oerror.Type_error "count()")
-  in
-  let flush_m ctx = function
-    | [] ->
-      let* n = flush_op st ctx in
-      Ok (Value.Int n)
-    | _ -> Error (Oerror.Type_error "flush()")
-  in
-  let recover_m ctx = function
-    | [] ->
-      let* n = recover_op st ctx in
-      Ok (Value.Int n)
-    | _ -> Error (Oerror.Type_error "recover()")
-  in
-  let stats_m _ctx = function
-    | [] ->
-      Ok
-        (Value.List
-           (List.map
-              (fun n -> Value.Int n)
-              [ st.puts; st.gets; st.dels; st.recovers ]))
-    | _ -> Error (Oerror.Type_error "stats()")
-  in
+  let int_result r = Result.map (fun n -> Value.Int n) r in
   let iface =
     Iface.make ~name:"kv"
       [
-        Iface.meth ~name:"put" ~args:[ Vtype.Tblob; Vtype.Tblob ] ~ret:Vtype.Tint
-          put_m;
-        Iface.meth ~name:"get" ~args:[ Vtype.Tblob ]
-          ~ret:(Vtype.Tpair (Vtype.Tbool, Vtype.Tblob))
-          get_m;
-        Iface.meth ~name:"del" ~args:[ Vtype.Tblob ] ~ret:Vtype.Tbool del_m;
-        Iface.meth ~name:"count" ~args:[] ~ret:Vtype.Tint count_m;
-        Iface.meth ~name:"flush" ~args:[] ~ret:Vtype.Tint flush_m;
-        Iface.meth ~name:"recover" ~args:[] ~ret:Vtype.Tint recover_m;
-        Iface.meth ~name:"stats" ~args:[] ~ret:(Vtype.Tlist Vtype.Tint) stats_m;
+        Iface.fn2 ~name:"put" Iface.Blob Iface.Blob ~ret:Vtype.Tint (fun ctx key value ->
+            int_result (put_op st ctx ~key ~value));
+        Iface.fn1 ~name:"get" Iface.Blob ~ret:(Vtype.Tpair (Vtype.Tbool, Vtype.Tblob))
+          (fun ctx key ->
+            let* v = get_op st ctx ~key in
+            match v with
+            | Some value -> Ok (Value.Pair (Value.Bool true, Value.Blob value))
+            | None -> Ok (Value.Pair (Value.Bool false, Value.Blob Bytes.empty)));
+        Iface.fn1 ~name:"del" Iface.Blob ~ret:Vtype.Tbool (fun ctx key ->
+            Result.map (fun existed -> Value.Bool existed) (del_op st ctx ~key));
+        Iface.fn0 ~name:"count" ~ret:Vtype.Tint (fun _ ->
+            Ok (Value.Int (Hashtbl.length st.index)));
+        Iface.fn0 ~name:"flush" ~ret:Vtype.Tint (fun ctx -> int_result (flush_op st ctx));
+        Iface.fn0 ~name:"recover" ~ret:Vtype.Tint (fun ctx ->
+            int_result (recover_op st ctx));
+        Iface.fn0 ~name:"stats" ~ret:(Vtype.Tlist Vtype.Tint) (fun _ ->
+            Ok
+              (Value.List
+                 (List.map
+                    (fun n -> Value.Int n)
+                    [ st.puts; st.gets; st.dels; st.recovers ])));
       ]
   in
   let inst =

@@ -58,81 +58,50 @@ let create api ~domain_of_id () =
         (Printf.sprintf "store factory: unknown domain %d"
            ctx.Call_ctx.origin_domain)
   in
-  let driver_m ctx = function
-    | [ Value.Str name ] ->
-      let* dom = origin ctx in
-      register_at api name (Blkdrv.create api dom ())
-    | _ -> Error (Oerror.Type_error "driver(name)")
-  in
-  let partition_m ctx = function
-    | [ Value.Str name; Value.Str lower; Value.Int base; Value.Int count ] ->
-      let* dom = origin ctx in
-      register_at api name
-        (Partition.create api dom ~name ~lower ~base ~count ())
-    | _ -> Error (Oerror.Type_error "partition(name, lower, base, count)")
-  in
-  let cache_m ctx = function
-    | [ Value.Str name; Value.Str lower; Value.Int capacity ] ->
-      let* dom = origin ctx in
-      register_at api name (Cache.create api dom ~name ~lower ~capacity ())
-    | _ -> Error (Oerror.Type_error "cache(name, lower, capacity)")
-  in
-  let log_m ctx = function
-    | [ Value.Str name; Value.Str lower ] ->
-      let* dom = origin ctx in
-      register_at api name (Blocklog.create api dom ~name ~lower ())
-    | _ -> Error (Oerror.Type_error "log(name, lower)")
-  in
-  let kv_m ctx = function
-    | [ Value.Str name; Value.Str log ] ->
-      let* dom = origin ctx in
-      register_at api name (Kv.create api dom ~name ~log ())
-    | _ -> Error (Oerror.Type_error "kv(name, log)")
-  in
-  let detach_m ctx = function
-    | [ Value.Str name ] -> (
-      match Storereg.find ~machine:api.Api.machine name with
-      | None -> fault (Printf.sprintf "store factory: no component %s" name)
-      | Some e ->
-        let* () = flush_entry ctx e in
-        ignore
-          (Directory.unregister api.Api.directory
-             (Path.of_string (store_path name)));
-        Instance.revoke e.Storereg.instance;
-        Storereg.set_bound e None;
-        Storereg.mark_detached e;
-        Ok Value.Unit)
-    | _ -> Error (Oerror.Type_error "detach(name)")
-  in
-  let list_m _ctx = function
-    | [] ->
-      let entries = ref [] in
-      Storereg.iter_all ~machine:api.Api.machine (fun e ->
-          if not e.Storereg.detached then
-            entries :=
-              Value.Str
-                (Printf.sprintf "%s:%s" e.Storereg.name
-                   (Storereg.kind_to_string e.Storereg.kind))
-              :: !entries);
-      Ok (Value.List (List.rev !entries))
-    | _ -> Error (Oerror.Type_error "list()")
+  (* each constructor boots its component in the caller's domain *)
+  let boot ctx name mk =
+    let* dom = origin ctx in
+    register_at api name (mk dom)
   in
   let iface =
     Iface.make ~name:"store.factory"
       [
-        Iface.meth ~name:"driver" ~args:[ Vtype.Tstr ] ~ret:Vtype.Thandle driver_m;
-        Iface.meth ~name:"partition"
-          ~args:[ Vtype.Tstr; Vtype.Tstr; Vtype.Tint; Vtype.Tint ]
-          ~ret:Vtype.Thandle partition_m;
-        Iface.meth ~name:"cache"
-          ~args:[ Vtype.Tstr; Vtype.Tstr; Vtype.Tint ]
-          ~ret:Vtype.Thandle cache_m;
-        Iface.meth ~name:"log" ~args:[ Vtype.Tstr; Vtype.Tstr ] ~ret:Vtype.Thandle
-          log_m;
-        Iface.meth ~name:"kv" ~args:[ Vtype.Tstr; Vtype.Tstr ] ~ret:Vtype.Thandle
-          kv_m;
-        Iface.meth ~name:"detach" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tunit detach_m;
-        Iface.meth ~name:"list" ~args:[] ~ret:(Vtype.Tlist Vtype.Tstr) list_m;
+        Iface.fn1 ~name:"driver" Iface.Str ~ret:Vtype.Thandle (fun ctx name ->
+            boot ctx name (fun dom -> Blkdrv.create api dom ()));
+        Iface.fn4 ~name:"partition" Iface.Str Iface.Str Iface.Int Iface.Int
+          ~ret:Vtype.Thandle (fun ctx name lower base count ->
+            boot ctx name (fun dom ->
+                Partition.create api dom ~name ~lower ~base ~count ()));
+        Iface.fn3 ~name:"cache" Iface.Str Iface.Str Iface.Int ~ret:Vtype.Thandle
+          (fun ctx name lower capacity ->
+            boot ctx name (fun dom -> Cache.create api dom ~name ~lower ~capacity ()));
+        Iface.fn2 ~name:"log" Iface.Str Iface.Str ~ret:Vtype.Thandle
+          (fun ctx name lower ->
+            boot ctx name (fun dom -> Blocklog.create api dom ~name ~lower ()));
+        Iface.fn2 ~name:"kv" Iface.Str Iface.Str ~ret:Vtype.Thandle (fun ctx name log ->
+            boot ctx name (fun dom -> Kv.create api dom ~name ~log ()));
+        Iface.fn1 ~name:"detach" Iface.Str ~ret:Vtype.Tunit (fun ctx name ->
+            match Storereg.find ~machine:api.Api.machine name with
+            | None -> fault (Printf.sprintf "store factory: no component %s" name)
+            | Some e ->
+              let* () = flush_entry ctx e in
+              ignore
+                (Directory.unregister api.Api.directory
+                   (Path.of_string (store_path name)));
+              Instance.revoke e.Storereg.instance;
+              Storereg.set_bound e None;
+              Storereg.mark_detached e;
+              Ok Value.Unit);
+        Iface.fn0 ~name:"list" ~ret:(Vtype.Tlist Vtype.Tstr) (fun _ ->
+            let entries = ref [] in
+            Storereg.iter_all ~machine:api.Api.machine (fun e ->
+                if not e.Storereg.detached then
+                  entries :=
+                    Value.Str
+                      (Printf.sprintf "%s:%s" e.Storereg.name
+                         (Storereg.kind_to_string e.Storereg.kind))
+                    :: !entries);
+            Ok (Value.List (List.rev !entries)));
       ]
   in
   Instance.create api.Api.registry ~class_name:"store.factory"
@@ -178,39 +147,29 @@ let stats_object api (e : Storereg.entry) =
     in
     Ok (zip (stat_labels e.Storereg.kind) cs 0)
   in
-  let snapshot_m ctx = function
-    | [] ->
-      let* pairs = labeled ctx in
-      let header =
-        Printf.sprintf "store.%s kind=%s domain=%d bound=%s dirty=%d"
-          e.Storereg.name
-          (Storereg.kind_to_string e.Storereg.kind)
-          e.Storereg.domain
-          (Option.value e.Storereg.bound ~default:"-")
-          (e.Storereg.dirty ())
-      in
-      let lines =
-        List.map (fun (l, c) -> Printf.sprintf "  %-12s %d" l c) pairs
-      in
-      Ok (Value.Str (String.concat "\n" (header :: lines)))
-    | _ -> Error (Oerror.Type_error "snapshot()")
-  in
-  let value_m ctx = function
-    | [ Value.Str name ] -> (
-      let* pairs = labeled ctx in
-      match List.assoc_opt name pairs with
-      | Some v -> Ok (Value.Int v)
-      | None ->
-        fault
-          (Printf.sprintf "store stats: no counter %S on %s" name
-             e.Storereg.name))
-    | _ -> Error (Oerror.Type_error "value(str)")
-  in
   let iface =
     Iface.make ~name:"stats.store"
       [
-        Iface.meth ~name:"snapshot" ~args:[] ~ret:Vtype.Tstr snapshot_m;
-        Iface.meth ~name:"value" ~args:[ Vtype.Tstr ] ~ret:Vtype.Tint value_m;
+        Iface.fn0 ~name:"snapshot" ~ret:Vtype.Tstr (fun ctx ->
+            let* pairs = labeled ctx in
+            let header =
+              Printf.sprintf "store.%s kind=%s domain=%d bound=%s dirty=%d"
+                e.Storereg.name
+                (Storereg.kind_to_string e.Storereg.kind)
+                e.Storereg.domain
+                (Option.value e.Storereg.bound ~default:"-")
+                (e.Storereg.dirty ())
+            in
+            let lines = List.map (fun (l, c) -> Printf.sprintf "  %-12s %d" l c) pairs in
+            Ok (Value.Str (String.concat "\n" (header :: lines))));
+        Iface.fn1 ~name:"value" Iface.Str ~ret:Vtype.Tint (fun ctx name ->
+            let* pairs = labeled ctx in
+            match List.assoc_opt name pairs with
+            | Some v -> Ok (Value.Int v)
+            | None ->
+              fault
+                (Printf.sprintf "store stats: no counter %S on %s" name
+                   e.Storereg.name));
       ]
   in
   Instance.create api.Api.registry ~class_name:"obs.stats.store"

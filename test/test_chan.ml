@@ -465,6 +465,86 @@ let test_rpc_chan_create_server () =
   | Value.Int n -> Alcotest.(check int) "nothing left pending" 0 n
   | v -> Alcotest.failf "poll returned %s" (Value.to_string v)
 
+(* --- hostile request batches ------------------------------------------ *)
+
+(* Batches whose header lies about what follows: a lone count byte, a
+   count with no segments, and a segment length past the end. Each is
+   dropped with a warning by the server's doorbell pop-up — no crash —
+   and the next well-formed call is still answered. *)
+let test_rpc_chan_hostile_batches () =
+  let k, udom, conn, client = rpc_fixture () in
+  let j = Obs.journal (Clock.obs (Kernel.clock k)) in
+  let crashes () = Journal.count j Journal.Crash in
+  let ctx = Kernel.ctx k udom in
+  List.iter
+    (fun batch ->
+      let before = crashes () in
+      Alcotest.(check bool) "enqueued" true
+        (Chan.try_send (Rpc_chan.request_chan conn) (Bytes.of_string batch));
+      Alcotest.(check int) (Printf.sprintf "%S: no crash" batch) before (crashes ());
+      match
+        Invoke.call_exn ctx client ~iface:"rpc.batch" ~meth:"call"
+          [ Value.Str "echo"; Value.Blob (Bytes.of_string "still here") ]
+      with
+      | Value.Blob b ->
+        Alcotest.(check string) "answered after" "still here" (Bytes.to_string b)
+      | v -> Alcotest.failf "call returned %s" (Value.to_string v))
+    [ "\x00"; "\x00\x05"; "\x00\x01\x00\xc8abc" ]
+
+let codec_ctx () =
+  Call_ctx.make ~clock:(Clock.create ()) ~costs:Cost.unit_costs ~caller_domain:0
+
+let walk batch =
+  let segs = ref [] in
+  let r = Rpc_chan.iter_segments (codec_ctx ()) batch (fun s -> segs := s :: !segs) in
+  (r, List.rev !segs)
+
+(* with tracing on the header carries a request id word *)
+let with_trace traced f =
+  if not traced then f ()
+  else begin
+    Trace.set_enabled true;
+    Fun.protect ~finally:(fun () -> Trace.set_enabled false; Trace.reset ()) f
+  end
+
+let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
+
+let gen_segs =
+  QCheck2.Gen.(
+    list_size (int_bound 6) (map Bytes.of_string (string_size ~gen:char (int_bound 24))))
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> Bytes.equal x y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let batch_props =
+  QCheck2.Gen.
+    [
+      prop "well-formed batches round-trip" (pair bool gen_segs) (fun (traced, segs) ->
+          with_trace traced (fun () ->
+              match walk (Rpc_chan.assemble (codec_ctx ()) segs) with
+              | Ok (), got -> List.equal Bytes.equal segs got
+              | Error _, _ -> false));
+      prop "cut batches deliver a prefix, never raise" (triple bool gen_segs nat)
+        (fun (traced, segs, cut) ->
+          with_trace traced (fun () ->
+              let b = Rpc_chan.assemble (codec_ctx ()) segs in
+              let b = Bytes.sub b 0 (cut mod (Bytes.length b + 1)) in
+              let _, got = walk b in
+              is_prefix got segs));
+      prop "random and flipped batches never raise"
+        (triple bool gen_segs (pair (string_size ~gen:char (int_bound 40)) (pair nat char)))
+        (fun (traced, segs, (junk, (pos, c))) ->
+          with_trace traced (fun () ->
+              let b = Rpc_chan.assemble (codec_ctx ()) segs in
+              Bytes.set b (pos mod Bytes.length b) c;
+              List.for_all
+                (fun batch -> match walk batch with Ok (), _ | Error _, _ -> true)
+                [ b; Bytes.of_string junk ]));
+    ]
+
 (* ----------------------------------------------------------------------- *)
 
 let () =
@@ -502,5 +582,8 @@ let () =
             test_rpc_over_channel_transport;
           Alcotest.test_case "channel-backed server" `Quick
             test_rpc_chan_create_server;
-        ] );
+          Alcotest.test_case "hostile batch headers" `Quick
+            test_rpc_chan_hostile_batches;
+        ]
+        @ batch_props );
     ]

@@ -404,6 +404,96 @@ let test_tracing_whole_workload () =
   | Ok Value.Unit -> Alcotest.(check bool) "stopped" false (Obs.enabled obs)
   | _ -> Alcotest.fail "stop"
 
+(* --- the one argument check ------------------------------------------- *)
+
+(* A well-typed sample of [ty], and a value of another type. *)
+let rec sample = function
+  | Vtype.Tunit | Vtype.Tany -> Value.Unit
+  | Vtype.Tbool -> Value.Bool false
+  | Vtype.Tint -> Value.Int 0
+  | Vtype.Tstr -> Value.Str ""
+  | Vtype.Tblob -> Value.Blob Bytes.empty
+  | Vtype.Thandle -> Value.Handle 0
+  | Vtype.Tlist _ -> Value.List []
+  | Vtype.Tpair (a, b) -> Value.Pair (sample a, sample b)
+
+let mistyped = function Vtype.Tint -> Value.Str "x" | _ -> Value.Int 0
+
+(* Boot the store, the net, chan and store factories and a KV component,
+   then call every method of every interface of every bound object with
+   one extra argument, and again with each non-any argument replaced by
+   a value of another type: Invoke is the one check, so every call is a
+   Type_error, and none reaches a body or raises. *)
+let test_every_method_checks_its_arguments () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let udom = System.new_domain sys "walker" in
+  let ctx = Kernel.ctx k kdom in
+  let net = System.setup_networking sys ~placement:System.Certified ~addr:42 () in
+  let _, netf = System.channel_net sys net () in
+  ignore (System.setup_store sys ~placement:System.Certified ());
+  let setup inst ~iface ~meth args = ignore (Invoke.call_exn ctx inst ~iface ~meth args) in
+  setup (Kernel.bind k kdom "/shared/store") ~iface:"store.factory" ~meth:"kv"
+    [ Value.Str "kv0"; Value.Str "/store/log0" ];
+  ignore (Store_svc.publish_stats (Kernel.api k));
+  setup netf ~iface:"netfactory" ~meth:"bind" [ Value.Int 70 ];
+  let chanf = Kernel.bind k kdom "/shared/chan" in
+  setup chanf ~iface:"chanfactory" ~meth:"create"
+    [ Value.Str "pipe"; Value.Int 4; Value.Int 64 ];
+  ignore
+    (Invoke.call_exn (Kernel.ctx k udom) chanf ~iface:"chanfactory" ~meth:"accept"
+       [ Value.Str "pipe" ]);
+  ignore (Stats_svc.publish (System.stats sys));
+  let objects = Hashtbl.create 64 in
+  Namespace.iter
+    (Directory.namespace (Kernel.directory k))
+    (fun _ handle ->
+      match Directory.resolve_handle (Kernel.directory k) handle with
+      | Some inst when not inst.Instance.revoked -> Hashtbl.replace objects handle inst
+      | _ -> ());
+  let ifaces = Hashtbl.create 64 and calls = ref 0 in
+  Hashtbl.iter
+    (fun _ inst ->
+      List.iter
+        (fun (i : Iface.t) ->
+          Hashtbl.replace ifaces i.Iface.name ();
+          List.iter
+            (fun (m : Iface.meth) ->
+              let args = List.map sample m.Iface.msig.Vtype.args in
+              let bad =
+                (args @ [ Value.Unit ])
+                :: List.concat
+                     (List.mapi
+                        (fun n ty ->
+                          if ty = Vtype.Tany then []
+                          else [ List.mapi (fun j v -> if j = n then mistyped ty else v) args ])
+                        m.Iface.msig.Vtype.args)
+              in
+              List.iter
+                (fun bad ->
+                  incr calls;
+                  match Invoke.call ctx inst ~iface:i.Iface.name ~meth:m.Iface.mname bad with
+                  | Error (Oerror.Type_error _) -> ()
+                  | Ok _ | Error _ ->
+                    Alcotest.failf "%s.%s accepted %s" i.Iface.name m.Iface.mname
+                      (Value.to_string (Value.List bad))
+                  | exception e ->
+                    Alcotest.failf "%s.%s raised %s" i.Iface.name m.Iface.mname
+                      (Printexc.to_string e))
+                bad)
+            i.Iface.methods)
+        inst.Instance.interfaces)
+    objects;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " walked") true (Hashtbl.mem ifaces name))
+    [ "directory"; "memory"; "events"; "certification"; "trace"; "journal"; "query";
+      "check"; "stats"; "stats.domain"; "stats.store"; "netdev"; "stack"; "netfactory";
+      "net.tx"; "chan.tx"; "chan.rx"; "chanfactory"; "store.factory"; "block";
+      "blkring"; "log"; "kv" ];
+  Alcotest.(check bool) (Printf.sprintf "%d ill-typed calls" !calls) true (!calls > 200)
+
 let () =
   Alcotest.run "integration"
     [
@@ -437,6 +527,11 @@ let () =
           Alcotest.test_case "blocking popup pipeline" `Quick
             test_interrupt_popup_blocking_pipeline;
           Alcotest.test_case "timer pipeline" `Quick test_timer_driven_preemption_signal;
+        ] );
+      ( "types",
+        [
+          Alcotest.test_case "ill-typed calls refused" `Quick
+            test_every_method_checks_its_arguments;
         ] );
       ( "cost-model",
         [

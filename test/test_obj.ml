@@ -103,6 +103,121 @@ let test_iface_override () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "override of missing method rejected")
 
+(* --- typed declarations ------------------------------------------------ *)
+
+(* One method per arity. Each records the decoded arguments, re-wrapped,
+   so a test can see exactly what reached its body. *)
+let typed_iface seen =
+  let got vs = seen := Some vs; Ok (Value.Int (List.length vs)) in
+  Iface.make ~name:"t"
+    [
+      Iface.fn0 ~name:"f0" ~ret:Vtype.Tint (fun _ -> got []);
+      Iface.fn1 ~name:"f1" Iface.Int ~ret:Vtype.Tint (fun _ a -> got [ Value.Int a ]);
+      Iface.fn2 ~name:"f2" Iface.Str Iface.Bool ~ret:Vtype.Tint (fun _ a b ->
+          got [ Value.Str a; Value.Bool b ]);
+      Iface.fn3 ~name:"f3" Iface.Blob Iface.Handle (Iface.List Vtype.Tint) ~ret:Vtype.Tint
+        (fun _ a b c -> got [ Value.Blob a; Value.Handle b; Value.List c ]);
+      Iface.fn4 ~name:"f4" Iface.Any Iface.Int Iface.Str Iface.Blob ~ret:Vtype.Tint
+        (fun _ a b c d -> got [ a; Value.Int b; Value.Str c; Value.Blob d ]);
+    ]
+
+(* name, signature, well-typed arguments, and whether each position is
+   an [any] argument *)
+let typed_cases =
+  [
+    ("f0", "() -> int", [], []);
+    ("f1", "(int) -> int", [ Value.Int 7 ], [ false ]);
+    ("f2", "(str, bool) -> int", [ Value.Str "s"; Value.Bool true ], [ false; false ]);
+    ( "f3",
+      "(blob, handle, int list) -> int",
+      [ Value.Blob (Bytes.of_string "b"); Value.Handle 3; Value.List [ Value.Int 1 ] ],
+      [ false; false; false ] );
+    ( "f4",
+      "(any, int, str, blob) -> int",
+      [ Value.Pair (Value.Unit, Value.Int 1); Value.Int 2; Value.Str "c";
+        Value.Blob Bytes.empty ],
+      [ true; false; false; false ] );
+  ]
+
+(* a value of another type than [v] *)
+let retyped = function Value.Int _ -> Value.Str "x" | _ -> Value.Int 0
+
+(* every ill-shaped argument list for a case: one extra argument, and
+   each non-any argument in turn replaced by a value of another type *)
+let ill_typed args any =
+  (args @ [ Value.Unit ])
+  :: List.concat
+       (List.mapi
+          (fun i is_any ->
+            if is_any then []
+            else [ List.mapi (fun j v -> if i = j then retyped v else v) args ])
+          any)
+
+let test_typed_signatures () =
+  let i = typed_iface (ref None) in
+  Alcotest.(check (list (pair string string)))
+    "derived type info"
+    (List.map (fun (n, sg, _, _) -> (n, sg)) typed_cases)
+    (Iface.type_info i)
+
+let test_typed_invoke () =
+  let registry = Registry.create () in
+  let seen = ref None in
+  let obj =
+    Instance.create registry ~class_name:"test.typed" ~domain:0 [ typed_iface seen ]
+  in
+  let _, ctx = ctx_fixture () in
+  List.iter
+    (fun (name, sg, args, any) ->
+      seen := None;
+      Alcotest.check value (name ^ " result") (Value.Int (List.length args))
+        (Invoke.call_exn ctx obj ~iface:"t" ~meth:name args);
+      (match !seen with
+      | Some got -> Alcotest.(check (list value)) (name ^ " decoded") args got
+      | None -> Alcotest.failf "%s: body not reached" name);
+      List.iter
+        (fun bad ->
+          seen := None;
+          (match Invoke.call ctx obj ~iface:"t" ~meth:name bad with
+          | Error (Oerror.Type_error m) ->
+            Alcotest.(check string) (name ^ " names the signature")
+              (Printf.sprintf "t.%s expects %s" name sg) m
+          | _ -> Alcotest.failf "%s: ill-typed call accepted" name);
+          Alcotest.(check bool) (name ^ " body not reached") true (!seen = None))
+        (ill_typed args any))
+    typed_cases
+
+(* Without Invoke in front, the constructor's own fallback answers a
+   wrong shape with a Type_error — it never raises, never runs the body. *)
+let test_typed_direct_impl () =
+  let seen = ref None in
+  let i = typed_iface seen in
+  let _, ctx = ctx_fixture () in
+  List.iter
+    (fun (name, sg, args, any) ->
+      let m = Option.get (Iface.find_method i name) in
+      List.iter
+        (fun bad ->
+          seen := None;
+          (match m.Iface.impl ctx bad with
+          | Error (Oerror.Type_error msg) ->
+            Alcotest.(check string) (name ^ " fallback") (name ^ " expects " ^ sg) msg
+          | Ok _ | Error _ -> Alcotest.failf "%s: wrong shape accepted" name
+          | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e));
+          Alcotest.(check bool) (name ^ " body not reached") true (!seen = None))
+        (ill_typed args any))
+    typed_cases;
+  (* a list argument reaches the body as the caller's own list *)
+  let l = [ Value.Int 1; Value.Int 2 ] in
+  let got = ref [] in
+  let m =
+    Iface.fn1 ~name:"l" (Iface.List Vtype.Tint) ~ret:Vtype.Tunit (fun _ xs ->
+        got := xs;
+        Ok Value.Unit)
+  in
+  ignore (m.Iface.impl ctx [ Value.List l ]);
+  Alcotest.(check bool) "list not copied" true (!got == l)
+
 (* --- instances and invocation ---------------------------------------- *)
 
 let test_invoke_basic () =
@@ -346,6 +461,9 @@ let () =
         [
           Alcotest.test_case "construction" `Quick test_iface_construction;
           Alcotest.test_case "override" `Quick test_iface_override;
+          Alcotest.test_case "typed signatures" `Quick test_typed_signatures;
+          Alcotest.test_case "typed invoke, arities 0-4" `Quick test_typed_invoke;
+          Alcotest.test_case "typed direct impl" `Quick test_typed_direct_impl;
         ] );
       ( "invocation",
         [

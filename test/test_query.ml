@@ -292,6 +292,23 @@ let test_query_service_cross_domain () =
   | Ok _ -> Alcotest.fail "bound_at() invented a binding"
   | Error _ -> Alcotest.fail "bound_at() failed for the wrong reason"
 
+(* A traced wire parse inside a store span leaves its own rid ambient;
+   the span must still exit under the rid it entered with, or the fold
+   pairs the exit with the wrong request. *)
+let test_store_span_keeps_enter_rid () =
+  with_tracing (fun () ->
+      let sys = System.create ~key_bits:384 () in
+      let j = Obs.journal (Clock.obs (System.clock sys)) in
+      Trace.set_current 1;
+      Blockif.traced_span (System.api sys) "cache" (fun () -> Trace.set_current 99);
+      match List.rev (Journal.tail j) with
+      | exit :: enter :: _ ->
+        Alcotest.(check bool) "enter, exit" true
+          (enter.Journal.kind = Journal.Span_enter && exit.Journal.kind = Journal.Span_exit);
+        Alcotest.(check (pair int int)) "both under rid 1" (1, 1)
+          (enter.Journal.rid, exit.Journal.rid)
+      | _ -> Alcotest.fail "expected the span's two events")
+
 let () =
   Alcotest.run "pm_query"
     [
@@ -307,6 +324,8 @@ let () =
             test_slowest_and_layer_totals;
           Alcotest.test_case "obs spans attribute proxy and chan" `Quick
             test_obs_spans_attribute_proxy_and_chan;
+          Alcotest.test_case "store span keeps its enter rid" `Quick
+            test_store_span_keeps_enter_rid;
         ] );
       ( "state-at-cycle",
         [ Alcotest.test_case "frame / binding / owner" `Quick test_state_at_cycle ] );
