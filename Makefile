@@ -15,11 +15,14 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- obs e14 e15 e16 e18 e19 e20 e21 e22 e23 replay --quick
 
-# the channel-backed data path exercised through the demo binary, and
-# the whole-system KV workload on top of it
+# the channel-backed data path exercised through the demo binary, the
+# whole-system KV workload on top of it, and the exporters: the /stats
+# rows, the metrics text and the span tree
 demo-smoke:
 	dune exec bin/paramecium_demo.exe -- packets --net-chan -n 10
 	dune exec bin/paramecium_demo.exe -- kv -n 4
+	dune exec bin/paramecium_demo.exe -- packets --stats --trace -n 3
+	dune exec bin/paramecium_demo.exe -- packets --stats --net-chan -n 3
 
 # record/replay determinism: every scenario self-checks, and a recording
 # written to disk replays byte-identically after a round-trip

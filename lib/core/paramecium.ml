@@ -27,7 +27,6 @@ module Query = Pm_query.Query
 
 (* observability core *)
 module Metrics = Pm_obs.Metrics
-module Acct = Pm_obs.Acct
 module Obs = Pm_obs.Obs
 
 (* simulated machine *)

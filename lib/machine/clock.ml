@@ -41,10 +41,6 @@ let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let with_counters t entries =
-  Hashtbl.reset t.counters;
-  List.iter (fun (name, v) -> Hashtbl.replace t.counters name (ref v)) entries
-
 let reset t =
   t.cycles <- 0;
   Hashtbl.reset t.counters
@@ -58,11 +54,12 @@ module Journal = Pm_journal.Journal
 
 (* The one span recorder. With the observability flag on, [f] runs
    between Span_enter/Span_exit journal events; one simulated store
-   books the completed span and [on_exit] gets its inclusive cycles for
-   metrics and accounting. An exception still records the exit (without
-   the booking store) and is re-raised; the exit always carries the
-   enter's rid, whatever ambient request [f] left behind. *)
-let span t ~costs ~domain ~layer ~obj ~iface ~meth ?on_exit f =
+   books the completed span and its inclusive cycles become one sample
+   of [metric] in the span's domain. An exception still records the exit
+   (without the booking store or the sample) and is re-raised; the exit
+   always carries the enter's rid, whatever ambient request [f] left
+   behind. *)
+let span t ~costs ~domain ~layer ~obj ~iface ~meth ?metric f =
   if not (Pm_obs.Obs.enabled t.obs) then f ()
   else begin
     let j = Pm_obs.Obs.journal t.obs in
@@ -74,7 +71,9 @@ let span t ~costs ~domain ~layer ~obj ~iface ~meth ?on_exit f =
     | r ->
       advance t (Cost.span_store costs);
       jot Journal.Span_exit;
-      (match on_exit with Some k -> k (t.cycles - t0) | None -> ());
+      (match metric with
+      | Some name -> Pm_obs.Obs.observe t.obs ~domain name (t.cycles - t0)
+      | None -> ());
       r
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in

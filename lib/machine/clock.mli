@@ -9,7 +9,7 @@ type t
 
 (** [create ?obs ()] makes a fresh clock. Passing [obs] shares an
     existing observability sink — how per-CPU clocks all feed the one
-    journal/metrics/accounting instance the machine owns. *)
+    journal/metrics instance the machine owns. *)
 val create : ?obs:Pm_obs.Obs.t -> unit -> t
 
 (** [advance t n] charges [n >= 0] cycles. *)
@@ -35,11 +35,6 @@ val counter : t -> string -> int
 (** [counters t] lists all counters, sorted by name. *)
 val counters : t -> (string * int) list
 
-(** [with_counters t entries] bulk-restores the counter table to exactly
-    [entries], dropping every other counter. The inverse of
-    [counters]. *)
-val with_counters : t -> (string * int) list -> unit
-
 (** [reset t] zeroes the clock and all counters. *)
 val reset : t -> unit
 
@@ -52,16 +47,17 @@ val measure : t -> (unit -> 'a) -> 'a * int
     [Pm_obs.Obs.enable] is called. *)
 val obs : t -> Pm_obs.Obs.t
 
-(** [span t ~costs ~domain ~layer ~obj ~iface ~meth ?on_exit f] is the
+(** [span t ~costs ~domain ~layer ~obj ~iface ~meth ?metric f] is the
     one observability span. With {!obs} disabled it is [f ()] and
     nothing else. Enabled, it journals a [Span_enter] whose detail is
     ["layer iface.meth obj"] (so {!Pm_query.Query} attributes it to
     [layer]), runs [f], charges one [Cost.span_store] to book the span,
-    journals the matching [Span_exit] and passes the span's inclusive
-    cycles to [on_exit]. If [f] raises, the exit is still journalled
-    (uncharged, [on_exit] skipped) and the exception re-raised. Enter
-    and exit carry the same request id even when [f] changes the
-    ambient one. *)
+    journals the matching [Span_exit] and records the span's inclusive
+    cycles as one sample of the histogram [metric] under [domain] — the
+    sample the per-domain accounting ({!Pm_obs.Obs.account}) is derived
+    from. If [f] raises, the exit is still journalled (uncharged, no
+    sample) and the exception re-raised. Enter and exit carry the same
+    request id even when [f] changes the ambient one. *)
 val span :
   t ->
   costs:Cost.t ->
@@ -70,7 +66,7 @@ val span :
   obj:string ->
   iface:string ->
   meth:string ->
-  ?on_exit:(int -> unit) ->
+  ?metric:string ->
   (unit -> 'a) ->
   'a
 

@@ -5,7 +5,6 @@ type t = {
   name : string;
   kind : kind;
   view : Pm_names.View.t;
-  acct : Pm_obs.Acct.slot;
   mutable alive : bool;
 }
 
@@ -15,6 +14,4 @@ let pp fmt t =
   Format.fprintf fmt "%s#%d(%s)" t.name t.id
     (match t.kind with Kernel -> "kernel" | User -> "user")
 
-let make ?acct ~id ~name ~kind ~view () =
-  let acct = match acct with Some a -> a | None -> Pm_obs.Acct.fresh () in
-  { id; name; kind; view; acct; alive = true }
+let make ~id ~name ~kind ~view () = { id; name; kind; view; alive = true }

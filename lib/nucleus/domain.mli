@@ -3,8 +3,9 @@
     The nucleus's unit of granularity: every service "uses a protection
     domain or context as its unit of granularity". A domain couples an MMU
     context with a name-space view (inherited from the domain that created
-    it), an accounting slot and a kind — exactly one domain is the
-    kernel's. *)
+    it) and a kind — exactly one domain is the kernel's. Its accounting
+    is a view over the metrics keyed by its id
+    ({!Pm_obs.Obs.account}). *)
 
 type kind = Kernel | User
 
@@ -13,25 +14,12 @@ type t = {
   name : string;
   kind : kind;
   view : Pm_names.View.t;  (** the domain's name-space view *)
-  acct : Pm_obs.Acct.slot;
-      (** per-domain resource accounting — the same record the clock's
-          [Obs.t] table holds for this id, so nucleus and observability
-          layer see one set of numbers *)
   mutable alive : bool;
 }
 
 val is_kernel : t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** [make ?acct ~id ~name ~kind ~view ()] — used by {!Kernel}; components
-    receive domains, they do not forge them. [acct] defaults to a fresh
-    unattached slot (standalone tests); the kernel passes the slot the
-    clock's accounting table holds for [id]. *)
-val make :
-  ?acct:Pm_obs.Acct.slot ->
-  id:int ->
-  name:string ->
-  kind:kind ->
-  view:Pm_names.View.t ->
-  unit ->
-  t
+(** [make ~id ~name ~kind ~view ()] — used by {!Kernel}; components
+    receive domains, they do not forge them. *)
+val make : id:int -> name:string -> kind:kind -> view:Pm_names.View.t -> unit -> t

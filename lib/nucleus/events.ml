@@ -37,15 +37,10 @@ let deliver t cb arg =
 (* Instrumented delivery: a span plus a dispatch-latency histogram
    sample per call-back, gated on the tracing flag so the quiescent cost
    is one boolean test. *)
-let deliver_traced t obs ~kind ~num cb arg =
-  let domain = cb.domain.Domain.id in
-  Clock.span (Machine.clock t.machine) ~costs:(Machine.costs t.machine) ~domain
-    ~layer:"events" ~obj:"nucleus.events" ~iface:kind ~meth:(string_of_int num)
-    ~on_exit:(fun cyc ->
-      Obs.observe obs ~domain ("events." ^ kind) cyc;
-      let acct = Obs.acct obs in
-      if String.equal kind "trap" then Pm_obs.Acct.trap acct ~domain cyc
-      else Pm_obs.Acct.irq acct ~domain cyc)
+let deliver_traced t ~kind ~num cb arg =
+  Clock.span (Machine.clock t.machine) ~costs:(Machine.costs t.machine)
+    ~domain:cb.domain.Domain.id ~layer:"events" ~obj:"nucleus.events" ~iface:kind
+    ~meth:(string_of_int num) ~metric:("events." ^ kind)
     (fun () -> deliver t cb arg)
 
 let dispatch t event arg =
@@ -65,7 +60,7 @@ let dispatch t event arg =
   | None -> ()
   | Some cbs ->
     if Obs.enabled obs then
-      List.iter (fun cb -> deliver_traced t obs ~kind ~num cb arg) !cbs
+      List.iter (fun cb -> deliver_traced t ~kind ~num cb arg) !cbs
     else List.iter (fun cb -> deliver t cb arg) !cbs
 
 let create machine =

@@ -222,11 +222,8 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   let ns = Namespace.create () in
   let root_view = View.of_namespace ns in
   let kernel_domain =
-    let id = Mmu.current_context (Machine.mmu machine) in
-    (* share one accounting record between the nucleus's Domain.t and the
-       clock's per-domain table *)
-    let acct = Pm_obs.Acct.slot (Pm_obs.Obs.acct (Clock.obs (Machine.clock machine))) id in
-    Domain.make ~acct ~id ~name:"kernel" ~kind:Domain.Kernel ~view:root_view ()
+    Domain.make ~id:(Mmu.current_context (Machine.mmu machine)) ~name:"kernel"
+      ~kind:Domain.Kernel ~view:root_view ()
   in
   let events = Events.create machine in
   let vmem = Vmem.create machine in
@@ -305,10 +302,7 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
 let create_domain t ~name ?(overrides = []) () =
   let id = Mmu.new_context (Machine.mmu t.machine) in
   let view = View.derive ~overrides t.root_view in
-  let acct =
-    Pm_obs.Acct.slot (Pm_obs.Obs.acct (Clock.obs (Machine.clock t.machine))) id
-  in
-  let dom = Domain.make ~acct ~id ~name ~kind:Domain.User ~view () in
+  let dom = Domain.make ~id ~name ~kind:Domain.User ~view () in
   t.user_domains <- dom :: t.user_domains;
   jot t.machine ~kind:Pm_journal.Journal.Domain_up ~domain:id ~info:id ~detail:name;
   dom

@@ -64,16 +64,11 @@ let make ~machine ~vmem ~registry ~target ~importer =
     (* span around the whole crossing: fault, argument mapping, context
        switches and the remote dispatch all land inside it *)
     let impl (ctx : Call_ctx.t) args =
-      let obs = Clock.obs ctx.Call_ctx.clock in
-      if not (Pm_obs.Obs.enabled obs) then forward ctx args
+      if not (Pm_obs.Obs.enabled (Clock.obs ctx.Call_ctx.clock)) then forward ctx args
       else
-        let domain = importer.Domain.id in
-        Clock.span ctx.Call_ctx.clock ~costs:ctx.Call_ctx.costs ~domain ~layer:"proxy"
-          ~obj:(class_prefix ^ target.Instance.class_name)
-          ~iface:iface_name ~meth:m.Iface.mname
-          ~on_exit:(fun cyc ->
-            Pm_obs.Obs.observe obs ~domain "proxy.call" cyc;
-            Pm_obs.Acct.crossing (Pm_obs.Obs.acct obs) ~domain cyc)
+        Clock.span ctx.Call_ctx.clock ~costs:ctx.Call_ctx.costs ~domain:importer.Domain.id
+          ~layer:"proxy" ~obj:(class_prefix ^ target.Instance.class_name)
+          ~iface:iface_name ~meth:m.Iface.mname ~metric:"proxy.call"
           (fun () -> forward ctx args)
     in
     { m with Iface.impl }

@@ -89,7 +89,6 @@ let service_object t registry kdom =
         body (obs t);
         Ok Value.Unit)
   in
-  let str s = Ok (Value.Str s) in
   let iface =
     Iface.make ~name:"trace"
       [
@@ -98,17 +97,13 @@ let service_object t registry kdom =
         unit_m "reset" Obs.reset;
         Iface.fn0 ~name:"enabled" ~ret:Vtype.Tbool (fun _ ->
             Ok (Value.Bool (Obs.enabled (obs t))));
-        Iface.fn1 ~name:"snapshot" Iface.Str ~ret:Vtype.Tstr (fun _ -> function
-          | "text" -> str (snapshot_text t)
-          | "json" -> str (snapshot_json t)
-          | other ->
-            Error
-              (Oerror.Type_error
-                 (Printf.sprintf "snapshot(\"text\"|\"json\"), not %S" other)));
+        Iface.text_or_json "snapshot"
+          ~text:(fun () -> snapshot_text t)
+          ~json:(fun () -> snapshot_json t);
         Iface.fn2 ~name:"histogram" Iface.Int Iface.Str ~ret:Vtype.Tstr
           (fun _ domain name ->
             match Metrics.summary (Obs.metrics (obs t)) ~domain name with
-            | Some s -> str (Metrics.summary_to_text s)
+            | Some s -> Ok (Value.Str (Metrics.summary_to_text s))
             | None ->
               Error (Oerror.Fault (Printf.sprintf "no samples for %d/%s" domain name)));
         Iface.fn1 ~name:"interpose" Iface.Str ~ret:Vtype.Tint (fun _ path ->

@@ -36,7 +36,8 @@ val interposed : t -> string list
 (** [service_object t registry kdom] builds the kernel-domain service
     instance exporting the [trace] interface:
     [start()], [stop()], [enabled() : bool],
-    [reset()] (zeroes metrics and accounting; never the journal),
+    [reset()] (clears the metrics, and with them the accounting view
+    over them; never the journal),
     [snapshot(fmt) : str] with [fmt] one of ["text"]/["json"] (the
     journal's span view plus the metrics),
     [histogram(domain, name) : str],

@@ -62,16 +62,11 @@ let create machine =
            ~detail:"";
          match Hashtbl.find_opt t.fault_cbs (fault.Mmu.ctx, vpage) with
          | Some cb ->
-           let clock = Machine.clock machine in
-           let obs = Clock.obs clock in
-           if Obs.enabled obs then
+           if Obs.enabled (Clock.obs fclock) then
              (* page-fault handling latency: the whole user callback *)
-             let domain = fault.Mmu.ctx in
-             Clock.span clock ~costs:(Machine.costs machine) ~domain ~layer:"vmem"
-               ~obj:"nucleus.vmem" ~iface:"fault" ~meth:(string_of_int vpage)
-               ~on_exit:(fun cyc ->
-                 Obs.observe obs ~domain "vmem.fault" cyc;
-                 Pm_obs.Acct.fault (Obs.acct obs) ~domain cyc)
+             Clock.span fclock ~costs:(Machine.costs machine) ~domain:fault.Mmu.ctx
+               ~layer:"vmem" ~obj:"nucleus.vmem" ~iface:"fault" ~meth:(string_of_int vpage)
+               ~metric:"vmem.fault"
                (fun () -> cb fault)
            else cb fault
          | None -> false));

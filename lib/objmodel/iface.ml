@@ -111,6 +111,14 @@ let fn4 ~name a b c d ~ret f =
   in
   { mname = name; msig; impl }
 
+(* the one value-domain check on a format argument *)
+let text_or_json name ~text ~json =
+  fn1 ~name Str ~ret:Vtype.Tstr (fun _ -> function
+    | "text" -> Ok (Value.Str (text ()))
+    | "json" -> Ok (Value.Str (json ()))
+    | other ->
+      Error (Oerror.Type_error (Printf.sprintf "%s(\"text\"|\"json\"), not %S" name other)))
+
 let find_method t name = List.find_opt (fun m -> String.equal m.mname name) t.methods
 
 let method_names t = List.map (fun m -> m.mname) t.methods

@@ -81,6 +81,13 @@ val fn4 :
   (Call_ctx.t -> 'a -> 'b -> 'c -> 'd -> body) ->
   meth
 
+(** [text_or_json name ~text ~json] declares [name(fmt) : str], the
+    format verb of every exporter: ["text"] returns [text ()], ["json"]
+    returns [json ()], and any other [fmt] is a [Type_error] naming
+    it. *)
+val text_or_json :
+  string -> text:(unit -> string) -> json:(unit -> string) -> meth
+
 val find_method : t -> string -> meth option
 
 val method_names : t -> string list

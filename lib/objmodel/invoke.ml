@@ -31,15 +31,10 @@ let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
 (* the flag is tested here as well as in [Clock.span] so the untraced
    hot path allocates no closure *)
 let call (ctx : Call_ctx.t) obj ~iface ~meth args =
-  let obs = Clock.obs ctx.clock in
-  if not (Obs.enabled obs) then dispatch ctx obj ~iface ~meth args
+  if not (Obs.enabled (Clock.obs ctx.clock)) then dispatch ctx obj ~iface ~meth args
   else
-    let domain = ctx.caller_domain in
-    Clock.span ctx.clock ~costs:ctx.costs ~domain ~layer:"invoke"
-      ~obj:obj.Instance.class_name ~iface ~meth
-      ~on_exit:(fun cyc ->
-        Obs.observe obs ~domain "invoke.dispatch" cyc;
-        Pm_obs.Acct.dispatch (Obs.acct obs) ~domain cyc)
+    Clock.span ctx.clock ~costs:ctx.costs ~domain:ctx.caller_domain ~layer:"invoke"
+      ~obj:obj.Instance.class_name ~iface ~meth ~metric:"invoke.dispatch"
       (fun () -> dispatch ctx obj ~iface ~meth args)
 
 let call_exn ctx obj ~iface ~meth args =

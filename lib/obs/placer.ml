@@ -1,6 +1,6 @@
 (* The adaptive placement agent: the control loop that closes the
-   observability story. It watches the per-domain accounting the
-   instrumentation points maintain — crossing-cost share for a managed
+   observability story. It watches the per-domain accounting view over
+   the instrumentation points' metrics — crossing-cost share for a managed
    component, doorbell cost for a managed channel — and acts through the
    existing mechanisms: the loader/certsvc path for User<->Certified
    migration (via a caller-supplied migrate closure, since loading
@@ -13,7 +13,6 @@ module Clock = Pm_machine.Clock
 module Cost = Pm_machine.Cost
 module Cpu = Pm_machine.Cpu
 module Obs = Pm_obs.Obs
-module Acct = Pm_obs.Acct
 module Chan = Pm_chan.Chan
 
 type placement = User | Certified | Verified
@@ -35,7 +34,7 @@ type comp = {
          latency (first move) or folds it in (EWMA thereafter). *)
   mutable observed_moves : int;
   mutable placement : placement;
-  mutable base : (int * Acct.slot) list;
+  mutable base : int * Obs.account list; (* [Obs.resets], watched rows *)
   mutable streak : int;
   mutable cool : int;
   mutable moves : int;
@@ -107,8 +106,8 @@ let create ~clock ~costs ?(up_share = 0.2) ?(fault_demote = 3)
   }
 
 let snapshot_watch clock watch =
-  let acct = Obs.acct (Clock.obs clock) in
-  List.map (fun d -> (d, Acct.copy (Acct.slot acct d))) watch
+  let obs = Clock.obs clock in
+  (Obs.resets obs, List.map (fun domain -> Obs.account obs ~domain) watch)
 
 let manage t ~watch ~placement ?(verified_ok = false) ?(move_cost = 0) ~migrate () =
   t.comps <-
@@ -156,13 +155,13 @@ let doorbell_share t = t.last_ring_share
 let cpu_imbalance t = t.last_cpu_gap
 
 let comp_epoch t dt (c : comp) actions =
-  let cur = snapshot_watch t.clock c.watch in
-  let delta f =
-    List.fold_left2 (fun acc (_, before) (_, after) -> acc + (f after - f before)) 0
-      c.base cur
-  in
-  let dcross = delta (fun (s : Acct.slot) -> s.Acct.crossing_cycles) in
-  let dfaults = delta (fun (s : Acct.slot) -> s.Acct.faults) in
+  let ((resets, after) as cur) = snapshot_watch t.clock c.watch in
+  let base_resets, before = c.base in
+  (* rows from before the latest Obs reset count as zero *)
+  let was f a = if base_resets = resets then f a else 0 in
+  let delta f = List.fold_left2 (fun acc b a -> acc + f a - was f b) 0 before after in
+  let dcross = delta (fun (a : Obs.account) -> a.Obs.crossing_cycles) in
+  let dfaults = delta (fun (a : Obs.account) -> a.Obs.faults) in
   c.base <- cur;
   let share = float_of_int dcross /. float_of_int dt in
   t.last_share <- share;

@@ -1,7 +1,8 @@
 (** Obs-driven adaptive placement agent.
 
-    Closes the loop between the per-domain accounting ({!Pm_obs.Acct})
-    and the placement trade quantified by experiments E4/E13: every
+    Closes the loop between the per-domain accounting
+    ({!Pm_obs.Obs.account}, a view over the span metrics) and the
+    placement trade quantified by experiments E4/E13: every
     {!epoch}, the agent measures
 
     - the managed component's *crossing-cost share* — proxy-crossing
@@ -25,7 +26,9 @@
 
     Accounting only advances while tracing is enabled, so the agent is
     only meaningful with [Obs.enabled] on — matching its role as an
-    observability consumer. *)
+    observability consumer. An [Obs.reset] between two epochs zeroes
+    the baseline: the next epoch measures the activity since the
+    reset. *)
 
 type placement = User | Certified | Verified
 

@@ -18,7 +18,6 @@ module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Path = Pm_names.Path
 module Obs = Pm_obs.Obs
-module Acct = Pm_obs.Acct
 module Metrics = Pm_obs.Metrics
 module Journal = Pm_journal.Journal
 module Json = Pm_journal.Json
@@ -27,8 +26,9 @@ type t = {
   api : Api.t;
   domains : unit -> Domain.t list;
   published : (int, string) Hashtbl.t; (* domain id -> /stats path *)
-  mutable baseline : (int * string * Acct.slot) list; (* id, name, copy *)
+  mutable baseline : (int * (string * int) list) list; (* id, row at the mark *)
   mutable baseline_at : int;
+  mutable baseline_resets : int; (* [Obs.resets] at the mark *)
   mutable kernel_obj : Instance.t option;
 }
 
@@ -37,57 +37,64 @@ let obs t = Clock.obs (clock t)
 
 let live_domains t = List.filter (fun d -> d.Domain.alive) (t.domains ())
 
-(* the [pages] field is a gauge: refresh it from Vmem before exporting *)
-let refresh t =
-  List.iter
-    (fun d -> d.Domain.acct.Acct.pages <- Vmem.pages_of t.api.Api.vmem d)
-    (live_domains t)
+(* a domain's accounting row: the metrics view, then the pages it holds
+   read from Vmem at export time *)
+let row t (d : Domain.t) =
+  Obs.account_fields (Obs.account (obs t) ~domain:d.Domain.id)
+  @ [ ("pages", Vmem.pages_of t.api.Api.vmem d) ]
 
-let capture t =
-  refresh t;
-  List.map (fun d -> (d.Domain.id, d.Domain.name, Acct.copy d.Domain.acct)) (live_domains t)
+let capture t = List.map (fun d -> (d.Domain.id, d.Domain.name, row t d)) (live_domains t)
 
 let mark t =
-  t.baseline <- capture t;
-  t.baseline_at <- Clock.now (clock t)
+  t.baseline <- List.map (fun (id, _, r) -> (id, r)) (capture t);
+  t.baseline_at <- Clock.now (clock t);
+  t.baseline_resets <- Obs.resets (obs t)
 
 (* ---------------- exporters (reusing Metrics for the keyed data) ------ *)
 
-let dom_line id name slot =
-  Printf.sprintf "dom %-2d %-12s %s" id name (Acct.line slot)
+let dom_line id name row =
+  Printf.sprintf "dom %-2d %-12s %s" id name
+    (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) row))
 
-let dom_json id name slot =
+let json_obj row =
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Json.escape k) v) row)
+  ^ "}"
+
+let dom_json id name row =
   Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s}" id (Json.escape name)
-    (Acct.to_json slot)
+    (json_obj row)
 
 let snapshot_text t =
-  refresh t;
+  let rows = capture t in
   let header =
     Printf.sprintf "/stats snapshot @ %d cyc, %d domains" (Clock.now (clock t))
-      (List.length (live_domains t))
+      (List.length rows)
   in
-  let lines =
-    List.map (fun d -> dom_line d.Domain.id d.Domain.name d.Domain.acct) (live_domains t)
-  in
+  let lines = List.map (fun (id, name, r) -> dom_line id name r) rows in
   String.concat "\n" ((header :: lines) @ [ Metrics.to_text (Obs.metrics (obs t)) ])
 
 let snapshot_json t =
-  refresh t;
   Printf.sprintf "{\"at\":%d,\"domains\":[%s],\"metrics\":%s}" (Clock.now (clock t))
-    (String.concat ","
-       (List.map (fun d -> dom_json d.Domain.id d.Domain.name d.Domain.acct)
-          (live_domains t)))
+    (String.concat "," (List.map (fun (id, name, r) -> dom_json id name r) (capture t)))
     (Metrics.to_json (Obs.metrics (obs t)))
 
-(* diff against the last [mark] — counters as deltas, pages as-is *)
-let diff_slots t =
-  let current = capture t in
+(* diff against the last [mark] — counters as deltas, pages as-is. A
+   mark older than the latest [Obs.reset] counts as zero: the counts it
+   saw are gone, so the delta is the activity since the reset. *)
+let diff_rows t =
+  let stale = Obs.resets (obs t) <> t.baseline_resets in
   List.map
     (fun (id, name, after) ->
-      match List.find_opt (fun (i, _, _) -> i = id) t.baseline with
-      | Some (_, _, before) -> (id, name, Acct.sub ~after ~before)
-      | None -> (id, name, after))
-    current
+      match List.assoc_opt id t.baseline with
+      | Some before when not stale ->
+        ( id, name,
+          List.map2
+            (fun (k, a) (_, b) -> (k, if String.equal k "pages" then a else a - b))
+            after before )
+      | _ -> (id, name, after))
+    (capture t)
 
 let diff_text t =
   let now = Clock.now (clock t) in
@@ -96,22 +103,22 @@ let diff_text t =
       t.baseline_at now
   in
   String.concat "\n"
-    (header :: List.map (fun (id, name, s) -> dom_line id name s) (diff_slots t))
+    (header :: List.map (fun (id, name, r) -> dom_line id name r) (diff_rows t))
 
 let diff_json t =
   let now = Clock.now (clock t) in
   Printf.sprintf "{\"from\":%d,\"to\":%d,\"domains\":[%s]}" t.baseline_at now
-    (String.concat ","
-       (List.map (fun (id, name, s) -> dom_json id name s) (diff_slots t)))
+    (String.concat "," (List.map (fun (id, name, r) -> dom_json id name r) (diff_rows t)))
 
 (* ---------------- per-domain directory objects ----------------------- *)
 
+(* the metrics keyed to [d]: counters and gauges as (name, value) *)
+let mine (d : Domain.t) l =
+  List.filter_map (fun (dom, n, v) -> if dom = d.Domain.id then Some (n, v) else None) l
+
 let domain_text t (d : Domain.t) =
-  refresh t;
   let m = Obs.metrics (obs t) in
-  let mine l = List.filter_map (fun (dom, n, v) -> if dom = d.Domain.id then Some (n, v) else None) l in
   let kv (n, v) = Printf.sprintf "  %s=%d" n v in
-  let counters = mine (Metrics.counters m) and gauges = mine (Metrics.gauges m) in
   let histos =
     List.filter_map
       (fun (dom, n, s) ->
@@ -121,42 +128,25 @@ let domain_text t (d : Domain.t) =
       (Metrics.histograms m)
   in
   String.concat "\n"
-    ((dom_line d.Domain.id d.Domain.name d.Domain.acct :: List.map kv counters)
-    @ List.map kv gauges @ histos)
+    ((dom_line d.Domain.id d.Domain.name (row t d) :: List.map kv (mine d (Metrics.counters m)))
+    @ List.map kv (mine d (Metrics.gauges m))
+    @ histos)
 
 let domain_json t (d : Domain.t) =
-  refresh t;
   let m = Obs.metrics (obs t) in
-  let mine l = List.filter_map (fun (dom, n, v) -> if dom = d.Domain.id then Some (n, v) else None) l in
-  let obj l =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Json.escape n) v) l)
-    ^ "}"
-  in
   Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s,\"counters\":%s,\"gauges\":%s}"
-    d.Domain.id (Json.escape d.Domain.name) (Acct.to_json d.Domain.acct)
-    (obj (mine (Metrics.counters m)))
-    (obj (mine (Metrics.gauges m)))
-
-let fmt_error meth = Error (Oerror.Type_error (meth ^ "(\"text\"|\"json\")"))
-
-(* "text" or "json": the one value-domain check on a format argument *)
-let text_or_json name ~text ~json =
-  Iface.fn1 ~name Iface.Str ~ret:Vtype.Tstr (fun _ -> function
-    | "text" -> Ok (Value.Str (text ()))
-    | "json" -> Ok (Value.Str (json ()))
-    | _ -> fmt_error name)
+    d.Domain.id (Json.escape d.Domain.name) (json_obj (row t d))
+    (json_obj (mine d (Metrics.counters m)))
+    (json_obj (mine d (Metrics.gauges m)))
 
 let domain_iface t (d : Domain.t) =
   Iface.make ~name:"stats.domain"
     [
-      text_or_json "read"
+      Iface.text_or_json "read"
         ~text:(fun () -> domain_text t d)
         ~json:(fun () -> domain_json t d);
       Iface.fn1 ~name:"value" Iface.Str ~ret:Vtype.Tint (fun _ name ->
-          refresh t;
-          match Acct.field d.Domain.acct name with
+          match List.assoc_opt name (row t d) with
           | Some v -> Ok (Value.Int v)
           | None -> Error (Oerror.Fault (Printf.sprintf "no accounting field %S" name)));
     ]
@@ -245,8 +235,8 @@ let kernel_iface t =
   let thunk f () = f t in
   Iface.make ~name:"stats"
     [
-      text_or_json "snapshot" ~text:(thunk snapshot_text) ~json:(thunk snapshot_json);
-      text_or_json "diff" ~text:(thunk diff_text) ~json:(thunk diff_json);
+      Iface.text_or_json "snapshot" ~text:(thunk snapshot_text) ~json:(thunk snapshot_json);
+      Iface.text_or_json "diff" ~text:(thunk diff_text) ~json:(thunk diff_json);
       Iface.fn0 ~name:"mark" ~ret:Vtype.Tunit (fun _ ->
           mark t;
           Ok Value.Unit);
@@ -254,13 +244,13 @@ let kernel_iface t =
       Iface.fn1 ~name:"flight" Iface.Int ~ret:Vtype.Tstr (fun _ n ->
           Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n)));
       Iface.fn0 ~name:"publish" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (publish t)));
-      text_or_json "cpus" ~text:(thunk cpus_text) ~json:(thunk cpus_json);
+      Iface.text_or_json "cpus" ~text:(thunk cpus_text) ~json:(thunk cpus_json);
     ]
 
 let create api ~domains () =
   let t =
     { api; domains; published = Hashtbl.create 8; baseline = []; baseline_at = 0;
-      kernel_obj = None }
+      baseline_resets = 0; kernel_obj = None }
   in
   mark t;
   (* /stats/kernel doubles as the kernel domain's own directory object:

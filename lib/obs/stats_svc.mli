@@ -1,5 +1,7 @@
 (** The [/stats] namespace: per-domain accounting exported as ordinary
-    named objects.
+    named objects. Each domain's row is {!Pm_obs.Obs.account} — a view
+    over the span metrics — plus the pages {!Pm_nucleus.Vmem} says it
+    holds.
 
     [/stats/kernel] is the kernel-wide service — snapshot and diff
     exporters (text or JSON, reusing {!Pm_obs.Metrics} for the keyed
@@ -29,7 +31,9 @@ val publish : t -> int
 (** Paths registered so far by {!publish}. *)
 val published : t -> string list
 
-(** Reset the diff baseline to the current accounting state. *)
+(** Reset the diff baseline to the current accounting state. A diff
+    taken after an [Obs.reset] that followed the mark counts from the
+    reset instead: the marked counts no longer exist. *)
 val mark : t -> unit
 
 (** {2 Direct exporters} — the same strings the object methods return. *)

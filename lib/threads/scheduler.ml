@@ -318,10 +318,10 @@ let run t ?budget () =
         Pm_journal.Journal.record (Pm_obs.Obs.journal obs) ~kind:Pm_journal.Journal.Sched
           ~domain:th_dom ~at:(Clock.now t.clock) ~info:th.tid ~detail:"";
         if Pm_obs.Obs.enabled obs then begin
-          (* scheduler metrics are system-wide: keyed to domain 0 *)
+          (* the ready queue is system-wide (domain 0); a switch is billed
+             to the domain of the thread it dispatches *)
           Pm_obs.Obs.set_gauge obs ~domain:0 "sched.ready" (ready_count t);
-          Pm_obs.Obs.incr obs ~domain:0 "sched.switches";
-          Pm_obs.Acct.sched (Pm_obs.Obs.acct obs) ~domain:th_dom
+          Pm_obs.Obs.incr obs ~domain:th_dom "sched.switches"
         end;
         (match (th.domain, t.mmu) with
         | Some d, Some mmu -> Pm_machine.Mmu.switch_context mmu d

@@ -392,13 +392,13 @@ let test_accounting_zero_cost_invoke () =
   Obs.enable obs;
   ignore (cycles_of clock (fun () -> for _ = 1 to 50 do call () done));
   Alcotest.(check int) "enabled interval filled the accounting" 50
-    (Acct.slot (Obs.acct obs) 0).Acct.dispatches;
+    (Obs.account obs ~domain:0).Obs.dispatches;
   Obs.disable obs;
   let off_after = cycles_of clock (fun () -> for _ = 1 to 50 do call () done) in
   Alcotest.(check int) "cost identical after the enabled interval" off_before
     off_after;
   Alcotest.(check int) "disabled interval charged nothing" 50
-    (Acct.slot (Obs.acct obs) 0).Acct.dispatches
+    (Obs.account obs ~domain:0).Obs.dispatches
 
 let test_accounting_zero_cost_cross_domain () =
   (* E3/E4 shape: user-placed stack, kernel-side packet injection crossing
@@ -428,38 +428,28 @@ let test_accounting_zero_cost_cross_domain () =
   let obs = Clock.obs clock in
   Obs.enable obs;
   ignore (burst ());
-  let kslot = Acct.slot (Obs.acct obs) 0 in
+  let kacct = Obs.account obs ~domain:0 in
   Alcotest.(check bool) "enabled interval charged crossings" true
-    (kslot.Acct.crossings >= 5);
+    (kacct.Obs.crossings >= 5);
   Alcotest.(check bool) "crossing cycles accumulate" true
-    (kslot.Acct.crossing_cycles > 0);
+    (kacct.Obs.crossing_cycles > 0);
   Alcotest.(check bool) "irqs charged to the kernel domain" true
-    (kslot.Acct.irqs >= 5);
+    (kacct.Obs.irqs >= 5);
   Obs.disable obs;
   let off_after = burst () in
   Alcotest.(check int) "packet cost identical after the enabled interval"
     off_before off_after
 
-(* the domain's accounting slot IS the clock-side slot: one record, two
-   readers *)
-let test_acct_slot_shared () =
-  let sys = sys_fixture () in
-  let k = System.kernel sys in
-  let udom = System.new_domain sys "tenant" in
-  let slot = Acct.slot (Obs.acct (Clock.obs (Kernel.clock k))) udom.Domain.id in
-  Alcotest.(check bool) "Domain.t.acct aliases the obs table" true
-    (udom.Domain.acct == slot)
-
-(* /nucleus/trace reset, called from a user domain, zeroes metrics and
-   accounting in place: the journal's history (boot binds, page shares,
-   transaction ids) survives, and Domain.t still aliases its slot *)
+(* /nucleus/trace reset, called from a user domain, clears the metrics
+   and so the accounting view over them: the journal's history (boot
+   binds, page shares, transaction ids) survives *)
 let test_reset_keeps_history () =
   let sys = sys_fixture () in
   let k = System.kernel sys in
   let udom = System.new_domain sys "tenant" in
   let obs = Clock.obs (Kernel.clock k) in
   let j = Obs.journal obs in
-  Acct.dispatch (Obs.acct obs) ~domain:udom.Domain.id 10;
+  Obs.observe obs ~domain:udom.Domain.id "invoke.dispatch" 10;
   Obs.observe obs ~domain:udom.Domain.id "lat" 10;
   let trace = Kernel.bind k udom "/nucleus/trace" in
   let structural = List.length (Journal.structural j) in
@@ -473,11 +463,267 @@ let test_reset_keeps_history () =
   Alcotest.(check int) "structural archive intact" structural
     (List.length (Journal.structural j));
   Alcotest.(check bool) "journal not rewound" true (Journal.written j >= written);
-  Alcotest.(check bool) "Domain.t.acct still aliases the slot" true
-    (udom.Domain.acct == Acct.slot (Obs.acct obs) udom.Domain.id);
-  Alcotest.(check int) "slot zeroed in place" 0 udom.Domain.acct.Acct.dispatches;
+  Alcotest.(check int) "reset counted" 1 (Obs.resets obs);
+  Alcotest.(check int) "accounting view zeroed" 0
+    (Obs.account obs ~domain:udom.Domain.id).Obs.dispatches;
   Alcotest.(check bool) "metrics cleared" true
     (Metrics.summary (Obs.metrics obs) ~domain:udom.Domain.id "lat" = None)
+
+(* the [k=v] fields of one /stats row line *)
+let row_fields line =
+  List.filter_map
+    (fun tok ->
+      match String.index_opt tok '=' with
+      | Some i ->
+        Some (String.sub tok 0 i, int_of_string (String.sub tok (i + 1) (String.length tok - i - 1)))
+      | None -> None)
+    (String.split_on_char ' ' line)
+
+(* the fields of domain [id]'s line in a /stats snapshot or diff *)
+let dom_row text id =
+  let prefix = Printf.sprintf "dom %-2d " id in
+  match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text) with
+  | Some line -> row_fields line
+  | None -> Alcotest.failf "no row for domain %d in:\n%s" id text
+
+(* a /nucleus/trace reset between a mark and a diff: the marked counts are
+   gone, so the diff counts from the reset and no field goes negative *)
+let test_diff_after_reset () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let ctx = Kernel.ctx k kdom in
+  let trace = Kernel.bind k kdom "/nucleus/trace" in
+  let stats = Kernel.bind k kdom "/stats/kernel" in
+  let call obj iface meth args = Invoke.call_exn ctx obj ~iface ~meth args in
+  let calls n meth = for _ = 1 to n do ignore (call trace "trace" meth []) done in
+  Obs.enable (Clock.obs (Kernel.clock k));
+  calls 20 "enabled";
+  ignore (call stats "stats" "mark" []);
+  calls 5 "enabled";
+  calls 1 "reset";
+  calls 3 "enabled";
+  match call stats "stats" "diff" [ Value.Str "text" ] with
+  | Value.Str text ->
+    let row = dom_row text kdom.Domain.id in
+    List.iter
+      (fun (field, v) -> Alcotest.(check bool) (field ^ " not negative") true (v >= 0))
+      row;
+    Alcotest.(check int) "the reset call and the three after it" 4
+      (List.assoc "dispatches" row)
+  | _ -> Alcotest.fail "diff text"
+
+(* a span's histogram sample is its journalled duration: in a Full-mode
+   journal each domain's invoke.dispatch sum is the sum of exit - enter
+   over that domain's invoke spans *)
+let test_span_sample_agree () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let udom = System.new_domain sys "tenant" in
+  let obs = Clock.obs (Kernel.clock k) in
+  let j = Obs.journal obs in
+  Journal.set_mode j Journal.Full;
+  Obs.enable obs;
+  let as_domain (d : Domain.t) path meth args =
+    Mmu.switch_context (Machine.mmu (Kernel.machine k)) d.Domain.id;
+    let obj = Kernel.bind k d path in
+    for _ = 1 to 4 do
+      ignore (Invoke.call_exn (Kernel.ctx k d) obj ~iface:"trace" ~meth args)
+    done
+  in
+  as_domain kdom "/nucleus/trace" "snapshot" [ Value.Str "text" ];
+  (* through the proxy: invoke spans in the user domain and the kernel *)
+  as_domain udom "/nucleus/trace" "enabled" [];
+  Mmu.switch_context (Machine.mmu (Kernel.machine k)) kdom.Domain.id;
+  Obs.disable obs;
+  List.iter
+    (fun (d : Domain.t) ->
+      let spanned =
+        List.fold_left
+          (fun acc e ->
+            if e.Journal.domain <> d.Domain.id
+               || not (String.starts_with ~prefix:"invoke " e.Journal.detail)
+            then acc
+            else
+              match e.Journal.kind with
+              | Journal.Span_enter -> acc - e.Journal.at
+              | Journal.Span_exit -> acc + e.Journal.at
+              | _ -> acc)
+          0 (Journal.history j)
+      in
+      match Metrics.summary (Obs.metrics obs) ~domain:d.Domain.id "invoke.dispatch" with
+      | Some s ->
+        Alcotest.(check int) (d.Domain.name ^ ": sample sum = span durations") spanned
+          s.Metrics.sum
+      | None -> Alcotest.failf "%s: no invoke.dispatch samples" d.Domain.name)
+    [ kdom; udom ]
+
+(* sched.switches is billed to the dispatched thread's domain: over an
+   Obs-on interval the per-domain values add up to the dispatch count *)
+let test_sched_switches_per_domain () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let a = System.new_domain sys "a" and b = System.new_domain sys "b" in
+  let sched = Kernel.sched k in
+  let obs = Clock.obs (Kernel.clock k) in
+  let before = Scheduler.stats sched `Switches in
+  Obs.enable obs;
+  List.iter
+    (fun ((d : Domain.t), yields) ->
+      ignore
+        (Scheduler.spawn sched ~domain:d.Domain.id (fun () ->
+             for _ = 1 to yields do
+               Scheduler.yield ()
+             done)))
+    [ (a, 2); (b, 3); (a, 1) ];
+  ignore (Scheduler.run sched ());
+  Obs.disable obs;
+  Mmu.switch_context (Machine.mmu (Kernel.machine k)) 0;
+  let switches (d : Domain.t) =
+    Metrics.counter (Obs.metrics obs) ~domain:d.Domain.id "sched.switches"
+  in
+  Alcotest.(check int) "a's threads ran 2 + 1 + 2 times" 5 (switches a);
+  Alcotest.(check int) "b's thread ran 4 times" 4 (switches b);
+  Alcotest.(check int) "per-domain values add up to the dispatch count"
+    (Scheduler.stats sched `Switches - before)
+    (switches a + switches b);
+  Alcotest.(check int) "none billed to the kernel domain" 0
+    (switches (Kernel.kernel_domain k))
+
+(* --- the accounting view against a plain per-domain model -------------- *)
+
+(* the five span kinds: layer and metric *)
+let span_kinds =
+  [| ("invoke", "invoke.dispatch"); ("events", "events.trap"); ("events", "events.irq");
+     ("vmem", "vmem.fault"); ("proxy", "proxy.call") |]
+
+type op =
+  | Span of int * int * int  (** domain index, span kind, body cycles *)
+  | Switch of int  (** one scheduler dispatch of a thread in the domain *)
+  | Mark
+  | Reset
+
+let op_to_string = function
+  | Span (d, kind, n) -> Printf.sprintf "span(%d,%s,%d)" d (snd span_kinds.(kind)) n
+  | Switch d -> Printf.sprintf "switch(%d)" d
+  | Mark -> "mark"
+  | Reset -> "reset"
+
+let gen_ops =
+  QCheck2.Gen.(
+    list_size (int_bound 24)
+      (frequency
+         [
+           (6, map3 (fun d kind n -> Span (d, kind, n)) (int_bound 2) (int_bound 4) (int_bound 400));
+           (2, map (fun d -> Switch d) (int_bound 2));
+           (1, return Mark);
+           (1, return Reset);
+         ]))
+
+(* the model's counter fields, in /stats row order (pages aside) *)
+let counter_fields =
+  [ "cycles"; "dispatches"; "traps"; "irqs"; "faults"; "crossings"; "crossing_cycles";
+    "sched_runs" ]
+
+(* One booted system serves every case: each starts from a reset and a
+   mark. The /stats and /nucleus/trace calls run with Obs off, so only
+   the ops themselves are accounted. *)
+let model_fixture =
+  lazy
+    (let sys = sys_fixture () in
+     let k = System.kernel sys in
+     let kdom = Kernel.kernel_domain k in
+     let doms = [| kdom; System.new_domain sys "left"; System.new_domain sys "right" |] in
+     let bind path = Kernel.bind k kdom path in
+     (* /stats/kernel doubles as the kernel domain's stats.domain object *)
+     let readers = Array.map (fun (d : Domain.t) -> bind ("/stats/" ^ d.Domain.name)) doms in
+     (sys, doms, readers, bind "/nucleus/trace"))
+
+let prop_view_matches_model ops =
+  let sys, doms, readers, trace = Lazy.force model_fixture in
+  let stats = readers.(0) in
+  let k = System.kernel sys in
+  let kdom = doms.(0) in
+  let ctx = Kernel.ctx k kdom in
+  let clock = Kernel.clock k and costs = Machine.costs (Kernel.machine k) in
+  let obs = Clock.obs clock in
+  let quiet f =
+    Obs.disable obs;
+    Fun.protect ~finally:(fun () -> Obs.enable obs) f
+  in
+  let call obj iface meth args = quiet (fun () -> Invoke.call_exn ctx obj ~iface ~meth args) in
+  let nf = List.length counter_fields in
+  (* per domain: counts since the last reset, and the diff baseline *)
+  let cur = Array.init 3 (fun _ -> Array.make nf 0) in
+  let base = Array.init 3 (fun _ -> Array.make nf 0) in
+  let zero a = Array.iter (fun r -> Array.fill r 0 nf 0) a in
+  let bump d i n = cur.(d).(i) <- cur.(d).(i) + n in
+  ignore (call trace "trace" "reset" []);
+  ignore (call stats "stats" "mark" []);
+  Obs.enable obs;
+  let apply = function
+    | Span (d, kind, n) ->
+      let layer, metric = span_kinds.(kind) in
+      Clock.span clock ~costs ~domain:doms.(d).Domain.id ~layer ~obj:"model" ~iface:"i"
+        ~meth:"m" ~metric (fun () -> Clock.advance clock n);
+      let sample = n + Cost.span_store costs in
+      bump d 0 sample;
+      bump d (1 + kind) 1;
+      if kind = 4 then bump d 6 sample
+    | Switch d ->
+      let sched = Kernel.sched k in
+      ignore (Scheduler.spawn sched ~domain:doms.(d).Domain.id ignore);
+      ignore (Scheduler.run sched ());
+      Mmu.switch_context (Machine.mmu (Kernel.machine k)) kdom.Domain.id;
+      bump d 7 1
+    | Mark ->
+      ignore (call stats "stats" "mark" []);
+      Array.iteri (fun d r -> Array.blit r 0 base.(d) 0 nf) cur
+    | Reset ->
+      ignore (call trace "trace" "reset" []);
+      zero cur;
+      zero base
+  in
+  (* the live view of one domain against the model: value(field) is the
+     count since the reset, the diff row the count since the later of
+     mark and reset, and cycles the total of the five span sums *)
+  let domain_ok diff d (dom : Domain.t) =
+    let value field =
+      match call readers.(d) "stats.domain" "value" [ Value.Str field ] with
+      | Value.Int v -> v
+      | _ -> failwith "value"
+    in
+    let sum metric =
+      match Metrics.summary (Obs.metrics obs) ~domain:dom.Domain.id metric with
+      | Some s -> s.Metrics.sum
+      | None -> 0
+    in
+    let pages = Vmem.pages_of (Kernel.vmem k) dom and drow = dom_row diff dom.Domain.id in
+    (Obs.account obs ~domain:dom.Domain.id).Obs.cycles
+    = Array.fold_left (fun acc (_, metric) -> acc + sum metric) 0 span_kinds
+    && value "pages" = pages
+    && List.assoc "pages" drow = pages
+    && List.for_all2
+         (fun i field ->
+           let delta = List.assoc field drow in
+           value field = cur.(d).(i) && delta = cur.(d).(i) - base.(d).(i) && delta >= 0)
+         (List.init nf Fun.id) counter_fields
+  in
+  let state_ok () =
+    match call stats "stats" "diff" [ Value.Str "text" ] with
+    | Value.Str diff -> Array.for_all Fun.id (Array.mapi (domain_ok diff) doms)
+    | _ -> false
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.disable obs)
+    (fun () ->
+      state_ok ()
+      && List.for_all
+           (fun op ->
+             apply op;
+             state_ok ())
+           ops)
 
 (* --- flight recorder ---------------------------------------------------- *)
 
@@ -623,12 +869,39 @@ let test_stats_interposable () =
       Alcotest.(check bool) "original restored" true (restored == original));
     Obs.disable (Clock.obs (Kernel.clock k))
 
+(* the one format verb: a bad format is a Type_error naming it, on every
+   exporter, and nothing raises *)
+let test_bad_format_named () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  List.iter
+    (fun (path, iface) ->
+      match
+        Invoke.call (Kernel.ctx k kdom) (Kernel.bind k kdom path) ~iface ~meth:"snapshot"
+          [ Value.Str "xml" ]
+      with
+      | Error (Oerror.Type_error msg) ->
+        Alcotest.(check string) path {|snapshot("text"|"json"), not "xml"|} msg
+      | Error e -> Alcotest.failf "%s: %s" path (Oerror.to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted \"xml\"" path
+      | exception e -> Alcotest.failf "%s raised %s" path (Printexc.to_string e))
+    [ ("/nucleus/trace", "trace"); ("/stats/kernel", "stats") ]
+
 (* --- the placement agent's hysteresis ----------------------------------- *)
+
+(* the placer reads the accounting view: feed it the samples the proxy
+   and vmem spans record *)
+let crossing obs ~domain cyc = if cyc > 0 then Obs.observe obs ~domain "proxy.call" cyc
+
+let fault_burst obs ~domain n =
+  for _ = 1 to n do
+    Obs.observe obs ~domain "vmem.fault" 0
+  done
 
 let test_placer_hysteresis () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
   let migrated = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
@@ -638,10 +911,8 @@ let test_placer_hysteresis () =
     ();
   let epoch_with ~cross ~faults =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
-    for _ = 1 to faults do
-      Acct.fault acct ~domain:1 0
-    done;
+    crossing obs ~domain:1 cross;
+    fault_burst obs ~domain:1 faults;
     Placer.epoch placer
   in
   (* share 0.5 >= 0.2: first epoch only starts the streak *)
@@ -675,7 +946,6 @@ let test_placer_hysteresis () =
 let test_placer_multi_component () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
   let moved_a = ref [] and moved_b = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
@@ -691,8 +961,8 @@ let test_placer_multi_component () =
   Alcotest.(check int) "two components" 2 (List.length (Placer.placements placer));
   let epoch_with ~cross1 ~cross2 =
     Clock.advance clock 1_000;
-    if cross1 > 0 then Acct.crossing acct ~domain:1 cross1;
-    if cross2 > 0 then Acct.crossing acct ~domain:2 cross2;
+    crossing obs ~domain:1 cross1;
+    crossing obs ~domain:2 cross2;
     Placer.epoch placer
   in
   (* only component B runs hot: A must hold while B confirms and moves —
@@ -720,7 +990,6 @@ let test_placer_multi_component () =
    back to the certificate path *)
 let test_placer_verified_fallback () =
   let clock = Clock.create () in
-  let acct = Obs.acct (Clock.obs clock) in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
   let attempts = ref [] in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~verified_ok:true
@@ -729,7 +998,7 @@ let test_placer_verified_fallback () =
       p = Placer.Certified)
     ();
   Clock.advance clock 1_000;
-  Acct.crossing acct ~domain:1 500;
+  crossing (Clock.obs clock) ~domain:1 500;
   (match Placer.epoch placer with
   | [ Placer.Migrated Placer.Certified ] -> ()
   | _ -> Alcotest.fail "expected fallback migration to Certified");
@@ -742,7 +1011,6 @@ let test_placer_verified_fallback () =
    projected steady-state saving cannot cover it *)
 let test_placer_payback_deferral () =
   let clock = Clock.create () in
-  let acct = Obs.acct (Clock.obs clock) in
   let placer =
     Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0
       ~payback_window:2 ()
@@ -755,7 +1023,7 @@ let test_placer_payback_deferral () =
     ();
   let epoch_with cross =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
+    crossing (Clock.obs clock) ~domain:1 cross;
     Placer.epoch placer
   in
   (* hot by share (0.5 >= 0.2), but 2 epochs x 500 cycles saved never
@@ -778,7 +1046,6 @@ let test_placer_payback_deferral () =
 let test_placer_move_cost_learning () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let acct = Obs.acct obs in
   let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
   let latency = ref 10_000 in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~move_cost:500
@@ -790,10 +1057,8 @@ let test_placer_move_cost_learning () =
     (Placer.move_costs placer);
   let epoch_with ~cross ~faults =
     Clock.advance clock 1_000;
-    if cross > 0 then Acct.crossing acct ~domain:1 cross;
-    for _ = 1 to faults do
-      Acct.fault acct ~domain:1 0
-    done;
+    crossing obs ~domain:1 cross;
+    fault_burst obs ~domain:1 faults;
     Placer.epoch placer
   in
   (* first move: the measured 10k replaces the 500-cycle guess outright *)
@@ -820,6 +1085,26 @@ let test_placer_move_cost_learning () =
   Alcotest.(check (list int)) "charged to the watched domain" [ 1; 1 ]
     (List.map (fun e -> e.Journal.domain) migrates)
 
+(* an Obs reset between two epochs: the baseline's counts are gone, so
+   the second epoch measures its own crossings and confirms the move *)
+let test_placer_after_reset () =
+  let clock = Clock.create () in
+  let obs = Clock.obs clock in
+  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 () in
+  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~migrate:(fun _ -> true) ();
+  let epoch_with cross =
+    Clock.advance clock 1_000;
+    crossing obs ~domain:1 cross;
+    Placer.epoch placer
+  in
+  Alcotest.(check bool) "first hot epoch holds" true (epoch_with 900 = [ Placer.Hold ]);
+  Obs.reset obs;
+  (match epoch_with 500 with
+  | [ Placer.Migrated Placer.Certified ] -> ()
+  | _ -> Alcotest.failf "expected migration, share %.2f" (Placer.crossing_share placer));
+  Alcotest.(check (float 1e-9)) "share counts from the reset" 0.5
+    (Placer.crossing_share placer)
+
 (* --- clock snapshot helpers -------------------------------------------- *)
 
 let test_clock_snapshot_diff () =
@@ -838,15 +1123,6 @@ let test_clock_snapshot_diff () =
     "per-counter deltas, zeroes omitted"
     [ ("a", 1); ("c", 1) ]
     (List.sort compare d.Clock.counts)
-
-let test_clock_with_counters () =
-  let clock = Clock.create () in
-  Clock.count clock "x";
-  Clock.count clock "y";
-  Clock.with_counters clock [ ("x", 10); ("z", 3) ];
-  Alcotest.(check int) "restored" 10 (Clock.counter clock "x");
-  Alcotest.(check int) "fresh entry" 3 (Clock.counter clock "z");
-  Alcotest.(check int) "old entries cleared" 0 (Clock.counter clock "y")
 
 (* ----------------------------------------------------------------------- *)
 
@@ -884,10 +1160,17 @@ let () =
             test_accounting_zero_cost_invoke;
           Alcotest.test_case "zero-cost cross-domain (E3/E4 shape)" `Quick
             test_accounting_zero_cost_cross_domain;
-          Alcotest.test_case "domain slot shared with obs" `Quick
-            test_acct_slot_shared;
           Alcotest.test_case "reset keeps the journal" `Quick
             test_reset_keeps_history;
+          Alcotest.test_case "diff after a reset counts from the reset" `Quick
+            test_diff_after_reset;
+          Alcotest.test_case "span and sample agree" `Quick test_span_sample_agree;
+          Alcotest.test_case "sched.switches per domain" `Quick
+            test_sched_switches_per_domain;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:100 ~name:"view matches a per-domain model"
+               ~print:(fun ops -> String.concat " " (List.map op_to_string ops))
+               gen_ops prop_view_matches_model);
         ] );
       ( "flight-recorder",
         [
@@ -898,6 +1181,7 @@ let () =
         [
           Alcotest.test_case "cross-domain reads" `Quick test_stats_namespace;
           Alcotest.test_case "interposable" `Quick test_stats_interposable;
+          Alcotest.test_case "bad format named" `Quick test_bad_format_named;
         ] );
       ( "placer",
         [
@@ -907,6 +1191,7 @@ let () =
           Alcotest.test_case "payback deferral" `Quick test_placer_payback_deferral;
           Alcotest.test_case "move-cost learning" `Quick
             test_placer_move_cost_learning;
+          Alcotest.test_case "reset between epochs" `Quick test_placer_after_reset;
         ] );
       ( "interposer",
         [
@@ -922,6 +1207,5 @@ let () =
       ( "clock",
         [
           Alcotest.test_case "snapshot/diff" `Quick test_clock_snapshot_diff;
-          Alcotest.test_case "with_counters" `Quick test_clock_with_counters;
         ] );
     ]
