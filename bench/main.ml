@@ -1657,7 +1657,7 @@ module E16 = struct
           let sys = System.create ~seed:0xBEEF ~cpus:2 () in
           let k = System.kernel sys in
           let machine = Kernel.machine k in
-          let cpx = Option.get (System.cpu sys) in
+          let cpx = System.cpu sys in
           let kdom = Kernel.kernel_domain k in
           let g =
             Mpsc.create machine (Kernel.vmem k) ~name:"smp-tx" ~slots:8
@@ -2514,7 +2514,6 @@ module E23 = struct
     in
     ignore (Chan.accept chan ~into:cdom);
     Chan.set_mode chan Chan.Poll;
-    Chan.set_cacheline_priced chan true;
     (pdom, cdom, chan)
 
   (* Makespan of the 8 flows over [cpus] CPUs, flows pinned round-robin. *)
@@ -2522,38 +2521,23 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    match System.smp sys with
-    | None ->
-      (* uniprocessor: the same flows, time-sliced on the boot scheduler *)
-      let sched = Kernel.sched k in
-      List.iter
-        (fun f ->
-          let _, _, chan = make_flow sys k f in
-          ignore
-            (Scheduler.spawn sched ~name:(Printf.sprintf "flow%d" f)
-               (flow_body machine chan (msgs ()))))
-        (List.init flows Fun.id);
-      let before = Clock.now (Kernel.clock k) in
-      ignore (Scheduler.run sched ());
-      Clock.now (Kernel.clock k) - before
-    | Some smp ->
-      let cpx = Option.get (System.cpu sys) in
-      List.iter
-        (fun f ->
-          let pdom, cdom, chan = make_flow sys k f in
-          let cpu = f mod cpus in
-          Cpu.pin cpx ~domain:pdom.Domain.id ~cpu;
-          Cpu.pin cpx ~domain:cdom.Domain.id ~cpu;
-          ignore
-            (Smp.spawn_on smp cpu ~name:(Printf.sprintf "flow%d" f)
-               (flow_body machine chan (msgs ()))))
-        (List.init flows Fun.id);
-      let before = List.init cpus (fun c -> Cpu.now cpx c) in
-      (* steal:false — the curve isolates partitioning; stealing gets
-         its own segment below *)
-      ignore (Smp.run ~steal:false smp);
-      List.fold_left max 0
-        (List.mapi (fun c b -> Cpu.now cpx c - b) before)
+    let smp = System.smp sys in
+    let cpx = System.cpu sys in
+    List.iter
+      (fun f ->
+        let pdom, cdom, chan = make_flow sys k f in
+        let cpu = f mod cpus in
+        Cpu.pin cpx ~domain:pdom.Domain.id ~cpu;
+        Cpu.pin cpx ~domain:cdom.Domain.id ~cpu;
+        ignore
+          (Smp.spawn_on smp cpu ~name:(Printf.sprintf "flow%d" f)
+             (flow_body machine chan (msgs ()))))
+      (List.init flows Fun.id);
+    let before = List.init cpus (fun c -> Cpu.now cpx c) in
+    (* steal:false — the curve isolates partitioning; stealing gets its
+       own segment below *)
+    ignore (Smp.run ~steal:false smp);
+    List.fold_left max 0 (List.mapi (fun c b -> Cpu.now cpx c - b) before)
 
   (* The same per-message model the channels charge: crossing CPUs costs
      [lines] cache-line transfers on the send and again on the recv. *)
@@ -2561,7 +2545,7 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus:2 () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    let cpx = Option.get (System.cpu sys) in
+    let cpx = System.cpu sys in
     let pdom = System.new_domain sys "gap-p" in
     let cdom = System.new_domain sys "gap-c" in
     let chan =
@@ -2570,7 +2554,6 @@ module E23 = struct
     in
     ignore (Chan.accept chan ~into:cdom);
     Chan.set_mode chan Chan.Poll;
-    Chan.set_cacheline_priced chan true;
     let msg = Bytes.make payload 'm' in
     let per_msg () =
       let clock = Machine.clock machine in
@@ -2601,8 +2584,8 @@ module E23 = struct
     let sys = System.create ~seed:0xBEEF ~cpus:4 () in
     let k = System.kernel sys in
     let machine = Kernel.machine k in
-    let smp = Option.get (System.smp sys) in
-    let cpx = Option.get (System.cpu sys) in
+    let smp = System.smp sys in
+    let cpx = System.cpu sys in
     List.iter
       (fun f ->
         let _, _, chan = make_flow sys k f in

@@ -19,9 +19,8 @@ let cpus_t =
     value & opt int 1
     & info [ "cpus" ] ~docv:"N"
         ~doc:
-          "Simulated CPUs. $(b,1) (the default) is the uniprocessor and \
-           behaves byte-identically to builds without SMP; higher counts boot \
-           a Pm_cpu complex with per-CPU clocks and schedulers.")
+          "Simulated CPUs (default $(b,1)), each with its own clock and \
+           scheduler.")
 
 let create_system ~seed ~cpus = System.create ~seed ~cpus ()
 
@@ -50,9 +49,7 @@ let info_cmd =
     let sys = create_system ~seed ~cpus in
     let k = System.kernel sys in
     say "Paramecium system";
-    (match Cpu.find ~machine:(Kernel.machine k) with
-    | Some cpx -> say "  cpus: %d" (Cpu.count cpx)
-    | None -> say "  cpus: 1 (uniprocessor)");
+    say "  cpus: %d" (System.cpus sys);
     say "  authority: %s" (Principal.id (Authority.ca (System.authority sys)));
     say "  delegates:";
     List.iter

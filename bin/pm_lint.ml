@@ -3,7 +3,7 @@
 
    Exit status: 0 = clean, 1 = the linter reported errors, 2 = usage.
 
-   [--seed non-superset|spsc|cross-cpu|store-order|store-dangling]
+   [--seed non-superset|spsc|store-order|store-dangling]
    first injects the named violation using raw primitives (dodging the
    load-time guards that normally prevent it), so `make lint` and CI
    can assert the linter actually catches what it claims to catch.
@@ -14,7 +14,7 @@
 open Paramecium
 
 let usage =
-  "usage: pm_lint [--seed non-superset|spsc|cross-cpu|store-order|store-dangling] \
+  "usage: pm_lint [--seed non-superset|spsc|store-order|store-dangling] \
    [--quiet] [--json]"
 
 (* A deliberately-shrunken replacement installed with the raw directory
@@ -54,24 +54,6 @@ let seed_spsc sys =
   Mmu.switch_context mmu udom.Domain.id;
   ignore (Chan.try_send chan (Bytes.of_string "two"));
   Mmu.switch_context mmu home
-
-(* Grow an SMP complex under the booted system, then pin a hand-wired
-   ring's producer and consumer to different CPUs without turning its
-   cache-line pricing on — the unaccounted coherence traffic the
-   cross-cpu rule exists to catch. *)
-let seed_cross_cpu sys =
-  let k = System.kernel sys in
-  let machine = Kernel.machine k in
-  let cpx = Cpu.create machine ~cpus:2 in
-  let kdom = Kernel.kernel_domain k in
-  let udom = System.new_domain sys "far-consumer" in
-  let chan =
-    Chan.create machine (Kernel.vmem k) ~name:"seeded-cross-cpu" ~producer:kdom
-      ()
-  in
-  ignore (Chan.accept chan ~into:udom);
-  Cpu.pin cpx ~domain:kdom.Domain.id ~cpu:0;
-  Cpu.pin cpx ~domain:udom.Domain.id ~cpu:1
 
 (* Boot the storage stack, then wire a write-back cache directly above
    the append-only log — the storage inversion the store-order rule
@@ -138,7 +120,6 @@ let () =
   | None -> ()
   | Some "non-superset" -> seed_non_superset sys
   | Some "spsc" -> seed_spsc sys
-  | Some "cross-cpu" -> seed_cross_cpu sys
   | Some "store-order" -> seed_store_order sys
   | Some "store-dangling" -> seed_store_dangling sys
   | Some s ->

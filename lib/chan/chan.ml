@@ -81,11 +81,6 @@ type t = {
          (group name, owning MMU context). The linter then polices the
          sub-ring discipline — only the owner may enqueue — instead of
          the global single-producer rule. *)
-  mutable cl_priced : bool;
-      (* the cache-line cost flag: when set, traffic between endpoints
-         pinned to different CPUs charges the cache-line transfer model.
-         A cross-CPU ring left unpriced is a mispriced simulation — the
-         composition linter's cross-cpu rule flags it. *)
 }
 
 let next_id = ref 1
@@ -188,7 +183,6 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
       drops = 0;
       send_ctxs = [];
       ring_group = None;
-      cl_priced = false;
     }
   in
   all_channels := t :: !all_channels;
@@ -245,35 +239,29 @@ let iter_all ~machine f =
 let senders_seen t = List.rev t.send_ctxs
 let group t = t.ring_group
 let set_group t ~group ~owner_ctx = t.ring_group <- Some (group, owner_ctx)
-let cacheline_priced t = t.cl_priced
-let set_cacheline_priced t v = t.cl_priced <- v
 
 (* ------------------------------------------------------------------ *)
 (* Cross-CPU traffic                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The SMP complex over this channel's machine, when endpoints are
-   pinned to different CPUs — the condition under which ring traffic
-   physically moves cache lines between cores. *)
-let cross_complex t =
-  match (Cpu.find ~machine:t.machine, t.consumer) with
-  | Some cpx, Some c when Cpu.cross cpx ~a:t.producer.Domain.id ~b:c.Domain.id ->
-    Some (cpx, c)
+(* The consumer, when it is pinned to a different CPU from the producer
+   — the condition under which ring traffic physically moves cache
+   lines between cores. *)
+let cross_consumer t =
+  match t.consumer with
+  | Some c when Cpu.cross t.machine ~a:t.producer.Domain.id ~b:c.Domain.id -> Some c
   | _ -> None
 
-let is_cross_cpu t = cross_complex t <> None
+let is_cross_cpu t = cross_consumer t <> None
 
 (* One side's cache-line bill for moving [len] payload bytes across
-   CPUs; charged on the executing (missing) side's clock. Only when the
-   channel is priced — the linter flags cross-CPU rings that are not. *)
+   CPUs; charged on the executing (missing) side's clock. *)
 let charge_cachelines t len =
-  if t.cl_priced then
-    match cross_complex t with
-    | None -> ()
-    | Some _ ->
-      let clock = Machine.clock t.machine in
-      Clock.advance clock (lines_of_msg len * (Machine.costs t.machine).Cost.cacheline);
-      Clock.count clock "chan_cacheline"
+  if is_cross_cpu t then begin
+    let clock = Machine.clock t.machine in
+    Clock.advance clock (lines_of_msg len * (Machine.costs t.machine).Cost.cacheline);
+    Clock.count clock "chan_cacheline"
+  end
 
 let domains_of_waitq q =
   Sync.Waitq.waiters q
@@ -300,10 +288,10 @@ let ring_doorbell t =
       (* a doorbell for a consumer pinned on another CPU is physically an
          IPI: the sender pays the bus signal, the target reconciles,
          wakes if halted, and the trap runs on the target's clock *)
-      match cross_complex t with
-      | Some (cpx, c) ->
-        Cpu.ipi cpx ~cpu:(Cpu.cpu_of cpx ~domain:c.Domain.id) t.doorbell_vec
-          t.chan_id
+      match cross_consumer t with
+      | Some c ->
+        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:c.Domain.id)
+          t.doorbell_vec t.chan_id
       | None -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.chan_id))
 
 let on_doorbell t ~events ~sched ?priority f =

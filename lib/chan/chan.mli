@@ -138,26 +138,20 @@ val arm : t -> unit
 
 (** {2 Cross-CPU pricing}
 
-    When the channel's endpoints are pinned to different CPUs of an SMP
-    complex ({!Pm_machine.Cpu}), ring traffic physically moves cache
-    lines between cores. Setting the cache-line cost flag makes each
-    successful send and recv charge {!Pm_machine.Cost.t.cacheline} per
-    line the message occupies — {!lines_of_msg} — on the executing
-    side's clock. Doorbells to a consumer on another CPU are always
-    delivered as IPIs (that is routing, not pricing). A cross-CPU ring
-    left unpriced is flagged by the composition linter's cross-cpu
-    rule. *)
+    When the channel's endpoints are pinned to different CPUs of the
+    machine ({!Pm_machine.Cpu}), ring traffic physically moves cache
+    lines between cores: each successful send and recv charges
+    {!Pm_machine.Cost.t.cacheline} per line the message occupies —
+    {!lines_of_msg} — on the executing side's clock. Doorbells to a
+    consumer on another CPU are delivered as IPIs. *)
 
 (** Cache lines a message of [len] payload bytes drags across CPUs: the
     length word plus payload, plus one line for the published index
     word. *)
 val lines_of_msg : int -> int
 
-val cacheline_priced : t -> bool
-val set_cacheline_priced : t -> bool -> unit
-
-(** The endpoints are pinned to different CPUs of this machine's SMP
-    complex (false when there is no complex or no consumer yet). *)
+(** The endpoints are pinned to different CPUs of this machine (false
+    on one CPU or with no consumer yet). *)
 val is_cross_cpu : t -> bool
 
 (** [on_doorbell t ~events ~sched f] registers [f] to run as a pop-up

@@ -141,9 +141,6 @@ let attach t ~producer =
   (* the sub-ring never rings for itself: the group header does; tag it
      so the linter polices per-sub-ring ownership *)
   Chan.set_group sub ~group:t.group_name ~owner_ctx:producer.Domain.id;
-  (* MPSC is the fan-in path of choice on SMP: price sub-ring traffic
-     honestly if this producer lands on another CPU (free otherwise) *)
-  Chan.set_cacheline_priced sub true;
   (* the producer maps the group header too: the reserve words are the
      shared state every enqueue touches *)
   ignore
@@ -186,14 +183,11 @@ let ring_doorbell t tx =
       t.doorbells <- t.doorbells + 1;
       Clock.count (Machine.clock t.machine) "mpsc_doorbell";
       (* cross-CPU group doorbells are IPIs, same as SPSC ones *)
-      match Cpu.find ~machine:t.machine with
-      | Some cpx
-        when Cpu.cross cpx ~a:(Chan.producer tx.sub).Domain.id
-               ~b:t.consumer.Domain.id ->
-        Cpu.ipi cpx
-          ~cpu:(Cpu.cpu_of cpx ~domain:t.consumer.Domain.id)
-          t.doorbell_vec t.group_id
-      | _ -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.group_id))
+      let consumer = t.consumer.Domain.id in
+      if Cpu.cross t.machine ~a:(Chan.producer tx.sub).Domain.id ~b:consumer then
+        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:consumer) t.doorbell_vec
+          t.group_id
+      else ignore (Machine.raise_trap t.machine t.doorbell_vec t.group_id))
 
 let on_doorbell t ~events ~sched ?priority f =
   Events.register events (Events.Trap t.doorbell_vec) ~domain:t.consumer (fun arg ->
@@ -214,22 +208,16 @@ let on_doorbell t ~events ~sched ?priority f =
    On a uniprocessor this is always zero: time-sliced producers never
    overlap a reserve, so the flat [mpsc_reserve] figure stands. *)
 let contenders t tx =
-  match Cpu.find ~machine:t.machine with
-  | None -> 0
-  | Some cpx ->
-    if Cpu.count cpx <= 1 then 0
-    else begin
-      let me = (Chan.producer tx.sub).Domain.id in
-      let n = ref 0 in
-      Array.iteri
-        (fun i r ->
-          if
-            i <> tx.idx && Chan.pending r > 0
-            && Cpu.cross cpx ~a:me ~b:(Chan.producer r).Domain.id
-          then incr n)
-        t.rings;
-      !n
-    end
+  let me = (Chan.producer tx.sub).Domain.id in
+  let n = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if
+        i <> tx.idx && Chan.pending r > 0
+        && Cpu.cross t.machine ~a:me ~b:(Chan.producer r).Domain.id
+      then incr n)
+    t.rings;
+  !n
 
 (* The reserve: publish the sub-ring's dirty hint and read the shared
    armed flag — the extra shared-word traffic a multi-producer enqueue

@@ -38,11 +38,10 @@
     one CAS retry ({!Pm_machine.Cost.t.cas}, counted ["mpsc_cas_retry"])
     per {e concurrently-contending} producer, i.e. per other producer
     whose sub-ring is non-empty and whose domain is pinned to a
-    different CPU of the machine's SMP complex ({!Pm_machine.Cpu}). On a
-    uniprocessor — no complex, one CPU, or all producers on one CPU —
-    contention is structurally zero (time-sliced producers never overlap
-    a reserve) and the charge reduces to the old flat
-    {!Pm_machine.Cost.mpsc_reserve}.
+    different CPU of the machine ({!Pm_machine.Cpu}). With one CPU, or
+    all producers on one CPU, contention is structurally zero
+    (time-sliced producers never overlap a reserve) and the charge
+    reduces to the flat {!Pm_machine.Cost.mpsc_reserve}.
 
     {2 Doorbell coalescing}
 

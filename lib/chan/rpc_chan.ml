@@ -15,12 +15,6 @@ module Wire = Pm_components.Wire
 
 let fault msg = Error (Oerror.Fault msg)
 
-let get16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
 let status_ok = 0
 
 type conn = {
@@ -63,12 +57,6 @@ module Trace = Pm_journal.Trace
 
 let rid_len () = if Trace.enabled () then 4 else 0
 
-let set32 b off v =
-  set16 b off ((v lsr 16) land 0xffff);
-  set16 b (off + 2) (v land 0xffff)
-
-let get32 b off = (get16 b off lsl 16) lor get16 b (off + 2)
-
 let assemble ctx segs =
   let rl = rid_len () in
   let n = List.length segs in
@@ -76,13 +64,13 @@ let assemble ctx segs =
     List.fold_left (fun acc s -> acc + 2 + Bytes.length s) (2 + rl) segs
   in
   let b = Bytes.create total in
-  set16 b 0 n;
-  if rl > 0 then set32 b 2 (Trace.current ());
+  Bytes.set_uint16_be b 0 n;
+  if rl > 0 then Wire.set32 b 2 (Trace.current ());
   let off = ref (2 + rl) in
   List.iter
     (fun s ->
       let len = Bytes.length s in
-      set16 b !off len;
+      Bytes.set_uint16_be b !off len;
       Bytes.blit s 0 b (!off + 2) len;
       off := !off + 2 + len)
     segs;
@@ -112,15 +100,15 @@ let iter_segments ctx batch f =
   let len = Bytes.length batch in
   if len < 2 + rl then Error (Printf.sprintf "batch header truncated (%d bytes)" len)
   else begin
-    let count = get16 batch 0 in
+    let count = Bytes.get_uint16_be batch 0 in
     Call_ctx.access ctx 2;
-    if rl > 0 then Trace.set_current (get32 batch 2);
+    if rl > 0 then Trace.set_current (Wire.get32 batch 2);
     let rec walk i off =
       if i > count then Ok ()
       else if off + 2 > len then
         Error (Printf.sprintf "segment %d of %d: length field truncated" i count)
       else begin
-        let slen = get16 batch off in
+        let slen = Bytes.get_uint16_be batch off in
         Call_ctx.access ctx 2;
         if off + 2 + slen > len then
           Error

@@ -166,43 +166,6 @@ let check_spsc ~machine =
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
-(* Rule: cross-CPU rings without cache-line pricing                    *)
-(* ------------------------------------------------------------------ *)
-
-(* On an SMP complex, a ring whose producer and consumer are pinned to
-   different CPUs moves every message through the coherence fabric —
-   the cost model only sees that when the ring's cache-line pricing
-   flag is on ([Chan.set_cacheline_priced]). An unpriced cross-CPU
-   ring makes the accounting silently optimistic: the bytes still
-   cross, the cycles are never charged. The paths that pin endpoints
-   apart (Mpsc.attach, Netstack_chan ports, Storechan) price their
-   rings at accept time, so a finding here means a hand-wired ring
-   dodged that. No-op without a complex — never fires on uniprocessor
-   systems. *)
-let check_cross_cpu ~machine =
-  let findings = ref [] in
-  Chan.iter_all ~machine (fun c ->
-      if Chan.is_cross_cpu c && not (Chan.cacheline_priced c) then
-        let consumer =
-          match Chan.consumer c with Some d -> d.Domain.id | None -> -1
-        in
-        findings :=
-          {
-            rule = "cross-cpu";
-            subject = Chan.name c;
-            detail =
-              Printf.sprintf
-                "producer dom %d and consumer dom %d are pinned to different \
-                 CPUs but the ring is not cache-line priced \
-                 (Chan.set_cacheline_priced): cross-CPU traffic goes \
-                 unaccounted"
-                (Chan.producer c).Domain.id consumer;
-            severity = Error;
-          }
-          :: !findings);
-  List.rev !findings
-
-(* ------------------------------------------------------------------ *)
 (* Rule: wait-for cycles across channel endpoints                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -482,8 +445,8 @@ let check_store_dangling ~machine =
 type report = { findings : finding list; rules_run : int }
 
 let rules =
-  [ "superset"; "dangling"; "dead-handler"; "spsc"; "cross-cpu"; "wait-cycle";
-    "store-order"; "store-dangling"; "page-hygiene"; "shadowing" ]
+  [ "superset"; "dangling"; "dead-handler"; "spsc"; "wait-cycle"; "store-order";
+    "store-dangling"; "page-hygiene"; "shadowing" ]
 
 let run ~machine ~directory ~events ?journal ?domains () =
   let history_findings =
@@ -498,13 +461,13 @@ let run ~machine ~directory ~events ?journal ?domains () =
   in
   let findings =
     check_supersets directory @ check_bindings directory @ check_handlers events
-    @ check_spsc ~machine @ check_cross_cpu ~machine @ check_wait_cycles ~machine
+    @ check_spsc ~machine @ check_wait_cycles ~machine
     @ check_store_order ~machine
     @ check_store_dangling ~machine
     @ history_findings @ shadow_findings
   in
   let rules_run =
-    8 + (if journal = None then 0 else 1) + if domains = None then 0 else 1
+    7 + (if journal = None then 0 else 1) + if domains = None then 0 else 1
   in
   { findings; rules_run }
 
@@ -553,10 +516,6 @@ let explain = function
      corrupt the single free-running tail; a sub-ring of an mpsc group is \
      instead checked against its owning context, so distinct producers on \
      distinct sub-rings are the sanctioned multi-producer shape"
-  | "cross-cpu" ->
-    "a ring whose producer and consumer are pinned to different CPUs of an SMP \
-     complex must have cache-line pricing on, or its coherence traffic is \
-     silently unaccounted"
   | "wait-cycle" ->
     "domains blocked on channel ends must not form a cycle of mutual waiting — \
      that is a deadlock no doorbell can break"

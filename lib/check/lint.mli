@@ -14,11 +14,6 @@
       (the single-producer half of the SPSC contract — the receive side
       is legitimately plural: inline drains and pop-up consumers run in
       different contexts);
-    - {b cross-cpu}: every ring whose producer and consumer are pinned
-      to different CPUs of an SMP complex has cache-line pricing on
-      ({!Pm_chan.Chan.set_cacheline_priced}) — otherwise the coherence
-      traffic its messages generate is silently missing from the cost
-      accounting (never fires on uniprocessor systems);
     - {b wait-cycle}: domains blocked on channel operations do not form
       a cycle of mutual waiting (deadlock detection over
       recv-waits-for-producer / send-waits-for-consumer edges);

@@ -17,30 +17,12 @@ let fault msg = Error (Oerror.Fault msg)
 
 (* --- wire encoding ------------------------------------------------- *)
 
-let get32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
-let set32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let get16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
 let encode_request ~id ~rport ~name payload =
   let nlen = String.length name in
   if nlen > 255 then invalid_arg "Rpc: procedure name too long";
   let b = Bytes.create (7 + nlen + Bytes.length payload) in
-  set32 b 0 id;
-  set16 b 4 rport;
+  Wire.set32 b 0 id;
+  Bytes.set_uint16_be b 4 rport;
   Bytes.set b 6 (Char.chr nlen);
   Bytes.blit_string name 0 b 7 nlen;
   Bytes.blit payload 0 b (7 + nlen) (Bytes.length payload);
@@ -49,7 +31,9 @@ let encode_request ~id ~rport ~name payload =
 let decode_request b =
   if Bytes.length b < 7 then Error "rpc: short request"
   else begin
-    let id = get32 b 0 and rport = get16 b 4 and nlen = Char.code (Bytes.get b 6) in
+    let id = Wire.get32 b 0
+    and rport = Bytes.get_uint16_be b 4
+    and nlen = Char.code (Bytes.get b 6) in
     if Bytes.length b < 7 + nlen then Error "rpc: truncated name"
     else begin
       let name = Bytes.sub_string b 7 nlen in
@@ -63,7 +47,7 @@ let status_error = 1
 
 let encode_response ~id ~status payload =
   let b = Bytes.create (5 + Bytes.length payload) in
-  set32 b 0 id;
+  Wire.set32 b 0 id;
   Bytes.set b 4 (Char.chr status);
   Bytes.blit payload 0 b 5 (Bytes.length payload);
   b
@@ -71,7 +55,7 @@ let encode_response ~id ~status payload =
 let decode_response b =
   if Bytes.length b < 5 then Error "rpc: short response"
   else
-    Ok (get32 b 0, Char.code (Bytes.get b 4), Bytes.sub b 5 (Bytes.length b - 5))
+    Ok (Wire.get32 b 0, Char.code (Bytes.get b 4), Bytes.sub b 5 (Bytes.length b - 5))
 
 (* --- server --------------------------------------------------------- *)
 
@@ -165,9 +149,18 @@ type client_state = {
   mutable cycles : int;
 }
 
-(* measurement state reachable from a live client instance, keyed by
-   handle, so the measurement interface can be added after the fact *)
-let client_states : (int, client_state) Hashtbl.t = Hashtbl.create 8
+(* measurement state reachable from a live client instance, so the
+   measurement interface can be added after the fact. Keyed by the
+   instance itself — handles are per registry, so two kernels reuse the
+   same numbers — and weakly, so a dead client takes its state along. *)
+module Clients = Ephemeron.K1.Make (struct
+  type t = Instance.t
+
+  let equal = ( == )
+  let hash = Instance.handle
+end)
+
+let client_states : client_state Clients.t = Clients.create 8
 
 (* Both clients export the same ["rpc"] interface over their own carrier. *)
 let client_object api dom st call =
@@ -179,7 +172,7 @@ let client_object api dom st call =
     Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
       ~domain:dom.Domain.id [ iface ]
   in
-  Hashtbl.replace client_states (Instance.handle inst) st;
+  Clients.replace client_states inst st;
   inst
 
 let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
@@ -267,7 +260,7 @@ let create_client_via api dom ~transport () =
       | Ok _ -> fault "rpc: transport shape")
 
 let add_measurement client =
-  match Hashtbl.find_opt client_states (Instance.handle client) with
+  match Clients.find_opt client_states client with
   | None -> invalid_arg "Rpc.add_measurement: not an rpc client"
   | Some st ->
     let iface =

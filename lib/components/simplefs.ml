@@ -69,26 +69,14 @@ let write_block t n data =
 
 (* --- metadata (de)serialization --------------------------------------- *)
 
-let set32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let get32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
 let superblock_bitmap_offset = 64
 
 let write_meta t =
   (* superblock + bitmap *)
   let sb = Bytes.make t.block_size '\000' in
   Bytes.blit_string magic 0 sb 0 4;
-  set32 sb 4 t.total_blocks;
-  set32 sb 8 t.inode_table_blocks;
+  Wire.set32 sb 4 t.total_blocks;
+  Wire.set32 sb 8 t.inode_table_blocks;
   Bytes.blit t.bitmap 0 sb superblock_bitmap_offset t.total_blocks;
   write_block t 0 sb;
   (* inode table *)
@@ -102,8 +90,8 @@ let write_meta t =
         let off = j * inode_size in
         Bytes.set blk off (if ino.used then '\001' else '\000');
         Bytes.set blk (off + 1) (if ino.is_dir then '\001' else '\000');
-        set32 blk (off + 2) ino.size;
-        Array.iteri (fun k b -> set32 blk (off + 6 + (k * 4)) b) ino.blocks
+        Wire.set32 blk (off + 2) ino.size;
+        Array.iteri (fun k b -> Wire.set32 blk (off + 6 + (k * 4)) b) ino.blocks
       end
     done;
     write_block t (1 + ib) blk
@@ -124,8 +112,10 @@ let read_meta t =
         let ino = t.inodes.(idx) in
         ino.used <- Bytes.get blk off = '\001';
         ino.is_dir <- Bytes.get blk (off + 1) = '\001';
-        ino.size <- get32 blk (off + 2);
-        Array.iteri (fun k _ -> ino.blocks.(k) <- get32 blk (off + 6 + (k * 4))) ino.blocks
+        ino.size <- Wire.get32 blk (off + 2);
+        Array.iteri
+          (fun k _ -> ino.blocks.(k) <- Wire.get32 blk (off + 6 + (k * 4)))
+          ino.blocks
       end
     done
   done
@@ -190,7 +180,7 @@ let dir_entries t ino =
     end;
     let off = slot mod per_block * dirent_size in
     if Bytes.get !blk off = '\001' then begin
-      let d_inode = (Char.code (Bytes.get !blk (off + 1)) lsl 8) lor Char.code (Bytes.get !blk (off + 2)) in
+      let d_inode = Bytes.get_uint16_be !blk (off + 1) in
       let nlen = Char.code (Bytes.get !blk (off + 3)) in
       let name = Bytes.sub_string !blk (off + 4) nlen in
       entries := { slot; d_inode; name } :: !entries
@@ -207,8 +197,7 @@ let write_dirent t ino slot entry =
   | None -> Bytes.set blk off '\000'
   | Some (d_inode, name) ->
     Bytes.set blk off '\001';
-    Bytes.set blk (off + 1) (Char.chr ((d_inode lsr 8) land 0xff));
-    Bytes.set blk (off + 2) (Char.chr (d_inode land 0xff));
+    Bytes.set_uint16_be blk (off + 1) d_inode;
     Bytes.set blk (off + 3) (Char.chr (String.length name));
     Bytes.fill blk (off + 4) max_name '\000';
     Bytes.blit_string name 0 blk (off + 4) (String.length name));

@@ -3,11 +3,10 @@ module Call_ctx = Pm_obj.Call_ctx
 let check16 label v =
   if v < 0 || v > 0xffff then invalid_arg (Printf.sprintf "Wire: %s out of range" label)
 
-let get16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
+(* Unsigned big-endian 32-bit fields; 16-bit ones use the stdlib's
+   [Bytes.get_uint16_be]/[Bytes.set_uint16_be]. *)
+let get32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
+let set32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 (* 16-bit ones' complement sum; charges one access per byte summed. *)
 let sum16 ctx b ~off ~len =
@@ -19,7 +18,7 @@ let sum16 ctx b ~off ~len =
   let last = off + len in
   while !i < last do
     let word =
-      if !i + 1 < last then get16 b !i else Char.code (Bytes.get b !i) lsl 8
+      if !i + 1 < last then Bytes.get_uint16_be b !i else Char.code (Bytes.get b !i) lsl 8
     in
     acc := !acc + word;
     if !acc > 0xffff then acc := (!acc land 0xffff) + 1;
@@ -41,13 +40,13 @@ module Frame = struct
     check16 "frame src" src;
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + plen + trailer_len) in
-    set16 b 0 dst;
-    set16 b 2 src;
-    set16 b 4 plen;
+    Bytes.set_uint16_be b 0 dst;
+    Bytes.set_uint16_be b 2 src;
+    Bytes.set_uint16_be b 4 plen;
     Bytes.blit payload 0 b header_len plen;
     copy_cost ctx (header_len + plen);
     let fcs = sum16 ctx b ~off:0 ~len:(header_len + plen) in
-    set16 b (header_len + plen) fcs;
+    Bytes.set_uint16_be b (header_len + plen) fcs;
     b
 
   let parse ctx b =
@@ -55,11 +54,13 @@ module Frame = struct
     if total < header_len + trailer_len then Error "frame: truncated"
     else begin
       Call_ctx.access ctx header_len;
-      let dst = get16 b 0 and src = get16 b 2 and plen = get16 b 4 in
+      let dst = Bytes.get_uint16_be b 0
+      and src = Bytes.get_uint16_be b 2
+      and plen = Bytes.get_uint16_be b 4 in
       if total <> header_len + plen + trailer_len then Error "frame: bad length"
       else begin
         let fcs = sum16 ctx b ~off:0 ~len:(header_len + plen) in
-        if fcs <> get16 b (header_len + plen) then Error "frame: bad fcs"
+        if fcs <> Bytes.get_uint16_be b (header_len + plen) then Error "frame: bad fcs"
         else begin
           let payload = Bytes.sub b header_len plen in
           copy_cost ctx plen;
@@ -81,14 +82,14 @@ module Net = struct
     if proto < 0 || proto > 255 then invalid_arg "Wire: proto out of range";
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + plen) in
-    set16 b 0 src;
-    set16 b 2 dst;
+    Bytes.set_uint16_be b 0 src;
+    Bytes.set_uint16_be b 2 dst;
     Bytes.set b 4 (Char.chr ttl);
     Bytes.set b 5 (Char.chr proto);
-    set16 b 6 (header_len + plen);
-    set16 b 8 0;
+    Bytes.set_uint16_be b 6 (header_len + plen);
+    Bytes.set_uint16_be b 8 0;
     let ck = sum16 ctx b ~off:0 ~len:header_len in
-    set16 b 8 ck;
+    Bytes.set_uint16_be b 8 ck;
     Bytes.blit payload 0 b header_len plen;
     copy_cost ctx (header_len + plen);
     b
@@ -98,17 +99,17 @@ module Net = struct
     if total < header_len then Error "net: truncated"
     else begin
       Call_ctx.access ctx header_len;
-      let src = get16 b 0
-      and dst = get16 b 2
+      let src = Bytes.get_uint16_be b 0
+      and dst = Bytes.get_uint16_be b 2
       and ttl = Char.code (Bytes.get b 4)
       and proto = Char.code (Bytes.get b 5)
-      and tlen = get16 b 6
-      and ck = get16 b 8 in
+      and tlen = Bytes.get_uint16_be b 6
+      and ck = Bytes.get_uint16_be b 8 in
       if tlen <> total then Error "net: bad length"
       else begin
-        set16 b 8 0;
+        Bytes.set_uint16_be b 8 0;
         let expect = sum16 ctx b ~off:0 ~len:header_len in
-        set16 b 8 ck;
+        Bytes.set_uint16_be b 8 ck;
         if expect <> ck then Error "net: bad checksum"
         else begin
           let payload = Bytes.sub b header_len (total - header_len) in
@@ -125,9 +126,9 @@ module Net = struct
       if ttl <= 1 then Error "net: ttl expired"
       else begin
         Bytes.set b 4 (Char.chr (ttl - 1));
-        set16 b 8 0;
+        Bytes.set_uint16_be b 8 0;
         let ck = sum16 ctx b ~off:0 ~len:header_len in
-        set16 b 8 ck;
+        Bytes.set_uint16_be b 8 ck;
         Ok ()
       end
     end
@@ -143,12 +144,12 @@ module Transport = struct
     check16 "dport" dport;
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + plen) in
-    set16 b 0 sport;
-    set16 b 2 dport;
-    set16 b 4 plen;
+    Bytes.set_uint16_be b 0 sport;
+    Bytes.set_uint16_be b 2 dport;
+    Bytes.set_uint16_be b 4 plen;
     Bytes.blit payload 0 b header_len plen;
     let ck = sum16 ctx b ~off:header_len ~len:plen in
-    set16 b 6 ck;
+    Bytes.set_uint16_be b 6 ck;
     copy_cost ctx (header_len + plen);
     b
 
@@ -157,7 +158,10 @@ module Transport = struct
     if total < header_len then Error "transport: truncated"
     else begin
       Call_ctx.access ctx header_len;
-      let sport = get16 b 0 and dport = get16 b 2 and plen = get16 b 4 and ck = get16 b 6 in
+      let sport = Bytes.get_uint16_be b 0
+      and dport = Bytes.get_uint16_be b 2
+      and plen = Bytes.get_uint16_be b 4
+      and ck = Bytes.get_uint16_be b 6 in
       if total <> header_len + plen then Error "transport: bad length"
       else begin
         let expect = sum16 ctx b ~off:header_len ~len:plen in

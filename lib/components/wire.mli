@@ -16,6 +16,14 @@
 
 val sum16 : Pm_obj.Call_ctx.t -> bytes -> off:int -> len:int -> int
 
+(** Unsigned big-endian 32-bit fields, shared by every wire format in
+    the system ([set32] keeps the low 32 bits). 16-bit fields use
+    [Bytes.get_uint16_be]/[Bytes.set_uint16_be]. No cycles are
+    charged. *)
+val get32 : bytes -> int -> int
+
+val set32 : bytes -> int -> int -> unit
+
 module Frame : sig
   type t = { dst : int; src : int; payload : bytes }
 

@@ -27,8 +27,8 @@ type placement =
 
 (** [create ?seed ?costs ?frames ?page_size ?cpus ?key_bits ?delegates ()]
     builds the system. [seed] drives every pseudo-random choice
-    (default 0xC0FFEE); [cpus > 1] boots an SMP complex with per-CPU
-    schedulers (default 1 — byte-identical to single-core systems);
+    (default 0xC0FFEE); [cpus] is the machine's CPU count, each CPU with
+    its own scheduler (default 1);
     [key_bits] sizes RSA keys (default 512 — small but real);
     [delegates] overrides the standard chain, given as
     [(name, policy, latency)]. *)
@@ -68,12 +68,12 @@ val stats : t -> Pm_obs_agent.Stats_svc.t
 (** The composition-linter service wired at boot ([/nucleus/check]). *)
 val check : t -> Pm_check_lint.Check_svc.t
 
-(** The SMP complex and per-CPU schedulers when created with [cpus > 1]. *)
-val cpu : t -> Pm_machine.Cpu.t option
+(** The machine's CPUs and the per-CPU schedulers over them. *)
+val cpu : t -> Pm_machine.Cpu.t
 
-val smp : t -> Pm_threads.Smp.t option
+val smp : t -> Pm_threads.Smp.t
 
-(** Number of CPUs (1 when no complex). *)
+(** Number of CPUs. *)
 val cpus : t -> int
 
 (** [install t image ~placement ~at] publishes the image, certifies it

@@ -165,10 +165,10 @@ type event = {
   cpu : int; (* issuing CPU, 0 on uniprocessor runs *)
 }
 
-(* The ambient CPU id, like [Trace.current] for request ids: the SMP
-   complex sets it around each slice of execution, every recording site
-   picks it up for free. Uniprocessor runs never touch it, so it stays
-   0 and exports keep their exact bytes. *)
+(* The ambient CPU id, like [Trace.current] for request ids: the
+   machine sets it whenever it switches CPUs, every recording site
+   picks it up for free. 1-CPU runs never switch, so it stays 0 and
+   exports keep their exact bytes. *)
 let cur_cpu = ref 0
 let set_current_cpu c = cur_cpu := c
 let current_cpu () = !cur_cpu

@@ -98,7 +98,7 @@ val set_mode : t -> mode -> unit
 
 (** {2 Ambient CPU}
 
-    The SMP complex ({!Pm_machine.Cpu}) declares which CPU is executing;
+    The machine ({!Pm_machine.Cpu}) declares which CPU is executing;
     every event recorded while it is set carries that id. Pinned to 0 on
     uniprocessor runs, so their exports stay byte-identical — an event
     with [cpu = 0] prints and exports exactly as before the field

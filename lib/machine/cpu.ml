@@ -1,6 +1,7 @@
-(* Pm_cpu: the SMP complex — N logical CPUs over one simulated machine.
+(* Pm_cpu: the operations over a machine's logical CPUs.
 
-   Each CPU owns a virtual clock; all clocks share the machine's one
+   Every machine owns its CPUs ({!Machine.cpus}), at least one. Each CPU
+   owns a virtual clock; all clocks share the machine's one
    observability sink, so spans, accounting and the journal stay a
    single stream (events carry the issuing CPU id via the ambient
    register in {!Pm_journal.Journal}). The host is single-threaded: the
@@ -15,10 +16,9 @@
    clock forward to at least the issuing CPU's time ([sync_to], built on
    {!Clock.advance_to} — never backward). Because reconciliation only
    ever pulls clocks forward and the interleaving below is a fixed
-   round-robin, results are deterministic. A complex with one CPU has no
-   cross-CPU interactions, performs no reconciliation and never moves
-   the active clock, so 1-CPU runs are byte-identical to a machine with
-   no complex at all.
+   round-robin, results are deterministic. A machine with one CPU has
+   no cross-CPU interactions, performs no reconciliation and never
+   moves the active clock.
 
    An inter-processor interrupt is just a trap sourced from another CPU:
    the sender pays {!Cost.t.ipi} for the bus signalling on its own
@@ -26,153 +26,86 @@
    executes the trap through the ordinary event path on its own clock
    (paying its normal trap entry there). *)
 
-type cpu = {
-  id : int;
-  clock : Clock.t;
-  mutable halted : bool;
-  mutable ipis_sent : int;
-  mutable ipis_recv : int;
-  mutable synced : int; (* idle cycles absorbed by reconciliation *)
-}
+type t = Machine.t
 
-type t = {
-  machine : Machine.t;
-  cpus : cpu array;
-  mutable cur : int;
-  pins : (int, int) Hashtbl.t; (* domain id -> cpu id; unpinned = 0 *)
-}
+let count m = Array.length (Machine.cpus m)
 
-(* Every live complex, for subsystems that only hold the machine (Chan,
-   the linter, the placer) — the same registry idiom as Chan.iter_all,
-   keyed on physical machine identity so concurrent test systems stay
-   independent. *)
-let complexes : t list ref = ref []
+let get m k =
+  let cpus = Machine.cpus m in
+  if k < 0 || k >= Array.length cpus then
+    invalid_arg (Printf.sprintf "Cpu: no cpu %d (machine has %d)" k (Array.length cpus));
+  cpus.(k)
 
-let find ~machine =
-  List.find_opt (fun c -> c.machine == machine) !complexes
-
-let create machine ~cpus:n =
-  if n <= 0 then invalid_arg "Cpu.create: cpus must be positive";
-  (match find ~machine with
-  | Some _ -> invalid_arg "Cpu.create: machine already has an SMP complex"
-  | None -> ());
-  let boot = Machine.boot_clock machine in
-  let obs = Clock.obs boot in
-  let cpus =
-    Array.init n (fun i ->
-        let clock = if i = 0 then boot else Clock.create ~obs () in
-        (* CPUs power on together: secondary clocks start at CPU 0's
-           current time, not at zero *)
-        if i > 0 then ignore (Clock.advance_to clock (Clock.now boot));
-        { id = i; clock; halted = false; ipis_sent = 0; ipis_recv = 0;
-          synced = 0 })
-  in
-  let t = { machine; cpus; cur = 0; pins = Hashtbl.create 16 } in
-  complexes := t :: !complexes;
-  t
-
-let count t = Array.length t.cpus
-let machine t = t.machine
-
-let check_cpu t k =
-  if k < 0 || k >= Array.length t.cpus then
-    invalid_arg (Printf.sprintf "Cpu: no cpu %d (complex has %d)" k (count t))
-
-let clock_of t k =
-  check_cpu t k;
-  t.cpus.(k).clock
-
-let current t = t.cur
-let now t k = Clock.now (clock_of t k)
+let clock_of m k = (get m k).Machine.clock
+let current = Machine.current_cpu
+let now m k = Clock.now (clock_of m k)
 
 (* Global virtual time: the machine is done when its slowest CPU is. *)
-let makespan t =
-  Array.fold_left (fun acc c -> max acc (Clock.now c.clock)) 0 t.cpus
+let makespan m =
+  Array.fold_left (fun acc c -> max acc (Clock.now c.Machine.clock)) 0 (Machine.cpus m)
 
 (* ------------------------------------------------------------------ *)
 (* Affinity                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pin t ~domain ~cpu =
-  check_cpu t cpu;
-  Hashtbl.replace t.pins domain cpu
+let pin m ~domain ~cpu =
+  ignore (get m cpu);
+  Hashtbl.replace (Machine.pins m) domain cpu
 
-let cpu_of t ~domain =
-  match Hashtbl.find_opt t.pins domain with Some c -> c | None -> 0
+let cpu_of m ~domain =
+  Option.value (Hashtbl.find_opt (Machine.pins m) domain) ~default:0
 
-let cross t ~a ~b = cpu_of t ~domain:a <> cpu_of t ~domain:b
-
-(* The honest price of shared-word traffic between two domains: one
-   cache-line transfer when they sit on different CPUs, free otherwise
-   (and on every uniprocessor complex, where [cpu_of] is always 0). *)
-let cacheline_penalty t ~from_dom ~to_dom =
-  if cross t ~a:from_dom ~b:to_dom then (Machine.costs t.machine).Cost.cacheline
-  else 0
+let cross m ~a ~b = cpu_of m ~domain:a <> cpu_of m ~domain:b
 
 (* ------------------------------------------------------------------ *)
 (* Execution: interleaving CPUs on the single-threaded host            *)
 (* ------------------------------------------------------------------ *)
 
-let switch_to t k =
-  check_cpu t k;
-  if k <> t.cur then begin
-    t.cur <- k;
-    Machine.set_active_clock t.machine t.cpus.(k).clock;
-    Pm_journal.Journal.set_current_cpu k
+let run_on m k f =
+  let prev = current m in
+  if k = prev then f ()
+  else begin
+    Machine.switch_cpu m k;
+    Fun.protect ~finally:(fun () -> Machine.switch_cpu m prev) f
   end
-
-let run_on t k f =
-  let prev = t.cur in
-  switch_to t k;
-  Fun.protect ~finally:(fun () -> switch_to t prev) f
 
 (* Reconciliation: CPU [cpu] observes an event issued at global time
    [at]; its clock moves forward to at least [at]. The absorbed idle
    cycles are counted, never silently dropped. *)
-let sync_to t ~cpu ~at =
-  let c = t.cpus.(cpu) in
-  let d = Clock.advance_to c.clock at in
+let sync_to m ~cpu ~at =
+  let c = get m cpu in
+  let d = Clock.advance_to c.Machine.clock at in
   if d > 0 then begin
     c.synced <- c.synced + d;
     Clock.count_n c.clock "cpu_sync" 1
   end
 
 (* ------------------------------------------------------------------ *)
-(* Halt / wake                                                         *)
+(* Halt                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let halt t k =
-  check_cpu t k;
-  t.cpus.(k).halted <- true
-
-let wake t k =
-  check_cpu t k;
-  t.cpus.(k).halted <- false
-
-let halted t k =
-  check_cpu t k;
-  t.cpus.(k).halted
+let halt m k = (get m k).Machine.halted <- true
+let halted m k = (get m k).Machine.halted
 
 (* ------------------------------------------------------------------ *)
 (* Inter-processor interrupts                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ipi t ~cpu vec arg =
-  check_cpu t cpu;
-  if cpu = t.cur then
+let ipi m ~cpu vec arg =
+  let target = get m cpu in
+  let cur = current m in
+  if cpu = cur then
     (* self-IPI degenerates to an ordinary trap *)
-    ignore (Machine.raise_trap t.machine vec arg)
+    ignore (Machine.raise_trap m vec arg)
   else begin
-    let sender = t.cpus.(t.cur) in
-    let costs = Machine.costs t.machine in
-    Clock.advance sender.clock costs.Cost.ipi;
+    let sender = (Machine.cpus m).(cur) in
+    Clock.advance sender.Machine.clock (Machine.costs m).Cost.ipi;
     Clock.count sender.clock "ipi";
     sender.ipis_sent <- sender.ipis_sent + 1;
-    sync_to t ~cpu ~at:(Clock.now sender.clock);
-    let target = t.cpus.(cpu) in
+    sync_to m ~cpu ~at:(Clock.now sender.clock);
     target.halted <- false;
     target.ipis_recv <- target.ipis_recv + 1;
-    run_on t cpu (fun () -> ignore (Machine.raise_trap t.machine vec arg))
+    run_on m cpu (fun () -> ignore (Machine.raise_trap m vec arg))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -188,15 +121,9 @@ type cpu_stats = {
   synced : int;
 }
 
-let stats t k =
-  check_cpu t k;
-  let c = t.cpus.(k) in
-  { cpu = k; cycles = Clock.now c.clock; halted_now = c.halted;
+let stats m k =
+  let c = get m k in
+  { cpu = k; cycles = Clock.now c.Machine.clock; halted_now = c.halted;
     ipis_sent = c.ipis_sent; ipis_recv = c.ipis_recv; synced = c.synced }
 
-let all_stats t = List.init (count t) (stats t)
-
-(* A named counter summed over every CPU's clock — per-CPU clocks keep
-   private counter tables, this is the machine-wide view. *)
-let counter_total t name =
-  Array.fold_left (fun acc c -> acc + Clock.counter c.clock name) 0 t.cpus
+let all_stats m = List.init (count m) (stats m)

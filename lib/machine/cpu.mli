@@ -1,34 +1,24 @@
-(** The SMP complex: N logical CPUs over one simulated {!Machine}.
+(** The operations over a machine's logical CPUs.
 
-    Each CPU owns a {!Clock} sharing the machine's observability sink.
-    Per-CPU clocks advance independently while CPUs compute on private
-    state; global virtual time is their maximum ({!makespan}), and any
-    cross-CPU interaction — an IPI, a work steal, shared ring traffic —
-    reconciles the observing CPU's clock forward to the issuing CPU's
-    time, never backward. The host interleaves CPUs explicitly via
-    {!run_on}; work run inside charges that CPU's clock because every
-    charge site reads {!Machine.clock} at charge time.
+    Every {!Machine} owns its CPUs, at least one ({!Machine.create}
+    [?cpus]). Each CPU owns a {!Clock} sharing the machine's
+    observability sink. Per-CPU clocks advance independently while CPUs
+    compute on private state; global virtual time is their maximum
+    ({!makespan}), and any cross-CPU interaction — an IPI, a work steal,
+    shared ring traffic — reconciles the observing CPU's clock forward
+    to the issuing CPU's time, never backward. The host interleaves
+    CPUs explicitly via {!run_on}; work run inside charges that CPU's
+    clock because every charge site reads {!Machine.clock} at charge
+    time.
 
-    A 1-CPU complex has no cross-CPU interactions and never moves the
-    active clock, so its runs are byte-identical to a machine with no
-    complex at all — the backward-compatibility contract every existing
-    experiment relies on. *)
+    A 1-CPU machine has no cross-CPU interactions and never moves the
+    active clock. *)
 
-type t
-
-(** [create machine ~cpus] builds the complex. CPU 0 adopts the
-    machine's boot clock (so pre-existing charges belong to it);
-    secondary clocks start at CPU 0's current time. At most one complex
-    per machine; [cpus] must be positive. *)
-val create : Machine.t -> cpus:int -> t
-
-(** The complex attached to [machine], if any — for subsystems that only
-    hold the machine (channels, the linter, the placer). Keyed on
-    physical machine identity. *)
-val find : machine:Machine.t -> t option
+(** The machine itself: every operation here works on the CPU table the
+    machine owns, so nothing needs a lookup to find it. *)
+type t = Machine.t
 
 val count : t -> int
-val machine : t -> Machine.t
 val clock_of : t -> int -> Clock.t
 
 (** The CPU currently executing (0 outside any [run_on]). *)
@@ -46,12 +36,10 @@ val makespan : t -> int
 
 val pin : t -> domain:int -> cpu:int -> unit
 val cpu_of : t -> domain:int -> int
-val cross : t -> a:int -> b:int -> bool
 
-(** [cacheline_penalty t ~from_dom ~to_dom] is {!Cost.t.cacheline} when
-    the two domains sit on different CPUs, 0 otherwise (hence always 0
-    on a uniprocessor complex). *)
-val cacheline_penalty : t -> from_dom:int -> to_dom:int -> int
+(** [cross t ~a ~b] holds when domains [a] and [b] sit on different
+    CPUs (never on a 1-CPU machine). *)
+val cross : t -> a:int -> b:int -> bool
 
 (** {2 Execution} *)
 
@@ -65,10 +53,11 @@ val run_on : t -> int -> (unit -> 'a) -> 'a
     accumulated in {!stats} and counted as ["cpu_sync"]. *)
 val sync_to : t -> cpu:int -> at:int -> unit
 
-(** {2 Halt / wake} *)
+(** {2 Halt}
+
+    A halted CPU neither dispatches nor steals until an IPI wakes it. *)
 
 val halt : t -> int -> unit
-val wake : t -> int -> unit
 val halted : t -> int -> bool
 
 (** {2 Inter-processor interrupts}
@@ -95,7 +84,3 @@ type cpu_stats = {
 
 val stats : t -> int -> cpu_stats
 val all_stats : t -> cpu_stats list
-
-(** A named clock counter summed over every CPU — the machine-wide view
-    of per-CPU counter tables. *)
-val counter_total : t -> string -> int

@@ -6,13 +6,22 @@ let irq_line_count = 16
 
 type attached = { dev : Device.t; io_base : int }
 
+type cpu = {
+  clock : Clock.t;
+  mutable halted : bool;
+  mutable ipis_sent : int;
+  mutable ipis_recv : int;
+  mutable synced : int; (* idle cycles absorbed by reconciliation *)
+}
+
 type t = {
-  boot_clock : Clock.t; (* CPU 0's clock, the whole machine's on 1 CPU *)
+  cpus : cpu array;
+  mutable cur : int; (* the CPU currently executing *)
   mutable active_clock : Clock.t;
-      (* the clock of the CPU currently executing; every charge site
-         reads it through [clock] at charge time, so an SMP complex
-         redirects all accounting by swapping this one field. Identical
-         to [boot_clock] until a Cpu complex with >1 CPUs switches. *)
+      (* [cpus.(cur).clock]; every charge site reads it through [clock]
+         at charge time, so switching CPUs redirects all accounting by
+         swapping this one field *)
+  pins : (int, int) Hashtbl.t; (* domain id -> cpu; unpinned = 0 *)
   costs : Cost.t;
   phys : Physmem.t;
   mmu : Mmu.t;
@@ -25,14 +34,21 @@ type t = {
 
 let io_base_start = 0x1000_0000
 
-let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) () =
-  let clock = Clock.create () in
+let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) ?(cpus = 1)
+    () =
+  if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
+  (* CPUs power on together; all clocks share CPU 0's observability sink *)
+  let boot = Clock.create () in
+  let obs = Clock.obs boot in
+  let cpu clock = { clock; halted = false; ipis_sent = 0; ipis_recv = 0; synced = 0 } in
   {
-    boot_clock = clock;
-    active_clock = clock;
+    cpus = Array.init cpus (fun i -> cpu (if i = 0 then boot else Clock.create ~obs ()));
+    cur = 0;
+    active_clock = boot;
+    pins = Hashtbl.create 8;
     costs;
     phys = Physmem.create ~frames ~page_size;
-    mmu = Mmu.create clock costs ~page_size;
+    mmu = Mmu.create boot costs ~page_size;
     traps = Array.make trap_vector_count None;
     irqs = Array.make irq_line_count None;
     fault_handler = None;
@@ -41,11 +57,21 @@ let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) () =
   }
 
 let clock t = t.active_clock
-let boot_clock t = t.boot_clock
+let cpus t = t.cpus
+let current_cpu t = t.cur
+let pins t = t.pins
 
-let set_active_clock t clock =
-  t.active_clock <- clock;
-  Mmu.set_clock t.mmu clock
+let switch_cpu t k =
+  if k < 0 || k >= Array.length t.cpus then
+    invalid_arg
+      (Printf.sprintf "Machine.switch_cpu: no cpu %d (machine has %d)" k
+         (Array.length t.cpus));
+  if k <> t.cur then begin
+    t.cur <- k;
+    t.active_clock <- t.cpus.(k).clock;
+    Mmu.set_clock t.mmu t.active_clock;
+    Pm_journal.Journal.set_current_cpu k
+  end
 
 let costs t = t.costs
 let phys t = t.phys

@@ -14,20 +14,42 @@ exception Fatal_fault of Mmu.fault
     vector number). *)
 exception Machine_check of string
 
-val create : ?costs:Cost.t -> ?frames:int -> ?page_size:int -> unit -> t
+(** [create ?cpus ()] builds a machine with [cpus] logical CPUs
+    (default 1; must be positive). Each CPU owns a {!Clock}; all of them
+    share CPU 0's observability sink and start at time 0. *)
+val create :
+  ?costs:Cost.t -> ?frames:int -> ?page_size:int -> ?cpus:int -> unit -> t
 
-(** [clock t] is the clock of the CPU currently executing — the boot
-    clock until an SMP complex ({!Cpu}) switches CPUs. Charge sites must
-    read it at charge time, never cache it across a CPU switch. *)
+(** [clock t] is the clock of the CPU currently executing. Charge sites
+    must read it at charge time, never cache it across a CPU switch. *)
 val clock : t -> Clock.t
 
-(** CPU 0's clock, regardless of which CPU is executing. *)
-val boot_clock : t -> Clock.t
+(** {1 CPUs}
 
-(** [set_active_clock t c] redirects all subsequent charges (including
-    MMU traffic) to [c]. Owned by {!Cpu}; single-CPU code never calls
-    it. *)
-val set_active_clock : t -> Clock.t -> unit
+    The table of the machine's CPUs. Every machine has at least one;
+    the operations over them (affinity, interleaving, IPIs) live in
+    {!Cpu}, which is the only code expected to touch this table. *)
+
+type cpu = {
+  clock : Clock.t;
+  mutable halted : bool;
+  mutable ipis_sent : int;
+  mutable ipis_recv : int;
+  mutable synced : int;  (** idle cycles absorbed by reconciliation *)
+}
+
+val cpus : t -> cpu array
+
+(** The CPU currently executing (0 until a switch). *)
+val current_cpu : t -> int
+
+(** Domain-to-CPU pins; an unpinned domain runs on CPU 0. *)
+val pins : t -> (int, int) Hashtbl.t
+
+(** [switch_cpu t k] makes CPU [k] the executing one: {!clock}, the MMU's
+    charges and the journal's ambient CPU id all follow it. Raises
+    [Invalid_argument] for a CPU the machine does not have. *)
+val switch_cpu : t -> int -> unit
 
 val costs : t -> Cost.t
 val phys : t -> Physmem.t

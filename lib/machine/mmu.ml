@@ -11,8 +11,8 @@ let tlb_size = 64
 type t = {
   mutable clock : Clock.t;
       (* the executing CPU's clock: TLB and context-switch charges land
-         on whichever CPU drives the MMU; retargeted by Machine when an
-         SMP complex switches CPUs *)
+         on whichever CPU drives the MMU; retargeted by Machine when it
+         switches CPUs *)
   costs : Cost.t;
   page_size : int;
   contexts : (context, (int, entry) Hashtbl.t) Hashtbl.t;

@@ -28,8 +28,8 @@ type prot = No_access | Read_only | Read_write
 val create : Clock.t -> Cost.t -> page_size:int -> t
 
 (** [set_clock t clock] retargets where TLB and context-switch costs are
-    charged — how an SMP complex makes MMU traffic land on the executing
-    CPU's clock. Single-CPU machines never call it. *)
+    charged — how a multi-CPU machine makes MMU traffic land on the
+    executing CPU's clock. 1-CPU machines never call it. *)
 val set_clock : t -> Clock.t -> unit
 
 val page_size : t -> int

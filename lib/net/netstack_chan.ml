@@ -102,8 +102,6 @@ let bind t ~port ~owner ?(mode = Chan.Doorbell) () =
         ?doorbell_vec:t.doorbell_vec ~producer:t.stack_domain ()
     in
     ignore (Chan.accept chan ~into:owner);
-    (* port owners may be pinned anywhere; price cross-CPU RX honestly *)
-    Chan.set_cacheline_priced chan true;
     let sink = sink_object t.api ~stack_domain:t.stack_domain chan in
     let* _ =
       stack_call t "attach_port"

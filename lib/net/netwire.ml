@@ -1,21 +1,10 @@
 module Call_ctx = Pm_obj.Call_ctx
+module Wire = Pm_components.Wire
 module Trace = Pm_journal.Trace
 
 let check16 label v =
   if v < 0 || v > 0xffff then
     invalid_arg (Printf.sprintf "Netwire: %s out of range" label)
-
-let get16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get32 b off = (get16 b off lsl 16) lor get16 b (off + 2)
-
-let set32 b off v =
-  set16 b off ((v lsr 16) land 0xffff);
-  set16 b (off + 2) (v land 0xffff)
 
 (* charge for materializing [n] bytes into/out of a ring message; the
    rings themselves run with [~account:false], so this is where each
@@ -40,9 +29,9 @@ module Delivery = struct
     let rl = rid_len () in
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + rl + plen) in
-    set16 b 0 src;
-    set16 b 2 sport;
-    if rl > 0 then set32 b header_len (Trace.current ());
+    Bytes.set_uint16_be b 0 src;
+    Bytes.set_uint16_be b 2 sport;
+    if rl > 0 then Wire.set32 b header_len (Trace.current ());
     Bytes.blit payload 0 b (header_len + rl) plen;
     copy_cost ctx (header_len + plen);
     b
@@ -52,8 +41,8 @@ module Delivery = struct
     let rl = rid_len () in
     if total < header_len + rl then Error "delivery: truncated"
     else begin
-      let src = get16 b 0 and sport = get16 b 2 in
-      if rl > 0 then Trace.set_current (get32 b header_len);
+      let src = Bytes.get_uint16_be b 0 and sport = Bytes.get_uint16_be b 2 in
+      if rl > 0 then Trace.set_current (Wire.get32 b header_len);
       let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
       copy_cost ctx (total - rl);
       Ok { src; sport; payload }
@@ -72,10 +61,10 @@ module Txreq = struct
     let rl = rid_len () in
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + rl + plen) in
-    set16 b 0 dst;
-    set16 b 2 sport;
-    set16 b 4 dport;
-    if rl > 0 then set32 b header_len (Trace.current ());
+    Bytes.set_uint16_be b 0 dst;
+    Bytes.set_uint16_be b 2 sport;
+    Bytes.set_uint16_be b 4 dport;
+    if rl > 0 then Wire.set32 b header_len (Trace.current ());
     Bytes.blit payload 0 b (header_len + rl) plen;
     copy_cost ctx (header_len + plen);
     b
@@ -85,8 +74,10 @@ module Txreq = struct
     let rl = rid_len () in
     if total < header_len + rl then Error "txreq: truncated"
     else begin
-      let dst = get16 b 0 and sport = get16 b 2 and dport = get16 b 4 in
-      if rl > 0 then Trace.set_current (get32 b header_len);
+      let dst = Bytes.get_uint16_be b 0
+      and sport = Bytes.get_uint16_be b 2
+      and dport = Bytes.get_uint16_be b 4 in
+      if rl > 0 then Trace.set_current (Wire.get32 b header_len);
       let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
       copy_cost ctx (total - rl);
       Ok { dst; sport; dport; payload }

@@ -34,15 +34,14 @@ type t = {
   blkdev : Blkdev.t;
   nucleus : Composite.t;
   tracesvc : Tracesvc.t;
-  cpu : Pm_machine.Cpu.t option; (* SMP complex when booted with >1 CPUs *)
-  smp : Pm_threads.Smp.t option; (* per-CPU schedulers over it *)
+  smp : Pm_threads.Smp.t; (* one scheduler per CPU *)
 }
 
 let machine t = t.machine
 let clock t = Machine.clock t.machine
-let cpu t = t.cpu
+let cpu t = t.machine
 let smp t = t.smp
-let cpus t = match t.cpu with Some c -> Pm_machine.Cpu.count c | None -> 1
+let cpus t = Pm_machine.Cpu.count t.machine
 let api t = t.api
 let events t = t.api.Api.events
 let vmem t = t.api.Api.vmem
@@ -212,7 +211,7 @@ let must_register ns path handle =
   | Error e -> failwith ("Kernel.boot: " ^ Namespace.error_to_string e)
 
 let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
-  let machine = Machine.create ?costs ?frames ?page_size () in
+  let machine = Machine.create ?costs ?frames ?page_size ~cpus () in
   let timer = Timer_dev.create machine ~irq_line:0 in
   let nic = Nic.create machine ~irq_line:1 in
   let disk = Disk.create machine ~irq_line:2 ~blocks:512 in
@@ -231,20 +230,8 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   let certification = Certsvc.create machine ~root in
   let sched = Scheduler.create (Machine.clock machine) (Machine.costs machine) in
   Scheduler.set_mmu sched (Machine.mmu machine);
-  (* >1 CPUs: hang an SMP complex off the machine and give every CPU its
-     own scheduler; at 1 CPU nothing is created and the run is
-     byte-identical to every earlier single-core boot *)
-  let cpu, smp =
-    if cpus = 1 then (None, None)
-    else begin
-      let cpx = Pm_machine.Cpu.create machine ~cpus in
-      let smp =
-        Pm_threads.Smp.create ~mmu:(Machine.mmu machine) cpx ~boot:sched
-          (Machine.costs machine)
-      in
-      (Some cpx, Some smp)
-    end
-  in
+  (* one scheduler per CPU; CPU 0's is the kernel's own *)
+  let smp = Pm_threads.Smp.create machine ~boot:sched in
   let api =
     { Api.machine; registry; events; vmem; directory; certification; sched;
       kernel_domain }
@@ -292,7 +279,7 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   let t =
     { machine; registry; ns; root_view; api; loader; kernel_domain;
       user_domains = []; nic; timer; console; disk; blkdev; nucleus; tracesvc;
-      cpu; smp }
+      smp }
   in
   t_ref := Some t;
   jot machine ~kind:Pm_journal.Journal.Domain_up ~domain:kernel_domain.Domain.id
@@ -357,17 +344,12 @@ let register_at t path inst =
 
 let bind t dom path = Api.bind_exn t.api dom (Path.of_string path)
 
-let run t =
-  match t.smp with
-  | Some smp -> Pm_threads.Smp.run smp
-  | None -> Scheduler.run t.api.Api.sched ()
+let run t = Pm_threads.Smp.run t.smp
 
 let step t ?(ticks = 1) () =
-  (* a bounded dispatch budget per tick keeps yield-polling threads from
-     starving device progress *)
+  (* a bounded budget of 64 dispatches per CPU per tick keeps
+     yield-polling threads from starving device progress *)
   for _ = 1 to ticks do
     Machine.tick t.machine;
-    match t.smp with
-    | Some smp -> ignore (Pm_threads.Smp.run smp)
-    | None -> ignore (Scheduler.run t.api.Api.sched ~budget:64 ())
+    ignore (Pm_threads.Smp.run ~budget:64 t.smp)
   done

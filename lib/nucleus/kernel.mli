@@ -18,12 +18,11 @@
 
 type t
 
-(** [boot ?cpus ... ()] brings the system up. With [cpus > 1] (default
-    1) an SMP complex ({!Pm_machine.Cpu}) is created over the machine
-    together with per-CPU schedulers ({!Pm_threads.Smp}); {!run} and
-    {!step} then sweep all CPUs with work stealing. At 1 CPU neither
-    exists and the boot is byte-identical to earlier single-core
-    kernels. *)
+(** [boot ?cpus ... ()] brings the system up on a machine with [cpus]
+    CPUs (default 1), each with its own scheduler ({!Pm_threads.Smp});
+    {!run} and {!step} sweep all CPUs with work stealing. Every CPU
+    count boots the same way; on one CPU the sweep dispatches in
+    exactly the boot scheduler's order. *)
 val boot :
   ?costs:Pm_machine.Cost.t ->
   ?frames:int ->
@@ -38,12 +37,13 @@ val boot :
 val machine : t -> Pm_machine.Machine.t
 val clock : t -> Pm_machine.Clock.t
 
-(** The SMP complex and per-CPU schedulers, when booted with [cpus > 1]. *)
-val cpu : t -> Pm_machine.Cpu.t option
+(** The machine's CPUs (the machine itself, seen through
+    {!Pm_machine.Cpu}) and the per-CPU schedulers over them. *)
+val cpu : t -> Pm_machine.Cpu.t
 
-val smp : t -> Pm_threads.Smp.t option
+val smp : t -> Pm_threads.Smp.t
 
-(** Number of CPUs (1 when no complex). *)
+(** Number of CPUs. *)
 val cpus : t -> int
 val api : t -> Api.t
 val events : t -> Events.t
@@ -99,5 +99,7 @@ val bind : t -> Domain.t -> string -> Pm_obj.Instance.t
 val run : t -> int
 
 (** [step t ?ticks ()] interleaves device ticks with scheduling: each
-    tick advances every device model then drains the scheduler. *)
+    tick advances every device model, then sweeps the CPUs for at most
+    64 dispatches per CPU, so yield-polling threads cannot starve the
+    devices at any CPU count. *)
 val step : t -> ?ticks:int -> unit -> unit

@@ -49,7 +49,7 @@ type chan_ctl = {
   mutable flips : int;
 }
 
-(* The CPU-affinity dimension: one managed domain on an SMP complex.
+(* The CPU-affinity dimension: one managed domain on the machine's CPUs.
    [loads] is the per-CPU cycle signal — typically
    [Stats_svc.cpu_loads], i.e. what /stats/kernel's [cpus] method
    exports — read as epoch deltas. Same governor shape as the other two

@@ -93,9 +93,10 @@ val manage :
 (** Puts one channel's Doorbell/Poll mode under control. *)
 val manage_channel : t -> Pm_chan.Chan.t -> unit
 
-(** [manage_cpu t ~complex ~domain ()] puts [domain]'s CPU affinity
-    under control. Every epoch the agent reads per-CPU load — [loads]
-    defaults to the complex's own (cpu, cycles) pairs, the same signal
+(** [manage_cpu t ~complex ~domain ()] puts [domain]'s CPU affinity on
+    the machine's CPUs ([complex]) under control. Every epoch the agent
+    reads per-CPU load — [loads] defaults to their own (cpu, cycles)
+    pairs, the same signal
     [/stats/kernel]'s [cpus] method exports; pass
     [Stats_svc.cpu_loads] to read through the stats service — and
     re-pins the domain to the least-loaded CPU when its current CPU

@@ -189,30 +189,22 @@ let publish t =
 
 module Cpu = Pm_machine.Cpu
 
-(* One line per CPU of the machine's SMP complex; a single synthetic
-   line for uniprocessor machines so consumers need no special case. *)
+(* One line per CPU of the machine. *)
 let cpus_text t =
-  match Cpu.find ~machine:t.api.Api.machine with
-  | None ->
-    Printf.sprintf "cpu 0  cycles=%-10d halted=0 ipis_sent=0 ipis_recv=0 synced=0"
-      (Clock.now (clock t))
-  | Some cpx ->
-    Cpu.all_stats cpx
-    |> List.map (fun (s : Cpu.cpu_stats) ->
-           Printf.sprintf
-             "cpu %d  cycles=%-10d halted=%d ipis_sent=%d ipis_recv=%d synced=%d"
-             s.Cpu.cpu s.Cpu.cycles
-             (if s.Cpu.halted_now then 1 else 0)
-             s.Cpu.ipis_sent s.Cpu.ipis_recv s.Cpu.synced)
-    |> String.concat "\n"
+  Cpu.all_stats t.api.Api.machine
+  |> List.map (fun (s : Cpu.cpu_stats) ->
+         Printf.sprintf
+           "cpu %d  cycles=%-10d halted=%d ipis_sent=%d ipis_recv=%d synced=%d"
+           s.Cpu.cpu s.Cpu.cycles
+           (if s.Cpu.halted_now then 1 else 0)
+           s.Cpu.ipis_sent s.Cpu.ipis_recv s.Cpu.synced)
+  |> String.concat "\n"
 
 (* The raw (cpu, cycles) pairs behind [cpus_text] — what the placement
    agent's CPU-affinity loop reads as its load signal. *)
 let cpu_loads t =
-  match Cpu.find ~machine:t.api.Api.machine with
-  | None -> [ (0, Clock.now (clock t)) ]
-  | Some cpx ->
-    List.map (fun (s : Cpu.cpu_stats) -> (s.Cpu.cpu, s.Cpu.cycles)) (Cpu.all_stats cpx)
+  List.map (fun (s : Cpu.cpu_stats) -> (s.Cpu.cpu, s.Cpu.cycles))
+    (Cpu.all_stats t.api.Api.machine)
 
 let cpus_json t =
   let one (s : Cpu.cpu_stats) =
@@ -221,13 +213,7 @@ let cpus_json t =
       s.Cpu.cpu s.Cpu.cycles s.Cpu.halted_now s.Cpu.ipis_sent s.Cpu.ipis_recv
       s.Cpu.synced
   in
-  match Cpu.find ~machine:t.api.Api.machine with
-  | None ->
-    Printf.sprintf
-      "[{\"cpu\":0,\"cycles\":%d,\"halted\":false,\"ipis_sent\":0,\"ipis_recv\":0,\"synced\":0}]"
-      (Clock.now (clock t))
-  | Some cpx ->
-    "[" ^ String.concat "," (List.map one (Cpu.all_stats cpx)) ^ "]"
+  "[" ^ String.concat "," (List.map one (Cpu.all_stats t.api.Api.machine)) ^ "]"
 
 (* ---------------- the /stats/kernel service object ------------------- *)
 

@@ -43,10 +43,9 @@ val snapshot_json : t -> string
 val diff_text : t -> string
 val diff_json : t -> string
 
-(** Per-CPU load of the machine's SMP complex (cycles, halted, IPIs,
-    reconciliation idle), one line/object per CPU; a single synthetic
-    CPU 0 line on uniprocessor machines. Also exported as the [cpus]
-    method of [/stats/kernel]. *)
+(** Per-CPU load of the machine (cycles, halted, IPIs, reconciliation
+    idle), one line/object per CPU. Also exported as the [cpus] method
+    of [/stats/kernel]. *)
 val cpus_text : t -> string
 
 val cpus_json : t -> string

@@ -20,6 +20,7 @@ module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Call_ctx = Pm_obj.Call_ctx
+module Wire = Pm_components.Wire
 
 let fault msg = Error (Oerror.Fault msg)
 let ( let* ) = Result.bind
@@ -48,7 +49,7 @@ let append_op st ctx payload =
     if st.entries >= cap then fault "log: full"
     else begin
       let block = Bytes.make st.block_size '\000' in
-      Storewire.set16 block 0 plen;
+      Bytes.set_uint16_be block 0 plen;
       Bytes.blit payload 0 block 2 plen;
       Call_ctx.access ctx (2 + plen);
       let seq = st.entries in
@@ -66,7 +67,7 @@ let get_op st ctx seq =
     let* block = Blockif.read st.lower ctx (1 + seq) in
     if Bytes.length block < 2 then fault "log: short record block"
     else begin
-      let plen = Storewire.get16 block 0 in
+      let plen = Bytes.get_uint16_be block 0 in
       if plen > Bytes.length block - 2 then fault "log: corrupt record length"
       else begin
         Call_ctx.access ctx plen;
@@ -79,7 +80,7 @@ let get_op st ctx seq =
 let flush_op st ctx =
   let sb = Bytes.make st.block_size '\000' in
   Bytes.blit_string magic 0 sb 0 4;
-  Storewire.set32 sb 4 st.entries;
+  Wire.set32 sb 4 st.entries;
   Call_ctx.access ctx header_len;
   let* () = Blockif.write st.lower ctx 0 sb in
   let* pushed = Blockif.flush st.lower ctx in
@@ -89,7 +90,7 @@ let flush_op st ctx =
 let recover_op st ctx =
   let* sb = Blockif.read st.lower ctx 0 in
   if Bytes.length sb >= header_len && Bytes.sub_string sb 0 4 = magic then
-    st.entries <- Storewire.get32 sb 4
+    st.entries <- Wire.get32 sb 4
   else st.entries <- 0;
   st.flushed <- st.entries;
   Ok st.entries

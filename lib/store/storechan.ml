@@ -17,6 +17,7 @@ module Oerror = Pm_obj.Oerror
 module Chan = Pm_chan.Chan
 module Mpsc = Pm_chan.Mpsc
 module Scheduler = Pm_threads.Scheduler
+module Wire = Pm_components.Wire
 
 let fault msg = Error (Oerror.Fault msg)
 let ( let* ) = Result.bind
@@ -54,7 +55,7 @@ let serve_one t ctx msg =
           match Blockif.flush t.target ctx with
           | Ok n ->
             let b = Bytes.create 4 in
-            Storewire.set32 b 0 n;
+            Wire.set32 b 0 n;
             (Storewire.Blkresp.status_ok, b)
           | Error _ -> (1, Bytes.empty)
       in
@@ -109,8 +110,6 @@ let connect t ~name ~client ?(slots = 32) ?(slot_size = 576) () =
       ~slots ~slot_size ~mode:Chan.Poll ~producer:t.serve_dom ()
   in
   ignore (Chan.accept ring ~into:client);
-  (* clients may be pinned anywhere; price cross-CPU responses honestly *)
-  Chan.set_cacheline_priced ring true;
   Hashtbl.replace t.rings id ring;
   let txh = Mpsc.attach t.reqs ~producer:client in
   let sctx = Api.ctx api t.serve_dom in
@@ -175,7 +174,7 @@ let connect t ~name ~client ?(slots = 32) ?(slot_size = 576) () =
         Ok ())
       ~flush:(fun ctx ->
         let* r = roundtrip ctx ~op:Storewire.op_flush ~block:0 Bytes.empty in
-        if Bytes.length r >= 4 then Ok (Storewire.get32 r 0) else Ok 0)
+        if Bytes.length r >= 4 then Ok (Wire.get32 r 0) else Ok 0)
       ~size:(fun _ctx -> Ok size)
       ~blocksize:(fun () -> blocksize)
       ~stats:(fun () -> [ !reqs; !polls; !drops; !stale ])

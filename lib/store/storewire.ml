@@ -1,20 +1,9 @@
 module Call_ctx = Pm_obj.Call_ctx
+module Wire = Pm_components.Wire
 
 let check16 label v =
   if v < 0 || v > 0xffff then
     invalid_arg (Printf.sprintf "Storewire: %s out of range" label)
-
-let get16 b off = (Char.code (Bytes.get b off) lsl 8) lor Char.code (Bytes.get b (off + 1))
-
-let set16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let get32 b off = (get16 b off lsl 16) lor get16 b (off + 2)
-
-let set32 b off v =
-  set16 b off ((v lsr 16) land 0xffff);
-  set16 b (off + 2) (v land 0xffff)
 
 (* charge for materializing [n] bytes into/out of a ring message; the
    rings run with [~account:false], so each payload byte is paid for
@@ -51,9 +40,9 @@ module Blkreq = struct
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + rl + plen) in
     Bytes.set b 0 (Char.chr op);
-    set16 b 1 tag;
-    set32 b 3 block;
-    if rl > 0 then set32 b header_len (Trace.current ());
+    Bytes.set_uint16_be b 1 tag;
+    Wire.set32 b 3 block;
+    if rl > 0 then Wire.set32 b header_len (Trace.current ());
     Bytes.blit payload 0 b (header_len + rl) plen;
     copy_cost ctx (header_len + plen);
     b
@@ -66,8 +55,8 @@ module Blkreq = struct
       let op = Char.code (Bytes.get b 0) in
       if op < op_read || op > op_flush then Error "blkreq: bad op"
       else begin
-        let tag = get16 b 1 and block = get32 b 3 in
-        if rl > 0 then Trace.set_current (get32 b header_len);
+        let tag = Bytes.get_uint16_be b 1 and block = Wire.get32 b 3 in
+        if rl > 0 then Trace.set_current (Wire.get32 b header_len);
         let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
         copy_cost ctx (total - rl);
         Ok { op; tag; block; payload }
@@ -85,7 +74,7 @@ module Blkresp = struct
     check16 "blkresp tag" tag;
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + plen) in
-    set16 b 0 tag;
+    Bytes.set_uint16_be b 0 tag;
     Bytes.set b 2 (Char.chr (status land 0xff));
     Bytes.blit payload 0 b header_len plen;
     copy_cost ctx (header_len + plen);
@@ -95,7 +84,7 @@ module Blkresp = struct
     let total = Bytes.length b in
     if total < header_len then Error "blkresp: truncated"
     else begin
-      let tag = get16 b 0 and status = Char.code (Bytes.get b 2) in
+      let tag = Bytes.get_uint16_be b 0 and status = Char.code (Bytes.get b 2) in
       let payload = Bytes.sub b header_len (total - header_len) in
       copy_cost ctx total;
       Ok { tag; status; payload }
@@ -121,7 +110,7 @@ module Record = struct
     let vlen = Bytes.length value in
     let b = Bytes.create (header_len + klen + vlen) in
     Bytes.set b 0 (Char.chr op);
-    set16 b 1 klen;
+    Bytes.set_uint16_be b 1 klen;
     Bytes.blit key 0 b header_len klen;
     Bytes.blit value 0 b (header_len + klen) vlen;
     copy_cost ctx (header_len + klen + vlen);
@@ -134,7 +123,7 @@ module Record = struct
       let op = Char.code (Bytes.get b 0) in
       if op <> rec_put && op <> rec_del then Error "record: bad op"
       else begin
-        let klen = get16 b 1 in
+        let klen = Bytes.get_uint16_be b 1 in
         if total < header_len + klen then Error "record: truncated key"
         else begin
           let key = Bytes.sub b header_len klen in
@@ -167,8 +156,8 @@ module Kvmsg = struct
     let vlen = Bytes.length value in
     let b = Bytes.create (req_header_len + rl + klen + vlen) in
     Bytes.set b 0 (Char.chr op);
-    set16 b 1 klen;
-    if rl > 0 then set32 b req_header_len (Trace.current ());
+    Bytes.set_uint16_be b 1 klen;
+    if rl > 0 then Wire.set32 b req_header_len (Trace.current ());
     Bytes.blit key 0 b (req_header_len + rl) klen;
     Bytes.blit value 0 b (req_header_len + rl + klen) vlen;
     copy_cost ctx (req_header_len + klen + vlen);
@@ -182,8 +171,8 @@ module Kvmsg = struct
       let op = Char.code (Bytes.get b 0) in
       if op < kv_get || op > kv_del then Error "kv req: bad op"
       else begin
-        let klen = get16 b 1 in
-        if rl > 0 then Trace.set_current (get32 b req_header_len);
+        let klen = Bytes.get_uint16_be b 1 in
+        if rl > 0 then Trace.set_current (Wire.get32 b req_header_len);
         if total < req_header_len + rl + klen then Error "kv req: truncated key"
         else begin
           let key = Bytes.sub b (req_header_len + rl) klen in
@@ -210,7 +199,7 @@ module Kvmsg = struct
     let plen = Bytes.length payload in
     let b = Bytes.create (resp_header_len + rl + plen) in
     Bytes.set b 0 (Char.chr (status land 0xff));
-    if rl > 0 then set32 b resp_header_len (Trace.current ());
+    if rl > 0 then Wire.set32 b resp_header_len (Trace.current ());
     Bytes.blit payload 0 b (resp_header_len + rl) plen;
     copy_cost ctx (resp_header_len + plen);
     b
@@ -221,7 +210,7 @@ module Kvmsg = struct
     if total < resp_header_len + rl then Error "kv resp: truncated"
     else begin
       let status = Char.code (Bytes.get b 0) in
-      if rl > 0 then Trace.set_current (get32 b resp_header_len);
+      if rl > 0 then Trace.set_current (Wire.get32 b resp_header_len);
       let payload =
         Bytes.sub b (resp_header_len + rl) (total - resp_header_len - rl)
       in

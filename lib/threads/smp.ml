@@ -1,11 +1,12 @@
-(* Per-CPU scheduling over an SMP complex.
+(* Per-CPU scheduling over a machine's CPUs.
 
    One {!Scheduler.t} per CPU, each bound to that CPU's clock so every
    dispatch, promotion and crash it charges lands on the right core.
    [run] interleaves the CPUs with a deterministic round-robin sweep —
    one dispatch per CPU per pass — so the simulation is reproducible
    while per-CPU clocks advance independently between synchronization
-   points.
+   points. On one CPU a sweep is one dispatch of that CPU's scheduler,
+   so [run] dispatches in exactly {!Scheduler.run}'s order.
 
    Work stealing: a CPU whose own queue is empty takes the oldest ready
    entry from the most-loaded sibling (ties to the lowest CPU id). The
@@ -15,6 +16,7 @@
    re-homes the thread so its later yields and wakeups stay with the
    thief. *)
 
+module Machine = Pm_machine.Machine
 module Cpu = Pm_machine.Cpu
 module Clock = Pm_machine.Clock
 module Cost = Pm_machine.Cost
@@ -28,21 +30,18 @@ type t = {
   mutable dispatches : int;
 }
 
-let create ?policy ?mmu cpu ~boot costs =
-  let n = Cpu.count cpu in
+let create ?policy cpu ~boot =
+  let costs = Machine.costs cpu in
   let scheds =
-    Array.init n (fun i ->
+    Array.init (Cpu.count cpu) (fun i ->
         if i = 0 then boot
         else begin
           let s = Scheduler.create ?policy (Cpu.clock_of cpu i) costs in
-          (match mmu with Some m -> Scheduler.set_mmu s m | None -> ());
+          Scheduler.set_mmu s (Machine.mmu cpu);
           s
         end)
   in
   { cpu; costs; scheds; steals = 0; steal_attempts = 0; dispatches = 0 }
-
-let cpu t = t.cpu
-let count t = Array.length t.scheds
 
 let sched t k =
   if k < 0 || k >= Array.length t.scheds then
@@ -85,10 +84,12 @@ let try_steal t ~thief =
       Clock.count clk "steal";
       true)
 
-let run ?(steal = true) t =
+let run ?(steal = true) ?(budget = max_int) t =
   let total = ref 0 in
+  let sweeps = ref 0 in
   let progress = ref true in
-  while !progress do
+  while !progress && !sweeps < budget do
+    incr sweeps;
     progress := false;
     for k = 0 to Array.length t.scheds - 1 do
       if not (Cpu.halted t.cpu k) then begin
@@ -108,9 +109,6 @@ let run ?(steal = true) t =
     done
   done;
   !total
-
-let ready_total t =
-  Array.fold_left (fun acc s -> acc + Scheduler.ready_count s) 0 t.scheds
 
 let stats t = function
   | `Steals -> t.steals

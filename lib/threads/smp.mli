@@ -1,28 +1,21 @@
-(** Per-CPU scheduling over an SMP complex ({!Pm_machine.Cpu}).
+(** Per-CPU scheduling over a machine's CPUs ({!Pm_machine.Cpu}).
 
     One {!Scheduler.t} per CPU, each bound to that CPU's clock. {!run}
     interleaves the CPUs with a deterministic round-robin sweep (one
     dispatch per CPU per pass); an idle CPU steals the oldest ready
     entry from its most-loaded sibling, reconciling its clock to the
     entry's ready-at time and paying {!Pm_machine.Cost.steal}. Halted
-    CPUs neither dispatch nor steal until woken (e.g. by an IPI). *)
+    CPUs neither dispatch nor steal until woken (e.g. by an IPI). Every
+    kernel schedules through one of these, whatever its CPU count; on
+    one CPU {!run} dispatches in exactly {!Scheduler.run}'s order. *)
 
 type t
 
-(** [create ?policy ?mmu cpu ~boot costs] builds per-CPU schedulers:
-    CPU 0 uses [boot] (the kernel's existing scheduler — threads already
-    spawned stay valid); CPUs 1.. get fresh schedulers on their own
-    clocks, with [policy] and [mmu] applied. *)
-val create :
-  ?policy:Scheduler.policy ->
-  ?mmu:Pm_machine.Mmu.t ->
-  Pm_machine.Cpu.t ->
-  boot:Scheduler.t ->
-  Pm_machine.Cost.t ->
-  t
-
-val cpu : t -> Pm_machine.Cpu.t
-val count : t -> int
+(** [create ?policy cpus ~boot] builds one scheduler per CPU of the
+    machine: CPU 0 uses [boot] (the kernel's existing scheduler —
+    threads already spawned stay valid); CPUs 1.. get fresh schedulers
+    on their own clocks, with [policy] and the machine's MMU applied. *)
+val create : ?policy:Scheduler.policy -> Pm_machine.Cpu.t -> boot:Scheduler.t -> t
 
 (** The scheduler instance owned by CPU [k]. *)
 val sched : t -> int -> Scheduler.t
@@ -45,10 +38,9 @@ val spawn_on :
     attempt on all-empty siblings is free. *)
 val try_steal : t -> thief:int -> bool
 
-(** [run ?steal t] sweeps the CPUs round-robin, one dispatch each per
-    pass, until no CPU can make progress. [steal] (default [true])
-    enables work stealing for idle CPUs. Returns total dispatches. *)
-val run : ?steal:bool -> t -> int
-
-val ready_total : t -> int
+(** [run ?steal ?budget t] sweeps the CPUs round-robin, one dispatch
+    each per pass, until no CPU can make progress or [budget] sweeps
+    have run (default: unbounded). [steal] (default [true]) enables work
+    stealing for idle CPUs. Returns total dispatches. *)
+val run : ?steal:bool -> ?budget:int -> t -> int
 val stats : t -> [ `Steals | `Steal_attempts | `Dispatches ] -> int

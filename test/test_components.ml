@@ -133,6 +133,10 @@ let test_rpc_codec_errors () =
   (match Rpc.decode_response (Bytes.create 2) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short response must be rejected");
+  (* ids are unsigned 32-bit: the high bit survives the round trip *)
+  (match Rpc.decode_response (Rpc.encode_response ~id:0xdead_beef ~status:0 Bytes.empty) with
+  | Ok (id, _, _) -> Alcotest.(check int) "unsigned id" 0xdead_beef id
+  | Error e -> Alcotest.fail e);
   let resp = Rpc.encode_response ~id:7 ~status:Rpc.status_error (Bytes.of_string "boom") in
   match Rpc.decode_response resp with
   | Ok (7, status, payload) ->
@@ -529,6 +533,50 @@ let test_rpc_measurement_interface () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "measurement only fits clients")
 
+(* Measurement state belongs to the client instance, not its handle:
+   handles are per registry, so every kernel reuses the same numbers. *)
+let test_rpc_measurement_per_kernel () =
+  let _, k1, server1, client1 = rpc_fixture () in
+  let _, k2, _, client2 = rpc_fixture () in
+  Alcotest.(check int) "both clients hold the same handle" (Instance.handle client1)
+    (Instance.handle client2);
+  Rpc.add_measurement client1;
+  Rpc.add_measurement client2;
+  let ctx k = Kernel.ctx k (Kernel.kernel_domain k) in
+  let kdom1 = Kernel.kernel_domain k1 in
+  ignore
+    (Scheduler.spawn (Kernel.sched k1) ~name:"server-pump" ~domain:kdom1.Domain.id
+       (fun () ->
+         for _ = 1 to 300 do
+           ignore (Invoke.call_exn (ctx k1) server1 ~iface:"rpc.server" ~meth:"poll" []);
+           Scheduler.yield ()
+         done));
+  ignore
+    (run_rpc k1 (fun () ->
+         Invoke.call_exn (ctx k1) client1 ~iface:"rpc" ~meth:"call"
+           [ Value.Str "echo"; Value.Blob (Bytes.of_string "m") ]));
+  let calls k client =
+    Invoke.call_exn (ctx k) client ~iface:"rpc.measure" ~meth:"calls" []
+  in
+  Alcotest.check value "first kernel's client counted its call" (Value.Int 1)
+    (calls k1 client1);
+  Alcotest.check value "second kernel's client made none" (Value.Int 0) (calls k2 client2);
+  (* a third kernel's server holding a client's handle is still no client *)
+  let _, k3, _ = net_fixture ~loopback:true () in
+  let rec server_at port =
+    let s =
+      Rpc.create_server (Kernel.api k3) (Kernel.kernel_domain k3)
+        ~stack_path:"/services/stack" ~port ~procedures:[]
+    in
+    if Instance.handle s < Instance.handle client1 then server_at (port + 1) else s
+  in
+  let server3 = server_at 100 in
+  Alcotest.(check int) "the server holds the client's handle" (Instance.handle client1)
+    (Instance.handle server3);
+  match Rpc.add_measurement server3 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "measurement only fits clients, whatever their handle"
+
 (* --- interposition ------------------------------------------------------------------ *)
 
 let test_interpose_forwards_and_counts () =
@@ -759,6 +807,8 @@ let () =
           Alcotest.test_case "application error" `Quick test_rpc_application_error;
           Alcotest.test_case "measurement interface" `Quick
             test_rpc_measurement_interface;
+          Alcotest.test_case "measurement per kernel" `Quick
+            test_rpc_measurement_per_kernel;
         ] );
       ( "interpose",
         [

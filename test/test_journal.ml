@@ -498,7 +498,7 @@ let test_txn_rollback_each_step () =
         ~domains:(fun () -> Kernel.domains k)
         ()
     in
-    Alcotest.(check int) (tag "all rules ran") 10 report.Lint.rules_run;
+    Alcotest.(check int) (tag "all rules ran") 9 report.Lint.rules_run;
     Alcotest.(check int) (tag "lint clean") 0
       (List.length (Lint.errors report))
   in

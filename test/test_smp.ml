@@ -1,29 +1,26 @@
-(* Tests for the SMP complex: per-CPU clocks, reconciliation, IPIs,
+(* Tests for a machine's CPUs: per-CPU clocks, reconciliation, IPIs,
    work stealing across per-CPU schedulers, cross-CPU channel pricing
-   and doorbell routing, and the journal's per-CPU provenance. *)
+   and doorbell routing, the journal's per-CPU provenance, and a kernel
+   stepped on one CPU and on two. *)
 
 open Paramecium
-
-let machine_fixture cpus =
-  let machine = Machine.create () in
-  (machine, Cpu.create machine ~cpus)
 
 (* --- per-CPU clocks and reconciliation ---------------------------------- *)
 
 let test_per_cpu_clocks () =
-  let machine, cpx = machine_fixture 2 in
-  Alcotest.(check int) "two cpus" 2 (Cpu.count cpx);
-  let t0 = Cpu.now cpx 0 in
-  Cpu.run_on cpx 1 (fun () -> Clock.advance (Machine.clock machine) 100);
-  Alcotest.(check int) "cpu 0 untouched" t0 (Cpu.now cpx 0);
-  Alcotest.(check int) "cpu 1 advanced" (t0 + 100) (Cpu.now cpx 1);
-  Alcotest.(check int) "makespan is the max" (t0 + 100) (Cpu.makespan cpx);
+  let machine = Machine.create ~cpus:2 () in
+  Alcotest.(check int) "two cpus" 2 (Cpu.count machine);
+  let t0 = Cpu.now machine 0 in
+  Cpu.run_on machine 1 (fun () -> Clock.advance (Machine.clock machine) 100);
+  Alcotest.(check int) "cpu 0 untouched" t0 (Cpu.now machine 0);
+  Alcotest.(check int) "cpu 1 advanced" (t0 + 100) (Cpu.now machine 1);
+  Alcotest.(check int) "makespan is the max" (t0 + 100) (Cpu.makespan machine);
   (* run_on restores the active clock *)
   Clock.advance (Machine.clock machine) 7;
-  Alcotest.(check int) "back on cpu 0" (t0 + 7) (Cpu.now cpx 0)
+  Alcotest.(check int) "back on cpu 0" (t0 + 7) (Cpu.now machine 0)
 
 let test_sync_forward_only () =
-  let _, cpx = machine_fixture 2 in
+  let cpx = Machine.create ~cpus:2 () in
   let t0 = Cpu.now cpx 1 in
   Cpu.sync_to cpx ~cpu:1 ~at:(t0 + 50);
   Alcotest.(check int) "reconciled forward" (t0 + 50) (Cpu.now cpx 1);
@@ -31,48 +28,42 @@ let test_sync_forward_only () =
   Cpu.sync_to cpx ~cpu:1 ~at:t0;
   Alcotest.(check int) "never backward" (t0 + 50) (Cpu.now cpx 1)
 
-let test_one_complex_per_machine () =
-  let machine, _ = machine_fixture 1 in
-  match Cpu.create machine ~cpus:2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "second complex on one machine must be rejected"
-
 (* --- IPIs --------------------------------------------------------------- *)
 
 let test_ipi_to_halted_cpu () =
-  let machine, cpx = machine_fixture 2 in
+  let machine = Machine.create ~cpus:2 () in
   let hits = ref [] in
   Machine.set_trap_handler machine 5
     (Some
        (fun arg ->
-         hits := (Cpu.current cpx, arg) :: !hits;
+         hits := (Cpu.current machine, arg) :: !hits;
          arg));
-  Cpu.halt cpx 1;
-  Alcotest.(check bool) "halted" true (Cpu.halted cpx 1);
-  Cpu.run_on cpx 0 (fun () ->
+  Cpu.halt machine 1;
+  Alcotest.(check bool) "halted" true (Cpu.halted machine 1);
+  Cpu.run_on machine 0 (fun () ->
       Clock.advance (Machine.clock machine) 200;
-      Cpu.ipi cpx ~cpu:1 5 7);
+      Cpu.ipi machine ~cpu:1 5 7);
   Alcotest.(check (list (pair int int)))
     "trap ran once, on the target cpu" [ (1, 7) ] !hits;
-  Alcotest.(check bool) "ipi woke the target" false (Cpu.halted cpx 1);
+  Alcotest.(check bool) "ipi woke the target" false (Cpu.halted machine 1);
   (* the target reconciled to the send time, then paid the trap *)
-  Alcotest.(check bool) "target caught up" true (Cpu.now cpx 1 > Cpu.now cpx 0);
-  let s0 = Cpu.stats cpx 0 and s1 = Cpu.stats cpx 1 in
+  Alcotest.(check bool) "target caught up" true (Cpu.now machine 1 > Cpu.now machine 0);
+  let s0 = Cpu.stats machine 0 and s1 = Cpu.stats machine 1 in
   Alcotest.(check int) "sender counted" 1 s0.Cpu.ipis_sent;
   Alcotest.(check int) "target counted" 1 s1.Cpu.ipis_recv;
   Alcotest.(check int) "sender paid the ipi"
     ((Machine.costs machine).Cost.ipi + 200)
-    (Cpu.now cpx 0)
+    (Cpu.now machine 0)
 
 (* --- work stealing ------------------------------------------------------ *)
 
 let smp_fixture cpus =
-  let machine, cpx = machine_fixture cpus in
-  let boot = Scheduler.create (Machine.clock machine) (Machine.costs machine) in
-  (machine, cpx, Smp.create cpx ~boot (Machine.costs machine))
+  let cpx = Machine.create ~cpus () in
+  let boot = Scheduler.create (Machine.clock cpx) (Machine.costs cpx) in
+  (cpx, Smp.create cpx ~boot)
 
 let test_steal_from_empty () =
-  let _, cpx, smp = smp_fixture 2 in
+  let cpx, smp = smp_fixture 2 in
   let t1 = Cpu.now cpx 1 in
   Alcotest.(check bool) "nothing to steal" false (Smp.try_steal smp ~thief:1);
   Alcotest.(check int) "an empty attempt is free" t1 (Cpu.now cpx 1);
@@ -80,7 +71,7 @@ let test_steal_from_empty () =
   Alcotest.(check int) "no steal counted" 0 (Smp.stats smp `Steals)
 
 let test_steal_spreads_load () =
-  let _, cpx, smp = smp_fixture 2 in
+  let cpx, smp = smp_fixture 2 in
   let where = ref [] in
   for i = 1 to 4 do
     ignore
@@ -134,7 +125,7 @@ let test_steal_rehomes_wakeup () =
 let sys_fixture () =
   let sys = System.create ~seed:0xBEEF ~cpus:2 () in
   let k = System.kernel sys in
-  (sys, k, Kernel.kernel_domain k, Option.get (System.cpu sys))
+  (sys, k, Kernel.kernel_domain k, System.cpu sys)
 
 let test_cacheline_pricing () =
   let sys, k, kdom, cpx = sys_fixture () in
@@ -152,8 +143,7 @@ let test_cacheline_pricing () =
     f ();
     Clock.now (Machine.clock machine) - t0
   in
-  (* same machine, endpoints on the same CPU: pricing flag is inert *)
-  Chan.set_cacheline_priced chan true;
+  (* a plain ring, endpoints on the same CPU: no cache lines move *)
   let send_same = delta (fun () -> ignore (Chan.try_send chan msg)) in
   let recv_same = delta (fun () -> ignore (Chan.try_recv chan)) in
   (* pin the endpoints apart: every message now pays the coherence
@@ -165,24 +155,18 @@ let test_cacheline_pricing () =
   let send_cross = delta (fun () -> ignore (Chan.try_send chan msg)) in
   let recv_cross = delta (fun () -> ignore (Chan.try_recv chan)) in
   Alcotest.(check int) "send pays the lines" (send_same + expect) send_cross;
-  Alcotest.(check int) "recv pays the lines" (recv_same + expect) recv_cross;
-  (* unpriced cross-CPU ring charges nothing — and is what the
-     cross-cpu lint rule exists to flag *)
-  Chan.set_cacheline_priced chan false;
-  let send_unpriced = delta (fun () -> ignore (Chan.try_send chan msg)) in
-  Alcotest.(check int) "unpriced ring is uncharged" send_same send_unpriced
+  Alcotest.(check int) "recv pays the lines" (recv_same + expect) recv_cross
 
 let test_cross_cpu_doorbell_ipi () =
   let sys, k, kdom, cpx = sys_fixture () in
   let api = Kernel.api k in
-  let smp = Option.get (System.smp sys) in
+  let smp = System.smp sys in
   let udom = System.new_domain sys "bell-far" in
   let chan =
     Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"farbell" ~slots:8
       ~slot_size:16 ~producer:kdom ()
   in
   ignore (Chan.accept chan ~into:udom);
-  Chan.set_cacheline_priced chan true;
   Cpu.pin cpx ~domain:udom.Domain.id ~cpu:1;
   Cpu.halt cpx 1;
   let got = ref [] in
@@ -328,30 +312,75 @@ let test_placer_payback_defers () =
   Alcotest.(check int) "still on cpu 0" 0 (Cpu.cpu_of cpx ~domain:udom.Domain.id);
   Alcotest.(check bool) "defers counted" true (Placer.cpu_deferrals placer > 0)
 
-(* --- 1-CPU byte-identity ------------------------------------------------ *)
+(* --- Kernel.step at any CPU count ----------------------------------------- *)
 
-let test_uniprocessor_unchanged () =
-  (* a 1-CPU complex must not perturb the clock: same ops as a machine
-     with no complex at all, cycle for cycle *)
-  let run with_complex =
-    let sys = System.create ~seed:0xBEEF () in
-    let k = System.kernel sys in
-    if with_complex then ignore (Cpu.create (Kernel.machine k) ~cpus:1);
-    let kdom = Kernel.kernel_domain k in
-    let udom = System.new_domain sys "mirror" in
-    let chan =
-      Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"mirror"
-        ~slots:8 ~slot_size:16 ~producer:kdom ()
-    in
-    ignore (Chan.accept chan ~into:udom);
-    for i = 1 to 5 do
-      ignore (Chan.try_send chan (Bytes.of_string (string_of_int i)))
-    done;
-    ignore (Chan.recv_batch chan ());
-    Clock.now (System.clock sys)
+(* The RPC demo's shape: loopback networking, a server pumped by a
+   thread that polls and yields, and a client making four calls. Every
+   reply needs device ticks between dispatches, so this only completes
+   when [Kernel.step]'s dispatch budget holds on every CPU count. *)
+let test_step_rpc cpus () =
+  let sys = System.create ~seed:21 ~cpus () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let api = Kernel.api k in
+  ignore
+    (System.setup_networking sys ~placement:System.Certified ~addr:42
+       ~loopback:true ());
+  let int_of b off = Int32.to_int (Bytes.get_int32_be b off) in
+  let enc ints =
+    let b = Bytes.create (4 * List.length ints) in
+    List.iteri (fun i v -> Bytes.set_int32_be b (4 * i) (Int32.of_int v)) ints;
+    b
   in
-  Alcotest.(check int) "1-cpu run is cycle-identical to no complex"
-    (run false) (run true)
+  let binop f _ctx b = f (int_of b 0) (int_of b 4) in
+  let procedures =
+    [ ("add", binop (fun a b -> Ok (enc [ a + b ])));
+      ("mul", binop (fun a b -> Ok (enc [ a * b ])));
+      ("div", binop (fun a b ->
+           if b = 0 then Error "division by zero" else Ok (enc [ a / b ]))) ]
+  in
+  let server =
+    Rpc.create_server api kdom ~stack_path:"/services/stack" ~port:100 ~procedures
+  in
+  let client =
+    Rpc.create_client api kdom ~stack_path:"/services/stack" ~port:200
+      ~server:(42, 100) ()
+  in
+  let ctx = Kernel.ctx k kdom in
+  let sched = Kernel.sched k in
+  ignore
+    (Scheduler.spawn sched ~name:"rpc-server" ~domain:kdom.Domain.id (fun () ->
+         for _ = 1 to 2_000 do
+           ignore (Invoke.call_exn ctx server ~iface:"rpc.server" ~meth:"poll" []);
+           Scheduler.yield ()
+         done));
+  let results = ref [] in
+  ignore
+    (Scheduler.spawn sched ~name:"rpc-client" ~domain:kdom.Domain.id (fun () ->
+         let call name a b =
+           match
+             Invoke.call ctx client ~iface:"rpc" ~meth:"call"
+               [ Value.Str name; Value.Blob (enc [ a; b ]) ]
+           with
+           | Ok (Value.Blob r) -> Ok (int_of r 0)
+           | Ok v -> Error (Value.to_string v)
+           | Error e -> Error (Oerror.to_string e)
+         in
+         let add = call "add" 2 40 in
+         let mul = call "mul" 6 7 in
+         let div = call "div" 84 2 in
+         results := [ add; mul; div; call "div" 1 0 ]));
+  Kernel.step k ~ticks:400 ();
+  match !results with
+  | [ add; mul; div; div0 ] ->
+    List.iter
+      (fun (label, r) ->
+        Alcotest.(check (result int string)) label (Ok 42) r)
+      [ ("add", add); ("mul", mul); ("div", div) ];
+    Alcotest.(check (result int string)) "remote division-by-zero error"
+      (Error (Oerror.to_string (Oerror.Fault "rpc: remote error: division by zero")))
+      div0
+  | _ -> Alcotest.fail "the client thread did not finish its four calls"
 
 let () =
   Alcotest.run "smp"
@@ -360,8 +389,6 @@ let () =
         [
           Alcotest.test_case "per-cpu clocks" `Quick test_per_cpu_clocks;
           Alcotest.test_case "sync forward only" `Quick test_sync_forward_only;
-          Alcotest.test_case "one complex per machine" `Quick
-            test_one_complex_per_machine;
           Alcotest.test_case "ipi to halted cpu" `Quick test_ipi_to_halted_cpu;
         ] );
       ( "stealing",
@@ -389,9 +416,11 @@ let () =
           Alcotest.test_case "re-pins to the idle cpu" `Quick test_placer_repins;
           Alcotest.test_case "payback defers" `Quick test_placer_payback_defers;
         ] );
-      ( "identity",
-        [
-          Alcotest.test_case "uniprocessor unchanged" `Quick
-            test_uniprocessor_unchanged;
-        ] );
+      ( "step",
+        List.map
+          (fun cpus ->
+            Alcotest.test_case
+              (Printf.sprintf "rpc answers on %d cpu(s)" cpus)
+              `Quick (test_step_rpc cpus))
+          [ 1; 2 ] );
     ]
