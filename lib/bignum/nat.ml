@@ -73,6 +73,14 @@ let test_bit x i =
   let limb = i / base_bits and bit = i mod base_bits in
   limb < Array.length x && (x.(limb) lsr bit) land 1 = 1
 
+(* Bits [lo, lo + w) of [x], for 0 < w <= base_bits: they span at most two
+   limbs. *)
+let bits_at (x : t) lo w =
+  let limb = lo / base_bits and off = lo mod base_bits and n = Array.length x in
+  let low = if limb < n then x.(limb) lsr off else 0 in
+  let high = if limb + 1 < n then x.(limb + 1) lsl (base_bits - off) else 0 in
+  (low lor high) land ((1 lsl w) - 1)
+
 let is_even x = Array.length x = 0 || x.(0) land 1 = 0
 let is_odd x = not (is_even x)
 
@@ -277,18 +285,108 @@ let pow b e =
   in
   go one b e
 
+(* -m0^-1 mod 2^30 for odd m0. Newton's step x <- x (2 - m0 x) doubles the
+   correct low bits, and x = m0 starts with 3 (m0 * m0 = 1 mod 8); int
+   arithmetic wraps mod 2^63, which 2^30 divides. *)
+let neg_inv_limb m0 =
+  let x = ref m0 in
+  for _ = 1 to 4 do
+    x := !x * (2 - (m0 * !x)) land mask
+  done;
+  - !x land mask
+
+(* Montgomery product a * b / R mod m, R = 2^(30n), for a, b < m held in
+   exactly n = |m| limbs. Each step adds a * b_i and the multiple q m that
+   clears the low limb in one pass, then drops that limb (FIOS). A step's
+   running sum t_j + a_j b_i + q m_j + carry stays below 2^61, and t stays
+   below 2m, so its top limb t_n is 0 or 1. [t] is n + 1 limbs of scratch. *)
+let mont_mul m minv t a b =
+  let n = Array.length m in
+  Array.fill t 0 (n + 1) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let s = t.(0) + (a.(0) * bi) in
+    let q = s * minv land mask in
+    let c = ref ((s + (q * m.(0))) lsr base_bits) in
+    for j = 1 to n - 1 do
+      let s = t.(j) + (a.(j) * bi) + (q * m.(j)) + !c in
+      t.(j - 1) <- s land mask;
+      c := s lsr base_bits
+    done;
+    let s = t.(n) + !c in
+    t.(n - 1) <- s land mask;
+    t.(n) <- s lsr base_bits
+  done;
+  (* t < 2m: subtract m once if t >= m; i is t's top limb that differs
+     from m's *)
+  let i = ref (n - 1) in
+  while !i >= 0 && t.(!i) = m.(!i) do
+    decr i
+  done;
+  let r = Array.sub t 0 n in
+  if t.(n) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
+    let borrow = ref 0 in
+    for j = 0 to n - 1 do
+      let d = r.(j) - m.(j) - !borrow in
+      r.(j) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end;
+  r
+
+(* The residues mod m in some representation: [enter] maps any x in,
+   [mul] multiplies two residues, [leave] maps one back. *)
+type residues = { enter : t -> t; mul : t -> t -> t; leave : t -> t }
+
+(* Montgomery form x R mod m, in exactly |m| limbs; m must be odd. *)
+let montgomery m =
+  let n = Array.length m in
+  let minv = neg_inv_limb m.(0) and scratch = Array.make (n + 1) 0 in
+  let pad x =
+    let r = Array.make n 0 in
+    Array.blit x 0 r 0 (Array.length x);
+    r
+  in
+  let mul a b = mont_mul m minv scratch a b in
+  let r2 = pad (rem (shift_left one (2 * base_bits * n)) m) in
+  { enter = (fun x -> mul (pad (rem x m)) r2); mul; leave = (fun x -> normalize (mul x (pad one))) }
+
+(* Plain residues reduced by long division: the only representation for
+   an even m, which has no Montgomery form. *)
+let by_division m = { enter = (fun x -> rem x m); mul = (fun a b -> rem (mul a b) m); leave = Fun.id }
+
+(* Window width for a k-bit exponent. Up to 32 bits the exponents are
+   public ones such as 65537, too sparse to repay any table; above, they
+   are CRT halves and Miller-Rabin exponents (up to 256 bits on 512-bit
+   keys), where a 4-bit window costs 14 table products and then about k/4
+   multiplies, against about k/2 bit by bit. *)
+let window_bits k = if k <= 32 then 1 else 4
+
+(* Fixed-window exponentiation, left to right: the top window's digit
+   picks the start from the table, then each lower window squares w times
+   and multiplies by table.(digit). *)
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
-  if equal m one then zero
-  else begin
-    let b = rem b m in
-    let r = ref one in
-    for i = bit_length e - 1 downto 0 do
-      r := rem (mul !r !r) m;
-      if test_bit e i then r := rem (mul !r b) m
+  let r = if is_odd m then montgomery m else by_division m in
+  let k = bit_length e in
+  let w = window_bits k in
+  let digit i = bits_at e (i * w) w in
+  (* table.(i) = b^i *)
+  let table = Array.make (1 lsl w) (r.enter one) in
+  table.(1) <- r.enter b;
+  for i = 2 to (1 lsl w) - 1 do
+    table.(i) <- r.mul table.(i - 1) table.(1)
+  done;
+  let top = Stdlib.max 0 ((k - 1) / w) in
+  let acc = ref table.(digit top) in
+  for i = top - 1 downto 0 do
+    for _ = 1 to w do
+      acc := r.mul !acc !acc
     done;
-    !r
-  end
+    let d = digit i in
+    if d <> 0 then acc := r.mul !acc table.(d)
+  done;
+  r.leave !acc
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -354,13 +452,7 @@ let to_hex x =
     let nibbles = (bits + 3) / 4 in
     let buf = Buffer.create nibbles in
     for i = nibbles - 1 downto 0 do
-      let v =
-        (if test_bit x ((i * 4) + 3) then 8 else 0)
-        + (if test_bit x ((i * 4) + 2) then 4 else 0)
-        + (if test_bit x ((i * 4) + 1) then 2 else 0)
-        + if test_bit x (i * 4) then 1 else 0
-      in
-      Buffer.add_char buf "0123456789abcdef".[v]
+      Buffer.add_char buf "0123456789abcdef".[bits_at x (i * 4) 4]
     done;
     Buffer.contents buf
   end
@@ -400,9 +492,15 @@ let of_string s =
   end
 
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((8 * len) + base_bits - 1) / base_bits) 0 in
+  for i = 0 to len - 1 do
+    (* byte i from the right holds bits [8i, 8i + 8) *)
+    let v = Char.code s.[len - 1 - i] and limb = 8 * i / base_bits and off = 8 * i mod base_bits in
+    r.(limb) <- r.(limb) lor ((v lsl off) land mask);
+    if off > base_bits - 8 then r.(limb + 1) <- v lsr (base_bits - off)
+  done;
+  normalize r
 
 let to_bytes_be ?len x =
   let nbytes = (bit_length x + 7) / 8 in
@@ -415,17 +513,7 @@ let to_bytes_be ?len x =
   in
   let b = Bytes.make out_len '\000' in
   for i = 0 to nbytes - 1 do
-    let byte =
-      (if test_bit x ((i * 8) + 7) then 128 else 0)
-      lor (if test_bit x ((i * 8) + 6) then 64 else 0)
-      lor (if test_bit x ((i * 8) + 5) then 32 else 0)
-      lor (if test_bit x ((i * 8) + 4) then 16 else 0)
-      lor (if test_bit x ((i * 8) + 3) then 8 else 0)
-      lor (if test_bit x ((i * 8) + 2) then 4 else 0)
-      lor (if test_bit x ((i * 8) + 1) then 2 else 0)
-      lor if test_bit x (i * 8) then 1 else 0
-    in
-    Bytes.set b (out_len - 1 - i) (Char.chr byte)
+    Bytes.set b (out_len - 1 - i) (Char.chr (bits_at x (8 * i) 8))
   done;
   Bytes.to_string b
 

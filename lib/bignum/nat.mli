@@ -49,8 +49,9 @@ val rem : t -> t -> t
 (** [pow b e] is [b]^[e] for a machine-int exponent [e >= 0]. *)
 val pow : t -> int -> t
 
-(** [mod_pow b e m] is [b]^[e] mod [m]. Raises [Division_by_zero] if
-    [m] is zero. *)
+(** [mod_pow b e m] is [b]^[e] mod [m], by fixed-window exponentiation
+    over Montgomery multiplication when [m] is odd and over long division
+    when [m] is even. Raises [Division_by_zero] if [m] is zero. *)
 val mod_pow : t -> t -> t -> t
 
 val gcd : t -> t -> t

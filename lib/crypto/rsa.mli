@@ -10,9 +10,15 @@
 
 type public = { n : Pm_bignum.Nat.t; e : Pm_bignum.Nat.t }
 
+(** The private key in CRT form: the private exponent d = e^-1 mod
+    (p - 1)(q - 1) is kept only as its residues [dp] and [dq]. *)
 type keypair = {
   pub : public;
-  d : Pm_bignum.Nat.t; (* private exponent *)
+  p : Pm_bignum.Nat.t; (* n = p * q *)
+  q : Pm_bignum.Nat.t;
+  dp : Pm_bignum.Nat.t; (* d mod (p - 1) *)
+  dq : Pm_bignum.Nat.t; (* d mod (q - 1) *)
+  qinv : Pm_bignum.Nat.t; (* q^-1 mod p *)
   bits : int; (* modulus width *)
 }
 

@@ -6,7 +6,8 @@
     students), component authors — is a principal identified by its public
     key. *)
 
-type t = { name : string; key : Pm_crypto.Rsa.public }
+(** [id] is the key's fingerprint, computed once by {!make}. *)
+type t = private { name : string; key : Pm_crypto.Rsa.public; id : string }
 
 val make : string -> Pm_crypto.Rsa.public -> t
 

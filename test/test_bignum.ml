@@ -87,7 +87,16 @@ let test_mod_pow () =
   (* Fermat: a^(p-1) = 1 mod p for prime p *)
   let p = n_of_s "1000000007" in
   check_nat "fermat" N.one (N.mod_pow (N.of_int 2) (N.sub p N.one) p);
-  check_nat "mod 1" N.zero (N.mod_pow (N.of_int 5) (N.of_int 3) N.one)
+  check_nat "mod 1" N.zero (N.mod_pow (N.of_int 5) (N.of_int 3) N.one);
+  check_nat "mod 1, e = 0" N.zero (N.mod_pow (N.of_int 5) N.zero N.one);
+  check_nat "mod 2" N.one (N.mod_pow (N.of_int 7) (N.of_int 5) N.two);
+  check_nat "mod 2, even base" N.zero (N.mod_pow (N.of_int 6) (N.of_int 5) N.two);
+  check_nat "e = 0" N.one (N.mod_pow (N.of_int 9) N.zero p);
+  check_nat "e = 0, even m" N.one (N.mod_pow (N.of_int 9) N.zero (N.of_int 10));
+  check_nat "b = 0" N.zero (N.mod_pow N.zero (N.of_int 3) p);
+  check_nat "0^0" N.one (N.mod_pow N.zero N.zero p);
+  Alcotest.check_raises "m = 0" Division_by_zero (fun () ->
+      ignore (N.mod_pow N.one N.one N.zero))
 
 let test_gcd_modinv () =
   check_nat "gcd" (N.of_int 6) (N.gcd (N.of_int 48) (N.of_int 18));
@@ -108,7 +117,15 @@ let test_bytes_round_trip () =
   check_nat "padded round trip" x (N.of_bytes_be padded);
   Alcotest.check_raises "too large for len"
     (Invalid_argument "Nat.to_bytes_be: value too large for len") (fun () ->
-      ignore (N.to_bytes_be ~len:2 x))
+      ignore (N.to_bytes_be ~len:2 x));
+  check_nat "leading zero bytes" (N.of_int 0x0102) (N.of_bytes_be "\000\000\001\002");
+  Alcotest.(check string) "leading zeros dropped" "\001\002"
+    (N.to_bytes_be (N.of_bytes_be "\000\000\001\002"));
+  check_nat "empty string" N.zero (N.of_bytes_be "");
+  check_nat "all zero bytes" N.zero (N.of_bytes_be "\000\000\000");
+  Alcotest.(check string) "zero is one byte" "\000" (N.to_bytes_be N.zero);
+  Alcotest.(check string) "zero padded" "\000\000\000" (N.to_bytes_be ~len:3 N.zero);
+  Alcotest.(check string) "zero in no bytes" "" (N.to_bytes_be ~len:0 N.zero)
 
 let test_compare_minmax () =
   let a = n_of_s "100000000000000000000" and b = n_of_s "99999999999999999999" in
@@ -138,6 +155,52 @@ let gen_nat =
       ])
 
 let arb_nat = QCheck2.Gen.map (fun n -> n) gen_nat
+
+(* the number whose little-endian 30-bit limbs are [limbs] *)
+let of_limbs limbs =
+  List.fold_right (fun l acc -> N.add (N.shift_left acc 30) (N.of_int l)) limbs N.zero
+
+let limb_max = (1 lsl 30) - 1
+let gen_limbs n = QCheck2.Gen.(list_repeat n (int_bound limb_max))
+
+let all_ones k = N.sub (N.shift_left N.one k) N.one
+
+(* Moduli of 1-20 limbs, odd and even, and the all-ones 2^k - 1: with
+   k = 30n and the base m - 1, a Montgomery product's partial sums and
+   carries reach their largest values. *)
+let gen_modulus =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun low top odd ->
+              let m = of_limbs (low @ [ top ]) in
+              if N.is_odd m = odd then m else N.add m N.one)
+            (int_bound 19 >>= gen_limbs) (int_range 1 limb_max) bool );
+        (1, map all_ones (int_range 1 600));
+        (1, map (fun n -> all_ones (30 * n)) (int_range 1 20));
+      ])
+
+(* (b, e, m): bases up to a limb wider than m, bases >= m, the base m - 1,
+   and exponents of 0-600 bits *)
+let gen_mod_pow_case =
+  QCheck2.Gen.(
+    gen_modulus >>= fun m ->
+    let base = map of_limbs (int_bound (((N.bit_length m + 29) / 30) + 1) >>= gen_limbs) in
+    triple
+      (oneof [ base; map (N.add m) base; return (N.sub m N.one) ])
+      (map2 (fun x k -> N.shift_right (of_limbs x) (600 - k)) (gen_limbs 20) (int_bound 600))
+      (return m))
+
+(* square-and-multiply with a long division at every step: the reference *)
+let ref_mod_pow b e m =
+  let b = N.rem b m and r = ref (N.rem N.one m) in
+  for i = N.bit_length e - 1 downto 0 do
+    r := N.rem (N.mul !r !r) m;
+    if N.test_bit e i then r := N.rem (N.mul !r b) m
+  done;
+  !r
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
@@ -180,6 +243,12 @@ let props =
         N.equal
           (N.mod_pow (N.of_int b) (N.of_int e) m)
           (N.rem (N.pow (N.of_int b) e) m));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"mod_pow matches the reference on multi-limb moduli"
+         ~print:(fun (b, e, m) ->
+           Printf.sprintf "b=0x%s e=0x%s m=0x%s" (N.to_hex b) (N.to_hex e) (N.to_hex m))
+         gen_mod_pow_case
+         (fun (b, e, m) -> N.equal (N.mod_pow b e m) (ref_mod_pow b e m)));
     prop "gcd divides both" (QCheck2.Gen.pair arb_nat arb_nat) (fun (a, b) ->
         if N.is_zero a && N.is_zero b then true
         else begin

@@ -215,6 +215,16 @@ let test_rsa_key_width () =
         (k.Rsa.bits >= bits - 1 && k.Rsa.bits <= bits))
     [ 128; 256; 512 ]
 
+(* Pinned at a commit that signed with the textbook m^d mod n: a drift
+   in key generation's draws, the padding or the private-key path fails
+   here by name. *)
+let test_rsa_known_answer () =
+  let key = Rsa.generate (Prng.create ~seed:1) ~bits:512 in
+  Alcotest.(check string) "fingerprint" "bf8623ce87fe1f53" (Rsa.fingerprint key.Rsa.pub);
+  Alcotest.(check string) "signature"
+    "73ddd344648162a9d2deed82dd44915cb834664c151d45734dcc67d6426aa30d"
+    (Sha256.hex_digest (Rsa.sign key (Sha256.digest "paramecium")))
+
 (* --- properties ------------------------------------------------------ *)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:50 ~name gen f)
@@ -224,8 +234,29 @@ let shared_key =
     (let rng = Prng.create ~seed:1234 in
      Rsa.generate rng ~bits:512)
 
+(* The textbook private operation, with d recomputed from p and q, and
+   the signature block rebuilt by hand: 00 01 ff.. 00 digest. *)
+let textbook_sign key digest =
+  let pub = key.Rsa.pub and len = Rsa.modulus_bytes key.Rsa.pub in
+  let d = Nat.mod_inv pub.Rsa.e (Nat.mul (Nat.sub key.Rsa.p Nat.one) (Nat.sub key.Rsa.q Nat.one)) in
+  let block = "\000\001" ^ String.make (len - 3 - String.length digest) '\255' ^ "\000" ^ digest in
+  Nat.to_bytes_be ~len (Nat.mod_pow (Nat.of_bytes_be block) d pub.Rsa.n)
+
 let props =
   [
+    prop "rsa: CRT sign equals textbook m^d mod n, decrypt inverts encrypt"
+      QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 64 512) (string_size (return 32)))
+      (fun (seed, bits, digest) ->
+        let key = Rsa.generate (Prng.create ~seed) ~bits in
+        let pub = key.Rsa.pub in
+        let m = Nat.rem (Nat.of_bytes_be digest) pub.Rsa.n in
+        (* the padding takes 11 bytes beside the digest: a modulus of
+           fewer than 11 bytes cannot sign, and a short one signs a prefix *)
+        let room = Rsa.modulus_bytes pub - 11 in
+        let prefix = String.sub digest 0 (max 0 (min 32 room)) in
+        Nat.equal (Nat.mul key.Rsa.p key.Rsa.q) pub.Rsa.n
+        && (room < 0 || String.equal (Rsa.sign key prefix) (textbook_sign key prefix))
+        && Nat.equal (Rsa.decrypt key (Rsa.encrypt pub m)) m);
     prop "sha256 avalanche: flipping a bit changes the digest"
       QCheck2.Gen.(pair (string_size (int_range 1 200)) (int_bound 10_000))
       (fun (s, flip) ->
@@ -279,6 +310,7 @@ let () =
           Alcotest.test_case "encrypt/decrypt" `Quick test_rsa_encrypt_decrypt;
           Alcotest.test_case "fingerprint" `Quick test_rsa_fingerprint;
           Alcotest.test_case "key width" `Quick test_rsa_key_width;
+          Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
         ] );
       ("properties", props);
     ]
