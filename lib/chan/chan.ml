@@ -83,11 +83,21 @@ type t = {
          the global single-producer rule. *)
 }
 
-let next_id = ref 1
+(* One machine's rings, newest first, for the composition linter's
+   whole-system pass, and the id counter both they and MPSC groups draw
+   from, so ids on a shared doorbell vector never collide. Kept in the
+   machine: a dropped system takes its rings with it. *)
+type rings = { mutable next_id : int; mutable rings : t list }
 
-(* every live channel, for the composition linter's whole-system pass;
-   filtered per machine so concurrent test systems stay independent *)
-let all_channels : t list ref = ref []
+let rings_key : rings Type.Id.t = Type.Id.make ()
+let rings_of machine =
+  Machine.local machine rings_key (fun () -> { next_id = 1; rings = [] })
+
+let fresh_id machine =
+  let r = rings_of machine in
+  let id = r.next_id in
+  r.next_id <- id + 1;
+  id
 
 (* ------------------------------------------------------------------ *)
 (* Shared-memory access: addresses resolve through the frame table     *)
@@ -145,8 +155,7 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
   if slots <= 0 then invalid_arg "Chan.create: slots must be positive";
   if slot_size <= 0 || slot_size mod 4 <> 0 then
     invalid_arg "Chan.create: slot_size must be a positive multiple of 4";
-  let chan_id = !next_id in
-  incr next_id;
+  let chan_id = fresh_id machine in
   let name = match name with Some n -> n | None -> Printf.sprintf "chan%d" chan_id in
   let ps = Machine.page_size machine in
   let bytes_needed = header_bytes + (slots * (4 + slot_size)) in
@@ -185,7 +194,8 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
       ring_group = None;
     }
   in
-  all_channels := t :: !all_channels;
+  let r = rings_of machine in
+  r.rings <- t :: r.rings;
   write_word t off_magic magic;
   write_word t off_slots slots;
   write_word t off_slot_size slot_size;
@@ -233,8 +243,7 @@ let stats t =
 (* Linter introspection — plain reads, no cycle charges                *)
 (* ------------------------------------------------------------------ *)
 
-let iter_all ~machine f =
-  List.iter (fun c -> if c.machine == machine then f c) (List.rev !all_channels)
+let iter_all ~machine f = List.iter f (List.rev (rings_of machine).rings)
 
 let senders_seen t = List.rev t.send_ctxs
 let group t = t.ring_group

@@ -61,6 +61,10 @@ type t
     carries the channel id. *)
 val default_doorbell_vec : int
 
+(** [fresh_id machine] is the next id from the counter [machine]'s
+    channels and {!Mpsc} groups share, so doorbell ids never collide. *)
+val fresh_id : Pm_machine.Machine.t -> int
+
 val header_bytes : int
 
 type stats = {

@@ -33,11 +33,6 @@ let off_producers = 4
 let off_armed = 8
 let off_dirty = 12
 
-(* Group ids share the doorbell trap vector's argument namespace with
-   plain channel ids ({!Chan.id}); a disjoint range keeps the dispatch
-   on the shared vector unambiguous. *)
-let next_group_id = ref (1 lsl 30)
-
 type stats = {
   sends : int;
   recvs : int;
@@ -93,11 +88,10 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024)
   if slots <= 0 then invalid_arg "Mpsc.create: slots must be positive";
   if slot_size <= 0 || slot_size mod 4 <> 0 then
     invalid_arg "Mpsc.create: slot_size must be a positive multiple of 4";
-  let group_id = !next_group_id in
-  incr next_group_id;
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "mpsc%d" (group_id land 0xffff)
-  in
+  (* group ids share the doorbell vector's argument with channel ids,
+     so they come from the machine's one counter *)
+  let group_id = Chan.fresh_id machine in
+  let name = match name with Some n -> n | None -> Printf.sprintf "mpsc%d" group_id in
   (* the group header lives in its own shared page, owned by the
      consumer and mapped into each producer at attach *)
   let hdr_base = Vmem.alloc_pages vmem consumer ~count:1 ~sharing:Vmem.Shared in
@@ -296,8 +290,10 @@ let recv_batch ?account ?(max = max_int) t () =
       in
       let dry, msgs = go 0 [] in
       (* dry: re-arm so the next enqueue from any producer rings; when
-         the drain stopped at [max] the caller keeps polling *)
-      if dry && t.gmode = Chan.Doorbell then arm t;
+         the drain stopped at [max] the caller keeps polling, so the
+         hint stays set for the messages left behind *)
+      if not dry then hwrite t off_dirty dirty
+      else if t.gmode = Chan.Doorbell then arm t;
       msgs
     end
   end

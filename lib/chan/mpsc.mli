@@ -75,9 +75,9 @@ type stats = {
 (** [create machine vmem ~consumer ()] allocates the group header page
     [Shared] in the consumer's domain. [slots]/[slot_size] size each
     per-producer sub-ring (defaults 64 x 1024, slot size a multiple of
-    4); [mode] defaults to [Doorbell]. Group ids live in a range
-    disjoint from {!Chan.id}, so both kinds share the doorbell trap
-    vector safely. *)
+    4); [mode] defaults to [Doorbell]. Group ids come from the
+    machine's channel-id counter ({!Chan.fresh_id}), so groups and
+    plain channels share the doorbell trap vector safely. *)
 val create :
   Pm_machine.Machine.t ->
   Pm_nucleus.Vmem.t ->
@@ -134,7 +134,8 @@ val try_recv : ?account:bool -> t -> bytes option
 
 (** [recv_batch t ()] drains up to [max] messages round-robin. A dry
     group costs one shared read (the dirty hint) and re-arms the group
-    doorbell in [Doorbell] mode. *)
+    doorbell in [Doorbell] mode; a drain stopped at [max] leaves the
+    hint set, so the next drain finds what it left. *)
 val recv_batch : ?account:bool -> ?max:int -> t -> unit -> bytes list
 
 (** [arm t] requests a group doorbell for the next enqueue from any

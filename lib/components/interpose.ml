@@ -88,7 +88,10 @@ let attach api ~path ~agent =
     | Some current ->
       (match Subsume.check_instances ~wrapped:current ~agent with
       | Ok () -> ()
-      | Error detail -> Oerror.fail (Oerror.Not_superset detail))));
+      | Error detail ->
+        Invoke.fail
+          (Pm_machine.Machine.clock api.Api.machine)
+          (Oerror.Not_superset detail))));
   match Directory.replace dir p agent with
   | Ok old -> Ok old
   | Error e -> Error (Directory.bind_error_to_string e)

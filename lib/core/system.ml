@@ -88,15 +88,6 @@ let wire_check kernel =
        (Kernel.kernel_domain kernel));
   check
 
-(* an uncaught object error dumps the flight recorder's tail — the
-   black-box readout the always-on ring exists for *)
-let wire_crash_dump kernel =
-  let clock = Kernel.clock kernel in
-  Pm_obj.Oerror.set_fail_hook (fun e ->
-      Logs.debug (fun m ->
-          m "Oerror (%s); %s" (Pm_obj.Oerror.to_string e)
-            (Journal.flight_to_text (Pm_obs.Obs.journal (Clock.obs clock)) 16)))
-
 (* boot a kernel under [authority] and wire every boot-time service *)
 let assemble ?costs ?frames ?page_size ?cpus ~rng authority =
   let kernel =
@@ -109,7 +100,6 @@ let assemble ?costs ?frames ?page_size ?cpus ~rng authority =
     (Authority.grants authority);
   let stats = wire_stats kernel in
   let check = wire_check kernel in
-  wire_crash_dump kernel;
   { kernel; authority; rng; stats; check }
 
 let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)

@@ -165,14 +165,6 @@ type event = {
   cpu : int; (* issuing CPU, 0 on uniprocessor runs *)
 }
 
-(* The ambient CPU id, like [Trace.current] for request ids: the
-   machine sets it whenever it switches CPUs, every recording site
-   picks it up for free. 1-CPU runs never switch, so it stays 0 and
-   exports keep their exact bytes. *)
-let cur_cpu = ref 0
-let set_current_cpu c = cur_cpu := c
-let current_cpu () = !cur_cpu
-
 type mode = Tail | Full
 
 let mode_to_string = function Tail -> "tail" | Full -> "full"
@@ -245,6 +237,7 @@ type t = {
   mutable compacted : int; (* events dropped from [history] *)
   retain : int; (* history bound before compaction *)
   structural : buf; (* always-on archive of structural events *)
+  mutable cpu : int; (* the executing CPU, stamped on every event *)
 }
 
 let default_tail_capacity = 256
@@ -271,10 +264,12 @@ let create ?(tail_capacity = default_tail_capacity) ?(retain = default_retain)
     history_from = (match !default_mode with Full -> 0 | Tail -> -1);
     compacted = 0;
     retain;
-  structural = buf_create ();
+    structural = buf_create ();
+    cpu = 0;
   }
 
 let mode t = t.mode
+let set_cpu t c = t.cpu <- c
 
 (* Switching to [Full] starts a fresh complete stream from the current
    sequence number; switching to [Tail] stops extending it (what was
@@ -296,7 +291,7 @@ let set_mode t m =
    the body re-established another one. *)
 let record ?rid t ~kind ~domain ~at ~info ~detail =
   let rid = match rid with Some r -> r | None -> Trace.current () in
-  let e = { seq = t.written; at; domain; kind; info; detail; rid; cpu = !cur_cpu } in
+  let e = { seq = t.written; at; domain; kind; info; detail; rid; cpu = t.cpu } in
   t.tail.(t.written mod t.tail_cap) <- Some e;
   t.written <- t.written + 1;
   if is_execution kind then t.exec_written <- t.exec_written + 1;

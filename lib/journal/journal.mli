@@ -96,16 +96,13 @@ val mode : t -> mode
     sequence number; switching back to [Tail] stops extending it. *)
 val set_mode : t -> mode -> unit
 
-(** {2 Ambient CPU}
-
-    The machine ({!Pm_machine.Cpu}) declares which CPU is executing;
-    every event recorded while it is set carries that id. Pinned to 0 on
+(** [set_cpu t c] makes [c] the CPU id stamped on [t]'s next events.
+    The machine that owns the journal calls it on every CPU switch
+    ({!Pm_machine.Machine.switch_cpu}); it starts at 0 and stays there on
     uniprocessor runs, so their exports stay byte-identical — an event
     with [cpu = 0] prints and exports exactly as before the field
     existed. *)
-
-val set_current_cpu : int -> unit
-val current_cpu : unit -> int
+val set_cpu : t -> int -> unit
 
 (** [record t ...] appends one event stamped with the ambient request id
     ({!Trace.current}), or with [rid] when given. *)

@@ -3,8 +3,8 @@
    Every machine owns its CPUs ({!Machine.cpus}), at least one. Each CPU
    owns a virtual clock; all clocks share the machine's one
    observability sink, so spans, accounting and the journal stay a
-   single stream (events carry the issuing CPU id via the ambient
-   register in {!Pm_journal.Journal}). The host is single-threaded: the
+   single stream (events carry the issuing CPU id, which the machine
+   sets on its journal at each switch). The host is single-threaded: the
    simulation interleaves CPUs explicitly through [run_on], and work
    executed inside charges the active CPU's clock because every charge
    site reads {!Machine.clock} at charge time.

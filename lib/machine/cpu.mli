@@ -44,7 +44,7 @@ val cross : t -> a:int -> b:int -> bool
 (** {2 Execution} *)
 
 (** [run_on t k f] runs [f] as CPU [k]: the machine's active clock and
-    the journal's ambient CPU id are switched for the dynamic extent of
+    the CPU id its journal stamps are switched for the dynamic extent of
     [f] and restored after (exception-safe, nestable). *)
 val run_on : t -> int -> (unit -> 'a) -> 'a
 

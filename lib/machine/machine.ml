@@ -6,6 +6,9 @@ let irq_line_count = 16
 
 type attached = { dev : Device.t; io_base : int }
 
+(* one value a layer above keeps per machine, under its own key *)
+type local = Local : 'a Type.Id.t * 'a -> local
+
 type cpu = {
   clock : Clock.t;
   mutable halted : bool;
@@ -30,6 +33,7 @@ type t = {
   mutable fault_handler : (Mmu.fault -> bool) option;
   mutable attached : attached list; (* newest first *)
   mutable next_io_base : int;
+  mutable locals : local list;
 }
 
 let io_base_start = 0x1000_0000
@@ -54,6 +58,7 @@ let create ?(costs = Cost.default) ?(frames = 1024) ?(page_size = 4096) ?(cpus =
     fault_handler = None;
     attached = [];
     next_io_base = io_base_start;
+    locals = [];
   }
 
 let clock t = t.active_clock
@@ -70,8 +75,21 @@ let switch_cpu t k =
     t.cur <- k;
     t.active_clock <- t.cpus.(k).clock;
     Mmu.set_clock t.mmu t.active_clock;
-    Pm_journal.Journal.set_current_cpu k
+    Pm_journal.Journal.set_cpu (Pm_obs.Obs.journal (Clock.obs t.active_clock)) k
   end
+
+let local (type a) t (key : a Type.Id.t) (make : unit -> a) : a =
+  let rec find : local list -> a = function
+    | [] ->
+      let v = make () in
+      t.locals <- Local (key, v) :: t.locals;
+      v
+    | Local (k, v) :: rest -> (
+      match Type.Id.provably_equal k key with
+      | Some Type.Equal -> v
+      | None -> find rest)
+  in
+  find t.locals
 
 let costs t = t.costs
 let phys t = t.phys

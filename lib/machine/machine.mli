@@ -47,9 +47,14 @@ val current_cpu : t -> int
 val pins : t -> (int, int) Hashtbl.t
 
 (** [switch_cpu t k] makes CPU [k] the executing one: {!clock}, the MMU's
-    charges and the journal's ambient CPU id all follow it. Raises
-    [Invalid_argument] for a CPU the machine does not have. *)
+    charges and the CPU id its journal stamps on events all follow it.
+    Raises [Invalid_argument] for a CPU the machine does not have. *)
 val switch_cpu : t -> int -> unit
+
+(** [local t key make] is this machine's value for [key], built by
+    [make] on first use: where layers above the machine keep their
+    per-machine state, so it lives and dies with the machine. *)
+val local : t -> 'a Type.Id.t -> (unit -> 'a) -> 'a
 
 val costs : t -> Cost.t
 val phys : t -> Physmem.t

@@ -35,7 +35,7 @@ let specialize (ctx : Call_ctx.t) obj ~iface ~meth =
     in
     Ok call
 
-let specialize_exn ctx obj ~iface ~meth =
+let specialize_exn (ctx : Call_ctx.t) obj ~iface ~meth =
   match specialize ctx obj ~iface ~meth with
   | Ok f -> f
-  | Error e -> Oerror.fail e
+  | Error e -> Invoke.fail ctx.Call_ctx.clock e

@@ -37,7 +37,14 @@ let call (ctx : Call_ctx.t) obj ~iface ~meth args =
       ~obj:obj.Instance.class_name ~iface ~meth ~metric:"invoke.dispatch"
       (fun () -> dispatch ctx obj ~iface ~meth args)
 
-let call_exn ctx obj ~iface ~meth args =
+(* an object error dumps the failing system's own black box *)
+let fail clock e =
+  Logs.debug (fun m ->
+      m "Oerror (%s); %s" (Oerror.to_string e)
+        (Pm_journal.Journal.flight_to_text (Obs.journal (Clock.obs clock)) 16));
+  raise (Oerror.Error e)
+
+let call_exn (ctx : Call_ctx.t) obj ~iface ~meth args =
   match call ctx obj ~iface ~meth args with
   | Ok v -> v
-  | Error e -> Oerror.fail e
+  | Error e -> fail ctx.clock e

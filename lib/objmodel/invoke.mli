@@ -15,6 +15,10 @@ val call :
   Value.t list ->
   (Value.t, Oerror.t) result
 
-(** [call_exn] is [call] but raises {!Oerror.Error} on failure. *)
+(** [fail clock e] logs (at debug level) the tail of [clock]'s flight
+    recorder, the failing system's black box, then raises {!Oerror.Error}. *)
+val fail : Pm_machine.Clock.t -> Oerror.t -> 'a
+
+(** [call_exn] is [call] but {!fail}s with the context's clock. *)
 val call_exn :
   Call_ctx.t -> Instance.t -> iface:string -> meth:string -> Value.t list -> Value.t

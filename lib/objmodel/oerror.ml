@@ -20,19 +20,6 @@ let to_string = function
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 
-(* Process-global hook run on every [fail] — system assembly points it
-   at the flight recorder so an [Oerror] dumps the black box. Logging
-   only; it must never raise. *)
-let fail_hook : (t -> unit) option ref = ref None
-
-let set_fail_hook f = fail_hook := Some f
-
-let fail e =
-  (match !fail_hook with
-  | Some f -> ( try f e with _ -> ())
-  | None -> ());
-  raise (Error e)
-
 let () =
   Printexc.register_printer (function
     | Error e -> Some ("Oerror.Error: " ^ to_string e)

@@ -15,12 +15,3 @@ exception Error of t
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-(** [set_fail_hook f] installs a process-global hook run (before the
-    raise) on every {!fail} — system assembly points it at the flight
-    recorder so an [Oerror] dumps the black box. [f] must not raise;
-    exceptions it throws are swallowed. *)
-val set_fail_hook : (t -> unit) -> unit
-
-(** [fail e] runs the fail hook, then raises {!Error}. *)
-val fail : t -> 'a

@@ -1,8 +1,9 @@
-(* Global registry of storage components, keyed by machine — what the
-   composition linter walks (like [Chan.iter_all]) to check that every
-   write-back cache sits above its log/partition and that no /store
-   endpoint is left dangling after a detach. Plain OCaml state: reading
-   it charges no simulated cycles. *)
+(* Each machine's registry of storage components, kept in the machine
+   ({!Pm_machine.Machine.local}) — what the composition linter walks
+   (like [Chan.iter_all]) to check that every write-back cache sits
+   above its log/partition and that no /store endpoint is left dangling
+   after a detach. Plain OCaml state: reading it charges no simulated
+   cycles. *)
 
 module Machine = Pm_machine.Machine
 module Instance = Pm_obj.Instance
@@ -18,7 +19,6 @@ let kind_to_string = function
   | Proxy -> "proxy"
 
 type entry = {
-  machine : Machine.t;
   name : string;
   kind : kind;
   lower : string option; (* namespace path of the component below *)
@@ -29,22 +29,25 @@ type entry = {
   dirty : unit -> int; (* blocks still dirty above the lower layer *)
 }
 
-let all : entry list ref = ref []
+(* one machine's entries, newest first *)
+type entries = { mutable entries : entry list }
+
+let entries_key : entries Type.Id.t = Type.Id.make ()
+let entries_of machine =
+  Machine.local machine entries_key (fun () -> { entries = [] })
 
 let register ~machine ~name ~kind ?lower ~instance ~domain ?(dirty = fun () -> 0)
     () =
   let e =
-    { machine; name; kind; lower; instance; domain; bound = None;
-      detached = false; dirty }
+    { name; kind; lower; instance; domain; bound = None; detached = false; dirty }
   in
-  all := e :: !all;
+  let r = entries_of machine in
+  r.entries <- e :: r.entries;
   e
 
-let iter_all ~machine f =
-  List.iter (fun e -> if e.machine == machine then f e) (List.rev !all)
-
+let iter_all ~machine f = List.iter f (List.rev (entries_of machine).entries)
 let find ~machine name =
-  List.find_opt (fun e -> e.machine == machine && e.name = name) !all
+  List.find_opt (fun e -> e.name = name) (entries_of machine).entries
 
 let set_bound e path = e.bound <- path
 let mark_detached e = e.detached <- true

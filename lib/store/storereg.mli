@@ -1,4 +1,5 @@
-(** Registry of live storage components, keyed by machine.
+(** Each machine's registry of live storage components, kept in the
+    machine itself ({!Pm_machine.Machine.local}), so it is freed with it.
 
     Every {!Pm_store} component registers itself here at creation, the
     {!Store_svc} factory records where it is bound, and the composition
@@ -13,7 +14,6 @@ type kind = Driver | Partition | Cache | Log | Kv | Proxy
 val kind_to_string : kind -> string
 
 type entry = {
-  machine : Pm_machine.Machine.t;
   name : string;
   kind : kind;
   lower : string option;  (** namespace path of the component below *)

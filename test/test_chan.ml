@@ -249,6 +249,191 @@ let test_mpsc_doorbell_coalescing () =
   Alcotest.(check (list string)) "dry drain empty" []
     (List.map Bytes.to_string (Mpsc.recv_batch g ()))
 
+(* A drain stopped at [max] leaves the rest for the next drain. *)
+let test_mpsc_bounded_drain () =
+  let k, kdom, _, _, _, g = mpsc_fixture () in
+  let tx = Mpsc.attach g ~producer:kdom in
+  List.iter (fun m -> ignore (send_as k kdom tx m)) [ "a"; "b"; "c" ];
+  let drain ?max () = List.map Bytes.to_string (Mpsc.recv_batch ?max g ()) in
+  Alcotest.(check (list string)) "bounded drain" [ "a" ] (drain ~max:1 ());
+  Alcotest.(check (list string)) "the rest follows" [ "b"; "c" ] (drain ())
+
+(* --- ids are per machine ------------------------------------------------ *)
+
+(* The ids and default names an unnamed ring and an unnamed group get on
+   a fresh machine. *)
+let fresh_ids () =
+  let _, k, kdom = fixture () in
+  let machine = Kernel.machine k and vmem = Kernel.vmem k in
+  let c = Chan.create machine vmem ~producer:kdom () in
+  let g = Mpsc.create machine vmem ~consumer:kdom () in
+  (Chan.id c, Chan.name c, Mpsc.id g, Mpsc.name g)
+
+let test_ids_per_machine () =
+  let first = fresh_ids () in
+  (* another machine creates rings in between: a fresh machine's ids do
+     not depend on it *)
+  let _, k, kdom = fixture () in
+  let machine = Kernel.machine k and vmem = Kernel.vmem k in
+  for _ = 1 to 3 do
+    ignore (Chan.create machine vmem ~producer:kdom ())
+  done;
+  ignore (Mpsc.create machine vmem ~consumer:kdom ());
+  let id_c, name_c, id_g, name_g = fresh_ids () in
+  let fid_c, fname_c, fid_g, fname_g = first in
+  Alcotest.(check int) "channel id" fid_c id_c;
+  Alcotest.(check string) "channel name" fname_c name_c;
+  Alcotest.(check int) "group id" fid_g id_g;
+  Alcotest.(check string) "group name" fname_g name_g;
+  (* one counter: a group never reuses a channel's id on the shared
+     doorbell vector *)
+  Alcotest.(check bool) "ids disjoint" true (id_c <> id_g);
+  Alcotest.(check string) "default names follow the ids"
+    (Printf.sprintf "chan%d mpsc%d" id_c id_g)
+    (name_c ^ " " ^ name_g)
+
+(* --- doorbell dispatch on the shared vector ----------------------------- *)
+
+(* One key generation for every case; each case boots its own kernel. *)
+let dispatch_root =
+  lazy
+    (Authority.ca (System.authority (System.create ~seed:0xD00B ~key_bits:384 ())))
+
+(* A ring under test, plain or MPSC: per producer its domain, its own
+   SPSC ring and its send; per producer the model queue of sequence
+   numbers sent and not yet received; the consumer's bounded drain. *)
+type ring = {
+  txs : (Domain.t * Chan.t * (bytes -> bool)) array;
+  model : int Queue.t array;
+  drain : unit -> bytes list;
+  doorbells : unit -> int;
+  runs : int ref;  (** pop-up runs *)
+}
+
+(* per ring: [None] for a plain channel or [Some n] for an MPSC group of
+   [n] producers, its slots, and its pop-up's drain bound; then the
+   sends as (ring, producer) picks *)
+let gen_dispatch =
+  QCheck2.Gen.(
+    let spec kind =
+      map2 (fun slots max -> (kind, slots, max)) (int_range 2 4) (opt (int_range 1 3))
+    in
+    let* plain = int_range 1 6 and* groups = list_size (int_range 1 3) (int_range 1 3) in
+    let* specs =
+      flatten_l
+        (List.init plain (fun _ -> spec None) @ List.map (fun n -> spec (Some n)) groups)
+    in
+    let* specs = shuffle_l specs in
+    let+ sends = list_size (int_bound 60) (pair nat nat) in
+    (specs, sends))
+
+let print_dispatch (specs, sends) =
+  Printf.sprintf "rings [%s] sends [%s]"
+    (String.concat "; "
+       (List.map
+          (fun (kind, slots, max) ->
+            Printf.sprintf "%s/%d/%s"
+              (match kind with None -> "chan" | Some n -> Printf.sprintf "mpsc%d" n)
+              slots
+              (match max with None -> "all" | Some m -> string_of_int m))
+          specs))
+    (String.concat "; " (List.map (fun (r, p) -> Printf.sprintf "%d.%d" r p) sends))
+
+let dispatch_holds (specs, sends) =
+  let k = Kernel.boot ~root:(Lazy.force dispatch_root) () in
+  let machine = Kernel.machine k and vmem = Kernel.vmem k in
+  let events = Kernel.events k and sched = Kernel.sched k in
+  let mmu = Machine.mmu machine in
+  let kdom = Kernel.kernel_domain k in
+  let ok = ref true in
+  let receive r i msg =
+    match List.map int_of_string (String.split_on_char ':' (Bytes.to_string msg)) with
+    | [ ri; p; seq ] when ri = i && p < Array.length r.model ->
+      let q = r.model.(p) in
+      if Queue.is_empty q || Queue.pop q <> seq then ok := false
+    | _ -> ok := false
+  in
+  let make i (kind, slots, max) =
+    let domain what = Kernel.create_domain k ~name:(Printf.sprintf "%s%d" what i) () in
+    let consumer = domain "c" in
+    let r, on_doorbell =
+      match kind with
+      | None ->
+        let producer = domain "p" in
+        let c = Chan.create machine vmem ~slots ~slot_size:16 ~producer () in
+        ignore (Chan.accept c ~into:consumer);
+        ( {
+            txs = [| (producer, c, fun m -> Chan.try_send c m) |];
+            model = [| Queue.create () |];
+            drain = (fun () -> Chan.recv_batch ?max c ());
+            doorbells = (fun () -> (Chan.stats c).Chan.doorbells);
+            runs = ref 0;
+          },
+          Chan.on_doorbell c ~events ~sched )
+      | Some n ->
+        let g = Mpsc.create machine vmem ~slots ~slot_size:16 ~consumer () in
+        let txs =
+          Array.init n (fun j ->
+              let producer = domain (Printf.sprintf "p%d." j) in
+              let tx = Mpsc.attach g ~producer in
+              (producer, Mpsc.sub_ring tx, fun m -> Mpsc.try_send tx m))
+        in
+        ( {
+            txs;
+            model = Array.init n (fun _ -> Queue.create ());
+            drain = (fun () -> Mpsc.recv_batch ?max g ());
+            doorbells = (fun () -> (Mpsc.stats g).Mpsc.doorbells);
+            runs = ref 0;
+          },
+          Mpsc.on_doorbell g ~events ~sched )
+    in
+    ignore
+      (on_doorbell (fun () ->
+           incr r.runs;
+           List.iter (receive r i) (r.drain ())));
+    r
+  in
+  let rings = Array.of_list (List.mapi make specs) in
+  List.iteri
+    (fun seq (ri, pi) ->
+      let i = ri mod Array.length rings in
+      let r = rings.(i) in
+      let p = pi mod Array.length r.txs in
+      let dom, sub, send = r.txs.(p) in
+      (* the send succeeds exactly when the producer's own ring has room *)
+      let room = Chan.pending sub < Chan.slots sub in
+      if room then Queue.push seq r.model.(p);
+      Mmu.switch_context mmu dom.Domain.id;
+      let sent = send (Bytes.of_string (Printf.sprintf "%d:%d:%d" i p seq)) in
+      Mmu.switch_context mmu kdom.Domain.id;
+      if sent <> room then ok := false)
+    sends;
+  Kernel.step k ~ticks:2 ();
+  Array.iteri
+    (fun i r ->
+      (* each pop-up ran once per doorbell of its own ring, never for
+         another ring's *)
+      if !(r.runs) <> r.doorbells () then ok := false;
+      (* the consumer polls with its bound until a drain comes back
+         empty: what the pop-ups left behind arrives in per-producer
+         order, and then every model queue is empty *)
+      let rec poll () =
+        match r.drain () with
+        | [] -> ()
+        | msgs ->
+          List.iter (receive r i) msgs;
+          poll ()
+      in
+      poll ();
+      if not (Array.for_all Queue.is_empty r.model) then ok := false)
+    rings;
+  !ok
+
+let dispatch_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"doorbell dispatch is per ring, per-producer FIFO"
+       ~print:print_dispatch gen_dispatch dispatch_holds)
+
 (* --- the /shared/chan factory and endpoint interposition --------------- *)
 
 let test_factory_and_interposed_monitor () =
@@ -568,6 +753,9 @@ let () =
             test_mpsc_backpressure_fairness;
           Alcotest.test_case "doorbell coalescing" `Quick
             test_mpsc_doorbell_coalescing;
+          Alcotest.test_case "bounded drain" `Quick test_mpsc_bounded_drain;
+          Alcotest.test_case "ids are per machine" `Quick test_ids_per_machine;
+          dispatch_prop;
         ] );
       ( "factory",
         [

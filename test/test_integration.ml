@@ -494,6 +494,203 @@ let test_every_method_checks_its_arguments () =
       "blkring"; "log"; "kv" ];
   Alcotest.(check bool) (Printf.sprintf "%d ill-typed calls" !calls) true (!calls > 200)
 
+(* --- hermetic systems: no state outlives or crosses its system ------------ *)
+
+let journal_of sys = Obs.journal (Clock.obs (System.clock sys))
+
+(* Boot networking, the channel data path and a store stack, then keep
+   only weak pointers to the machine and the observability sink. *)
+let[@inline never] boot_and_drop () =
+  let sys = sys_fixture () in
+  let net =
+    System.setup_networking sys ~placement:System.Certified ~addr:42 ~loopback:true ()
+  in
+  ignore (System.channel_net sys net ());
+  ignore (System.setup_store sys ~placement:System.Certified ());
+  let machine = Weak.create 1 and obs = Weak.create 1 in
+  Weak.set machine 0 (Some (Kernel.machine (System.kernel sys)));
+  Weak.set obs 0 (Some (Clock.obs (System.clock sys)));
+  (machine, obs)
+
+let test_dropped_system_freed () =
+  let machine, obs = boot_and_drop () in
+  Gc.full_major ();
+  Alcotest.(check bool) "machine collected" false (Weak.check machine 0);
+  Alcotest.(check bool) "obs collected" false (Weak.check obs 0)
+
+(* Run [f] with every debug-level log message captured. *)
+let capturing_debug f =
+  let got = ref [] in
+  let report _src level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun s ->
+            if level = Logs.Debug then got := s :: !got;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Debug);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    f;
+  List.rev !got
+
+(* An object error dumps the black box of the system it happened in,
+   not of whichever system booted last. *)
+let test_crash_dump_reads_failing_system () =
+  let older = sys_fixture () in
+  let newer = System.create ~seed:999 ~key_bits:384 () in
+  let k = System.kernel older in
+  (* flight history the newer system does not have *)
+  for _ = 1 to 3 do
+    ignore (Machine.raise_trap (Kernel.machine k) 7 0)
+  done;
+  let expected = Journal.flight_to_text (journal_of older) 16 in
+  Alcotest.(check bool) "the two black boxes differ" false
+    (String.equal expected (Journal.flight_to_text (journal_of newer) 16));
+  let kdom = Kernel.kernel_domain k in
+  let target = Kernel.bind k kdom "/stats/kernel" in
+  let logged =
+    capturing_debug (fun () ->
+        match
+          Invoke.call_exn (Kernel.ctx k kdom) target ~iface:"no-such" ~meth:"m" []
+        with
+        | exception Oerror.Error (Oerror.No_such_interface _) -> ()
+        | _ -> Alcotest.fail "call_exn must raise")
+  in
+  match logged with
+  | [ msg ] ->
+    Alcotest.(check bool) "the dump is the older system's flight tail" true
+      (String.ends_with ~suffix:expected msg)
+  | l -> Alcotest.failf "expected one debug message, got %d" (List.length l)
+
+(* The observable outputs of a system: its journal export, its
+   /stats/kernel text and its lint report, read in that order so the
+   later reads do not land in the earlier ones. *)
+let outputs sys =
+  let k = System.kernel sys in
+  let export = Journal.export (journal_of sys) in
+  let stats = Stats_svc.snapshot_text (System.stats sys) in
+  let lint =
+    Lint.run ~machine:(Kernel.machine k) ~directory:(Kernel.directory k)
+      ~events:(Kernel.events k) ~journal:(journal_of sys)
+      ~domains:(fun () -> Kernel.domains k)
+      ()
+  in
+  (export, stats, Lint.report_to_string lint)
+
+(* System A: one CPU, observability on, an unnamed doorbell channel
+   drained by a pop-up. Returns the steps that drive it. *)
+let steps_a sys =
+  let k = System.kernel sys in
+  Obs.enable (Clock.obs (System.clock sys));
+  let kdom = Kernel.kernel_domain k in
+  let udom = System.new_domain sys "a-consumer" in
+  let chan =
+    Chan.create (Kernel.machine k) (Kernel.vmem k) ~slots:4 ~slot_size:16
+      ~producer:kdom ()
+  in
+  ignore (Chan.accept chan ~into:udom);
+  ignore
+    (Chan.on_doorbell chan ~events:(Kernel.events k) ~sched:(Kernel.sched k) (fun () ->
+         ignore (Chan.recv_batch chan ())));
+  List.init 6 (fun i () ->
+      ignore (Chan.try_send chan (Bytes.of_string (Printf.sprintf "a%d" i)));
+      Kernel.step k ~ticks:2 ())
+
+(* System B: two CPUs, the KV path over loopback net and the block-store
+   stack, and a doorbell channel whose consumer is pinned to CPU 1. *)
+let steps_b sys =
+  let k = System.kernel sys in
+  let api = Kernel.api k in
+  let kdom = Kernel.kernel_domain k in
+  let net =
+    System.setup_networking sys ~placement:System.Certified ~addr:42 ~loopback:true ()
+  in
+  let nsc, _ = System.channel_net sys net () in
+  ignore (System.setup_store sys ~placement:System.Certified ~cache_capacity:8 ());
+  let kv = Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
+  (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Oerror.to_string e));
+  let cdom = System.new_domain sys "kvclient" in
+  (match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
+  let far = System.new_domain sys "far" in
+  let bell =
+    Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"b.bell" ~slots:4 ~slot_size:16
+      ~producer:kdom ()
+  in
+  ignore (Chan.accept bell ~into:far);
+  Cpu.pin (System.cpu sys) ~domain:far.Domain.id ~cpu:1;
+  ignore
+    (Chan.on_doorbell bell ~events:(Kernel.events k) ~sched:(Smp.sched (System.smp sys) 1)
+       (fun () -> ignore (Chan.recv_batch bell ())));
+  let mmu = Machine.mmu (Kernel.machine k) in
+  List.init 6 (fun i () ->
+      Mmu.switch_context mmu cdom.Domain.id;
+      let cctx = Kernel.ctx k cdom in
+      let req =
+        Storewire.Kvmsg.build_req cctx ~op:Storewire.kv_put
+          ~key:(Bytes.of_string (Printf.sprintf "key-%d" (i mod 3)))
+          (Bytes.of_string (Printf.sprintf "val-%d" i))
+      in
+      ignore (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
+      Mmu.switch_context mmu kdom.Domain.id;
+      ignore (Netstack_chan.drain_tx nsc);
+      ignore (Chan.try_send bell (Bytes.of_string "ping"));
+      Kernel.step k ~ticks:4 ())
+
+let boot_a () = System.create ~seed:7 ~key_bits:384 ()
+let boot_b () = System.create ~seed:8 ~key_bits:384 ~cpus:2 ()
+
+(* the journal records everything from here on *)
+let full sys =
+  Journal.set_mode (journal_of sys) Journal.Full;
+  sys
+
+let solo boot steps =
+  let sys = full (boot ()) in
+  List.iter (fun step -> step ()) (steps sys);
+  outputs sys
+
+let rec alternate xs ys =
+  match (xs, ys) with
+  | x :: xs, y :: ys ->
+    x ();
+    y ();
+    alternate xs ys
+  | rest, [] | [], rest -> List.iter (fun step -> step ()) rest
+
+let test_interleaved_systems_match_solo () =
+  let solo_a = solo boot_a steps_a in
+  let solo_b = solo boot_b steps_b in
+  let a = full (boot_a ()) in
+  let b = full (boot_b ()) in
+  alternate (steps_a a) (steps_b b);
+  let both_a = outputs a and both_b = outputs b in
+  let check name (e1, s1, l1) (e2, s2, l2) =
+    Alcotest.(check string) (name ^ " journal export") e1 e2;
+    Alcotest.(check string) (name ^ " /stats/kernel") s1 s2;
+    Alcotest.(check string) (name ^ " lint report") l1 l2
+  in
+  check "A" solo_a both_a;
+  check "B" solo_b both_b;
+  let has needle (export, _, _) =
+    List.exists
+      (fun line -> String.ends_with ~suffix:needle line)
+      (String.split_on_char '\n' export)
+  in
+  Alcotest.(check bool) "B ran on CPU 1" true (has " cpu=1" both_b);
+  Alcotest.(check bool) "A never left CPU 0" false (has " cpu=1" both_a)
+
 let () =
   Alcotest.run "integration"
     [
@@ -544,5 +741,14 @@ let () =
         [
           Alcotest.test_case "traced workload end to end" `Quick
             test_tracing_whole_workload;
+        ] );
+      ( "hermetic",
+        [
+          Alcotest.test_case "a dropped system is freed" `Quick
+            test_dropped_system_freed;
+          Alcotest.test_case "crash dump reads the failing system" `Quick
+            test_crash_dump_reads_failing_system;
+          Alcotest.test_case "interleaved systems match their solo runs" `Quick
+            test_interleaved_systems_match_solo;
         ] );
     ]

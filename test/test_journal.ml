@@ -284,11 +284,11 @@ let journal_of_events evs =
   let j = Journal.create () in
   Journal.set_mode j Journal.Full;
   Fun.protect
-    ~finally:(fun () -> Journal.set_current_cpu 0)
+    ~finally:(fun () -> Journal.set_cpu j 0)
     (fun () ->
       List.iter
         (fun (kind, at, domain, info, detail, rid, cpu) ->
-          Journal.set_current_cpu cpu;
+          Journal.set_cpu j cpu;
           Journal.record j ~rid ~kind ~domain ~at ~info ~detail)
         evs);
   j

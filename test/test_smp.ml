@@ -217,9 +217,9 @@ let test_journal_cpu_roundtrip () =
   let j = Journal.create () in
   Journal.set_mode j Journal.Full;
   ignore (Journal.mark j ~domain:0 ~at:5 "boot-cpu");
-  Journal.set_current_cpu 2;
+  Journal.set_cpu j 2;
   ignore (Journal.mark j ~domain:0 ~at:9 "far-cpu");
-  Journal.set_current_cpu 0;
+  Journal.set_cpu j 0;
   let s = Journal.export j in
   let has_cpu_suffix line =
     let re = " cpu=" in
@@ -250,11 +250,30 @@ let test_journal_cpu_roundtrip () =
     Journal.set_mode j2 Journal.Full;
     List.iter
       (fun (e : Journal.event) ->
-        Journal.set_current_cpu e.Journal.cpu;
+        Journal.set_cpu j2 e.Journal.cpu;
         Journal.record j2 ~kind:e.Journal.kind ~domain:e.Journal.domain
           ~at:e.Journal.at ~info:e.Journal.info ~detail:e.Journal.detail)
       evs;
-    Journal.set_current_cpu 0)
+    Journal.set_cpu j2 0)
+
+(* One machine's CPU switch stamps its own journal and no other. *)
+let test_cpu_stamp_per_machine () =
+  let a = Machine.create () in
+  let b = Machine.create ~cpus:2 () in
+  let journal m = Obs.journal (Clock.obs (Machine.clock m)) in
+  Machine.switch_cpu b 1;
+  Fun.protect
+    ~finally:(fun () -> Machine.switch_cpu b 0)
+    (fun () ->
+      ignore (Journal.mark (journal a) ~domain:0 ~at:0 "on-a");
+      ignore (Journal.mark (journal b) ~domain:0 ~at:0 "on-b"));
+  let cpu_of m label =
+    match List.find_opt (fun e -> e.Journal.detail = label) (Journal.tail (journal m)) with
+    | Some e -> e.Journal.cpu
+    | None -> Alcotest.failf "no %s event" label
+  in
+  Alcotest.(check int) "A's event is on A's cpu 0" 0 (cpu_of a "on-a");
+  Alcotest.(check int) "B's event is on B's cpu 1" 1 (cpu_of b "on-b")
 
 (* --- the placement agent's CPU dimension -------------------------------- *)
 
@@ -410,6 +429,8 @@ let () =
         [
           Alcotest.test_case "journal cpu round-trip" `Quick
             test_journal_cpu_roundtrip;
+          Alcotest.test_case "cpu stamp is per machine" `Quick
+            test_cpu_stamp_per_machine;
         ] );
       ( "placer",
         [
