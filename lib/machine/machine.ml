@@ -152,11 +152,14 @@ let write8 t ctx vaddr v =
   Clock.advance t.active_clock t.costs.Cost.mem_write;
   Physmem.write8 t.phys (resolve t ctx vaddr Mmu.Write) v
 
+(* A page-straddling word decomposes into four byte accesses, and each
+   byte access pays its own charge: the word itself is not charged. *)
 let read32 t ctx vaddr =
-  Clock.advance t.active_clock t.costs.Cost.mem_read;
-  (* unaligned or page-straddling access decomposes into bytes *)
   let ps = page_size t in
-  if vaddr mod ps <= ps - 4 then Physmem.read32 t.phys (resolve t ctx vaddr Mmu.Read)
+  if vaddr mod ps <= ps - 4 then begin
+    Clock.advance t.active_clock t.costs.Cost.mem_read;
+    Physmem.read32 t.phys (resolve t ctx vaddr Mmu.Read)
+  end
   else
     read8 t ctx vaddr
     lor (read8 t ctx (vaddr + 1) lsl 8)
@@ -164,10 +167,11 @@ let read32 t ctx vaddr =
     lor (read8 t ctx (vaddr + 3) lsl 24)
 
 let write32 t ctx vaddr v =
-  Clock.advance t.active_clock t.costs.Cost.mem_write;
   let ps = page_size t in
-  if vaddr mod ps <= ps - 4 then
+  if vaddr mod ps <= ps - 4 then begin
+    Clock.advance t.active_clock t.costs.Cost.mem_write;
     Physmem.write32 t.phys (resolve t ctx vaddr Mmu.Write) v
+  end
   else begin
     write8 t ctx vaddr v;
     write8 t ctx (vaddr + 1) (v lsr 8);

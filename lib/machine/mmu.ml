@@ -18,9 +18,12 @@ type t = {
   contexts : (context, (int, entry) Hashtbl.t) Hashtbl.t;
   mutable next_context : int;
   mutable current : context;
-  (* direct-mapped TLB over (ctx, vpage); only caches the current context *)
+  (* direct-mapped TLB over (ctx, vpage); only caches the current context.
+     A slot caches the translation's frame and its protection, so a hit
+     serves any access that protection allows *)
   tlb_tags : int array; (* vpage or -1 *)
   tlb_frames : int array;
+  tlb_prots : prot array;
 }
 
 let create clock costs ~page_size =
@@ -35,6 +38,7 @@ let create clock costs ~page_size =
       current = 0;
       tlb_tags = Array.make tlb_size (-1);
       tlb_frames = Array.make tlb_size 0;
+      tlb_prots = Array.make tlb_size No_access;
     }
   in
   Hashtbl.add t.contexts 0 (Hashtbl.create 64);
@@ -128,9 +132,11 @@ let allows prot access =
 let translate t ctx vaddr access =
   if vaddr < 0 then invalid_arg "Mmu.translate: negative address";
   let vpage = vaddr / t.page_size and off = vaddr mod t.page_size in
-  (* TLB hit path: only for the current context and unhooked, permitted pages *)
+  (* TLB hit path: only for the current context, and only for an access
+     the cached protection allows; hooked pages are never cached *)
   let slot = vpage land (tlb_size - 1) in
-  if ctx = t.current && t.tlb_tags.(slot) = vpage && access = Read then
+  if ctx = t.current && t.tlb_tags.(slot) = vpage && allows t.tlb_prots.(slot) access
+  then
     Ok ((t.tlb_frames.(slot) * t.page_size) + off)
   else begin
     match Hashtbl.find_opt (table_exn t ctx) vpage with
@@ -144,7 +150,8 @@ let translate t ctx vaddr access =
           Clock.advance t.clock t.costs.Cost.tlb_fill;
           Clock.count t.clock "tlb_fill";
           t.tlb_tags.(slot) <- vpage;
-          t.tlb_frames.(slot) <- e.frame
+          t.tlb_frames.(slot) <- e.frame;
+          t.tlb_prots.(slot) <- e.prot
         end;
         Ok ((e.frame * t.page_size) + off)
       end

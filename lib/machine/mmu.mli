@@ -9,9 +9,14 @@
     invocations ("each interface entry will cause a page fault when
     referenced").
 
-    The TLB is a direct-mapped cache of translations; [switch_context]
-    flushes it, so frequent context switches pay refill costs — exactly
-    the effect that makes cross-domain calls expensive in the paper. *)
+    The TLB is a direct-mapped cache of the current context's
+    translations. A slot holds the frame and the page's protection, so a
+    hit serves any access that protection allows: a write to a
+    [Read_write] page hits just as a read does. A miss charges a
+    [tlb_fill]; [set_prot], [set_fault_hook] and [unmap] drop the page's
+    slot. [switch_context] flushes the TLB, so frequent context switches
+    pay refill costs — exactly the effect that makes cross-domain calls
+    expensive in the paper. *)
 
 type t
 

@@ -166,6 +166,211 @@ let test_mmu_delete_context () =
   let frames = List.sort compare (Mmu.delete_context mmu c1) in
   Alcotest.(check (list int)) "frames returned" [ 3; 5 ] frames
 
+(* A translation's outcome: the physical address or the full fault. *)
+let outcome =
+  Alcotest.testable
+    (fun fmt -> function
+      | Ok phys -> Format.fprintf fmt "Ok 0x%x" phys
+      | Error f -> Mmu.pp_fault fmt f)
+    ( = )
+
+(* Each stale-permission case starts from a write the TLB cached: vpage 3
+   of the current context, Read_write, translated for a write twice with
+   one fill between them. *)
+let cached_write_fixture () =
+  let clock, mmu = mmu_fixture () in
+  let ctx = Mmu.new_context mmu in
+  Mmu.map mmu ctx ~vpage:3 ~frame:5 ~prot:Mmu.Read_write;
+  Mmu.switch_context mmu ctx;
+  let fills0 = Clock.counter clock "tlb_fill" in
+  Alcotest.check outcome "write" (Ok ((5 * 256) + 9))
+    (Mmu.translate mmu ctx ((3 * 256) + 9) Mmu.Write);
+  Alcotest.check outcome "write hit" (Ok (5 * 256))
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Write);
+  Alcotest.(check int) "one fill" 1 (Clock.counter clock "tlb_fill" - fills0);
+  (mmu, ctx)
+
+let write_fault ctx reason =
+  Error { Mmu.ctx; vaddr = 3 * 256; access = Mmu.Write; reason }
+
+let test_mmu_stale_write_set_prot () =
+  let mmu, ctx = cached_write_fixture () in
+  Mmu.set_prot mmu ctx ~vpage:3 Mmu.Read_only;
+  Alcotest.check outcome "write after Read_only" (write_fault ctx Mmu.Protection)
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Write)
+
+let test_mmu_stale_write_hook () =
+  let mmu, ctx = cached_write_fixture () in
+  Mmu.set_fault_hook mmu ctx ~vpage:3 true;
+  Alcotest.check outcome "write after hook" (write_fault ctx Mmu.Hooked)
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Write)
+
+let test_mmu_stale_write_unmap () =
+  let mmu, ctx = cached_write_fixture () in
+  ignore (Mmu.unmap mmu ctx ~vpage:3);
+  Alcotest.check outcome "write after unmap" (write_fault ctx Mmu.Unmapped)
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Write)
+
+let test_mmu_cached_read_only () =
+  let clock, mmu = mmu_fixture () in
+  let ctx = Mmu.new_context mmu in
+  Mmu.map mmu ctx ~vpage:3 ~frame:5 ~prot:Mmu.Read_only;
+  Mmu.switch_context mmu ctx;
+  Alcotest.check outcome "read" (Ok (5 * 256)) (Mmu.translate mmu ctx (3 * 256) Mmu.Read);
+  let fills = Clock.counter clock "tlb_fill" in
+  Alcotest.check outcome "write to the cached read" (write_fault ctx Mmu.Protection)
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Write);
+  Alcotest.check outcome "read hit" (Ok (5 * 256))
+    (Mmu.translate mmu ctx (3 * 256) Mmu.Read);
+  Alcotest.(check int) "no fill for the fault or the hit" fills
+    (Clock.counter clock "tlb_fill")
+
+(* --- mmu against a model with no TLB ---------------------------------- *)
+
+(* Random programs over 2-3 contexts (the boot context 0 among them) and
+   4-8 vpages. Vpage index i is (i / 2) + 64 * (i mod 2), so the vpages
+   come in pairs v and v + 64 that share a slot of the direct-mapped TLB.
+   An operation names its context as the current one or by index. *)
+type target = Cur | Ctx of int
+
+type mmu_op =
+  | Map of target * int * int * Mmu.prot (* vpage index, frame, prot *)
+  | Unmap of target * int
+  | Set_prot of target * int * Mmu.prot
+  | Set_hook of target * int * bool
+  | Switch of int
+  | Translate of target * int * int * Mmu.access (* vpage index, offset *)
+
+let gen_mmu_program =
+  let open QCheck2.Gen in
+  let* nctx = int_range 2 3 in
+  let* nvp = int_range 4 8 in
+  let target =
+    frequency [ (3, pure Cur); (1, map (fun i -> Ctx i) (int_bound (nctx - 1))) ]
+  in
+  let vp = int_bound (nvp - 1) in
+  let prot = oneofl [ Mmu.No_access; Mmu.Read_only; Mmu.Read_write ] in
+  let op =
+    frequency
+      [
+        (3, map4 (fun c v f p -> Map (c, v, f, p)) target vp (int_bound 31) prot);
+        (1, map2 (fun c v -> Unmap (c, v)) target vp);
+        (2, map3 (fun c v p -> Set_prot (c, v, p)) target vp prot);
+        (1, map3 (fun c v h -> Set_hook (c, v, h)) target vp bool);
+        (1, map (fun i -> Switch i) (int_bound (nctx - 1)));
+        ( 6,
+          map4
+            (fun c v o a -> Translate (c, v, o, a))
+            target vp (int_bound 255)
+            (oneofl [ Mmu.Read; Mmu.Write ]) );
+      ]
+  in
+  let+ ops = list_size (int_range 1 60) op in
+  (nctx, ops)
+
+let print_mmu_program (nctx, ops) =
+  let t = function Cur -> "cur" | Ctx i -> Printf.sprintf "ctx%d" i in
+  let prot = function
+    | Mmu.No_access -> "none"
+    | Mmu.Read_only -> "ro"
+    | Mmu.Read_write -> "rw"
+  in
+  let op = function
+    | Map (c, v, f, p) -> Printf.sprintf "map %s v%d f%d %s" (t c) v f (prot p)
+    | Unmap (c, v) -> Printf.sprintf "unmap %s v%d" (t c) v
+    | Set_prot (c, v, p) -> Printf.sprintf "set_prot %s v%d %s" (t c) v (prot p)
+    | Set_hook (c, v, h) -> Printf.sprintf "hook %s v%d %b" (t c) v h
+    | Switch i -> Printf.sprintf "switch ctx%d" i
+    | Translate (c, v, o, a) ->
+      Printf.sprintf "%s %s v%d+%d" (if a = Mmu.Read then "read" else "write") (t c) v o
+  in
+  Printf.sprintf "%d contexts: %s" nctx (String.concat "; " (List.map op ops))
+
+(* The model: (ctx, vpage) -> (frame, prot, hooked), with no TLB. *)
+let model_translate model ~page_size ctx vaddr access =
+  let fault reason = Error { Mmu.ctx; vaddr; access; reason } in
+  match Hashtbl.find_opt model (ctx, vaddr / page_size) with
+  | None -> fault Mmu.Unmapped
+  | Some (_, _, true) -> fault Mmu.Hooked
+  | Some (frame, prot, false) ->
+    let allowed =
+      match (prot, access) with
+      | Mmu.Read_write, _ | Mmu.Read_only, (Mmu.Read | Mmu.Exec) -> true
+      | Mmu.Read_only, Mmu.Write | Mmu.No_access, _ -> false
+    in
+    if allowed then Ok ((frame * page_size) + (vaddr mod page_size))
+    else fault Mmu.Protection
+
+let mmu_matches_model (nctx, ops) =
+  let clock, mmu = mmu_fixture () in
+  let page_size = Mmu.page_size mmu in
+  let ctxs = Array.init nctx (fun i -> if i = 0 then 0 else Mmu.new_context mmu) in
+  let model = Hashtbl.create 16 in
+  let key c v =
+    let ctx = match c with Cur -> Mmu.current_context mmu | Ctx i -> ctxs.(i) in
+    (ctx, (v / 2) + (64 * (v mod 2)))
+  in
+  let translate ctx vaddr access =
+    let fills = Clock.counter clock "tlb_fill" in
+    let r = Mmu.translate mmu ctx vaddr access in
+    (r, Clock.counter clock "tlb_fill" - fills)
+  in
+  let step op =
+    match op with
+    | Map (c, v, frame, prot) ->
+      let ((ctx, vpage) as k) = key c v in
+      if not (Hashtbl.mem model k) then begin
+        Mmu.map mmu ctx ~vpage ~frame ~prot;
+        Hashtbl.replace model k (frame, prot, false)
+      end
+    | Unmap (c, v) -> (
+      let ((ctx, vpage) as k) = key c v in
+      match Hashtbl.find_opt model k with
+      | Some (frame, _, _) ->
+        Hashtbl.remove model k;
+        if Mmu.unmap mmu ctx ~vpage <> frame then
+          QCheck2.Test.fail_report "unmap: wrong frame"
+      | None -> ())
+    | Set_prot (c, v, prot) -> (
+      let ((ctx, vpage) as k) = key c v in
+      match Hashtbl.find_opt model k with
+      | Some (frame, _, hooked) ->
+        Mmu.set_prot mmu ctx ~vpage prot;
+        Hashtbl.replace model k (frame, prot, hooked)
+      | None -> ())
+    | Set_hook (c, v, hooked) -> (
+      let ((ctx, vpage) as k) = key c v in
+      match Hashtbl.find_opt model k with
+      | Some (frame, prot, _) ->
+        Mmu.set_fault_hook mmu ctx ~vpage hooked;
+        Hashtbl.replace model k (frame, prot, hooked)
+      | None -> ())
+    | Switch i -> Mmu.switch_context mmu ctxs.(i)
+    | Translate (c, v, off, access) ->
+      let ctx, vpage = key c v in
+      let vaddr = (vpage * page_size) + off in
+      let r, fills = translate ctx vaddr access in
+      let expected = model_translate model ~page_size ctx vaddr access in
+      if r <> expected then
+        QCheck2.Test.fail_reportf "translate ctx %d 0x%x: got %a, model %a" ctx vaddr
+          (Alcotest.pp outcome) r (Alcotest.pp outcome) expected;
+      if ctx <> Mmu.current_context mmu && fills <> 0 then
+        QCheck2.Test.fail_reportf "translate of non-current ctx %d filled the TLB" ctx;
+      if Result.is_ok r then begin
+        let again, refills = translate ctx vaddr access in
+        if again <> r || refills <> 0 then
+          QCheck2.Test.fail_reportf "repeated translate ctx %d 0x%x: %d fills" ctx vaddr
+            refills
+      end
+  in
+  List.iter step ops;
+  true
+
+let mmu_model_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"translate matches a model with no TLB"
+       ~print:print_mmu_program gen_mmu_program mmu_matches_model)
+
 (* --- machine bus and faults ------------------------------------------ *)
 
 let test_machine_rw () =
@@ -192,6 +397,66 @@ let test_machine_straddling_word () =
   (* write a 32-bit value across the page boundary at 254 *)
   Machine.write32 m ctx 254 0x11223344;
   Alcotest.(check int) "straddle round-trip" 0x11223344 (Machine.read32 m ctx 254)
+
+(* --- cost-model invariants ---------------------------------------------- *)
+
+(* A machine at the default costs with [pages] Read_write pages mapped
+   from vpage 0 in a fresh context, made current so the TLB serves it. *)
+let costed_machine ?(pages = 1) () =
+  let m = Machine.create ~costs:Cost.default ~frames:32 ~page_size:256 () in
+  let mmu = Machine.mmu m in
+  let ctx = Mmu.new_context mmu in
+  for vpage = 0 to pages - 1 do
+    Mmu.map mmu ctx ~vpage ~frame:(Physmem.alloc (Machine.phys m)) ~prot:Mmu.Read_write
+  done;
+  Mmu.switch_context mmu ctx;
+  (m, ctx)
+
+(* the cycles and TLB fills [f] charges *)
+let charged m f =
+  let clock = Machine.clock m in
+  let cycles = Clock.now clock and fills = Clock.counter clock "tlb_fill" in
+  f ();
+  (Clock.now clock - cycles, Clock.counter clock "tlb_fill" - fills)
+
+let cost = Alcotest.(pair int int)
+
+let test_machine_touched_page_costs () =
+  let m, ctx = costed_machine () in
+  let c = Machine.costs m in
+  Alcotest.check cost "first touch fills" (c.Cost.mem_write + c.Cost.tlb_fill, 1)
+    (charged m (fun () -> Machine.write8 m ctx 0 1));
+  Alcotest.check cost "write8" (c.Cost.mem_write, 0)
+    (charged m (fun () -> Machine.write8 m ctx 1 2));
+  Alcotest.check cost "read8" (c.Cost.mem_read, 0)
+    (charged m (fun () -> ignore (Machine.read8 m ctx 1)))
+
+let test_machine_write_after_read_cost () =
+  let m, ctx = costed_machine () in
+  let c = Machine.costs m in
+  ignore (Machine.read8 m ctx 0);
+  Alcotest.check cost "first write after a read" (c.Cost.mem_write, 0)
+    (charged m (fun () -> Machine.write8 m ctx 0 7))
+
+let test_machine_write_string_cost () =
+  let m, ctx = costed_machine () in
+  let c = Machine.costs m in
+  Machine.write8 m ctx 0 0;
+  let s = "paramecium" in
+  Alcotest.check cost "n bytes, n writes" (String.length s * c.Cost.mem_write, 0)
+    (charged m (fun () -> Machine.write_string m ctx 8 s))
+
+(* the straddling-word layout: a word at 254 spans vpages 0 and 1 *)
+let test_machine_straddling_word_cost () =
+  let m, ctx = costed_machine ~pages:2 () in
+  let c = Machine.costs m in
+  Alcotest.check cost "four byte reads, a fill per page"
+    ((4 * c.Cost.mem_read) + (2 * c.Cost.tlb_fill), 2)
+    (charged m (fun () -> ignore (Machine.read32 m ctx 254)));
+  Alcotest.check cost "four byte writes" (4 * c.Cost.mem_write, 0)
+    (charged m (fun () -> Machine.write32 m ctx 254 0x11223344));
+  Alcotest.check cost "an aligned word is one access" (c.Cost.mem_read, 0)
+    (charged m (fun () -> ignore (Machine.read32 m ctx 248)))
 
 let test_machine_fault_handler_resolves () =
   let m = unit_machine () in
@@ -365,11 +630,25 @@ let () =
           Alcotest.test_case "tlb refill after switch" `Quick
             test_mmu_tlb_refill_after_switch;
           Alcotest.test_case "delete context" `Quick test_mmu_delete_context;
+          Alcotest.test_case "stale write right: set_prot" `Quick
+            test_mmu_stale_write_set_prot;
+          Alcotest.test_case "stale write right: fault hook" `Quick
+            test_mmu_stale_write_hook;
+          Alcotest.test_case "stale write right: unmap" `Quick test_mmu_stale_write_unmap;
+          Alcotest.test_case "cached read on a read-only page" `Quick
+            test_mmu_cached_read_only;
+          mmu_model_prop;
         ] );
       ( "bus",
         [
           Alcotest.test_case "read/write" `Quick test_machine_rw;
           Alcotest.test_case "straddling word" `Quick test_machine_straddling_word;
+          Alcotest.test_case "straddling word cost" `Quick
+            test_machine_straddling_word_cost;
+          Alcotest.test_case "touched page costs" `Quick test_machine_touched_page_costs;
+          Alcotest.test_case "write after read cost" `Quick
+            test_machine_write_after_read_cost;
+          Alcotest.test_case "write_string cost" `Quick test_machine_write_string_cost;
           Alcotest.test_case "fault handler resolves" `Quick
             test_machine_fault_handler_resolves;
           Alcotest.test_case "fatal fault" `Quick test_machine_fatal_fault;
