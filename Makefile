@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke demo-smoke replay-smoke trace-smoke bench-output lint fmt check clean
+.PHONY: all build test bench bench-smoke demo-smoke examples-smoke replay-smoke trace-smoke bench-output lint fmt check clean
 
 all: build
 
@@ -26,6 +26,20 @@ demo-smoke:
 	dune exec bin/paramecium_demo.exe -- packets --stats --net-chan -n 3
 	dune exec bin/paramecium_demo.exe -- kv -n 4 --cpus 2
 	dune exec bin/paramecium_demo.exe -- packets --stats --net-chan -n 3 --cpus 2
+
+# every example end to end; each fails on a wrong result, pagersim on
+# data lost across paging and fileserver on any file-system error, both
+# on the kernel's paging disk
+examples-smoke:
+	dune exec examples/quickstart.exe
+	dune exec examples/netmon.exe
+	dune exec examples/parallel.exe
+	dune exec examples/appos.exe
+	dune exec examples/rpc_demo.exe
+	dune exec examples/cluster_rpc.exe
+	dune exec examples/pagersim.exe
+	dune exec examples/fileserver.exe
+	dune exec examples/packet_filter.exe
 
 # record/replay determinism: every scenario self-checks, and a recording
 # written to disk replays byte-identically after a round-trip

@@ -99,5 +99,5 @@ let () =
   | Ok b -> say "after remount, /motd = %S" (Bytes.to_string b)
   | Error e -> failwith (Simplefs.error_to_string e));
   say "fileserver done (disk: %d reads, %d writes)"
-    (Disk.reads (Kernel.disk k))
-    (Disk.writes (Kernel.disk k))
+    (Blkdev.reads (Kernel.disk k))
+    (Blkdev.writes (Kernel.disk k))

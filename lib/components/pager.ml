@@ -4,7 +4,7 @@ module Vmem = Pm_nucleus.Vmem
 module Machine = Pm_machine.Machine
 module Mmu = Pm_machine.Mmu
 module Physmem = Pm_machine.Physmem
-module Disk = Pm_machine.Disk
+module Blkdev = Pm_machine.Blkdev
 module Clock = Pm_machine.Clock
 module Iface = Pm_obj.Iface
 module Instance = Pm_obj.Instance
@@ -21,7 +21,7 @@ type page_state = {
 type t = {
   api : Api.t;
   dom : Domain.t;
-  disk : Disk.t;
+  disk : Blkdev.t;
   base : int;
   page_size : int;
   budget : int;
@@ -70,7 +70,7 @@ let evict t idx =
   | None -> ()
   | Some frame ->
     if p.dirty then begin
-      Disk.write_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
+      Blkdev.write_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
       t.pageouts <- t.pageouts + 1;
       p.ever_written <- true;
       p.dirty <- false
@@ -86,7 +86,7 @@ let page_in t idx =
   let frame = Physmem.alloc phys in
   let p = t.pages.(idx) in
   if p.ever_written then begin
-    Disk.read_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
+    Blkdev.read_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
     t.pageins <- t.pageins + 1
   end;
   (* map read-only: the first write faults and flips to dirty *)
@@ -126,7 +126,7 @@ let flush t =
     (fun idx p ->
       match p.frame with
       | Some frame when p.dirty ->
-        Disk.write_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
+        Blkdev.write_sync t.disk ~block:(block_of t idx) ~phys_addr:(phys_of_frame t frame);
         p.ever_written <- true;
         p.dirty <- false;
         Vmem.set_page_prot t.api.Api.vmem t.dom ~vaddr:(vaddr_of t idx) Mmu.Read_only;
@@ -156,8 +156,10 @@ let make_instance t =
 let create api dom ~disk ~resident_budget ~backing_pages ~first_block =
   if resident_budget <= 0 then invalid_arg "Pager.create: zero resident budget";
   if backing_pages <= 0 then invalid_arg "Pager.create: zero backing pages";
-  if first_block < 0 || first_block + backing_pages > Disk.blocks disk then
+  if first_block < 0 || first_block + backing_pages > Blkdev.blocks disk then
     invalid_arg "Pager.create: backing blocks exceed disk capacity";
+  if Blkdev.block_size disk <> Machine.page_size api.Api.machine then
+    invalid_arg "Pager.create: disk block size is not the page size";
   let vmem = api.Api.vmem in
   let base = Vmem.reserve_pages vmem dom ~count:backing_pages in
   let t =

@@ -2,7 +2,7 @@ module Api = Pm_nucleus.Api
 module Domain = Pm_nucleus.Domain
 module Machine = Pm_machine.Machine
 module Physmem = Pm_machine.Physmem
-module Disk = Pm_machine.Disk
+module Blkdev = Pm_machine.Blkdev
 module Iface = Pm_obj.Iface
 module Instance = Pm_obj.Instance
 module Value = Pm_obj.Value
@@ -45,7 +45,7 @@ type inode = {
 
 type t = {
   api : Api.t;
-  disk : Disk.t;
+  disk : Blkdev.t;
   block_size : int;
   total_blocks : int;
   inode_table_blocks : int;
@@ -58,14 +58,14 @@ type t = {
 (* --- block IO through the bounce frame ------------------------------- *)
 
 let read_block t n =
-  Disk.read_sync t.disk ~block:n ~phys_addr:t.scratch;
+  Blkdev.read_sync t.disk ~block:n ~phys_addr:t.scratch;
   Bytes.of_string
     (Physmem.read_string (Machine.phys t.api.Api.machine) t.scratch t.block_size)
 
 let write_block t n data =
   assert (Bytes.length data = t.block_size);
   Physmem.blit_string (Machine.phys t.api.Api.machine) (Bytes.to_string data) t.scratch;
-  Disk.write_sync t.disk ~block:n ~phys_addr:t.scratch
+  Blkdev.write_sync t.disk ~block:n ~phys_addr:t.scratch
 
 (* --- metadata (de)serialization --------------------------------------- *)
 
@@ -449,7 +449,9 @@ let stat t ctx path =
 let make_t api ~disk =
   let machine = api.Api.machine in
   let block_size = Machine.page_size machine in
-  let total_blocks = Disk.blocks disk in
+  if Blkdev.block_size disk <> block_size then
+    invalid_arg "Simplefs: disk block size is not the page size";
+  let total_blocks = Blkdev.blocks disk in
   if total_blocks > block_size - superblock_bitmap_offset then
     invalid_arg "Simplefs: disk too large for the superblock bitmap";
   let inode_table_blocks = 1 in

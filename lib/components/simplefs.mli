@@ -1,4 +1,6 @@
-(** A small inode filesystem over the block disk.
+(** A small inode filesystem over a block device whose block size is the
+    page size (the kernel's paging disk), driven through the device's
+    synchronous transfer.
 
     Another entry in the component toolbox: a filesystem is exactly the
     kind of operating-system component the paper wants outside the
@@ -41,12 +43,14 @@ type error =
 
 val error_to_string : error -> string
 
-(** [format api ~disk] writes a fresh filesystem and mounts it. *)
-val format : Pm_nucleus.Api.t -> disk:Pm_machine.Disk.t -> t
+(** [format api ~disk] writes a fresh filesystem and mounts it. Raises
+    [Invalid_argument] if the disk's block size is not the page size. *)
+val format : Pm_nucleus.Api.t -> disk:Pm_machine.Blkdev.t -> t
 
 (** [mount api ~disk] reads an existing filesystem's metadata. Raises
-    [Invalid_argument] if the superblock magic is wrong. *)
-val mount : Pm_nucleus.Api.t -> disk:Pm_machine.Disk.t -> t
+    [Invalid_argument] if the disk's block size is not the page size or
+    the superblock magic is wrong. *)
+val mount : Pm_nucleus.Api.t -> disk:Pm_machine.Blkdev.t -> t
 
 (** [sync t] writes all cached metadata back to disk. *)
 val sync : t -> unit

@@ -40,7 +40,6 @@ module Device = Pm_machine.Device
 module Nic = Pm_machine.Nic
 module Timer_dev = Pm_machine.Timer_dev
 module Console = Pm_machine.Console
-module Disk = Pm_machine.Disk
 module Blkdev = Pm_machine.Blkdev
 
 (* object architecture *)

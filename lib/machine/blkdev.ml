@@ -1,21 +1,23 @@
 (* Simulated block device with a DMA descriptor ring.
 
-   Unlike the one-outstanding-op Disk, this device consumes descriptors
-   from a ring the driver places in physical memory, so several
-   operations stay in flight at once. The media is serialized: each
-   fetched descriptor becomes ready [Cost.blk_op] cycles after the
-   previous one finishes (or after fetch, when the media is idle).
-   Completion writes the done bit back into the descriptor, advances
-   HEAD, and raises a (coalesced) interrupt through the machine's
-   ordinary IRQ dispatch — the nucleus event service turns that into a
-   pop-up like any other device interrupt.
+   The device consumes descriptors from a ring the driver places in
+   physical memory, so several operations stay in flight at once. The
+   media is serialized: each fetched descriptor becomes ready
+   [Cost.blk_op] cycles after the previous one finishes (or after fetch,
+   when the media is idle). Completion writes the done bit back into the
+   descriptor, advances HEAD, and raises a (coalesced) interrupt through
+   the machine's ordinary IRQ dispatch — the nucleus event service turns
+   that into a pop-up like any other device interrupt. A caller that
+   cannot wait for that interrupt (a fault handler) uses the synchronous
+   transfer instead: the CPU stalls for the same [Cost.blk_op], and the
+   same media copy runs.
 
    Determinism: completion is clock-driven, not tick-counted. When the
    device is asked to make progress (a machine tick, or the driver
    polling STATUS) while operations are in flight but none are due yet,
    the virtual clock jumps to the earliest ready time — the CPU idling
-   until the completion interrupt. No existing workload touches this
-   device, so the jump perturbs nothing else.
+   until the completion interrupt. An idle ring makes no progress and
+   moves no clock, so an instance used only synchronously never jumps.
 
    Descriptor layout (16 bytes, 4 little-endian words):
      +0  cmd/status: bits 0-1 op (1 = read, 2 = write),
@@ -82,6 +84,20 @@ let block_bytes t block =
     Hashtbl.replace t.store block b;
     b
 
+(* The one media path: copy one block between the media and physical
+   memory, for a ring completion and a synchronous transfer alike. *)
+let transfer t ~op ~block ~buf =
+  let phys = Machine.phys t.machine in
+  if op = op_read then begin
+    t.reads <- t.reads + 1;
+    Physmem.blit_string phys (Bytes.to_string (block_bytes t block)) buf
+  end
+  else begin
+    t.writes <- t.writes + 1;
+    let data = Physmem.read_string phys buf t.block_size in
+    Hashtbl.replace t.store block (Bytes.of_string data)
+  end
+
 let desc_addr t slot = t.ring_base + (slot mod t.ring_slots * desc_bytes)
 
 (* Fetch every descriptor the driver has published. Media time is
@@ -128,17 +144,7 @@ let complete_due t =
           desc_done lor desc_error
         end
         else begin
-          if op.op = op_read then begin
-            t.reads <- t.reads + 1;
-            Physmem.blit_string phys
-              (Bytes.to_string (block_bytes t op.block))
-              op.buf
-          end
-          else begin
-            t.writes <- t.writes + 1;
-            let data = Physmem.read_string phys op.buf t.block_size in
-            Hashtbl.replace t.store op.block (Bytes.of_string data)
-          end;
+          transfer t ~op:op.op ~block:op.block ~buf:op.buf;
           desc_done
         end
       in
@@ -158,6 +164,9 @@ let complete_due t =
   end
 
 let progress t = fetch_descriptors t; complete_due t
+
+(* The ring has a descriptor published, fetched or in flight. *)
+let busy t = t.fetched < t.tail || not (Queue.is_empty t.inflight)
 
 (* Progress plus the idle-until-interrupt jump: with ops in flight but
    none due, the clock advances to the earliest ready time. *)
@@ -210,7 +219,7 @@ let reg_write t reg v =
       t.status <- t.status land lnot status_complete
   | _ -> ()
 
-let create machine ~irq_line ~blocks ~block_size =
+let create machine ~name ~irq_line ~blocks ~block_size =
   if blocks <= 0 then invalid_arg "Blkdev.create: need at least one block";
   if block_size <= 0 then invalid_arg "Blkdev.create: bad block size";
   let t =
@@ -238,12 +247,30 @@ let create machine ~irq_line ~blocks ~block_size =
     }
   in
   let dev =
-    Device.make ~name:"blkdev" ~reg_count:9 ~reg_read:(reg_read t)
+    Device.make ~name ~reg_count:9 ~reg_read:(reg_read t)
       ~reg_write:(reg_write t)
-      ~tick:(fun () -> progress_waiting t)
+      ~tick:(fun () -> if busy t then progress_waiting t)
   in
   t.io_base <- Machine.attach_device machine dev;
   t
+
+(* A synchronous transfer never overtakes a descriptor. *)
+let sync t ~fn ~op ~block ~phys_addr =
+  if block < 0 || block >= t.blocks then
+    invalid_arg (Printf.sprintf "Blkdev.%s: block %d out of range" fn block);
+  if busy t then
+    invalid_arg (Printf.sprintf "Blkdev.%s: the ring has work outstanding" fn);
+  let clock = Machine.clock t.machine in
+  Clock.count clock "blk_issue";
+  jot t ~kind:Journal.Blk_issue ~info:block;
+  Clock.advance clock (Cost.blk_op (Machine.costs t.machine) ~bytes:t.block_size);
+  transfer t ~op ~block ~buf:phys_addr;
+  t.completed <- t.completed + 1;
+  Clock.count clock "blk_complete";
+  jot t ~kind:Journal.Blk_complete ~info:block
+
+let read_sync t ~block ~phys_addr = sync t ~fn:"read_sync" ~op:op_read ~block ~phys_addr
+let write_sync t ~block ~phys_addr = sync t ~fn:"write_sync" ~op:op_write ~block ~phys_addr
 
 let io_base t = t.io_base
 let irq_line t = t.irq_line

@@ -3,7 +3,7 @@
     A device is a bank of 32-bit registers plus a [tick] function that
     advances its internal model (delivering DMA, firing timers, raising
     interrupts through the closure it was created with). Concrete models:
-    {!Nic}, {!Timer_dev}, {!Console}. *)
+    {!Nic}, {!Timer_dev}, {!Console}, {!Blkdev}. *)
 
 type t = {
   name : string;

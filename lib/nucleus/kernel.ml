@@ -4,7 +4,6 @@ module Clock = Pm_machine.Clock
 module Nic = Pm_machine.Nic
 module Timer_dev = Pm_machine.Timer_dev
 module Console = Pm_machine.Console
-module Disk = Pm_machine.Disk
 module Blkdev = Pm_machine.Blkdev
 module Namespace = Pm_names.Namespace
 module Path = Pm_names.Path
@@ -30,7 +29,7 @@ type t = {
   nic : Nic.t;
   timer : Timer_dev.t;
   console : Console.t;
-  disk : Disk.t;
+  disk : Blkdev.t;
   blkdev : Blkdev.t;
   nucleus : Composite.t;
   tracesvc : Tracesvc.t;
@@ -214,9 +213,16 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   let machine = Machine.create ?costs ?frames ?page_size ~cpus () in
   let timer = Timer_dev.create machine ~irq_line:0 in
   let nic = Nic.create machine ~irq_line:1 in
-  let disk = Disk.create machine ~irq_line:2 ~blocks:512 in
+  (* two instances of the one block-device model: page-size blocks for
+     the pager and the file system, 512-byte blocks under the store *)
+  let disk =
+    Blkdev.create machine ~name:"disk" ~irq_line:2 ~blocks:512
+      ~block_size:(Machine.page_size machine)
+  in
   let console = Console.create machine in
-  let blkdev = Blkdev.create machine ~irq_line:3 ~blocks:1024 ~block_size:512 in
+  let blkdev =
+    Blkdev.create machine ~name:"blkdev" ~irq_line:3 ~blocks:1024 ~block_size:512
+  in
   let registry = Registry.create () in
   let ns = Namespace.create () in
   let root_view = View.of_namespace ns in

@@ -57,7 +57,13 @@ val kernel_domain : t -> Domain.t
 val nic : t -> Pm_machine.Nic.t
 val timer : t -> Pm_machine.Timer_dev.t
 val console : t -> Pm_machine.Console.t
-val disk : t -> Pm_machine.Disk.t
+
+(** The paging disk: device ["disk"], irq 2, 512 blocks of the page
+    size, driven through the synchronous transfer. *)
+val disk : t -> Pm_machine.Blkdev.t
+
+(** The store's block device: device ["blkdev"], irq 3, 1024 blocks of
+    512 bytes, driven through its descriptor ring. *)
 val blkdev : t -> Pm_machine.Blkdev.t
 
 (** {1 Domains} *)

@@ -44,16 +44,14 @@ let desc_error = 0x200
 (* the boot convention: the block device interrupts on line 3 *)
 let irq_line = 3
 
-type config = { ring_slots : int; io_sharing : Vmem.sharing }
-
-let default_config = { ring_slots = 8; io_sharing = Vmem.Exclusive }
+(* descriptor ring depth; the ring fits one page *)
+let ring_slots = 8
 
 type state = {
   api : Api.t;
   dom : Domain.t;
   grant : Vmem.io_grant;
   ring_vaddr : int;
-  ring_slots : int;
   buf_vaddrs : int array; (* one data buffer per ring slot *)
   buf_phys : int array;
   blocks : int;
@@ -79,7 +77,7 @@ let in_domain st f =
    than [ring_slots] are outstanding. Returns the slot index used. *)
 let post st ~op ~block ~slot_buf =
   let machine = st.api.Api.machine in
-  let slot = st.tail mod st.ring_slots in
+  let slot = st.tail mod ring_slots in
   let d = st.ring_vaddr + (slot * desc_bytes) in
   Machine.write32 machine st.dom.Domain.id d op;
   Machine.write32 machine st.dom.Domain.id (d + 4) block;
@@ -123,7 +121,7 @@ let check_block st block =
 let read_op st ctx block =
   let* () = check_block st block in
   in_domain st (fun () ->
-      let slot_buf = st.tail mod st.ring_slots in
+      let slot_buf = st.tail mod ring_slots in
       let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
       let* () = wait_slot st slot in
       let data =
@@ -139,7 +137,7 @@ let write_op st ctx block data =
   if Bytes.length data > st.block_size then fault "blkdrv: write exceeds block size"
   else
     in_domain st (fun () ->
-        let slot_buf = st.tail mod st.ring_slots in
+        let slot_buf = st.tail mod ring_slots in
         let padded = Bytes.make st.block_size '\000' in
         Bytes.blit data 0 padded 0 (Bytes.length data);
         Machine.write_string st.api.Api.machine st.dom.Domain.id
@@ -165,14 +163,14 @@ let read_many st ctx bs =
               | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
               | tl -> (List.rev acc, tl)
             in
-            split st.ring_slots [] chunk_blocks
+            split ring_slots [] chunk_blocks
           in
           let* posted =
             List.fold_left
               (fun acc block ->
                 let* acc = acc in
                 let* () = check_block st block in
-                let slot_buf = st.tail mod st.ring_slots in
+                let slot_buf = st.tail mod ring_slots in
                 let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
                 Ok ((slot, slot_buf) :: acc))
               (Ok []) chunk
@@ -207,7 +205,7 @@ let write_many st ctx pairs =
               | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
               | tl -> (List.rev acc, tl)
             in
-            split st.ring_slots [] chunk_pairs
+            split ring_slots [] chunk_pairs
           in
           let* posted =
             List.fold_left
@@ -217,7 +215,7 @@ let write_many st ctx pairs =
                 if Bytes.length data > st.block_size then
                   fault "blkdrv: write exceeds block size"
                 else begin
-                  let slot_buf = st.tail mod st.ring_slots in
+                  let slot_buf = st.tail mod ring_slots in
                   let padded = Bytes.make st.block_size '\000' in
                   Bytes.blit data 0 padded 0 (Bytes.length data);
                   Machine.write_string st.api.Api.machine st.dom.Domain.id
@@ -256,27 +254,26 @@ let flush_op st _ctx =
       in
       spin 0)
 
-let create api dom ?(config = default_config) () =
-  if config.ring_slots <= 0 then invalid_arg "Blkdrv.create: need ring slots";
+let create api dom =
   let vmem = api.Api.vmem in
   let machine = api.Api.machine in
-  let grant = Vmem.alloc_io vmem dom ~device:"blkdev" ~sharing:config.io_sharing in
+  let grant = Vmem.alloc_io vmem dom ~device:"blkdev" ~sharing:Vmem.Exclusive in
   let page_size = Machine.page_size machine in
   let blocks = Vmem.io_read vmem grant ~reg:reg_blocks in
   let block_size = Vmem.io_read vmem grant ~reg:reg_block_size in
-  if config.ring_slots * desc_bytes > page_size then
+  if ring_slots * desc_bytes > page_size then
     invalid_arg "Blkdrv.create: ring exceeds one page";
   let ring_vaddr = Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive in
   (* per-slot data buffers, packed into as few pages as needed; a buffer
      never straddles pages while block_size divides page_size *)
   let per_page = max 1 (page_size / block_size) in
-  let pages_needed = (config.ring_slots + per_page - 1) / per_page in
+  let pages_needed = (ring_slots + per_page - 1) / per_page in
   let page_vaddrs =
     Array.init pages_needed (fun _ ->
         Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive)
   in
   let buf_vaddrs =
-    Array.init config.ring_slots (fun i ->
+    Array.init ring_slots (fun i ->
         page_vaddrs.(i / per_page) + (i mod per_page * block_size))
   in
   let st =
@@ -285,9 +282,8 @@ let create api dom ?(config = default_config) () =
       dom;
       grant;
       ring_vaddr;
-      ring_slots = config.ring_slots;
       buf_vaddrs;
-      buf_phys = Array.make config.ring_slots 0;
+      buf_phys = Array.make ring_slots 0;
       blocks;
       block_size;
       tail = 0;
@@ -305,7 +301,7 @@ let create api dom ?(config = default_config) () =
         buf_vaddrs;
       let ring_phys = Vmem.phys_of vmem dom ~vaddr:ring_vaddr in
       Vmem.io_write vmem grant ~reg:reg_ring_base ring_phys;
-      Vmem.io_write vmem grant ~reg:reg_ring_slots config.ring_slots;
+      Vmem.io_write vmem grant ~reg:reg_ring_slots ring_slots;
       Vmem.io_write vmem grant ~reg:reg_ctrl (ctrl_enable lor ctrl_irq_enable));
   (* completion interrupts become pop-up threads in the driver's domain;
      synchronous waiters see completion in the descriptor itself, so the

@@ -9,20 +9,8 @@
     threads; synchronous waiters poll the descriptor done bit, each
     STATUS read letting the simulated device make progress. *)
 
-type config = {
-  ring_slots : int;  (** descriptor ring depth (fits one page) *)
-  io_sharing : Pm_nucleus.Vmem.sharing;
-}
-
-val default_config : config
-
-(** [create api dom ~config ()] attaches to the machine's block device,
-    programs the ring, installs the interrupt pop-up, registers in
+(** [create api dom] takes the machine's ["blkdev"] device exclusively,
+    programs an 8-slot ring, installs the interrupt pop-up, registers in
     {!Storereg} as [Driver], and returns the instance exporting
     ["block"] and ["blkring"]. *)
-val create :
-  Pm_nucleus.Api.t ->
-  Pm_nucleus.Domain.t ->
-  ?config:config ->
-  unit ->
-  Pm_obj.Instance.t
+val create : Pm_nucleus.Api.t -> Pm_nucleus.Domain.t -> Pm_obj.Instance.t

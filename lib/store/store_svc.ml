@@ -67,7 +67,7 @@ let create api ~domain_of_id () =
     Iface.make ~name:"store.factory"
       [
         Iface.fn1 ~name:"driver" Iface.Str ~ret:Vtype.Thandle (fun ctx name ->
-            boot ctx name (fun dom -> Blkdrv.create api dom ()));
+            boot ctx name (fun dom -> Blkdrv.create api dom));
         Iface.fn4 ~name:"partition" Iface.Str Iface.Str Iface.Int Iface.Int
           ~ret:Vtype.Thandle (fun ctx name lower base count ->
             boot ctx name (fun dom ->
@@ -199,7 +199,7 @@ let image ~domain_of_id () =
 let driver_image () =
   Images.image ~name:"store-blkdrv" ~size:24_576 ~author:"kernel-team"
     ~type_safe:false
-    (fun api dom -> Blkdrv.create api dom ())
+    (fun api dom -> Blkdrv.create api dom)
 
 let partition_image ~name ~lower ~base ~count () =
   Images.image ~name:("store-" ^ name) ~size:8_192 ~author:"kernel-team"

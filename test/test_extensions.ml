@@ -1,83 +1,10 @@
-(* Tests for the extension subsystems: the disk device, the demand pager
-   (virtual memory outside the nucleus), run-time inlining, and the
-   two-node cluster. *)
+(* Tests for the extension subsystems: the demand pager (virtual memory
+   outside the nucleus), run-time inlining, the two-node cluster and the
+   file system. *)
 
 open Paramecium
 
 let sys_fixture () = System.create ~key_bits:384 ()
-
-(* --- disk ---------------------------------------------------------------- *)
-
-let disk_fixture () =
-  let m = Machine.create ~costs:Cost.unit_costs ~frames:16 ~page_size:256 () in
-  let d = Disk.create m ~irq_line:3 ~blocks:32 in
-  (m, d)
-
-let test_disk_sync_round_trip () =
-  let m, d = disk_fixture () in
-  let phys = Machine.phys m in
-  let f1 = Physmem.alloc phys in
-  let f2 = Physmem.alloc phys in
-  Physmem.blit_string phys "persistent data" (f1 * 256);
-  Disk.write_sync d ~block:5 ~phys_addr:(f1 * 256);
-  Disk.read_sync d ~block:5 ~phys_addr:(f2 * 256);
-  Alcotest.(check string) "round trip" "persistent data"
-    (Physmem.read_string phys (f2 * 256) 15);
-  Alcotest.(check int) "reads" 1 (Disk.reads d);
-  Alcotest.(check int) "writes" 1 (Disk.writes d);
-  (* unwritten blocks read as zeroes *)
-  Disk.read_sync d ~block:9 ~phys_addr:(f2 * 256);
-  Alcotest.(check int) "zero fill" 0 (Physmem.read8 phys (f2 * 256));
-  Alcotest.check_raises "bad block" (Invalid_argument "Disk: block 32 out of range")
-    (fun () -> Disk.read_sync d ~block:32 ~phys_addr:(f1 * 256))
-
-let test_disk_sync_charges () =
-  let m, d = disk_fixture () in
-  let f = Physmem.alloc (Machine.phys m) in
-  let before = Clock.now (Machine.clock m) in
-  Disk.write_sync d ~block:0 ~phys_addr:(f * 256);
-  Alcotest.(check int) "op cost" Disk.op_cycles (Clock.now (Machine.clock m) - before)
-
-let test_disk_async () =
-  let m, d = disk_fixture () in
-  let phys = Machine.phys m in
-  let f = Physmem.alloc phys in
-  Physmem.blit_string phys "dma!" (f * 256);
-  let irqs = ref 0 in
-  Machine.set_irq_handler m 3 (Some (fun () -> incr irqs));
-  let base = Disk.io_base d in
-  Machine.io_write m base 7 (* BLOCK *);
-  Machine.io_write m (base + 4) (f * 256) (* ADDR *);
-  Machine.io_write m (base + 8) 2 (* CMD write *);
-  Alcotest.(check int) "busy" 1 (Machine.io_read m (base + 12) land 1);
-  for _ = 1 to 5 do
-    Machine.tick m
-  done;
-  Alcotest.(check int) "irq on completion" 1 !irqs;
-  Alcotest.(check int) "done bit" 2 (Machine.io_read m (base + 12) land 2);
-  Machine.io_write m (base + 12) 2 (* ack *);
-  Alcotest.(check int) "done cleared" 0 (Machine.io_read m (base + 12) land 2);
-  (* read it back asynchronously into another frame *)
-  let f2 = Physmem.alloc phys in
-  Machine.io_write m base 7;
-  Machine.io_write m (base + 4) (f2 * 256);
-  Machine.io_write m (base + 8) 1 (* CMD read *);
-  for _ = 1 to 5 do
-    Machine.tick m
-  done;
-  Alcotest.(check string) "async round trip" "dma!" (Physmem.read_string phys (f2 * 256) 4);
-  Alcotest.(check int) "capacity register" 32 (Machine.io_read m (base + 16))
-
-let test_disk_async_errors () =
-  let m, d = disk_fixture () in
-  let base = Disk.io_base d in
-  Machine.io_write m base 99 (* bad block *);
-  Machine.io_write m (base + 8) 1;
-  Alcotest.(check int) "error bit" 4 (Machine.io_read m (base + 12) land 4);
-  Machine.io_write m (base + 12) 4;
-  Machine.io_write m base 1;
-  Machine.io_write m (base + 8) 7 (* bad command *);
-  Alcotest.(check int) "bad cmd error" 4 (Machine.io_read m (base + 12) land 4)
 
 (* --- pager ----------------------------------------------------------------- *)
 
@@ -178,6 +105,16 @@ let test_pager_bounds () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized backing store rejected")
+
+(* the store's device has 512-byte blocks: a pager on it would move an
+   eighth of every page *)
+let test_pager_rejects_small_blocks () =
+  let k = System.kernel (sys_fixture ()) in
+  Alcotest.check_raises "512-byte blocks"
+    (Invalid_argument "Pager.create: disk block size is not the page size") (fun () ->
+      ignore
+        (Pager.create (Kernel.api k) (Kernel.kernel_domain k) ~disk:(Kernel.blkdev k)
+           ~resident_budget:2 ~backing_pages:4 ~first_block:0))
 
 (* --- inlining ----------------------------------------------------------------- *)
 
@@ -332,6 +269,12 @@ let fs_fixture () =
   let kdom = Kernel.kernel_domain k in
   let fs = Simplefs.format (Kernel.api k) ~disk:(Kernel.disk k) in
   (k, kdom, Kernel.ctx k kdom, fs)
+
+let test_fs_rejects_small_blocks entry () =
+  let k = System.kernel (sys_fixture ()) in
+  Alcotest.check_raises "512-byte blocks"
+    (Invalid_argument "Simplefs: disk block size is not the page size") (fun () ->
+      ignore (entry (Kernel.api k) ~disk:(Kernel.blkdev k)))
 
 let ok_or_fail = function
   | Ok v -> v
@@ -548,13 +491,6 @@ let pager_model_prop =
 let () =
   Alcotest.run "extensions"
     [
-      ( "disk",
-        [
-          Alcotest.test_case "sync round trip" `Quick test_disk_sync_round_trip;
-          Alcotest.test_case "sync cost" `Quick test_disk_sync_charges;
-          Alcotest.test_case "async dma + irq" `Quick test_disk_async;
-          Alcotest.test_case "async errors" `Quick test_disk_async_errors;
-        ] );
       ( "pager",
         [
           Alcotest.test_case "demand paging" `Quick test_pager_demand_paging;
@@ -562,6 +498,8 @@ let () =
           Alcotest.test_case "hot set no thrash" `Quick test_pager_hot_set_no_thrash;
           Alcotest.test_case "object interface" `Quick test_pager_object_interface;
           Alcotest.test_case "bounds" `Quick test_pager_bounds;
+          Alcotest.test_case "rejects 512-byte blocks" `Quick
+            test_pager_rejects_small_blocks;
           pager_model_prop;
         ] );
       ( "inline",
@@ -589,6 +527,10 @@ let () =
           Alcotest.test_case "persistence across mount" `Quick
             test_fs_persistence_across_mount;
           Alcotest.test_case "object interface" `Quick test_fs_object_interface;
+          Alcotest.test_case "format rejects 512-byte blocks" `Quick
+            (test_fs_rejects_small_blocks Simplefs.format);
+          Alcotest.test_case "mount rejects 512-byte blocks" `Quick
+            (test_fs_rejects_small_blocks Simplefs.mount);
           fs_model_prop;
         ] );
     ]

@@ -1,5 +1,6 @@
 (* Tests for the simulated machine: clock, physical memory, MMU,
-   memory bus with fault handling, I/O space and device models. *)
+   memory bus with fault handling, I/O space and device models, the
+   block device's ring and synchronous transfer among them. *)
 
 open Paramecium
 
@@ -606,6 +607,300 @@ let test_io_space_checks () =
   Alcotest.(check bool) "find_device" true (Machine.find_device m "console" <> None);
   Alcotest.(check bool) "missing device" true (Machine.find_device m "gpu" = None)
 
+(* --- block device --------------------------------------------------- *)
+
+(* A 32-block device of page-size (256-byte) blocks on the unit-cost
+   machine, interrupting on line 3. *)
+let blk_fixture () =
+  let m = unit_machine () in
+  (m, Blkdev.create m ~name:"disk" ~irq_line:3 ~blocks:32 ~block_size:256)
+
+(* the register map, one 32-bit register per index *)
+let blk_reg d i = Blkdev.io_base d + (4 * i)
+let r_ring_base = 0
+let r_ring_slots = 1
+let r_tail = 2
+let r_head = 3
+let r_ctrl = 4
+let r_status = 5
+let r_blocks = 6
+let r_block_size = 7
+let r_completed = 8
+
+let blk_read = 1
+let blk_write = 2
+let desc_done = 0x100
+let desc_error = 0x200
+
+(* Program a ring of [slots] descriptors in a fresh frame, enabled with
+   completion interrupts; returns its physical address. *)
+let blk_ring m d ~slots =
+  let ring = Physmem.alloc (Machine.phys m) * Machine.page_size m in
+  Machine.io_write m (blk_reg d r_ring_base) ring;
+  Machine.io_write m (blk_reg d r_ring_slots) slots;
+  Machine.io_write m (blk_reg d r_ctrl) 3;
+  ring
+
+let desc_addr ~ring ~slots i = ring + (i mod slots * 16)
+
+(* Write descriptors [tail ..] for [(op, block, buf)] and publish them
+   with one TAIL write; returns the new tail. *)
+let blk_publish m d ~ring ~slots ~tail descs =
+  let phys = Machine.phys m in
+  List.iteri
+    (fun k (op, block, buf) ->
+      let a = desc_addr ~ring ~slots (tail + k) in
+      Physmem.write32 phys a op;
+      Physmem.write32 phys (a + 4) block;
+      Physmem.write32 phys (a + 8) buf)
+    descs;
+  let tail = tail + List.length descs in
+  Machine.io_write m (blk_reg d r_tail) tail;
+  tail
+
+(* Poll STATUS until HEAD = TAIL: each read lets the device progress. *)
+let blk_drain m d ~tail =
+  let rec poll n =
+    if n > 100 then Alcotest.fail "device never drained"
+    else if Machine.io_read m (blk_reg d r_head) <> tail then begin
+      ignore (Machine.io_read m (blk_reg d r_status));
+      poll (n + 1)
+    end
+  in
+  poll 0
+
+let test_blkdev_ring () =
+  let m, d = blk_fixture () in
+  let phys = Machine.phys m in
+  let irqs = ref 0 in
+  Machine.set_irq_handler m 3 (Some (fun () -> incr irqs));
+  let ring = blk_ring m d ~slots:4 in
+  let src = Physmem.alloc phys * 256 and dst = Physmem.alloc phys * 256 in
+  Physmem.blit_string phys "dma!" src;
+  let tail =
+    blk_publish m d ~ring ~slots:4 ~tail:0
+      [ (blk_write, 7, src); (blk_read, 7, dst) ]
+  in
+  Alcotest.(check int) "both fetched, none due" 2 (Blkdev.in_flight d);
+  blk_drain m d ~tail;
+  Alcotest.(check string) "read sees the write" "dma!" (Physmem.read_string phys dst 4);
+  (* the media serializes the two, so each completes in its own batch *)
+  Alcotest.(check int) "completion irqs" 2 !irqs;
+  Alcotest.(check int) "irqs counted" 2 (Blkdev.irqs d);
+  List.iter
+    (fun i ->
+      Alcotest.(check int)
+        (Printf.sprintf "descriptor %d done, no error" i)
+        desc_done
+        (Physmem.read32 phys (desc_addr ~ring ~slots:4 i) land (desc_done lor desc_error)))
+    [ 0; 1 ];
+  Alcotest.(check int) "status pending" 1 (Machine.io_read m (blk_reg d r_status) land 1);
+  Machine.io_write m (blk_reg d r_status) 1;
+  Alcotest.(check int) "status cleared" 0 (Machine.io_read m (blk_reg d r_status) land 1);
+  Alcotest.(check int) "BLOCKS" 32 (Machine.io_read m (blk_reg d r_blocks));
+  Alcotest.(check int) "BLOCK_SIZE" 256 (Machine.io_read m (blk_reg d r_block_size));
+  Alcotest.(check int) "COMPLETED" 2 (Machine.io_read m (blk_reg d r_completed));
+  Alcotest.(check (pair int int)) "reads, writes" (1, 1) (Blkdev.reads d, Blkdev.writes d)
+
+let test_blkdev_descriptor_errors () =
+  let m, d = blk_fixture () in
+  let phys = Machine.phys m in
+  let ring = blk_ring m d ~slots:4 in
+  let buf = Physmem.alloc phys * 256 in
+  let tail = blk_publish m d ~ring ~slots:4 ~tail:0 [ (3, 1, buf); (blk_read, 32, buf) ] in
+  blk_drain m d ~tail;
+  List.iter
+    (fun (i, what) ->
+      Alcotest.(check int) what (desc_done lor desc_error)
+        (Physmem.read32 phys (desc_addr ~ring ~slots:4 i) land (desc_done lor desc_error)))
+    [ (0, "bad op: done + error"); (1, "block out of range: done + error") ];
+  Alcotest.(check int) "errors" 2 (Blkdev.errors d);
+  Alcotest.(check int) "blk_error counted" 2 (Clock.counter (Machine.clock m) "blk_error");
+  Alcotest.(check int) "no media traffic" 0 (Blkdev.reads d + Blkdev.writes d)
+
+let test_blkdev_sync_round_trip () =
+  let m, d = blk_fixture () in
+  let phys = Machine.phys m in
+  let f1 = Physmem.alloc phys in
+  let f2 = Physmem.alloc phys in
+  Physmem.blit_string phys "persistent data" (f1 * 256);
+  Blkdev.write_sync d ~block:5 ~phys_addr:(f1 * 256);
+  Blkdev.read_sync d ~block:5 ~phys_addr:(f2 * 256);
+  Alcotest.(check string) "round trip" "persistent data"
+    (Physmem.read_string phys (f2 * 256) 15);
+  Alcotest.(check int) "reads" 1 (Blkdev.reads d);
+  Alcotest.(check int) "writes" 1 (Blkdev.writes d);
+  (* unwritten blocks read as zeroes *)
+  Blkdev.read_sync d ~block:9 ~phys_addr:(f2 * 256);
+  Alcotest.(check int) "zero fill" 0 (Physmem.read8 phys (f2 * 256));
+  Alcotest.check_raises "bad block"
+    (Invalid_argument "Blkdev.read_sync: block 32 out of range") (fun () ->
+      Blkdev.read_sync d ~block:32 ~phys_addr:(f1 * 256))
+
+(* a synchronous op stalls the CPU for exactly one media transfer *)
+let test_blkdev_sync_cost () =
+  List.iter
+    (fun (name, costs) ->
+      let m = Machine.create ~costs ~frames:4 ~page_size:256 () in
+      let d = Blkdev.create m ~name:"disk" ~irq_line:3 ~blocks:4 ~block_size:256 in
+      let f = Physmem.alloc (Machine.phys m) * 256 in
+      let clock = Machine.clock m in
+      let charged op =
+        let before = Clock.now clock in
+        op d ~block:1 ~phys_addr:f;
+        Clock.now clock - before
+      in
+      let want = Cost.blk_op costs ~bytes:256 in
+      Alcotest.(check int) (name ^ ": write") want (charged Blkdev.write_sync);
+      Alcotest.(check int) (name ^ ": read") want (charged Blkdev.read_sync))
+    [ ("unit costs", Cost.unit_costs); ("default costs", Cost.default) ]
+
+let test_blkdev_sync_journalled () =
+  let m, d = blk_fixture () in
+  let clock = Machine.clock m in
+  let f = Physmem.alloc (Machine.phys m) * 256 in
+  let t0 = Clock.now clock in
+  Blkdev.write_sync d ~block:4 ~phys_addr:f;
+  Blkdev.read_sync d ~block:4 ~phys_addr:f;
+  Alcotest.(check (pair int int)) "blk_issue, blk_complete" (2, 2)
+    (Clock.counter clock "blk_issue", Clock.counter clock "blk_complete");
+  let op = Cost.blk_op (Machine.costs m) ~bytes:256 in
+  let blk =
+    List.filter_map
+      (fun e ->
+        match e.Journal.kind with
+        | Journal.Blk_issue -> Some ("issue", e.Journal.info, e.Journal.at - t0)
+        | Journal.Blk_complete -> Some ("complete", e.Journal.info, e.Journal.at - t0)
+        | _ -> None)
+      (Journal.tail (Obs.journal (Clock.obs clock)))
+  in
+  Alcotest.(check (list (triple string int int)))
+    "issued at the stall's start, completed at its end"
+    [ ("issue", 4, 0); ("complete", 4, op); ("issue", 4, op); ("complete", 4, 2 * op) ]
+    blk;
+  Alcotest.(check int) "COMPLETED counts sync ops" 2
+    (Machine.io_read m (blk_reg d r_completed))
+
+let test_blkdev_sync_refuses_outstanding () =
+  let m, d = blk_fixture () in
+  let f = Physmem.alloc (Machine.phys m) * 256 in
+  let refused what =
+    Alcotest.check_raises what
+      (Invalid_argument "Blkdev.write_sync: the ring has work outstanding") (fun () ->
+        Blkdev.write_sync d ~block:0 ~phys_addr:f)
+  in
+  let ring = blk_ring m d ~slots:4 in
+  let tail = blk_publish m d ~ring ~slots:4 ~tail:0 [ (blk_write, 2, f) ] in
+  refused "descriptor in flight";
+  blk_drain m d ~tail;
+  (* disabled, the device leaves a published descriptor unfetched *)
+  Machine.io_write m (blk_reg d r_ctrl) 0;
+  let tail = blk_publish m d ~ring ~slots:4 ~tail [ (blk_read, 2, f) ] in
+  refused "descriptor published, not fetched";
+  Machine.io_write m (blk_reg d r_ctrl) 3;
+  blk_drain m d ~tail;
+  Blkdev.write_sync d ~block:0 ~phys_addr:f;
+  Alcotest.(check int) "drained ring: sync runs" 3 (Blkdev.completed d)
+
+(* Model property: sync transfers and ring batches, interleaved on one
+   device, against a map of block -> fill byte. *)
+type blk_step =
+  | Sync of (bool * int * int) (* write?, block, fill byte *)
+  | Batch of (bool * int * int) list * bool (* descriptors, probe a sync op *)
+
+let gen_blk_program =
+  let open QCheck2.Gen in
+  let xfer = triple bool (int_bound 7) (int_range 1 255) in
+  let step =
+    frequency
+      [
+        (2, map (fun x -> Sync x) xfer);
+        (3, map2 (fun ds probe -> Batch (ds, probe)) (list_size (int_range 1 4) xfer) bool);
+      ]
+  in
+  list_size (int_range 1 20) step
+
+let print_blk_program steps =
+  let x (w, b, v) = Printf.sprintf "%s b%d=%d" (if w then "w" else "r") b v in
+  String.concat "; "
+    (List.map
+       (function
+         | Sync s -> "sync " ^ x s
+         | Batch (ds, probe) ->
+           Printf.sprintf "batch [%s]%s" (String.concat ", " (List.map x ds))
+             (if probe then " +probe" else ""))
+       steps)
+
+module Blk_model = Map.Make (Int)
+
+let blkdev_matches_model steps =
+  let m, d = blk_fixture () in
+  let phys = Machine.phys m in
+  let frame () = Physmem.alloc phys * 256 in
+  let ring = blk_ring m d ~slots:4 in
+  let sync_buf = frame () in
+  let bufs = Array.init 4 (fun _ -> frame ()) in
+  let model = ref Blk_model.empty and reads = ref 0 and writes = ref 0 in
+  let tail = ref 0 in
+  (* what a read of [block] must return at this point of the model *)
+  let expect block =
+    match Blk_model.find_opt block !model with
+    | Some v -> String.make 256 (Char.chr v)
+    | None -> String.make 256 '\000'
+  in
+  let apply (write, block, v) buf =
+    if write then begin
+      Physmem.blit_string phys (String.make 256 (Char.chr v)) buf;
+      model := Blk_model.add block v !model;
+      incr writes;
+      None
+    end
+    else begin
+      incr reads;
+      Some (buf, expect block)
+    end
+  in
+  let check_read = function
+    | Some (buf, want) when Physmem.read_string phys buf 256 <> want ->
+      QCheck2.Test.fail_reportf "read into %#x: model says %C" buf want.[0]
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Sync ((write, block, _) as x) ->
+        let pending = apply x sync_buf in
+        (if write then Blkdev.write_sync else Blkdev.read_sync)
+          d ~block ~phys_addr:sync_buf;
+        check_read pending
+      | Batch (ds, probe) ->
+        (* the device serializes in ring order, so the model applies in
+           order too; a read's expectation is fixed when it is posted *)
+        let pending = List.mapi (fun k x -> apply x bufs.(k)) ds in
+        let descs =
+          List.mapi
+            (fun k (write, block, _) ->
+              ((if write then blk_write else blk_read), block, bufs.(k)))
+            ds
+        in
+        tail := blk_publish m d ~ring ~slots:4 ~tail:!tail descs;
+        if probe then begin
+          match Blkdev.read_sync d ~block:0 ~phys_addr:sync_buf with
+          | exception Invalid_argument _ -> ()
+          | () -> QCheck2.Test.fail_report "sync op overtook an outstanding batch"
+        end;
+        blk_drain m d ~tail:!tail;
+        List.iter check_read pending)
+    steps;
+  if (Blkdev.reads d, Blkdev.writes d) <> (!reads, !writes) then
+    QCheck2.Test.fail_reportf "device counted %d reads, %d writes; model %d, %d"
+      (Blkdev.reads d) (Blkdev.writes d) !reads !writes;
+  true
+
+let blkdev_model_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"sync and ring transfers match a map model"
+       ~print:print_blk_program gen_blk_program blkdev_matches_model)
+
 let () =
   Alcotest.run "machine"
     [
@@ -664,5 +959,17 @@ let () =
           Alcotest.test_case "nic rx drop" `Quick test_nic_rx_drop_without_buffers;
           Alcotest.test_case "nic tx + loopback" `Quick test_nic_tx_and_loopback;
           Alcotest.test_case "io space checks" `Quick test_io_space_checks;
+        ] );
+      ( "blkdev",
+        [
+          Alcotest.test_case "ring dma + irq" `Quick test_blkdev_ring;
+          Alcotest.test_case "descriptor errors" `Quick test_blkdev_descriptor_errors;
+          Alcotest.test_case "sync round trip" `Quick test_blkdev_sync_round_trip;
+          Alcotest.test_case "sync cost" `Quick test_blkdev_sync_cost;
+          Alcotest.test_case "sync counted and journalled" `Quick
+            test_blkdev_sync_journalled;
+          Alcotest.test_case "sync refuses an outstanding ring" `Quick
+            test_blkdev_sync_refuses_outstanding;
+          blkdev_model_prop;
         ] );
     ]
