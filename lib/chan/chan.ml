@@ -14,7 +14,7 @@ module Cpu = Pm_machine.Cpu
 
 type mode = Doorbell | Poll
 
-let default_doorbell_vec = 29
+let doorbell_vec = 29
 let magic = 0xC4A70001
 let header_bytes = 32
 
@@ -42,6 +42,7 @@ type stats = {
   full_blocks : int;
   empty_blocks : int;
   drops : int;
+  bad_lengths : int;
 }
 
 type t = {
@@ -51,7 +52,6 @@ type t = {
   chan_id : int;
   n_slots : int;
   sz_slot : int;
-  doorbell_vec : int;
   producer : Domain.t;
   mutable consumer : Domain.t option;
   prod_base : int;
@@ -72,6 +72,7 @@ type t = {
   mutable full_blocks : int;
   mutable empty_blocks : int;
   mutable drops : int;
+  mutable bad_lengths : int;
   mutable send_ctxs : int list;
       (* distinct MMU contexts observed sending, newest first — a plain
          store per new context, read by the composition linter's SPSC
@@ -118,22 +119,34 @@ let write_word t off v =
   Clock.advance (Machine.clock t.machine) (Machine.costs t.machine).Cost.mem_write;
   Physmem.write32 (Machine.phys t.machine) (phys_addr t off) v
 
+(* payload copies: one blit per ring page the bytes cross *)
+let blit t ~to_ring off b len =
+  let ps = Machine.page_size t.machine and phys = Machine.phys t.machine in
+  let rec go d =
+    if d < len then begin
+      let n = min (len - d) (ps - ((off + d) mod ps)) in
+      let pa = phys_addr t (off + d) in
+      if to_ring then Physmem.write_bytes phys pa b d n
+      else Physmem.read_bytes phys pa b d n;
+      go (d + n)
+    end
+  in
+  go 0
+
 let write_bytes t ~account off (b : bytes) =
   let len = Bytes.length b in
   if account && len > 0 then
     Clock.advance (Machine.clock t.machine)
       (len * (Machine.costs t.machine).Cost.mem_write);
-  let phys = Machine.phys t.machine in
-  for i = 0 to len - 1 do
-    Physmem.write8 phys (phys_addr t (off + i)) (Char.code (Bytes.get b i))
-  done
+  blit t ~to_ring:true off b len
 
 let read_bytes t ~account off len =
   if account && len > 0 then
     Clock.advance (Machine.clock t.machine)
       (len * (Machine.costs t.machine).Cost.mem_read);
-  let phys = Machine.phys t.machine in
-  Bytes.init len (fun i -> Char.chr (Physmem.read8 phys (phys_addr t (off + i))))
+  let b = Bytes.create len in
+  blit t ~to_ring:false off b len;
+  b
 
 let slot_off t i = header_bytes + (i mod t.n_slots * (4 + t.sz_slot))
 
@@ -151,7 +164,7 @@ let with_span t ~domain ~meth f =
 (* ------------------------------------------------------------------ *)
 
 let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbell)
-    ?(doorbell_vec = default_doorbell_vec) ~producer () =
+    ~producer () =
   if slots <= 0 then invalid_arg "Chan.create: slots must be positive";
   if slot_size <= 0 || slot_size mod 4 <> 0 then
     invalid_arg "Chan.create: slot_size must be a positive multiple of 4";
@@ -173,7 +186,6 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
       chan_id;
       n_slots = slots;
       sz_slot = slot_size;
-      doorbell_vec;
       producer;
       consumer = None;
       prod_base;
@@ -190,6 +202,7 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
       full_blocks = 0;
       empty_blocks = 0;
       drops = 0;
+      bad_lengths = 0;
       send_ctxs = [];
       ring_group = None;
     }
@@ -227,7 +240,7 @@ let producer t = t.producer
 let consumer t = t.consumer
 let producer_base t = t.prod_base
 let pages t = t.n_pages
-let pending t = t.sends - t.recvs
+let pending t = t.sends - t.recvs - t.bad_lengths
 
 let stats t =
   {
@@ -237,6 +250,7 @@ let stats t =
     full_blocks = t.full_blocks;
     empty_blocks = t.empty_blocks;
     drops = t.drops;
+    bad_lengths = t.bad_lengths;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -300,8 +314,8 @@ let ring_doorbell t =
       match cross_consumer t with
       | Some c ->
         Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:c.Domain.id)
-          t.doorbell_vec t.chan_id
-      | None -> ignore (Machine.raise_trap t.machine t.doorbell_vec t.chan_id))
+          doorbell_vec t.chan_id
+      | None -> ignore (Machine.raise_trap t.machine doorbell_vec t.chan_id))
 
 let on_doorbell t ~events ~sched ?priority f =
   let consumer =
@@ -311,7 +325,7 @@ let on_doorbell t ~events ~sched ?priority f =
   in
   (* the vector is shared: dispatch on the channel id before paying for a
      pop-up, so other channels' doorbells cost this one nothing *)
-  Events.register events (Events.Trap t.doorbell_vec) ~domain:consumer (fun arg ->
+  Events.register events (Events.Trap doorbell_vec) ~domain:consumer (fun arg ->
       if arg = t.chan_id then
         ignore
           (Scheduler.popup sched ?priority ~name:("chan-" ^ t.chan_name)
@@ -366,24 +380,38 @@ let rec send ?(account = true) t msg =
 (* Consumer side                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let try_recv ?(account = true) t =
+(* The length word lives in shared memory the producer writes, so it is
+   checked: a slot claiming more than [slot_size] bytes is consumed
+   unread and counted, and the dequeue moves on to the slot behind it. *)
+let rec try_recv ?(account = true) t =
   let tail = read_word t off_tail in
   if t.head_local >= tail then None
   else
-    with_span t
-      ~domain:(match t.consumer with Some c -> c.Domain.id | None -> t.producer.Domain.id)
-      ~meth:"dequeue"
-      (fun () ->
-        let off = slot_off t t.head_local in
-        let len = read_word t off in
-        let msg = read_bytes t ~account (off + 4) len in
-        t.head_local <- t.head_local + 1;
-        write_word t off_head t.head_local;
-        t.recvs <- t.recvs + 1;
-        Clock.count (Machine.clock t.machine) "chan_recv";
-        charge_cachelines t len;
-        ignore (Sync.Waitq.signal t.not_full);
-        Some msg)
+    let domain =
+      match t.consumer with Some c -> c.Domain.id | None -> t.producer.Domain.id
+    in
+    let msg =
+      with_span t ~domain ~meth:"dequeue" (fun () ->
+          let off = slot_off t t.head_local in
+          let len = read_word t off in
+          let msg =
+            if len > t.sz_slot then None else Some (read_bytes t ~account (off + 4) len)
+          in
+          t.head_local <- t.head_local + 1;
+          write_word t off_head t.head_local;
+          (match msg with
+          | Some _ ->
+            t.recvs <- t.recvs + 1;
+            Clock.count (Machine.clock t.machine) "chan_recv";
+            charge_cachelines t len
+          | None ->
+            t.bad_lengths <- t.bad_lengths + 1;
+            Clock.count (Machine.clock t.machine) "chan_bad_length";
+            charge_cachelines t 0);
+          ignore (Sync.Waitq.signal t.not_full);
+          msg)
+    in
+    match msg with Some _ -> msg | None -> try_recv ~account t
 
 let rec recv ?(account = true) t =
   match try_recv ~account t with

@@ -57,9 +57,9 @@ type mode = Doorbell | Poll
 
 type t
 
-(** Default trap vector shared by channel doorbells; the trap argument
-    carries the channel id. *)
-val default_doorbell_vec : int
+(** The trap vector every channel and {!Mpsc} group doorbell shares; the
+    trap argument carries the channel or group id. *)
+val doorbell_vec : int
 
 (** [fresh_id machine] is the next id from the counter [machine]'s
     channels and {!Mpsc} groups share, so doorbell ids never collide. *)
@@ -74,6 +74,9 @@ type stats = {
   full_blocks : int;  (** sends that had to park on a full ring *)
   empty_blocks : int;  (** recvs that had to park on an empty ring *)
   drops : int;  (** non-blocking sends refused on a full ring *)
+  bad_lengths : int;
+      (** slots whose length word claimed more than the slot size:
+          consumed unread (counted as ["chan_bad_length"]) *)
 }
 
 (** [create machine vmem ~producer ()] allocates the ring [Shared] in
@@ -86,7 +89,6 @@ val create :
   ?slots:int ->
   ?slot_size:int ->
   ?mode:mode ->
-  ?doorbell_vec:int ->
   producer:Pm_nucleus.Domain.t ->
   unit ->
   t
@@ -127,7 +129,10 @@ val send : ?account:bool -> t -> bytes -> unit
     drop — the behaviour a NIC bridge wants. *)
 val send_or_drop : ?account:bool -> t -> bytes -> bool
 
-(** [try_recv t] dequeues without blocking. *)
+(** [try_recv t] dequeues without blocking. A slot whose length word
+    (written by the producer, in shared memory) exceeds the slot size is
+    consumed without reading its payload, counted in {!stats}, and
+    skipped: the dequeue goes on to the slot behind it. *)
 val try_recv : ?account:bool -> t -> bytes option
 
 (** [recv t] blocks on an empty ring until the producer enqueues. *)

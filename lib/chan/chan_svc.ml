@@ -34,6 +34,7 @@ let common chan =
                Value.Int s.Chan.full_blocks;
                Value.Int s.Chan.empty_blocks;
                Value.Int s.Chan.drops;
+               Value.Int s.Chan.bad_lengths;
              ]));
   ]
 
@@ -83,7 +84,7 @@ let rx_endpoint api chan =
 (* Factory                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let create api ?doorbell_vec ~domain_of_id () =
+let create api ~domain_of_id () =
   let machine = api.Api.machine and vmem = api.Api.vmem in
   let chans : (string, Chan.t) Hashtbl.t = Hashtbl.create 8 in
   let origin (ctx : Call_ctx.t) =
@@ -108,8 +109,7 @@ let create api ?doorbell_vec ~domain_of_id () =
             else
               let* dom = origin ctx in
               let chan =
-                Chan.create machine vmem ~name ~slots ~slot_size ?doorbell_vec
-                  ~producer:dom ()
+                Chan.create machine vmem ~name ~slots ~slot_size ~producer:dom ()
               in
               let tx = tx_endpoint api chan in
               let* () = register_endpoint name "tx" tx in
@@ -136,22 +136,22 @@ let create api ?doorbell_vec ~domain_of_id () =
   Instance.create api.Api.registry ~class_name:"chan.factory"
     ~domain:api.Api.kernel_domain.Domain.id [ iface ]
 
-let image ?doorbell_vec ~domain_of_id () =
+let image ~domain_of_id () =
   Images.image ~name:"chan-factory" ~size:12_288 ~author:"kernel-team"
     ~type_safe:true
-    (fun api _dom -> create api ?doorbell_vec ~domain_of_id ())
+    (fun api _dom -> create api ~domain_of_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Channel-backed receive path                                         *)
 (* ------------------------------------------------------------------ *)
 
-let bridge api ?(slots = 64) ?slot_size ?doorbell_vec ~producer ~consumer ~stack () =
+let bridge api ?(slots = 64) ?slot_size ~producer ~consumer ~stack () =
   let slot_size =
     match slot_size with Some s -> s | None -> (Nic.mtu + 3) / 4 * 4
   in
   let chan =
     Chan.create api.Api.machine api.Api.vmem ~name:"rx-bridge" ~slots ~slot_size
-      ?doorbell_vec ~producer ()
+      ~producer ()
   in
   ignore (Chan.accept chan ~into:consumer);
   let tx = tx_endpoint api chan in

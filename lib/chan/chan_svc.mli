@@ -30,7 +30,6 @@
     its interposer factory. *)
 val create :
   Pm_nucleus.Api.t ->
-  ?doorbell_vec:int ->
   domain_of_id:(int -> Pm_nucleus.Domain.t option) ->
   unit ->
   Pm_obj.Instance.t
@@ -39,7 +38,6 @@ val create :
     image (author ["kernel-team"], so the standard delegate chain
     certifies it for the kernel domain). *)
 val image :
-  ?doorbell_vec:int ->
   domain_of_id:(int -> Pm_nucleus.Domain.t option) ->
   unit ->
   Pm_nucleus.Loader.image
@@ -63,7 +61,6 @@ val bridge :
   Pm_nucleus.Api.t ->
   ?slots:int ->
   ?slot_size:int ->
-  ?doorbell_vec:int ->
   producer:Pm_nucleus.Domain.t ->
   consumer:Pm_nucleus.Domain.t ->
   stack:Pm_obj.Instance.t ->

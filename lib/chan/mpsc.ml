@@ -48,7 +48,6 @@ type t = {
   group_id : int;
   ring_slots : int;
   ring_slot_size : int;
-  doorbell_vec : int;
   consumer : Domain.t;
   hdr_base : int; (* virtual base of the header page in the consumer *)
   hdr_phys : int;
@@ -83,8 +82,7 @@ let with_span t ~domain ~meth f =
 (* ------------------------------------------------------------------ *)
 
 let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024)
-    ?(mode = Chan.Doorbell) ?(doorbell_vec = Chan.default_doorbell_vec) ~consumer
-    () =
+    ?(mode = Chan.Doorbell) ~consumer () =
   if slots <= 0 then invalid_arg "Mpsc.create: slots must be positive";
   if slot_size <= 0 || slot_size mod 4 <> 0 then
     invalid_arg "Mpsc.create: slot_size must be a positive multiple of 4";
@@ -104,7 +102,6 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024)
       group_id;
       ring_slots = slots;
       ring_slot_size = slot_size;
-      doorbell_vec;
       consumer;
       hdr_base;
       hdr_phys;
@@ -128,8 +125,7 @@ let attach t ~producer =
   let sub =
     Chan.create t.machine t.vmem
       ~name:(Printf.sprintf "%s.p%d" t.group_name idx)
-      ~slots:t.ring_slots ~slot_size:t.ring_slot_size ~mode:Chan.Poll
-      ~doorbell_vec:t.doorbell_vec ~producer ()
+      ~slots:t.ring_slots ~slot_size:t.ring_slot_size ~mode:Chan.Poll ~producer ()
   in
   ignore (Chan.accept sub ~into:t.consumer);
   (* the sub-ring never rings for itself: the group header does; tag it
@@ -179,12 +175,12 @@ let ring_doorbell t tx =
       (* cross-CPU group doorbells are IPIs, same as SPSC ones *)
       let consumer = t.consumer.Domain.id in
       if Cpu.cross t.machine ~a:(Chan.producer tx.sub).Domain.id ~b:consumer then
-        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:consumer) t.doorbell_vec
+        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:consumer) Chan.doorbell_vec
           t.group_id
-      else ignore (Machine.raise_trap t.machine t.doorbell_vec t.group_id))
+      else ignore (Machine.raise_trap t.machine Chan.doorbell_vec t.group_id))
 
 let on_doorbell t ~events ~sched ?priority f =
-  Events.register events (Events.Trap t.doorbell_vec) ~domain:t.consumer (fun arg ->
+  Events.register events (Events.Trap Chan.doorbell_vec) ~domain:t.consumer (fun arg ->
       if arg = t.group_id then
         ignore
           (Scheduler.popup sched ?priority ~name:("mpsc-" ^ t.group_name)

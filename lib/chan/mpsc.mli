@@ -85,7 +85,6 @@ val create :
   ?slots:int ->
   ?slot_size:int ->
   ?mode:Chan.mode ->
-  ?doorbell_vec:int ->
   consumer:Pm_nucleus.Domain.t ->
   unit ->
   t

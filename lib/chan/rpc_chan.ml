@@ -29,17 +29,19 @@ type conn = {
 let request_chan conn = conn.req
 let response_chan conn = conn.resp
 
-let connect api ~client ~server ?(slots = 64) ?(slot_size = 4096) ?doorbell_vec () =
+(* each direction's ring: 64 slots of a page's worth of batch *)
+let ring_slots = 64
+let ring_slot_size = 4096
+
+let connect api ~client ~server () =
   let machine = api.Api.machine and vmem = api.Api.vmem in
-  let req =
-    Chan.create machine vmem ~name:"rpc.req" ~slots ~slot_size ~mode:Chan.Doorbell
-      ?doorbell_vec ~producer:client ()
+  let ring name mode producer =
+    Chan.create machine vmem ~name ~slots:ring_slots ~slot_size:ring_slot_size ~mode
+      ~producer ()
   in
+  let req = ring "rpc.req" Chan.Doorbell client in
   ignore (Chan.accept req ~into:server);
-  let resp =
-    Chan.create machine vmem ~name:"rpc.resp" ~slots ~slot_size ~mode:Chan.Poll
-      ?doorbell_vec ~producer:server ()
-  in
+  let resp = ring "rpc.resp" Chan.Poll server in
   ignore (Chan.accept resp ~into:client);
   { api; client_dom = client; server_dom = server; req; resp; drain = None }
 

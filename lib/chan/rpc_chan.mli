@@ -48,16 +48,14 @@ val iter_segments :
 val request_chan : conn -> Chan.t
 val response_chan : conn -> Chan.t
 
-(** [connect api ~client ~server ()] builds the ring pair: requests flow
-    client→server on a [Doorbell] channel, responses server→client on a
-    [Poll] channel (the client drains replies right after flushing). *)
+(** [connect api ~client ~server ()] builds the ring pair, 64 slots of
+    4096 bytes each way: requests flow client→server on a [Doorbell]
+    channel, responses server→client on a [Poll] channel (the client
+    drains replies right after flushing). *)
 val connect :
   Pm_nucleus.Api.t ->
   client:Pm_nucleus.Domain.t ->
   server:Pm_nucleus.Domain.t ->
-  ?slots:int ->
-  ?slot_size:int ->
-  ?doorbell_vec:int ->
   unit ->
   conn
 

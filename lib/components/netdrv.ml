@@ -82,8 +82,7 @@ let stage_tx st ctx data =
   let len = Bytes.length data in
   let vaddr = st.tx_vaddrs.(st.tx_next) in
   st.tx_next <- (st.tx_next + 1) mod Array.length st.tx_vaddrs;
-  Machine.write_string st.api.Api.machine st.dom.Domain.id vaddr
-    (Bytes.to_string data);
+  Machine.write_bytes st.api.Api.machine st.dom.Domain.id vaddr data;
   Call_ctx.note_access ctx len;
   let phys = Vmem.phys_of vmem st.dom ~vaddr in
   Vmem.io_write vmem st.grant ~reg:reg_tx_addr phys;
@@ -126,7 +125,7 @@ let service_interrupt st () =
         drain ()
       | Some vaddr ->
         let data =
-          Machine.read_string st.api.Api.machine st.dom.Domain.id vaddr len
+          Machine.read_bytes st.api.Api.machine st.dom.Domain.id vaddr len
         in
         Call_ctx.note_access ctx len;
         (* ack (pops the descriptor) and recycle the buffer *)
@@ -138,7 +137,7 @@ let service_interrupt st () =
         | Some sink ->
           (match
              Invoke.call ctx sink ~iface:"stack" ~meth:"rx"
-               [ Value.Blob (Bytes.of_string data) ]
+               [ Value.Blob data ]
            with
           | Ok _ -> ()
           | Error e ->

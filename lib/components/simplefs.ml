@@ -59,12 +59,13 @@ type t = {
 
 let read_block t n =
   Blkdev.read_sync t.disk ~block:n ~phys_addr:t.scratch;
-  Bytes.of_string
-    (Physmem.read_string (Machine.phys t.api.Api.machine) t.scratch t.block_size)
+  let b = Bytes.create t.block_size in
+  Physmem.read_bytes (Machine.phys t.api.Api.machine) t.scratch b 0 t.block_size;
+  b
 
 let write_block t n data =
   assert (Bytes.length data = t.block_size);
-  Physmem.blit_string (Machine.phys t.api.Api.machine) (Bytes.to_string data) t.scratch;
+  Physmem.write_bytes (Machine.phys t.api.Api.machine) t.scratch data 0 t.block_size;
   Blkdev.write_sync t.disk ~block:n ~phys_addr:t.scratch
 
 (* --- metadata (de)serialization --------------------------------------- *)

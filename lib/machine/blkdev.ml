@@ -90,12 +90,15 @@ let transfer t ~op ~block ~buf =
   let phys = Machine.phys t.machine in
   if op = op_read then begin
     t.reads <- t.reads + 1;
-    Physmem.blit_string phys (Bytes.to_string (block_bytes t block)) buf
+    Physmem.write_bytes phys buf (block_bytes t block) 0 t.block_size
   end
   else begin
     t.writes <- t.writes + 1;
-    let data = Physmem.read_string phys buf t.block_size in
-    Hashtbl.replace t.store block (Bytes.of_string data)
+    (* a fresh buffer: a copy that fails part way leaves the media as
+       it was *)
+    let data = Bytes.create t.block_size in
+    Physmem.read_bytes phys buf data 0 t.block_size;
+    Hashtbl.replace t.store block data
   end
 
 let desc_addr t slot = t.ring_base + (slot mod t.ring_slots * desc_bytes)

@@ -127,22 +127,23 @@ let raise_irq t line =
 let set_fault_handler t h = t.fault_handler <- h
 
 (* Resolve a virtual address, invoking the fault handler on faults and
-   retrying once if it claims resolution. *)
-let resolve t ctx vaddr access =
-  let rec go attempts =
-    match Mmu.translate t.mmu ctx vaddr access with
-    | Ok phys -> phys
-    | Error fault ->
-      Clock.advance t.active_clock t.costs.Cost.page_fault;
-      Clock.count t.active_clock "page_fault";
-      let resolved =
-        match t.fault_handler with
-        | Some h when attempts < 2 -> h fault
-        | _ -> false
-      in
-      if resolved then go (attempts + 1) else raise (Fatal_fault fault)
-  in
-  go 0
+   retrying once if it claims resolution. A top-level loop, so that a
+   resolve allocates no closure. *)
+let rec resolve_from t ctx vaddr access attempts =
+  match Mmu.translate t.mmu ctx vaddr access with
+  | Ok phys -> phys
+  | Error fault ->
+    Clock.advance t.active_clock t.costs.Cost.page_fault;
+    Clock.count t.active_clock "page_fault";
+    let resolved =
+      match t.fault_handler with
+      | Some h when attempts < 2 -> h fault
+      | _ -> false
+    in
+    if resolved then resolve_from t ctx vaddr access (attempts + 1)
+    else raise (Fatal_fault fault)
+
+let resolve t ctx vaddr access = resolve_from t ctx vaddr access 0
 
 let read8 t ctx vaddr =
   Clock.advance t.active_clock t.costs.Cost.mem_read;
@@ -179,11 +180,41 @@ let write32 t ctx vaddr v =
     write8 t ctx (vaddr + 3) (v lsr 24)
   end
 
-let read_string t ctx vaddr len =
-  String.init len (fun i -> Char.chr (read8 t ctx (vaddr + i)))
+(* A bulk copy goes a page segment at a time. The segment's first byte
+   is charged and resolved exactly as [read8]/[write8] would (charge,
+   then translate, TLB fill or fault handler). Once a byte of a page has
+   resolved, no later byte of that page can miss the TLB, fill, fault or
+   charge anything on the current context, and off it a translation
+   charges nothing: so the rest of the segment is [n - 1] bus accesses
+   and one blit, and every cycle and counter matches a byte loop's. *)
+let copy t ctx vaddr buf len access =
+  let ps = page_size t in
+  let cost =
+    match access with Mmu.Write -> t.costs.Cost.mem_write | _ -> t.costs.Cost.mem_read
+  in
+  let rec go d =
+    if d < len then begin
+      let va = vaddr + d in
+      Clock.advance t.active_clock cost;
+      let pa = resolve t ctx va access in
+      let n = min (len - d) (ps - (va mod ps)) in
+      (match access with
+      | Mmu.Write -> Physmem.write_bytes t.phys pa buf d n
+      | _ -> Physmem.read_bytes t.phys pa buf d n);
+      Clock.advance t.active_clock ((n - 1) * cost);
+      go (d + n)
+    end
+  in
+  go 0
 
-let write_string t ctx vaddr s =
-  String.iteri (fun i c -> write8 t ctx (vaddr + i) (Char.code c)) s
+let read_bytes t ctx vaddr len =
+  let b = Bytes.create len in
+  copy t ctx vaddr b len Mmu.Read;
+  b
+
+let write_bytes t ctx vaddr b = copy t ctx vaddr b (Bytes.length b) Mmu.Write
+let read_string t ctx vaddr len = Bytes.unsafe_to_string (read_bytes t ctx vaddr len)
+let write_string t ctx vaddr s = write_bytes t ctx vaddr (Bytes.unsafe_of_string s)
 
 let attach_device t dev =
   let io_base = t.next_io_base in

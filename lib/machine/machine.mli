@@ -96,6 +96,16 @@ val read8 : t -> Mmu.context -> int -> int
 val write8 : t -> Mmu.context -> int -> int -> unit
 val read32 : t -> Mmu.context -> int -> int
 val write32 : t -> Mmu.context -> int -> int -> unit
+
+(** Bulk copies charge exactly what a loop of {!read8} or {!write8} over
+    the same bytes would: every cycle, counter, fault-handler call and
+    raised fault is the same, and a write that faults has written the
+    pages before the faulting one. They copy a page segment at a time:
+    its first byte goes through the MMU, the rest is [mem_read] or
+    [mem_write] per byte and one blit. *)
+val read_bytes : t -> Mmu.context -> int -> int -> bytes
+
+val write_bytes : t -> Mmu.context -> int -> bytes -> unit
 val read_string : t -> Mmu.context -> int -> int -> string
 val write_string : t -> Mmu.context -> int -> string -> unit
 

@@ -72,7 +72,9 @@ let tick t =
   let phys = Machine.phys t.machine in
   (match Queue.take_opt t.tx_queue with
   | Some { addr; len } ->
-    let frame = Physmem.read_string phys addr len in
+    let frame = Bytes.create len in
+    Physmem.read_bytes phys addr frame 0 len;
+    let frame = Bytes.unsafe_to_string frame in
     t.transmitted <- frame :: t.transmitted;
     if t.ctrl land ctrl_loopback <> 0 then Queue.push frame t.wire_in;
     t.status <- t.status lor status_tx_done;
@@ -88,7 +90,8 @@ let tick t =
         t.rx_dropped <- t.rx_dropped + 1
       | Some buf_addr ->
         ignore (Queue.pop t.wire_in);
-        Physmem.blit_string phys packet buf_addr;
+        Physmem.write_bytes phys buf_addr (Bytes.unsafe_of_string packet) 0
+          (String.length packet);
         Queue.push (buf_addr, String.length packet) t.filled;
         t.status <- t.status lor status_rx;
         interrupt t)

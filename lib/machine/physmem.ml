@@ -52,33 +52,59 @@ let release t f =
 
 let is_allocated t f = f >= 0 && f < t.total && t.frames.(f) <> None
 
-let locate t addr =
+(* the frame holding [addr]; no tuple, so word and byte access allocate
+   nothing *)
+let frame_at t addr =
   if addr < 0 then invalid_arg "Physmem: negative address";
-  let f = addr / t.page_size and off = addr mod t.page_size in
-  (frame_exn t f, off)
+  frame_exn t (addr / t.page_size)
 
 let read8 t addr =
-  let fr, off = locate t addr in
-  Char.code (Bytes.get fr.data off)
+  Char.code (Bytes.get (frame_at t addr).data (addr mod t.page_size))
 
 let write8 t addr v =
-  let fr, off = locate t addr in
-  Bytes.set fr.data off (Char.chr (v land 0xff))
+  Bytes.set (frame_at t addr).data (addr mod t.page_size)
+    (Char.unsafe_chr (v land 0xff))
 
+(* a word inside one frame is one load or store; a frame-straddling word
+   goes byte by byte, so a write reaching an unallocated second frame
+   has written the first frame's bytes when it raises *)
 let read32 t addr =
-  read8 t addr
-  lor (read8 t (addr + 1) lsl 8)
-  lor (read8 t (addr + 2) lsl 16)
-  lor (read8 t (addr + 3) lsl 24)
+  let data = (frame_at t addr).data and off = addr mod t.page_size in
+  if off <= t.page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le data off) land 0xffff_ffff
+  else
+    read8 t addr
+    lor (read8 t (addr + 1) lsl 8)
+    lor (read8 t (addr + 2) lsl 16)
+    lor (read8 t (addr + 3) lsl 24)
 
 let write32 t addr v =
-  write8 t addr v;
-  write8 t (addr + 1) (v lsr 8);
-  write8 t (addr + 2) (v lsr 16);
-  write8 t (addr + 3) (v lsr 24)
+  let data = (frame_at t addr).data and off = addr mod t.page_size in
+  if off <= t.page_size - 4 then Bytes.set_int32_le data off (Int32.of_int v)
+  else begin
+    write8 t addr v;
+    write8 t (addr + 1) (v lsr 8);
+    write8 t (addr + 2) (v lsr 16);
+    write8 t (addr + 3) (v lsr 24)
+  end
 
-let blit_string t s addr =
-  String.iteri (fun i c -> write8 t (addr + i) (Char.code c)) s
+(* One blit per frame the range touches, in address order: a copy that
+   reaches an unallocated frame has done the frames before it when it
+   raises. *)
+let blit t ~to_phys addr buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Physmem: buffer range";
+  let rec go d =
+    if d < len then begin
+      let a = addr + d in
+      let data = (frame_at t a).data and o = a mod t.page_size in
+      let n = min (len - d) (t.page_size - o) in
+      if to_phys then Bytes.blit buf (off + d) data o n
+      else Bytes.blit data o buf (off + d) n;
+      go (d + n)
+    end
+  in
+  go 0
 
-let read_string t addr len =
-  String.init len (fun i -> Char.chr (read8 t (addr + i)))
+let read_bytes t addr buf off len = blit t ~to_phys:false addr buf off len
+let write_bytes t addr buf off len = blit t ~to_phys:true addr buf off len

@@ -33,13 +33,17 @@ val read8 : t -> int -> int
 
 val write8 : t -> int -> int -> unit
 
-(** 32-bit little-endian access; the address need not be aligned. *)
+(** 32-bit little-endian access; the address need not be aligned. A word
+    that straddles two frames is accessed byte by byte. *)
 val read32 : t -> int -> int
 
 val write32 : t -> int -> int -> unit
 
-(** [blit_string t s addr] writes all of [s] at physical address [addr]. *)
-val blit_string : t -> string -> int -> unit
+(** [read_bytes t addr buf off len] copies [len] bytes at physical
+    address [addr] into [buf] from [off]; [write_bytes t addr buf off len]
+    copies them the other way. Each works frame by frame: a copy that
+    reaches an unallocated frame has copied the frames before it, then
+    raises [Invalid_argument] as {!read8} would. *)
+val read_bytes : t -> int -> bytes -> int -> int -> unit
 
-(** [read_string t addr len] reads [len] bytes at [addr]. *)
-val read_string : t -> int -> int -> string
+val write_bytes : t -> int -> bytes -> int -> int -> unit

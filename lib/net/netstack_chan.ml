@@ -21,7 +21,6 @@ type t = {
   api : Api.t;
   stack : Instance.t;
   stack_domain : Domain.t;
-  doorbell_vec : int option;
   rx_slots : int;
   rx_slot_size : int;
   tx_slots : int;
@@ -36,12 +35,11 @@ let default_slot_size = (Nic.mtu + 3) / 4 * 4
 
 let create api ~stack ~stack_domain ?(rx_slots = 64)
     ?(rx_slot_size = default_slot_size) ?(tx_slots = 64)
-    ?(tx_slot_size = default_slot_size) ?doorbell_vec () =
+    ?(tx_slot_size = default_slot_size) () =
   {
     api;
     stack;
     stack_domain;
-    doorbell_vec;
     rx_slots;
     rx_slot_size;
     tx_slots;
@@ -98,8 +96,7 @@ let bind t ~port ~owner ?(mode = Chan.Doorbell) () =
     let chan =
       Chan.create t.api.Api.machine t.api.Api.vmem
         ~name:(Printf.sprintf "net.rx.%d" port)
-        ~slots:t.rx_slots ~slot_size:t.rx_slot_size ~mode
-        ?doorbell_vec:t.doorbell_vec ~producer:t.stack_domain ()
+        ~slots:t.rx_slots ~slot_size:t.rx_slot_size ~mode ~producer:t.stack_domain ()
     in
     ignore (Chan.accept chan ~into:owner);
     let sink = sink_object t.api ~stack_domain:t.stack_domain chan in
@@ -163,8 +160,7 @@ let tx_group t =
   | None ->
     let g =
       Mpsc.create t.api.Api.machine t.api.Api.vmem ~name:"net.tx"
-        ~slots:t.tx_slots ~slot_size:t.tx_slot_size
-        ?doorbell_vec:t.doorbell_vec ~consumer:t.stack_domain ()
+        ~slots:t.tx_slots ~slot_size:t.tx_slot_size ~consumer:t.stack_domain ()
     in
     t.txg <- Some g;
     ignore

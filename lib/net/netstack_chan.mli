@@ -45,7 +45,6 @@ val create :
   ?rx_slot_size:int ->
   ?tx_slots:int ->
   ?tx_slot_size:int ->
-  ?doorbell_vec:int ->
   unit ->
   t
 

@@ -125,12 +125,12 @@ let read_op st ctx block =
       let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
       let* () = wait_slot st slot in
       let data =
-        Machine.read_string st.api.Api.machine st.dom.Domain.id
+        Machine.read_bytes st.api.Api.machine st.dom.Domain.id
           st.buf_vaddrs.(slot_buf) st.block_size
       in
       Call_ctx.note_access ctx st.block_size;
       st.reads <- st.reads + 1;
-      Ok (Bytes.of_string data))
+      Ok data)
 
 let write_op st ctx block data =
   let* () = check_block st block in
@@ -140,9 +140,8 @@ let write_op st ctx block data =
         let slot_buf = st.tail mod ring_slots in
         let padded = Bytes.make st.block_size '\000' in
         Bytes.blit data 0 padded 0 (Bytes.length data);
-        Machine.write_string st.api.Api.machine st.dom.Domain.id
-          st.buf_vaddrs.(slot_buf)
-          (Bytes.to_string padded);
+        Machine.write_bytes st.api.Api.machine st.dom.Domain.id
+          st.buf_vaddrs.(slot_buf) padded;
         Call_ctx.note_access ctx st.block_size;
         let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
         let* () = wait_slot st slot in
@@ -183,12 +182,12 @@ let read_many st ctx bs =
             List.iter
               (fun (_, slot_buf) ->
                 let data =
-                  Machine.read_string st.api.Api.machine st.dom.Domain.id
+                  Machine.read_bytes st.api.Api.machine st.dom.Domain.id
                     st.buf_vaddrs.(slot_buf) st.block_size
                 in
                 Call_ctx.note_access ctx st.block_size;
                 st.reads <- st.reads + 1;
-                results := Bytes.of_string data :: !results)
+                results := data :: !results)
               posted;
             window rest)
       in
@@ -218,9 +217,8 @@ let write_many st ctx pairs =
                   let slot_buf = st.tail mod ring_slots in
                   let padded = Bytes.make st.block_size '\000' in
                   Bytes.blit data 0 padded 0 (Bytes.length data);
-                  Machine.write_string st.api.Api.machine st.dom.Domain.id
-                    st.buf_vaddrs.(slot_buf)
-                    (Bytes.to_string padded);
+                  Machine.write_bytes st.api.Api.machine st.dom.Domain.id
+                    st.buf_vaddrs.(slot_buf) padded;
                   Call_ctx.note_access ctx st.block_size;
                   let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
                   Ok (slot :: acc)

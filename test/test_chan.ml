@@ -131,6 +131,48 @@ let test_doorbell_popup_delivery () =
   ignore (Chan.try_send chan (Bytes.of_string "m4"));
   Alcotest.(check (list string)) "re-armed after dry drain" [ "m3"; "m4" ] !received
 
+(* The length word is in shared memory the producer writes. One that
+   claims more than the slot holds is consumed unread and counted, the
+   slots behind it still arrive, and the ring goes on working. *)
+let test_scribbled_length_word () =
+  let _, k, kdom = fixture () in
+  let api = Kernel.api k and machine = Kernel.machine k in
+  let udom = Kernel.create_domain k ~name:"len-consumer" () in
+  let chan =
+    Chan.create machine api.Api.vmem ~name:"len" ~slots:8 ~slot_size:8 ~mode:Chan.Poll
+      ~producer:kdom ()
+  in
+  ignore (Chan.accept chan ~into:udom);
+  let send m =
+    Alcotest.(check bool) "enqueue" true (Chan.try_send chan (Bytes.of_string m))
+  in
+  List.iter send [ "m0"; "m1"; "m2"; "m3"; "m4"; "m5" ];
+  (* slot i's length word, written in the producer's context *)
+  let scribble i len =
+    Machine.write32 machine kdom.Domain.id
+      (Chan.producer_base chan + Chan.header_bytes + (i * (4 + 8)))
+      len
+  in
+  scribble 1 9;
+  scribble 2 40;
+  scribble 4 5000;
+  let clock = Kernel.clock k in
+  let counted = Clock.counter clock "chan_bad_length" in
+  Alcotest.(check (list string)) "the intact slots, in order" [ "m0"; "m3"; "m5" ]
+    (List.map Bytes.to_string (Chan.recv_batch chan ()));
+  let s = Chan.stats chan in
+  Alcotest.(check int) "refused" 3 s.Chan.bad_lengths;
+  Alcotest.(check int) "received" 3 s.Chan.recvs;
+  Alcotest.(check int) "counted" 3 (Clock.counter clock "chan_bad_length" - counted);
+  Alcotest.(check int) "nothing pending" 0 (Chan.pending chan);
+  send "m6";
+  scribble 6 0xFFFF_FFFF;
+  Alcotest.(check (option string)) "a refused last slot leaves the ring empty" None
+    (Option.map Bytes.to_string (Chan.try_recv chan));
+  send "after";
+  Alcotest.(check (option string)) "the ring still works" (Some "after")
+    (Option.map Bytes.to_string (Chan.try_recv chan))
+
 (* --- MPSC groups -------------------------------------------------------- *)
 
 let mpsc_fixture ?(mode = Chan.Poll) ?(slots = 4) () =
@@ -257,6 +299,24 @@ let test_mpsc_bounded_drain () =
   let drain ?max () = List.map Bytes.to_string (Mpsc.recv_batch ?max g ()) in
   Alcotest.(check (list string)) "bounded drain" [ "a" ] (drain ~max:1 ());
   Alcotest.(check (list string)) "the rest follows" [ "b"; "c" ] (drain ())
+
+(* A producer that scribbles its own sub-ring's length word cannot stop
+   the consumer's drain of the group. *)
+let test_mpsc_scribbled_length_word () =
+  let k, kdom, p2, _, _, g = mpsc_fixture () in
+  let ta = Mpsc.attach g ~producer:kdom in
+  let tb = Mpsc.attach g ~producer:p2 in
+  ignore (send_as k kdom ta "a1");
+  ignore (send_as k p2 tb "b1");
+  ignore (send_as k p2 tb "b2");
+  let sub = Mpsc.sub_ring tb in
+  Machine.write32 (Kernel.machine k) p2.Domain.id
+    (Chan.producer_base sub + Chan.header_bytes)
+    5000;
+  Alcotest.(check (list string)) "the drain goes on" [ "a1"; "b2" ]
+    (List.map Bytes.to_string (Mpsc.recv_batch g ()));
+  Alcotest.(check int) "refused" 1 (Chan.stats sub).Chan.bad_lengths;
+  Alcotest.(check int) "nothing pending" 0 (Mpsc.pending g)
 
 (* --- ids are per machine ------------------------------------------------ *)
 
@@ -740,6 +800,7 @@ let () =
           Alcotest.test_case "wrap-around" `Quick test_ring_wraparound;
           Alcotest.test_case "full-ring back-pressure" `Quick
             test_full_ring_backpressure;
+          Alcotest.test_case "scribbled length word" `Quick test_scribbled_length_word;
         ] );
       ( "doorbell",
         [
@@ -754,6 +815,8 @@ let () =
           Alcotest.test_case "doorbell coalescing" `Quick
             test_mpsc_doorbell_coalescing;
           Alcotest.test_case "bounded drain" `Quick test_mpsc_bounded_drain;
+          Alcotest.test_case "scribbled length word" `Quick
+            test_mpsc_scribbled_length_word;
           Alcotest.test_case "ids are per machine" `Quick test_ids_per_machine;
           dispatch_prop;
         ] );

@@ -6,6 +6,15 @@ open Paramecium
 
 let unit_machine () = Machine.create ~costs:Cost.unit_costs ~frames:32 ~page_size:256 ()
 
+(* strings in and out of physical memory, over its bytes copy pair *)
+let phys_put pm s addr =
+  Physmem.write_bytes pm addr (Bytes.of_string s) 0 (String.length s)
+
+let phys_get pm addr len =
+  let b = Bytes.create len in
+  Physmem.read_bytes pm addr b 0 len;
+  Bytes.to_string b
+
 (* --- clock ----------------------------------------------------------- *)
 
 let test_clock_basics () =
@@ -67,14 +76,54 @@ let test_physmem_rw () =
   Alcotest.(check int) "byte" 0xAB (Physmem.read8 pm base);
   Physmem.write32 pm (base + 4) 0x01020304;
   Alcotest.(check int) "word" 0x01020304 (Physmem.read32 pm (base + 4));
-  Physmem.blit_string pm "hello" (base + 10);
-  Alcotest.(check string) "string" "hello" (Physmem.read_string pm (base + 10) 5);
+  phys_put pm "hello" (base + 10);
+  Alcotest.(check string) "string" "hello" (phys_get pm (base + 10) 5);
   let other = if f = 0 then 1 else 0 in
   Alcotest.check_raises "unallocated frame"
     (Invalid_argument "Physmem: frame not allocated") (fun () ->
       ignore (Physmem.read8 pm ((other * 64) + 1)));
   Alcotest.check_raises "out of range" (Invalid_argument "Physmem: frame out of range")
     (fun () -> ignore (Physmem.read8 pm (63 * 64 + 1)))
+
+(* Words and copies across a frame boundary, and a copy that runs into
+   an unallocated frame: the frames before it are copied, then the same
+   exception a byte access raises. *)
+let test_physmem_straddle () =
+  let pm = Physmem.create ~frames:4 ~page_size:64 in
+  let f0 = Physmem.alloc pm in
+  let f1 = Physmem.alloc pm in
+  Alcotest.(check int) "adjacent frames" (f0 + 1) f1;
+  let edge = (f1 * 64) - 2 in
+  Physmem.write32 pm edge 0xA1B2C3D4;
+  Alcotest.(check int) "straddling word" 0xA1B2C3D4 (Physmem.read32 pm edge);
+  Alcotest.(check (list int)) "little-endian across the boundary"
+    [ 0xD4; 0xC3; 0xB2; 0xA1 ]
+    (List.init 4 (fun i -> Physmem.read8 pm (edge + i)));
+  Physmem.write32 pm (f0 * 64) 0x1_8765_4321;
+  Alcotest.(check int) "a word keeps the low 32 bits, unsigned" 0x8765_4321
+    (Physmem.read32 pm (f0 * 64));
+  let s = String.init 100 (fun i -> Char.chr (33 + i)) in
+  phys_put pm s ((f0 * 64) + 10);
+  Alcotest.(check string) "copy across the boundary" s (phys_get pm ((f0 * 64) + 10) 100);
+  (* frame 2 was never allocated *)
+  let unallocated = Invalid_argument "Physmem: frame not allocated" in
+  let from = (f1 * 64) + 20 in
+  Alcotest.check_raises "write into an unallocated frame" unallocated (fun () ->
+      Physmem.write_bytes pm from (Bytes.make 80 'z') 0 80);
+  Alcotest.(check string) "the earlier frame was written" (String.make 44 'z')
+    (phys_get pm from 44);
+  let buf = Bytes.make 80 '.' in
+  Alcotest.check_raises "read from an unallocated frame" unallocated (fun () ->
+      Physmem.read_bytes pm from buf 0 80);
+  Alcotest.(check string) "the earlier frame was read"
+    (String.make 44 'z' ^ String.make 36 '.')
+    (Bytes.to_string buf);
+  Alcotest.check_raises "straddling word into an unallocated frame" unallocated
+    (fun () -> Physmem.write32 pm ((f1 * 64) + 62) 0x11223344);
+  Alcotest.(check (list int)) "its first frame's bytes were written" [ 0x44; 0x33 ]
+    [ Physmem.read8 pm ((f1 * 64) + 62); Physmem.read8 pm ((f1 * 64) + 63) ];
+  Alcotest.check_raises "buffer range" (Invalid_argument "Physmem: buffer range")
+    (fun () -> Physmem.read_bytes pm (f0 * 64) (Bytes.create 4) 2 4)
 
 (* --- mmu -------------------------------------------------------------- *)
 
@@ -459,6 +508,184 @@ let test_machine_straddling_word_cost () =
   Alcotest.check cost "an aligned word is one access" (c.Cost.mem_read, 0)
     (charged m (fun () -> ignore (Machine.read32 m ctx 248)))
 
+(* --- bulk copies: page segments against a byte loop ------------------- *)
+
+(* The byte loops [Machine.read_string] and [write_string] once were,
+   kept as the reference the page-segment copies must match. *)
+let loop_read_string m ctx vaddr len =
+  String.init len (fun i -> Char.chr (Machine.read8 m ctx (vaddr + i)))
+
+let loop_write_string m ctx vaddr s =
+  String.iteri (fun i c -> Machine.write8 m ctx (vaddr + i) (Char.code c)) s
+
+type page = Absent | Ro | Rw | Hooked | Dangling
+
+(* what the fault handler does: [Lies] claims every fault resolved and
+   changes nothing, so the access retries until the machine gives up *)
+type policy = No_handler | Maps | Unhooks | Refuses | Lies
+
+type copy_case = {
+  pages : page array;  (** vpages 0.. of the copying context *)
+  policy : policy;
+  current : bool;  (** the copying context is the current one *)
+  warm : int list;  (** vpages read before the copy, filling the TLB *)
+  write : bool;
+  vaddr : int;
+  data : string;  (** written, or its length read *)
+}
+
+let copy_page_size = 64
+let copy_pages = 6
+
+let gen_copy_case =
+  let open QCheck2.Gen in
+  let* pages =
+    array_size (pure copy_pages)
+      (frequencyl [ (1, Absent); (1, Ro); (4, Rw); (1, Hooked); (1, Dangling) ])
+  in
+  let* policy = oneofl [ No_handler; Maps; Unhooks; Refuses; Lies ] in
+  let* current = bool in
+  let* warm = list_size (int_bound 4) (int_bound (copy_pages - 1)) in
+  let* write = bool in
+  let* vaddr = int_bound ((copy_pages * copy_page_size) - 1) in
+  let+ data =
+    string_size ~gen:printable
+      (frequency [ (1, pure 0); (8, int_bound (3 * copy_page_size)) ])
+  in
+  { pages; policy; current; warm; write; vaddr; data }
+
+let print_copy_case c =
+  let page = function
+    | Absent -> "-"
+    | Ro -> "ro"
+    | Rw -> "rw"
+    | Hooked -> "hooked"
+    | Dangling -> "dangling"
+  in
+  let policy = function
+    | No_handler -> "no handler"
+    | Maps -> "maps"
+    | Unhooks -> "unhooks"
+    | Refuses -> "refuses"
+    | Lies -> "lies"
+  in
+  Printf.sprintf "pages [%s], handler %s, %s, warm [%s], %s %d bytes at %d"
+    (String.concat " " (Array.to_list (Array.map page c.pages)))
+    (policy c.policy)
+    (if c.current then "current" else "not current")
+    (String.concat " " (List.map string_of_int c.warm))
+    (if c.write then "write" else "read")
+    (String.length c.data) c.vaddr
+
+type copy_outcome = Copied of string | Faulted of Mmu.fault | Invalid of string
+
+(* Run one case on a fresh machine and report what an observer can see:
+   the result or the raised fault, the cycles, every counter, the
+   handler's calls, physical memory, and the TLB left behind (the cost
+   of a probe read of each page afterwards). *)
+let run_copy_case ~segmented c =
+  let ps = copy_page_size in
+  let m = Machine.create ~costs:Cost.default ~frames:32 ~page_size:ps () in
+  let mmu = Machine.mmu m and phys = Machine.phys m in
+  let ctx = Mmu.new_context mmu and other = Mmu.new_context mmu in
+  let frames =
+    Array.mapi
+      (fun vpage p ->
+        if p = Absent then None
+        else begin
+          let frame = Physmem.alloc phys in
+          let prot = if p = Ro then Mmu.Read_only else Mmu.Read_write in
+          Mmu.map mmu ctx ~vpage ~frame ~prot;
+          if p = Hooked then Mmu.set_fault_hook mmu ctx ~vpage true;
+          phys_put phys
+            (String.init ps (fun i -> Char.chr (65 + (((vpage * 7) + i) mod 26))))
+            (frame * ps);
+          Some frame
+        end)
+      c.pages
+  in
+  Array.iteri
+    (fun vpage p -> if p = Dangling then Physmem.release phys (Option.get frames.(vpage)))
+    c.pages;
+  let calls = ref [] in
+  (* each call is logged with the cycle it came at: a charge moved
+     across the translation shows *)
+  let handler (f : Mmu.fault) =
+    calls := (Clock.now (Machine.clock m), f) :: !calls;
+    let vpage = f.Mmu.vaddr / ps in
+    match (c.policy, f.Mmu.reason) with
+    | (Maps | Unhooks), Mmu.Hooked ->
+      Mmu.set_fault_hook mmu f.Mmu.ctx ~vpage false;
+      true
+    | Maps, Mmu.Unmapped ->
+      Mmu.map mmu f.Mmu.ctx ~vpage ~frame:(Physmem.alloc phys) ~prot:Mmu.Read_write;
+      true
+    | Maps, Mmu.Protection ->
+      Mmu.set_prot mmu f.Mmu.ctx ~vpage Mmu.Read_write;
+      true
+    | Lies, _ -> true
+    | (No_handler | Unhooks | Refuses), _ -> false
+  in
+  if c.policy <> No_handler then Machine.set_fault_handler m (Some handler);
+  Mmu.switch_context mmu (if c.current then ctx else other);
+  if c.current then
+    List.iter
+      (fun vpage ->
+        if c.pages.(vpage) = Ro || c.pages.(vpage) = Rw then
+          ignore (Machine.read8 m ctx (vpage * ps)))
+      c.warm;
+  let clock = Machine.clock m in
+  let t0 = Clock.now clock in
+  let outcome =
+    match
+      if c.write then begin
+        (if segmented then Machine.write_string else loop_write_string)
+          m ctx c.vaddr c.data;
+        ""
+      end
+      else
+        (if segmented then Machine.read_string else loop_read_string)
+          m ctx c.vaddr (String.length c.data)
+    with
+    | s -> Copied s
+    | exception Machine.Fatal_fault f -> Faulted f
+    | exception Invalid_argument e -> Invalid e
+  in
+  let cycles = Clock.now clock - t0 and counters = Clock.counters clock in
+  Machine.set_fault_handler m None;
+  let probe =
+    List.init (copy_pages + 3) (fun vpage ->
+        let t = Clock.now clock in
+        match Machine.read8 m ctx (vpage * ps) with
+        | v -> (Some v, Clock.now clock - t)
+        | exception (Machine.Fatal_fault _ | Invalid_argument _) ->
+          (None, Clock.now clock - t))
+  in
+  let memory =
+    List.init (Physmem.total_frames phys) (fun f ->
+        if Physmem.is_allocated phys f then Some (phys_get phys (f * ps) ps) else None)
+  in
+  (outcome, cycles, counters, List.rev !calls, memory, probe)
+
+let copy_matches_loop c =
+  let ((o, cyc, cnt, calls, mem, probe) as seg) = run_copy_case ~segmented:true c in
+  let ((o', cyc', cnt', calls', mem', probe') as loop) =
+    run_copy_case ~segmented:false c
+  in
+  let differ what = QCheck2.Test.fail_reportf "%s differs from the byte loop" what in
+  if o <> o' then differ "the result";
+  if cyc <> cyc' then QCheck2.Test.fail_reportf "cycles: %d, byte loop %d" cyc cyc';
+  if cnt <> cnt' then differ "a counter";
+  if calls <> calls' then differ "the fault handler's call log";
+  if mem <> mem' then differ "physical memory";
+  if probe <> probe' then differ "the TLB left behind";
+  seg = loop
+
+let copy_cost_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"page-segment copies cost what a byte loop costs"
+       ~print:print_copy_case gen_copy_case copy_matches_loop)
+
 let test_machine_fault_handler_resolves () =
   let m = unit_machine () in
   let mmu = Machine.mmu m in
@@ -565,7 +792,7 @@ let test_nic_rx_dma () =
   let len = Machine.io_read m (base + 16) in
   Alcotest.(check int) "buffer addr" (frame * 256) addr;
   Alcotest.(check string) "payload" "packet-one"
-    (Physmem.read_string (Machine.phys m) addr len);
+    (phys_get (Machine.phys m) addr len);
   (* ack pops it *)
   Machine.io_write m (base + 4) 1;
   Alcotest.(check int) "status clear" 0 (Machine.io_read m (base + 4) land 1)
@@ -583,7 +810,7 @@ let test_nic_tx_and_loopback () =
   let m, nic = nic_fixture () in
   let base = Nic.io_base nic in
   let frame = Physmem.alloc (Machine.phys m) in
-  Physmem.blit_string (Machine.phys m) "outgoing!" (frame * 256);
+  phys_put (Machine.phys m) "outgoing!" (frame * 256);
   Machine.io_write m base (2 lor 8) (* tx + loopback *);
   Machine.io_write m (base + 20) (frame * 256);
   Machine.io_write m (base + 24) 9;
@@ -676,14 +903,14 @@ let test_blkdev_ring () =
   Machine.set_irq_handler m 3 (Some (fun () -> incr irqs));
   let ring = blk_ring m d ~slots:4 in
   let src = Physmem.alloc phys * 256 and dst = Physmem.alloc phys * 256 in
-  Physmem.blit_string phys "dma!" src;
+  phys_put phys "dma!" src;
   let tail =
     blk_publish m d ~ring ~slots:4 ~tail:0
       [ (blk_write, 7, src); (blk_read, 7, dst) ]
   in
   Alcotest.(check int) "both fetched, none due" 2 (Blkdev.in_flight d);
   blk_drain m d ~tail;
-  Alcotest.(check string) "read sees the write" "dma!" (Physmem.read_string phys dst 4);
+  Alcotest.(check string) "read sees the write" "dma!" (phys_get phys dst 4);
   (* the media serializes the two, so each completes in its own batch *)
   Alcotest.(check int) "completion irqs" 2 !irqs;
   Alcotest.(check int) "irqs counted" 2 (Blkdev.irqs d);
@@ -723,11 +950,11 @@ let test_blkdev_sync_round_trip () =
   let phys = Machine.phys m in
   let f1 = Physmem.alloc phys in
   let f2 = Physmem.alloc phys in
-  Physmem.blit_string phys "persistent data" (f1 * 256);
+  phys_put phys "persistent data" (f1 * 256);
   Blkdev.write_sync d ~block:5 ~phys_addr:(f1 * 256);
   Blkdev.read_sync d ~block:5 ~phys_addr:(f2 * 256);
   Alcotest.(check string) "round trip" "persistent data"
-    (Physmem.read_string phys (f2 * 256) 15);
+    (phys_get phys (f2 * 256) 15);
   Alcotest.(check int) "reads" 1 (Blkdev.reads d);
   Alcotest.(check int) "writes" 1 (Blkdev.writes d);
   (* unwritten blocks read as zeroes *)
@@ -850,7 +1077,7 @@ let blkdev_matches_model steps =
   in
   let apply (write, block, v) buf =
     if write then begin
-      Physmem.blit_string phys (String.make 256 (Char.chr v)) buf;
+      phys_put phys (String.make 256 (Char.chr v)) buf;
       model := Blk_model.add block v !model;
       incr writes;
       None
@@ -861,7 +1088,7 @@ let blkdev_matches_model steps =
     end
   in
   let check_read = function
-    | Some (buf, want) when Physmem.read_string phys buf 256 <> want ->
+    | Some (buf, want) when phys_get phys buf 256 <> want ->
       QCheck2.Test.fail_reportf "read into %#x: model says %C" buf want.[0]
     | _ -> ()
   in
@@ -914,6 +1141,7 @@ let () =
           Alcotest.test_case "alloc/free" `Quick test_physmem_alloc_free;
           Alcotest.test_case "refcount" `Quick test_physmem_refcount;
           Alcotest.test_case "read/write" `Quick test_physmem_rw;
+          Alcotest.test_case "straddling words and copies" `Quick test_physmem_straddle;
         ] );
       ( "mmu",
         [
@@ -947,6 +1175,7 @@ let () =
           Alcotest.test_case "fault handler resolves" `Quick
             test_machine_fault_handler_resolves;
           Alcotest.test_case "fatal fault" `Quick test_machine_fatal_fault;
+          copy_cost_prop;
           Alcotest.test_case "traps" `Quick test_machine_traps;
           Alcotest.test_case "irqs" `Quick test_machine_irqs;
         ] );
