@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke demo-smoke examples-smoke replay-smoke trace-smoke bench-output lint fmt check clean
+.PHONY: all build test bench bench-smoke demo-smoke examples-smoke replay-smoke trace-smoke golden bench-output lint fmt check clean
 
 all: build
 
@@ -41,25 +41,37 @@ examples-smoke:
 	dune exec examples/fileserver.exe
 	dune exec examples/packet_filter.exe
 
-# record/replay determinism: every scenario self-checks, and a recording
-# written to disk replays byte-identically after a round-trip
+# record/replay determinism: every scenario self-checks, and the
+# committed compose recording replays byte-identically from disk
 replay-smoke:
 	dune exec bin/pm_replay.exe -- --list
 	dune exec bin/pm_replay.exe -- packets --lint --quiet
 	dune exec bin/pm_replay.exe -- crash --lint --quiet
 	dune exec bin/pm_replay.exe -- deadlock --lint --quiet
 	dune exec bin/pm_replay.exe -- kv --lint --quiet
-	dune exec bin/pm_replay.exe -- compose --lint --record /tmp/pm_compose.rec --quiet
-	dune exec bin/pm_replay.exe -- --replay /tmp/pm_compose.rec --quiet
+	dune exec bin/pm_replay.exe -- compose --lint --quiet
+	dune exec bin/pm_replay.exe -- --replay golden/compose.rec --quiet
 
-# causal tracing end to end: record the KV workload with tracing on,
-# then the offline query tool must produce a per-layer cycle breakdown
-# and answer a state-at-cycle question from the same recording
+# causal tracing end to end: the committed KV recording made with
+# tracing on replays, and the offline query tool must produce a
+# per-layer cycle breakdown and answer a state-at-cycle question from it
 trace-smoke:
-	dune exec bin/pm_replay.exe -- kv --trace --record /tmp/pm_kv_trace.rec --quiet
-	dune exec bin/pm_query.exe -- /tmp/pm_kv_trace.rec --layers | grep cyc
-	dune exec bin/pm_query.exe -- /tmp/pm_kv_trace.rec --slowest 3 | grep rid
-	dune exec bin/pm_query.exe -- /tmp/pm_kv_trace.rec --bound /store/log0 --at 999999999 | grep bound
+	dune exec bin/pm_replay.exe -- --replay golden/kv-trace.rec --quiet
+	dune exec bin/pm_query.exe -- golden/kv-trace.rec --layers | grep cyc
+	dune exec bin/pm_query.exe -- golden/kv-trace.rec --slowest 3 | grep rid
+	dune exec bin/pm_query.exe -- golden/kv-trace.rec --bound /store/log0 --at 999999999 | grep bound
+
+# regenerate the committed golden corpus: a recording of every replay
+# scenario, the KV scenario recorded with tracing on, and the stdout of
+# the demo and example smokes. All of it is deterministic, so CI diffs
+# the regenerated files against the committed ones.
+golden:
+	for s in packets crash deadlock kv compose; do \
+		dune exec bin/pm_replay.exe -- $$s --record golden/$$s.rec --quiet || exit 1; \
+	done
+	dune exec bin/pm_replay.exe -- kv --trace --record golden/kv-trace.rec --quiet
+	$(MAKE) -s --no-print-directory demo-smoke > golden/demo-smoke.txt
+	$(MAKE) -s --no-print-directory examples-smoke > golden/examples-smoke.txt
 
 # composition lint: the demo system must lint clean, and the linter must
 # catch each seeded violation (non-zero exit inverted with !)

@@ -31,7 +31,7 @@ let wrap registry ~target =
     { m with Iface.impl }
   in
   let sandboxed_iface (i : Iface.t) =
-    Iface.make ~version:i.Iface.version ~name:i.Iface.name
+    Iface.make ~name:i.Iface.name
       (List.map (checked i.Iface.name) i.Iface.methods)
   in
   Instance.create registry

@@ -64,11 +64,6 @@ let to_int x =
     Some !v
   end
 
-let to_int_exn x =
-  match to_int x with
-  | Some n -> n
-  | None -> failwith "Nat.to_int_exn: does not fit"
-
 let test_bit x i =
   let limb = i / base_bits and bit = i mod base_bits in
   limb < Array.length x && (x.(limb) lsr bit) land 1 = 1
@@ -248,7 +243,6 @@ let divmod (a : t) (b : t) : t * t =
   end
   else knuth_divmod a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let shift_left x k =

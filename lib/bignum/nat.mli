@@ -22,9 +22,6 @@ val of_int : int -> t
 (** [to_int x] is [Some n] if [x] fits in an OCaml [int]. *)
 val to_int : t -> int option
 
-(** [to_int_exn x] raises [Failure] if [x] does not fit in an [int]. *)
-val to_int_exn : t -> int
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
@@ -43,7 +40,6 @@ val mul : t -> t -> t
     if [b] is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 (** [pow b e] is [b]^[e] for a machine-int exponent [e >= 0]. *)

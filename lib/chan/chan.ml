@@ -239,7 +239,6 @@ let set_mode t m = t.chan_mode <- m
 let producer t = t.producer
 let consumer t = t.consumer
 let producer_base t = t.prod_base
-let pages t = t.n_pages
 let pending t = t.sends - t.recvs - t.bad_lengths
 
 let stats t =
@@ -317,7 +316,7 @@ let ring_doorbell t =
           doorbell_vec t.chan_id
       | None -> ignore (Machine.raise_trap t.machine doorbell_vec t.chan_id))
 
-let on_doorbell t ~events ~sched ?priority f =
+let on_doorbell t ~events ~sched f =
   let consumer =
     match t.consumer with
     | Some c -> c
@@ -328,7 +327,7 @@ let on_doorbell t ~events ~sched ?priority f =
   Events.register events (Events.Trap doorbell_vec) ~domain:consumer (fun arg ->
       if arg = t.chan_id then
         ignore
-          (Scheduler.popup sched ?priority ~name:("chan-" ^ t.chan_name)
+          (Scheduler.popup sched ~name:("chan-" ^ t.chan_name)
              ~domain:consumer.Domain.id f))
 
 (* ------------------------------------------------------------------ *)

@@ -110,8 +110,6 @@ val consumer : t -> Pm_nucleus.Domain.t option
 (** Base virtual address of the ring in the producer's address space. *)
 val producer_base : t -> int
 
-(** Number of pages backing the ring. *)
-val pages : t -> int
 
 (** Messages currently enqueued (bookkeeping view, uncharged). *)
 val pending : t -> int
@@ -171,7 +169,6 @@ val on_doorbell :
   t ->
   events:Pm_nucleus.Events.t ->
   sched:Pm_threads.Scheduler.t ->
-  ?priority:int ->
   (unit -> unit) ->
   Pm_nucleus.Events.cb_id
 

@@ -10,7 +10,6 @@ module Invoke = Pm_obj.Invoke
 module Call_ctx = Pm_obj.Call_ctx
 module Path = Pm_names.Path
 module Nic = Pm_machine.Nic
-module Images = Pm_components.Images
 
 let fault msg = Error (Oerror.Fault msg)
 
@@ -136,22 +135,15 @@ let create api ~domain_of_id () =
   Instance.create api.Api.registry ~class_name:"chan.factory"
     ~domain:api.Api.kernel_domain.Domain.id [ iface ]
 
-let image ~domain_of_id () =
-  Images.image ~name:"chan-factory" ~size:12_288 ~author:"kernel-team"
-    ~type_safe:true
-    (fun api _dom -> create api ~domain_of_id ())
-
 (* ------------------------------------------------------------------ *)
 (* Channel-backed receive path                                         *)
 (* ------------------------------------------------------------------ *)
 
-let bridge api ?(slots = 64) ?slot_size ~producer ~consumer ~stack () =
-  let slot_size =
-    match slot_size with Some s -> s | None -> (Nic.mtu + 3) / 4 * 4
-  in
+let bridge api ~producer ~consumer ~stack () =
+  (* 64 slots, each one NIC frame rounded up to a word *)
   let chan =
-    Chan.create api.Api.machine api.Api.vmem ~name:"rx-bridge" ~slots ~slot_size
-      ~producer ()
+    Chan.create api.Api.machine api.Api.vmem ~name:"rx-bridge" ~slots:64
+      ~slot_size:((Nic.mtu + 3) / 4 * 4) ~producer ()
   in
   ignore (Chan.accept chan ~into:consumer);
   let tx = tx_endpoint api chan in

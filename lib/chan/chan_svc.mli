@@ -1,8 +1,8 @@
 (** The channel factory: channels as ordinary name-space citizens.
 
-    The factory is a bootable component (see {!image}) conventionally
-    registered at [/shared/chan]. Any domain binds it through the name
-    space and drives it through the ["chanfactory"] interface:
+    The factory is registered at [/shared/chan] at boot. Any domain
+    binds it through the name space and drives it through the
+    ["chanfactory"] interface:
 
     - [create(name:str, slots:int, slot_size:int) -> handle] — allocate
       a ring with the {e calling} domain as producer; the transmit
@@ -34,14 +34,6 @@ val create :
   unit ->
   Pm_obj.Instance.t
 
-(** [image ~domain_of_id ()] wraps the factory as a loadable component
-    image (author ["kernel-team"], so the standard delegate chain
-    certifies it for the kernel domain). *)
-val image :
-  domain_of_id:(int -> Pm_nucleus.Domain.t option) ->
-  unit ->
-  Pm_nucleus.Loader.image
-
 (** [tx_endpoint api chan] / [rx_endpoint api chan] build endpoint
     objects directly (the factory uses these; benches and bridges can
     too). The tx endpoint lives in the producer domain, the rx endpoint
@@ -51,16 +43,14 @@ val tx_endpoint : Pm_nucleus.Api.t -> Chan.t -> Pm_obj.Instance.t
 val rx_endpoint : Pm_nucleus.Api.t -> Chan.t -> Pm_obj.Instance.t
 
 (** [bridge api ~producer ~consumer ~stack ()] rewires a receive path
-    over a channel: builds a ring from [producer] (the driver's domain)
-    to [consumer] (the stack's), returns a tx endpoint whose ["stack"]
+    over a channel: builds a 64-slot ring of MTU-sized slots from
+    [producer] (the driver's domain) to [consumer] (the stack's), returns a tx endpoint whose ["stack"]
     [rx] enqueues frames (dropping when full, as a NIC does), and
     registers a doorbell pop-up in [consumer] that drains each burst and
     hands it to [stack]'s [rx_batch] in one invocation — the mailbox hop
     without a proxy crossing per frame. *)
 val bridge :
   Pm_nucleus.Api.t ->
-  ?slots:int ->
-  ?slot_size:int ->
   producer:Pm_nucleus.Domain.t ->
   consumer:Pm_nucleus.Domain.t ->
   stack:Pm_obj.Instance.t ->

@@ -142,11 +142,8 @@ let attach t ~producer =
 
 let name t = t.group_name
 let id t = t.group_id
-let mode t = t.gmode
 let set_mode t m = t.gmode <- m
 let producers t = Array.length t.rings
-let consumer t = t.consumer
-let sub_rings t = Array.to_list t.rings
 let sub_ring tx = tx.sub
 
 let pending t = Array.fold_left (fun acc r -> acc + Chan.pending r) 0 t.rings
@@ -179,11 +176,11 @@ let ring_doorbell t tx =
           t.group_id
       else ignore (Machine.raise_trap t.machine Chan.doorbell_vec t.group_id))
 
-let on_doorbell t ~events ~sched ?priority f =
+let on_doorbell t ~events ~sched f =
   Events.register events (Events.Trap Chan.doorbell_vec) ~domain:t.consumer (fun arg ->
       if arg = t.group_id then
         ignore
-          (Scheduler.popup sched ?priority ~name:("mpsc-" ^ t.group_name)
+          (Scheduler.popup sched ~name:("mpsc-" ^ t.group_name)
              ~domain:t.consumer.Domain.id f))
 
 (* ------------------------------------------------------------------ *)
@@ -238,10 +235,6 @@ let send_or_drop ?account tx msg =
   let sent = Chan.send_or_drop ?account tx.sub msg in
   if sent then reserve tx;
   sent
-
-let send ?account tx msg =
-  Chan.send ?account tx.sub msg;
-  reserve tx
 
 (* ------------------------------------------------------------------ *)
 (* Consumer side: one view over all sub-rings                          *)

@@ -96,14 +96,8 @@ val attach : t -> producer:Pm_nucleus.Domain.t -> tx
 
 val name : t -> string
 val id : t -> int
-val mode : t -> Chan.mode
 val set_mode : t -> Chan.mode -> unit
 val producers : t -> int
-val consumer : t -> Pm_nucleus.Domain.t
-
-(** The per-producer sub-rings, in attach order — ordinary channels the
-    linter and the placer can inspect. *)
-val sub_rings : t -> Chan.t list
 
 (** The sub-ring behind one send handle. *)
 val sub_ring : tx -> Chan.t
@@ -118,10 +112,6 @@ val stats : t -> stats
     blocking, then reserves through the group header; [false] when that
     sub-ring is full. *)
 val try_send : ?account:bool -> tx -> bytes -> bool
-
-(** [send tx msg] blocks on the producer's own full sub-ring only —
-    other producers are unaffected. *)
-val send : ?account:bool -> tx -> bytes -> unit
 
 (** [send_or_drop tx msg] counts a refused message as a drop on the
     producer's sub-ring. *)
@@ -147,6 +137,5 @@ val on_doorbell :
   t ->
   events:Pm_nucleus.Events.t ->
   sched:Pm_threads.Scheduler.t ->
-  ?priority:int ->
   (unit -> unit) ->
   Pm_nucleus.Events.cb_id

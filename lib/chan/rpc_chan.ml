@@ -23,11 +23,9 @@ type conn = {
   server_dom : Domain.t;
   req : Chan.t;
   resp : Chan.t;
-  mutable drain : (unit -> int) option;
 }
 
 let request_chan conn = conn.req
-let response_chan conn = conn.resp
 
 (* each direction's ring: 64 slots of a page's worth of batch *)
 let ring_slots = 64
@@ -43,31 +41,28 @@ let connect api ~client ~server () =
   ignore (Chan.accept req ~into:server);
   let resp = ring "rpc.resp" Chan.Poll server in
   ignore (Chan.accept resp ~into:client);
-  { api; client_dom = client; server_dom = server; req; resp; drain = None }
+  { api; client_dom = client; server_dom = server; req; resp }
 
 (* ------------------------------------------------------------------ *)
 (* Batch assembly: [count(2)] then per call [len(2)][segment].         *)
 (* Prefix words are charged as component accesses; the segments'       *)
 (* bytes were charged by Wire build/parse, and the rings run           *)
 (* unaccounted, so each byte is paid for once per side.                *)
-(* With tracing on the batch header grows a 4-byte request id          *)
-(* (uncharged — tracing adds zero simulated cycles) that the           *)
-(* receiving side's iter re-establishes as the ambient scope.          *)
+(* The batch header carries the Trace rid field after the count, which *)
+(* the receiving side's iter re-establishes as the ambient scope.      *)
 (* ------------------------------------------------------------------ *)
 
 module Trace = Pm_journal.Trace
 
-let rid_len () = if Trace.enabled () then 4 else 0
-
 let assemble ctx segs =
-  let rl = rid_len () in
+  let rl = Trace.rid_len () in
   let n = List.length segs in
   let total =
     List.fold_left (fun acc s -> acc + 2 + Bytes.length s) (2 + rl) segs
   in
   let b = Bytes.create total in
   Bytes.set_uint16_be b 0 n;
-  if rl > 0 then Wire.set32 b 2 (Trace.current ());
+  Trace.write_rid b 2;
   let off = ref (2 + rl) in
   List.iter
     (fun s ->
@@ -81,7 +76,7 @@ let assemble ctx segs =
 
 (* Split segments into chunks that fit one ring slot, preserving order. *)
 let chunk ~slot_size segs =
-  let hdr = 2 + rid_len () in
+  let hdr = 2 + Trace.rid_len () in
   let seg_room s = 2 + Bytes.length s in
   List.fold_left
     (fun (chunks, cur, used) s ->
@@ -98,13 +93,13 @@ let chunk ~slot_size segs =
    against the batch length before it is used. The segments before the
    first bad field are delivered, none after. *)
 let iter_segments ctx batch f =
-  let rl = rid_len () in
+  let rl = Trace.rid_len () in
   let len = Bytes.length batch in
   if len < 2 + rl then Error (Printf.sprintf "batch header truncated (%d bytes)" len)
   else begin
     let count = Bytes.get_uint16_be batch 0 in
     Call_ctx.access ctx 2;
-    if rl > 0 then Trace.set_current (Wire.get32 batch 2);
+    Trace.read_rid batch 2;
     let rec walk i off =
       if i > count then Ok ()
       else if off + 2 > len then
@@ -178,7 +173,9 @@ let serve_batch conn ctx ~procedures ~raw batch =
       (chunk ~slot_size:(Chan.slot_size conn.resp) segs));
   !served
 
-let serve api conn ~procedures ?raw () =
+(* [serve], returning the inline drain: it serves every pending request
+   batch and says how many calls it served *)
+let serve_drain api conn ~procedures ~raw =
   let ctx = Api.ctx api conn.server_dom in
   let drain () =
     List.fold_left
@@ -186,18 +183,16 @@ let serve api conn ~procedures ?raw () =
       0
       (Chan.recv_batch ~account:false conn.req ())
   in
-  conn.drain <- Some drain;
   ignore
     (Chan.on_doorbell conn.req ~events:api.Api.events ~sched:api.Api.sched (fun () ->
          ignore (drain ())));
   (* catch up with anything flushed before the pop-up existed; the dry
      drain re-arms the doorbell *)
-  ignore (drain ())
+  ignore (drain ());
+  drain
 
-let drain_server conn =
-  match conn.drain with
-  | Some d -> d ()
-  | None -> invalid_arg "Rpc_chan.drain_server: serve has not been called"
+let serve api conn ~procedures ?raw () =
+  ignore (serve_drain api conn ~procedures ~raw : unit -> int)
 
 (* The channel-backed mode of {!Pm_components.Rpc.create_server}: same
    ["rpc.server"] interface (poll/requests/failures), same classic wire
@@ -220,12 +215,11 @@ let create_server api conn ~procedures () =
       incr failures;
       Error e
   in
-  serve api conn ~procedures:[] ~raw ();
+  let drain = serve_drain api conn ~procedures:[] ~raw:(Some raw) in
   let iface =
     Iface.make ~name:"rpc.server"
       [
-        Iface.fn0 ~name:"poll" ~ret:Vtype.Tint (fun _ ->
-            Ok (Value.Int (drain_server conn)));
+        Iface.fn0 ~name:"poll" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (drain ())));
         Iface.fn0 ~name:"requests" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !requests));
         Iface.fn0 ~name:"failures" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !failures));
       ]
@@ -249,7 +243,10 @@ let with_flush_span conn f =
     ~domain:conn.client_dom.Domain.id ~layer:"chan" ~obj:(Chan.name conn.req)
     ~iface:"chan" ~meth:"batch_flush" f
 
-let client api conn ?(max_polls = 10_000) () =
+(* yield-polls a [take] waits for its response before it times out *)
+let max_polls = 10_000
+
+let client api conn () =
   let st = { next_id = 1; buffered = []; pending = Hashtbl.create 16 } in
   let submit ctx ~name ~args =
     let nlen = String.length name in

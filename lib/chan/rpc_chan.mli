@@ -46,7 +46,6 @@ val iter_segments :
   Pm_obj.Call_ctx.t -> bytes -> (bytes -> unit) -> (unit, string) result
 
 val request_chan : conn -> Chan.t
-val response_chan : conn -> Chan.t
 
 (** [connect api ~client ~server ()] builds the ring pair, 64 slots of
     4096 bytes each way: requests flow client→server on a [Doorbell]
@@ -85,13 +84,9 @@ val serve :
 
     and ["rpc.transport"]: [call(blob) -> blob], a synchronous
     request/response round trip for layering {!Pm_components.Rpc}
-    ({!Pm_components.Rpc.create_client_via}) over a channel. *)
-val client : Pm_nucleus.Api.t -> conn -> ?max_polls:int -> unit -> Pm_obj.Instance.t
-
-(** [drain_server conn] processes pending request batches inline —
-    polling mode, for consumers that want to skip doorbells wholesale.
-    Returns the number of calls served. Requires {!serve} first. *)
-val drain_server : conn -> int
+    ({!Pm_components.Rpc.create_client_via}) over a channel. A [take]
+    gives up after 10000 yield-polls. *)
+val client : Pm_nucleus.Api.t -> conn -> unit -> Pm_obj.Instance.t
 
 (** [create_server api conn ~procedures ()] is the channel-backed mode
     of {!Pm_components.Rpc.create_server}: the same ["rpc.server"]

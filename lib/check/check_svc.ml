@@ -46,7 +46,6 @@ let run t =
     ~detail:"";
   report
 
-let last t = t.last
 let runs t = t.runs
 
 let service_object t registry kdom =

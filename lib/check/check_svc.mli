@@ -28,9 +28,6 @@ val create :
     report, and records it in the flight recorder. *)
 val run : t -> Lint.report
 
-(** [last t] is the most recent report, if any run has happened. *)
-val last : t -> Lint.report option
-
 (** [runs t] counts completed lint passes. *)
 val runs : t -> int
 

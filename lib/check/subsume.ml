@@ -44,23 +44,18 @@ let check_method ~iface (wm : Iface.meth) (am : Iface.meth) =
   else Ok ()
 
 let check_iface (w : Iface.t) (a : Iface.t) =
-  if a.Iface.version < w.Iface.version then
-    Error
-      (Printf.sprintf "interface %S: version %d regresses below %d" w.Iface.name
-         a.Iface.version w.Iface.version)
-  else
-    List.fold_left
-      (fun acc wm ->
-        match acc with
-        | Error _ as e -> e
-        | Ok () -> (
-          match Iface.find_method a wm.Iface.mname with
-          | None ->
-            Error
-              (Printf.sprintf "interface %S: method %S missing from the agent"
-                 w.Iface.name wm.Iface.mname)
-          | Some am -> check_method ~iface:w.Iface.name wm am))
-      (Ok ()) w.Iface.methods
+  List.fold_left
+    (fun acc wm ->
+      match acc with
+      | Error _ as e -> e
+      | Ok () -> (
+        match Iface.find_method a wm.Iface.mname with
+        | None ->
+          Error
+            (Printf.sprintf "interface %S: method %S missing from the agent"
+               w.Iface.name wm.Iface.mname)
+        | Some am -> check_method ~iface:w.Iface.name wm am))
+    (Ok ()) w.Iface.methods
 
 (* [check ~wrapped ~agent] verifies that [agent]'s interfaces subsume
    [wrapped]'s. *)

@@ -4,8 +4,8 @@
     object": an interposing agent must export every interface of the
     object it replaces, method for method, with matching arity and
     types (an agent-side {!Pm_obj.Vtype.Tany} matches any wrapped type,
-    which is what generic forwarders declare) and a version at least as
-    new. Extra agent interfaces are allowed — they are the point.
+    which is what generic forwarders declare). Extra agent interfaces
+    are allowed — they are the point.
 
     Used in two places: {!Pm_components.Interpose.attach} enforces it at
     interposition time (raising [Oerror.Not_superset]), and the

@@ -2,8 +2,8 @@ module Loader = Pm_nucleus.Loader
 module Meta = Pm_secure.Meta
 module Authority = Pm_secure.Authority
 
-let image ~name ~size ?author ?type_safe ?proof_annotated ?tags construct =
-  let meta = Meta.make ?author ?type_safe ?proof_annotated ?tags ~name ~size () in
+let image ~name ~size ?author ?type_safe construct =
+  let meta = Meta.make ?author ?type_safe ~name ~size () in
   let code = Codegen.synthesize ~name ~size in
   { Loader.meta; code; cert = None; construct }
 

@@ -6,15 +6,13 @@
     image through a certification authority's delegate chain and attaches
     the resulting certificate (when one was granted). *)
 
-(** [image ~name ~size ?author ?type_safe ?proof_annotated ?tags construct]
-    makes an uncertified image with deterministic pseudo object code. *)
+(** [image ~name ~size ?author ?type_safe construct] makes an uncertified
+    image with deterministic pseudo object code. *)
 val image :
   name:string ->
   size:int ->
   ?author:string ->
   ?type_safe:bool ->
-  ?proof_annotated:bool ->
-  ?tags:string list ->
   Pm_nucleus.Loader.constructor ->
   Pm_nucleus.Loader.image
 

@@ -54,7 +54,7 @@ let wrap api dom ~target ?on_call ?on_result ?(overrides = []) () =
     { m with Iface.impl }
   in
   let agent_iface (i : Iface.t) =
-    Iface.make ~version:i.Iface.version ~name:i.Iface.name
+    Iface.make ~name:i.Iface.name
       (List.map (forwarded i.Iface.name) i.Iface.methods)
   in
   let monitor =

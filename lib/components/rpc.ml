@@ -175,7 +175,10 @@ let client_object api dom st call =
   Clients.replace client_states inst st;
   inst
 
-let create_client api dom ~stack_path ~port ~server ?(max_polls = 10_000) () =
+(* yield-polls a call waits for its response before it times out *)
+let max_polls = 10_000
+
+let create_client api dom ~stack_path ~port ~server () =
   let server_addr, server_port = server in
   let stack = Api.bind_exn api dom (Path.of_string stack_path) in
   let ctx0 = Api.ctx api dom in

@@ -58,16 +58,15 @@ val create_server :
   procedures:(string * handler) list ->
   Pm_obj.Instance.t
 
-(** [create_client api dom ~stack_path ~port ~server ?max_polls ()] makes
-    a client bound to local [port] talking to [server = (addr, port)].
-    [max_polls] bounds the yield-poll loop (default 10000). *)
+(** [create_client api dom ~stack_path ~port ~server ()] makes a client
+    bound to local [port] talking to [server = (addr, port)]. A call
+    gives up after 10000 yield-polls. *)
 val create_client :
   Pm_nucleus.Api.t ->
   Pm_nucleus.Domain.t ->
   stack_path:string ->
   port:int ->
   server:int * int ->
-  ?max_polls:int ->
   unit ->
   Pm_obj.Instance.t
 

@@ -24,6 +24,10 @@ val get32 : bytes -> int -> int
 
 val set32 : bytes -> int -> int -> unit
 
+(** [check16 label v] raises [Invalid_argument] naming [label] unless
+    [v] fits an unsigned 16-bit field. *)
+val check16 : string -> int -> unit
+
 module Frame : sig
   type t = { dst : int; src : int; payload : bytes }
 

@@ -12,10 +12,10 @@ type t = {
   mutable ferried : int;
 }
 
-let create ?(seed = 0xC1) ?costs () =
-  let a = System.create ~seed ?costs () in
+let create ?(seed = 0xC1) () =
+  let a = System.create ~seed () in
   (* node B trusts the same certification authority *)
-  let b = System.with_authority ?costs ~seed:(seed + 1) (System.authority a) in
+  let b = System.with_authority ~seed:(seed + 1) (System.authority a) in
   let net_a = System.setup_networking a ~placement:System.Certified ~addr:addr_a () in
   let net_b = System.setup_networking b ~placement:System.Certified ~addr:addr_b () in
   { a; b; net_a; net_b; ferried = 0 }

@@ -15,9 +15,9 @@ type t
 val addr_a : int
 val addr_b : int
 
-(** [create ?seed ?costs ()] boots both nodes (sharing one authority and
+(** [create ?seed ()] boots both nodes (sharing one authority and
     delegate chain) and sets up certified in-kernel networking on each. *)
-val create : ?seed:int -> ?costs:Pm_machine.Cost.t -> unit -> t
+val create : ?seed:int -> unit -> t
 
 val node_a : t -> System.t
 val node_b : t -> System.t

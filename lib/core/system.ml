@@ -58,8 +58,7 @@ let standard_delegates =
   ]
 
 (* the channel factory is published at its conventional name straight
-   from boot, like /shared/network; Chan_svc.image exists for loading it
-   through the certified-component path as well *)
+   from boot, like /shared/network *)
 let wire_chan kernel =
   Kernel.register_at kernel "/shared/chan"
     (Chan_svc.create (Kernel.api kernel)
@@ -89,10 +88,8 @@ let wire_check kernel =
   check
 
 (* boot a kernel under [authority] and wire every boot-time service *)
-let assemble ?costs ?frames ?page_size ?cpus ~rng authority =
-  let kernel =
-    Kernel.boot ?costs ?frames ?page_size ?cpus ~root:(Authority.ca authority) ()
-  in
+let assemble ?costs ?cpus ~rng authority =
+  let kernel = Kernel.boot ?costs ?cpus ~root:(Authority.ca authority) () in
   wire_tracing kernel;
   wire_chan kernel;
   List.iter
@@ -102,18 +99,16 @@ let assemble ?costs ?frames ?page_size ?cpus ~rng authority =
   let check = wire_check kernel in
   { kernel; authority; rng; stats; check }
 
-let create ?(seed = 0xC0FFEE) ?costs ?frames ?page_size ?cpus ?(key_bits = 512)
-    ?(delegates = standard_delegates) () =
+let create ?(seed = 0xC0FFEE) ?costs ?cpus ?(key_bits = 512) () =
   let rng = Prng.create ~seed in
   let authority = Authority.create rng ~name:"certification-authority" ~key_bits in
   List.iter
     (fun (name, policy, latency) ->
       ignore (Authority.add_delegate authority rng ~name ~policy ~latency ()))
-    delegates;
-  assemble ?costs ?frames ?page_size ?cpus ~rng authority
+    standard_delegates;
+  assemble ?costs ?cpus ~rng authority
 
-let with_authority ?costs ?frames ?page_size ~seed authority =
-  assemble ?costs ?frames ?page_size ~rng:(Prng.create ~seed) authority
+let with_authority ~seed authority = assemble ~rng:(Prng.create ~seed) authority
 
 let kernel t = t.kernel
 let authority t = t.authority
@@ -342,12 +337,11 @@ let setup_networking t ~placement ~addr ?(loopback = false) () =
 (* The full channel-backed data path (Pm_net): per-port receive rings
    out of the stack, one MPSC transmit group into it, published as the
    /shared/net factory with endpoints at /net/<port>/{rx,tx}. *)
-let channel_net t net ?rx_slots ?rx_slot_size ?tx_slots ?tx_slot_size () =
+let channel_net t net ?rx_slots () =
   let api = Kernel.api t.kernel in
   let nsc =
     Pm_net.Netstack_chan.create api ~stack:net.stack
-      ~stack_domain:net.stack_domain ?rx_slots ?rx_slot_size ?tx_slots
-      ?tx_slot_size ()
+      ~stack_domain:net.stack_domain ?rx_slots ()
   in
   let svc =
     Pm_net.Netsvc.create api nsc
@@ -360,12 +354,11 @@ let channel_net t net ?rx_slots ?rx_slot_size ?tx_slots ?tx_slot_size () =
    per-frame sink becomes a same-domain ring enqueue and the stack gets
    bursts through one rx_batch invocation per doorbell — the E4 mailbox
    hop without a proxy crossing per frame. *)
-let channel_rx t net ?slots ?slot_size () =
+let channel_rx t net () =
   let kdom = Kernel.kernel_domain t.kernel in
   let api = Kernel.api t.kernel in
   let tx, chan =
-    Chan_svc.bridge api ?slots ?slot_size ~producer:kdom ~consumer:net.stack_domain
-      ~stack:net.stack ()
+    Chan_svc.bridge api ~producer:kdom ~consumer:net.stack_domain ~stack:net.stack ()
   in
   Kernel.register_at t.kernel "/services/chan-rx" tx;
   let ctx = Kernel.ctx t.kernel kdom in
@@ -395,8 +388,7 @@ type storage = {
    them can be interposed or replaced by name. The driver is always a
    certified kernel component (it programs DMA); the policy layers go
    wherever [placement] says. *)
-let setup_store t ~placement ?(base = 0) ?(count = 256) ?(cache_capacity = 32) ()
-    =
+let setup_store t ~placement ?(count = 256) ?(cache_capacity = 32) () =
   let open Pm_store in
   (* Verified placement runs the loader's bytecode verifier over the
      image; give the policy layers a real, provable program instead of
@@ -423,7 +415,7 @@ let setup_store t ~placement ?(base = 0) ?(count = 256) ?(cache_capacity = 32) (
   let partition =
     install_exn t
       (verifiable
-         (Store_svc.partition_image ~name:"part0" ~lower:"/store/blkdrv" ~base
+         (Store_svc.partition_image ~name:"part0" ~lower:"/store/blkdrv" ~base:0
             ~count ()))
       ~placement ~at:"/store/part0"
   in

@@ -25,35 +25,23 @@ type placement =
   | Sandboxed  (** kernel domain, uncertified, SFI run-time checks *)
   | User of Pm_nucleus.Domain.t  (** the given user domain, via proxies *)
 
-(** [create ?seed ?costs ?frames ?page_size ?cpus ?key_bits ?delegates ()]
-    builds the system. [seed] drives every pseudo-random choice
-    (default 0xC0FFEE); [cpus] is the machine's CPU count, each CPU with
-    its own scheduler (default 1);
-    [key_bits] sizes RSA keys (default 512 — small but real);
-    [delegates] overrides the standard chain, given as
-    [(name, policy, latency)]. *)
+(** [create ?seed ?costs ?cpus ?key_bits ()] builds the system.
+    [seed] drives every pseudo-random choice (default 0xC0FFEE); [cpus]
+    is the machine's CPU count, each CPU with its own scheduler
+    (default 1); [key_bits] sizes RSA keys (default 512 — small but
+    real). *)
 val create :
   ?seed:int ->
   ?costs:Pm_machine.Cost.t ->
-  ?frames:int ->
-  ?page_size:int ->
   ?cpus:int ->
   ?key_bits:int ->
-  ?delegates:(string * (Pm_secure.Meta.t -> Pm_secure.Authority.verdict) * int) list ->
   unit ->
   t
 
-(** [with_authority ?costs ?frames ?page_size ~seed authority] boots a
-    fresh kernel that trusts an *existing* authority (and knows its
-    grants) — how additional nodes of a cluster join a certification
-    domain. *)
-val with_authority :
-  ?costs:Pm_machine.Cost.t ->
-  ?frames:int ->
-  ?page_size:int ->
-  seed:int ->
-  Pm_secure.Authority.t ->
-  t
+(** [with_authority ~seed authority] boots a fresh kernel that trusts an
+    *existing* authority (and knows its grants) — how additional nodes of
+    a cluster join a certification domain. *)
+val with_authority : seed:int -> Pm_secure.Authority.t -> t
 
 val kernel : t -> Pm_nucleus.Kernel.t
 val authority : t -> Pm_secure.Authority.t
@@ -148,8 +136,7 @@ val setup_networking :
     drains each burst into one [rx_batch] invocation — replacing the
     per-frame proxy hop of a [User]-placed stack. Returns the ring for
     inspection. *)
-val channel_rx :
-  t -> networking -> ?slots:int -> ?slot_size:int -> unit -> Pm_chan.Chan.t
+val channel_rx : t -> networking -> unit -> Pm_chan.Chan.t
 
 (** [channel_net t net ()] builds the full channel-backed data path
     ({!Pm_net.Netstack_chan}) over an existing networking bundle and
@@ -158,14 +145,7 @@ val channel_rx :
     [/net/<port>/tx]. Usually combined with {!channel_rx} so every hop
     driver→stack→app (and back) rides a ring. *)
 val channel_net :
-  t ->
-  networking ->
-  ?rx_slots:int ->
-  ?rx_slot_size:int ->
-  ?tx_slots:int ->
-  ?tx_slot_size:int ->
-  unit ->
-  Pm_net.Netstack_chan.t * Pm_obj.Instance.t
+  t -> networking -> ?rx_slots:int -> unit -> Pm_net.Netstack_chan.t * Pm_obj.Instance.t
 
 (** [new_domain t name] is a fresh user protection domain. *)
 val new_domain : t -> string -> Pm_nucleus.Domain.t
@@ -182,13 +162,13 @@ type storage = {
   store_domain : Pm_nucleus.Domain.t;
 }
 
-(** [setup_store t ~placement ?base ?count ?cache_capacity ()] boots the
-    partition→cache→log stack over the machine's block device and
-    publishes the storage factory at [/shared/store]. *)
+(** [setup_store t ~placement ?count ?cache_capacity ()] boots the
+    partition→cache→log stack over the first [count] blocks of the
+    machine's block device and publishes the storage factory at
+    [/shared/store]. *)
 val setup_store :
   t ->
   placement:placement ->
-  ?base:int ->
   ?count:int ->
   ?cache_capacity:int ->
   unit ->

@@ -45,7 +45,7 @@ let miller_rabin_round n n1 d s a =
     squarings x 0
   end
 
-let is_probable_prime ?(rounds = 24) rng n =
+let is_probable_prime rng n =
   match Nat.to_int n with
   | Some v when v < 2 -> false
   | Some v when List.mem v small_primes -> true
@@ -71,7 +71,7 @@ let is_probable_prime ?(rounds = 24) rng n =
           if miller_rabin_round n n1 d s a then rounds_left (k - 1) else false
         end
       in
-      rounds_left rounds
+      rounds_left 24
     end
 
 let random_prime rng ~bits =

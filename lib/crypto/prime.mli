@@ -9,10 +9,10 @@ val random_below : Prng.t -> Pm_bignum.Nat.t -> Pm_bignum.Nat.t
 (** [random_bits rng ~bits] is uniform in [0, 2^bits). *)
 val random_bits : Prng.t -> bits:int -> Pm_bignum.Nat.t
 
-(** [is_probable_prime ?rounds rng n] runs trial division by small primes
-    followed by [rounds] Miller–Rabin rounds (default 24, error probability
-    at most 4^-24). *)
-val is_probable_prime : ?rounds:int -> Prng.t -> Pm_bignum.Nat.t -> bool
+(** [is_probable_prime rng n] runs trial division by small primes
+    followed by 24 Miller–Rabin rounds (error probability at most
+    4^-24). *)
+val is_probable_prime : Prng.t -> Pm_bignum.Nat.t -> bool
 
 (** [random_prime rng ~bits] is a probable prime with exactly [bits] bits
     ([bits >= 2]); the top two bits and the low bit are forced so RSA

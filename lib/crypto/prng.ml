@@ -47,8 +47,6 @@ let int t bound =
     draw ()
   end
 
-let bool t = bits t 1 = 1
-
 let float t = float_of_int (bits t 53) /. 9007199254740992.0 (* 2^53 *)
 
 let bytes t n =

@@ -24,9 +24,6 @@ val bits : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound > 0]. *)
 val int : t -> int -> int
 
-(** [bool t] is a uniform boolean. *)
-val bool : t -> bool
-
 (** [float t] is uniform in [0, 1). *)
 val float : t -> float
 

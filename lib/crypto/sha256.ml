@@ -145,5 +145,3 @@ let to_hex raw =
   Buffer.contents buf
 
 let hex_digest s = to_hex (digest s)
-
-let digest_length = 32

@@ -28,6 +28,3 @@ val hex_digest : string -> string
 
 (** [to_hex raw] renders a raw digest in lowercase hexadecimal. *)
 val to_hex : string -> string
-
-(** Digest length in bytes (32). *)
-val digest_length : int

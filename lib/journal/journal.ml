@@ -326,7 +326,6 @@ let tail t =
 
 let history t = buf_to_list t.history
 let structural t = buf_to_list t.structural
-let iter_structural f t = buf_iter f t.structural
 
 let reset t =
   Array.fill t.tail 0 t.tail_cap None;

@@ -144,7 +144,6 @@ val history : t -> event list
 (** The always-on structural archive, oldest first. *)
 val structural : t -> event list
 
-val iter_structural : (event -> unit) -> t -> unit
 val reset : t -> unit
 
 (** {2 Rendering} *)

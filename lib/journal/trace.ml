@@ -4,10 +4,10 @@
 
    The simulated machine is single-threaded and deterministic, so the
    ambient current-request register is just a ref: whoever last parsed
-   a traced wire message (or called [with_rid]) owns the scope until
-   the next parse re-establishes it. Sticky on purpose: deliveries
-   happen asynchronously inside Kernel.step, after the sender's stack
-   frame is gone, and the ambient id is what connects them.
+   a traced wire message owns the scope until the next parse
+   re-establishes it. Sticky on purpose: deliveries happen
+   asynchronously inside Kernel.step, after the sender's stack frame is
+   gone, and the ambient id is what connects them.
 
    Everything here is plain OCaml stores — no Clock.advance, no
    Call_ctx.access. With tracing off, [current] is pinned to 0 and
@@ -31,13 +31,19 @@ let current () = if !enabled_flag then !ambient else 0
 let set_current rid = ambient := rid
 let clear () = ambient := 0
 
-let with_rid rid f =
-  if not !enabled_flag then f ()
-  else begin
-    let saved = !ambient in
-    ambient := rid;
-    Fun.protect ~finally:(fun () -> ambient := saved) f
-  end
+(* The rid field every traced wire format carries after its fixed
+   header: 4 bytes, big-endian, present only with tracing on. The
+   caller charges nothing for it — tracing adds zero simulated cycles —
+   and tracing flips only between runs, so both sides always agree on
+   the format. *)
+let rid_len () = if !enabled_flag then 4 else 0
+
+let write_rid b off =
+  if !enabled_flag then Bytes.set_int32_be b off (Int32.of_int !ambient)
+
+let read_rid b off =
+  if !enabled_flag then
+    ambient := Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
 
 (* Deterministic replay needs deterministic rids: the replay harness
    calls this at the top of every capture, like Journal.set_default_mode. *)

@@ -23,9 +23,24 @@ val current : unit -> int
 val set_current : int -> unit
 val clear : unit -> unit
 
-(** [with_rid rid f] runs [f] with [rid] ambient, restoring the
-    previous scope after (a no-op wrapper when tracing is off). *)
-val with_rid : int -> (unit -> 'a) -> 'a
+(** {2 The rid field}
+
+    With tracing on, a traced wire message carries a request id in an
+    uncharged 4-byte big-endian field right after its fixed header, and
+    parsing the message makes that id the ambient one. With tracing off
+    the field is absent. *)
+
+(** [rid_len ()] is the field's length: 4 with tracing on, else 0. *)
+val rid_len : unit -> int
+
+(** [write_rid b off] stores the ambient request id at [off]; a no-op
+    with tracing off. *)
+val write_rid : bytes -> int -> unit
+
+(** [read_rid b off] makes the id stored at [off] the ambient one; a
+    no-op with tracing off. A decoder calls it only once it has accepted
+    the message, so a rejected message leaves the ambient id alone. *)
+val read_rid : bytes -> int -> unit
 
 (** Reset the mint counter and ambient scope — the replay harness
     calls this at capture start so rids are deterministic per run. *)

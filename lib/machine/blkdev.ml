@@ -276,7 +276,6 @@ let read_sync t ~block ~phys_addr = sync t ~fn:"read_sync" ~op:op_read ~block ~p
 let write_sync t ~block ~phys_addr = sync t ~fn:"write_sync" ~op:op_write ~block ~phys_addr
 
 let io_base t = t.io_base
-let irq_line t = t.irq_line
 let blocks t = t.blocks
 let block_size t = t.block_size
 let completed t = t.completed

@@ -43,7 +43,6 @@ val create :
   Machine.t -> name:string -> irq_line:int -> blocks:int -> block_size:int -> t
 
 val io_base : t -> int
-val irq_line : t -> int
 val blocks : t -> int
 val block_size : t -> int
 

@@ -118,10 +118,6 @@ let is_mapped t ctx ~vpage = Hashtbl.mem (table_exn t ctx) vpage
 let frame_of t ctx ~vpage =
   Option.map (fun e -> e.frame) (Hashtbl.find_opt (table_exn t ctx) vpage)
 
-let mappings t ctx =
-  Hashtbl.fold (fun vp e acc -> (vp, e.frame) :: acc) (table_exn t ctx) []
-  |> List.sort compare
-
 let allows prot access =
   match (prot, access) with
   | Read_write, (Read | Write | Exec) -> true

@@ -69,9 +69,6 @@ val is_mapped : t -> context -> vpage:int -> bool
 (** [frame_of t ctx ~vpage] is the frame backing a mapped page. *)
 val frame_of : t -> context -> vpage:int -> int option
 
-(** [mappings t ctx] lists [(vpage, frame)] pairs, sorted by page. *)
-val mappings : t -> context -> (int * int) list
-
 (** [translate t ctx vaddr access] resolves a virtual address in a given
     context (charging TLB costs against the clock when [ctx] is current)
     to a physical address, or explains the fault. *)

@@ -20,7 +20,6 @@ type t = {
   tx_queue : pending_tx Queue.t; (* the tx descriptor ring, <= tx_slots *)
   mutable transmitted : string list; (* newest first *)
   mutable rx_dropped : int;
-  mutable tx_overruns : int;
 }
 
 let ctrl_rx_enable = 1
@@ -59,8 +58,9 @@ let reg_write t reg v =
   | 6 -> t.staged_tx_len <- v
   | 7 ->
     if v = 1 && t.ctrl land ctrl_tx_enable <> 0 then begin
-      if Queue.length t.tx_queue >= tx_slots then t.tx_overruns <- t.tx_overruns + 1
-      else Queue.push { addr = t.staged_tx_addr; len = t.staged_tx_len } t.tx_queue
+      (* a kick against a full ring drops the descriptor *)
+      if Queue.length t.tx_queue < tx_slots then
+        Queue.push { addr = t.staged_tx_addr; len = t.staged_tx_len } t.tx_queue
     end
   | _ -> ()
 
@@ -113,7 +113,6 @@ let create machine ~irq_line =
       tx_queue = Queue.create ();
       transmitted = [];
       rx_dropped = 0;
-      tx_overruns = 0;
     }
   in
   let dev =
@@ -124,7 +123,6 @@ let create machine ~irq_line =
   t
 
 let io_base t = t.io_base
-let irq_line t = t.irq_line
 
 let inject t packet =
   if String.length packet > mtu then invalid_arg "Nic.inject: packet exceeds MTU";
@@ -136,5 +134,3 @@ let take_transmitted t =
   frames
 
 let pending_wire t = Queue.length t.wire_in
-let pending_tx t = Queue.length t.tx_queue
-let tx_overruns t = t.tx_overruns

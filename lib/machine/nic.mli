@@ -35,7 +35,6 @@ val tx_slots : int
 val create : Machine.t -> irq_line:int -> t
 
 val io_base : t -> int
-val irq_line : t -> int
 
 (** {1 The wire} — test/workload side of the device. *)
 
@@ -49,9 +48,3 @@ val take_transmitted : t -> string list
 
 (** [pending_wire t] is the number of injected-but-undelivered packets. *)
 val pending_wire : t -> int
-
-(** [pending_tx t] is the number of staged-but-untransmitted DMAs. *)
-val pending_tx : t -> int
-
-(** Transmit descriptors dropped against a full ring. *)
-val tx_overruns : t -> int

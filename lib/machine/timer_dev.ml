@@ -46,5 +46,4 @@ let create machine ~irq_line =
   t
 
 let io_base t = t.io_base
-let irq_line t = t.irq_line
 let fires t = t.fires

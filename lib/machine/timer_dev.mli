@@ -13,7 +13,6 @@ type t
 
 val create : Machine.t -> irq_line:int -> t
 val io_base : t -> int
-val irq_line : t -> int
 
 (** [fires t] counts interrupts raised since creation. *)
 val fires : t -> int

@@ -38,12 +38,9 @@ let basename = function [] -> None | segs -> Some (List.nth segs (List.length se
 let length = List.length
 
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let rec is_prefix p q =
   match (p, q) with
   | [], _ -> true
   | _, [] -> false
   | x :: p', y :: q' -> String.equal x y && is_prefix p' q'
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -27,9 +27,6 @@ val basename : t -> string option
 
 val length : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** [is_prefix p q] is true when [p] is a (possibly equal) prefix of [q]. *)
 val is_prefix : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

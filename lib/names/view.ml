@@ -12,9 +12,6 @@ let of_namespace ns = { ns; parent = None; ovr = [] }
 let derive ?(overrides = []) parent =
   { ns = parent.ns; parent = Some parent; ovr = overrides }
 
-let parent t = t.parent
-let namespace t = t.ns
-
 let add_override t path handle =
   t.ovr <- (path, handle) :: List.filter (fun (p, _) -> not (Path.equal p path)) t.ovr
 

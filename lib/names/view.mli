@@ -16,9 +16,6 @@ val of_namespace : Namespace.t -> t
 (** [derive ?overrides parent] makes a child view. *)
 val derive : ?overrides:(Path.t * int) list -> t -> t
 
-val parent : t -> t option
-val namespace : t -> Namespace.t
-
 (** [add_override v path handle] installs or updates a local override. *)
 val add_override : t -> Path.t -> int -> unit
 

@@ -14,7 +14,6 @@ type port = {
   port : int;
   chan : Chan.t;
   sink : Instance.t;
-  owner : Domain.t;
 }
 
 type t = {
@@ -22,39 +21,29 @@ type t = {
   stack : Instance.t;
   stack_domain : Domain.t;
   rx_slots : int;
-  rx_slot_size : int;
-  tx_slots : int;
-  tx_slot_size : int;
   ports : (int, port) Hashtbl.t;
   mutable txg : Mpsc.t option;
   mutable tx_sent : int;
   mutable tx_failed : int;
 }
 
-let default_slot_size = (Nic.mtu + 3) / 4 * 4
+(* every ring's slot holds one NIC frame, its size rounded up to a word *)
+let slot_size = (Nic.mtu + 3) / 4 * 4
+let tx_slots = 64
 
-let create api ~stack ~stack_domain ?(rx_slots = 64)
-    ?(rx_slot_size = default_slot_size) ?(tx_slots = 64)
-    ?(tx_slot_size = default_slot_size) () =
+let create api ~stack ~stack_domain ?(rx_slots = 64) () =
   {
     api;
     stack;
     stack_domain;
     rx_slots;
-    rx_slot_size;
-    tx_slots;
-    tx_slot_size;
     ports = Hashtbl.create 8;
     txg = None;
     tx_sent = 0;
     tx_failed = 0;
   }
 
-let stack t = t.stack
-let stack_domain t = t.stack_domain
 let ports t = List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.ports [])
-let port_chan t port = Option.map (fun p -> p.chan) (Hashtbl.find_opt t.ports port)
-let port_owner t port = Option.map (fun p -> p.owner) (Hashtbl.find_opt t.ports port)
 
 (* ------------------------------------------------------------------ *)
 (* Receive side: one SPSC ring per bound port                          *)
@@ -96,7 +85,7 @@ let bind t ~port ~owner ?(mode = Chan.Doorbell) () =
     let chan =
       Chan.create t.api.Api.machine t.api.Api.vmem
         ~name:(Printf.sprintf "net.rx.%d" port)
-        ~slots:t.rx_slots ~slot_size:t.rx_slot_size ~mode ~producer:t.stack_domain ()
+        ~slots:t.rx_slots ~slot_size ~mode ~producer:t.stack_domain ()
     in
     ignore (Chan.accept chan ~into:owner);
     let sink = sink_object t.api ~stack_domain:t.stack_domain chan in
@@ -104,7 +93,7 @@ let bind t ~port ~owner ?(mode = Chan.Doorbell) () =
       stack_call t "attach_port"
         [ Value.Int port; Value.Handle (Instance.handle sink) ]
     in
-    Hashtbl.replace t.ports port { port; chan; sink; owner };
+    Hashtbl.replace t.ports port { port; chan; sink };
     Ok chan
 
 let unbind t ~port =
@@ -160,7 +149,7 @@ let tx_group t =
   | None ->
     let g =
       Mpsc.create t.api.Api.machine t.api.Api.vmem ~name:"net.tx"
-        ~slots:t.tx_slots ~slot_size:t.tx_slot_size ~consumer:t.stack_domain ()
+        ~slots:tx_slots ~slot_size ~consumer:t.stack_domain ()
     in
     t.txg <- Some g;
     ignore

@@ -34,28 +34,19 @@ type t
 
 (** [create api ~stack ~stack_domain ()] prepares the rewiring for a
     stack instance (the composite's exported ["stack"] interface).
-    [rx_slots]/[rx_slot_size] size each per-port receive ring,
-    [tx_slots]/[tx_slot_size] each producer's transmit sub-ring;
-    slot sizes default to the NIC MTU rounded up to a word. *)
+    [rx_slots] (default 64) sizes each per-port receive ring; each
+    producer's transmit sub-ring has 64 slots. Every slot holds one NIC
+    frame, the MTU rounded up to a word. *)
 val create :
   Pm_nucleus.Api.t ->
   stack:Pm_obj.Instance.t ->
   stack_domain:Pm_nucleus.Domain.t ->
   ?rx_slots:int ->
-  ?rx_slot_size:int ->
-  ?tx_slots:int ->
-  ?tx_slot_size:int ->
   unit ->
   t
 
-val stack : t -> Pm_obj.Instance.t
-val stack_domain : t -> Pm_nucleus.Domain.t
-
 (** Channel-bound ports, ascending. *)
 val ports : t -> int list
-
-val port_chan : t -> int -> Pm_chan.Chan.t option
-val port_owner : t -> int -> Pm_nucleus.Domain.t option
 
 (** [bind t ~port ~owner ()] binds [port] on the stack and routes its
     deliveries onto a fresh ring consumed by [owner]. [mode] (default

@@ -8,7 +8,6 @@ module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Call_ctx = Pm_obj.Call_ctx
 module Path = Pm_names.Path
-module Images = Pm_components.Images
 module Chan = Pm_chan.Chan
 module Chan_svc = Pm_chan.Chan_svc
 module Mpsc = Pm_chan.Mpsc
@@ -87,8 +86,3 @@ let create api net ~domain_of_id () =
   in
   Instance.create api.Api.registry ~class_name:"net.factory"
     ~domain:api.Api.kernel_domain.Domain.id [ iface ]
-
-let image net ~domain_of_id () =
-  Images.image ~name:"net-factory" ~size:16_384 ~author:"kernel-team"
-    ~type_safe:true
-    (fun api _dom -> create api net ~domain_of_id ())

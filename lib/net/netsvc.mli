@@ -1,9 +1,8 @@
 (** The network factory: the channel-backed data path as a name-space
     citizen.
 
-    A bootable component (see {!image}) conventionally registered at
-    [/shared/net]. Any domain binds it and drives the ["netfactory"]
-    interface:
+    Conventionally registered at [/shared/net]. Any domain binds it and
+    drives the ["netfactory"] interface:
 
     - [bind(port:int) -> handle] — bind [port] with the {e calling}
       domain as owner: the port's receive ring is consumed by the
@@ -29,12 +28,3 @@ val create :
   domain_of_id:(int -> Pm_nucleus.Domain.t option) ->
   unit ->
   Pm_obj.Instance.t
-
-(** [image net ~domain_of_id ()] wraps the factory as a loadable
-    component image (author ["kernel-team"], certified by the standard
-    delegate chain). *)
-val image :
-  Netstack_chan.t ->
-  domain_of_id:(int -> Pm_nucleus.Domain.t option) ->
-  unit ->
-  Pm_nucleus.Loader.image

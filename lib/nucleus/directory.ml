@@ -27,7 +27,6 @@ let create ~machine ~vmem ~registry ~ns =
   { machine; vmem; registry; ns; proxies = Hashtbl.create 16; replacements = [] }
 
 let namespace t = t.ns
-let registry t = t.registry
 
 (* structural mutations are journalled — plain stores, no simulated
    cycles, like every other journal record *)
@@ -132,5 +131,3 @@ let bind_exn t ctx ~view ~domain path =
   | Error e -> failwith ("Directory.bind: " ^ bind_error_to_string e)
 
 let resolve_handle t h = Registry.get t.registry h
-
-let proxy_count t = Hashtbl.length t.proxies

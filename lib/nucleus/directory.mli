@@ -22,7 +22,6 @@ val create :
   t
 
 val namespace : t -> Pm_names.Namespace.t
-val registry : t -> Pm_obj.Instance.t Pm_obj.Registry.t
 
 (** [register t path inst] publishes an instance under a name. *)
 val register :
@@ -72,10 +71,6 @@ val bind_exn :
 (** [resolve_handle t h] — "obtain an interface from a given object
     handle" (no proxying; the raw instance). *)
 val resolve_handle : t -> int -> Pm_obj.Instance.t option
-
-(** [proxy_count t] is the number of live cached proxies (observability
-    for tests and benches). *)
-val proxy_count : t -> int
 
 (** [replacements t] is the interposition log, oldest first: every
     successful {!replace} as [(path, old handle, new handle)].

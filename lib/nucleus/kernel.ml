@@ -28,7 +28,6 @@ type t = {
   mutable user_domains : Domain.t list; (* newest first *)
   nic : Nic.t;
   timer : Timer_dev.t;
-  console : Console.t;
   disk : Blkdev.t;
   blkdev : Blkdev.t;
   nucleus : Composite.t;
@@ -52,7 +51,6 @@ let sched t = t.api.Api.sched
 let kernel_domain t = t.kernel_domain
 let nic t = t.nic
 let timer t = t.timer
-let console t = t.console
 let disk t = t.disk
 let blkdev t = t.blkdev
 
@@ -209,8 +207,8 @@ let must_register ns path handle =
   | Ok () -> ()
   | Error e -> failwith ("Kernel.boot: " ^ Namespace.error_to_string e)
 
-let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
-  let machine = Machine.create ?costs ?frames ?page_size ~cpus () in
+let boot ?costs ?(cpus = 1) ~root () =
+  let machine = Machine.create ?costs ~cpus () in
   let timer = Timer_dev.create machine ~irq_line:0 in
   let nic = Nic.create machine ~irq_line:1 in
   (* two instances of the one block-device model: page-size blocks for
@@ -219,7 +217,7 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
     Blkdev.create machine ~name:"disk" ~irq_line:2 ~blocks:512
       ~block_size:(Machine.page_size machine)
   in
-  let console = Console.create machine in
+  ignore (Console.create machine : Console.t);
   let blkdev =
     Blkdev.create machine ~name:"blkdev" ~irq_line:3 ~blocks:1024 ~block_size:512
   in
@@ -284,7 +282,7 @@ let boot ?costs ?frames ?page_size ?(cpus = 1) ~root () =
   boot_register "kernel" (Composite.instance nucleus);
   let t =
     { machine; registry; ns; root_view; api; loader; kernel_domain;
-      user_domains = []; nic; timer; console; disk; blkdev; nucleus; tracesvc;
+      user_domains = []; nic; timer; disk; blkdev; nucleus; tracesvc;
       smp }
   in
   t_ref := Some t;

@@ -25,8 +25,6 @@ type t
     exactly the boot scheduler's order. *)
 val boot :
   ?costs:Pm_machine.Cost.t ->
-  ?frames:int ->
-  ?page_size:int ->
   ?cpus:int ->
   root:Pm_secure.Principal.t ->
   unit ->
@@ -56,7 +54,6 @@ val sched : t -> Pm_threads.Scheduler.t
 val kernel_domain : t -> Domain.t
 val nic : t -> Pm_machine.Nic.t
 val timer : t -> Pm_machine.Timer_dev.t
-val console : t -> Pm_machine.Console.t
 
 (** The paging disk: device ["disk"], irq 2, 512 blocks of the page
     size, driven through the synchronous transfer. *)

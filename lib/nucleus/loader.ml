@@ -50,11 +50,6 @@ let create api = { api; repo = Hashtbl.create 16; fuel = Hashtbl.create 16 }
 
 let publish t image = Hashtbl.replace t.repo image.meta.Meta.name image
 
-let find t name = Hashtbl.find_opt t.repo name
-
-let names t =
-  Hashtbl.fold (fun n _ acc -> n :: acc) t.repo [] |> List.sort String.compare
-
 (* Gate kernel-domain placement. Three trust mechanisms admit a
    component: bytecode verification (requested with [verify]; a static
    proof, no signer involved), a valid certificate, or an explicit

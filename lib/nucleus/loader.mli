@@ -41,9 +41,6 @@ val create : Api.t -> t
     replacing any previous image of the same name. *)
 val publish : t -> image -> unit
 
-val find : t -> string -> image option
-val names : t -> string list
-
 (** [load t ~name ~into ~at ?sandbox ?verify ()] validates placement,
     charges the per-page mapping cost, constructs the instance, and
     registers it at [at].

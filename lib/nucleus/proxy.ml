@@ -74,7 +74,7 @@ let make ~machine ~vmem ~registry ~target ~importer =
     { m with Iface.impl }
   in
   let proxy_iface (i : Iface.t) =
-    Iface.make ~version:i.Iface.version ~name:i.Iface.name
+    Iface.make ~name:i.Iface.name
       (List.map (forward_method i.Iface.name) i.Iface.methods)
   in
   Instance.create registry

@@ -57,8 +57,6 @@ let uninterpose t path =
         Ok ()
       | Error _ as e -> e))
 
-let interposed t = Hashtbl.fold (fun path _ acc -> path :: acc) t.installed []
-
 (* The snapshot is two journal-derived views plus the metrics: how many
    spans were ever recorded, and the completed ones the tail still
    holds. *)

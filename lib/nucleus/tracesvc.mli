@@ -30,9 +30,6 @@ val interpose : t -> string -> (Pm_obj.Instance.t, string) result
 (** [uninterpose t path] restores the original binding at [path]. *)
 val uninterpose : t -> string -> (unit, string) result
 
-(** [interposed t] lists the paths currently carrying a trace agent. *)
-val interposed : t -> string list
-
 (** [service_object t registry kdom] builds the kernel-domain service
     instance exporting the [trace] interface:
     [start()], [stop()], [enabled() : bool],

@@ -30,7 +30,7 @@ let forwarding_iface t e =
         in
         { m with Iface.impl }
       in
-      Iface.make ~version:src.Iface.version ~name:e.as_name
+      Iface.make ~name:e.as_name
         (List.map forward_method src.Iface.methods))
 
 let rebuild_exports t =
@@ -50,7 +50,6 @@ let make registry ~class_name ~domain ~mode ~children ~exports =
   t
 
 let instance t = t.instance
-let mode t = t.mode
 let child t name = find_child t name
 let children t = t.kids
 

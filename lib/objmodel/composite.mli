@@ -30,7 +30,6 @@ val make :
 (** [instance t] is the composition seen as an ordinary object. *)
 val instance : t -> Instance.t
 
-val mode : t -> mode
 val child : t -> string -> Instance.t option
 val children : t -> (string * Instance.t) list
 

@@ -4,12 +4,11 @@ type meth = { mname : string; msig : Vtype.signature; impl : impl }
 
 type t = {
   name : string;
-  version : int;
   methods : meth list;
   state : Value.t ref option;
 }
 
-let make ?(version = 1) ?state ~name methods =
+let make ?state ~name methods =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun m ->
@@ -17,7 +16,7 @@ let make ?(version = 1) ?state ~name methods =
         invalid_arg (Printf.sprintf "Iface.make: duplicate method %S" m.mname);
       Hashtbl.add seen m.mname ())
     methods;
-  { name; version; methods; state }
+  { name; methods; state }
 
 let meth ~name ~args ~ret impl = { mname = name; msig = { Vtype.args; ret }; impl }
 

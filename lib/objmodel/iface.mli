@@ -13,12 +13,11 @@ type meth = { mname : string; msig : Vtype.signature; impl : impl }
 
 type t = {
   name : string;  (** interface name, e.g. "netdev" *)
-  version : int;
   methods : meth list;
   state : Value.t ref option;  (** the interface's state pointer *)
 }
 
-val make : ?version:int -> ?state:Value.t ref -> name:string -> meth list -> t
+val make : ?state:Value.t ref -> name:string -> meth list -> t
 
 (** [meth ~name ~args ~ret impl] builds a method descriptor from a raw
     implementation. Components declare methods with {!fn0} .. {!fn4};

@@ -18,8 +18,6 @@ let to_string = function
   | Fault s -> Printf.sprintf "fault: %s" s
   | Not_superset s -> Printf.sprintf "interposer is not a superset: %s" s
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let () =
   Printexc.register_printer (function
     | Error e -> Some ("Oerror.Error: " ^ to_string e)

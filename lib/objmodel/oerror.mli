@@ -14,4 +14,3 @@ type t =
 exception Error of t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

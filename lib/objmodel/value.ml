@@ -45,11 +45,3 @@ let to_string v = Format.asprintf "%a" pp v
 
 let to_int = function Int n -> n | v -> invalid_arg ("Value.to_int: " ^ to_string v)
 let to_str = function Str s -> s | v -> invalid_arg ("Value.to_str: " ^ to_string v)
-let to_bool = function Bool b -> b | v -> invalid_arg ("Value.to_bool: " ^ to_string v)
-let to_blob = function Blob b -> b | v -> invalid_arg ("Value.to_blob: " ^ to_string v)
-
-let to_handle = function
-  | Handle h -> h
-  | v -> invalid_arg ("Value.to_handle: " ^ to_string v)
-
-let to_list = function List l -> l | v -> invalid_arg ("Value.to_list: " ^ to_string v)

@@ -29,7 +29,3 @@ val to_string : t -> string
 val to_int : t -> int
 
 val to_str : t -> string
-val to_bool : t -> bool
-val to_blob : t -> bytes
-val to_handle : t -> int
-val to_list : t -> t list

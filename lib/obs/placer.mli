@@ -9,15 +9,14 @@
       cycles charged to the watched domains divided by the epoch's total
       cycles — and migrates the component [User] → [Certified] (via the
       caller's migrate closure, which goes through the normal
-      loader/certsvc path) when the share stays above [up_share] for
-      [confirm] consecutive epochs; a fault burst ([fault_demote] page
-      faults in one epoch) demotes a [Certified] component back to
-      [User];
+      loader/certsvc path) when the share stays at 0.2 or above for
+      [confirm] consecutive epochs; a fault burst (3 page faults in one
+      epoch) demotes a [Certified] component back to [User];
     - the managed channel's *doorbell-cost share* — doorbells times
       {!Pm_machine.Cost.doorbell_crossing} over the epoch's cycles — and
-      flips it [Doorbell] → [Poll] when ringing dominates, or back to
-      [Doorbell] when the channel goes idle ([idle_sends] or fewer sends
-      per epoch).
+      flips it [Doorbell] → [Poll] when ringing takes 0.25 of the epoch
+      or more, or back to [Doorbell] when the channel goes idle (no
+      sends in an epoch).
 
     Confirmation streaks plus a post-move cooldown (during which no
     decisions are taken and the baseline is re-captured, so certification
@@ -42,20 +41,15 @@ type action =
 
 type t
 
-(** [cpu_gap] (default 0.1) is the CPU-affinity dimension's threshold:
-    the managed domain's CPU must out-run the least-loaded CPU by at
-    least this share of the epoch before a re-pin is considered. *)
+(** [confirm] (default 2) is the streak of epochs a move must be wanted
+    for before it is taken, and [cooldown] (default 1) the epochs after a
+    move in which no decision is taken. *)
 val create :
   clock:Pm_machine.Clock.t ->
   costs:Pm_machine.Cost.t ->
-  ?up_share:float ->
-  ?fault_demote:int ->
   ?payback_window:int ->
-  ?ring_share:float ->
-  ?idle_sends:int ->
   ?confirm:int ->
   ?cooldown:int ->
-  ?cpu_gap:float ->
   unit ->
   t
 
@@ -96,11 +90,9 @@ val manage_channel : t -> Pm_chan.Chan.t -> unit
 (** [manage_cpu t ~complex ~domain ()] puts [domain]'s CPU affinity on
     the machine's CPUs ([complex]) under control. Every epoch the agent
     reads per-CPU load — [loads] defaults to their own (cpu, cycles)
-    pairs, the same signal
-    [/stats/kernel]'s [cpus] method exports; pass
-    [Stats_svc.cpu_loads] to read through the stats service — and
+    pairs, the same signal [/stats/kernel]'s [cpus] method exports — and
     re-pins the domain to the least-loaded CPU when its current CPU
-    out-runs it by at least [cpu_gap] of the epoch for [confirm]
+    out-runs it by at least 0.1 of the epoch for [confirm]
     consecutive epochs, subject to the same payback-horizon check as
     component migration: the re-pin cost ([move_cost], default
     [32 * cacheline] — the working set re-warming) must be covered by
@@ -142,7 +134,6 @@ val flips : t -> int
 val cpu_moves : t -> int
 
 val cpu_deferrals : t -> int
-val epochs : t -> int
 
 (** Crossing-cost / doorbell-cost share measured in the last epoch. *)
 val crossing_share : t -> float
@@ -152,5 +143,3 @@ val doorbell_share : t -> float
 (** CPU load imbalance (share of the epoch) measured in the last epoch
     by the CPU-affinity dimension; 0 when unmanaged. *)
 val cpu_imbalance : t -> float
-
-val status : t -> string

@@ -200,12 +200,6 @@ let cpus_text t =
            s.Cpu.ipis_sent s.Cpu.ipis_recv s.Cpu.synced)
   |> String.concat "\n"
 
-(* The raw (cpu, cycles) pairs behind [cpus_text] — what the placement
-   agent's CPU-affinity loop reads as its load signal. *)
-let cpu_loads t =
-  List.map (fun (s : Cpu.cpu_stats) -> (s.Cpu.cpu, s.Cpu.cycles))
-    (Cpu.all_stats t.api.Api.machine)
-
 let cpus_json t =
   let one (s : Cpu.cpu_stats) =
     Printf.sprintf

@@ -49,7 +49,3 @@ val diff_json : t -> string
 val cpus_text : t -> string
 
 val cpus_json : t -> string
-
-(** The raw [(cpu, cycles)] pairs behind {!cpus_text} — the load signal
-    the placement agent's CPU-affinity loop consumes. *)
-val cpu_loads : t -> (int * int) list

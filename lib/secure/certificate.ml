@@ -30,8 +30,3 @@ let well_signed t =
   Rsa.verify t.signer.Principal.key ~digest:tbs ~signature:t.signature
 
 let matches_code t code = String.equal (Sha256.digest code) t.digest
-
-let pp fmt t =
-  Format.fprintf fmt "cert{%s by %a @%d digest=%s...}" t.component Principal.pp
-    t.signer t.issued_at
-    (String.sub (Sha256.to_hex t.digest) 0 12)

@@ -30,5 +30,3 @@ val well_signed : t -> bool
 
 (** [matches_code t code] recomputes the digest of [code] and compares. *)
 val matches_code : t -> string -> bool
-
-val pp : Format.formatter -> t -> unit

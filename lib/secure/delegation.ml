@@ -31,8 +31,3 @@ let well_signed t =
   Rsa.verify t.grantor.Principal.key ~digest:tbs ~signature:t.signature
 
 let live t ~now = match t.expires with None -> true | Some e -> now < e
-
-let pp fmt t =
-  Format.fprintf fmt "grant{%a -> %a on %s%s}" Principal.pp t.grantor Principal.pp
-    t.delegate t.scope
-    (match t.expires with None -> "" | Some e -> Printf.sprintf " until %d" e)

@@ -29,5 +29,3 @@ val well_signed : t -> bool
 
 (** [live t ~now] is true when the grant has not expired. *)
 val live : t -> now:int -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -16,4 +16,3 @@ val make : string -> Pm_crypto.Rsa.public -> t
 val id : t -> string
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -17,9 +17,7 @@ let create ~root = { root; known_grants = []; revoked = Hashtbl.create 8 }
 
 let root t = t.root
 let add_grant t g = t.known_grants <- g :: t.known_grants
-let grants t = t.known_grants
 let revoke t pid = Hashtbl.replace t.revoked pid ()
-let is_revoked t pid = Hashtbl.mem t.revoked pid
 
 let scope_certification = "kernel-certification"
 

@@ -34,13 +34,9 @@ val root : t -> Principal.t
     validation). *)
 val add_grant : t -> Delegation.t -> unit
 
-val grants : t -> Delegation.t list
-
 (** [revoke t principal_id] bars a principal; certificates it signed and
     chains through it stop validating. *)
 val revoke : t -> string -> unit
-
-val is_revoked : t -> string -> bool
 
 (** [validate t cert ~code ~now] runs the full decision procedure. *)
 val validate : t -> Certificate.t -> code:string -> now:int -> decision

@@ -6,7 +6,7 @@
    rewrites the superblock before forwarding the flush down — so a crash
    (or detach without flush) loses only unflushed appends, never
    corrupts earlier records. [recover] rebuilds the in-memory count from
-   the superblock.
+   the superblock, refusing a count beyond the log's capacity.
 
    Exports the "log" interface (append/get/entries/recover) for the KV
    store, plus the uniform "block" view so the log composes like any
@@ -87,13 +87,24 @@ let flush_op st ctx =
   st.flushed <- st.entries;
   Ok pushed
 
+(* The superblock is read back from the media, so its count is checked
+   against the log's capacity before it is believed: a scribbled count
+   is refused and the in-memory state stays as it was. *)
 let recover_op st ctx =
   let* sb = Blockif.read st.lower ctx 0 in
-  if Bytes.length sb >= header_len && Bytes.sub_string sb 0 4 = magic then
-    st.entries <- Wire.get32 sb 4
-  else st.entries <- 0;
-  st.flushed <- st.entries;
-  Ok st.entries
+  let* count =
+    if Bytes.length sb >= header_len && Bytes.sub_string sb 0 4 = magic then
+      let count = Wire.get32 sb 4 in
+      let* cap = capacity st ctx in
+      if count > cap then
+        fault
+          (Printf.sprintf "log: superblock count %d exceeds capacity %d" count cap)
+      else Ok count
+    else Ok 0
+  in
+  st.entries <- count;
+  st.flushed <- count;
+  Ok count
 
 let create api dom ~name ~lower ?(block_size = 512) () =
   let st =

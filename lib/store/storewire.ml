@@ -1,23 +1,14 @@
 module Call_ctx = Pm_obj.Call_ctx
 module Wire = Pm_components.Wire
-
-let check16 label v =
-  if v < 0 || v > 0xffff then
-    invalid_arg (Printf.sprintf "Storewire: %s out of range" label)
-
-(* charge for materializing [n] bytes into/out of a ring message; the
-   rings run with [~account:false], so each payload byte is paid for
-   exactly once per side — the same zero-copy contract as Netwire *)
-let copy_cost ctx n = Call_ctx.access ctx n
-
-(* Same rid carriage as Netwire: with tracing on, block and KV messages
-   grow a 4-byte request-id field after the fixed header (uncharged —
-   tracing adds zero simulated cycles), and parse re-establishes the
-   ambient scope. Log [Record]s never carry a rid: they are durable
-   data, and their stored bytes must not depend on who wrote them. *)
 module Trace = Pm_journal.Trace
 
-let rid_len () = if Trace.enabled () then 4 else 0
+(* Each [Call_ctx.access] below pays for materializing bytes into/out of
+   a ring message; the rings run with [~account:false], so each payload
+   byte is paid for exactly once per side — the same zero-copy contract
+   as Netwire. Block and KV messages carry the {!Trace} rid field after
+   their fixed header, as Netwire's do. Log [Record]s never carry a rid:
+   they are durable data, and their stored bytes must not depend on who
+   wrote them. *)
 
 (* ------------------------------------------------------------------ *)
 (* Block requests/responses over rings (the Storechan path).           *)
@@ -34,31 +25,31 @@ module Blkreq = struct
 
   let build ctx ~op ~tag ~block payload =
     if op < op_read || op > op_flush then invalid_arg "Storewire: bad block op";
-    check16 "blkreq tag" tag;
+    Wire.check16 "blkreq tag" tag;
     if block < 0 then invalid_arg "Storewire: negative block";
-    let rl = rid_len () in
+    let rl = Trace.rid_len () in
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + rl + plen) in
     Bytes.set b 0 (Char.chr op);
     Bytes.set_uint16_be b 1 tag;
     Wire.set32 b 3 block;
-    if rl > 0 then Wire.set32 b header_len (Trace.current ());
+    Trace.write_rid b header_len;
     Bytes.blit payload 0 b (header_len + rl) plen;
-    copy_cost ctx (header_len + plen);
+    Call_ctx.access ctx (header_len + plen);
     b
 
   let parse ctx b =
     let total = Bytes.length b in
-    let rl = rid_len () in
+    let rl = Trace.rid_len () in
     if total < header_len + rl then Error "blkreq: truncated"
     else begin
       let op = Char.code (Bytes.get b 0) in
       if op < op_read || op > op_flush then Error "blkreq: bad op"
       else begin
         let tag = Bytes.get_uint16_be b 1 and block = Wire.get32 b 3 in
-        if rl > 0 then Trace.set_current (Wire.get32 b header_len);
+        Trace.read_rid b header_len;
         let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
-        copy_cost ctx (total - rl);
+        Call_ctx.access ctx (total - rl);
         Ok { op; tag; block; payload }
       end
     end
@@ -71,13 +62,13 @@ module Blkresp = struct
   let status_ok = 0
 
   let build ctx ~tag ~status payload =
-    check16 "blkresp tag" tag;
+    Wire.check16 "blkresp tag" tag;
     let plen = Bytes.length payload in
     let b = Bytes.create (header_len + plen) in
     Bytes.set_uint16_be b 0 tag;
     Bytes.set b 2 (Char.chr (status land 0xff));
     Bytes.blit payload 0 b header_len plen;
-    copy_cost ctx (header_len + plen);
+    Call_ctx.access ctx (header_len + plen);
     b
 
   let parse ctx b =
@@ -86,7 +77,7 @@ module Blkresp = struct
     else begin
       let tag = Bytes.get_uint16_be b 0 and status = Char.code (Bytes.get b 2) in
       let payload = Bytes.sub b header_len (total - header_len) in
-      copy_cost ctx total;
+      Call_ctx.access ctx total;
       Ok { tag; status; payload }
     end
 end
@@ -106,14 +97,14 @@ module Record = struct
   let build ctx ~op ~key value =
     if op <> rec_put && op <> rec_del then invalid_arg "Storewire: bad record op";
     let klen = Bytes.length key in
-    check16 "record key length" klen;
+    Wire.check16 "record key length" klen;
     let vlen = Bytes.length value in
     let b = Bytes.create (header_len + klen + vlen) in
     Bytes.set b 0 (Char.chr op);
     Bytes.set_uint16_be b 1 klen;
     Bytes.blit key 0 b header_len klen;
     Bytes.blit value 0 b (header_len + klen) vlen;
-    copy_cost ctx (header_len + klen + vlen);
+    Call_ctx.access ctx (header_len + klen + vlen);
     b
 
   let parse ctx b =
@@ -128,7 +119,7 @@ module Record = struct
         else begin
           let key = Bytes.sub b header_len klen in
           let value = Bytes.sub b (header_len + klen) (total - header_len - klen) in
-          copy_cost ctx total;
+          Call_ctx.access ctx total;
           Ok { op; key; value }
         end
       end
@@ -151,37 +142,37 @@ module Kvmsg = struct
   let build_req ctx ~op ~key value =
     if op < kv_get || op > kv_del then invalid_arg "Storewire: bad kv op";
     let klen = Bytes.length key in
-    check16 "kv key length" klen;
-    let rl = rid_len () in
+    Wire.check16 "kv key length" klen;
+    let rl = Trace.rid_len () in
     let vlen = Bytes.length value in
     let b = Bytes.create (req_header_len + rl + klen + vlen) in
     Bytes.set b 0 (Char.chr op);
     Bytes.set_uint16_be b 1 klen;
-    if rl > 0 then Wire.set32 b req_header_len (Trace.current ());
+    Trace.write_rid b req_header_len;
     Bytes.blit key 0 b (req_header_len + rl) klen;
     Bytes.blit value 0 b (req_header_len + rl + klen) vlen;
-    copy_cost ctx (req_header_len + klen + vlen);
+    Call_ctx.access ctx (req_header_len + klen + vlen);
     b
 
   let parse_req ctx b =
     let total = Bytes.length b in
-    let rl = rid_len () in
+    let rl = Trace.rid_len () in
     if total < req_header_len + rl then Error "kv req: truncated"
     else begin
       let op = Char.code (Bytes.get b 0) in
       if op < kv_get || op > kv_del then Error "kv req: bad op"
       else begin
         let klen = Bytes.get_uint16_be b 1 in
-        if rl > 0 then Trace.set_current (Wire.get32 b req_header_len);
         if total < req_header_len + rl + klen then Error "kv req: truncated key"
         else begin
+          Trace.read_rid b req_header_len;
           let key = Bytes.sub b (req_header_len + rl) klen in
           let value =
             Bytes.sub b
               (req_header_len + rl + klen)
               (total - req_header_len - rl - klen)
           in
-          copy_cost ctx (total - rl);
+          Call_ctx.access ctx (total - rl);
           Ok { op; key; value }
         end
       end
@@ -195,26 +186,26 @@ module Kvmsg = struct
   let status_error = 2
 
   let build_resp ctx ~status payload =
-    let rl = rid_len () in
+    let rl = Trace.rid_len () in
     let plen = Bytes.length payload in
     let b = Bytes.create (resp_header_len + rl + plen) in
     Bytes.set b 0 (Char.chr (status land 0xff));
-    if rl > 0 then Wire.set32 b resp_header_len (Trace.current ());
+    Trace.write_rid b resp_header_len;
     Bytes.blit payload 0 b (resp_header_len + rl) plen;
-    copy_cost ctx (resp_header_len + plen);
+    Call_ctx.access ctx (resp_header_len + plen);
     b
 
   let parse_resp ctx b =
     let total = Bytes.length b in
-    let rl = rid_len () in
+    let rl = Trace.rid_len () in
     if total < resp_header_len + rl then Error "kv resp: truncated"
     else begin
       let status = Char.code (Bytes.get b 0) in
-      if rl > 0 then Trace.set_current (Wire.get32 b resp_header_len);
+      Trace.read_rid b resp_header_len;
       let payload =
         Bytes.sub b (resp_header_len + rl) (total - resp_header_len - rl)
       in
-      copy_cost ctx (total - rl);
+      Call_ctx.access ctx (total - rl);
       Ok { status; payload }
     end
 end

@@ -342,7 +342,6 @@ let suspend register = Effect.perform (Suspend register)
 let self () = Effect.perform Self
 
 let live t = t.live
-let current t = t.cur
 
 let stats t = function
   | `Spawned -> t.spawned

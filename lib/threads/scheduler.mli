@@ -95,7 +95,6 @@ val ready_count : t -> int
     the thief's clock, and the stolen thread. Pricing is the SMP
     layer's job. *)
 val steal : from:t -> into:t -> (int * thread) option
-val current : t -> thread option
 
 (** Counters for the experiments. *)
 val stats : t -> [ `Spawned | `Popups | `Popup_fast | `Promotions | `Switches | `Crashes ] -> int

@@ -30,13 +30,13 @@ type t = {
   mutable dispatches : int;
 }
 
-let create ?policy cpu ~boot =
+let create cpu ~boot =
   let costs = Machine.costs cpu in
   let scheds =
     Array.init (Cpu.count cpu) (fun i ->
         if i = 0 then boot
         else begin
-          let s = Scheduler.create ?policy (Cpu.clock_of cpu i) costs in
+          let s = Scheduler.create (Cpu.clock_of cpu i) costs in
           Scheduler.set_mmu s (Machine.mmu cpu);
           s
         end)
@@ -48,10 +48,10 @@ let sched t k =
     invalid_arg (Printf.sprintf "Smp.sched: no cpu %d" k);
   t.scheds.(k)
 
-let spawn_on t k ?priority ?name ?domain body =
+let spawn_on t k ?name body =
   let s = sched t k in
   (* creation charges land on the target CPU's clock *)
-  Cpu.run_on t.cpu k (fun () -> Scheduler.spawn s ?priority ?name ?domain body)
+  Cpu.run_on t.cpu k (fun () -> Scheduler.spawn s ?name body)
 
 (* Most-loaded sibling with work to take; ties go to the lowest id so
    the sweep stays deterministic. *)

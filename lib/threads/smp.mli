@@ -11,25 +11,18 @@
 
 type t
 
-(** [create ?policy cpus ~boot] builds one scheduler per CPU of the
-    machine: CPU 0 uses [boot] (the kernel's existing scheduler —
-    threads already spawned stay valid); CPUs 1.. get fresh schedulers
-    on their own clocks, with [policy] and the machine's MMU applied. *)
-val create : ?policy:Scheduler.policy -> Pm_machine.Cpu.t -> boot:Scheduler.t -> t
+(** [create cpus ~boot] builds one scheduler per CPU of the machine:
+    CPU 0 uses [boot] (the kernel's existing scheduler — threads already
+    spawned stay valid); CPUs 1.. get fresh schedulers on their own
+    clocks, with the default policy and the machine's MMU applied. *)
+val create : Pm_machine.Cpu.t -> boot:Scheduler.t -> t
 
 (** The scheduler instance owned by CPU [k]. *)
 val sched : t -> int -> Scheduler.t
 
-(** [spawn_on t k ... body] spawns on CPU [k]'s scheduler, charging
+(** [spawn_on t k ?name body] spawns on CPU [k]'s scheduler, charging
     creation to [k]'s clock. *)
-val spawn_on :
-  t ->
-  int ->
-  ?priority:int ->
-  ?name:string ->
-  ?domain:int ->
-  (unit -> unit) ->
-  Scheduler.thread
+val spawn_on : t -> int -> ?name:string -> (unit -> unit) -> Scheduler.thread
 
 (** [try_steal t ~thief] makes one stealing attempt for CPU [thief]:
     picks the most-loaded sibling (ties to lowest id), moves its oldest

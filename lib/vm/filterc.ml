@@ -141,8 +141,6 @@ let compile e =
   | exception Too_deep -> Error "expression nests too deeply for the register stack"
   | exception Bad_loop msg -> Error msg
 
-let object_code e = Result.map Vm.encode (compile e)
-
 (* --- concrete syntax -------------------------------------------------- *)
 
 type token =

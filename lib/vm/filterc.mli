@@ -75,9 +75,6 @@ val parse : string -> (expr, string) result
 (** [compile_string s] = parse + compile. *)
 val compile_string : string -> (Vm.program, string) result
 
-(** [object_code e] — compiled and encoded, ready to certify/digest. *)
-val object_code : expr -> (string, string) result
-
 (** [certifying_policy ~compiled] is a certification-delegate policy that
     accepts exactly the component names in [compiled] (the compiler's
     build record): the trusted-compiler delegate of §5. *)

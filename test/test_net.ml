@@ -247,6 +247,37 @@ let test_channel_echo_server () =
               (Bytes.to_string payload))))
     frames
 
+(* --- the ring codecs ----------------------------------------------------- *)
+
+let gen16 = QCheck2.Gen.int_bound 0xffff
+
+let delivery_spec = QCheck2.Gen.(triple gen16 gen16 (Codec_props.gen_bytes 64))
+
+let build_delivery ctx (src, sport, payload) = Netwire.Delivery.build ctx ~src ~sport payload
+
+let txreq_spec = QCheck2.Gen.(quad gen16 gen16 gen16 (Codec_props.gen_bytes 64))
+
+let build_txreq ctx (dst, sport, dport, payload) =
+  Netwire.Txreq.build ctx ~dst ~sport ~dport payload
+
+let codec_props =
+  [
+    Codec_props.roundtrip "delivery round-trip" ~gen_spec:delivery_spec
+      ~build:build_delivery ~parse:Netwire.Delivery.parse
+      ~same:(fun (src, sport, payload) (d : Netwire.Delivery.t) ->
+        d.src = src && d.sport = sport && Bytes.equal d.payload payload)
+      ~rid_at:(Some Netwire.Delivery.header_len);
+    Codec_props.hostile "delivery parse on hostile bytes" ~gen_spec:delivery_spec
+      ~build:build_delivery ~parse:Netwire.Delivery.parse;
+    Codec_props.roundtrip "txreq round-trip" ~gen_spec:txreq_spec ~build:build_txreq
+      ~parse:Netwire.Txreq.parse
+      ~same:(fun (dst, sport, dport, payload) (r : Netwire.Txreq.t) ->
+        r.dst = dst && r.sport = sport && r.dport = dport && Bytes.equal r.payload payload)
+      ~rid_at:(Some Netwire.Txreq.header_len);
+    Codec_props.hostile "txreq parse on hostile bytes" ~gen_spec:txreq_spec
+      ~build:build_txreq ~parse:Netwire.Txreq.parse;
+  ]
+
 (* ----------------------------------------------------------------------- *)
 
 let () =
@@ -263,4 +294,5 @@ let () =
         [ Alcotest.test_case "/shared/net + endpoints" `Quick test_netsvc_factory ] );
       ( "echo",
         [ Alcotest.test_case "channel-backed echo server" `Quick test_channel_echo_server ] );
+      ("codecs", codec_props);
     ]

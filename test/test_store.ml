@@ -278,6 +278,33 @@ let test_log_append_recover () =
   | Value.Blob b -> Alcotest.(check string) "record intact" "beta" (Bytes.to_string b)
   | v -> Alcotest.failf "get returned %s" (Value.to_string v)
 
+(* a superblock scribbled with a count beyond the log's capacity is
+   refused by name, and the log keeps the state it had *)
+let test_log_scribbled_superblock () =
+  let _sys, k, store = fixture () in
+  let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
+  let log = store.System.log in
+  List.iter
+    (fun payload -> ignore (Invoke.call_exn ctx log ~iface:"log" ~meth:"append" [ blob payload ]))
+    [ "alpha"; "beta"; "gamma" ];
+  ignore (block_flush ctx log);
+  let sb = Bytes.make 512 '\000' in
+  Bytes.blit_string "PMLG" 0 sb 0 4;
+  Bytes.set_int32_be sb 4 1000l;
+  block_write ctx store.System.block_cache ~block:0 (Bytes.to_string sb);
+  (match Invoke.call ctx log ~iface:"log" ~meth:"recover" [] with
+  | Error e ->
+    Alcotest.(check string) "named error"
+      "fault: log: superblock count 1000 exceeds capacity 255" (Oerror.to_string e)
+  | Ok v -> Alcotest.failf "recover accepted the count: %s" (Value.to_string v));
+  (match Invoke.call_exn ctx log ~iface:"log" ~meth:"entries" [] with
+  | Value.Int n -> Alcotest.(check int) "entries unchanged" 3 n
+  | v -> Alcotest.failf "entries returned %s" (Value.to_string v));
+  match Invoke.call ctx log ~iface:"log" ~meth:"append" [ blob "delta" ] with
+  | Ok (Value.Int seq) -> Alcotest.(check int) "the next append follows" 3 seq
+  | Ok v -> Alcotest.failf "append returned %s" (Value.to_string v)
+  | Error e -> Alcotest.failf "append after a refused recover: %s" (Oerror.to_string e)
+
 (* --- kv ----------------------------------------------------------------- *)
 
 let kv_get ctx kv key =
@@ -509,6 +536,93 @@ let test_store_stats_published () =
   | v -> Alcotest.failf "value returned %s" (Value.to_string v));
   ignore store
 
+(* A request whose key overruns the message is refused before its rid
+   is believed: the rid must not re-label what the server journals
+   next. *)
+let test_kv_truncated_key_keeps_rid () =
+  Codec_props.with_tracing true ~rid:99 (fun () ->
+      let ctx = Codec_props.ctx () in
+      let req =
+        Storewire.Kvmsg.build_req ctx ~op:Storewire.kv_get ~key:(Bytes.of_string "abc")
+          Bytes.empty
+      in
+      Bytes.set_uint16_be req 1 200;
+      Trace.set_current 17;
+      (match Storewire.Kvmsg.parse_req ctx req with
+      | Error e -> Alcotest.(check string) "named error" "kv req: truncated key" e
+      | Ok _ -> Alcotest.fail "a key overrunning the message must be refused");
+      Alcotest.(check int) "ambient rid unchanged" 17 (Trace.current ()))
+
+(* --- the ring and log codecs --------------------------------------------- *)
+
+let gen16 = QCheck2.Gen.int_bound 0xffff
+let gen_payload = Codec_props.gen_bytes 64
+
+let blkreq_spec =
+  QCheck2.Gen.(
+    quad (int_range Storewire.op_read Storewire.op_flush) gen16 (int_bound 0xffff_ffff)
+      gen_payload)
+
+let build_blkreq ctx (op, tag, block, payload) =
+  Storewire.Blkreq.build ctx ~op ~tag ~block payload
+
+let blkresp_spec = QCheck2.Gen.(triple gen16 (int_bound 0xff) gen_payload)
+
+let build_blkresp ctx (tag, status, payload) =
+  Storewire.Blkresp.build ctx ~tag ~status payload
+
+let record_spec =
+  QCheck2.Gen.(triple (oneofl [ Storewire.rec_put; Storewire.rec_del ]) gen_payload gen_payload)
+
+let build_record ctx (op, key, value) = Storewire.Record.build ctx ~op ~key value
+
+let kvreq_spec =
+  QCheck2.Gen.(triple (int_range Storewire.kv_get Storewire.kv_del) gen_payload gen_payload)
+
+let build_kvreq ctx (op, key, value) = Storewire.Kvmsg.build_req ctx ~op ~key value
+let kvresp_spec = QCheck2.Gen.(pair (int_bound 0xff) gen_payload)
+let build_kvresp ctx (status, payload) = Storewire.Kvmsg.build_resp ctx ~status payload
+
+let codec_props =
+  let open Storewire in
+  [
+    Codec_props.roundtrip "blkreq round-trip" ~gen_spec:blkreq_spec ~build:build_blkreq
+      ~parse:Blkreq.parse
+      ~same:(fun (op, tag, block, payload) (r : Blkreq.t) ->
+        r.op = op && r.tag = tag && r.block = block && Bytes.equal r.payload payload)
+      ~rid_at:(Some Blkreq.header_len);
+    Codec_props.hostile "blkreq parse on hostile bytes" ~gen_spec:blkreq_spec
+      ~build:build_blkreq ~parse:Blkreq.parse;
+    Codec_props.roundtrip "blkresp round-trip" ~gen_spec:blkresp_spec ~build:build_blkresp
+      ~parse:Blkresp.parse
+      ~same:(fun (tag, status, payload) (r : Blkresp.t) ->
+        r.tag = tag && r.status = status && Bytes.equal r.payload payload)
+      ~rid_at:None;
+    Codec_props.hostile "blkresp parse on hostile bytes" ~gen_spec:blkresp_spec
+      ~build:build_blkresp ~parse:Blkresp.parse;
+    Codec_props.roundtrip "record round-trip" ~gen_spec:record_spec ~build:build_record
+      ~parse:Record.parse
+      ~same:(fun (op, key, value) (r : Record.t) ->
+        r.op = op && Bytes.equal r.key key && Bytes.equal r.value value)
+      ~rid_at:None;
+    Codec_props.hostile "record parse on hostile bytes" ~gen_spec:record_spec
+      ~build:build_record ~parse:Record.parse;
+    Codec_props.roundtrip "kv request round-trip" ~gen_spec:kvreq_spec ~build:build_kvreq
+      ~parse:Kvmsg.parse_req
+      ~same:(fun (op, key, value) (r : Kvmsg.req) ->
+        r.op = op && Bytes.equal r.key key && Bytes.equal r.value value)
+      ~rid_at:(Some Kvmsg.req_header_len);
+    Codec_props.hostile "kv request parse on hostile bytes" ~gen_spec:kvreq_spec
+      ~build:build_kvreq ~parse:Kvmsg.parse_req;
+    Codec_props.roundtrip "kv response round-trip" ~gen_spec:kvresp_spec
+      ~build:build_kvresp ~parse:Kvmsg.parse_resp
+      ~same:(fun (status, payload) (r : Kvmsg.resp) ->
+        r.status = status && Bytes.equal r.payload payload)
+      ~rid_at:(Some Kvmsg.resp_header_len);
+    Codec_props.hostile "kv response parse on hostile bytes" ~gen_spec:kvresp_spec
+      ~build:build_kvresp ~parse:Kvmsg.parse_resp;
+  ]
+
 let test_kv_scenario_replays () =
   match Replay.record "kv" with
   | Error e -> Alcotest.fail e
@@ -537,6 +651,8 @@ let () =
           Alcotest.test_case "cache size is the lower layer's" `Quick
             test_cache_size_transparent;
           Alcotest.test_case "log append + recover" `Quick test_log_append_recover;
+          Alcotest.test_case "log refuses a scribbled superblock" `Quick
+            test_log_scribbled_superblock;
           Alcotest.test_case "kv put/get/del + recover" `Quick
             test_kv_local_recover;
         ] );
@@ -557,4 +673,8 @@ let () =
           Alcotest.test_case "kv over the net path" `Quick test_kv_over_net;
           Alcotest.test_case "kv scenario replays" `Quick test_kv_scenario_replays;
         ] );
+      ( "codecs",
+        Alcotest.test_case "truncated kv key keeps the ambient rid" `Quick
+          test_kv_truncated_key_keeps_rid
+        :: codec_props );
     ]
