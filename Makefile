@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke demo-smoke examples-smoke replay-smoke trace-smoke golden bench-output lint fmt check clean
+.PHONY: all build test bench demo-smoke examples-smoke replay-smoke trace-smoke golden bench-output lint fmt check clean
 
 all: build
 
@@ -10,10 +10,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-# the assertion-bearing experiments at reduced iteration counts, for CI
-bench-smoke:
-	dune exec bench/main.exe -- obs e14 e15 e16 e18 e19 e20 e21 e22 e23 replay --quick
 
 # the channel-backed data path exercised through the demo binary, the
 # whole-system KV workload on top of it, and the exporters: the /stats

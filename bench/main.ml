@@ -41,9 +41,6 @@ let f2 x = Printf.sprintf "%.2f" x
 
 let fresh_sys () = System.create ~seed:0xBEEF ()
 
-(* --quick shrinks iteration counts for CI smoke runs *)
-let quick = ref false
-
 (* ------------------------------------------------------------------ *)
 (* E1: method invocation overhead vs object grain size                 *)
 (* ------------------------------------------------------------------ *)
@@ -1091,9 +1088,9 @@ module E14 = struct
      the static-best one from E4/E13. *)
   let margin = 0.10
 
-  let epochs () = if !quick then 6 else 12
-  let per_epoch () = if !quick then 10 else 30
-  let tail () = if !quick then 2 else 3
+  let epochs = 12
+  let per_epoch = 30
+  let tail = 3
 
   let mean = function
     | [] -> 0.
@@ -1103,7 +1100,7 @@ module E14 = struct
      migration epoch (if any) excluded *)
   let converged epoch_costs =
     (* epoch_costs is accumulated newest-first *)
-    let t = tail () in
+    let t = tail in
     mean (List.filteri (fun i _ -> i < t) epoch_costs)
 
   let action_to_string = function
@@ -1190,16 +1187,16 @@ module E14 = struct
     Kernel.step k ~ticks:2 ();
     ignore (Placer.epoch placer);
     let rows = ref [] and costs = ref [] in
-    for e = 1 to epochs () do
+    for e = 1 to epochs do
       let before = Clock.now clock in
-      for _ = 1 to per_epoch () do
+      for _ = 1 to per_epoch do
         Nic.inject (Kernel.nic k) packet;
         Kernel.step k ~ticks:1 ();
         if grain > 0 then Call_ctx.work ctx grain
       done;
       Kernel.step k ~ticks:2 ();
       let cyc =
-        float_of_int (Clock.now clock - before) /. float_of_int (per_epoch ())
+        float_of_int (Clock.now clock - before) /. float_of_int per_epoch
       in
       costs := cyc :: !costs;
       let actions = if adaptive then Placer.epoch placer else [ Placer.Hold ] in
@@ -1221,7 +1218,7 @@ module E14 = struct
       | Value.Int n -> n
       | _ -> 0
     in
-    assert (delivered >= per_epoch ());
+    assert (delivered >= per_epoch);
     (List.rev !rows, converged !costs, placer, !migration_cost)
 
   let rx_workload label ~grain =
@@ -1265,9 +1262,9 @@ module E14 = struct
     in
     if adaptive then Placer.manage_channel placer chan;
     let msg = Bytes.make 32 'm' in
-    let msgs = 4 * per_epoch () in
+    let msgs = 4 * per_epoch in
     let rows = ref [] and costs = ref [] in
-    for e = 1 to epochs () do
+    for e = 1 to epochs do
       let before = Clock.now clock in
       for _ = 1 to msgs do
         (* one message per burst: the doorbell-dominated shape *)
@@ -1308,7 +1305,6 @@ module E14 = struct
       "close the observability loop: an agent watching crossing-cost share and \
        doorbell cost migrates components between User and Certified placement and \
        flips channels between Doorbell and Poll, converging on static-best";
-    if !quick then line "(--quick: reduced epochs/iterations)";
     rx_workload "crossing-dominated" ~grain:0;
     rx_workload "compute-dominated" ~grain:30_000;
     chan_workload ()
@@ -1438,8 +1434,8 @@ module E16 = struct
   let batch_sizes = [ 1; 4; 16; 64 ]
   let producer_counts = [ 1; 2; 3; 4 ]
   let payload = String.make 64 'x'
-  let rounds () = if !quick then 2 else 6
-  let tx_packets () = if !quick then 12 else 48
+  let rounds = 6
+  let tx_packets = 48
 
   let fixture () =
     let sys = fresh_sys () in
@@ -1476,7 +1472,7 @@ module E16 = struct
     (* warm-up: lazy binds *)
     let clock = Kernel.clock k in
     let total = ref 0 in
-    for _ = 1 to rounds () do
+    for _ = 1 to rounds do
       deliver k b;
       let before = Clock.now clock in
       for _ = 1 to b do
@@ -1484,7 +1480,7 @@ module E16 = struct
       done;
       total := !total + (Clock.now clock - before)
     done;
-    float_of_int !total /. float_of_int (rounds () * b)
+    float_of_int !total /. float_of_int (rounds * b)
 
   (* rx channel path: the stack's sink enqueues each delivery on the
      port's ring; the app drains the whole burst with one recv_batch *)
@@ -1513,13 +1509,13 @@ module E16 = struct
     drain 1;
     let clock = Kernel.clock k in
     let total = ref 0 in
-    for _ = 1 to rounds () do
+    for _ = 1 to rounds do
       deliver k b;
       let before = Clock.now clock in
       drain b;
       total := !total + (Clock.now clock - before)
     done;
-    float_of_int !total /. float_of_int (rounds () * b)
+    float_of_int !total /. float_of_int (rounds * b)
 
   (* tx: [p] producer domains each push their share of the burst.
      Measured span: every submission plus whatever it takes to hand the
@@ -1551,7 +1547,7 @@ module E16 = struct
     send (List.hd proxies);
     flush_wire k 1;
     (* warm-up *)
-    let per = tx_packets () / p in
+    let per = tx_packets / p in
     let clock = Kernel.clock k in
     let before = Clock.now clock in
     List.iter (fun pr -> for _ = 1 to per do send pr done) proxies;
@@ -1581,7 +1577,7 @@ module E16 = struct
     ignore (Netstack_chan.drain_tx nsc);
     flush_wire k 1;
     (* warm-up *)
-    let per = tx_packets () / p in
+    let per = tx_packets / p in
     let clock = Kernel.clock k in
     let reserves0 = Clock.counter clock "mpsc_reserve" in
     let before = Clock.now clock in
@@ -1860,7 +1856,7 @@ module E18 = struct
     ignore
       (Invoke.call_exn ctx net.System.stack ~iface:"stack" ~meth:"bind_port"
          [ Value.Int 7 ]);
-    for _ = 1 to if !quick then 4 else 32 do
+    for _ = 1 to 32 do
       ignore
         (Invoke.call_exn ctx net.System.driver ~iface:"netdev" ~meth:"send"
            [ Value.Blob (Bytes.create 64) ]);
@@ -1915,7 +1911,7 @@ module E19 = struct
   (* working set: 16 blocks, inside the 32-line cache, so the measured
      cached loop is pure hits *)
   let blocks = 16
-  let ops () = if !quick then 32 else 128
+  let ops = 128
 
   let run () =
     header "E19  Block path: cached vs uncached vs raw-device cycles/op"
@@ -1943,10 +1939,10 @@ module E19 = struct
         read inst b
       done;
       let t0 = Clock.now clock in
-      for n = 0 to ops () - 1 do
+      for n = 0 to ops - 1 do
         read inst (n mod blocks)
       done;
-      (Clock.now clock - t0) / ops ()
+      (Clock.now clock - t0) / ops
     in
     let raw = measure store.System.blk_driver in
     let uncached = measure store.System.partition in
@@ -1981,11 +1977,29 @@ end
 (* E20: the KV workload over the channel-backed net path               *)
 (* ------------------------------------------------------------------ *)
 
+(* one E20/E21 round trip: send, step the kernel, drain the reply ring.
+   Every response must be status_ok — every get hits a key we put, and a
+   failing put (e.g. a full log) must abort the bench, not be silently
+   counted as a reply. Returns the replies drained. *)
+let kv_round_trip name k client ~op ~key value =
+  ignore (Kv.send client ~op ~key value);
+  Kernel.step k ~ticks:2 ();
+  List.fold_left
+    (fun n -> function
+      | Error e -> failwith (name ^ ": " ^ e)
+      | Ok { Storewire.Kvmsg.status; _ } ->
+        if status <> Storewire.Kvmsg.status_ok then
+          failwith
+            (Printf.sprintf "%s: kv op %d on %s failed with status %d" name op key
+               status);
+        n + 1)
+    0 (Kv.replies client)
+
 module E20 = struct
   (* working sets straddling the 16-line cache: 4 and 16 stay resident,
      48 spills and pays media time on the get path *)
   let working_sets = [ 4; 16; 48 ]
-  let ops () = if !quick then 32 else 96
+  let ops = 96
 
   let percentile p samples =
     let a = Array.of_list samples in
@@ -1998,62 +2012,15 @@ module E20 = struct
   let run_ws ws =
     let sys = fresh_sys () in
     let k = System.kernel sys in
-    let net =
-      System.setup_networking sys ~placement:System.Certified ~addr:42
-        ~loopback:true ()
+    let _kv, client =
+      System.setup_kv sys ~placement:System.Certified ~cache_capacity:16
     in
-    let nsc, _svc = System.channel_net sys net () in
-    ignore
-      (System.setup_store sys ~placement:System.Certified ~cache_capacity:16 ());
-    let kdom = Kernel.kernel_domain k in
-    let api = Kernel.api k in
-    let kv = Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
-    (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-    | Ok _ -> ()
-    | Error e -> failwith ("E20: serve failed: " ^ Oerror.to_string e));
-    let cdom = System.new_domain sys "kvclient" in
-    let ring =
-      match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-      | Ok c -> c
-      | Error e -> failwith ("E20: bind failed: " ^ e)
-    in
-    let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
-    let mmu = Machine.mmu (Kernel.machine k) in
     let clock = Kernel.clock k in
     let replies = ref 0 and requests = ref 0 in
     let request ~op ~key value =
       let t0 = Clock.now clock in
       incr requests;
-      Mmu.switch_context mmu cdom.Domain.id;
-      let cctx = Kernel.ctx k cdom in
-      let req =
-        Storewire.Kvmsg.build_req cctx ~op ~key:(Bytes.of_string key)
-          (Bytes.of_string value)
-      in
-      ignore (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-      Mmu.switch_context mmu kdom.Domain.id;
-      ignore (Netstack_chan.drain_tx nsc);
-      Kernel.step k ~ticks:2 ();
-      (* the round trip ends when the client drains its reply ring; every
-         response must be status_ok — every get hits a key we put, and a
-         failing put (e.g. a full log) must abort the bench, not be
-         silently counted as a reply *)
-      Mmu.switch_context mmu cdom.Domain.id;
-      List.iter
-        (fun msg ->
-          match Netwire.Delivery.parse cctx msg with
-          | Error e -> failwith ("E20: bad delivery frame: " ^ e)
-          | Ok { Netwire.Delivery.payload; _ } -> (
-            match Storewire.Kvmsg.parse_resp cctx payload with
-            | Error e -> failwith ("E20: bad kv response: " ^ e)
-            | Ok { Storewire.Kvmsg.status; _ } ->
-              if status <> Storewire.Kvmsg.status_ok then
-                failwith
-                  (Printf.sprintf "E20: kv op %d on %s failed with status %d" op
-                     key status);
-              incr replies))
-        (Chan.recv_batch ring ());
-      Mmu.switch_context mmu kdom.Domain.id;
+      replies := !replies + kv_round_trip "E20" k client ~op ~key value;
       Clock.now clock - t0
     in
     (* load phase: populate the working set *)
@@ -2066,7 +2033,7 @@ module E20 = struct
     (* steady state: sweep gets with an update every 8th op *)
     let samples = ref [] in
     let fills0 = Clock.counter clock "tlb_fill" in
-    for n = 0 to ops () - 1 do
+    for n = 0 to ops - 1 do
       let key = Printf.sprintf "k%04d" (n mod ws) in
       let c =
         if n mod 8 = 7 then
@@ -2105,7 +2072,7 @@ module E20 = struct
           ("p50 cyc/op", ()); ("p99 cyc/op", ()); ("ops/Mcycle", ()) ]
       (List.map
          (fun (ws, mean, p50, p99, tput) ->
-           [ Printf.sprintf "%d keys" ws; i (ops ()); i mean; i p50; i p99;
+           [ Printf.sprintf "%d keys" ws; i ops; i mean; i p50; i p99;
              f1 tput ])
          rows);
     (* asserted shape: the resident run's tail is flat (no op reaches the
@@ -2185,28 +2152,10 @@ module E21 = struct
       (fun () ->
         let sys = System.create ~seed:0xBEEF ?costs () in
         let k = System.kernel sys in
-        let net =
-          System.setup_networking sys ~placement:System.Certified ~addr:42
-            ~loopback:true ()
+        let _kv, client =
+          System.setup_kv sys ~placement:System.Certified ~cache_capacity:16
         in
-        let nsc, _svc = System.channel_net sys net () in
-        ignore
-          (System.setup_store sys ~placement:System.Certified
-             ~cache_capacity:16 ());
-        let kdom = Kernel.kernel_domain k in
-        let api = Kernel.api k in
-        let kv = Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
-        (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-        | Ok _ -> ()
-        | Error e -> failwith ("E21: serve failed: " ^ Oerror.to_string e));
-        let cdom = System.new_domain sys "kvclient" in
-        let ring =
-          match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-          | Ok c -> c
-          | Error e -> failwith ("E21: bind failed: " ^ e)
-        in
-        let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
-        let mmu = Machine.mmu (Kernel.machine k) in
+        let cdom = client.Kv.dom in
         let clock = Kernel.clock k in
         let j = Obs.journal (Clock.obs clock) in
         let replies = ref 0 and requests = ref 0 in
@@ -2221,32 +2170,7 @@ module E21 = struct
           let t0 = Clock.now clock in
           let rid = Journal.req_begin j ~domain:cdom.Domain.id ~at:t0 ~detail:label in
           incr requests;
-          Mmu.switch_context mmu cdom.Domain.id;
-          let cctx = Kernel.ctx k cdom in
-          let req =
-            Storewire.Kvmsg.build_req cctx ~op ~key:(Bytes.of_string key)
-              (Bytes.of_string value)
-          in
-          ignore (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-          Mmu.switch_context mmu kdom.Domain.id;
-          ignore (Netstack_chan.drain_tx nsc);
-          Kernel.step k ~ticks:2 ();
-          Mmu.switch_context mmu cdom.Domain.id;
-          List.iter
-            (fun msg ->
-              match Netwire.Delivery.parse cctx msg with
-              | Error e -> failwith ("E21: bad delivery frame: " ^ e)
-              | Ok { Netwire.Delivery.payload; _ } -> (
-                match Storewire.Kvmsg.parse_resp cctx payload with
-                | Error e -> failwith ("E21: bad kv response: " ^ e)
-                | Ok { Storewire.Kvmsg.status; _ } ->
-                  if status <> Storewire.Kvmsg.status_ok then
-                    failwith
-                      (Printf.sprintf "E21: kv op %d on %s failed with status %d"
-                         op key status);
-                  incr replies))
-            (Chan.recv_batch ring ());
-          Mmu.switch_context mmu kdom.Domain.id;
+          replies := !replies + kv_round_trip "E21" k client ~op ~key value;
           let t1 = Clock.now clock in
           Journal.req_end j ~domain:cdom.Domain.id ~at:t1 rid;
           measured := (label, t1 - t0) :: !measured
@@ -2501,7 +2425,7 @@ module E23 = struct
   let flows = 8
   let cpu_counts = [ 1; 2; 4; 8 ]
   let payload = 48
-  let msgs () = if !quick then 16 else 48
+  let msgs = 48
   let grain = 400
 
   (* One flow is the E13/E16 shape reduced to its scalable core: a
@@ -2545,7 +2469,7 @@ module E23 = struct
         Cpu.pin cpx ~domain:cdom.Domain.id ~cpu;
         ignore
           (Smp.spawn_on smp cpu ~name:(Printf.sprintf "flow%d" f)
-             (flow_body machine chan (msgs ()))))
+             (flow_body machine chan msgs)))
       (List.init flows Fun.id);
     let before = List.init cpus (fun c -> Cpu.now cpx c) in
     (* steal:false — the curve isolates partitioning; stealing gets its
@@ -2605,7 +2529,7 @@ module E23 = struct
         let _, _, chan = make_flow sys k f in
         ignore
           (Smp.spawn_on smp 0 ~name:(Printf.sprintf "flow%d" f)
-             (flow_body machine chan (msgs ()))))
+             (flow_body machine chan msgs)))
       (List.init flows Fun.id);
     let before = List.init 4 (fun c -> Cpu.now cpx c) in
     ignore (Smp.run ~steal smp);
@@ -2636,7 +2560,7 @@ module E23 = struct
          (fun (c, mk, s) -> [ i c; i mk; f2 s ^ "x"; f2 (s /. float_of_int c) ])
          curve);
     line "(8 pinned flows, %d messages each, %d cyc compute per message;"
-      (msgs ()) grain;
+      msgs grain;
     line " makespan = slowest CPU's clock; flows split round-robin)";
     List.iter
       (fun (c, _, s) ->
@@ -2843,10 +2767,9 @@ let wall_clock_suite () =
 
 let () =
   let wall = Array.exists (fun a -> a = "--wall") Sys.argv in
-  quick := Array.exists (fun a -> a = "--quick") Sys.argv;
   let only =
     Array.to_list Sys.argv |> List.tl
-    |> List.filter (fun a -> a <> "--wall" && a <> "--quick")
+    |> List.filter (fun a -> a <> "--wall")
   in
   let experiments =
     [ ("e1", E1.run); ("e2", E2.run); ("e3", E3.run); ("e4", E4.run);

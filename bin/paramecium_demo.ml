@@ -405,68 +405,27 @@ let kv_cmd =
   let run seed cpus n placement =
     let sys = create_system ~seed ~cpus in
     let k = System.kernel sys in
-    let net =
-      System.setup_networking sys ~placement:System.Certified ~addr:42
-        ~loopback:true ()
-    in
-    let nsc, _svc = System.channel_net sys net () in
     let placement =
       match placement with
       | `Certified -> System.Certified
       | `Verified -> System.Verified
       | `User -> System.User (System.new_domain sys "storeuser")
     in
-    ignore (System.setup_store sys ~placement ~cache_capacity:16 ());
+    let kv, client = System.setup_kv sys ~placement ~cache_capacity:16 in
     let kdom = Kernel.kernel_domain k in
-    let api = Kernel.api k in
-    let kv = Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
-    (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-    | Ok _ -> ()
-    | Error e ->
-      say "kv: serve failed: %s" (Oerror.to_string e);
-      exit 1);
-    let cdom = System.new_domain sys "kvclient" in
-    let ring =
-      match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-      | Ok c -> c
-      | Error e ->
-        say "kv: bind failed: %s" e;
-        exit 1
-    in
-    let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
-    let mmu = Machine.mmu (Kernel.machine k) in
     (* one request/response round trip over the loopback rings: submit
        from the client domain, pump the kernel, drain the reply ring *)
     let request ~op ~key value =
-      Mmu.switch_context mmu cdom.Domain.id;
-      let cctx = Kernel.ctx k cdom in
-      let req =
-        Storewire.Kvmsg.build_req cctx ~op ~key:(Bytes.of_string key)
-          (Bytes.of_string value)
-      in
-      ignore (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-      Mmu.switch_context mmu kdom.Domain.id;
-      ignore (Netstack_chan.drain_tx nsc);
+      ignore (Kv.send client ~op ~key value);
       Kernel.step k ~ticks:4 ();
-      Mmu.switch_context mmu cdom.Domain.id;
-      let replies = Chan.recv_batch ring () in
-      let out =
-        match replies with
-        | [ msg ] -> (
-          match Netwire.Delivery.parse cctx msg with
-          | Error e -> Error e
-          | Ok d -> (
-            match Storewire.Kvmsg.parse_resp cctx d.Netwire.Delivery.payload with
-            | Error e -> Error e
-            | Ok r ->
-              if r.Storewire.Kvmsg.status = Storewire.Kvmsg.status_ok then
-                Ok (Some (Bytes.to_string r.Storewire.Kvmsg.payload))
-              else Ok None))
-        | [] -> Error "no reply"
-        | _ -> Error "multiple replies"
-      in
-      Mmu.switch_context mmu kdom.Domain.id;
-      out
+      match Kv.replies client with
+      | [ Ok r ] ->
+        if r.Storewire.Kvmsg.status = Storewire.Kvmsg.status_ok then
+          Ok (Some (Bytes.to_string r.Storewire.Kvmsg.payload))
+        else Ok None
+      | [ Error e ] -> Error e
+      | [] -> Error "no reply"
+      | _ -> Error "multiple replies"
     in
     let show = function
       | Error e -> Printf.sprintf "error (%s)" e

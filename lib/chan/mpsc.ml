@@ -224,8 +224,8 @@ let reserve tx =
   let armed = Physmem.read32 (Machine.phys t.machine) (t.hdr_phys + off_armed) in
   if t.gmode = Chan.Doorbell && armed = 1 then ring_doorbell t tx
 
-let try_send ?account tx msg =
-  if Chan.try_send ?account tx.sub msg then begin
+let try_send tx msg =
+  if Chan.try_send tx.sub msg then begin
     reserve tx;
     true
   end

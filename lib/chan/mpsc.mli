@@ -111,7 +111,7 @@ val stats : t -> stats
 (** [try_send tx msg] enqueues on the producer's own sub-ring without
     blocking, then reserves through the group header; [false] when that
     sub-ring is full. *)
-val try_send : ?account:bool -> tx -> bytes -> bool
+val try_send : tx -> bytes -> bool
 
 (** [send_or_drop tx msg] counts a refused message as a drop on the
     producer's sub-ring. *)

@@ -145,35 +145,32 @@ let create_server api dom ~stack_path ~port ~procedures =
 type client_state = {
   mutable next_id : int;
   pending : (int, int * bytes) Hashtbl.t; (* id -> status, payload *)
-  mutable calls : int;
-  mutable cycles : int;
+  measured : Value.t ref;
+      (* the "rpc" interface's state pointer, Pair (Int calls, Int
+         cycles): where add_measurement finds them after the fact *)
 }
 
-(* measurement state reachable from a live client instance, so the
-   measurement interface can be added after the fact. Keyed by the
-   instance itself — handles are per registry, so two kernels reuse the
-   same numbers — and weakly, so a dead client takes its state along. *)
-module Clients = Ephemeron.K1.Make (struct
-  type t = Instance.t
+let client_state () =
+  {
+    next_id = 1;
+    pending = Hashtbl.create 8;
+    measured = ref (Value.Pair (Value.Int 0, Value.Int 0));
+  }
 
-  let equal = ( == )
-  let hash = Instance.handle
-end)
-
-let client_states : client_state Clients.t = Clients.create 8
+let count_call st cycles =
+  match !(st.measured) with
+  | Value.Pair (Value.Int calls, Value.Int total) ->
+    st.measured := Value.Pair (Value.Int (calls + 1), Value.Int (total + cycles))
+  | _ -> ()
 
 (* Both clients export the same ["rpc"] interface over their own carrier. *)
 let client_object api dom st call =
   let iface =
-    Iface.make ~name:"rpc"
+    Iface.make ~state:st.measured ~name:"rpc"
       [ Iface.fn2 ~name:"call" Iface.Str Iface.Blob ~ret:Vtype.Tblob call ]
   in
-  let inst =
-    Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
-      ~domain:dom.Domain.id [ iface ]
-  in
-  Clients.replace client_states inst st;
-  inst
+  Instance.create api.Api.registry ~class_name:"toolbox.rpc_client"
+    ~domain:dom.Domain.id [ iface ]
 
 (* yield-polls a call waits for its response before it times out *)
 let max_polls = 10_000
@@ -185,7 +182,7 @@ let create_client api dom ~stack_path ~port ~server () =
   (match stack_call ctx0 stack "bind_port" [ Value.Int port ] with
   | Ok _ -> ()
   | Error e -> failwith ("Rpc.create_client: " ^ Oerror.to_string e));
-  let st = { next_id = 1; pending = Hashtbl.create 8; calls = 0; cycles = 0 } in
+  let st = client_state () in
   let drain_mailbox ctx =
     match stack_call ctx stack "recv" [ Value.Int port ] with
     | Ok (Value.List entries) ->
@@ -217,8 +214,7 @@ let create_client api dom ~stack_path ~port ~server () =
         match Hashtbl.find_opt st.pending id with
         | Some (status, payload) ->
           Hashtbl.remove st.pending id;
-          st.calls <- st.calls + 1;
-          st.cycles <- st.cycles + (Clock.now ctx.Call_ctx.clock - started);
+          count_call st (Clock.now ctx.Call_ctx.clock - started);
           if status = status_ok then Ok (Value.Blob payload)
           else fault ("rpc: remote error: " ^ Bytes.to_string payload)
         | None ->
@@ -239,7 +235,7 @@ let create_client api dom ~stack_path ~port ~server () =
    protocol stack. Same wire format, same failure propagation; only the
    carrier differs. *)
 let create_client_via api dom ~transport () =
-  let st = { next_id = 1; pending = Hashtbl.create 8; calls = 0; cycles = 0 } in
+  let st = client_state () in
   client_object api dom st (fun (ctx : Call_ctx.t) name args ->
       let started = Clock.now ctx.Call_ctx.clock in
       let id = st.next_id in
@@ -255,22 +251,26 @@ let create_client_via api dom ~transport () =
         | Ok (rid, status, payload) ->
           if rid <> id then fault "rpc: response id mismatch"
           else begin
-            st.calls <- st.calls + 1;
-            st.cycles <- st.cycles + (Clock.now ctx.Call_ctx.clock - started);
+            count_call st (Clock.now ctx.Call_ctx.clock - started);
             if status = status_ok then Ok (Value.Blob payload)
             else fault ("rpc: remote error: " ^ Bytes.to_string payload)
           end)
       | Ok _ -> fault "rpc: transport shape")
 
 let add_measurement client =
-  match Clients.find_opt client_states client with
-  | None -> invalid_arg "Rpc.add_measurement: not an rpc client"
-  | Some st ->
+  match Instance.get_interface client "rpc" with
+  | Some { Iface.state = Some measured; _ } ->
+    let read f =
+      match !measured with
+      | Value.Pair (calls, cycles) -> Ok (f (calls, cycles))
+      | _ -> fault "rpc.measure: state pointer shape"
+    in
     let iface =
       Iface.make ~name:"rpc.measure"
         [
-          Iface.fn0 ~name:"calls" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.calls));
-          Iface.fn0 ~name:"cycles" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int st.cycles));
+          Iface.fn0 ~name:"calls" ~ret:Vtype.Tint (fun _ -> read fst);
+          Iface.fn0 ~name:"cycles" ~ret:Vtype.Tint (fun _ -> read snd);
         ]
     in
     Instance.add_interface client iface
+  | Some _ | None -> invalid_arg "Rpc.add_measurement: not an rpc client"

@@ -85,6 +85,7 @@ val create_client_via :
 
 (** [add_measurement client] adds the ["rpc.measure"] interface —
     [calls() -> int] and [cycles() -> int] — to an existing client
-    instance. Existing bindings to ["rpc"] are untouched. Raises
+    instance; both read the counts the client keeps in its ["rpc"]
+    interface's state pointer. Existing bindings to ["rpc"] are untouched. Raises
     [Invalid_argument] if [client] is not one of ours or already has it. *)
 val add_measurement : Pm_obj.Instance.t -> unit

@@ -15,7 +15,13 @@
 
 (* bignum + crypto *)
 module Nat = Pm_bignum.Nat
-module Prng = Pm_crypto.Prng
+(* all of Prng but the state read and restore, which serve Rsa's key memo *)
+module Prng :
+  module type of struct
+    include Pm_crypto.Prng
+  end
+  with module State := Pm_crypto.Prng.State =
+  Pm_crypto.Prng
 module Sha256 = Pm_crypto.Sha256
 module Prime = Pm_crypto.Prime
 module Rsa = Pm_crypto.Rsa

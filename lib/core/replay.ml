@@ -135,29 +135,17 @@ let run_deadlock sys =
    events land in the journal alongside the net path's *)
 let run_kv sys =
   let k = System.kernel sys in
-  let net =
-    System.setup_networking sys ~placement:System.Certified ~addr:42
-      ~loopback:true ()
+  let kv, client =
+    System.setup_kv sys ~placement:System.Certified ~cache_capacity:8
   in
-  let nsc, _svc = System.channel_net sys net () in
-  let store = System.setup_store sys ~placement:System.Certified ~cache_capacity:8 () in
   let kdom = Kernel.kernel_domain k in
-  let api = Kernel.api k in
-  let kv = Pm_store.Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
-  (match Pm_store.Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-  | Ok _ -> ()
-  | Error e -> failwith ("kv scenario: serve failed: " ^ Pm_obj.Oerror.to_string e));
-  let cdom = System.new_domain sys "kvclient" in
-  (match Pm_net.Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-  | Ok _ -> ()
-  | Error e -> failwith ("kv scenario: bind failed: " ^ e));
-  let txh = Pm_net.Netstack_chan.attach_tx nsc ~producer:cdom in
-  let mmu = Pm_machine.Machine.mmu (Kernel.machine k) in
+  let cdom = client.Pm_store.Kv.dom in
   let clock = System.clock sys in
   let j = Pm_obs.Obs.journal (Clock.obs clock) in
   (* each request is a traced causal unit: the rid minted here rides the
      wire through net, kv and block layers until req_end closes it;
-     req_begin/req_end record nothing (and mint nothing) with tracing off *)
+     req_begin/req_end record nothing (and mint nothing) with tracing off.
+     The replies stay on the client's ring, undrained. *)
   let request ~op ~key value =
     let label =
       let op_name =
@@ -171,15 +159,7 @@ let run_kv sys =
       Journal.req_begin j ~domain:cdom.Domain.id ~at:(Clock.now clock)
         ~detail:label
     in
-    Pm_machine.Mmu.switch_context mmu cdom.Domain.id;
-    let cctx = Kernel.ctx k cdom in
-    let req =
-      Pm_store.Storewire.Kvmsg.build_req cctx ~op ~key:(Bytes.of_string key)
-        (Bytes.of_string value)
-    in
-    ignore (Pm_net.Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-    Pm_machine.Mmu.switch_context mmu kdom.Domain.id;
-    ignore (Pm_net.Netstack_chan.drain_tx nsc);
+    ignore (Pm_store.Kv.send client ~op ~key value);
     Kernel.step k ~ticks:4 ();
     Journal.req_end j ~domain:cdom.Domain.id ~at:(Clock.now clock) rid
   in
@@ -198,7 +178,6 @@ let run_kv sys =
   ignore
     (Invoke.call_exn (Kernel.ctx k kdom) kv ~iface:"kv" ~meth:"flush" []);
   Journal.req_end j ~domain:kdom.Domain.id ~at:(Clock.now clock) frid;
-  ignore store;
   Kernel.step k ~ticks:4 ()
 
 let scenarios =

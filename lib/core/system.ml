@@ -446,3 +446,22 @@ let setup_store t ~placement ?(count = 256) ?(cache_capacity = 32) () =
   in
   Kernel.register_at t.kernel "/shared/store" svc;
   { blk_driver; partition; block_cache; log; store_domain }
+
+(* The boot order matters: E20's and E21's numbers and the kv recordings
+   depend on it. *)
+let setup_kv t ~placement ~cache_capacity =
+  let fail what e =
+    failwith ("System.setup_kv: " ^ what ^ ": " ^ Pm_obj.Oerror.to_string e)
+  in
+  let net = setup_networking t ~placement:Certified ~addr:42 ~loopback:true () in
+  let nsc, _svc = channel_net t net () in
+  ignore (setup_store t ~placement ~cache_capacity ());
+  let kdom = Kernel.kernel_domain t.kernel in
+  let kv = Pm_store.Kv.create (api t) kdom ~name:"kv0" ~log:"/store/log0" () in
+  (match Pm_store.Kv.serve (api t) kdom ~kv ~net:nsc ~port:70 () with
+  | Ok _ -> ()
+  | Error e -> fail "serve" e);
+  let cdom = new_domain t "kvclient" in
+  match Pm_store.Kv.client (api t) cdom ~net:nsc ~port:71 ~dst:42 ~dport:70 with
+  | Ok client -> (kv, client)
+  | Error e -> fail "client" e

@@ -173,3 +173,17 @@ val setup_store :
   ?cache_capacity:int ->
   unit ->
   storage
+
+(** [setup_kv t ~placement ~cache_capacity] boots the whole-system KV
+    workload: certified loopback networking at address 42 with the
+    channel-backed data path ({!channel_net}), the storage stack placed
+    per [placement] with a [cache_capacity]-line cache ({!setup_store}),
+    a KV store ["kv0"] over [/store/log0] served on port 70 from the
+    kernel's domain ({!Pm_store.Kv.serve}), and a client on port 71 in a
+    fresh ["kvclient"] domain ({!Pm_store.Kv.client}). Returns the store
+    and the client. *)
+val setup_kv :
+  t ->
+  placement:placement ->
+  cache_capacity:int ->
+  Pm_obj.Instance.t * Pm_store.Kv.client

@@ -15,6 +15,11 @@ let create ~seed = { state = mix (Int64.of_int seed) }
 
 let copy t = { state = t.state }
 
+module State = struct
+  let get t = t.state
+  let set t s = t.state <- s
+end
+
 let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state

@@ -29,3 +29,11 @@ val float : t -> float
 
 (** [bytes t n] is a string of [n] uniform bytes. *)
 val bytes : t -> int -> string
+
+(** Read and restore a generator's state, for {!Rsa.generate}'s key memo:
+    a hit must leave the generator where a cold generation would. The
+    [Paramecium] facade does not export this. *)
+module State : sig
+  val get : t -> int64
+  val set : t -> int64 -> unit
+end

@@ -24,7 +24,9 @@ type keypair = {
 
 (** [generate rng ~bits] makes a key pair with a [bits]-bit modulus
     ([bits >= 64]) and public exponent 65537 (falling back to 3 when 65537
-    divides the totient). *)
+    divides the totient). Memoised on [rng]'s state and [bits], up to 128
+    keys per process: a repeated draw returns the same key and leaves
+    [rng] where generating it afresh would. *)
 val generate : Prng.t -> bits:int -> keypair
 
 (** [sign key digest] signs a raw digest (any string shorter than the

@@ -23,6 +23,10 @@ module Path = Pm_names.Path
 
 let iface_name = "block"
 
+(* the block size of the partition, cache and log layers: the store
+   device's, which Kernel.boot attaches with 512-byte blocks *)
+let block_size = 512
+
 let fault msg = Error (Oerror.Fault msg)
 let ( let* ) = Result.bind
 

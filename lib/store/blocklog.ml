@@ -30,7 +30,6 @@ let header_len = 8 (* magic:4 count:4 *)
 
 type state = {
   lower : Blockif.lower;
-  block_size : int;
   mutable entries : int;
   mutable flushed : int; (* entry count last made durable *)
   mutable appends : int;
@@ -43,12 +42,12 @@ let capacity st ctx =
 
 let append_op st ctx payload =
   let plen = Bytes.length payload in
-  if plen > st.block_size - 2 then fault "log: record exceeds block"
+  if plen > Blockif.block_size - 2 then fault "log: record exceeds block"
   else begin
     let* cap = capacity st ctx in
     if st.entries >= cap then fault "log: full"
     else begin
-      let block = Bytes.make st.block_size '\000' in
+      let block = Bytes.make Blockif.block_size '\000' in
       Bytes.set_uint16_be block 0 plen;
       Bytes.blit payload 0 block 2 plen;
       Call_ctx.access ctx (2 + plen);
@@ -78,7 +77,7 @@ let get_op st ctx seq =
   end
 
 let flush_op st ctx =
-  let sb = Bytes.make st.block_size '\000' in
+  let sb = Bytes.make Blockif.block_size '\000' in
   Bytes.blit_string magic 0 sb 0 4;
   Wire.set32 sb 4 st.entries;
   Call_ctx.access ctx header_len;
@@ -106,11 +105,10 @@ let recover_op st ctx =
   st.flushed <- count;
   Ok count
 
-let create api dom ~name ~lower ?(block_size = 512) () =
+let create api dom ~name ~lower () =
   let st =
     {
       lower = Blockif.make_lower api dom lower;
-      block_size;
       entries = 0;
       flushed = 0;
       appends = 0;
@@ -150,7 +148,7 @@ let create api dom ~name ~lower ?(block_size = 512) () =
               Ok ()))
       ~flush:(fun ctx -> Blockif.traced_span api "log" (fun () -> flush_op st ctx))
       ~size:(fun _ctx -> Ok st.entries)
-      ~blocksize:(fun () -> st.block_size)
+      ~blocksize:(fun () -> Blockif.block_size)
       ~stats:(fun () -> [ st.appends; st.gets; st.entries; st.flushed ])
   in
   let inst =

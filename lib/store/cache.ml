@@ -34,7 +34,6 @@ type state = {
   api : Api.t;
   lower : Blockif.lower;
   capacity : int;
-  block_size : int;
   lines : (int, line) Hashtbl.t;
   mutable stamp : int; (* logical LRU clock, bumped per touch *)
   mutable hits : int;
@@ -96,15 +95,15 @@ let lookup st ctx block =
 
 let read_op st ctx block =
   let* line = lookup st ctx block in
-  Call_ctx.access ctx st.block_size;
+  Call_ctx.access ctx Blockif.block_size;
   Ok (Bytes.copy line.data)
 
 let write_op st ctx block data =
-  if Bytes.length data > st.block_size then fault "cache: write exceeds block size"
+  if Bytes.length data > Blockif.block_size then fault "cache: write exceeds block size"
   else begin
-    let padded = Bytes.make st.block_size '\000' in
+    let padded = Bytes.make Blockif.block_size '\000' in
     Bytes.blit data 0 padded 0 (Bytes.length data);
-    Call_ctx.access ctx st.block_size;
+    Call_ctx.access ctx Blockif.block_size;
     match Hashtbl.find_opt st.lines block with
     | Some line ->
       st.hits <- st.hits + 1;
@@ -143,14 +142,13 @@ let flush_op st ctx =
   let* _ = Blockif.flush st.lower ctx in
   Ok n
 
-let create api dom ~name ~lower ~capacity ?(block_size = 512) () =
+let create api dom ~name ~lower ~capacity () =
   if capacity <= 0 then invalid_arg "Cache.create: need capacity";
   let st =
     {
       api;
       lower = Blockif.make_lower api dom lower;
       capacity;
-      block_size;
       lines = Hashtbl.create (2 * capacity);
       stamp = 0;
       hits = 0;
@@ -171,7 +169,7 @@ let create api dom ~name ~lower ~capacity ?(block_size = 512) () =
          capacity computation, say) must see the real device geometry,
          not the line count. The line capacity is in stats. *)
       ~size:(fun ctx -> Blockif.size st.lower ctx)
-      ~blocksize:(fun () -> st.block_size)
+      ~blocksize:(fun () -> Blockif.block_size)
       ~stats:(fun () ->
         [ st.hits; st.misses; st.evictions; st.writebacks; dirty_count st;
           st.capacity ])

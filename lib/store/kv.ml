@@ -11,7 +11,9 @@
    {!Pm_net.Netstack_chan} port ring on the receive side, the shared
    transmit group on the send side, requests and responses framed by
    {!Storewire.Kvmsg}. One pop-up thread per doorbell drains the ring —
-   net + chan + store + vm + scheduler in a single request path. *)
+   net + chan + store + vm + scheduler in a single request path.
+   [client], [send] and [replies] are the other end of that protocol: a
+   polled reply port and a transmit handle in the client's domain. *)
 
 module Api = Pm_nucleus.Api
 module Domain = Pm_nucleus.Domain
@@ -231,3 +233,72 @@ let serve api dom ~kv ~net ~port () =
     (Chan.on_doorbell chan ~events:api.Api.events ~sched:api.Api.sched (fun () ->
          drain ()));
   Ok (srv, drain)
+
+(* ------------------------------------------------------------------ *)
+(* Client: requests from a user domain, replies on a polled port        *)
+(* ------------------------------------------------------------------ *)
+
+type client = {
+  api : Api.t;
+  dom : Domain.t; (* the client's domain *)
+  net : Netstack_chan.t;
+  ring : Chan.t; (* the reply port's receive ring *)
+  txh : Pm_chan.Mpsc.tx;
+  port : int; (* the reply port *)
+  dst : int; (* the server's address and port *)
+  dport : int;
+}
+
+(** [client api dom ~net ~port ~dst ~dport] binds [port]'s receive ring
+    to [dom] in [Poll] mode and attaches [dom] to the stack's transmit
+    group: a client of the server at [dst]:[dport]. *)
+let client api dom ~net ~port ~dst ~dport =
+  let* ring =
+    Netstack_chan.bind net ~port ~owner:dom ~mode:Chan.Poll ()
+    |> Result.map_error (fun e -> Oerror.Fault e)
+  in
+  let txh = Netstack_chan.attach_tx net ~producer:dom in
+  Ok { api; dom; net; ring; txh; port; dst; dport }
+
+let switch_to c dom =
+  Pm_machine.Mmu.switch_context
+    (Pm_machine.Machine.mmu c.api.Api.machine)
+    dom.Domain.id
+
+(** [send c ~op ~key value] builds one request in the client's domain
+    and submits it on the client's transmit sub-ring, then switches back
+    to the kernel's domain and drains the transmit group into the stack.
+    [false] when the sub-ring was full. The server answers once the
+    caller steps the kernel. *)
+let send c ~op ~key value =
+  switch_to c c.dom;
+  let ctx = Api.ctx c.api c.dom in
+  let req =
+    Storewire.Kvmsg.build_req ctx ~op ~key:(Bytes.of_string key)
+      (Bytes.of_string value)
+  in
+  let sent =
+    Netstack_chan.submit c.txh ctx ~dst:c.dst ~sport:c.port ~dport:c.dport req
+  in
+  switch_to c c.api.Api.kernel_domain;
+  ignore (Netstack_chan.drain_tx c.net);
+  sent
+
+(** [replies c] drains the reply ring in the client's domain, oldest
+    first, parsing each delivery and the response inside it, then
+    switches back to the kernel's domain. The ring is drained with its
+    accounting on, so the payload bytes are charged there and again by
+    the parsers. *)
+let replies c =
+  switch_to c c.dom;
+  let ctx = Api.ctx c.api c.dom in
+  let parse msg =
+    match Netwire.Delivery.parse ctx msg with
+    | Error e -> Error ("bad delivery frame: " ^ e)
+    | Ok { Netwire.Delivery.payload; _ } ->
+      Storewire.Kvmsg.parse_resp ctx payload
+      |> Result.map_error (fun e -> "bad kv response: " ^ e)
+  in
+  let out = List.map parse (Chan.recv_batch c.ring ()) in
+  switch_to c c.api.Api.kernel_domain;
+  out

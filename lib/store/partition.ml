@@ -26,7 +26,7 @@ let check st block =
     fault (Printf.sprintf "partition: block %d outside window of %d" block st.count)
   else Ok ()
 
-let create api dom ~name ~lower ~base ~count ?(block_size = 512) () =
+let create api dom ~name ~lower ~base ~count () =
   if base < 0 || count <= 0 then invalid_arg "Partition.create: bad window";
   let st =
     { lower = Blockif.make_lower api dom lower; base; count; reads = 0; writes = 0 }
@@ -46,7 +46,7 @@ let create api dom ~name ~lower ~base ~count ?(block_size = 512) () =
       ~flush:(fun ctx ->
         Blockif.traced_span api "partition" (fun () -> Blockif.flush st.lower ctx))
       ~size:(fun _ctx -> Ok st.count)
-      ~blocksize:(fun () -> block_size)
+      ~blocksize:(fun () -> Blockif.block_size)
       ~stats:(fun () -> [ st.reads; st.writes ])
   in
   let inst =

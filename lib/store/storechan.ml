@@ -70,7 +70,12 @@ let drain t =
   List.iter (serve_one t ctx) msgs;
   List.length msgs
 
-let create_server api serve_dom ~target ?(slots = 32) ?(slot_size = 576) () =
+(* every request group and response ring: 32 slots, each room for a
+   512-byte block behind its frame header and a traced rid *)
+let slots = 32
+let slot_size = 576
+
+let create_server api serve_dom ~target () =
   let t =
     {
       api;
@@ -99,7 +104,7 @@ let max_polls = 10_000
 (* [connect t ~name ~client ()] gives [client] a "block" proxy onto the
    server's target. Geometry (size/blocksize) is snapshotted at connect
    time from the server side; data ops round-trip through the rings. *)
-let connect t ~name ~client ?(slots = 32) ?(slot_size = 576) () =
+let connect t ~name ~client () =
   let api = t.api in
   let id = t.next_client in
   t.next_client <- t.next_client + 1;

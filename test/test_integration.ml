@@ -607,22 +607,8 @@ let steps_a sys =
    stack, and a doorbell channel whose consumer is pinned to CPU 1. *)
 let steps_b sys =
   let k = System.kernel sys in
-  let api = Kernel.api k in
   let kdom = Kernel.kernel_domain k in
-  let net =
-    System.setup_networking sys ~placement:System.Certified ~addr:42 ~loopback:true ()
-  in
-  let nsc, _ = System.channel_net sys net () in
-  ignore (System.setup_store sys ~placement:System.Certified ~cache_capacity:8 ());
-  let kv = Kv.create api kdom ~name:"kv0" ~log:"/store/log0" () in
-  (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Oerror.to_string e));
-  let cdom = System.new_domain sys "kvclient" in
-  (match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
+  let _kv, client = System.setup_kv sys ~placement:System.Certified ~cache_capacity:8 in
   let far = System.new_domain sys "far" in
   let bell =
     Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"b.bell" ~slots:4 ~slot_size:16
@@ -633,18 +619,11 @@ let steps_b sys =
   ignore
     (Chan.on_doorbell bell ~events:(Kernel.events k) ~sched:(Smp.sched (System.smp sys) 1)
        (fun () -> ignore (Chan.recv_batch bell ())));
-  let mmu = Machine.mmu (Kernel.machine k) in
   List.init 6 (fun i () ->
-      Mmu.switch_context mmu cdom.Domain.id;
-      let cctx = Kernel.ctx k cdom in
-      let req =
-        Storewire.Kvmsg.build_req cctx ~op:Storewire.kv_put
-          ~key:(Bytes.of_string (Printf.sprintf "key-%d" (i mod 3)))
-          (Bytes.of_string (Printf.sprintf "val-%d" i))
-      in
-      ignore (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-      Mmu.switch_context mmu kdom.Domain.id;
-      ignore (Netstack_chan.drain_tx nsc);
+      ignore
+        (Kv.send client ~op:Storewire.kv_put
+           ~key:(Printf.sprintf "key-%d" (i mod 3))
+           (Printf.sprintf "val-%d" i));
       ignore (Chan.try_send bell (Bytes.of_string "ping"));
       Kernel.step k ~ticks:4 ())
 

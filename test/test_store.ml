@@ -414,65 +414,31 @@ let test_storechan_cross_domain () =
 (* --- kv over the network ------------------------------------------------ *)
 
 let test_kv_over_net () =
-  let sys, k, _store = fixture () in
-  let net =
-    System.setup_networking sys ~placement:System.Certified ~addr:42
-      ~loopback:true ()
-  in
-  let nsc, _svc = System.channel_net sys net () in
+  let sys = System.create ~seed:0xBEEF ~key_bits:384 () in
+  let k = System.kernel sys in
+  let kv, client = System.setup_kv sys ~placement:System.Certified ~cache_capacity:32 in
   let kdom = Kernel.kernel_domain k in
-  let api = Kernel.api k in
-  let kv = Kv.create api kdom ~name:"kv-net" ~log:"/store/log0" () in
-  (match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "serve: %s" (Oerror.to_string e));
-  let cdom = System.new_domain sys "kvclient" in
-  let cchan =
-    match Netstack_chan.bind nsc ~port:71 ~owner:cdom ~mode:Chan.Poll () with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
-  let txh = Netstack_chan.attach_tx nsc ~producer:cdom in
-  let pump () =
-    ignore (Netstack_chan.drain_tx nsc);
-    Kernel.step k ~ticks:8 ()
-  in
   let request ~op ~key value =
-    switch_to k cdom;
-    let cctx = Kernel.ctx k cdom in
-    let req = Storewire.Kvmsg.build_req cctx ~op ~key:(Bytes.of_string key) value in
     Alcotest.(check bool) "request enqueued" true
-      (Netstack_chan.submit txh cctx ~dst:42 ~sport:71 ~dport:70 req);
-    switch_to k kdom;
-    pump ();
-    switch_to k cdom;
-    let cctx = Kernel.ctx k cdom in
-    let resp =
-      match Chan.recv_batch cchan () with
-      | [ m ] -> (
-        match Netwire.Delivery.parse cctx m with
-        | Ok d -> (
-          match Storewire.Kvmsg.parse_resp cctx d.Netwire.Delivery.payload with
-          | Ok r -> r
-          | Error e -> Alcotest.failf "bad kv response: %s" e)
-        | Error e -> Alcotest.failf "bad delivery: %s" e)
-      | ms -> Alcotest.failf "expected one response, got %d" (List.length ms)
-    in
-    switch_to k kdom;
-    resp
+      (Kv.send client ~op ~key value);
+    Kernel.step k ~ticks:8 ();
+    match Kv.replies client with
+    | [ Ok r ] -> r
+    | [ Error e ] -> Alcotest.fail e
+    | rs -> Alcotest.failf "expected one response, got %d" (List.length rs)
   in
-  let r = request ~op:Storewire.kv_put ~key:"color" (Bytes.of_string "teal") in
+  let r = request ~op:Storewire.kv_put ~key:"color" "teal" in
   Alcotest.(check int) "put ok" Storewire.Kvmsg.status_ok r.Storewire.Kvmsg.status;
-  let r = request ~op:Storewire.kv_get ~key:"color" Bytes.empty in
+  let r = request ~op:Storewire.kv_get ~key:"color" "" in
   Alcotest.(check int) "get ok" Storewire.Kvmsg.status_ok r.Storewire.Kvmsg.status;
   Alcotest.(check string) "value over the wire" "teal"
     (Bytes.to_string r.Storewire.Kvmsg.payload);
-  let r = request ~op:Storewire.kv_get ~key:"absent" Bytes.empty in
+  let r = request ~op:Storewire.kv_get ~key:"absent" "" in
   Alcotest.(check int) "missing key reported" Storewire.Kvmsg.status_not_found
     r.Storewire.Kvmsg.status;
-  let r = request ~op:Storewire.kv_del ~key:"color" Bytes.empty in
+  let r = request ~op:Storewire.kv_del ~key:"color" "" in
   Alcotest.(check int) "del ok" Storewire.Kvmsg.status_ok r.Storewire.Kvmsg.status;
-  let r = request ~op:Storewire.kv_get ~key:"color" Bytes.empty in
+  let r = request ~op:Storewire.kv_get ~key:"color" "" in
   Alcotest.(check int) "deleted over the wire" Storewire.Kvmsg.status_not_found
     r.Storewire.Kvmsg.status;
   (* the workload journals device + cache events for replay *)
@@ -623,6 +589,60 @@ let codec_props =
       ~build:build_kvresp ~parse:Kvmsg.parse_resp;
   ]
 
+(* --- kv against a map model ---------------------------------------------- *)
+
+module Smap = Map.Make (String)
+
+(* the reply a map model expects for one request, and the model after it *)
+let kv_model_step model (op, key, value) =
+  let open Storewire in
+  if op = kv_put then ((Kvmsg.status_ok, ""), Smap.add key value model)
+  else if op = kv_get then
+    match Smap.find_opt key model with
+    | Some v -> ((Kvmsg.status_ok, v), model)
+    | None -> ((Kvmsg.status_not_found, ""), model)
+  else if Smap.mem key model then ((Kvmsg.status_ok, ""), Smap.remove key model)
+  else ((Kvmsg.status_not_found, ""), model)
+
+(* Random put/get/del sequences over six keys, through the net client into
+   a store whose 4-line cache spills: every reply's status and payload
+   must match the model. *)
+let kv_model_prop =
+  let request =
+    QCheck2.Gen.(
+      triple
+        (int_range Storewire.kv_get Storewire.kv_del)
+        (map (Printf.sprintf "key-%d") (int_bound 5))
+        (string_size ~gen:printable (int_bound 24)))
+  in
+  let print (op, key, value) = Printf.sprintf "(%d, %s, %S)" op key value in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:15 ~name:"kv over the net path matches a map model"
+       ~print:QCheck2.Print.(list print)
+       QCheck2.Gen.(list_size (int_range 1 40) request)
+       (fun requests ->
+         let sys = System.create ~seed:0xBEEF ~key_bits:384 () in
+         let k = System.kernel sys in
+         let _kv, client = System.setup_kv sys ~placement:System.Certified ~cache_capacity:4 in
+         let step model ((op, key, value) as req) =
+           let (status, payload), model = kv_model_step model req in
+           if not (Kv.send client ~op ~key value) then
+             QCheck2.Test.fail_reportf "%s: request not enqueued" (print req);
+           Kernel.step k ~ticks:4 ();
+           match Kv.replies client with
+           | [ Ok r ] ->
+             let got = Bytes.to_string r.Storewire.Kvmsg.payload in
+             if r.Storewire.Kvmsg.status <> status || got <> payload then
+               QCheck2.Test.fail_reportf "%s: got (%d, %S), expected (%d, %S)" (print req)
+                 r.Storewire.Kvmsg.status got status payload;
+             model
+           | [ Error e ] -> QCheck2.Test.fail_reportf "%s: %s" (print req) e
+           | replies ->
+             QCheck2.Test.fail_reportf "%s: %d replies" (print req) (List.length replies)
+         in
+         ignore (List.fold_left step Smap.empty requests);
+         true))
+
 let test_kv_scenario_replays () =
   match Replay.record "kv" with
   | Error e -> Alcotest.fail e
@@ -672,6 +692,7 @@ let () =
         [
           Alcotest.test_case "kv over the net path" `Quick test_kv_over_net;
           Alcotest.test_case "kv scenario replays" `Quick test_kv_scenario_replays;
+          kv_model_prop;
         ] );
       ( "codecs",
         Alcotest.test_case "truncated kv key keeps the ambient rid" `Quick
