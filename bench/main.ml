@@ -1579,14 +1579,14 @@ module E16 = struct
     (* warm-up *)
     let per = tx_packets / p in
     let clock = Kernel.clock k in
-    let reserves0 = Clock.counter clock "mpsc_reserve" in
+    let reserves0 = Clock.read clock Clock.Mpsc_reserve in
     let before = Clock.now clock in
     List.iter (fun ptx -> for _ = 1 to per do submit ptx done) txs;
     Mmu.switch_context mmu kid;
     let drained = Netstack_chan.drain_tx nsc in
     let total = Clock.now clock - before in
     if drained <> per * p then failwith "E16: MPSC drain lost submissions";
-    let reserves = Clock.counter clock "mpsc_reserve" - reserves0 in
+    let reserves = Clock.read clock Clock.Mpsc_reserve - reserves0 in
     if reserves <> per * p then failwith "E16: reserve accounting is off";
     flush_wire k (per * p);
     (float_of_int total /. float_of_int (per * p), reserves)
@@ -1685,9 +1685,9 @@ module E16 = struct
              the other CPU become live contenders *)
           List.iteri (fun idx dtx -> if idx > 0 then send dtx) txs;
           let contenders = (p - 1) - ((p - 1) / 2) in
-          let retries0 = Clock.counter clock "mpsc_cas_retry" in
+          let retries0 = Clock.read clock Clock.Mpsc_cas_retry in
           let contended = measure () in
-          let retries = Clock.counter clock "mpsc_cas_retry" - retries0 in
+          let retries = Clock.read clock Clock.Mpsc_cas_retry - retries0 in
           if contended - quiet <> contenders * cas then
             failwith
               (Printf.sprintf
@@ -2032,7 +2032,7 @@ module E20 = struct
     done;
     (* steady state: sweep gets with an update every 8th op *)
     let samples = ref [] in
-    let fills0 = Clock.counter clock "tlb_fill" in
+    let fills0 = Clock.read clock Clock.Tlb_fill in
     for n = 0 to ops - 1 do
       let key = Printf.sprintf "k%04d" (n mod ws) in
       let c =
@@ -2044,7 +2044,7 @@ module E20 = struct
     done;
     assert (!replies = !requests);
     (* the steady state's samples and the cycles it spent on TLB fills *)
-    let fills = Clock.counter clock "tlb_fill" - fills0 in
+    let fills = Clock.read clock Clock.Tlb_fill - fills0 in
     (List.rev !samples, fills * (Machine.costs (Kernel.machine k)).Cost.tlb_fill)
 
   let run () =

@@ -97,7 +97,7 @@ let () =
   Nic.inject (Kernel.nic k) (Bytes.to_string (make_packet ctx ~dport:80 "probe"));
   Kernel.step k ~ticks:3 ();
   say "hostile raw filter: %d wild access(es) detected — the risk certification exists to prevent"
-    (Clock.counter (Kernel.clock k) "vm_wild_access");
+    (Clock.read (Kernel.clock k) Clock.Vm_wild_access);
 
   (* the same hostile code, SFI-rewritten, is contained *)
   ignore
@@ -106,5 +106,5 @@ let () =
   Nic.inject (Kernel.nic k) (Bytes.to_string (make_packet ctx ~dport:80 "probe2"));
   Kernel.step k ~ticks:3 ();
   say "same code SFI-rewritten: still %d wild access(es) — contained, at a per-access price"
-    (Clock.counter (Kernel.clock k) "vm_wild_access");
+    (Clock.read (Kernel.clock k) Clock.Vm_wild_access);
   say "packet_filter done"

@@ -105,6 +105,6 @@ let () =
   say "threads: %d spawned, %d pop-ups (%d fast-path, %d promoted), %d switches"
     (st `Spawned) (st `Popups) (st `Popup_fast) (st `Promotions) (st `Switches);
   say "context switches: %d; cycles: %d"
-    (Clock.counter (Kernel.clock k) "context_switch")
+    (Clock.read (Kernel.clock k) Clock.Context_switch)
     (Clock.now (Kernel.clock k));
   say "parallel done"

@@ -74,7 +74,7 @@ let () =
   say "user-domain get() = 42 via %s (%d cycles, %d cross-domain calls)"
     store_u.Instance.class_name
     (Clock.now (Kernel.clock k) - before)
-    (Clock.counter (Kernel.clock k) "cross_domain_call");
+    (Clock.read (Kernel.clock k) Clock.Cross_domain_call);
 
   (* 6. Uncertified components cannot enter the kernel. *)
   let rogue = Images.image ~name:"rogue" ~size:1_024 ~author:"unknown" kvstore_construct in

@@ -19,13 +19,13 @@ let wrap registry ~target =
       let clock = ctx.Call_ctx.clock and costs = ctx.Call_ctx.costs in
       (* sandbox crossing on entry/exit *)
       Clock.advance clock costs.Cost.sfi_entry;
-      Clock.count clock "sfi_crossing";
+      Clock.bump clock Clock.Sfi_crossing;
       let before = Call_ctx.accesses ctx in
       let result = Invoke.call ctx target ~iface:iface_name ~meth:m.Iface.mname args in
       let accesses = Call_ctx.accesses ctx - before in
       (* one address check per memory access the component performed *)
       Clock.advance clock (accesses * costs.Cost.sfi_check);
-      Clock.count_n clock "sfi_check" accesses;
+      Clock.bump_n clock Clock.Sfi_check accesses;
       result
     in
     { m with Iface.impl }

@@ -282,7 +282,7 @@ let charge_cachelines t len =
   if is_cross_cpu t then begin
     let clock = Machine.clock t.machine in
     Clock.advance clock (lines_of_msg len * (Machine.costs t.machine).Cost.cacheline);
-    Clock.count clock "chan_cacheline"
+    Clock.bump clock Clock.Chan_cacheline
   end
 
 let domains_of_waitq q =
@@ -306,7 +306,7 @@ let ring_doorbell t =
   with_span t ~domain:t.producer.Domain.id ~meth:"doorbell" (fun () ->
       write_word t off_armed 0;
       t.doorbells <- t.doorbells + 1;
-      Clock.count (Machine.clock t.machine) "chan_doorbell";
+      Clock.bump (Machine.clock t.machine) Clock.Chan_doorbell;
       (* a doorbell for a consumer pinned on another CPU is physically an
          IPI: the sender pays the bus signal, the target reconciles,
          wakes if halted, and the trap runs on the target's clock *)
@@ -352,7 +352,7 @@ let try_send ?(account = true) t msg =
         t.tail_local <- t.tail_local + 1;
         write_word t off_tail t.tail_local;
         t.sends <- t.sends + 1;
-        Clock.count (Machine.clock t.machine) "chan_send";
+        Clock.bump (Machine.clock t.machine) Clock.Chan_send;
         charge_cachelines t len;
         if t.chan_mode = Doorbell && read_word t off_armed = 1 then ring_doorbell t;
         ignore (Sync.Waitq.signal t.not_empty);
@@ -363,14 +363,14 @@ let send_or_drop ?(account = true) t msg =
   let sent = try_send ~account t msg in
   if not sent then begin
     t.drops <- t.drops + 1;
-    Clock.count (Machine.clock t.machine) "chan_drop"
+    Clock.bump (Machine.clock t.machine) Clock.Chan_drop
   end;
   sent
 
 let rec send ?(account = true) t msg =
   if not (try_send ~account t msg) then begin
     t.full_blocks <- t.full_blocks + 1;
-    Clock.count (Machine.clock t.machine) "chan_full_block";
+    Clock.bump (Machine.clock t.machine) Clock.Chan_full_block;
     Sync.Waitq.wait t.not_full;
     send ~account t msg
   end
@@ -401,11 +401,11 @@ let rec try_recv ?(account = true) t =
           (match msg with
           | Some _ ->
             t.recvs <- t.recvs + 1;
-            Clock.count (Machine.clock t.machine) "chan_recv";
+            Clock.bump (Machine.clock t.machine) Clock.Chan_recv;
             charge_cachelines t len
           | None ->
             t.bad_lengths <- t.bad_lengths + 1;
-            Clock.count (Machine.clock t.machine) "chan_bad_length";
+            Clock.bump (Machine.clock t.machine) Clock.Chan_bad_length;
             charge_cachelines t 0);
           ignore (Sync.Waitq.signal t.not_full);
           msg)
@@ -417,7 +417,7 @@ let rec recv ?(account = true) t =
   | Some msg -> msg
   | None ->
     t.empty_blocks <- t.empty_blocks + 1;
-    Clock.count (Machine.clock t.machine) "chan_empty_block";
+    Clock.bump (Machine.clock t.machine) Clock.Chan_empty_block;
     if t.chan_mode = Doorbell then arm t;
     Sync.Waitq.wait t.not_empty;
     recv ~account t

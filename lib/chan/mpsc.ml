@@ -168,7 +168,7 @@ let ring_doorbell t tx =
   with_span t ~domain:(Chan.producer tx.sub).Domain.id ~meth:"doorbell" (fun () ->
       hwrite t off_armed 0;
       t.doorbells <- t.doorbells + 1;
-      Clock.count (Machine.clock t.machine) "mpsc_doorbell";
+      Clock.bump (Machine.clock t.machine) Clock.Mpsc_doorbell;
       (* cross-CPU group doorbells are IPIs, same as SPSC ones *)
       let consumer = t.consumer.Domain.id in
       if Cpu.cross t.machine ~a:(Chan.producer tx.sub).Domain.id ~b:consumer then
@@ -214,11 +214,11 @@ let contenders t tx =
 let reserve tx =
   let t = tx.group in
   t.reserves <- t.reserves + 1;
-  Clock.count (Machine.clock t.machine) "mpsc_reserve";
+  Clock.bump (Machine.clock t.machine) Clock.Mpsc_reserve;
   Physmem.write32 (Machine.phys t.machine) (t.hdr_phys + off_dirty) (tx.idx + 1);
   let contended = contenders t tx in
   if contended > 0 then
-    Clock.count_n (Machine.clock t.machine) "mpsc_cas_retry" contended;
+    Clock.bump_n (Machine.clock t.machine) Clock.Mpsc_cas_retry contended;
   Clock.advance (Machine.clock t.machine)
     (Cost.mpsc_reserve_n (Machine.costs t.machine) ~contended);
   let armed = Physmem.read32 (Machine.phys t.machine) (t.hdr_phys + off_armed) in

@@ -102,7 +102,7 @@ let handle_fault t (fault : Mmu.fault) =
   if idx < 0 || idx >= Array.length t.pages then false
   else begin
     t.faults <- t.faults + 1;
-    Clock.count (Machine.clock t.api.Api.machine) "pager_fault";
+    Clock.bump (Machine.clock t.api.Api.machine) Clock.Pager_fault;
     let p = t.pages.(idx) in
     match (fault.Mmu.reason, fault.Mmu.access, p.frame) with
     | Mmu.Unmapped, _, None ->

@@ -21,7 +21,9 @@ module Wire = Pm_components.Wire
 module Stack = Pm_components.Stack
 module Images = Pm_components.Images
 module Chan = Pm_chan.Chan
+module Cpu = Pm_machine.Cpu
 module Scheduler = Pm_threads.Scheduler
+module Smp = Pm_threads.Smp
 module Journal = Pm_journal.Journal
 module Trace = Pm_journal.Trace
 
@@ -180,22 +182,52 @@ let run_kv sys =
   Journal.req_end j ~domain:kdom.Domain.id ~at:(Clock.now clock) frid;
   Kernel.step k ~ticks:4 ()
 
-let scenarios =
+(* two CPUs: KV puts over loopback net and the block-store stack, each
+   followed by a ring of a doorbell channel whose consumer domain is
+   pinned to CPU 1, so the history carries CPU 1's stamps and the
+   doorbells cross CPUs *)
+let run_smp sys =
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let _kv, client = System.setup_kv sys ~placement:System.Certified ~cache_capacity:8 in
+  let far = System.new_domain sys "far" in
+  let bell =
+    Chan.create (Kernel.machine k) (Kernel.vmem k) ~name:"smp.bell" ~slots:4 ~slot_size:16
+      ~producer:kdom ()
+  in
+  ignore (Chan.accept bell ~into:far);
+  Cpu.pin (System.cpu sys) ~domain:far.Domain.id ~cpu:1;
+  ignore
+    (Chan.on_doorbell bell ~events:(Kernel.events k) ~sched:(Smp.sched (System.smp sys) 1)
+       (fun () -> ignore (Chan.recv_batch bell ())));
+  for i = 1 to 6 do
+    ignore
+      (Pm_store.Kv.send client ~op:Pm_store.Storewire.kv_put
+         ~key:(Printf.sprintf "key-%d" (i mod 3))
+         (Printf.sprintf "val-%d" i));
+    ignore (Chan.try_send bell (Bytes.of_string "ping"));
+    Kernel.step k ~ticks:4 ()
+  done
+
+type scenario = { name : string; about : string; cpus : int; run : System.t -> unit }
+
+let table =
   [
-    ("packets", "certified network path: inject 8 frames, step the machine");
-    ("compose", "a committed and an aborted transaction, page sharing, teardown");
-    ("crash", "a thread dies on an uncaught exception beside a survivor");
-    ("deadlock", "crossed channel receives leave a wait cycle behind");
-    ("kv", "KV workload over loopback net, backed by the block-store stack");
+    { name = "packets"; about = "certified network path: inject 8 frames, step the machine";
+      cpus = 1; run = run_packets };
+    { name = "compose"; about = "a committed and an aborted transaction, page sharing, teardown";
+      cpus = 1; run = run_compose };
+    { name = "crash"; about = "a thread dies on an uncaught exception beside a survivor";
+      cpus = 1; run = run_crash };
+    { name = "deadlock"; about = "crossed channel receives leave a wait cycle behind";
+      cpus = 1; run = run_deadlock };
+    { name = "kv"; about = "KV workload over loopback net, backed by the block-store stack";
+      cpus = 1; run = run_kv };
+    { name = "smp"; about = "2 CPUs: KV puts, each with a doorbell to a consumer on CPU 1";
+      cpus = 2; run = run_smp };
   ]
 
-let scenario_run = function
-  | "packets" -> Some run_packets
-  | "compose" -> Some run_compose
-  | "crash" -> Some run_crash
-  | "deadlock" -> Some run_deadlock
-  | "kv" -> Some run_kv
-  | _ -> None
+let scenarios = List.map (fun s -> (s.name, s.about)) table
 
 (* ------------------------------------------------------------------ *)
 
@@ -218,9 +250,9 @@ let stats_snapshot sys =
    flipped around boot so even boot-time structural events are captured;
    the export must therefore report itself complete. *)
 let capture name =
-  match scenario_run name with
+  match List.find_opt (fun s -> String.equal s.name name) table with
   | None -> Error (Printf.sprintf "unknown scenario %S" name)
-  | Some run ->
+  | Some s ->
     Journal.set_default_mode Journal.Full;
     (* request ids restart from 1 each capture, so a recording and its
        self-check replay mint identical rids *)
@@ -228,8 +260,8 @@ let capture name =
     Fun.protect
       ~finally:(fun () -> Journal.set_default_mode Journal.Tail)
       (fun () ->
-        let sys = System.create () in
-        run sys;
+        let sys = System.create ~cpus:s.cpus () in
+        s.run sys;
         (* the journal export first: reading /stats must not disturb it,
            and taking it afterwards would put the snapshot's own
            crossings into the history *)

@@ -131,7 +131,7 @@ let install t image ~placement ~at =
       Authority.certify t.authority image.Loader.meta ~code:image.Loader.code ~now
     in
     Clock.advance (Kernel.clock t.kernel) outcome.Authority.elapsed;
-    Clock.count (Kernel.clock t.kernel) "online_certification";
+    Clock.bump (Kernel.clock t.kernel) Clock.Online_certification;
     (match outcome.Authority.certificate with
     | None -> Error "on-line certification failed: no delegate accepted"
     | Some cert ->

@@ -225,10 +225,21 @@ let buf_clear b =
 
 (* ---------------- the journal ---------------------------------------- *)
 
+(* The tail ring keeps one column per event field, so recording an
+   execution event stores seven fields and allocates nothing; [tail]
+   builds the records when it is read. Slot [s mod tail_cap] holds the
+   event of seq [s], and the ring holds seqs [written - min written
+   tail_cap, written). *)
 type t = {
   mutable mode : mode;
   tail_cap : int;
-  tail : event option array; (* bounded ring over every event *)
+  tail_at : int array;
+  tail_domain : int array;
+  tail_kind : kind array;
+  tail_info : int array;
+  tail_detail : string array;
+  tail_rid : int array;
+  tail_cpu : int array;
   mutable written : int; (* events ever recorded *)
   mutable exec_written : int;
   counts : int array; (* per kind *)
@@ -256,7 +267,13 @@ let create ?(tail_capacity = default_tail_capacity) ?(retain = default_retain)
   {
     mode = !default_mode;
     tail_cap = tail_capacity;
-    tail = Array.make tail_capacity None;
+    tail_at = Array.make tail_capacity 0;
+    tail_domain = Array.make tail_capacity 0;
+    tail_kind = Array.make tail_capacity Trap;
+    tail_info = Array.make tail_capacity 0;
+    tail_detail = Array.make tail_capacity "";
+    tail_rid = Array.make tail_capacity 0;
+    tail_cpu = Array.make tail_capacity 0;
     written = 0;
     exec_written = 0;
     counts = Array.make kind_count 0;
@@ -291,18 +308,28 @@ let set_mode t m =
    the body re-established another one. *)
 let record ?rid t ~kind ~domain ~at ~info ~detail =
   let rid = match rid with Some r -> r | None -> Trace.current () in
-  let e = { seq = t.written; at; domain; kind; info; detail; rid; cpu = t.cpu } in
-  t.tail.(t.written mod t.tail_cap) <- Some e;
-  t.written <- t.written + 1;
-  if is_execution kind then t.exec_written <- t.exec_written + 1;
+  let seq = t.written and i = t.written mod t.tail_cap in
+  t.tail_at.(i) <- at;
+  t.tail_domain.(i) <- domain;
+  t.tail_kind.(i) <- kind;
+  t.tail_info.(i) <- info;
+  t.tail_detail.(i) <- detail;
+  t.tail_rid.(i) <- rid;
+  t.tail_cpu.(i) <- t.cpu;
+  t.written <- seq + 1;
+  let execution = is_execution kind in
+  if execution then t.exec_written <- t.exec_written + 1;
   t.counts.(kind_index kind) <- t.counts.(kind_index kind) + 1;
-  if is_structural kind then buf_push t.structural e;
-  if t.mode = Full then begin
-    buf_push t.history e;
-    if t.history.len > t.retain then begin
-      let drop = t.history.len - t.retain in
-      buf_drop_front t.history drop;
-      t.compacted <- t.compacted + drop
+  if (not execution) || t.mode = Full then begin
+    let e = { seq; at; domain; kind; info; detail; rid; cpu = t.cpu } in
+    if not execution then buf_push t.structural e;
+    if t.mode = Full then begin
+      buf_push t.history e;
+      if t.history.len > t.retain then begin
+        let drop = t.history.len - t.retain in
+        buf_drop_front t.history drop;
+        t.compacted <- t.compacted + drop
+      end
     end
   end
 
@@ -317,18 +344,37 @@ let compacted t = t.compacted
    [Full] since event 0 and nothing was compacted away. *)
 let complete t = t.history_from = 0 && t.compacted = 0
 
-(* surviving tail-ring events, oldest first *)
-let tail t =
-  let n = min t.written t.tail_cap in
-  let first = if t.written <= t.tail_cap then 0 else t.written mod t.tail_cap in
-  List.init n (fun k -> t.tail.((first + k) mod t.tail_cap))
-  |> List.filter_map Fun.id
+let tail_event t seq =
+  let i = seq mod t.tail_cap in
+  {
+    seq;
+    at = t.tail_at.(i);
+    domain = t.tail_domain.(i);
+    kind = t.tail_kind.(i);
+    info = t.tail_info.(i);
+    detail = t.tail_detail.(i);
+    rid = t.tail_rid.(i);
+    cpu = t.tail_cpu.(i);
+  }
+
+(* surviving tail-ring events of the kinds [keep] accepts, oldest first *)
+let tail_where t keep =
+  let first = t.written - min t.written t.tail_cap in
+  let rec collect seq acc =
+    if seq < first then acc
+    else
+      collect (seq - 1)
+        (if keep t.tail_kind.(seq mod t.tail_cap) then tail_event t seq :: acc else acc)
+  in
+  collect (t.written - 1) []
+
+let tail t = tail_where t (fun _ -> true)
 
 let history t = buf_to_list t.history
 let structural t = buf_to_list t.structural
 
 let reset t =
-  Array.fill t.tail 0 t.tail_cap None;
+  Array.fill t.tail_detail 0 t.tail_cap "";
   t.written <- 0;
   t.exec_written <- 0;
   Array.fill t.counts 0 kind_count 0;
@@ -397,7 +443,7 @@ let in_flight = function
   | Trap | Irq | Fault | Crossing | Sched | Check | Crash -> true
   | _ -> false
 
-let flight t = List.filter (fun e -> in_flight e.kind) (tail t)
+let flight t = tail_where t in_flight
 
 let flight_to_text t n =
   let evs = flight t in

@@ -56,6 +56,9 @@ type kind =
   | Span_exit  (** the matching exit, same [detail] and [rid] as its enter *)
   | Trace_note  (** a point annotation on a traced request (demux, cache hit/miss, log append) *)
 
+(** Every kind, in declaration order. *)
+val all_kinds : kind list
+
 val is_execution : kind -> bool
 val is_structural : kind -> bool
 val kind_to_string : kind -> string

@@ -126,7 +126,7 @@ let fetch_descriptors t =
     Queue.push
       { slot = t.fetched; op = cmd; block; buf; ready_at; error }
       t.inflight;
-    Clock.count clock "blk_issue";
+    Clock.bump clock Clock.Blk_issue;
     jot t ~kind:Journal.Blk_issue ~info:block;
     t.fetched <- t.fetched + 1
   done
@@ -156,7 +156,7 @@ let complete_due t =
       t.head <- op.slot + 1;
       t.completed <- t.completed + 1;
       t.status <- t.status lor status_complete;
-      Clock.count clock (if op.error then "blk_error" else "blk_complete");
+      Clock.bump clock (if op.error then Clock.Blk_error else Clock.Blk_complete);
       jot t ~kind:Journal.Blk_complete ~info:op.block;
       fired := true
     | _ -> continue := false
@@ -180,7 +180,7 @@ let progress_waiting t =
     let clock = Machine.clock t.machine in
     if op.ready_at > Clock.now clock then begin
       Clock.advance clock (op.ready_at - Clock.now clock);
-      Clock.count clock "blk_wait"
+      Clock.bump clock Clock.Blk_wait
     end;
     complete_due t
   | None -> ())
@@ -264,12 +264,12 @@ let sync t ~fn ~op ~block ~phys_addr =
   if busy t then
     invalid_arg (Printf.sprintf "Blkdev.%s: the ring has work outstanding" fn);
   let clock = Machine.clock t.machine in
-  Clock.count clock "blk_issue";
+  Clock.bump clock Clock.Blk_issue;
   jot t ~kind:Journal.Blk_issue ~info:block;
   Clock.advance clock (Cost.blk_op (Machine.costs t.machine) ~bytes:t.block_size);
   transfer t ~op ~block ~buf:phys_addr;
   t.completed <- t.completed + 1;
-  Clock.count clock "blk_complete";
+  Clock.bump clock Clock.Blk_complete;
   jot t ~kind:Journal.Blk_complete ~info:block
 
 let read_sync t ~block ~phys_addr = sync t ~fn:"read_sync" ~op:op_read ~block ~phys_addr

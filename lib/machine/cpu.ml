@@ -77,7 +77,7 @@ let sync_to m ~cpu ~at =
   let d = Clock.advance_to c.Machine.clock at in
   if d > 0 then begin
     c.synced <- c.synced + d;
-    Clock.count_n c.clock "cpu_sync" 1
+    Clock.bump c.clock Clock.Cpu_sync
   end
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +100,7 @@ let ipi m ~cpu vec arg =
   else begin
     let sender = (Machine.cpus m).(cur) in
     Clock.advance sender.Machine.clock (Machine.costs m).Cost.ipi;
-    Clock.count sender.clock "ipi";
+    Clock.bump sender.clock Clock.Ipi;
     sender.ipis_sent <- sender.ipis_sent + 1;
     sync_to m ~cpu ~at:(Clock.now sender.clock);
     target.halted <- false;

@@ -107,7 +107,7 @@ let set_trap_handler t vec h =
 let raise_trap t vec arg =
   check_vec "trap vector" trap_vector_count vec;
   Clock.advance t.active_clock t.costs.Cost.trap;
-  Clock.count t.active_clock "trap";
+  Clock.bump t.active_clock Clock.Trap;
   match t.traps.(vec) with
   | Some h -> h arg
   | None -> raise (Machine_check (Printf.sprintf "unhandled trap %d" vec))
@@ -119,10 +119,10 @@ let set_irq_handler t line h =
 let raise_irq t line =
   check_vec "irq line" irq_line_count line;
   Clock.advance t.active_clock t.costs.Cost.interrupt;
-  Clock.count t.active_clock "interrupt";
+  Clock.bump t.active_clock Clock.Interrupt;
   match t.irqs.(line) with
   | Some h -> h ()
-  | None -> Clock.count t.active_clock "spurious_interrupt"
+  | None -> Clock.bump t.active_clock Clock.Spurious_interrupt
 
 let set_fault_handler t h = t.fault_handler <- h
 
@@ -134,7 +134,7 @@ let rec resolve_from t ctx vaddr access attempts =
   | Ok phys -> phys
   | Error fault ->
     Clock.advance t.active_clock t.costs.Cost.page_fault;
-    Clock.count t.active_clock "page_fault";
+    Clock.bump t.active_clock Clock.Page_fault;
     let resolved =
       match t.fault_handler with
       | Some h when attempts < 2 -> h fault

@@ -75,7 +75,7 @@ let switch_context t ctx =
     t.current <- ctx;
     flush_tlb t;
     Clock.advance t.clock t.costs.Cost.context_switch;
-    Clock.count t.clock "context_switch"
+    Clock.bump t.clock Clock.Context_switch
   end
 
 let current_context t = t.current
@@ -144,7 +144,7 @@ let translate t ctx vaddr access =
       else begin
         if ctx = t.current then begin
           Clock.advance t.clock t.costs.Cost.tlb_fill;
-          Clock.count t.clock "tlb_fill";
+          Clock.bump t.clock Clock.Tlb_fill;
           t.tlb_tags.(slot) <- vpage;
           t.tlb_frames.(slot) <- e.frame;
           t.tlb_prots.(slot) <- e.prot

@@ -4,6 +4,10 @@ let mtu = 1514
    holds at once. The driver reads TX_FREE before staging. *)
 let tx_slots = 16
 
+(* The wire keeps only the newest [capture] transmitted frames: a boot
+   that never drains them must not grow with every frame it sends. *)
+let capture = 4096
+
 type pending_tx = { addr : int; len : int }
 
 type t = {
@@ -18,7 +22,7 @@ type t = {
   mutable staged_tx_addr : int;
   mutable staged_tx_len : int;
   tx_queue : pending_tx Queue.t; (* the tx descriptor ring, <= tx_slots *)
-  mutable transmitted : string list; (* newest first *)
+  transmitted : string Queue.t; (* the newest <= [capture], oldest first *)
   mutable rx_dropped : int;
 }
 
@@ -75,7 +79,8 @@ let tick t =
     let frame = Bytes.create len in
     Physmem.read_bytes phys addr frame 0 len;
     let frame = Bytes.unsafe_to_string frame in
-    t.transmitted <- frame :: t.transmitted;
+    Queue.push frame t.transmitted;
+    if Queue.length t.transmitted > capture then ignore (Queue.pop t.transmitted);
     if t.ctrl land ctrl_loopback <> 0 then Queue.push frame t.wire_in;
     t.status <- t.status lor status_tx_done;
     interrupt t
@@ -111,7 +116,7 @@ let create machine ~irq_line =
       staged_tx_addr = 0;
       staged_tx_len = 0;
       tx_queue = Queue.create ();
-      transmitted = [];
+      transmitted = Queue.create ();
       rx_dropped = 0;
     }
   in
@@ -129,8 +134,8 @@ let inject t packet =
   Queue.push packet t.wire_in
 
 let take_transmitted t =
-  let frames = List.rev t.transmitted in
-  t.transmitted <- [];
+  let frames = List.of_seq (Queue.to_seq t.transmitted) in
+  Queue.clear t.transmitted;
   frames
 
 let pending_wire t = Queue.length t.wire_in

@@ -42,8 +42,14 @@ val io_base : t -> int
     Raises [Invalid_argument] if longer than [mtu]. *)
 val inject : t -> string -> unit
 
-(** [take_transmitted t] returns frames transmitted since the last call,
-    oldest first. *)
+(** How many transmitted frames the wire keeps between two
+    {!take_transmitted} calls: 4096. *)
+val capture : int
+
+(** [take_transmitted t] returns the frames transmitted since the last
+    call, oldest first. Only the newest {!capture} of them are kept: a
+    reader that lets more go out between two calls gets those, and the
+    older ones are gone. *)
 val take_transmitted : t -> string list
 
 (** [pending_wire t] is the number of injected-but-undelivered packets. *)

@@ -23,7 +23,7 @@ let overrides t = t.ovr
 let bind (ctx : Pm_obj.Call_ctx.t) t path =
   let costs = ctx.Pm_obj.Call_ctx.costs in
   let clock = ctx.Pm_obj.Call_ctx.clock in
-  Clock.count clock "ns_bind";
+  Clock.bump clock Clock.Ns_bind;
   (* walk the override chain outwards, charging per override consulted *)
   let rec through_views view =
     match view with

@@ -33,7 +33,7 @@ let validate t cert ~code =
      along the delegation chain *)
   Clock.advance clock (String.length code * costs.Cost.digest_byte);
   Clock.advance clock costs.Cost.sig_verify;
-  Clock.count clock "cert_validation";
+  Clock.bump clock Clock.Cert_validation;
   let now = Clock.now clock in
   let decision = Validator.validate t.validator cert ~code ~now in
   (match decision with
@@ -42,7 +42,7 @@ let validate t cert ~code =
     Clock.advance clock (chain_length * costs.Cost.sig_verify);
     t.validations <- t.validations + 1
   | Validator.Invalid _ ->
-    Clock.count clock "cert_rejection";
+    Clock.bump clock Clock.Cert_rejection;
     t.failures <- t.failures + 1);
   decision
 
@@ -58,18 +58,18 @@ let verify t ~code =
   let costs = Machine.costs t.machine in
   match Pm_vm.Vm.decode code with
   | Error e ->
-    Clock.count clock "bytecode_rejection";
+    Clock.bump clock Clock.Bytecode_rejection;
     t.verify_failures <- t.verify_failures + 1;
     Error ("undecodable object code: " ^ e)
   | Ok program -> (
     Clock.advance clock (Array.length program * costs.Cost.verify_instr);
-    Clock.count clock "bytecode_verification";
+    Clock.bump clock Clock.Bytecode_verification;
     match Pm_check.Verify.verify program with
     | Pm_check.Verify.Verified { fuel; _ } ->
       t.verifications <- t.verifications + 1;
       Ok fuel
     | Pm_check.Verify.Rejected _ as v ->
-      Clock.count clock "bytecode_rejection";
+      Clock.bump clock Clock.Bytecode_rejection;
       t.verify_failures <- t.verify_failures + 1;
       Error (Pm_check.Verify.verdict_to_string v))
 

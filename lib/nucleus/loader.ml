@@ -96,7 +96,7 @@ let load t ~name ~into ~at ?sandbox ?(verify = false) () =
       in
       Clock.advance (Machine.clock machine)
         (pages * (Machine.costs machine).Cost.load_page);
-      Clock.count (Machine.clock machine) "component_load";
+      Clock.bump (Machine.clock machine) Clock.Component_load;
       let inst = image.construct t.api into in
       let inst =
         match (mode, sandbox) with

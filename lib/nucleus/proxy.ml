@@ -38,8 +38,8 @@ let make ~machine ~vmem ~registry ~target ~importer =
           ~at:(Clock.now clock) ~info:target.Instance.domain ~detail:"";
         (* referencing the interface entry faults into the kernel *)
         Clock.advance clock costs.Cost.page_fault;
-        Clock.count clock "proxy_fault";
-        Clock.count clock "cross_domain_call";
+        Clock.bump clock Clock.Proxy_fault;
+        Clock.bump clock Clock.Cross_domain_call;
         (* map arguments into the target's domain, word by word *)
         let words_in = List.fold_left (fun acc v -> acc + Value.words v) 0 args in
         Clock.advance clock (words_in * costs.Cost.map_word);

@@ -14,12 +14,10 @@ let charge t n = Pm_machine.Clock.advance t.clock n
 
 let work t n = Pm_machine.Clock.advance t.clock (n * t.costs.Pm_machine.Cost.cycle)
 
-let access_counter = "component_mem_access"
-
 let access t n =
   Pm_machine.Clock.advance t.clock (n * t.costs.Pm_machine.Cost.mem_read);
-  Pm_machine.Clock.count_n t.clock access_counter n
+  Pm_machine.Clock.bump_n t.clock Pm_machine.Clock.Component_mem_access n
 
-let note_access t n = Pm_machine.Clock.count_n t.clock access_counter n
+let note_access t n = Pm_machine.Clock.bump_n t.clock Pm_machine.Clock.Component_mem_access n
 
-let accesses t = Pm_machine.Clock.counter t.clock access_counter
+let accesses t = Pm_machine.Clock.read t.clock Pm_machine.Clock.Component_mem_access

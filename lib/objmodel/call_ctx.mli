@@ -28,7 +28,7 @@ val charge : t -> int -> unit
 val work : t -> int -> unit
 
 (** [access t n] records [n] component memory accesses: charges the bus
-    cost and bumps the clock's ["component_mem_access"] counter. The SFI
+    cost and bumps the clock's [Component_mem_access] counter. The SFI
     sandbox baseline taxes exactly these accesses, so any per-byte work a
     component does must go through here. *)
 val access : t -> int -> unit

@@ -6,7 +6,7 @@ type specialized = Value.t list -> (Value.t, Oerror.t) result
 let specialize (ctx : Call_ctx.t) obj ~iface ~meth =
   (* binding time: one full dispatch worth of work *)
   Clock.advance ctx.Call_ctx.clock ctx.Call_ctx.costs.Cost.indirect_call;
-  Clock.count ctx.Call_ctx.clock "inline_specialization";
+  Clock.bump ctx.Call_ctx.clock Clock.Inline_specialization;
   match Instance.resolve_method obj ~iface ~meth with
   | Error e -> Error e
   | Ok (m, hops) ->
@@ -15,7 +15,7 @@ let specialize (ctx : Call_ctx.t) obj ~iface ~meth =
       (* per call: direct procedure call + a one-cycle revocation guard *)
       Clock.advance ctx.Call_ctx.clock
         (ctx.Call_ctx.costs.Cost.call + ctx.Call_ctx.costs.Cost.cycle);
-      Clock.count ctx.Call_ctx.clock "inlined_invocation";
+      Clock.bump ctx.Call_ctx.clock Clock.Inlined_invocation;
       if obj.Instance.revoked then Error Oerror.Revoked
       else if not (Vtype.check_args m.Iface.msig args) then
         Error

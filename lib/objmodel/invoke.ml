@@ -4,13 +4,13 @@ module Obs = Pm_obs.Obs
 
 let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
   Clock.advance ctx.clock ctx.costs.Cost.indirect_call;
-  Clock.count ctx.clock "method_invocation";
+  Clock.bump ctx.clock Clock.Method_invocation;
   match Instance.resolve_method obj ~iface ~meth with
   | Error e -> Error e
   | Ok (m, hops) ->
     if hops > 0 then begin
       Clock.advance ctx.clock (hops * ctx.costs.Cost.delegation_hop);
-      Clock.count ctx.clock "delegation"
+      Clock.bump ctx.clock Clock.Delegation
     end;
     if not (Vtype.check_args m.Iface.msig args) then
       Error

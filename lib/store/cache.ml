@@ -138,7 +138,7 @@ let flush_op st ctx =
   let clock = Pm_machine.Machine.clock st.api.Api.machine in
   Journal.record (Obs.journal (Clock.obs clock)) ~kind:Journal.Cache_flush
     ~domain:0 ~at:(Clock.now clock) ~info:n ~detail:"";
-  Clock.count clock "cache_flush";
+  Clock.bump clock Clock.Cache_flush;
   let* _ = Blockif.flush st.lower ctx in
   Ok n
 

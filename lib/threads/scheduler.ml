@@ -119,7 +119,7 @@ let thread_handler t th : (unit, unit) Effect.Deep.handler =
         th.state <- Finished;
         t.live <- t.live - 1;
         t.crashes <- t.crashes + 1;
-        Clock.count t.clock "thread_crash";
+        Clock.bump t.clock Clock.Thread_crash;
         Logs.warn (fun m ->
             m "thread %d (%s) crashed: %s" th.tid th.name (Printexc.to_string exn));
         record_crash t th;
@@ -149,7 +149,7 @@ let thread_handler t th : (unit, unit) Effect.Deep.handler =
 let spawn t ?priority ?name ?domain body =
   let th = fresh_thread t ?priority ?name ?domain ~is_popup:false () in
   Clock.advance t.clock t.costs.Cost.thread_create;
-  Clock.count t.clock "thread_create";
+  Clock.bump t.clock Clock.Thread_create;
   t.live <- t.live + 1;
   t.spawned <- t.spawned + 1;
   enqueue t th (fun () -> Effect.Deep.match_with body () (thread_handler t th));
@@ -162,7 +162,7 @@ let spawn t ?priority ?name ?domain body =
 let popup t ?(priority = 1) ?(name = "popup") ?domain body =
   check_priority priority;
   Clock.advance t.clock t.costs.Cost.proto_thread;
-  Clock.count t.clock "proto_thread";
+  Clock.bump t.clock Clock.Proto_thread;
   t.popups <- t.popups + 1;
   let th = fresh_thread t ~priority ~name ?domain ~is_popup:true () in
   let promoted = ref false in
@@ -170,7 +170,7 @@ let popup t ?(priority = 1) ?(name = "popup") ?domain body =
     if not !promoted then begin
       promoted := true;
       Clock.advance t.clock t.costs.Cost.promote;
-      Clock.count t.clock "popup_promotion";
+      Clock.bump t.clock Clock.Popup_promotion;
       t.promotions <- t.promotions + 1;
       t.live <- t.live + 1
     end
@@ -187,7 +187,7 @@ let popup t ?(priority = 1) ?(name = "popup") ?domain body =
           if !promoted then t.live <- t.live - 1;
           th.state <- Finished;
           t.crashes <- t.crashes + 1;
-          Clock.count t.clock "thread_crash";
+          Clock.bump t.clock Clock.Thread_crash;
           Logs.warn (fun m ->
               m "popup %d (%s) crashed: %s" th.tid th.name (Printexc.to_string exn));
           record_crash t th;
@@ -311,7 +311,7 @@ let run t ?budget () =
         incr dispatches;
         t.switches <- t.switches + 1;
         Clock.advance t.clock t.costs.Cost.thread_switch;
-        Clock.count t.clock "thread_switch";
+        Clock.bump t.clock Clock.Thread_switch;
         let obs = Clock.obs t.clock in
         let th_dom = Option.value th.domain ~default:0 in
         (* always-on flight record of the dispatch *)

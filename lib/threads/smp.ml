@@ -81,7 +81,7 @@ let try_steal t ~thief =
       Cpu.sync_to t.cpu ~cpu:thief ~at:ready_at;
       let clk = Cpu.clock_of t.cpu thief in
       Clock.advance clk (Cost.steal t.costs);
-      Clock.count clk "steal";
+      Clock.bump clk Clock.Steal;
       true)
 
 let run ?(steal = true) ?(budget = max_int) t =

@@ -121,10 +121,10 @@ let run (ctx : Call_ctx.t) ~mem ?(fuel = 10_000) (program : program) =
     match step 0 fuel with
     | v -> Returned v
     | exception Wild off ->
-      Clock.count clock "vm_wild_access";
+      Clock.bump clock Clock.Vm_wild_access;
       Wild_access off
     | exception Fault msg ->
-      Clock.count clock "vm_fault";
+      Clock.bump clock Clock.Vm_fault;
       Vm_fault msg
   end
 

@@ -93,6 +93,213 @@ let test_mark () =
     Alcotest.(check int) "domain stored" 3 e.Journal.domain
   | evs -> Alcotest.failf "expected one structural event, got %d" (List.length evs)
 
+(* Counting and journalling an execution event store into arrays the
+   clock and the journal made up front: neither allocates a word.
+   [Gc.minor_words] is exact, so the loops must add nothing to it. *)
+let test_recording_allocates_nothing () =
+  let clock = Clock.create () and j = Journal.create ~tail_capacity:64 () in
+  Journal.set_mode j Journal.Tail;
+  let kinds = Array.of_list (List.filter Journal.is_execution Journal.all_kinds) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let bumps =
+    words (fun () ->
+        for _ = 1 to 10_000 do
+          Clock.bump clock Clock.Tlb_fill
+        done)
+  in
+  let records =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          Journal.record j ~kind:kinds.(i mod Array.length kinds) ~domain:1 ~at:i ~info:i
+            ~detail:""
+        done)
+  in
+  Alcotest.(check (float 0.)) "10,000 bumps" idle bumps;
+  Alcotest.(check (float 0.)) "10,000 tail-mode records" idle records;
+  Alcotest.(check int) "all counted" 10_000 (Clock.read clock Clock.Tlb_fill);
+  Alcotest.(check int) "all journalled" 10_000 (Journal.written j)
+
+(* A reference journal whose tail is a ring of records, beside a
+   structural archive and a Full-mode history kept as plain queues: the
+   columns must read back exactly what it holds. *)
+module Journal_model = struct
+  type t = {
+    cap : int;
+    retain : int;
+    mutable mode : Journal.mode;
+    ring : Journal.event option array;
+    mutable written : int;
+    mutable recorded : Journal.event list; (* since the last reset, newest first *)
+    structural : Journal.event Queue.t;
+    history : Journal.event Queue.t;
+    mutable history_from : int;
+    mutable compacted : int;
+    mutable cpu : int;
+  }
+
+  let create ~cap ~retain =
+    {
+      cap; retain; mode = Journal.Tail; ring = Array.make cap None; written = 0;
+      recorded = []; structural = Queue.create (); history = Queue.create ();
+      history_from = -1; compacted = 0; cpu = 0;
+    }
+
+  let record t ~rid ~kind ~domain ~at ~info ~detail =
+    let e = { Journal.seq = t.written; at; domain; kind; info; detail; rid; cpu = t.cpu } in
+    t.ring.(t.written mod t.cap) <- Some e;
+    t.written <- t.written + 1;
+    t.recorded <- e :: t.recorded;
+    if Journal.is_structural kind then Queue.push e t.structural;
+    if t.mode = Journal.Full then begin
+      Queue.push e t.history;
+      if Queue.length t.history > t.retain then begin
+        ignore (Queue.pop t.history);
+        t.compacted <- t.compacted + 1
+      end
+    end
+
+  let set_mode t m =
+    if m <> t.mode then begin
+      t.mode <- m;
+      if m = Journal.Full then begin
+        Queue.clear t.history;
+        t.compacted <- 0;
+        t.history_from <- t.written
+      end
+    end
+
+  let reset t =
+    Array.fill t.ring 0 t.cap None;
+    t.written <- 0;
+    t.recorded <- [];
+    Queue.clear t.structural;
+    Queue.clear t.history;
+    t.history_from <- (if t.mode = Journal.Full then 0 else -1);
+    t.compacted <- 0
+
+  let tail t =
+    let n = min t.written t.cap in
+    let first = if t.written <= t.cap then 0 else t.written mod t.cap in
+    List.filter_map Fun.id (List.init n (fun k -> t.ring.((first + k) mod t.cap)))
+
+  let flight t =
+    List.filter
+      (fun e ->
+        Journal.(
+          match e.kind with
+          | Trap | Irq | Fault | Crossing | Sched | Check | Crash -> true
+          | _ -> false))
+      (tail t)
+
+  let count t kind = List.length (List.filter (fun e -> e.Journal.kind = kind) t.recorded)
+
+  let header t =
+    Printf.sprintf "pm-journal-v1 events=%d complete=%d" (Queue.length t.history)
+      (if t.history_from = 0 && t.compacted = 0 then 1 else 0)
+end
+
+type journal_op =
+  | Record of Journal.kind * int * int * int * string * int option
+      (* kind, at, domain, info, detail, rid ([None]: the ambient one) *)
+  | Set_cpu of int
+  | Set_mode of Journal.mode
+  | Reset_journal
+
+let show_journal_op = function
+  | Record (kind, at, domain, info, detail, rid) ->
+    Printf.sprintf "record %s at=%d dom=%d info=%d %S%s" (Journal.kind_to_string kind) at
+      domain info detail
+      (match rid with None -> "" | Some r -> Printf.sprintf " rid=%d" r)
+  | Set_cpu c -> Printf.sprintf "set_cpu %d" c
+  | Set_mode m -> "set_mode " ^ Journal.mode_to_string m
+  | Reset_journal -> "reset"
+
+let gen_journal_program =
+  QCheck2.Gen.(
+    let record =
+      map
+        (fun ((kind, at, domain), (info, detail, rid)) ->
+          Record (kind, at, domain, info, detail, rid))
+        (pair
+           (triple (oneofl Journal.all_kinds) nat small_nat)
+           (triple int (string_size ~gen:char (int_bound 12))
+              (opt (oneof [ pure 0; int_range 1 max_int ]))))
+    in
+    let op =
+      frequency
+        [
+          (20, record);
+          (2, map (fun c -> Set_cpu c) (int_bound 3));
+          (2, map (fun m -> Set_mode m) (oneofl Journal.[ Tail; Full ]));
+          (1, pure Reset_journal);
+        ]
+    in
+    triple (int_range 1 300)
+      (oneof [ int_range 1 20; pure Journal.default_retain ])
+      (list_size (int_range 1 120) op))
+
+let run_journal_program (cap, retain, ops) =
+  let j = Journal.create ~tail_capacity:cap ~retain () and m = Journal_model.create ~cap ~retain in
+  Journal.set_mode j Journal.Tail;
+  let events = Alcotest.testable (Fmt.of_to_string Journal.event_to_text) Journal.event_equal in
+  let same what t got want =
+    if not (Alcotest.equal t got want) then
+      QCheck2.Test.fail_reportf "%s: journal %a, model %a" what (Alcotest.pp t) got
+        (Alcotest.pp t) want
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Record (kind, at, domain, info, detail, rid) ->
+        Journal.record ?rid j ~kind ~domain ~at ~info ~detail;
+        Journal_model.record m ~rid:(Option.value rid ~default:0) ~kind ~domain ~at ~info ~detail
+      | Set_cpu c ->
+        Journal.set_cpu j c;
+        m.Journal_model.cpu <- c
+      | Set_mode mode ->
+        Journal.set_mode j mode;
+        Journal_model.set_mode m mode
+      | Reset_journal ->
+        Journal.reset j;
+        Journal_model.reset m);
+      let step = show_journal_op op in
+      let list = Alcotest.list events and queue q = List.of_seq (Queue.to_seq q) in
+      same (step ^ ": tail") list (Journal.tail j) (Journal_model.tail m);
+      same (step ^ ": flight") list (Journal.flight j) (Journal_model.flight m);
+      same (step ^ ": written") Alcotest.int (Journal.written j) m.Journal_model.written;
+      same (step ^ ": exec_written") Alcotest.int (Journal.exec_written j)
+        (List.length (List.filter (fun e -> Journal.is_execution e.Journal.kind) m.recorded));
+      List.iter
+        (fun k ->
+          same (step ^ ": count " ^ Journal.kind_to_string k) Alcotest.int (Journal.count j k)
+            (Journal_model.count m k))
+        Journal.all_kinds;
+      same (step ^ ": structural") list (Journal.structural j) (queue m.structural);
+      same (step ^ ": history") list (Journal.history j) (queue m.history);
+      same (step ^ ": compacted") Alcotest.int (Journal.compacted j) m.compacted;
+      let export = Journal.export j in
+      same (step ^ ": export header") Alcotest.string
+        (List.hd (String.split_on_char '\n' export))
+        (Journal_model.header m);
+      match Journal.import export with
+      | Ok evs -> same (step ^ ": export") list evs (queue m.history)
+      | Error e -> QCheck2.Test.fail_reportf "%s: export does not import: %s" step e)
+    ops;
+  true
+
+let test_tail_matches_record_ring =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"columns match a ring of records"
+       ~print:(fun (cap, retain, ops) ->
+         Printf.sprintf "capacity %d, retain %d: %s" cap retain
+           (String.concat "; " (List.map show_journal_op ops)))
+       gen_journal_program run_journal_program)
+
 (* --- export / import ----------------------------------------------------- *)
 
 let gnarly_details =
@@ -522,6 +729,17 @@ let test_replay_all_scenarios () =
         | Error e -> Alcotest.failf "%s: replay diverged: %s" name e))
     Replay.scenarios
 
+(* the two-CPU scenario's history holds events CPU 1 issued *)
+let test_replay_smp_stamps_cpu1 () =
+  match Replay.record "smp" with
+  | Error e -> Alcotest.fail e
+  | Ok r -> (
+    match Journal.import r.Replay.journal with
+    | Error e -> Alcotest.fail e
+    | Ok events ->
+      Alcotest.(check bool) "an event from CPU 1" true
+        (List.exists (fun e -> e.Journal.cpu = 1) events))
+
 let test_replay_crashed_run () =
   (* a run that ends in a thread crash is as replayable as a clean one *)
   match Replay.record "crash" with
@@ -718,6 +936,9 @@ let () =
           Alcotest.test_case "full-mode compaction" `Quick test_full_compaction;
           Alcotest.test_case "mode switching" `Quick test_mode_switching;
           Alcotest.test_case "marks" `Quick test_mark;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_recording_allocates_nothing;
+          test_tail_matches_record_ring;
         ] );
       ( "export",
         [
@@ -751,6 +972,7 @@ let () =
           Alcotest.test_case "all scenarios reproduce" `Quick
             test_replay_all_scenarios;
           Alcotest.test_case "crashed run replays" `Quick test_replay_crashed_run;
+          Alcotest.test_case "smp run stamps CPU 1" `Quick test_replay_smp_stamps_cpu1;
           Alcotest.test_case "file round-trip and tamper detection" `Quick
             test_recording_roundtrip_and_tamper;
           Alcotest.test_case "bisect narrows a divergence" `Quick

@@ -42,6 +42,156 @@ let test_clock_counters_sorted () =
     [ ("apple", 1); ("zebra", 1) ]
     (Clock.counters c)
 
+(* every event's name is its own, and the string shim finds its slot:
+   one row, not two *)
+let test_clock_event_names () =
+  let names = List.map Clock.name Clock.events in
+  Alcotest.(check bool) "no empty name" false (List.mem "" names);
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun ev ->
+      let c = Clock.create () and name = Clock.name ev in
+      Clock.count c name;
+      Clock.bump c ev;
+      Alcotest.(check int) (name ^ " read") 2 (Clock.read c ev);
+      Alcotest.(check (list (pair string int))) (name ^ " one row") [ (name, 2) ]
+        (Clock.counters c))
+    Clock.events
+
+(* A reference clock that keeps its counters in a table of names: the
+   slots and the string shim must report exactly what it reports. *)
+module Counter_model = struct
+  type t = { mutable cycles : int; table : (string, int ref) Hashtbl.t }
+
+  let create () = { cycles = 0; table = Hashtbl.create 16 }
+
+  let count_n t name n =
+    match Hashtbl.find_opt t.table name with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.add t.table name (ref n)
+
+  let counter t name = match Hashtbl.find_opt t.table name with Some r -> !r | None -> 0
+
+  let counters t =
+    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.table []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let reset t =
+    t.cycles <- 0;
+    Hashtbl.reset t.table
+
+  let snapshot t = (t.cycles, counters t)
+
+  let since t (at0, before) =
+    let at, after = snapshot t in
+    let find name l = Option.value ~default:0 (List.assoc_opt name l) in
+    let names = List.sort_uniq String.compare (List.map fst before @ List.map fst after) in
+    ( at - at0,
+      List.filter_map
+        (fun name ->
+          match find name after - find name before with 0 -> None | d -> Some (name, d))
+        names )
+end
+
+type clock_op =
+  | Bump of Clock.event
+  | Bump_n of Clock.event * int
+  | Count of string
+  | Count_n of string * int
+  | Advance of int
+  | Reset
+  | Snapshot
+
+let ad_hoc_names = [ "ev"; "zebra"; "probe"; ""; "tlb_fil"; "Trap"; "trap " ]
+
+let gen_clock_program =
+  let open QCheck2.Gen in
+  let event = oneofl Clock.events in
+  let name = oneof [ map Clock.name event; oneofl ad_hoc_names ] in
+  let n = oneof [ pure 0; int_range (-3) 6 ] in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (6, map (fun e -> Bump e) event);
+         (4, map2 (fun e n -> Bump_n (e, n)) event n);
+         (3, map (fun s -> Count s) name);
+         (3, map2 (fun s n -> Count_n (s, n)) name n);
+         (1, map (fun n -> Advance n) (int_bound 50));
+         (1, pure Reset);
+         (1, pure Snapshot);
+       ])
+
+let show_clock_op = function
+  | Bump e -> "bump " ^ Clock.name e
+  | Bump_n (e, n) -> Printf.sprintf "bump_n %s %d" (Clock.name e) n
+  | Count s -> Printf.sprintf "count %S" s
+  | Count_n (s, n) -> Printf.sprintf "count_n %S %d" s n
+  | Advance n -> Printf.sprintf "advance %d" n
+  | Reset -> "reset"
+  | Snapshot -> "snapshot"
+
+let run_clock_program ops =
+  let c = Clock.create () and m = Counter_model.create () in
+  let snaps = ref [] in
+  let names = List.map Clock.name Clock.events @ ad_hoc_names in
+  let rows = Alcotest.(list (pair string int)) in
+  let same what t got want =
+    if not (Alcotest.equal t got want) then
+      QCheck2.Test.fail_reportf "%s: clock %a, model %a" what (Alcotest.pp t) got
+        (Alcotest.pp t) want
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Bump e ->
+        Clock.bump c e;
+        Counter_model.count_n m (Clock.name e) 1
+      | Bump_n (e, n) ->
+        Clock.bump_n c e n;
+        Counter_model.count_n m (Clock.name e) n
+      | Count s ->
+        Clock.count c s;
+        Counter_model.count_n m s 1
+      | Count_n (s, n) ->
+        Clock.count_n c s n;
+        Counter_model.count_n m s n
+      | Advance n ->
+        Clock.advance c n;
+        m.Counter_model.cycles <- m.Counter_model.cycles + n
+      | Reset ->
+        Clock.reset c;
+        Counter_model.reset m;
+        snaps := []
+      | Snapshot -> snaps := (Clock.snapshot c, Counter_model.snapshot m) :: !snaps);
+      let step = show_clock_op op in
+      same (step ^ ": counters") rows (Clock.counters c) (Counter_model.counters m);
+      same (step ^ ": snapshot") rows (Clock.snapshot c).Clock.counts (Counter_model.counters m);
+      List.iter
+        (fun s ->
+          same (step ^ ": counter " ^ s) Alcotest.int (Clock.counter c s)
+            (Counter_model.counter m s))
+        names;
+      List.iter
+        (fun ev ->
+          same (step ^ ": read " ^ Clock.name ev) Alcotest.int (Clock.read c ev)
+            (Counter_model.counter m (Clock.name ev)))
+        Clock.events;
+      List.iter
+        (fun (cs, ms) ->
+          let d = Clock.since c cs and at, counts = Counter_model.since m ms in
+          same (step ^ ": since") Alcotest.(pair int rows) (d.Clock.at, d.Clock.counts)
+            (at, counts))
+        !snaps)
+    ops;
+  true
+
+let test_clock_matches_table_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"counters match a table of names"
+       ~print:(fun ops -> String.concat "; " (List.map show_clock_op ops))
+       gen_clock_program run_clock_program)
+
 (* --- physmem --------------------------------------------------------- *)
 
 let test_physmem_alloc_free () =
@@ -822,6 +972,27 @@ let test_nic_tx_and_loopback () =
     (Invalid_argument "Nic.inject: packet exceeds MTU") (fun () ->
       Nic.inject nic (String.make (Nic.mtu + 1) 'x'))
 
+(* the wire keeps the newest [capture] frames: three past the cap, the
+   oldest three are gone and the rest come back in order, once *)
+let test_nic_tx_capture () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic in
+  let frame = Physmem.alloc (Machine.phys m) in
+  let payload i = Printf.sprintf "frame-%05d" i in
+  Machine.io_write m base 2 (* tx *);
+  for i = 0 to Nic.capture + 2 do
+    phys_put (Machine.phys m) (payload i) (frame * 256);
+    Machine.io_write m (base + 20) (frame * 256);
+    Machine.io_write m (base + 24) (String.length (payload i));
+    Machine.io_write m (base + 28) 1 (* TX_GO *);
+    Machine.tick m
+  done;
+  Alcotest.(check (list string))
+    "the newest frames, oldest first"
+    (List.init Nic.capture (fun k -> payload (k + 3)))
+    (Nic.take_transmitted nic);
+  Alcotest.(check (list string)) "taken once" [] (Nic.take_transmitted nic)
+
 let test_io_space_checks () =
   let m = unit_machine () in
   (match Machine.io_read m 0x2000_0000 with
@@ -1135,6 +1306,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_clock_basics;
           Alcotest.test_case "counters sorted" `Quick test_clock_counters_sorted;
+          Alcotest.test_case "event names" `Quick test_clock_event_names;
+          test_clock_matches_table_model;
         ] );
       ( "physmem",
         [
@@ -1187,6 +1360,7 @@ let () =
           Alcotest.test_case "nic rx dma" `Quick test_nic_rx_dma;
           Alcotest.test_case "nic rx drop" `Quick test_nic_rx_drop_without_buffers;
           Alcotest.test_case "nic tx + loopback" `Quick test_nic_tx_and_loopback;
+          Alcotest.test_case "nic tx capture keeps the newest" `Quick test_nic_tx_capture;
           Alcotest.test_case "io space checks" `Quick test_io_space_checks;
         ] );
       ( "blkdev",
