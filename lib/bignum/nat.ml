@@ -289,22 +289,29 @@ let neg_inv_limb m0 =
   done;
   - !x land mask
 
-(* Montgomery product a * b / R mod m, R = 2^(30n), for a, b < m held in
+(* Montgomery product a * b / R mod m into [dst], for a, b < m held in
    exactly n = |m| limbs. Each step adds a * b_i and the multiple q m that
    clears the low limb in one pass, then drops that limb (FIOS). A step's
    running sum t_j + a_j b_i + q m_j + carry stays below 2^61, and t stays
-   below 2m, so its top limb t_n is 0 or 1. [t] is n + 1 limbs of scratch. *)
-let mont_mul m minv t a b =
+   below 2m, so its top limb t_n is 0 or 1. [t] is n + 1 limbs of scratch;
+   [dst] is written only after the last read of [a] and [b], so it may be
+   either of them. The inner loop's reads are unchecked once the widths
+   are. *)
+let mont_mul m minv t a b dst =
   let n = Array.length m in
+  assert (Array.length a = n && Array.length b = n && Array.length t = n + 1);
   Array.fill t 0 (n + 1) 0;
+  let a0 = a.(0) and m0 = m.(0) in
   for i = 0 to n - 1 do
     let bi = b.(i) in
-    let s = t.(0) + (a.(0) * bi) in
+    let s = Array.unsafe_get t 0 + (a0 * bi) in
     let q = s * minv land mask in
-    let c = ref ((s + (q * m.(0))) lsr base_bits) in
+    let c = ref ((s + (q * m0)) lsr base_bits) in
     for j = 1 to n - 1 do
-      let s = t.(j) + (a.(j) * bi) + (q * m.(j)) + !c in
-      t.(j - 1) <- s land mask;
+      let s =
+        Array.unsafe_get t j + (Array.unsafe_get a j * bi) + (q * Array.unsafe_get m j) + !c
+      in
+      Array.unsafe_set t (j - 1) (s land mask);
       c := s lsr base_bits
     done;
     let s = t.(n) + !c in
@@ -317,37 +324,55 @@ let mont_mul m minv t a b =
   while !i >= 0 && t.(!i) = m.(!i) do
     decr i
   done;
-  let r = Array.sub t 0 n in
   if t.(n) <> 0 || !i < 0 || t.(!i) > m.(!i) then begin
     let borrow = ref 0 in
     for j = 0 to n - 1 do
-      let d = r.(j) - m.(j) - !borrow in
-      r.(j) <- d land mask;
+      let d = t.(j) - m.(j) - !borrow in
+      dst.(j) <- d land mask;
       borrow := if d < 0 then 1 else 0
     done
-  end;
+  end
+  else Array.blit t 0 dst 0 n
+
+(* The residues mod m in some representation, each held in exactly |m|
+   limbs: [enter] maps any x to a fresh residue, [mul a b dst] writes the
+   product of two residues into [dst], which may be [a] or [b], and
+   [leave] maps one back. *)
+type residues = { enter : t -> t; mul : t -> t -> t -> unit; leave : t -> t }
+
+(* [x] copied into a fresh array of [n] limbs, zero above its own. *)
+let pad n x =
+  let r = Array.make n 0 in
+  Array.blit x 0 r 0 (Array.length x);
   r
 
-(* The residues mod m in some representation: [enter] maps any x in,
-   [mul] multiplies two residues, [leave] maps one back. *)
-type residues = { enter : t -> t; mul : t -> t -> t; leave : t -> t }
-
-(* Montgomery form x R mod m, in exactly |m| limbs; m must be odd. *)
+(* Montgomery form x R mod m; m must be odd. *)
 let montgomery m =
   let n = Array.length m in
   let minv = neg_inv_limb m.(0) and scratch = Array.make (n + 1) 0 in
-  let pad x =
-    let r = Array.make n 0 in
-    Array.blit x 0 r 0 (Array.length x);
+  let mul a b dst = mont_mul m minv scratch a b dst in
+  let r2 = pad n (rem (shift_left one (2 * base_bits * n)) m) in
+  let enter x =
+    let r = pad n (rem x m) in
+    mul r r2 r;
     r
   in
-  let mul a b = mont_mul m minv scratch a b in
-  let r2 = pad (rem (shift_left one (2 * base_bits * n)) m) in
-  { enter = (fun x -> mul (pad (rem x m)) r2); mul; leave = (fun x -> normalize (mul x (pad one))) }
+  let leave x =
+    let r = pad n one in
+    mul x r r;
+    normalize r
+  in
+  { enter; mul; leave }
 
 (* Plain residues reduced by long division: the only representation for
    an even m, which has no Montgomery form. *)
-let by_division m = { enter = (fun x -> rem x m); mul = (fun a b -> rem (mul a b) m); leave = Fun.id }
+let by_division m =
+  let n = Array.length m in
+  {
+    enter = (fun x -> pad n (rem x m));
+    mul = (fun a b dst -> Array.blit (pad n (rem (mul a b) m)) 0 dst 0 n);
+    leave = normalize;
+  }
 
 (* Window width for a k-bit exponent. Up to 32 bits the exponents are
    public ones such as 65537, too sparse to repay any table; above, they
@@ -358,7 +383,9 @@ let window_bits k = if k <= 32 then 1 else 4
 
 (* Fixed-window exponentiation, left to right: the top window's digit
    picks the start from the table, then each lower window squares w times
-   and multiplies by table.(digit). *)
+   and multiplies by table.(digit). The accumulator is a copy, updated in
+   place, and never a table slot: the slots start out as one shared
+   array, and with a 1-bit window slot 1 is the base. *)
 let mod_pow b e m =
   if is_zero m then raise Division_by_zero;
   let r = if is_odd m then montgomery m else by_division m in
@@ -369,18 +396,19 @@ let mod_pow b e m =
   let table = Array.make (1 lsl w) (r.enter one) in
   table.(1) <- r.enter b;
   for i = 2 to (1 lsl w) - 1 do
-    table.(i) <- r.mul table.(i - 1) table.(1)
+    table.(i) <- Array.make (Array.length m) 0;
+    r.mul table.(i - 1) table.(1) table.(i)
   done;
   let top = Stdlib.max 0 ((k - 1) / w) in
-  let acc = ref table.(digit top) in
+  let acc = Array.copy table.(digit top) in
   for i = top - 1 downto 0 do
     for _ = 1 to w do
-      acc := r.mul !acc !acc
+      r.mul acc acc acc
     done;
     let d = digit i in
-    if d <> 0 then acc := r.mul !acc table.(d)
+    if d <> 0 then r.mul acc table.(d) acc
   done;
-  r.leave !acc
+  r.leave acc
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 

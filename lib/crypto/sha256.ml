@@ -35,33 +35,47 @@ let init () =
     finalized = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+(* A 32-bit word twice over, in bits 0-31 and again from bit 32 (the
+   63-bit int drops the copy's top bit). Bits [n, n + 32) of [twice x]
+   are then x rotated right by n, for every n <= 30 that SHA-256 uses, so
+   one shift makes a rotation. The bits above the 32nd are left in, and
+   so are the round's T1 and T2: each is summed into a word that is
+   masked before it is shifted right, and the low 32 bits of sums and
+   xors do not depend on the bits above them. *)
+let twice x = x lor (x lsl 32)
 
+(* The message schedule. Every [compress] writes all 64 words before it
+   reads one, so no value carries from one call to the next. *)
 let w = Array.make 64 0
 
+(* Absorb the 64-byte block at [off] of [block], read in place. The
+   reads are unchecked: every caller guarantees [off + 64 <= length]. *)
 let compress h block off =
   for t = 0 to 15 do
     let i = off + (t * 4) in
     w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
+      (Char.code (Bytes.unsafe_get block i) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (i + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (i + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (i + 3))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let xx = twice x and yy = twice y in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
     w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ee = twice !e and aa = twice !a in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
+    let t2 = s0 + maj in
     hh := !g;
     g := !f;
     f := !e;
@@ -97,11 +111,10 @@ let update ctx s =
       ctx.buf_len <- 0
     end
   end;
-  (* full blocks straight from the input *)
-  let block = Bytes.create 64 in
+  (* full blocks read in place; [compress] only reads its block *)
+  let input = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos block 0 64;
-    compress ctx.h block 0;
+    compress ctx.h input !pos;
     pos := !pos + 64
   done;
   (* stash the tail *)
@@ -111,28 +124,35 @@ let update ctx s =
     ctx.buf_len <- tail
   end
 
+(* Padding is 0x80, zeros, then the message's bit length as a 64-bit
+   big-endian word in the block's last 8 bytes. It goes into the block
+   buffer after the leftover bytes: one block, or two when 56 or more
+   are left over and the length no longer fits behind them. *)
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finalized <- true;
+  let buf = ctx.buf and used = ctx.buf_len in
+  Bytes.set buf used '\x80';
+  if used >= 56 then begin
+    Bytes.fill buf (used + 1) (63 - used) '\000';
+    compress ctx.h buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (used + 1) (55 - used) '\000';
   let bit_len = ctx.total * 8 in
-  (* padding: 0x80, zeros, 64-bit big-endian length *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
   for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr ((7 - i) * 8)) land 0xff))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr ((7 - i) * 8)) land 0xff))
   done;
-  (* absorb the padding through the normal path *)
-  ctx.finalized <- false;
-  update ctx (Bytes.to_string pad);
-  ctx.finalized <- true;
-  assert (ctx.buf_len = 0);
-  String.init 32 (fun i ->
-      let word = ctx.h.(i / 4) in
-      Char.chr ((word lsr ((3 - (i mod 4)) * 8)) land 0xff))
+  compress ctx.h buf 0;
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
+    let word = ctx.h.(i) in
+    Bytes.set out (4 * i) (Char.unsafe_chr (word lsr 24));
+    Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((word lsr 16) land 0xff));
+    Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((word lsr 8) land 0xff));
+    Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (word land 0xff))
+  done;
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -202,6 +202,24 @@ let ref_mod_pow b e m =
   done;
   !r
 
+(* Products write into the accumulator and the table's slots, so an
+   exponentiation allocates its 16-slot table, its scratch and a constant
+   set-up (R^2 mod m by long division, entering and leaving Montgomery
+   form), never a limb array per product: about 320 of them here, 10
+   words each. [Gc.minor_words] is exact. *)
+let test_mod_pow_allocation () =
+  let m = N.add (N.shift_left N.one 269) (N.of_int 12345) in
+  let e = N.sub (N.shift_left N.one 256) (N.of_int 77) in
+  let b = n_of_s "123456789012345678901234567890" in
+  let limbs = (N.bit_length m + 29) / 30 in
+  Alcotest.(check int) "nine limbs" 9 limbs;
+  let before = Gc.minor_words () in
+  let r = N.mod_pow b e m in
+  let words = Gc.minor_words () -. before in
+  let bound = (16 * (limbs + 1)) + 256 in
+  if words > float bound then Alcotest.failf "mod_pow allocated %.0f words, bound %d" words bound;
+  check_nat "value" (ref_mod_pow b e m) r
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
 let props =
@@ -274,6 +292,8 @@ let () =
           Alcotest.test_case "bits" `Quick test_bits;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "mod_pow" `Quick test_mod_pow;
+          Alcotest.test_case "mod_pow allocates no array per product" `Quick
+            test_mod_pow_allocation;
           Alcotest.test_case "gcd/modinv" `Quick test_gcd_modinv;
           Alcotest.test_case "bytes round trip" `Quick test_bytes_round_trip;
           Alcotest.test_case "compare/min/max" `Quick test_compare_minmax;

@@ -26,6 +26,38 @@ let test_codegen () =
     (List.length
        (List.filter Fun.id (List.init 100 (fun i -> a.[i] <> t.[i]))))
 
+(* Pinned from the build that wrote images through a Buffer: every
+   certificate digest and every recording covers these bytes. *)
+let test_codegen_known_answers () =
+  List.iter
+    (fun (size, hex) ->
+      Alcotest.(check string)
+        (Printf.sprintf "echo, %d bytes" size)
+        hex
+        (Sha256.hex_digest (Codegen.synthesize ~name:"echo" ~size)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "35af2d15ebde4d67b29569ec19749e813c76f02286afc5a2a9871c2bfbdaab32");
+      (31, "58235aa54682e297ce06489b9f01640dcb2dd2de9cff478b734b73d1086c069d");
+      (32, "8cfdf12f7194caff719fcb45927a120d744b98f191b3e26350d603bcc6b1a671");
+      (33, "4d705686b74ae69961cd28f88bf54ead2002924f2e475e27080a9a1c03e1db08");
+      (100, "e7cd79a5c537c2e854095ca72411aaa5504264c78f83b5d934a49045c73adfd1");
+      (4096, "919fb1e5b8f49d688e8487aea75df890fa368b8fec6f409b93f56d2b535542b7");
+    ]
+
+(* Each 32-byte block costs its digest's context and result and the
+   digest's input string, about 37 words. The image itself is one
+   [Bytes] of [size]; at 4 KB it goes straight to the major heap, which
+   [Gc.minor_words] does not count. *)
+let test_codegen_allocation () =
+  let blocks = 4096 / 32 in
+  let before = Gc.minor_words () in
+  ignore (Codegen.synthesize ~name:"echo" ~size:4096);
+  let words = Gc.minor_words () -. before in
+  let bound = 40 * blocks in
+  if words > float bound then
+    Alcotest.failf "synthesize allocated %.0f words for %d blocks, bound %d" words blocks bound
+
 (* --- wire ------------------------------------------------------------------ *)
 
 let test_frame_round_trip () =
@@ -762,7 +794,13 @@ let wire_roundtrip_prop =
 let () =
   Alcotest.run "components"
     [
-      ("codegen", [ Alcotest.test_case "synthesize/tamper" `Quick test_codegen ]);
+      ( "codegen",
+        [
+          Alcotest.test_case "synthesize/tamper" `Quick test_codegen;
+          Alcotest.test_case "synthesize known answers" `Quick test_codegen_known_answers;
+          Alcotest.test_case "synthesize allocates a bounded amount per block" `Quick
+            test_codegen_allocation;
+        ] );
       ( "wire",
         [
           Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;
