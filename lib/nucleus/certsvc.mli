@@ -7,10 +7,10 @@
     credentials."
 
     This wraps the pure {!Pm_secure.Validator} with load-time cost
-    accounting: digesting the component's code charges per byte, and the
-    signature check charges one public-key verification. These are the
-    one-off costs that certification trades against per-access sandboxing
-    (experiments E4/E5). *)
+    accounting: digesting the component's code charges per byte, and each
+    signature the validator checks charges one public-key verification.
+    These are the one-off costs that certification trades against
+    per-access sandboxing (experiments E4/E5). *)
 
 type t
 
@@ -24,9 +24,16 @@ val add_grant : t -> Pm_secure.Delegation.t -> unit
 (** [revoke t principal_id] bars a principal. *)
 val revoke : t -> string -> unit
 
-(** [validate t cert ~code] runs the full load-time check, charging
-    digest and signature-verification cycles. Uses the machine clock as
-    the logical time for grant expiry. *)
+(** [validate t cert ~code] runs the full load-time check. It charges
+    [Cost.digest_byte] per byte of [code], then one [Cost.sig_verify]
+    for each signature the validator checked on this call, whether the
+    result is valid or not: the certificate's once the digest matches,
+    and a delegation grant's only the first time this kernel reaches it.
+    A kernel's first load signed by one of the authority's delegates
+    therefore pays two checks, a later load signed by the same delegate
+    one, and a tampered image none.
+    Grant expiry is judged against the machine clock just after the
+    digest charge. *)
 val validate : t -> Pm_secure.Certificate.t -> code:string -> Pm_secure.Validator.decision
 
 val validations : t -> int

@@ -7,24 +7,46 @@ type failure =
 
 type decision = Valid of { chain_length : int } | Invalid of failure
 
+type verdict = Unchecked | Sound | Unsound
+
+(* A taught grant and what checking its signature found. The verdict
+   belongs to this entry, not to the signature bytes or a principal: a
+   forged grant can carry a genuine grant's signature. *)
+type entry = { grant : Delegation.t; mutable verdict : verdict }
+
 type t = {
   root : Principal.t;
-  mutable known_grants : Delegation.t list;
+  mutable known_grants : entry list;
   revoked : (string, unit) Hashtbl.t;
+  mutable signatures_checked : int;
 }
 
-let create ~root = { root; known_grants = []; revoked = Hashtbl.create 8 }
+let create ~root =
+  { root; known_grants = []; revoked = Hashtbl.create 8; signatures_checked = 0 }
 
 let root t = t.root
-let add_grant t g = t.known_grants <- g :: t.known_grants
+let add_grant t grant = t.known_grants <- { grant; verdict = Unchecked } :: t.known_grants
 let revoke t pid = Hashtbl.replace t.revoked pid ()
+let signatures_checked t = t.signatures_checked
 
 let scope_certification = "kernel-certification"
 
+(* A grant does not change once issued, so its signature is checked the
+   first time a search reaches it and never again. *)
+let sound t e =
+  if e.verdict = Unchecked then begin
+    t.signatures_checked <- t.signatures_checked + 1;
+    e.verdict <- (if Delegation.well_signed e.grant then Sound else Unsound)
+  end;
+  e.verdict = Sound
+
 (* Does [pid] speak for the root through known grants? BFS upward over
-   grants naming [pid] as delegate; cycles are cut by the visited set. *)
+   grants naming [pid] as delegate; cycles are cut by the visited set.
+   With no chain, [Error (Some d)] names the delegate of the first sound,
+   in-scope grant the search skipped only because it had expired. *)
 let chain_to_root t pid ~now =
   let visited = Hashtbl.create 8 in
+  let expired = ref None in
   let rec search frontier depth =
     if frontier = [] || depth > 16 then None
     else if List.exists (fun p -> String.equal p (Principal.id t.root)) frontier then
@@ -37,14 +59,19 @@ let chain_to_root t pid ~now =
             else begin
               Hashtbl.add visited p ();
               List.filter_map
-                (fun g ->
+                (fun e ->
+                  let g = e.grant in
                   if
                     String.equal (Principal.id g.Delegation.delegate) p
                     && String.equal g.Delegation.scope scope_certification
-                    && Delegation.well_signed g
-                    && Delegation.live g ~now
+                    && sound t e
                     && not (Hashtbl.mem t.revoked (Principal.id g.Delegation.grantor))
-                  then Some (Principal.id g.Delegation.grantor)
+                  then
+                    if Delegation.live g ~now then Some (Principal.id g.Delegation.grantor)
+                    else begin
+                      if !expired = None then expired := Some p;
+                      None
+                    end
                   else None)
                 t.known_grants
             end)
@@ -53,30 +80,20 @@ let chain_to_root t pid ~now =
       search next (depth + 1)
     end
   in
-  search [ pid ] 0
+  match search [ pid ] 0 with Some depth -> Ok depth | None -> Error !expired
 
 let validate t cert ~code ~now =
   let signer_id = Principal.id cert.Certificate.signer in
   if not (Certificate.matches_code cert code) then Invalid Digest_mismatch
-  else if not (Certificate.well_signed cert) then Invalid Bad_signature
-  else if Hashtbl.mem t.revoked signer_id then Invalid (Revoked_principal signer_id)
   else begin
-    match chain_to_root t signer_id ~now with
-    | Some depth -> Valid { chain_length = depth }
-    | None ->
-      (* distinguish "no grant at all" from "grant exists but expired" for
-         better operator diagnostics *)
-      let expired =
-        List.exists
-          (fun g ->
-            String.equal (Principal.id g.Delegation.delegate) signer_id
-            && String.equal g.Delegation.scope scope_certification
-            && Delegation.well_signed g
-            && not (Delegation.live g ~now))
-          t.known_grants
-      in
-      if expired then Invalid (Expired_grant signer_id)
-      else Invalid (Untrusted_signer signer_id)
+    t.signatures_checked <- t.signatures_checked + 1;
+    if not (Certificate.well_signed cert) then Invalid Bad_signature
+    else if Hashtbl.mem t.revoked signer_id then Invalid (Revoked_principal signer_id)
+    else
+      match chain_to_root t signer_id ~now with
+      | Ok depth -> Valid { chain_length = depth }
+      | Error (Some delegate) -> Invalid (Expired_grant delegate)
+      | Error None -> Invalid (Untrusted_signer signer_id)
   end
 
 let failure_to_string = function

@@ -30,15 +30,28 @@ val create : root:Principal.t -> t
 
 val root : t -> Principal.t
 
-(** [add_grant t g] records a delegation statement (checked lazily during
-    validation). *)
+(** [add_grant t g] records a delegation statement without checking it.
+    Its signature is checked the first time a validation's search
+    reaches it, and the verdict, sound or not, is kept with this entry
+    for the rest of [t]'s life: a grant does not change once issued.
+    Expiry and revocation are judged again on every validation. The
+    verdict is [t]'s own; another validator taught the same grant checks
+    it again. *)
 val add_grant : t -> Delegation.t -> unit
 
 (** [revoke t principal_id] bars a principal; certificates it signed and
     chains through it stop validating. *)
 val revoke : t -> string -> unit
 
-(** [validate t cert ~code ~now] runs the full decision procedure. *)
+(** [validate t cert ~code ~now] runs the full decision procedure. A
+    chain cut by an expired grant anywhere along it is [Expired_grant],
+    naming that grant's delegate. *)
 val validate : t -> Certificate.t -> code:string -> now:int -> decision
+
+(** [signatures_checked t] counts the public-key verifications [t] has
+    made since {!create}: a certificate's, once its digest matched, and
+    each taught grant's at its first check. What a validation costs is
+    the rise in this count across the call. *)
+val signatures_checked : t -> int
 
 val failure_to_string : failure -> string

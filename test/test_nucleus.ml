@@ -474,6 +474,54 @@ let test_certsvc_charges_load_time_costs () =
     true
     (c_big > c_small + 32_000)
 
+(* What a certified kernel load is charged, at the default costs: the
+   digest per code byte, one [sig_verify] per signature the
+   certification service checked on this load, and the pages mapped. A
+   delegate's grant is checked once per kernel. *)
+let test_certsvc_charges_signatures_checked () =
+  let sys = System.create ~key_bits:384 () in
+  let c = Cost.default in
+  let size = 4096 in
+  let load ?(tamper = false) sys name =
+    let k = System.kernel sys in
+    let image =
+      Images.image ~name ~size ~author:"kernel-team" ~type_safe:true counter_construct
+    in
+    let image, _ = Images.certify (System.authority sys) ~now:0 image in
+    let image =
+      if tamper then { image with Loader.code = Codegen.tamper image.Loader.code ~at:100 }
+      else image
+    in
+    let loader = Kernel.loader k and clock = Kernel.clock k in
+    Loader.publish loader image;
+    let before = Clock.now clock in
+    let loaded =
+      Loader.load loader ~name ~into:(Kernel.kernel_domain k)
+        ~at:(Path.of_string ("/svc/" ^ name)) ()
+    in
+    (Result.is_ok loaded, Clock.now clock - before)
+  in
+  let page_size = Machine.page_size (Kernel.machine (System.kernel sys)) in
+  let digest = size * c.Cost.digest_byte
+  and pages = (size + page_size - 1) / page_size * c.Cost.load_page in
+  let expect what ~ok ~cycles (loaded, charged) =
+    Alcotest.(check bool) (what ^ ": loaded") ok loaded;
+    Alcotest.(check int) what cycles charged
+  in
+  expect "first load: certificate and grant" ~ok:true
+    ~cycles:(digest + (2 * c.Cost.sig_verify) + pages)
+    (load sys "first");
+  expect "same delegate again: the certificate only" ~ok:true
+    ~cycles:(digest + c.Cost.sig_verify + pages)
+    (load sys "second");
+  expect "tampered: the digest only" ~ok:false ~cycles:digest
+    (load ~tamper:true sys "tampered");
+  (* another kernel trusting the same authority checks the grant itself *)
+  let other = System.with_authority ~seed:7 (System.authority sys) in
+  expect "another kernel's first load" ~ok:true
+    ~cycles:(digest + (2 * c.Cost.sig_verify) + pages)
+    (load other "first")
+
 (* --- kernel composition ------------------------------------------------------ *)
 
 let test_kernel_namespace_conventions () =
@@ -658,6 +706,8 @@ let () =
             test_loader_online_certification;
           Alcotest.test_case "load-time costs scale" `Quick
             test_certsvc_charges_load_time_costs;
+          Alcotest.test_case "charges the signatures checked" `Quick
+            test_certsvc_charges_signatures_checked;
         ] );
       ( "kernel",
         [
