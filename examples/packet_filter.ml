@@ -26,14 +26,19 @@ let () =
      exactly what it compiled *)
   let compiled : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let sys = System.create ~seed:23 () in
-  (* enlist the filter compiler as an additional certification delegate *)
-  ignore
-    (Authority.add_delegate (System.authority sys) (System.rng sys)
-       ~name:"filter-compiler"
-       ~policy:(Filterc.certifying_policy ~compiled)
-       ~latency:Policies.latency_compiler ());
+  (* enlist the filter compiler as an additional certification delegate,
+     and teach the kernel the one grant that issued; System.create taught
+     it the others *)
+  let filter_compiler =
+    Authority.add_delegate (System.authority sys) (System.rng sys)
+      ~name:"filter-compiler"
+      ~policy:(Filterc.certifying_policy ~compiled)
+      ~latency:Policies.latency_compiler ()
+  in
   List.iter
-    (Certsvc.add_grant (Kernel.certification (System.kernel sys)))
+    (fun g ->
+      if Principal.equal g.Delegation.delegate filter_compiler.Authority.principal then
+        Certsvc.add_grant (Kernel.certification (System.kernel sys)) g)
     (Authority.grants (System.authority sys));
   let k = System.kernel sys in
   let kdom = Kernel.kernel_domain k in

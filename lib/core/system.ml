@@ -202,9 +202,10 @@ let install_exn t image ~placement ~at =
 (* ------------------------------------------------------------------ *)
 (* Transactional composition: install + register + interpose grouped    *)
 (* into one atomic unit. Each step pushes an undo thunk; on failure the *)
-(* thunks run newest-first and any page allocated during the            *)
-(* transaction is freed, so a half-wired component is never observable  *)
-(* — not in the namespace, not in the page tables, not to the linter.   *)
+(* thunks run newest-first and the system rolls back to the allocation  *)
+(* mark taken when the transaction began, so a half-wired component is  *)
+(* never observable — not in the namespace, not in the page tables, not *)
+(* to the linter.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type txn = {
@@ -212,7 +213,7 @@ type txn = {
   tid : int;
   tname : string;
   mutable undos : (unit -> unit) list; (* newest first *)
-  pages_before : (int * int) list;
+  mark : Vmem.mark;
 }
 
 let journal t = Pm_obs.Obs.journal (Clock.obs (Kernel.clock t.kernel))
@@ -262,28 +263,13 @@ let transact t name f =
   let tid = Journal.count j Journal.Txn_begin + 1 in
   jot_txn t ~kind:Journal.Txn_begin ~info:tid ~detail:name;
   let txn =
-    { tsys = t; tid; tname = name; undos = [];
-      pages_before = Vmem.alloc_keys (Kernel.vmem t.kernel) }
+    { tsys = t; tid; tname = name; undos = []; mark = Vmem.mark (Kernel.vmem t.kernel) }
   in
   let rollback reason =
     List.iter (fun undo -> try undo () with _ -> ()) txn.undos;
-    (* pages allocated during the transaction (e.g. by component
-       constructors) are not reclaimed by the undo thunks — diff the
-       allocation tables and free every fresh page *)
-    let vmem = Kernel.vmem t.kernel in
-    let before = txn.pages_before in
-    let fresh =
-      List.filter (fun k -> not (List.mem k before)) (Vmem.alloc_keys vmem)
-    in
-    let ps = Machine.page_size (Kernel.machine t.kernel) in
-    List.iter
-      (fun (did, vpage) ->
-        match Kernel.domain_of_id t.kernel did with
-        | Some dom ->
-          (try Vmem.free_pages vmem dom ~vaddr:(vpage * ps) ~count:1
-           with Vmem.Vmem_error _ -> ())
-        | None -> ())
-      fresh;
+    (* what no undo returned: pages the transaction's own code or a
+       constructor that raised allocated, and the proxies it bound *)
+    Directory.rollback (Kernel.directory t.kernel) txn.mark;
     jot_txn t ~kind:Journal.Txn_abort ~info:txn.tid
       ~detail:(Printf.sprintf "%s: %s" txn.tname reason);
     Error reason

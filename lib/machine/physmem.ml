@@ -1,5 +1,7 @@
 type frame = { data : Bytes.t; mutable refcount : int }
 
+exception Out_of_frames
+
 type t = {
   page_size : int;
   total : int;
@@ -24,7 +26,7 @@ let free_frames t = t.free_count
 
 let alloc t =
   match t.free with
-  | [] -> raise Out_of_memory
+  | [] -> raise Out_of_frames
   | f :: rest ->
     t.free <- rest;
     t.free_count <- t.free_count - 1;

@@ -14,8 +14,12 @@ val page_size : t -> int
 val total_frames : t -> int
 val free_frames : t -> int
 
+(** Raised by {!alloc} when every frame is in use: the simulated memory
+    is full. The host's [Out_of_memory] means the host is. *)
+exception Out_of_frames
+
 (** [alloc t] takes a free frame (zero-filled, refcount 1).
-    Raises [Out_of_memory] if none is free. *)
+    Raises {!Out_of_frames} if none is free. *)
 val alloc : t -> int
 
 (** [ref_frame t f] increments the refcount of an allocated frame. *)

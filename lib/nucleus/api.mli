@@ -21,7 +21,8 @@ type t = {
 val ctx : t -> Domain.t -> Pm_obj.Call_ctx.t
 
 (** [bind api dom path] imports the object at [path] into [dom] (through
-    [dom]'s view, proxying across domains). *)
+    [dom]'s view, proxying across domains). A full memory is
+    [Error (Directory.No_memory _)], never an exception. *)
 val bind :
   t -> Domain.t -> Pm_names.Path.t -> (Pm_obj.Instance.t, Directory.bind_error) result
 

@@ -6,18 +6,19 @@ module Registry = Pm_obj.Registry
 module Clock = Pm_machine.Clock
 module Journal = Pm_journal.Journal
 
-type bind_error = Name of Namespace.error | Dangling of int
+type bind_error = Name of Namespace.error | Dangling of int | No_memory of string
 
 let bind_error_to_string = function
   | Name e -> Namespace.error_to_string e
   | Dangling h -> Printf.sprintf "handle %d is dangling" h
+  | No_memory m -> "no page for the proxy's entry: " ^ m
 
 type t = {
   machine : Pm_machine.Machine.t;
   vmem : Vmem.t;
   registry : Instance.t Registry.t;
   ns : Namespace.t;
-  proxies : (int * int, Instance.t) Hashtbl.t; (* (target oid, importer) -> proxy *)
+  proxies : (int, Proxy.t list) Hashtbl.t; (* target oid -> one per importer *)
   mutable replacements : (Path.t * int * int) list;
       (* interposition log, newest first: (path, old handle, new handle) —
          plain stores, read by the composition linter *)
@@ -104,16 +105,19 @@ let unreplace t path ~agent ~restore =
 let replacements t = List.rev t.replacements
 
 let proxy_for t target importer =
-  let key = (Instance.handle target, importer.Domain.id) in
-  match Hashtbl.find_opt t.proxies key with
-  | Some p when not p.Instance.revoked -> p
-  | _ ->
-    let p =
+  let h = Instance.handle target in
+  let bound = Option.value (Hashtbl.find_opt t.proxies h) ~default:[] in
+  match
+    List.find_opt (fun (r : Proxy.t) -> r.Proxy.importer.Domain.id = importer.Domain.id) bound
+  with
+  | Some r -> r.Proxy.instance
+  | None ->
+    let r =
       Proxy.make ~machine:t.machine ~vmem:t.vmem ~registry:t.registry ~target
         ~importer
     in
-    Hashtbl.replace t.proxies key p;
-    p
+    Hashtbl.replace t.proxies h (r :: bound);
+    r.Proxy.instance
 
 let bind t ctx ~view ~domain path =
   match View.bind ctx view path with
@@ -123,7 +127,11 @@ let bind t ctx ~view ~domain path =
     | None -> Error (Dangling handle)
     | Some inst ->
       if inst.Instance.domain = domain.Domain.id then Ok inst
-      else Ok (proxy_for t inst domain))
+      else begin
+        match proxy_for t inst domain with
+        | proxy -> Ok proxy
+        | exception Vmem.Vmem_error m -> Error (No_memory m)
+      end)
 
 let bind_exn t ctx ~view ~domain path =
   match bind t ctx ~view ~domain path with
@@ -131,3 +139,55 @@ let bind_exn t ctx ~view ~domain path =
   | Error e -> failwith ("Directory.bind: " ^ bind_error_to_string e)
 
 let resolve_handle t h = Registry.get t.registry h
+
+let proxy_count t = Hashtbl.fold (fun _ bound n -> n + List.length bound) t.proxies 0
+
+let release t target =
+  let h = Instance.handle target in
+  match Hashtbl.find_opt t.proxies h with
+  | None -> ()
+  | Some bound ->
+    Hashtbl.remove t.proxies h;
+    List.iter
+      (fun (r : Proxy.t) ->
+        Vmem.free_pages t.vmem r.Proxy.importer ~vaddr:r.Proxy.entry ~count:1;
+        Registry.remove t.registry (Instance.handle r.Proxy.instance))
+      bound
+
+(* drop the receipts [p] selects from the table and their proxies from
+   the registry; their entry pages are the caller's to free *)
+let forget t p =
+  Hashtbl.filter_map_inplace
+    (fun _ bound ->
+      let gone, kept = List.partition p bound in
+      List.iter
+        (fun (r : Proxy.t) -> Registry.remove t.registry (Instance.handle r.Proxy.instance))
+        gone;
+      if kept = [] then None else Some kept)
+    t.proxies
+
+let drop_imports t dom =
+  forget t (fun (r : Proxy.t) -> r.Proxy.importer.Domain.id = dom.Domain.id)
+
+let entry_page t (r : Proxy.t) =
+  (r.Proxy.importer.Domain.id, r.Proxy.entry / Pm_machine.Machine.page_size t.machine)
+
+let bound_since t mark r = Vmem.made_since mark (entry_page t r)
+
+let taken_since t mark =
+  match Vmem.allocated_since t.vmem mark with
+  | [] -> []
+  | pages ->
+    let entries =
+      Hashtbl.fold
+        (fun _ bound acc ->
+          List.fold_left
+            (fun acc r -> if bound_since t mark r then entry_page t r :: acc else acc)
+            acc bound)
+        t.proxies []
+    in
+    List.filter (fun page -> not (List.mem page entries)) pages
+
+let rollback t mark =
+  forget t (bound_since t mark);
+  List.iter (Vmem.release t.vmem) (Vmem.allocated_since t.vmem mark)

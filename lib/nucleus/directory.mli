@@ -4,13 +4,20 @@
     functions for registering, unregistering, and binding of objects."
     Binding resolves a name through the caller's view (overrides first),
     dereferences the handle, and — when the object lives in another
-    protection domain — materializes (and caches) a {!Proxy}. *)
+    protection domain — materializes (and caches) a {!Proxy}.
+
+    Each proxy's receipt ({!Proxy.t}: the proxy, its importer, its
+    entry page) is kept under its target, one per importing domain,
+    until {!release} returns it when the target is unloaded,
+    {!drop_imports} when the importer is destroyed, or {!rollback} when
+    the bind belongs to an aborted transaction or a failed load. *)
 
 type t
 
 type bind_error =
   | Name of Pm_names.Namespace.error
   | Dangling of int  (** the name resolved to a dead handle *)
+  | No_memory of string  (** no frame was free for the proxy's entry page *)
 
 val bind_error_to_string : bind_error -> string
 
@@ -51,7 +58,8 @@ val unreplace :
 
 (** [bind t ctx ~view ~domain path] imports the named object into
     [domain]: the instance itself if it already lives there, a cached
-    proxy otherwise. *)
+    proxy otherwise. A new proxy takes one page in [domain]; when none
+    can be had the result is [No_memory] and nothing is taken. *)
 val bind :
   t ->
   Pm_obj.Call_ctx.t ->
@@ -76,3 +84,30 @@ val resolve_handle : t -> int -> Pm_obj.Instance.t option
     successful {!replace} as [(path, old handle, new handle)].
     Introspection for the composition linter's superset check. *)
 val replacements : t -> (Pm_names.Path.t * int * int) list
+
+(** The number of proxies whose receipts are kept. *)
+val proxy_count : t -> int
+
+(** [release t target] returns what binding [target] took: each proxy's
+    entry page is freed through {!Vmem.free_pages}, and the proxies
+    leave the registry and the table. It charges no cycle. A proxy a
+    caller still holds answers [Revoked] once [target] is revoked. *)
+val release : t -> Pm_obj.Instance.t -> unit
+
+(** [drop_imports t dom] forgets the proxies [dom] imported, taking them
+    out of the table and the registry. Their entry pages are left to
+    {!Vmem.destroy_domain}, which frees every page of [dom]. *)
+val drop_imports : t -> Domain.t -> unit
+
+(** [taken_since t m] is every allocation made since [m] that is still
+    live, as {!Vmem.allocated_since} gives it, less the entry pages of
+    proxies bound since [m]: those belong to their binds. What a
+    component's constructor allocated, when [m] was taken just before
+    it ran. *)
+val taken_since : t -> Vmem.mark -> (int * int) list
+
+(** [rollback t m] returns everything allocated since [m]: the proxies
+    bound since [m] leave the table and the registry, then every
+    allocation made since [m] that is still live is freed, in ascending
+    [(domain id, vpage)] order. *)
+val rollback : t -> Vmem.mark -> unit

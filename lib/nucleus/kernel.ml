@@ -148,9 +148,7 @@ let memory_object t_ref registry kdom =
                 match Vmem.alloc_pages t.api.Api.vmem dom ~count ~sharing with
                 | vaddr -> ok_int vaddr
                 | exception (Vmem.Vmem_error m | Invalid_argument m) ->
-                  Error (Oerror.Fault m)
-                | exception Out_of_memory ->
-                  Error (Oerror.Fault "out of physical memory")));
+                  Error (Oerror.Fault m)));
         Iface.fn2 ~name:"free_pages" Iface.Int Iface.Int ~ret:Vtype.Tunit
           (fun ctx vaddr count ->
             for_caller t_ref ctx (fun t dom ->
@@ -313,19 +311,11 @@ let destroy_domain t dom =
         Hashtbl.replace dead path ()
       | _ -> ());
   Hashtbl.iter (fun path () -> ignore (Namespace.unregister ns path)) dead;
-  let registry = t.api.Api.registry in
-  (* walk the registry by handle range; handles are dense small ints *)
-  let rec sweep h misses =
-    if misses > 4096 then ()
-    else begin
-      match Registry.get registry h with
-      | Some inst ->
-        if inst.Instance.domain = dom.Domain.id then Instance.revoke inst;
-        sweep (h + 1) 0
-      | None -> sweep (h + 1) (misses + 1)
-    end
-  in
-  sweep 1 0;
+  Registry.iter t.api.Api.registry (fun inst ->
+      if inst.Instance.domain = dom.Domain.id then Instance.revoke inst);
+  (* the proxies it imported go now; their entry pages go with the
+     domain's other pages below *)
+  Directory.drop_imports t.api.Api.directory dom;
   Events.remove_domain t.api.Api.events dom;
   Vmem.destroy_domain t.api.Api.vmem dom;
   (* make sure the dead context is not current before deleting it *)

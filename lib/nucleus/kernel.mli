@@ -74,8 +74,11 @@ val create_domain :
 (** [destroy_domain t dom] tears a user domain down: every object
     instance living in it is revoked (so proxies held by other domains
     start failing with [Revoked]) and unregistered from the name space,
-    its pages, fault call-backs and I/O grants are released, its event
-    call-backs removed, and its MMU context deleted. Raises
+    the proxies it imported leave the registry and the directory, its
+    pages (theirs among them), fault call-backs and I/O grants are
+    released, its event call-backs removed, and its MMU context deleted.
+    The registry is walked by its live entries, so gaps that unloads
+    leave in the handle range hide no instance. Raises
     [Invalid_argument] for the kernel domain or a domain already
     destroyed. Threads of the domain are not killed (they are cooperative
     fibers); destroy a domain only once its threads have finished. *)

@@ -5,6 +5,7 @@ module Meta = Pm_secure.Meta
 module Validator = Pm_secure.Validator
 module Namespace = Pm_names.Namespace
 module Instance = Pm_obj.Instance
+module Registry = Pm_obj.Registry
 module Journal = Pm_journal.Journal
 
 let jot t ~kind ~domain ~info ~detail =
@@ -37,6 +38,11 @@ let load_error_to_string = function
   | Verification_failed r -> Printf.sprintf "bytecode verification failed: %s" r
   | Name_taken e -> Namespace.error_to_string e
 
+(* what one load took besides the registered instance: the instance its
+   constructor returned (the same unless a sandbox wrapped it) and the
+   pages the constructor allocated *)
+type receipt = { constructed : Instance.t; pages : (int * int) list }
+
 type t = {
   api : Api.t;
   repo : (string, image) Hashtbl.t;
@@ -44,9 +50,11 @@ type t = {
      the most recent Verified load — what the kernel meters a verified
      component's runs against instead of per-instruction checks *)
   fuel : (string, Pm_check.Verify.fuel_bound) Hashtbl.t;
+  receipts : (int, receipt) Hashtbl.t; (* target handle -> its load *)
 }
 
-let create api = { api; repo = Hashtbl.create 16; fuel = Hashtbl.create 16 }
+let create api =
+  { api; repo = Hashtbl.create 16; fuel = Hashtbl.create 16; receipts = Hashtbl.create 16 }
 
 let publish t image = Hashtbl.replace t.repo image.meta.Meta.name image
 
@@ -97,29 +105,39 @@ let load t ~name ~into ~at ?sandbox ?(verify = false) () =
       Clock.advance (Machine.clock machine)
         (pages * (Machine.costs machine).Cost.load_page);
       Clock.bump (Machine.clock machine) Clock.Component_load;
-      let inst = image.construct t.api into in
+      let dir = t.api.Api.directory in
+      let mark = Vmem.mark t.api.Api.vmem in
+      let constructed = image.construct t.api into in
       let inst =
         match (mode, sandbox) with
-        | `Sandboxed, Some wrap -> wrap inst
+        | `Sandboxed, Some wrap -> wrap constructed
         | `Sandboxed, None -> assert false
         (* a verified component maps exactly like a certified one: no
            wrapper, no run-time checks — the proof already happened; the
            proven fuel bound is recorded so the run path can meter the
            component against its own proof rather than a blanket default *)
-        | (`Plain | `Verified _), _ -> inst
+        | (`Plain | `Verified _), _ -> constructed
       in
       (match mode with
       | `Verified fuel -> Hashtbl.replace t.fuel name fuel
       | `Plain | `Sandboxed -> ());
-      (match Directory.register t.api.Api.directory at inst with
+      (match Directory.register dir at inst with
       | Ok () ->
+        (* a load that took nothing but its slot keeps no receipt *)
+        (match Directory.taken_since dir mark with
+        | [] when constructed == inst -> ()
+        | pages -> Hashtbl.replace t.receipts (Instance.handle inst) { constructed; pages });
         jot t.api ~kind:Journal.Install ~domain:into.Domain.id
           ~info:(Instance.handle inst)
           ~detail:
             (Printf.sprintf "%s @ %s" name (Pm_names.Path.to_string at));
         Ok inst
       | Error e ->
+        (* a load that cannot be named returns all it took *)
         Instance.revoke inst;
+        Directory.rollback dir mark;
+        Registry.remove t.api.Api.registry (Instance.handle inst);
+        Registry.remove t.api.Api.registry (Instance.handle constructed);
         Error (Name_taken e)))
 
 let verified_fuel t name = Hashtbl.find_opt t.fuel name
@@ -132,8 +150,9 @@ let unload t path =
     (match Directory.unregister dir path with
     | Error e -> Error (Name_taken e)
     | Ok () ->
+      let target = Directory.resolve_handle dir handle in
       let domain =
-        match Directory.resolve_handle dir handle with
+        match target with
         | Some inst ->
           Instance.revoke inst;
           inst.Instance.domain
@@ -141,4 +160,14 @@ let unload t path =
       in
       jot t.api ~kind:Journal.Detach ~domain ~info:handle
         ~detail:(Pm_names.Path.to_string path);
+      (* return what binding and loading the target took *)
+      Option.iter (Directory.release dir) target;
+      let registry = t.api.Api.registry in
+      (match Hashtbl.find_opt t.receipts handle with
+      | Some r ->
+        Hashtbl.remove t.receipts handle;
+        List.iter (Vmem.release t.api.Api.vmem) r.pages;
+        Registry.remove registry (Instance.handle r.constructed)
+      | None -> ());
+      Registry.remove registry handle;
       Ok ())

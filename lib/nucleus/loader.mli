@@ -45,6 +45,13 @@ val publish : t -> image -> unit
     charges the per-page mapping cost, constructs the instance, and
     registers it at [at].
 
+    The load keeps a receipt of what it took: the registered instance's
+    registry slot (and the constructed one's, when a sandbox wrapped
+    it), and the pages the constructor allocated, read through a
+    {!Vmem.mark} taken just before it ran. Pages of proxies the
+    constructor bound are not the load's: {!Directory} keeps those with
+    their binds. A load refused its name returns all of it at once.
+
     [verify] (default [false]) requests the third trust mechanism for a
     kernel-domain load: the {!Certsvc.verify} bytecode verifier proves
     the object code safe statically, admitting the component exactly
@@ -69,5 +76,11 @@ val load :
     blanket default that unverified bytecode gets. *)
 val verified_fuel : t -> string -> Pm_check.Verify.fuel_bound option
 
-(** [unload t path] unregisters and revokes the instance at [path]. *)
+(** [unload t path] unregisters and revokes the instance at [path], then
+    returns what binding and loading it took: {!Directory.release} frees
+    the entry page of every proxy bound to it and drops the proxies, the
+    load receipt's pages are freed through {!Vmem.free_pages}, and the
+    instance leaves the registry, so its handle no longer resolves.
+    Nothing is charged: freeing pages costs no cycle. A proxy its caller
+    still holds answers [Revoked]. *)
 val unload : t -> Pm_names.Path.t -> (unit, load_error) result

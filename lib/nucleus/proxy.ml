@@ -17,10 +17,12 @@ let is_proxy inst =
        (String.sub inst.Instance.class_name 0 (String.length class_prefix))
        class_prefix
 
+type t = { instance : Instance.t; importer : Domain.t; entry : int }
+
 let make ~machine ~vmem ~registry ~target ~importer =
   (* the fault-hooked "interface entry" page in the importer's domain *)
-  let entry_page = Vmem.alloc_pages vmem importer ~count:1 ~sharing:Vmem.Exclusive in
-  Vmem.hook_page vmem importer ~vaddr:entry_page true;
+  let entry = Vmem.alloc_pages vmem importer ~count:1 ~sharing:Vmem.Exclusive in
+  Vmem.hook_page vmem importer ~vaddr:entry true;
   let forward_method iface_name (m : Iface.meth) =
     let forward (ctx : Call_ctx.t) args =
       if ctx.Call_ctx.caller_domain <> importer.Domain.id then
@@ -77,7 +79,10 @@ let make ~machine ~vmem ~registry ~target ~importer =
     Iface.make ~name:i.Iface.name
       (List.map (forward_method i.Iface.name) i.Iface.methods)
   in
-  Instance.create registry
-    ~class_name:(class_prefix ^ target.Instance.class_name)
-    ~domain:importer.Domain.id
-    (List.map proxy_iface target.Instance.interfaces)
+  let instance =
+    Instance.create registry
+      ~class_name:(class_prefix ^ target.Instance.class_name)
+      ~domain:importer.Domain.id
+      (List.map proxy_iface target.Instance.interfaces)
+  in
+  { instance; importer; entry }

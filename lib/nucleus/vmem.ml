@@ -13,6 +13,11 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Vmem_error s)) fmt
 
 type allocation = { frame : int; sharing : sharing }
 
+(* each domain's next free vpage when the mark was taken: vpages are
+   handed out in increasing order and never reused, so an allocation was
+   made since the mark exactly when its vpage is at or past that *)
+type mark = (int * int) list
+
 type io_grant = {
   grant_domain : int;
   device : string;
@@ -89,6 +94,10 @@ let alloc_pages t dom ~count ~sharing =
   if count <= 0 then invalid_arg "Vmem.alloc_pages: count must be positive";
   let mmu = Machine.mmu t.machine in
   let phys = Machine.phys t.machine in
+  (* all or nothing: a request that cannot be met maps no page *)
+  if Physmem.free_frames phys < count then
+    fail "out of physical memory: %d pages asked, %d frames free" count
+      (Physmem.free_frames phys);
   let did = dom.Domain.id in
   let base = next_vpages t did count in
   for i = 0 to count - 1 do
@@ -103,22 +112,37 @@ let alloc_of t dom vpage =
   | Some a -> a
   | None -> fail "page %d is not an allocation of domain %s" vpage dom.Domain.name
 
+(* unmap one live allocation, dropping its frame reference and its fault
+   call-back *)
+let free_alloc t did vpage a =
+  ignore (Mmu.unmap (Machine.mmu t.machine) did ~vpage);
+  Physmem.release (Machine.phys t.machine) a.frame;
+  Hashtbl.remove t.allocs (did, vpage);
+  Hashtbl.remove t.fault_cbs (did, vpage);
+  if a.sharing = Shared then
+    jot t ~kind:Journal.Page_unshare ~domain:did ~info:a.frame
+      ~detail:(Printf.sprintf "vpage %d" vpage)
+
 let free_pages t dom ~vaddr ~count =
-  let ps = Machine.page_size t.machine in
-  let base = vaddr / ps in
-  let mmu = Machine.mmu t.machine in
-  let phys = Machine.phys t.machine in
+  let base = vaddr / Machine.page_size t.machine in
   for i = 0 to count - 1 do
     let vpage = base + i in
-    let a = alloc_of t dom vpage in
-    ignore (Mmu.unmap mmu dom.Domain.id ~vpage);
-    Physmem.release phys a.frame;
-    Hashtbl.remove t.allocs (dom.Domain.id, vpage);
-    Hashtbl.remove t.fault_cbs (dom.Domain.id, vpage);
-    if a.sharing = Shared then
-      jot t ~kind:Journal.Page_unshare ~domain:dom.Domain.id ~info:a.frame
-        ~detail:(Printf.sprintf "vpage %d" vpage)
+    free_alloc t dom.Domain.id vpage (alloc_of t dom vpage)
   done
+
+let release t (did, vpage) =
+  match Hashtbl.find_opt t.allocs (did, vpage) with
+  | Some a -> free_alloc t did vpage a
+  | None -> ()
+
+let mark t = Hashtbl.fold (fun did next acc -> (did, !next) :: acc) t.bump []
+
+let made_since mark (did, vpage) =
+  match List.assoc_opt did mark with Some next -> vpage >= next | None -> true
+
+let allocated_since t mark =
+  Hashtbl.fold (fun k _ acc -> if made_since mark k then k :: acc else acc) t.allocs []
+  |> List.sort compare
 
 let map_shared t ~from_dom ~vaddr ~count ~into ~prot =
   let ps = Machine.page_size t.machine in
@@ -166,8 +190,6 @@ let hook_page t dom ~vaddr on =
 let pages_of t dom =
   Hashtbl.fold (fun (d, _) _ acc -> if d = dom.Domain.id then acc + 1 else acc) t.allocs 0
 
-(* every live allocation as (domain id, vpage), sorted — the snapshot
-   System.transact diffs to roll page tables back on abort *)
 let alloc_keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.allocs [] |> List.sort compare
 

@@ -24,12 +24,45 @@ val create : Pm_machine.Machine.t -> t
 (** {1 Pages} *)
 
 (** [alloc_pages t dom ~count ~sharing] allocates and maps [count] fresh
-    zeroed pages read-write in [dom]; returns the base virtual address. *)
+    zeroed pages read-write in [dom]; returns the base virtual address.
+    It is all or nothing: when fewer than [count] frames are free it
+    raises {!Vmem_error} and maps no page. *)
 val alloc_pages : t -> Domain.t -> count:int -> sharing:sharing -> int
 
-(** [free_pages t dom ~vaddr ~count] unmaps and releases. Raises
-    {!Vmem_error} if a page is not an allocation owned by [dom]. *)
+(** [free_pages t dom ~vaddr ~count] unmaps each page, removing its MMU
+    entry and any fault hook or call-back, and drops its frame
+    reference; a frame with no reference left goes back to physical
+    memory. It charges no cycle. Raises {!Vmem_error} if a page is not
+    an allocation owned by [dom]. *)
 val free_pages : t -> Domain.t -> vaddr:int -> count:int -> unit
+
+(** {1 Allocation marks}
+
+    A mark names a point in the sequence of allocations; every
+    {!alloc_pages} page and every {!map_shared} mapping made after it is
+    "allocated since" it. A mark is each domain's next free virtual
+    page when it was taken: virtual pages are handed out in increasing
+    order and never reused, so allocations carry no stamp. The loader
+    takes one around a component's constructor to learn what the
+    constructor allocated, and a transaction takes one when it begins,
+    to roll back to it. *)
+
+type mark
+
+val mark : t -> mark
+
+(** [made_since m (domain id, vpage)] is whether an allocation at that
+    page was made after [m] was taken. *)
+val made_since : mark -> int * int -> bool
+
+(** [allocated_since t m] is every allocation made since [m] that is
+    still live, as [(domain id, vpage)] in ascending order. *)
+val allocated_since : t -> mark -> (int * int) list
+
+(** [release t (domain id, vpage)] frees that allocation as
+    {!free_pages} would, if it is still live; otherwise it does
+    nothing. *)
+val release : t -> int * int -> unit
 
 (** [map_shared t ~from_dom ~vaddr ~count ~into ~prot] maps pages of a
     [Shared] allocation into another domain; returns the base virtual
@@ -61,8 +94,7 @@ val hook_page : t -> Domain.t -> vaddr:int -> bool -> unit
 (** [pages_of t dom] is the number of pages currently mapped for [dom]. *)
 val pages_of : t -> Domain.t -> int
 
-(** Every live allocation as [(domain id, vpage)], sorted — the snapshot
-    [System.transact] diffs to roll page tables back on abort. *)
+(** Every live allocation as [(domain id, vpage)], sorted. *)
 val alloc_keys : t -> (int * int) list
 
 (** [phys_of t dom ~vaddr] is the physical address backing a mapped

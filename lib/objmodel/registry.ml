@@ -11,3 +11,4 @@ let put t handle v = Hashtbl.replace t.tbl handle v
 let get t handle = Hashtbl.find_opt t.tbl handle
 let remove t handle = Hashtbl.remove t.tbl handle
 let size t = Hashtbl.length t.tbl
+let iter t f = Hashtbl.iter (fun _ v -> f v) t.tbl

@@ -23,3 +23,6 @@ val get : 'a t -> int -> 'a option
 val remove : 'a t -> int -> unit
 
 val size : 'a t -> int
+
+(** [iter t f] applies [f] to every live payload, in no set order. *)
+val iter : 'a t -> ('a -> unit) -> unit

@@ -25,7 +25,10 @@ let create ~root =
   { root; known_grants = []; revoked = Hashtbl.create 8; signatures_checked = 0 }
 
 let root t = t.root
-let add_grant t grant = t.known_grants <- { grant; verdict = Unchecked } :: t.known_grants
+(* a grant taught again, every field equal, is the entry already kept *)
+let add_grant t grant =
+  if not (List.exists (fun e -> e.grant = grant) t.known_grants) then
+    t.known_grants <- { grant; verdict = Unchecked } :: t.known_grants
 let revoke t pid = Hashtbl.replace t.revoked pid ()
 let signatures_checked t = t.signatures_checked
 

@@ -36,7 +36,9 @@ val root : t -> Principal.t
     for the rest of [t]'s life: a grant does not change once issued.
     Expiry and revocation are judged again on every validation. The
     verdict is [t]'s own; another validator taught the same grant checks
-    it again. *)
+    it again. Teaching [t] a grant equal in every field, signature
+    included, to one it already holds keeps the existing entry and its
+    verdict; a grant that differs in any field is an entry of its own. *)
 val add_grant : t -> Delegation.t -> unit
 
 (** [revoke t principal_id] bars a principal; certificates it signed and

@@ -207,7 +207,8 @@ let test_physmem_alloc_free () =
   ignore (Physmem.alloc pm);
   ignore (Physmem.alloc pm);
   ignore (Physmem.alloc pm);
-  Alcotest.check_raises "exhaustion" Out_of_memory (fun () -> ignore (Physmem.alloc pm))
+  Alcotest.check_raises "exhaustion" Physmem.Out_of_frames (fun () ->
+      ignore (Physmem.alloc pm))
 
 let test_physmem_refcount () =
   let pm = Physmem.create ~frames:2 ~page_size:64 in

@@ -35,6 +35,361 @@ let counter_construct (api : Api.t) (dom : Domain.t) =
 let counter_image ?(name = "counter") ?(type_safe = true) () =
   Images.image ~name ~size:2048 ~author:"kernel-team" ~type_safe counter_construct
 
+(* --- lifecycle: unload returns what load and bind took ------------------ *)
+
+(* a component whose constructor takes pages: two shared pages in its own
+   domain, the first with a fault call-back, and from a user domain a
+   read-only mapping of that page into the kernel *)
+let paged_construct (api : Api.t) (dom : Domain.t) =
+  let vmem = api.Api.vmem in
+  let vaddr = Vmem.alloc_pages vmem dom ~count:2 ~sharing:Vmem.Shared in
+  Vmem.set_fault_callback vmem dom ~vaddr (fun _ -> false);
+  if not (Domain.is_kernel dom) then
+    ignore
+      (Vmem.map_shared vmem ~from_dom:dom ~vaddr ~count:1 ~into:api.Api.kernel_domain
+         ~prot:Mmu.Read_only);
+  counter_construct api dom
+
+type place = In_kernel | Sandboxed | In_user of int
+
+type step =
+  | Install of place * bool * int  (** where, paged, slot *)
+  | Bind of int * int  (** slot, importing domain (0 is the kernel's) *)
+  | Call of int  (** a binding held since an earlier step *)
+  | Unload of int
+  | Abort of { place : place; paged : bool; interpose : int option; bind : (int * int) option }
+      (** a transaction installs, aliases, maybe interposes on a slot and
+          binds one from another domain, then aborts *)
+
+let show_place = function
+  | In_kernel -> "kernel"
+  | Sandboxed -> "sandboxed"
+  | In_user i -> Printf.sprintf "u%d" (i + 1)
+
+let show_step = function
+  | Install (p, paged, s) ->
+    Printf.sprintf "install%s %s @%d" (if paged then " paged" else "") (show_place p) s
+  | Bind (s, d) -> Printf.sprintf "bind @%d from %d" s d
+  | Call i -> Printf.sprintf "call #%d" i
+  | Unload s -> Printf.sprintf "unload @%d" s
+  | Abort { place; paged; interpose; bind } ->
+    Printf.sprintf "abort(install%s %s%s%s)"
+      (if paged then " paged" else "")
+      (show_place place)
+      (match interpose with Some s -> Printf.sprintf ", interpose @%d" s | None -> "")
+      (match bind with Some (s, d) -> Printf.sprintf ", bind @%d from %d" s d | None -> "")
+
+let slots = 4
+
+let gen_step =
+  let open QCheck2.Gen in
+  let slot = int_bound (slots - 1) and dom = int_bound 2 in
+  let place =
+    frequency
+      [ (3, pure In_kernel); (1, pure Sandboxed); (2, map (fun i -> In_user i) (int_bound 1)) ]
+  in
+  frequency
+    [
+      (4, map3 (fun p paged s -> Install (p, paged, s)) place bool slot);
+      (4, map2 (fun s d -> Bind (s, d)) slot dom);
+      (3, map (fun i -> Call i) (int_bound 15));
+      (3, map (fun s -> Unload s) slot);
+      ( 2,
+        map4
+          (fun place paged interpose bind -> Abort { place; paged; interpose; bind })
+          (oneofl [ In_kernel; Sandboxed; In_user 0; In_user 1 ])
+          bool (opt slot) (opt (pair slot dom)) );
+    ]
+
+(* One boot for every case: two user domains, and the images certified
+   once. *)
+type law = {
+  lsys : System.t;
+  doms : Domain.t array; (* kernel, u1, u2 *)
+  certified : Loader.image array; (* plain, paged *)
+  bare : Loader.image array; (* the same, uncertified, for the sandbox *)
+}
+
+let law =
+  lazy
+    (let lsys = System.create ~key_bits:384 () in
+     let k = System.kernel lsys in
+     let u1 = System.new_domain lsys "u1" and u2 = System.new_domain lsys "u2" in
+     let image name construct =
+       Images.image ~name ~size:512 ~author:"kernel-team" ~type_safe:true construct
+     in
+     let bare = [| image "law-plain" counter_construct; image "law-paged" paged_construct |] in
+     let certified =
+       Array.map (fun i -> fst (Images.certify (System.authority lsys) ~now:0 i)) bare
+     in
+     { lsys; doms = [| Kernel.kernel_domain k; u1; u2 |]; certified; bare })
+
+let slot_path s = Path.of_string (Printf.sprintf "/law/%d" s)
+
+(* everything a load, a bind or a transaction can take *)
+let taken k =
+  let names = ref [] in
+  Namespace.iter (Directory.namespace (Kernel.directory k)) (fun p h ->
+      names := (Path.to_string p, h) :: !names);
+  ( Physmem.free_frames (Machine.phys (Kernel.machine k)),
+    Registry.size (Kernel.api k).Api.registry,
+    List.sort compare !names,
+    Vmem.alloc_keys (Kernel.vmem k),
+    Directory.proxy_count (Kernel.directory k),
+    Directory.replacements (Kernel.directory k) )
+
+(* Run one case, then unload what is left. Every step's result must be
+   the model's: which slots hold a load, and which bindings still reach
+   one. Afterwards everything [taken] reads must be as before, and the
+   case's structural records must hold a Detach for each Install. *)
+let lifecycle_law steps =
+  let law = Lazy.force law in
+  let sys = law.lsys in
+  let k = System.kernel sys in
+  let loader = Kernel.loader k and api = Kernel.api k in
+  let journal = Obs.journal (Clock.obs (Kernel.clock k)) in
+  let before = taken k and first_seq = Journal.written journal in
+  let loaded = Array.make slots None and generation = ref 0 in
+  let held = ref [] in
+  let expect what ok = if not ok then failwith what in
+  let image place paged =
+    let images = if place = Sandboxed then law.bare else law.certified in
+    images.(if paged then 1 else 0)
+  in
+  let into = function
+    | In_kernel | Sandboxed -> law.doms.(0)
+    | In_user i -> law.doms.(i + 1)
+  in
+  let load place paged at =
+    let image = image place paged in
+    Loader.publish loader image;
+    let sandbox =
+      if place = Sandboxed then Some (Sandbox.for_loader api.Api.registry) else None
+    in
+    Loader.load loader ~name:image.Loader.meta.Meta.name ~into:(into place) ~at ?sandbox ()
+  in
+  let step = function
+    | Install (place, paged, s) ->
+      (match (load place paged (slot_path s), loaded.(s)) with
+      | Ok _, None ->
+        incr generation;
+        loaded.(s) <- Some !generation
+      | Error (Loader.Name_taken _), Some _ -> ()
+      | _ -> failwith "install")
+    | Bind (s, d) ->
+      (match (Api.bind api law.doms.(d) (slot_path s), loaded.(s)) with
+      | Ok inst, Some g -> held := (inst, d, s, g) :: !held
+      | Error (Directory.Name _), None -> ()
+      | _ -> failwith "bind")
+    | Call i ->
+      if !held <> [] then begin
+        let inst, d, s, g = List.nth !held (i mod List.length !held) in
+        match
+          ( Invoke.call (Kernel.ctx k law.doms.(d)) inst ~iface:"counter" ~meth:"incr"
+              [ Value.Int 1 ],
+            loaded.(s) = Some g )
+        with
+        | Ok _, true | Error Oerror.Revoked, false -> ()
+        | _ -> failwith "call"
+      end
+    | Unload s ->
+      (match (Loader.unload loader (slot_path s), loaded.(s)) with
+      | Ok (), Some _ -> loaded.(s) <- None
+      | Error _, None -> ()
+      | _ -> failwith "unload")
+    | Abort { place; paged; interpose; bind } ->
+      let placement =
+        match place with
+        | In_kernel -> System.Certified
+        | Sandboxed -> System.Sandboxed
+        | In_user i -> System.User law.doms.(i + 1)
+      in
+      let outcome =
+        System.transact sys "law" (fun txn ->
+            match System.txn_install txn (image place paged) ~placement ~at:"/law/txn" with
+            | Error e -> Error ("install: " ^ e)
+            | Ok inst ->
+              (match System.txn_register txn "/law/alias" inst with
+              | Error e -> Error ("register: " ^ e)
+              | Ok () ->
+                let interposed =
+                  match interpose with
+                  | Some s when loaded.(s) <> None ->
+                    Result.map ignore
+                      (System.txn_interpose txn (Path.to_string (slot_path s)) inst)
+                  | Some _ | None -> Ok ()
+                in
+                (match (interposed, bind) with
+                | Error e, _ -> Error ("interpose: " ^ e)
+                | Ok (), Some (s, d) when loaded.(s) <> None ->
+                  (match Api.bind api law.doms.(d) (slot_path s) with
+                  | Ok _ -> Error "abort"
+                  | Error e -> Error ("bind: " ^ Directory.bind_error_to_string e))
+                | Ok (), _ -> Error "abort"))
+        )
+      in
+      expect "the transaction aborts as asked" (outcome = Error "abort")
+  in
+  List.iter step steps;
+  Array.iteri
+    (fun s l ->
+      if l <> None then expect "unload what is left" (Loader.unload loader (slot_path s) = Ok ()))
+    loaded;
+  expect "everything taken is returned" (taken k = before);
+  let handles kind =
+    List.filter_map
+      (fun (e : Journal.event) ->
+        if e.Journal.seq >= first_seq && e.Journal.kind = kind then Some e.Journal.info
+        else None)
+      (Journal.structural journal)
+    |> List.sort compare
+  in
+  expect "a Detach for each Install" (handles Journal.Install = handles Journal.Detach);
+  true
+
+(* One boot, one image certified once: every round loads it, binds it
+   from the other domain, calls it and unloads it. Odd rounds load it
+   into the kernel, which checks its certificate, and bind it from a
+   user domain; even rounds the other way round. Every unload returns
+   the frames; a domain made after the churn, whose instance sits past
+   20,000 freed handles, is still torn down whole. *)
+let test_lifecycle_soak () =
+  let sys = System.create ~key_bits:384 () in
+  let k = System.kernel sys in
+  let api = Kernel.api k and loader = Kernel.loader k in
+  let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "soak" in
+  let phys = Machine.phys (Kernel.machine k) in
+  let image, _ =
+    Images.certify (System.authority sys) ~now:0
+      (Images.image ~name:"soak" ~size:256 ~author:"kernel-team" ~type_safe:true
+         counter_construct)
+  in
+  Loader.publish loader image;
+  let path = Path.of_string "/soak" and frames = Physmem.free_frames phys in
+  for round = 1 to 10_000 do
+    let ok what = function
+      | Ok x -> x
+      | Error _ -> Alcotest.failf "round %d: %s failed" round what
+    in
+    let into, from = if round land 1 = 1 then (kdom, udom) else (udom, kdom) in
+    ignore (ok "load" (Loader.load loader ~name:"soak" ~into ~at:path ()));
+    let proxy = ok "bind" (Api.bind api from path) in
+    ignore
+      (ok "call"
+         (Invoke.call (Kernel.ctx k from) proxy ~iface:"counter" ~meth:"incr" [ Value.Int 1 ]));
+    ok "unload" (Loader.unload loader path);
+    if Physmem.free_frames phys <> frames then
+      Alcotest.failf "round %d: %d frames free, %d at boot" round
+        (Physmem.free_frames phys) frames
+  done;
+  Alcotest.(check int) "no proxies left" 0 (Directory.proxy_count (Kernel.directory k));
+  let late = Kernel.create_domain k ~name:"late" () in
+  let inst = counter_construct api late in
+  Kernel.destroy_domain k late;
+  Alcotest.(check bool) "the late domain's instance is revoked" true inst.Instance.revoked
+
+let load_ok k ?(into = Kernel.kernel_domain k) image at =
+  let loader = Kernel.loader k in
+  Loader.publish loader image;
+  match Loader.load loader ~name:image.Loader.meta.Meta.name ~into ~at:(Path.of_string at) () with
+  | Ok inst -> inst
+  | Error e -> Alcotest.failf "load %s: %s" at (Loader.load_error_to_string e)
+
+let unload_ok k at =
+  match Loader.unload (Kernel.loader k) (Path.of_string at) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unload %s: %s" at (Loader.load_error_to_string e)
+
+let same_as before what k = Alcotest.(check bool) what true (taken k = before)
+
+(* a load refused its name returns its pages and registry slots *)
+let test_lifecycle_failed_load () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  let paged = Images.image ~name:"paged" ~size:512 paged_construct in
+  ignore (load_ok k ~into:udom paged "/svc/p");
+  let before = taken k in
+  (match
+     Loader.load (Kernel.loader k) ~name:"paged" ~into:udom ~at:(Path.of_string "/svc/p") ()
+   with
+  | Error (Loader.Name_taken _) -> ()
+  | _ -> Alcotest.fail "a taken name must refuse the load");
+  same_as before "nothing kept" k
+
+(* a proxy a transaction bound to a surviving target leaves with the
+   rollback, so the target's unload later frees its page once *)
+let test_lifecycle_rollback_drops_proxies () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  let base = taken k in
+  ignore (System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c");
+  let before = taken k in
+  (match
+     System.transact sys "bind-then-abort" (fun _ ->
+         match Api.bind (Kernel.api k) udom (Path.of_string "/svc/c") with
+         | Ok p when Proxy.is_proxy p -> Error "abort"
+         | _ -> Error "no proxy")
+   with
+  | Error "abort" -> ()
+  | _ -> Alcotest.fail "the transaction must abort after its bind");
+  same_as before "the bind is rolled back" k;
+  unload_ok k "/svc/c";
+  same_as base "and the load unloaded" k
+
+(* a proxy bound by a constructor belongs to the bind, not to the load:
+   unloading the component leaves it, unloading its target returns it *)
+let test_lifecycle_constructor_binds () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  let base = taken k in
+  ignore (System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c");
+  let binder api dom =
+    ignore (Api.bind_exn api dom (Path.of_string "/svc/c"));
+    paged_construct api dom
+  in
+  ignore (load_ok k ~into:udom (Images.image ~name:"binder" ~size:512 binder) "/svc/b");
+  unload_ok k "/svc/b";
+  Alcotest.(check int) "the constructor's proxy stays" 1
+    (Directory.proxy_count (Kernel.directory k));
+  let proxy = Kernel.bind k udom "/svc/c" in
+  Alcotest.check value "and still reaches its target" Value.Unit
+    (Invoke.call_exn (Kernel.ctx k udom) proxy ~iface:"counter" ~meth:"incr" [ Value.Int 1 ]);
+  unload_ok k "/svc/c";
+  same_as base "all returned" k
+
+(* destroying an importer takes its proxies out of the directory, so the
+   target's unload frees no page the domain's teardown already freed *)
+let test_lifecycle_destroy_importer () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let base = taken k in
+  ignore (System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c");
+  let udom = Kernel.create_domain k ~name:"importer" () in
+  ignore (Kernel.bind k udom "/svc/c");
+  Kernel.destroy_domain k udom;
+  Alcotest.(check int) "its proxy is gone" 0 (Directory.proxy_count (Kernel.directory k));
+  unload_ok k "/svc/c";
+  same_as base "all returned" k
+
+(* a full memory is a bind error, and the bind takes nothing *)
+let test_lifecycle_bind_without_frames () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  ignore (System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c");
+  let kdom = Kernel.kernel_domain k in
+  let free = Physmem.free_frames (Machine.phys (Kernel.machine k)) in
+  ignore (Vmem.alloc_pages (Kernel.vmem k) kdom ~count:free ~sharing:Vmem.Exclusive);
+  let before = taken k in
+  (match Api.bind (Kernel.api k) udom (Path.of_string "/svc/c") with
+  | Error (Directory.No_memory _) -> ()
+  | Ok _ -> Alcotest.fail "no frame is free for an entry page"
+  | Error e -> Alcotest.failf "wrong error: %s" (Directory.bind_error_to_string e));
+  same_as before "nothing taken" k
+
 (* --- events ------------------------------------------------------------- *)
 
 let test_events_callbacks () =
@@ -108,6 +463,19 @@ let test_vmem_alloc_free () =
   (match Vmem.free_pages vm dom ~vaddr ~count:1 with
   | exception Vmem.Vmem_error _ -> ()
   | _ -> Alcotest.fail "double free rejected")
+
+(* a request for more pages than there are free frames maps none *)
+let test_vmem_all_or_nothing () =
+  let k = kernel_fixture () in
+  let vm = Kernel.vmem k in
+  let phys = Machine.phys (Kernel.machine k) in
+  let dom = Kernel.create_domain k ~name:"u" () in
+  let free = Physmem.free_frames phys and keys = Vmem.alloc_keys vm in
+  (match Vmem.alloc_pages vm dom ~count:(free + 1) ~sharing:Vmem.Exclusive with
+  | exception Vmem.Vmem_error _ -> ()
+  | _ -> Alcotest.fail "more pages than free frames");
+  Alcotest.(check int) "free frames" free (Physmem.free_frames phys);
+  Alcotest.(check (list (pair int int))) "allocations" keys (Vmem.alloc_keys vm)
 
 let test_vmem_sharing () =
   let k = kernel_fixture () in
@@ -404,11 +772,26 @@ let test_loader_user_load_needs_no_cert () =
 let test_loader_unload () =
   let sys = sys_fixture () in
   let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  let phys = Machine.phys (Kernel.machine k) in
+  let frames = Physmem.free_frames phys in
   let inst = System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c" in
+  let proxy = Kernel.bind k udom "/svc/c" in
   (match Loader.unload (Kernel.loader k) (Path.of_string "/svc/c") with
   | Ok () -> ()
   | Error e -> Alcotest.failf "unload failed: %s" (Loader.load_error_to_string e));
   Alcotest.(check bool) "revoked" true inst.Instance.revoked;
+  Alcotest.(check int) "the proxy's entry page is back" frames (Physmem.free_frames phys);
+  Alcotest.(check bool) "the handle is gone" true
+    (Directory.resolve_handle (Kernel.directory k) (Instance.handle inst) = None);
+  (* a proxy its caller still holds answers Revoked, charged the dispatch *)
+  let clock = Kernel.clock k in
+  let t0 = Clock.now clock in
+  (match Invoke.call (Kernel.ctx k udom) proxy ~iface:"counter" ~meth:"get" [] with
+  | Error Oerror.Revoked -> ()
+  | _ -> Alcotest.fail "a held proxy must answer Revoked");
+  Alcotest.(check int) "charge" (Machine.costs (Kernel.machine k)).Cost.indirect_call
+    (Clock.now clock - t0);
   (match Kernel.bind k (Kernel.kernel_domain k) "/svc/c" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "name must be gone")
@@ -658,6 +1041,25 @@ let test_destroy_domain_guards () =
 let () =
   Alcotest.run "nucleus"
     [
+      ( "lifecycle",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:200
+               ~name:"unload, rollback and the end of a case return what was taken"
+               ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+               QCheck2.Gen.(list_size (int_range 1 12) gen_step)
+               lifecycle_law);
+          Alcotest.test_case "10,000 loads on one boot" `Quick test_lifecycle_soak;
+          Alcotest.test_case "a refused load keeps nothing" `Quick test_lifecycle_failed_load;
+          Alcotest.test_case "rollback drops the proxies it bound" `Quick
+            test_lifecycle_rollback_drops_proxies;
+          Alcotest.test_case "a constructor's binds outlive its load" `Quick
+            test_lifecycle_constructor_binds;
+          Alcotest.test_case "destroying an importer drops its proxies" `Quick
+            test_lifecycle_destroy_importer;
+          Alcotest.test_case "bind without a free frame" `Quick
+            test_lifecycle_bind_without_frames;
+        ] );
       ( "events",
         [
           Alcotest.test_case "callbacks" `Quick test_events_callbacks;
@@ -669,6 +1071,7 @@ let () =
       ( "vmem",
         [
           Alcotest.test_case "alloc/free" `Quick test_vmem_alloc_free;
+          Alcotest.test_case "all or nothing" `Quick test_vmem_all_or_nothing;
           Alcotest.test_case "sharing + refcount" `Quick test_vmem_sharing;
           Alcotest.test_case "exclusive not shareable" `Quick
             test_vmem_exclusive_not_shareable;

@@ -310,6 +310,49 @@ let test_validate_forged_copy_of_checked_grant () =
   | Validator.Valid _ -> ()
   | Validator.Invalid e -> Alcotest.failf "genuine chain lost: %s" (Validator.failure_to_string e)
 
+(* teaching a kernel its boot grants again must not double the checks *)
+let test_validate_grant_taught_twice () =
+  let f = fixture () in
+  let v = validator_of f in
+  List.iter (Validator.add_grant v) (Authority.grants f.auth);
+  let code = "good code" in
+  let cert = certify_exn f (meta ~type_safe:true "c") ~code ~now:1 in
+  let checks () =
+    let before = Validator.signatures_checked v in
+    (match Validator.validate v cert ~code ~now:2 with
+    | Validator.Valid _ -> ()
+    | Validator.Invalid e -> Alcotest.failf "rejected: %s" (Validator.failure_to_string e));
+    Validator.signatures_checked v - before
+  in
+  Alcotest.(check int) "the certificate and one copy of the grant" 2 (checks ());
+  Alcotest.(check int) "the grant's verdict is kept" 1 (checks ())
+
+let test_validate_forged_copy_taught_with_original () =
+  let f = fixture () in
+  let v = validator_of f in
+  let r = Prng.create ~seed:666 in
+  let mallory_key = Rsa.generate r ~bits:key_bits in
+  let mallory = Principal.make "mallory" mallory_key.Rsa.pub in
+  let genuine =
+    List.find
+      (fun g -> Principal.equal g.Delegation.delegate f.compiler.Authority.principal)
+      (Authority.grants f.auth)
+  in
+  (* the same signature on a grant naming another delegate differs in a
+     field, so it is an entry of its own *)
+  Validator.add_grant v genuine;
+  Validator.add_grant v { genuine with Delegation.delegate = mallory };
+  let evil =
+    Authority.certify_direct ~signer_key:mallory_key ~signer:mallory
+      ~meta:(meta ~author:"mallory" "evil") ~code:"evil" ~now:1
+  in
+  let before = Validator.signatures_checked v in
+  (match Validator.validate v evil ~code:"evil" ~now:2 with
+  | Validator.Invalid (Validator.Untrusted_signer _) -> ()
+  | _ -> Alcotest.fail "a forged grant must read Untrusted_signer");
+  Alcotest.(check int) "the certificate and the forgery" 2
+    (Validator.signatures_checked v - before)
+
 let test_validate_self_signed_rejected () =
   (* mallory signs her own cert with her own key: no chain to the root *)
   let f = fixture () in
@@ -600,6 +643,9 @@ let () =
             test_validate_expired_intermediate_grant;
           Alcotest.test_case "forged copy of a checked grant" `Quick
             test_validate_forged_copy_of_checked_grant;
+          Alcotest.test_case "grant taught twice" `Quick test_validate_grant_taught_twice;
+          Alcotest.test_case "forged copy taught with its original" `Quick
+            test_validate_forged_copy_taught_with_original;
           Alcotest.test_case "self-signed rejected" `Quick
             test_validate_self_signed_rejected;
         ] );
