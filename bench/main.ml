@@ -1924,8 +1924,8 @@ module E19 = struct
   let run () =
     header "E19  Block path: cached vs uncached vs raw-device cycles/op"
       "storage assembled from interposable components costs only a small \
-       constant over the raw device, and the write-back cache's hit path \
-       never reaches the device at all — memory traffic plus dispatch";
+       constant over the raw device, and a hit in the write-back cache \
+       lends the block: one dispatch, no copy, no device";
     let sys = fresh_sys () in
     let k = System.kernel sys in
     let store =
@@ -1965,20 +1965,20 @@ module E19 = struct
       ];
     let costs = ctx.Call_ctx.costs in
     let media = Cost.blk_op costs ~bytes:512 in
-    let copy = 512 * costs.Cost.mem_read in
-    line "media transfer alone is %d cycles/block; a 512-byte copy is %d" media
-      copy;
+    let dispatch = Cost.dispatch costs in
+    line "media transfer alone is %d cycles/block; a method dispatch is %d" media
+      dispatch;
     (* the asserted bounds: (a) every layer of the stack adds only a
        small constant over the raw device, (b) a cache hit skips the
-       media entirely, (c) the hit path stays within a small constant of
-       the bare block copy *)
+       media entirely, (c) a hit costs no more than the dispatch that
+       reaches the cache: the line is lent, not copied *)
     assert (uncached - raw < 200);
     assert (cached <= raw - media + 200);
-    assert (cached - copy < 200);
+    assert (cached <= dispatch);
     line "uncached adds %d cycles/op over raw: the partition layer is constant"
       (uncached - raw);
-    line "a hit costs %d over the bare copy — the device is out of the path"
-      (cached - copy)
+    line "a hit lends the block for %d cycles: one dispatch, no copy, no device"
+      cached
 end
 
 (* ------------------------------------------------------------------ *)

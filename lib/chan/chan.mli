@@ -163,8 +163,10 @@ val is_cross_cpu : t -> bool
 
 (** [on_doorbell t ~events ~sched f] registers [f] to run as a pop-up
     proto-thread in the consumer's domain whenever this channel rings.
-    The underlying trap vector is shared between channels; the callback
-    fires only for this channel's id. Requires a consumer. *)
+    The underlying trap vector is shared between channels; the call-back
+    is registered for this channel's id, so another channel's doorbell
+    neither switches into the consumer nor runs it. Requires a
+    consumer. *)
 val on_doorbell :
   t ->
   events:Pm_nucleus.Events.t ->

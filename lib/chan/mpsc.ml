@@ -177,11 +177,11 @@ let ring_doorbell t tx =
       else ignore (Machine.raise_trap t.machine Chan.doorbell_vec t.group_id))
 
 let on_doorbell t ~events ~sched f =
-  Events.register events (Events.Trap Chan.doorbell_vec) ~domain:t.consumer (fun arg ->
-      if arg = t.group_id then
-        ignore
-          (Scheduler.popup sched ~name:("mpsc-" ^ t.group_name)
-             ~domain:t.consumer.Domain.id f))
+  Events.register ~arg:t.group_id events (Events.Trap Chan.doorbell_vec)
+    ~domain:t.consumer (fun _ ->
+      ignore
+        (Scheduler.popup sched ~name:("mpsc-" ^ t.group_name)
+           ~domain:t.consumer.Domain.id f))
 
 (* ------------------------------------------------------------------ *)
 (* Producer side                                                       *)

@@ -132,7 +132,9 @@ val recv_batch : ?account:bool -> ?max:int -> t -> unit -> bytes list
 val arm : t -> unit
 
 (** [on_doorbell t ~events ~sched f] registers [f] as a pop-up
-    proto-thread in the consumer's domain for this group's doorbell. *)
+    proto-thread in the consumer's domain for this group's doorbell,
+    registered for the group's id as {!Chan.on_doorbell} is for a
+    channel's. *)
 val on_doorbell :
   t ->
   events:Pm_nucleus.Events.t ->

@@ -71,9 +71,13 @@ let reg_write t reg v =
 let interrupt t =
   if t.ctrl land ctrl_irq_enable <> 0 then Machine.raise_irq t.machine t.irq_line
 
-(* One machine tick: complete at most one transmit and one receive DMA. *)
+(* One machine tick: complete at most one transmit and one receive DMA,
+   then raise one interrupt if either completed. The driver services
+   every cause in one entry, so a loopback frame's tx-done and rx share
+   it. *)
 let tick t =
   let phys = Machine.phys t.machine in
+  let fired = ref false in
   (match Queue.take_opt t.tx_queue with
   | Some { addr; len } ->
     let frame = Bytes.create len in
@@ -83,7 +87,7 @@ let tick t =
     if Queue.length t.transmitted > capture then ignore (Queue.pop t.transmitted);
     if t.ctrl land ctrl_loopback <> 0 then Queue.push frame t.wire_in;
     t.status <- t.status lor status_tx_done;
-    interrupt t
+    fired := true
   | None -> ());
   if t.ctrl land ctrl_rx_enable <> 0 then begin
     match Queue.peek_opt t.wire_in with
@@ -99,8 +103,9 @@ let tick t =
           (String.length packet);
         Queue.push (buf_addr, String.length packet) t.filled;
         t.status <- t.status lor status_rx;
-        interrupt t)
-  end
+        fired := true)
+  end;
+  if !fired then interrupt t
 
 let create machine ~irq_line =
   let t =

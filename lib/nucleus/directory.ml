@@ -188,6 +188,24 @@ let taken_since t mark =
     in
     List.filter (fun page -> not (List.mem page entries)) pages
 
+let slots_since t first ~except =
+  let live = ref [] in
+  for h = Registry.next t.registry - 1 downto first do
+    if h <> except && Registry.mem t.registry h then live := h :: !live
+  done;
+  match !live with
+  | [] -> []
+  | live ->
+    let owned = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun _ bound ->
+        List.iter
+          (fun (r : Proxy.t) -> Hashtbl.replace owned (Instance.handle r.Proxy.instance) ())
+          bound)
+      t.proxies;
+    Namespace.iter t.ns (fun _ h -> Hashtbl.replace owned h ());
+    List.filter (fun h -> not (Hashtbl.mem owned h)) live
+
 let rollback t mark =
   forget t (bound_since t mark);
   List.iter (Vmem.release t.vmem) (Vmem.allocated_since t.vmem mark)

@@ -106,6 +106,15 @@ val drop_imports : t -> Domain.t -> unit
     it ran. *)
 val taken_since : t -> Vmem.mark -> (int * int) list
 
+(** [slots_since t first ~except] is every live registry handle at or
+    past [first] (a {!Pm_obj.Registry.next} read earlier) other than
+    [except], less the proxies in the table and the named instances:
+    those belong to their binds and their names. The slots a
+    component's constructor made, when [first] was read just before it
+    ran; the empty list, allocating nothing, when the only one is
+    [except]. *)
+val slots_since : t -> int -> except:int -> int list
+
 (** [rollback t m] returns everything allocated since [m]: the proxies
     bound since [m] leave the table and the registry, then every
     allocation made since [m] that is still live is freed, in ascending

@@ -12,7 +12,9 @@ let event_to_string = function
 
 type cb_id = int
 
-type callback = { id : cb_id; domain : Domain.t; fn : int -> unit }
+(* [arg] narrows a call-back to the events raised with that argument (a
+   doorbell's channel id), matched before [deliver] switches context *)
+type callback = { id : cb_id; domain : Domain.t; arg : int option; fn : int -> unit }
 
 type t = {
   machine : Machine.t;
@@ -43,6 +45,8 @@ let deliver_traced t ~kind ~num cb arg =
     ~meth:(string_of_int num) ~metric:("events." ^ kind)
     (fun () -> deliver t cb arg)
 
+let wants cb arg = match cb.arg with None -> true | Some a -> a = arg
+
 let dispatch t event arg =
   let clock = Machine.clock t.machine in
   let obs = Clock.obs clock in
@@ -60,8 +64,8 @@ let dispatch t event arg =
   | None -> ()
   | Some cbs ->
     if Obs.enabled obs then
-      List.iter (fun cb -> deliver_traced t ~kind ~num cb arg) !cbs
-    else List.iter (fun cb -> deliver t cb arg) !cbs
+      List.iter (fun cb -> if wants cb arg then deliver_traced t ~kind ~num cb arg) !cbs
+    else List.iter (fun cb -> if wants cb arg then deliver t cb arg) !cbs
 
 let create machine =
   let t =
@@ -81,10 +85,10 @@ let create machine =
   done;
   t
 
-let register t event ~domain fn =
+let register ?arg t event ~domain fn =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let cb = { id; domain; fn } in
+  let cb = { id; domain; arg; fn } in
   (match Hashtbl.find_opt t.table event with
   | Some cbs -> cbs := !cbs @ [ cb ]
   | None -> Hashtbl.add t.table event (ref [ cb ]));

@@ -8,6 +8,8 @@
     The service owns every machine vector; registered call-backs for an
     event run in registration order. Delivering a call-back into a domain
     other than the currently running one switches MMU contexts around it.
+    A call-back registered for one argument is skipped, before any switch,
+    when the event carries another.
 
     [register_popup] is the standard redirection to the thread system:
     the call-back body runs as a pop-up (proto-)thread. *)
@@ -20,9 +22,13 @@ type cb_id
 
 val create : Pm_machine.Machine.t -> t
 
-(** [register t event ~domain f] installs a call-back; [f] receives the
-    trap argument (0 for interrupts). *)
-val register : t -> event -> domain:Domain.t -> (int -> unit) -> cb_id
+(** [register ?arg t event ~domain f] installs a call-back; [f] receives
+    the trap argument (0 for interrupts). With [arg], the call-back runs
+    only for events raised with that argument: a doorbell channel passes
+    its id, and dispatch matches it before switching into [domain], so a
+    doorbell for another channel on the shared vector costs this one
+    neither a context switch nor a delivery. *)
+val register : ?arg:int -> t -> event -> domain:Domain.t -> (int -> unit) -> cb_id
 
 (** [register_popup t event ~domain ~sched ?priority f] installs a
     call-back that runs [f] as a pop-up thread on [sched]. *)

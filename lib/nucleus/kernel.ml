@@ -311,10 +311,16 @@ let destroy_domain t dom =
         Hashtbl.replace dead path ()
       | _ -> ());
   Hashtbl.iter (fun path () -> ignore (Namespace.unregister ns path)) dead;
+  let mine = ref [] in
   Registry.iter t.api.Api.registry (fun inst ->
-      if inst.Instance.domain = dom.Domain.id then Instance.revoke inst);
-  (* the proxies it imported go now; their entry pages go with the
-     domain's other pages below *)
+      if inst.Instance.domain = dom.Domain.id then begin
+        Instance.revoke inst;
+        mine := inst :: !mine
+      end);
+  (* the proxies other domains imported from it go now, with their entry
+     pages, as an unload returns them; the proxies it imported go too,
+     and their entry pages go with the domain's other pages below *)
+  List.iter (Directory.release t.api.Api.directory) !mine;
   Directory.drop_imports t.api.Api.directory dom;
   Events.remove_domain t.api.Api.events dom;
   Vmem.destroy_domain t.api.Api.vmem dom;

@@ -72,10 +72,12 @@ val create_domain :
   t -> name:string -> ?overrides:(Pm_names.Path.t * int) list -> unit -> Domain.t
 
 (** [destroy_domain t dom] tears a user domain down: every object
-    instance living in it is revoked (so proxies held by other domains
-    start failing with [Revoked]) and unregistered from the name space,
-    the proxies it imported leave the registry and the directory, its
-    pages (theirs among them), fault call-backs and I/O grants are
+    instance living in it is revoked and unregistered from the name
+    space; the proxies other domains imported from it are released with
+    {!Directory.release}, as an unload releases them (their entry pages
+    are freed, and a proxy still held answers [Revoked]); the proxies it
+    imported leave the registry and the directory; its pages (their
+    entry pages among them), fault call-backs and I/O grants are
     released, its event call-backs removed, and its MMU context deleted.
     The registry is walked by its live entries, so gaps that unloads
     leave in the handle range hide no instance. Raises

@@ -38,10 +38,10 @@ let load_error_to_string = function
   | Verification_failed r -> Printf.sprintf "bytecode verification failed: %s" r
   | Name_taken e -> Namespace.error_to_string e
 
-(* what one load took besides the registered instance: the instance its
-   constructor returned (the same unless a sandbox wrapped it) and the
-   pages the constructor allocated *)
-type receipt = { constructed : Instance.t; pages : (int * int) list }
+(* what one load took besides the registered instance's slot: the
+   registry slots its constructor (and a sandbox's wrapper) made, and
+   the pages the constructor allocated *)
+type receipt = { slots : int list; pages : (int * int) list }
 
 type t = {
   api : Api.t;
@@ -105,9 +105,16 @@ let load t ~name ~into ~at ?sandbox ?(verify = false) () =
       Clock.advance (Machine.clock machine)
         (pages * (Machine.costs machine).Cost.load_page);
       Clock.bump (Machine.clock machine) Clock.Component_load;
-      let dir = t.api.Api.directory in
-      let mark = Vmem.mark t.api.Api.vmem in
-      let constructed = image.construct t.api into in
+      let dir = t.api.Api.directory and registry = t.api.Api.registry in
+      let mark = Vmem.mark t.api.Api.vmem and first = Registry.next registry in
+      (* a constructor that raises returns what it took before it raised *)
+      let constructed =
+        try image.construct t.api into
+        with e ->
+          Directory.rollback dir mark;
+          List.iter (Registry.remove registry) (Directory.slots_since dir first ~except:0);
+          raise e
+      in
       let inst =
         match (mode, sandbox) with
         | `Sandboxed, Some wrap -> wrap constructed
@@ -124,11 +131,11 @@ let load t ~name ~into ~at ?sandbox ?(verify = false) () =
       (match Directory.register dir at inst with
       | Ok () ->
         (* a load that took nothing but its slot keeps no receipt *)
-        (match Directory.taken_since dir mark with
-        | [] when constructed == inst -> ()
-        | pages -> Hashtbl.replace t.receipts (Instance.handle inst) { constructed; pages });
-        jot t.api ~kind:Journal.Install ~domain:into.Domain.id
-          ~info:(Instance.handle inst)
+        let handle = Instance.handle inst in
+        (match (Directory.slots_since dir first ~except:handle, Directory.taken_since dir mark) with
+        | [], [] -> ()
+        | slots, pages -> Hashtbl.replace t.receipts handle { slots; pages });
+        jot t.api ~kind:Journal.Install ~domain:into.Domain.id ~info:handle
           ~detail:
             (Printf.sprintf "%s @ %s" name (Pm_names.Path.to_string at));
         Ok inst
@@ -136,8 +143,7 @@ let load t ~name ~into ~at ?sandbox ?(verify = false) () =
         (* a load that cannot be named returns all it took *)
         Instance.revoke inst;
         Directory.rollback dir mark;
-        Registry.remove t.api.Api.registry (Instance.handle inst);
-        Registry.remove t.api.Api.registry (Instance.handle constructed);
+        List.iter (Registry.remove registry) (Directory.slots_since dir first ~except:0);
         Error (Name_taken e)))
 
 let verified_fuel t name = Hashtbl.find_opt t.fuel name
@@ -167,7 +173,7 @@ let unload t path =
       | Some r ->
         Hashtbl.remove t.receipts handle;
         List.iter (Vmem.release t.api.Api.vmem) r.pages;
-        Registry.remove registry (Instance.handle r.constructed)
+        List.iter (Registry.remove registry) r.slots
       | None -> ());
       Registry.remove registry handle;
       Ok ())

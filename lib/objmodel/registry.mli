@@ -19,6 +19,13 @@ val put : 'a t -> int -> 'a -> unit
 (** [get t handle] retrieves the payload. *)
 val get : 'a t -> int -> 'a option
 
+(** [mem t handle] is whether [handle] is live. *)
+val mem : 'a t -> int -> bool
+
+(** [next t] is the handle {!fresh} returns next. Handles only grow, so
+    every handle made after [next t] was read is at or past it. *)
+val next : 'a t -> int
+
 (** [remove t handle] forgets a handle. *)
 val remove : 'a t -> int -> unit
 

@@ -69,7 +69,9 @@ let get_op st ctx seq =
       let plen = Bytes.get_uint16_be block 0 in
       if plen > Bytes.length block - 2 then fault "log: corrupt record length"
       else begin
-        Call_ctx.access ctx plen;
+        (* the lower layer lends its block: read the length word and the
+           record out of it *)
+        Call_ctx.access ctx (2 + plen);
         st.gets <- st.gets + 1;
         Ok (Bytes.sub block 2 plen)
       end
@@ -91,6 +93,7 @@ let flush_op st ctx =
    is refused and the in-memory state stays as it was. *)
 let recover_op st ctx =
   let* sb = Blockif.read st.lower ctx 0 in
+  Call_ctx.access ctx header_len;
   let* count =
     if Bytes.length sb >= header_len && Bytes.sub_string sb 0 4 = magic then
       let count = Wire.get32 sb 4 in

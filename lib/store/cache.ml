@@ -1,9 +1,14 @@
 (* Write-back block cache: the stack's performance layer and its most
    interesting policy component.
 
-   - Hits are served from domain memory: one [Call_ctx.access] charge of
-     a block's bytes, no trip to the layers below (bench E19 asserts the
-     gap against the raw device path).
+   - A read lends the cached line: the layer charges no copy and makes
+     no trip below on a hit, so a hit costs the method dispatch alone
+     (bench E19 bounds it). The reader charges the bytes it reads or
+     copies out of the line (the log its length word and record, the
+     channel server its response). The host hands each reader its own
+     copy, and a write replaces [line.data] rather than mutating it.
+     Nothing else touches a line's bytes, so a lent line cannot change
+     under the cache.
    - Misses read through the lower layer and insert; when the cache is
      at capacity the least-recently-used block is evicted, writing it
      back first if dirty.
@@ -95,7 +100,6 @@ let lookup st ctx block =
 
 let read_op st ctx block =
   let* line = lookup st ctx block in
-  Call_ctx.access ctx Blockif.block_size;
   Ok (Bytes.copy line.data)
 
 let write_op st ctx block data =

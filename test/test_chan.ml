@@ -131,6 +131,39 @@ let test_doorbell_popup_delivery () =
   ignore (Chan.try_send chan (Bytes.of_string "m4"));
   Alcotest.(check (list string)) "re-armed after dry drain" [ "m3"; "m4" ] !received
 
+(* Events matches a doorbell's channel id before it switches into the
+   consumer, so ringing one channel costs the same however many other
+   channels, each consumed in its own domain, share the vector. *)
+let test_doorbell_cost_ignores_other_channels () =
+  let ring_cost others =
+    let _, k, kdom = fixture () in
+    let api = Kernel.api k in
+    let events = api.Api.events and sched = Kernel.sched k in
+    let consumed_in name =
+      let c =
+        Chan.create (Kernel.machine k) api.Api.vmem ~name ~slots:4 ~slot_size:8
+          ~producer:kdom ()
+      in
+      ignore (Chan.accept c ~into:(Kernel.create_domain k ~name ()));
+      ignore (Chan.on_doorbell c ~events ~sched (fun () -> ignore (Chan.recv_batch c ())));
+      c
+    in
+    let chan = consumed_in "bell" in
+    for i = 1 to others do
+      ignore (consumed_in (Printf.sprintf "other-%d" i))
+    done;
+    switch_to k kdom;
+    let clock = Kernel.clock k in
+    let ring () =
+      let t0 = Clock.now clock in
+      ignore (Chan.try_send chan (Bytes.of_string "ring"));
+      Clock.now clock - t0
+    in
+    ignore (ring ());
+    ring ()
+  in
+  Alcotest.(check int) "one other channel or eight" (ring_cost 1) (ring_cost 8)
+
 (* The length word is in shared memory the producer writes. One that
    claims more than the slot holds is consumed unread and counted, the
    slots behind it still arrive, and the ring goes on working. *)
@@ -805,6 +838,8 @@ let () =
       ( "doorbell",
         [
           Alcotest.test_case "pop-up delivery" `Quick test_doorbell_popup_delivery;
+          Alcotest.test_case "other channels cost a doorbell nothing" `Quick
+            test_doorbell_cost_ignores_other_channels;
         ] );
       ( "mpsc",
         [

@@ -973,6 +973,32 @@ let test_nic_tx_and_loopback () =
     (Invalid_argument "Nic.inject: packet exceeds MTU") (fun () ->
       Nic.inject nic (String.make (Nic.mtu + 1) 'x'))
 
+(* a tick raises at most one interrupt: a looped-back frame's tx-done and
+   rx share one, and a frame that arrives while an earlier rx is still
+   unacknowledged raises one of its own *)
+let test_nic_one_interrupt_per_tick () =
+  let m, nic = nic_fixture () in
+  let irqs = ref 0 in
+  Machine.set_irq_handler m 1 (Some (fun () -> incr irqs));
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let tx = Physmem.alloc phys in
+  phys_put phys "looped" (tx * 256);
+  for _ = 1 to 2 do
+    Machine.io_write m (base + 8) (Physmem.alloc phys * 256) (* RX_FREE <- buffer *)
+  done;
+  Machine.io_write m base (1 lor 2 lor 4 lor 8) (* rx + tx + irq + loopback *);
+  Machine.io_write m (base + 20) (tx * 256);
+  Machine.io_write m (base + 24) 6;
+  Machine.io_write m (base + 28) 1 (* TX_GO *);
+  Machine.tick m;
+  Alcotest.(check int) "tx-done and rx share one interrupt" 1 !irqs;
+  Alcotest.(check int) "both causes pending" 3 (Machine.io_read m (base + 4) land 3);
+  Nic.inject nic "rx-only";
+  Machine.tick m;
+  Alcotest.(check int) "a second rx raises its own" 2 !irqs;
+  Machine.tick m;
+  Alcotest.(check int) "an idle tick raises none" 2 !irqs
+
 (* the wire keeps the newest [capture] frames: three past the cap, the
    oldest three are gone and the rest come back in order, once *)
 let test_nic_tx_capture () =
@@ -1362,6 +1388,8 @@ let () =
           Alcotest.test_case "nic rx drop" `Quick test_nic_rx_drop_without_buffers;
           Alcotest.test_case "nic tx + loopback" `Quick test_nic_tx_and_loopback;
           Alcotest.test_case "nic tx capture keeps the newest" `Quick test_nic_tx_capture;
+          Alcotest.test_case "nic raises one interrupt per tick" `Quick
+            test_nic_one_interrupt_per_tick;
           Alcotest.test_case "io space checks" `Quick test_io_space_checks;
         ] );
       ( "blkdev",

@@ -360,6 +360,46 @@ let test_lifecycle_constructor_binds () =
   unload_ok k "/svc/c";
   same_as base "all returned" k
 
+(* a constructor that raises returns what it took before it raised: its
+   pages, the proxy it bound and the instance it made *)
+let test_lifecycle_constructor_raises () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let udom = System.new_domain sys "u" in
+  ignore (System.install_exn sys (counter_image ()) ~placement:System.Certified ~at:"/svc/c");
+  let before = taken k in
+  let failing api dom =
+    ignore (Api.bind_exn api dom (Path.of_string "/svc/c"));
+    ignore (paged_construct api dom);
+    failwith "the constructor gives up"
+  in
+  let loader = Kernel.loader k in
+  Loader.publish loader (Images.image ~name:"failing" ~size:512 failing);
+  (match Loader.load loader ~name:"failing" ~into:udom ~at:(Path.of_string "/svc/f") () with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the constructor's exception reaches the caller");
+  same_as before "nothing kept" k
+
+(* a composite's constructor makes its children too: unloading it
+   returns every registry slot the load made *)
+let test_lifecycle_composite_load () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  ignore (System.setup_networking sys ~placement:System.Certified ~addr:42 ());
+  unload_ok k "/services/stack";
+  let before = taken k and registry = (Kernel.api k).Api.registry in
+  let slots = Registry.size registry in
+  let stack =
+    Images.image ~name:"protostack" ~size:24_576 ~author:"kernel-team" ~type_safe:true
+      (Images.stack_construct ~addr:42 ~driver_path:"/services/netdrv")
+  in
+  ignore (System.install_exn sys stack ~placement:System.Certified ~at:"/services/stack");
+  Alcotest.(check bool) "the load makes more than its own slot" true
+    (Registry.size registry > slots + 1);
+  unload_ok k "/services/stack";
+  Alcotest.(check int) "every slot comes back" slots (Registry.size registry);
+  same_as before "and everything else" k
+
 (* destroying an importer takes its proxies out of the directory, so the
    target's unload frees no page the domain's teardown already freed *)
 let test_lifecycle_destroy_importer () =
@@ -445,6 +485,77 @@ let test_events_popup_redirection () =
   Machine.raise_irq (Kernel.machine k) 6;
   Alcotest.(check int) "ran as proto-thread" 1 !ran;
   Alcotest.(check int) "popup counted" (popups_before + 1) (Scheduler.stats sched `Popups)
+
+(* Call-backs on the doorbell vector, each from one of three domains and
+   for one channel id or for any argument, in random order; then traps
+   with random ids, each raised from a random current domain, with
+   tracing on or off. A trap reaches exactly the call-backs for its id
+   and the unfiltered ones, in registration order, and the only context
+   switches are the two around each delivery into another domain. *)
+let doorbell_case =
+  lazy
+    (let k = kernel_fixture () in
+     let doms =
+       [| Kernel.kernel_domain k; Kernel.create_domain k ~name:"a" ();
+          Kernel.create_domain k ~name:"b" () |]
+     in
+     (k, doms))
+
+let gen_doorbells =
+  QCheck2.Gen.(
+    triple bool
+      (list_size (int_range 1 8) (pair (int_bound 2) (opt (int_range 1 4))))
+      (list_size (int_range 1 6) (pair (int_bound 2) (int_range 1 5))))
+
+let print_doorbells (traced, regs, traps) =
+  let id = function Some i -> string_of_int i | None -> "any" in
+  Printf.sprintf "%s; registered [%s]; raised [%s]"
+    (if traced then "traced" else "untraced")
+    (String.concat "; " (List.map (fun (d, i) -> Printf.sprintf "d%d:%s" d (id i)) regs))
+    (String.concat "; " (List.map (fun (d, a) -> Printf.sprintf "d%d:%d" d a) traps))
+
+let doorbells_hold (traced, regs, traps) =
+  let k, doms = Lazy.force doorbell_case in
+  let ev = Kernel.events k and m = Kernel.machine k in
+  let mmu = Machine.mmu m and clock = Kernel.clock k in
+  let event = Events.Trap Chan.doorbell_vec in
+  if Events.callbacks ev event <> 0 then failwith "the vector starts empty";
+  let obs = Clock.obs clock in
+  if traced then Obs.enable obs;
+  let seen = ref [] in
+  let ids =
+    List.mapi
+      (fun i (d, arg) ->
+        Events.register ?arg ev event ~domain:doms.(d) (fun _ ->
+            seen := (i, Mmu.current_context mmu) :: !seen))
+      regs
+  in
+  let holds =
+    List.for_all
+      (fun (cur, arg) ->
+        Mmu.switch_context mmu doms.(cur).Domain.id;
+        seen := [];
+        let switches = Clock.read clock Clock.Context_switch in
+        ignore (Machine.raise_trap m Chan.doorbell_vec arg);
+        let expected =
+          List.concat
+            (List.mapi
+               (fun i (d, id) ->
+                 if id = None || id = Some arg then [ (i, doms.(d).Domain.id) ] else [])
+               regs)
+        in
+        let crossings =
+          List.length (List.filter (fun (_, d) -> d <> doms.(cur).Domain.id) expected)
+        in
+        List.rev !seen = expected
+        && Clock.read clock Clock.Context_switch - switches = 2 * crossings
+        && Mmu.current_context mmu = doms.(cur).Domain.id)
+      traps
+  in
+  List.iter (Events.unregister ev) ids;
+  Obs.disable obs;
+  Mmu.switch_context mmu doms.(0).Domain.id;
+  holds
 
 (* --- vmem ----------------------------------------------------------------- *)
 
@@ -1004,11 +1115,11 @@ let test_destroy_domain_reclaims_everything () =
   let proxy = Kernel.bind k (Kernel.kernel_domain k) "/svc/doomed" in
   Kernel.destroy_domain k dom;
   Alcotest.(check bool) "dead" false dom.Domain.alive;
-  (* all of the domain's frames come back; the one missing frame is the
-     proxy's fault-hook page, which lives in the *kernel* (importer)
-     domain and legitimately survives *)
-  Alcotest.(check int) "frames reclaimed" (free0 - 1)
-    (Physmem.free_frames (Machine.phys m));
+  (* all of the domain's frames come back, and so does the proxy's
+     fault-hook page, which lives in the kernel (importer) domain *)
+  Alcotest.(check int) "frames reclaimed" free0 (Physmem.free_frames (Machine.phys m));
+  Alcotest.(check int) "the kernel's proxy is released" 0
+    (Directory.proxy_count (Kernel.directory k));
   Alcotest.(check int) "no event callbacks left" 0
     (Events.callbacks (Kernel.events k) (Events.Irq 5));
   Alcotest.(check bool) "name gone" false
@@ -1055,6 +1166,10 @@ let () =
             test_lifecycle_rollback_drops_proxies;
           Alcotest.test_case "a constructor's binds outlive its load" `Quick
             test_lifecycle_constructor_binds;
+          Alcotest.test_case "a constructor that raises keeps nothing" `Quick
+            test_lifecycle_constructor_raises;
+          Alcotest.test_case "a composite's unload returns every slot" `Quick
+            test_lifecycle_composite_load;
           Alcotest.test_case "destroying an importer drops its proxies" `Quick
             test_lifecycle_destroy_importer;
           Alcotest.test_case "bind without a free frame" `Quick
@@ -1067,6 +1182,10 @@ let () =
           Alcotest.test_case "cross-domain delivery" `Quick
             test_events_cross_domain_delivery_switches;
           Alcotest.test_case "popup redirection" `Quick test_events_popup_redirection;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:200
+               ~name:"a doorbell reaches its id's call-backs and switches only into them"
+               ~print:print_doorbells gen_doorbells doorbells_hold);
         ] );
       ( "vmem",
         [

@@ -194,6 +194,38 @@ let test_cache_eviction_when_full () =
   Alcotest.(check int) "hit touches no device" before
     (Blkdev.completed (Kernel.blkdev k))
 
+(* a hit lends the cached line: the cache charges only the dispatch that
+   reaches it, a reader that scribbles on what it got changes no line,
+   and the log charges what it reads out of the line, the length word
+   and the record *)
+let test_cache_hit_lends_the_line () =
+  let _sys, k, store = fixture () in
+  let kdom = Kernel.kernel_domain k in
+  switch_to k kdom;
+  let ctx = Kernel.ctx k kdom and clock = Kernel.clock k in
+  let cache = store.System.block_cache in
+  block_write ctx cache ~block:7 "lent";
+  let t0 = Clock.now clock in
+  let got = block_read ctx cache ~block:7 in
+  Alcotest.(check int) "a hit costs one dispatch" (Cost.dispatch ctx.Call_ctx.costs)
+    (Clock.now clock - t0);
+  Bytes.fill got 0 4 'X';
+  Alcotest.(check string) "the line is unchanged" "lent"
+    (Bytes.sub_string (block_read ctx cache ~block:7) 0 4);
+  let log = store.System.log and record = "twenty-one-byte-entry" in
+  let seq =
+    match Invoke.call_exn ctx log ~iface:"log" ~meth:"append" [ blob record ] with
+    | Value.Int seq -> seq
+    | v -> Alcotest.failf "append returned %s" (Value.to_string v)
+  in
+  let read0 = Call_ctx.accesses ctx in
+  (match Invoke.call_exn ctx log ~iface:"log" ~meth:"get" [ Value.Int seq ] with
+  | Value.Blob b -> Alcotest.(check string) "the record" record (Bytes.to_string b)
+  | v -> Alcotest.failf "get returned %s" (Value.to_string v));
+  Alcotest.(check int) "get reads the length word and the record"
+    (2 + String.length record)
+    (Call_ctx.accesses ctx - read0)
+
 let test_flush_on_detach_durability () =
   let _sys, k, store = fixture () in
   let kdom = Kernel.kernel_domain k in
@@ -666,6 +698,8 @@ let () =
             test_factory_partition_window;
           Alcotest.test_case "cache eviction when full" `Quick
             test_cache_eviction_when_full;
+          Alcotest.test_case "a cache hit lends the line" `Quick
+            test_cache_hit_lends_the_line;
           Alcotest.test_case "flush-on-detach durability" `Quick
             test_flush_on_detach_durability;
           Alcotest.test_case "cache size is the lower layer's" `Quick
