@@ -47,6 +47,7 @@ replay-smoke:
 	dune exec bin/pm_replay.exe -- kv --lint --quiet
 	dune exec bin/pm_replay.exe -- compose --lint --quiet
 	dune exec bin/pm_replay.exe -- smp --lint --quiet
+	dune exec bin/pm_replay.exe -- kv-spill --lint --quiet
 	dune exec bin/pm_replay.exe -- --replay golden/compose.rec --quiet
 
 # causal tracing end to end: the committed KV recording made with
@@ -59,12 +60,12 @@ trace-smoke:
 	dune exec bin/pm_query.exe -- golden/kv-trace.rec --bound /store/log0 --at 999999999 | grep bound
 
 # regenerate the committed golden corpus: a recording of every replay
-# scenario (smp on two CPUs), the KV scenario recorded with tracing on,
-# and the stdout of the demo and example smokes. All of it is
-# deterministic, so CI diffs the regenerated files against the
-# committed ones.
+# scenario (smp on two CPUs, kv-spill through a 2-line cache), the KV
+# scenario recorded with tracing on, and the stdout of the demo and
+# example smokes. All of it is deterministic, so CI diffs the
+# regenerated files against the committed ones.
 golden:
-	for s in packets crash deadlock kv compose smp; do \
+	for s in packets crash deadlock kv compose smp kv-spill; do \
 		dune exec bin/pm_replay.exe -- $$s --record golden/$$s.rec --quiet || exit 1; \
 	done
 	dune exec bin/pm_replay.exe -- kv --trace --record golden/kv-trace.rec --quiet

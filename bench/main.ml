@@ -2004,9 +2004,12 @@ let kv_round_trip name k client ~op ~key value =
     0 (Kv.replies client)
 
 module E20 = struct
-  (* working sets straddling the 16-line cache: 4 and 16 stay resident,
-     48 spills and pays media time on the get path *)
-  let working_sets = [ 4; 16; 48 ]
+  (* working sets straddling the 16-line cache, counted in blocks of
+     records: the log packs 25 of these 20-byte records into a block, so
+     100 keys (4 blocks) stay resident, 400 (16 blocks) fill the cache
+     until an update opens a block, and 1,200 (48 blocks) spill and pay
+     media time on the get path *)
+  let working_sets = [ 100; 400; 1_200 ]
   let ops = 96
 
   let percentile p samples =
@@ -2138,7 +2141,9 @@ module E21 = struct
   (* the attribution telescopes by construction; epsilon is a
      cross-check of the fold, not a tolerance for lost cycles *)
   let epsilon = 2
-  let ws = 24 (* straddles the 16-line cache: the load phase evicts *)
+  (* 24 blocks of 25 records straddle the 16-line cache: the load phase
+     evicts *)
+  let ws = 600
 
   type outcome = {
     reqs : Query.request list;

@@ -131,48 +131,37 @@ let run_deadlock sys =
          ignore (Chan.recv chan_ab)));
   ignore (Scheduler.run sched ())
 
-(* the whole-system workload: KV requests over the loopback NIC through
-   the channel-backed net path, backed by the partition→cache→log stack
-   over the DMA block device — block issue/complete and cache-flush
-   events land in the journal alongside the net path's *)
-let run_kv sys =
+(* one KV request from the client as a traced causal unit: the rid
+   minted here rides the wire through net, kv and block layers until
+   req_end closes it; req_begin/req_end record nothing (and mint
+   nothing) with tracing off. The reply stays on the client's ring,
+   undrained. *)
+let kv_request sys client ~op ~key value =
   let k = System.kernel sys in
-  let kv, client =
-    System.setup_kv sys ~placement:System.Certified ~cache_capacity:8
-  in
-  let kdom = Kernel.kernel_domain k in
   let cdom = client.Pm_store.Kv.dom in
   let clock = System.clock sys in
   let j = Pm_obs.Obs.journal (Clock.obs clock) in
-  (* each request is a traced causal unit: the rid minted here rides the
-     wire through net, kv and block layers until req_end closes it;
-     req_begin/req_end record nothing (and mint nothing) with tracing off.
-     The replies stay on the client's ring, undrained. *)
-  let request ~op ~key value =
-    let label =
-      let op_name =
-        if op = Pm_store.Storewire.kv_put then "put"
-        else if op = Pm_store.Storewire.kv_get then "get"
-        else "del"
-      in
-      op_name ^ " " ^ key
+  let label =
+    let op_name =
+      if op = Pm_store.Storewire.kv_put then "put"
+      else if op = Pm_store.Storewire.kv_get then "get"
+      else "del"
     in
-    let rid =
-      Journal.req_begin j ~domain:cdom.Domain.id ~at:(Clock.now clock)
-        ~detail:label
-    in
-    ignore (Pm_store.Kv.send client ~op ~key value);
-    Kernel.step k ~ticks:4 ();
-    Journal.req_end j ~domain:cdom.Domain.id ~at:(Clock.now clock) rid
+    op_name ^ " " ^ key
   in
-  for i = 1 to 6 do
-    request ~op:Pm_store.Storewire.kv_put
-      ~key:(Printf.sprintf "key-%d" (i mod 3))
-      (Printf.sprintf "val-%d" i)
-  done;
-  request ~op:Pm_store.Storewire.kv_get ~key:"key-1" "";
-  request ~op:Pm_store.Storewire.kv_del ~key:"key-2" "";
-  request ~op:Pm_store.Storewire.kv_get ~key:"key-2" "";
+  let rid =
+    Journal.req_begin j ~domain:cdom.Domain.id ~at:(Clock.now clock) ~detail:label
+  in
+  ignore (Pm_store.Kv.send client ~op ~key value);
+  Kernel.step k ~ticks:4 ();
+  Journal.req_end j ~domain:cdom.Domain.id ~at:(Clock.now clock) rid
+
+(* flush the store as one traced unit, then let the machine settle *)
+let kv_flush sys kv =
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let clock = System.clock sys in
+  let j = Pm_obs.Obs.journal (Clock.obs clock) in
   let frid =
     Journal.req_begin j ~domain:kdom.Domain.id ~at:(Clock.now clock)
       ~detail:"flush kv0"
@@ -181,6 +170,48 @@ let run_kv sys =
     (Invoke.call_exn (Kernel.ctx k kdom) kv ~iface:"kv" ~meth:"flush" []);
   Journal.req_end j ~domain:kdom.Domain.id ~at:(Clock.now clock) frid;
   Kernel.step k ~ticks:4 ()
+
+(* the whole-system workload: KV requests over the loopback NIC through
+   the channel-backed net path, backed by the partition→cache→log stack
+   over the DMA block device — block issue/complete and cache-flush
+   events land in the journal alongside the net path's *)
+let run_kv sys =
+  let kv, client =
+    System.setup_kv sys ~placement:System.Certified ~cache_capacity:8
+  in
+  let request = kv_request sys client in
+  for i = 1 to 6 do
+    request ~op:Pm_store.Storewire.kv_put
+      ~key:(Printf.sprintf "key-%d" (i mod 3))
+      (Printf.sprintf "val-%d" i)
+  done;
+  request ~op:Pm_store.Storewire.kv_get ~key:"key-1" "";
+  request ~op:Pm_store.Storewire.kv_del ~key:"key-2" "";
+  request ~op:Pm_store.Storewire.kv_get ~key:"key-2" "";
+  kv_flush sys kv
+
+(* the spill path the kv scenario's 8-line cache never reaches: values
+   that fill half a block each (a 254-byte record and its length word),
+   so eight keys take four blocks against a 2-line cache. The puts
+   evict dirty lines and write them back, the gets miss and read the
+   media, and the closing flush writes back what is still dirty before
+   the superblock. *)
+let run_kv_spill sys =
+  let kv, client =
+    System.setup_kv sys ~placement:System.Certified ~cache_capacity:2
+  in
+  let request = kv_request sys client in
+  let key i = Printf.sprintf "key-%d" i in
+  let value i = String.make 246 (Char.chr (Char.code 'a' + i)) in
+  for i = 0 to 7 do
+    request ~op:Pm_store.Storewire.kv_put ~key:(key i) (value i)
+  done;
+  for i = 0 to 7 do
+    request ~op:Pm_store.Storewire.kv_get ~key:(key i) ""
+  done;
+  request ~op:Pm_store.Storewire.kv_put ~key:(key 0) (value 8);
+  request ~op:Pm_store.Storewire.kv_get ~key:(key 7) "";
+  kv_flush sys kv
 
 (* two CPUs: KV puts over loopback net and the block-store stack, each
    followed by a ring of a doorbell channel whose consumer domain is
@@ -225,6 +256,8 @@ let table =
       cpus = 1; run = run_kv };
     { name = "smp"; about = "2 CPUs: KV puts, each with a doorbell to a consumer on CPU 1";
       cpus = 2; run = run_smp };
+    { name = "kv-spill"; about = "KV over a 2-line cache: evictions write back, gets read the media";
+      cpus = 1; run = run_kv_spill };
   ]
 
 let scenarios = List.map (fun s -> (s.name, s.about)) table

@@ -4,8 +4,8 @@
    {!Storewire.Record} (put or tombstone), and an in-memory index maps
    key -> log sequence number. [recover] replays the log front-to-back
    to rebuild the index — the log is the store, the index is a cache of
-   it. Durability = [flush], which pushes the log's superblock and the
-   cache's dirty blocks down to the device.
+   it. Durability = [flush], which pushes the cache's dirty blocks and
+   then the log's superblock down to the device.
 
    [serve] exports the store over the channel-backed network path: a
    {!Pm_net.Netstack_chan} port ring on the receive side, the shared

@@ -310,8 +310,8 @@ let test_log_append_recover () =
   | Value.Blob b -> Alcotest.(check string) "record intact" "beta" (Bytes.to_string b)
   | v -> Alcotest.failf "get returned %s" (Value.to_string v)
 
-(* a superblock scribbled with a count beyond the log's capacity is
-   refused by name, and the log keeps the state it had *)
+(* a superblock scribbled with a count beyond the records on the media
+   is refused by name, and the log keeps the state it had *)
 let test_log_scribbled_superblock () =
   let _sys, k, store = fixture () in
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
@@ -327,7 +327,8 @@ let test_log_scribbled_superblock () =
   (match Invoke.call ctx log ~iface:"log" ~meth:"recover" [] with
   | Error e ->
     Alcotest.(check string) "named error"
-      "fault: log: superblock count 1000 exceeds capacity 255" (Oerror.to_string e)
+      "fault: log: superblock count 1000 exceeds the 3 records on the media"
+      (Oerror.to_string e)
   | Ok v -> Alcotest.failf "recover accepted the count: %s" (Value.to_string v));
   (match Invoke.call_exn ctx log ~iface:"log" ~meth:"entries" [] with
   | Value.Int n -> Alcotest.(check int) "entries unchanged" 3 n
@@ -336,6 +337,251 @@ let test_log_scribbled_superblock () =
   | Ok (Value.Int seq) -> Alcotest.(check int) "the next append follows" 3 seq
   | Ok v -> Alcotest.failf "append returned %s" (Value.to_string v)
   | Error e -> Alcotest.failf "append after a refused recover: %s" (Oerror.to_string e)
+
+(* --- the log over a cut: commit order, packing, crashes ------------------ *)
+
+(* A block layer between a cache and its partition that records the
+   block of every write it passes down and, once its budget is spent,
+   drops writes as a power cut would: nothing more reaches the media. *)
+type cut = { mutable budget : int; mutable passed : int list (* newest first *) }
+
+let cut_layer api dom ~lower =
+  let low = Blockif.make_lower api dom lower in
+  let c = { budget = max_int; passed = [] } in
+  let write ctx block data =
+    if c.budget <= 0 then Ok ()
+    else begin
+      c.budget <- c.budget - 1;
+      c.passed <- block :: c.passed;
+      Blockif.write low ctx block data
+    end
+  in
+  let iface =
+    Blockif.methods ~read:(Blockif.read low) ~write ~flush:(Blockif.flush low)
+      ~size:(Blockif.size low)
+      ~blocksize:(fun () -> Blockif.block_size)
+      ~stats:(fun () -> [])
+  in
+  ( c,
+    Instance.create api.Api.registry ~class_name:"test.cut" ~domain:dom.Domain.id
+      [ iface ] )
+
+(* A fresh partition (blocks [512, 512 + count) of the store device),
+   cut, [lines]-line cache and log, named by [epoch]: a crash abandons
+   one stack and recovers on the next over the same blocks. *)
+let cut_stack k ~epoch ~count ~lines =
+  let api = Kernel.api k and kdom = Kernel.kernel_domain k in
+  let name part = Printf.sprintf "crash%d-%s" epoch part in
+  let path part = "/store/" ^ name part in
+  Kernel.register_at k (path "part")
+    (Partition.create api kdom ~name:(name "part") ~lower:"/store/blkdrv" ~base:512 ~count
+       ());
+  let c, cut_inst = cut_layer api kdom ~lower:(path "part") in
+  Kernel.register_at k (path "cut") cut_inst;
+  Kernel.register_at k (path "cache")
+    (Block_cache.create api kdom ~name:(name "cache") ~lower:(path "cut")
+       ~capacity:lines ());
+  (c, Blocklog.create api kdom ~name:(name "log") ~lower:(path "cache") ())
+
+let log_append ctx log payload =
+  Invoke.call ctx log ~iface:"log" ~meth:"append" [ Value.Blob (Bytes.of_string payload) ]
+
+let log_get ctx log seq =
+  match Invoke.call ctx log ~iface:"log" ~meth:"get" [ Value.Int seq ] with
+  | Ok (Value.Blob b) -> Ok (Bytes.to_string b)
+  | Ok v -> Error ("get returned " ^ Value.to_string v)
+  | Error e -> Error (Oerror.to_string e)
+
+let log_recover ctx log =
+  match Invoke.call ctx log ~iface:"log" ~meth:"recover" [] with
+  | Ok (Value.Int n) -> Ok n
+  | Ok v -> Error ("recover returned " ^ Value.to_string v)
+  | Error e -> Error (Oerror.to_string e)
+
+(* The records reach the device before the superblock that counts them:
+   three appends share block 1, and a flush writes it, then block 0. *)
+let test_log_flush_commits_superblock_last () =
+  let _sys, k, _store = fixture () in
+  let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
+  let c, log = cut_stack k ~epoch:0 ~count:8 ~lines:4 in
+  List.iter
+    (fun p -> ignore (Invoke.call_exn ctx log ~iface:"log" ~meth:"append" [ blob p ]))
+    [ "alpha"; "beta"; "gamma" ];
+  Alcotest.(check (list int)) "appends stay in the cache" [] c.passed;
+  let pushed = block_flush ctx log in
+  Alcotest.(check (list int)) "device writes: the records, then the superblock" [ 1; 0 ]
+    (List.rev c.passed);
+  Alcotest.(check int) "flush counts both blocks" 2 pushed
+
+(* Records share blocks: a 4-block window (3 data blocks) holds 100
+   records, empty and block-filling ones among them, and a fresh stack
+   recovers every one of them. *)
+let test_log_packs_records () =
+  let _sys, k, _store = fixture () in
+  let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
+  let _, log = cut_stack k ~epoch:0 ~count:4 ~lines:2 in
+  let payload i = if i mod 10 = 0 then "" else Printf.sprintf "record-%03d" i in
+  for i = 0 to 99 do
+    match log_append ctx log (payload i) with
+    | Ok (Value.Int seq) -> Alcotest.(check int) "sequence number" i seq
+    | Ok v -> Alcotest.failf "append returned %s" (Value.to_string v)
+    | Error e -> Alcotest.failf "append %d: %s" i (Oerror.to_string e)
+  done;
+  ignore (block_flush ctx log);
+  let _, log2 = cut_stack k ~epoch:1 ~count:4 ~lines:2 in
+  Alcotest.(check (result int string))
+    "recovered every record" (Ok 100) (log_recover ctx log2);
+  for i = 0 to 99 do
+    Alcotest.(check (result string string))
+      "record intact" (Ok (payload i)) (log_get ctx log2 i)
+  done;
+  (* the uniform block view is indexed by record: read i is the block
+     that holds record i *)
+  let held = Bytes.to_string (block_read ctx log2 ~block:57) in
+  Alcotest.(check bool) "the block holds its record" true
+    (List.exists
+       (fun off -> String.sub held off 10 = payload 57)
+       (List.init (String.length held - 9) Fun.id));
+  (* the largest record fills a block alone; the window has none left *)
+  (match log_append ctx log2 (String.make 510 'x') with
+  | Error e -> Alcotest.(check string) "full" "fault: log: full" (Oerror.to_string e)
+  | Ok v -> Alcotest.failf "append past the window returned %s" (Value.to_string v));
+  match log_append ctx log2 (String.make 511 'x') with
+  | Error e ->
+    Alcotest.(check string)
+      "too large" "fault: log: record exceeds block" (Oerror.to_string e)
+  | Ok v -> Alcotest.failf "a 511-byte record returned %s" (Value.to_string v)
+
+type log_op =
+  | Append of int (* payload length *)
+  | Fill (* a payload that exactly fills the tail block *)
+  | Get of int
+  | Flush
+  | Recover
+  | Crash of int (* a flush cut after k device writes, then a fresh stack recovers *)
+
+let print_log_op = function
+  | Append n -> Printf.sprintf "Append %d" n
+  | Fill -> "Fill"
+  | Get i -> Printf.sprintf "Get %d" i
+  | Flush -> "Flush"
+  | Recover -> "Recover"
+  | Crash k -> Printf.sprintf "Crash %d" k
+
+let gen_log_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun n -> Append n) (int_range 0 24));
+        (2, map (fun n -> Append n) (int_range 0 Blocklog.max_record));
+        (1, map (fun n -> Append n) (oneofl [ 0; 126; 254; Blocklog.max_record ]));
+        (1, pure Fill);
+        (3, map (fun i -> Get i) nat);
+        (2, pure Flush);
+        (1, pure Recover);
+        (2, map (fun k -> Crash k) (int_range 0 6));
+      ])
+
+(* the model's layout: the block and the bytes used in it after the
+   records of these lengths, the superblock counting as a full block *)
+let layout lengths =
+  List.fold_left
+    (fun (block, used) n ->
+      let need = 2 + n in
+      if used + need <= Blockif.block_size then (block, used + need)
+      else (block + 1, need))
+    (0, Blockif.block_size) lengths
+
+(* Random appends, gets, flushes, recovers and crashes over a log on a
+   1-4-line cache and an 8-block window, against a list model. A crash
+   cuts a flush after k device writes and recovers on a fresh partition,
+   cache and log over the same blocks: the count must be the old one or
+   the new one, and every record below it intact. *)
+let crash_cut_prop =
+  let count = 8 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"a log cut mid-flush recovers its last committed prefix"
+       ~print:QCheck2.Print.(pair int (list print_log_op))
+       QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 1 40) gen_log_op))
+       (fun (lines, ops) ->
+         let sys = System.create ~seed:0xBEEF ~key_bits:384 () in
+         let k = System.kernel sys in
+         ignore (System.setup_store sys ~placement:System.Certified ());
+         let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
+         let fail op fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) (print_log_op op) in
+         (* records oldest first, the count made durable, appends made *)
+         let records = ref [] and committed = ref 0 and made = ref 0 and epoch = ref 0 in
+         let stack = ref (cut_stack k ~epoch:0 ~count ~lines) in
+         let check_recovered op n =
+           records := List.filteri (fun i _ -> i < n) !records;
+           committed := n;
+           List.iteri
+             (fun i want ->
+               match log_get ctx (snd !stack) i with
+               | Ok got when got = want -> ()
+               | Ok got ->
+                 fail op "record %d reads %d bytes, not the %d appended" i
+                   (String.length got) (String.length want)
+               | Error e -> fail op "record %d: %s" i e)
+             !records
+         in
+         let step op =
+           let cut, log = !stack in
+           let n = List.length !records in
+           match op with
+           | Append _ | Fill -> (
+             let block, used = layout (List.map String.length !records) in
+             let len =
+               match op with
+               | Append len -> len
+               | _ ->
+                 if used + 2 <= Blockif.block_size then Blockif.block_size - used - 2
+                 else Blocklog.max_record
+             in
+             let payload =
+               String.init len (fun j -> Char.chr (((!made * 37) + (j * 11)) land 0xff))
+             in
+             incr made;
+             let fits = used + 2 + len <= Blockif.block_size || block + 1 < count in
+             match log_append ctx log payload with
+             | Ok (Value.Int seq) when fits && seq = n ->
+               records := !records @ [ payload ]
+             | Ok v -> fail op "append returned %s with %d records" (Value.to_string v) n
+             | Error e when (not fits) && Oerror.to_string e = "fault: log: full" -> ()
+             | Error e -> fail op "%s" (Oerror.to_string e))
+           | Get i -> (
+             let seq = if n = 0 then 0 else i mod n in
+             match (log_get ctx log seq, List.nth_opt !records seq) with
+             | Ok got, Some want when got = want -> ()
+             | Error _, None -> ()
+             | Ok got, _ -> fail op "record %d reads %d bytes" seq (String.length got)
+             | Error e, _ -> fail op "%s" e)
+           | Flush -> (
+             match Invoke.call ctx log ~iface:"block" ~meth:"flush" [] with
+             | Ok _ -> committed := n
+             | Error e -> fail op "%s" (Oerror.to_string e))
+           | Recover -> (
+             match log_recover ctx log with
+             | Ok got when got = !committed -> check_recovered op got
+             | Ok got -> fail op "recovered %d records, committed %d" got !committed
+             | Error e -> fail op "%s" e)
+           | Crash budget -> (
+             cut.budget <- budget;
+             cut.passed <- [];
+             (match Invoke.call ctx log ~iface:"block" ~meth:"flush" [] with
+             | Ok _ -> ()
+             | Error e -> fail op "cut flush: %s" (Oerror.to_string e));
+             let want = if List.mem 0 cut.passed then n else !committed in
+             incr epoch;
+             stack := cut_stack k ~epoch:!epoch ~count ~lines;
+             match log_recover ctx (snd !stack) with
+             | Ok got when got = want -> check_recovered op got
+             | Ok got -> fail op "recovered %d records, expected %d" got want
+             | Error e -> fail op "%s" e)
+         in
+         List.iter step ops;
+         true))
 
 (* --- kv ----------------------------------------------------------------- *)
 
@@ -675,14 +921,26 @@ let kv_model_prop =
          ignore (List.fold_left step Smap.empty requests);
          true))
 
-let test_kv_scenario_replays () =
-  match Replay.record "kv" with
+let replays name =
+  match Replay.record name with
   | Error e -> Alcotest.fail e
-  | Ok r -> (
+  | Ok r ->
     Alcotest.(check bool) "journal non-empty" true (String.length r.Replay.journal > 0);
-    match Replay.replay r with
+    (match Replay.replay r with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "kv scenario diverged: %s" e)
+    | Error e -> Alcotest.failf "%s scenario diverged: %s" name e);
+    r
+
+let test_kv_scenario_replays () = ignore (replays "kv")
+
+(* the recording that covers the device path: its gets miss the 2-line
+   cache and its evictions write back, so the device carries transfers *)
+let test_kv_spill_scenario_replays () =
+  let r = replays "kv-spill" in
+  Alcotest.(check bool) "the device carried transfers" true
+    (List.exists
+       (fun l -> List.mem "blk-issue" (String.split_on_char ' ' l))
+       (String.split_on_char '\n' r.Replay.journal))
 
 let () =
   Alcotest.run "store"
@@ -707,6 +965,11 @@ let () =
           Alcotest.test_case "log append + recover" `Quick test_log_append_recover;
           Alcotest.test_case "log refuses a scribbled superblock" `Quick
             test_log_scribbled_superblock;
+          Alcotest.test_case "log flush commits the superblock last" `Quick
+            test_log_flush_commits_superblock_last;
+          Alcotest.test_case "log packs records into blocks" `Quick
+            test_log_packs_records;
+          crash_cut_prop;
           Alcotest.test_case "kv put/get/del + recover" `Quick
             test_kv_local_recover;
         ] );
@@ -726,6 +989,8 @@ let () =
         [
           Alcotest.test_case "kv over the net path" `Quick test_kv_over_net;
           Alcotest.test_case "kv scenario replays" `Quick test_kv_scenario_replays;
+          Alcotest.test_case "kv-spill scenario replays" `Quick
+            test_kv_spill_scenario_replays;
           kv_model_prop;
         ] );
       ( "codecs",
