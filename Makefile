@@ -1,4 +1,4 @@
-.PHONY: all build test bench demo-smoke examples-smoke replay-smoke trace-smoke golden bench-output lint fmt check clean
+.PHONY: all build test bench demo-smoke examples-smoke replay-smoke trace-smoke golden bench-output perfbench-sim lint fmt check clean
 
 all: build
 
@@ -86,6 +86,12 @@ lint:
 # regenerate the committed reference run (simulated cycles, deterministic)
 bench-output:
 	dune exec bench/main.exe > bench_output.txt
+
+# re-pin the simulated perfbench metrics CI compares
+# (.github/perfbench-sim.json) from 2 s runs of every workload, untraced
+# and traced; the filters live in .github/perfbench-sim.sh
+perfbench-sim:
+	sh .github/perfbench-sim.sh regen
 
 # ocamlformat is optional in minimal toolchains; skip gracefully when absent
 fmt:

@@ -39,6 +39,7 @@ type stats = {
   sends : int;
   recvs : int;
   doorbells : int;
+  bell_cycles : int;
   full_blocks : int;
   empty_blocks : int;
   drops : int;
@@ -69,6 +70,7 @@ type t = {
   mutable sends : int;
   mutable recvs : int;
   mutable doorbells : int;
+  mutable bell_cycles : int;
   mutable full_blocks : int;
   mutable empty_blocks : int;
   mutable drops : int;
@@ -199,6 +201,7 @@ let create machine vmem ?name ?(slots = 64) ?(slot_size = 1024) ?(mode = Doorbel
       sends = 0;
       recvs = 0;
       doorbells = 0;
+      bell_cycles = 0;
       full_blocks = 0;
       empty_blocks = 0;
       drops = 0;
@@ -246,6 +249,7 @@ let stats t =
     sends = t.sends;
     recvs = t.recvs;
     doorbells = t.doorbells;
+    bell_cycles = t.bell_cycles;
     full_blocks = t.full_blocks;
     empty_blocks = t.empty_blocks;
     drops = t.drops;
@@ -266,15 +270,13 @@ let set_group t ~group ~owner_ctx = t.ring_group <- Some (group, owner_ctx)
 (* Cross-CPU traffic                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The consumer, when it is pinned to a different CPU from the producer
-   — the condition under which ring traffic physically moves cache
-   lines between cores. *)
-let cross_consumer t =
+(* The consumer is pinned to a different CPU from the producer: the
+   condition under which ring traffic physically moves cache lines
+   between cores. *)
+let is_cross_cpu t =
   match t.consumer with
-  | Some c when Cpu.cross t.machine ~a:t.producer.Domain.id ~b:c.Domain.id -> Some c
-  | _ -> None
-
-let is_cross_cpu t = cross_consumer t <> None
+  | Some c -> Cpu.cross t.machine ~a:t.producer.Domain.id ~b:c.Domain.id
+  | None -> false
 
 (* One side's cache-line bill for moving [len] payload bytes across
    CPUs; charged on the executing (missing) side's clock. *)
@@ -302,19 +304,51 @@ let blocked_receivers t = domains_of_waitq t.not_empty
 
 let arm t = write_word t off_armed 1
 
+(* How a doorbell enters the nucleus, for channels and MPSC groups
+   alike. A consumer pinned on another CPU is sent an IPI: the sender
+   pays the bus signal, and the target reconciles, wakes if halted and
+   takes the trap on its own clock. Otherwise the ringer's domain
+   decides: code running in the kernel's protection domain (a kernel
+   producer whose context is current) calls the event service, and any
+   other ringer traps into it. Returns what the crossing costs: the
+   entry, the switches into and out of the consumer when it is another
+   domain, and the consumer's pop-up. *)
+let enter_doorbell machine ~producer ~consumer arg =
+  let costs = Machine.costs machine in
+  let here = Mmu.current_context (Machine.mmu machine) in
+  let far =
+    match consumer with
+    | Some c when Cpu.cross machine ~a:producer.Domain.id ~b:c.Domain.id ->
+      Some (Cpu.cpu_of machine ~domain:c.Domain.id)
+    | _ -> None
+  in
+  let entry =
+    match far with
+    | Some cpu ->
+      let signal = if cpu = Cpu.current machine then 0 else costs.Cost.ipi in
+      Cpu.ipi machine ~cpu doorbell_vec arg;
+      signal + costs.Cost.trap
+    | None when Domain.is_kernel producer && here = producer.Domain.id ->
+      ignore (Machine.call_trap machine doorbell_vec arg);
+      costs.Cost.call
+    | None ->
+      ignore (Machine.raise_trap machine doorbell_vec arg);
+      costs.Cost.trap
+  in
+  match consumer with
+  | None -> entry
+  | Some c ->
+    let switches = if here = c.Domain.id then 0 else 2 * costs.Cost.context_switch in
+    entry + switches + costs.Cost.proto_thread
+
 let ring_doorbell t =
   with_span t ~domain:t.producer.Domain.id ~meth:"doorbell" (fun () ->
       write_word t off_armed 0;
       t.doorbells <- t.doorbells + 1;
       Clock.bump (Machine.clock t.machine) Clock.Chan_doorbell;
-      (* a doorbell for a consumer pinned on another CPU is physically an
-         IPI: the sender pays the bus signal, the target reconciles,
-         wakes if halted, and the trap runs on the target's clock *)
-      match cross_consumer t with
-      | Some c ->
-        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:c.Domain.id)
-          doorbell_vec t.chan_id
-      | None -> ignore (Machine.raise_trap t.machine doorbell_vec t.chan_id))
+      t.bell_cycles <-
+        t.bell_cycles
+        + enter_doorbell t.machine ~producer:t.producer ~consumer:t.consumer t.chan_id)
 
 let on_doorbell t ~events ~sched f =
   let consumer =

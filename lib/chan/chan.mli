@@ -39,12 +39,16 @@
     {2 Doorbell vs polling}
 
     In [Doorbell] mode the consumer arms the doorbell whenever it runs
-    dry; the next enqueue clears the flag and raises the channel trap
-    vector with the channel id as argument, which {!Pm_nucleus.Events}
-    delivers into the consumer's domain — typically as a proto-thread
-    pop-up registered with {!on_doorbell}. While the ring is non-empty
-    the flag stays clear and enqueues skip the trap entirely, so a
-    loaded channel degenerates to pure polling. [Poll] mode never rings.
+    dry; the next enqueue clears the flag and enters the nucleus on the
+    doorbell vector with the channel id as argument, which
+    {!Pm_nucleus.Events} delivers into the consumer's domain — typically
+    as a proto-thread pop-up registered with {!on_doorbell}. How it
+    enters is decided by {!enter_doorbell}: a producer running in the
+    kernel's protection domain calls the event service, any other
+    traps, and a consumer on another CPU is sent an IPI. While the ring
+    is non-empty the flag stays clear and enqueues skip the doorbell
+    entirely, so a loaded channel degenerates to pure polling. [Poll]
+    mode never rings.
 
     {2 Back-pressure}
 
@@ -71,6 +75,9 @@ type stats = {
   sends : int;
   recvs : int;
   doorbells : int;
+  bell_cycles : int;
+      (** what the doorbells' crossings cost, each priced by
+          {!enter_doorbell} *)
   full_blocks : int;  (** sends that had to park on a full ring *)
   empty_blocks : int;  (** recvs that had to park on an empty ring *)
   drops : int;  (** non-blocking sends refused on a full ring *)
@@ -160,6 +167,24 @@ val lines_of_msg : int -> int
 (** The endpoints are pinned to different CPUs of this machine (false
     on one CPU or with no consumer yet). *)
 val is_cross_cpu : t -> bool
+
+(** [enter_doorbell machine ~producer ~consumer arg] rings the doorbell
+    vector with [arg], the one place channels and {!Mpsc} groups decide
+    how a doorbell enters the nucleus. A [consumer] pinned on another
+    CPU gets an IPI. Otherwise, when [producer] is a kernel domain and
+    its context is current, the ring is a procedure call into the event
+    service ([call]); any other ringer traps ([trap], counted). The
+    event is journalled on the vector either way. Returns the crossing's
+    cycles: the entry (with the IPI's signal when one is sent), two
+    [context_switch]es when [consumer] is not the current context, and
+    the consumer's pop-up ([proto_thread]); with no consumer yet, the
+    entry alone. *)
+val enter_doorbell :
+  Pm_machine.Machine.t ->
+  producer:Pm_nucleus.Domain.t ->
+  consumer:Pm_nucleus.Domain.t option ->
+  int ->
+  int
 
 (** [on_doorbell t ~events ~sched f] registers [f] to run as a pop-up
     proto-thread in the consumer's domain whenever this channel rings.

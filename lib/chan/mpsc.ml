@@ -11,8 +11,9 @@
    The armed flag is shared by all producers, which is what coalesces
    doorbells: the first enqueue after a dry spell clears it and rings;
    producers enqueueing before the consumer runs find it already clear
-   and stay silent. One trap wakes the consumer for the whole burst,
-   whoever produced it. *)
+   and stay silent. One doorbell wakes the consumer for the whole burst,
+   whoever produced it, entering the nucleus the way
+   {!Chan.enter_doorbell} decides for the producer that rings. *)
 
 module Machine = Pm_machine.Machine
 module Physmem = Pm_machine.Physmem
@@ -169,12 +170,9 @@ let ring_doorbell t tx =
       hwrite t off_armed 0;
       t.doorbells <- t.doorbells + 1;
       Clock.bump (Machine.clock t.machine) Clock.Mpsc_doorbell;
-      (* cross-CPU group doorbells are IPIs, same as SPSC ones *)
-      let consumer = t.consumer.Domain.id in
-      if Cpu.cross t.machine ~a:(Chan.producer tx.sub).Domain.id ~b:consumer then
-        Cpu.ipi t.machine ~cpu:(Cpu.cpu_of t.machine ~domain:consumer) Chan.doorbell_vec
-          t.group_id
-      else ignore (Machine.raise_trap t.machine Chan.doorbell_vec t.group_id))
+      ignore
+        (Chan.enter_doorbell t.machine ~producer:(Chan.producer tx.sub)
+           ~consumer:(Some t.consumer) t.group_id))
 
 let on_doorbell t ~events ~sched f =
   Events.register ~arg:t.group_id events (Events.Trap Chan.doorbell_vec)

@@ -47,8 +47,9 @@
 
     The armed flag is {e group-wide}: when several producers enqueue
     before the consumer runs, only the first finds the flag set and
-    traps; the rest see it clear and stay silent. One pop-up drains the
-    whole burst round-robin. The consumer re-arms when a drain runs
+    rings, entering the nucleus as {!Chan.enter_doorbell} decides for
+    its domain; the rest see it clear and stay silent. One pop-up drains
+    the whole burst round-robin. The consumer re-arms when a drain runs
     dry, exactly like {!Chan.recv_batch}.
 
     {2 Fairness}

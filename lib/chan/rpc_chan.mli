@@ -3,8 +3,8 @@
     Where the proxy path pays a page fault, two context switches and
     per-word argument mapping on {e every} call (E3: ~93–174× the
     same-domain dispatch), this transport marshals N calls into one ring
-    slot and pays the crossing — one doorbell trap, one pop-up, two
-    context switches — once per batch.
+    slot and pays the crossing — one doorbell (a trap from a user-domain
+    client), one pop-up, two context switches — once per batch.
 
     {2 Wire format}
 

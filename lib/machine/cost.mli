@@ -62,9 +62,13 @@ val span_store : t -> int
 (** [dispatch] + [span_store]: an interface dispatch with tracing on. *)
 val traced_dispatch : t -> int
 
-(** Fixed cost of a channel doorbell that crosses domains: the trap,
-    the MMU context switch into the consumer and back, and the pop-up
-    proto-thread that drains the ring. *)
+(** Fixed cost of a channel doorbell rung from a user domain into
+    another domain on the same CPU: the trap, the MMU context switch
+    into the consumer and back, and the pop-up proto-thread that drains
+    the ring. A ring from the kernel's protection domain enters by a
+    [call] instead of the trap, and one into the ringer's own domain
+    switches nothing; [Chan.enter_doorbell] prices each ring as it
+    enters. *)
 val doorbell_crossing : t -> int
 
 (** Extra shared-word traffic a multi-producer enqueue pays per reserve

@@ -104,13 +104,23 @@ let set_trap_handler t vec h =
   check_vec "trap vector" trap_vector_count vec;
   t.traps.(vec) <- h
 
+let run_trap t vec arg =
+  match t.traps.(vec) with
+  | Some h -> h arg
+  | None -> raise (Machine_check (Printf.sprintf "unhandled trap %d" vec))
+
 let raise_trap t vec arg =
   check_vec "trap vector" trap_vector_count vec;
   Clock.advance t.active_clock t.costs.Cost.trap;
   Clock.bump t.active_clock Clock.Trap;
-  match t.traps.(vec) with
-  | Some h -> h arg
-  | None -> raise (Machine_check (Printf.sprintf "unhandled trap %d" vec))
+  run_trap t vec arg
+
+(* Code already in the kernel's protection domain needs no protection
+   crossing to reach the handler: a procedure call runs it. *)
+let call_trap t vec arg =
+  check_vec "trap vector" trap_vector_count vec;
+  Clock.advance t.active_clock t.costs.Cost.call;
+  run_trap t vec arg
 
 let set_irq_handler t line h =
   check_vec "irq line" irq_line_count line;

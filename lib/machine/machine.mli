@@ -77,6 +77,12 @@ val set_trap_handler : t -> int -> (int -> int) option -> unit
     Raises [Machine_check] if no handler is installed. *)
 val raise_trap : t -> int -> int -> int
 
+(** [call_trap t vec arg] runs trap [vec]'s handler as a procedure call
+    from code already in the kernel's protection domain: it charges
+    [call] instead of [trap] and counts no trap. Raises [Machine_check]
+    if no handler is installed. *)
+val call_trap : t -> int -> int -> int
+
 val set_irq_handler : t -> int -> (unit -> unit) option -> unit
 
 (** [raise_irq t line] charges the interrupt cost and runs the handler;

@@ -241,16 +241,16 @@ let comp_epoch t dt (c : comp) actions =
 
 let chan_epoch t dt (cc : chan_ctl) actions =
   let s = Chan.stats cc.chan in
-  let dbells = s.Chan.doorbells - cc.cbase.Chan.doorbells in
+  (* each ring's crossing as it was paid: its entry, a trap or a call,
+     the switches when the consumer is another domain, the pop-up *)
+  let dbell = s.Chan.bell_cycles - cc.cbase.Chan.bell_cycles in
   let dsends = s.Chan.sends - cc.cbase.Chan.sends in
   cc.cbase <- s;
-  let share =
-    float_of_int (dbells * Cost.doorbell_crossing t.costs) /. float_of_int dt
-  in
+  let share = float_of_int dbell /. float_of_int dt in
   t.last_ring_share <- share;
   let want () =
     match Chan.mode cc.chan with
-    (* each message rings: the trap + switches dominate, so spin *)
+    (* each message rings: the crossings dominate, so spin *)
     | Chan.Doorbell when share >= ring_share -> Some Chan.Poll
     (* idle channel: go back to sleeping on the doorbell *)
     | Chan.Poll when dsends <= idle_sends -> Some Chan.Doorbell

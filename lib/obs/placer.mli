@@ -12,11 +12,13 @@
       loader/certsvc path) when the share stays at 0.2 or above for
       [confirm] consecutive epochs; a fault burst (3 page faults in one
       epoch) demotes a [Certified] component back to [User];
-    - the managed channel's *doorbell-cost share* — doorbells times
-      {!Pm_machine.Cost.doorbell_crossing} over the epoch's cycles — and
-      flips it [Doorbell] → [Poll] when ringing takes 0.25 of the epoch
-      or more, or back to [Doorbell] when the channel goes idle (no
-      sends in an epoch).
+    - the managed channel's *doorbell-cost share* — the cycles its
+      doorbells' crossings cost in the epoch, each priced as it was paid
+      ({!Pm_chan.Chan.enter_doorbell}: a trap or a call, the switches
+      when the consumer is another domain, the pop-up), over the epoch's
+      cycles — and flips it [Doorbell] → [Poll] when ringing takes 0.25
+      of the epoch or more, or back to [Doorbell] when the channel goes
+      idle (no sends in an epoch).
 
     Confirmation streaks plus a post-move cooldown (during which no
     decisions are taken and the baseline is re-captured, so certification
@@ -135,7 +137,10 @@ val cpu_moves : t -> int
 
 val cpu_deferrals : t -> int
 
-(** Crossing-cost / doorbell-cost share measured in the last epoch. *)
+(** Crossing-cost / doorbell-cost share measured in the last epoch. The
+    doorbell share counts only cycles its channel's doorbells charged in
+    the epoch, so it is at most 1 while both endpoints run on the
+    placer's CPU. *)
 val crossing_share : t -> float
 
 val doorbell_share : t -> float

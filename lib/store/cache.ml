@@ -1,14 +1,21 @@
 (* Write-back block cache: the stack's performance layer and its most
    interesting policy component.
 
-   - A read lends the cached line: the layer charges no copy and makes
-     no trip below on a hit, so a hit costs the method dispatch alone
-     (bench E19 bounds it). The reader charges the bytes it reads or
-     copies out of the line (the log its length word and record, the
-     channel server its response). The host hands each reader its own
-     copy, and a write replaces [line.data] rather than mutating it.
-     Nothing else touches a line's bytes, so a lent line cannot change
-     under the cache.
+   - Blocks pass through the cache without a charged copy, in both
+     directions. The cache charges only what it does itself: its
+     dispatch, its trips to the layer below, and the zeros it pads onto
+     a short write. Whoever reads or writes a block's bytes charges
+     them: a reader what it reads or copies out of a lent line (the log
+     its length word and record, the channel server its response), a
+     writer the bytes it put in the block it hands down (the log its
+     length word and record). So a hit and a full-block write each cost
+     the method dispatch alone (bench E19 bounds both).
+   - On the host the cache keeps its own copy of every line: a reader
+     gets a copy of the line, a write copies the writer's block into a
+     fresh line and replaces [line.data] rather than mutating it. A
+     writer that later changes its buffer (the log keeps appending to
+     its tail) cannot change a cached line, and a lent line cannot
+     change under the cache.
    - Misses read through the lower layer and insert; when the cache is
      at capacity the least-recently-used block is evicted, writing it
      back first if dirty.
@@ -107,7 +114,8 @@ let write_op st ctx block data =
   else begin
     let padded = Bytes.make Blockif.block_size '\000' in
     Bytes.blit data 0 padded 0 (Bytes.length data);
-    Call_ctx.access ctx Blockif.block_size;
+    let pad = Blockif.block_size - Bytes.length data in
+    if pad > 0 then Call_ctx.access ctx pad;
     match Hashtbl.find_opt st.lines block with
     | Some line ->
       st.hits <- st.hits + 1;

@@ -164,6 +164,91 @@ let test_doorbell_cost_ignores_other_channels () =
   in
   Alcotest.(check int) "one other channel or eight" (ring_cost 1) (ring_cost 8)
 
+(* What one ring of a plain channel or an MPSC group costs, rung with
+   the producer's context current: what the ringing send charges the
+   ringer's clock over an identical quiet one, less the store that
+   clears the armed flag; what the consumer's CPU pays when it is
+   another; the traps counted on any CPU; and, on a plain channel, the
+   crossing the ring records. The pop-up drains nothing, so the flag
+   stays clear and the second send is quiet. With [far] the consumer is
+   pinned on CPU 1 of 2. *)
+let doorbell_price ?(far = false) ~mpsc ~from ~into () =
+  let sys = System.create ~seed:0xBEEF ~cpus:(if far then 2 else 1) () in
+  let k = System.kernel sys in
+  let machine = Kernel.machine k and vmem = Kernel.vmem k and events = Kernel.events k in
+  let domain = function
+    | `Kernel -> Kernel.kernel_domain k
+    | `User name -> System.new_domain sys name
+  in
+  let producer = domain from and consumer = domain into in
+  if far then Cpu.pin (System.cpu sys) ~domain:consumer.Domain.id ~cpu:1;
+  let sched = if far then Smp.sched (System.smp sys) 1 else Kernel.sched k in
+  let send, recorded =
+    if mpsc then begin
+      let g = Mpsc.create machine vmem ~slots:8 ~slot_size:16 ~consumer () in
+      let tx = Mpsc.attach g ~producer in
+      ignore (Mpsc.on_doorbell g ~events ~sched ignore);
+      ((fun m -> Mpsc.try_send tx m), fun () -> None)
+    end
+    else begin
+      let c = Chan.create machine vmem ~slots:8 ~slot_size:16 ~producer () in
+      ignore (Chan.accept c ~into:consumer);
+      ignore (Chan.on_doorbell c ~events ~sched ignore);
+      ((fun m -> Chan.try_send c m), fun () -> Some (Chan.stats c).Chan.bell_cycles)
+    end
+  in
+  Mmu.switch_context (Machine.mmu machine) producer.Domain.id;
+  let cpus = Machine.cpus machine in
+  let far_work () =
+    if far then Clock.now cpus.(1).Machine.clock - cpus.(1).Machine.synced else 0
+  in
+  let traps () =
+    Array.fold_left (fun n c -> n + Clock.read c.Machine.clock Clock.Trap) 0 cpus
+  in
+  let send () =
+    let t0 = Clock.now (Machine.clock machine) and w0 = far_work () in
+    Alcotest.(check bool) "sent" true (send (Bytes.of_string "ring"));
+    (Clock.now (Machine.clock machine) - t0, far_work () - w0)
+  in
+  let traps0 = traps () in
+  let ringing, far_paid = send () in
+  let traps = traps () - traps0 in
+  let quiet, _ = send () in
+  let paid = ringing - quiet - (Machine.costs machine).Cost.mem_write in
+  ([ paid; far_paid; traps ], recorded ())
+
+(* Code in the kernel's protection domain enters the event service by a
+   call; a user domain traps into it; a consumer on another CPU is sent
+   an IPI, whoever rings. The context switches are paid only into
+   another domain. *)
+let test_doorbell_price_follows_ringer () =
+  let check label expect (got, recorded) =
+    Alcotest.(check (list int)) label expect got;
+    (* a channel records the crossing the ringer and the consumer's CPU
+       paid *)
+    match (expect, recorded) with
+    | paid :: far_paid :: _, Some r ->
+      Alcotest.(check int) (label ^ ": recorded") (paid + far_paid) r
+    | _ -> ()
+  in
+  List.iter
+    (fun mpsc ->
+      let kind = if mpsc then "mpsc " else "chan " in
+      (* call 8 + pop-up 60 *)
+      check (kind ^ "kernel -> kernel") [ 68; 0; 0 ]
+        (doorbell_price ~mpsc ~from:`Kernel ~into:`Kernel ());
+      (* call 8 + two switches 640 + pop-up 60 *)
+      check (kind ^ "kernel -> user") [ 708; 0; 0 ]
+        (doorbell_price ~mpsc ~from:`Kernel ~into:(`User "bell-user") ());
+      (* trap 280 + two switches 640 + pop-up 60 *)
+      check (kind ^ "user -> kernel") [ 980; 0; 1 ]
+        (doorbell_price ~mpsc ~from:(`User "bell-user") ~into:`Kernel ());
+      (* the ringer pays the ipi 360; the consumer's CPU takes the trap,
+         the two switches and the pop-up *)
+      check (kind ^ "kernel -> user on another cpu") [ 360; 980; 1 ]
+        (doorbell_price ~far:true ~mpsc ~from:`Kernel ~into:(`User "bell-far") ()))
+    [ false; true ]
+
 (* The length word is in shared memory the producer writes. One that
    claims more than the slot holds is consumed unread and counted, the
    slots behind it still arrive, and the ring goes on working. *)
@@ -840,6 +925,8 @@ let () =
           Alcotest.test_case "pop-up delivery" `Quick test_doorbell_popup_delivery;
           Alcotest.test_case "other channels cost a doorbell nothing" `Quick
             test_doorbell_cost_ignores_other_channels;
+          Alcotest.test_case "a doorbell's price follows who rings it" `Quick
+            test_doorbell_price_follows_ringer;
         ] );
       ( "mpsc",
         [

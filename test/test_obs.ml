@@ -1105,6 +1105,55 @@ let test_placer_after_reset () =
   Alcotest.(check (float 1e-9)) "share counts from the reset" 0.5
     (Placer.crossing_share placer)
 
+(* The bell share prices each ring as it was paid: a ring from the
+   kernel's protection domain calls into the nucleus, one from a user
+   domain traps. Either way the share is its crossings' cycles over the
+   epoch's, at most 1, and a channel that rings on every message still
+   flips to polling. *)
+let test_placer_bell_share () =
+  let epoch ~kernel_rung =
+    let sys = sys_fixture () in
+    let k = System.kernel sys in
+    let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "bell-user" in
+    let producer, consumer = if kernel_rung then (kdom, udom) else (udom, kdom) in
+    let chan =
+      Chan.create (Kernel.machine k) (Kernel.vmem k) ~slots:8 ~slot_size:16 ~producer ()
+    in
+    ignore (Chan.accept chan ~into:consumer);
+    ignore
+      (Chan.on_doorbell chan ~events:(Kernel.events k) ~sched:(Kernel.sched k)
+         (fun () -> ignore (Chan.recv_batch chan ())));
+    Mmu.switch_context (Machine.mmu (Kernel.machine k)) producer.Domain.id;
+    let clock = Kernel.clock k in
+    let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
+    Placer.manage_channel placer chan;
+    let t0 = Clock.now clock in
+    for _ = 1 to 10 do
+      Chan.send chan (Bytes.of_string "ring")
+    done;
+    let dt = Clock.now clock - t0 in
+    let actions = Placer.epoch placer in
+    (Chan.stats chan, dt, actions, Placer.doorbell_share placer)
+  in
+  List.iter
+    (fun (kernel_rung, label, crossing) ->
+      let stats, dt, actions, share = epoch ~kernel_rung in
+      Alcotest.(check int) (label ^ ": every send rang") 10 stats.Chan.doorbells;
+      Alcotest.(check int) (label ^ ": the crossings recorded") (10 * crossing)
+        stats.Chan.bell_cycles;
+      Alcotest.(check (float 0.)) (label ^ ": share = crossings / epoch")
+        (float_of_int (10 * crossing) /. float_of_int dt)
+        share;
+      Alcotest.(check bool) (label ^ ": share <= 1") true (share <= 1.);
+      Alcotest.(check bool) (label ^ ": flips to poll") true
+        (actions = [ Placer.Flipped Chan.Poll ]))
+    [
+      (* call 8 + two switches 640 + pop-up 60 *)
+      (true, "kernel-rung", 708);
+      (* trap 280 + two switches 640 + pop-up 60 *)
+      (false, "user-rung", 980);
+    ]
+
 (* --- clock snapshot helpers -------------------------------------------- *)
 
 let test_clock_snapshot_diff () =
@@ -1192,6 +1241,8 @@ let () =
           Alcotest.test_case "move-cost learning" `Quick
             test_placer_move_cost_learning;
           Alcotest.test_case "reset between epochs" `Quick test_placer_after_reset;
+          Alcotest.test_case "bell share prices each ring as paid" `Quick
+            test_placer_bell_share;
         ] );
       ( "interposer",
         [

@@ -226,6 +226,48 @@ let test_cache_hit_lends_the_line () =
     (2 + String.length record)
     (Call_ctx.accesses ctx - read0)
 
+(* A write hands the cache its block the way a hit lends one: the cache
+   charges its dispatch and the zeros it pads onto a short write, and the
+   writer has paid for the bytes it put in the block. The cache still
+   keeps its own copy, so the writer's buffer is its own again. *)
+let test_cache_write_takes_the_block () =
+  let _sys, k, store = fixture () in
+  let kdom = Kernel.kernel_domain k in
+  switch_to k kdom;
+  let ctx = Kernel.ctx k kdom and clock = Kernel.clock k in
+  let costs = ctx.Call_ctx.costs in
+  let cache = store.System.block_cache in
+  (* the cycles and component memory accesses one call charges *)
+  let charged inst ~iface ~meth args =
+    let t0 = Clock.now clock and a0 = Call_ctx.accesses ctx in
+    ignore (Invoke.call_exn ctx inst ~iface ~meth args);
+    (Clock.now clock - t0, Call_ctx.accesses ctx - a0)
+  in
+  let write block data =
+    charged cache ~iface:"block" ~meth:"write" [ Value.Int block; Value.Blob data ]
+  in
+  let full = Bytes.make 512 'a' in
+  Alcotest.(check (pair int int)) "a full-block write costs one dispatch"
+    (Cost.dispatch costs, 0) (write 9 full);
+  Bytes.fill full 0 512 'Z';
+  Alcotest.(check string) "scribbling on the writer's buffer changes no line"
+    (String.make 512 'a')
+    (Bytes.to_string (block_read ctx cache ~block:9));
+  let pad = 512 - 12 in
+  Alcotest.(check (pair int int)) "a short write pays for its pad"
+    (Cost.dispatch costs + (pad * costs.Cost.mem_read), pad)
+    (write 10 (Bytes.of_string "twelve-bytes"));
+  (* the log writes its whole tail block down on every append; the
+     second append fits the tail block the first opened *)
+  let log = store.System.log and record = "twenty-one-byte-entry" in
+  let append () = charged log ~iface:"log" ~meth:"append" [ blob record ] in
+  ignore (append ());
+  let written = 2 + String.length record in
+  Alcotest.(check (pair int int))
+    "an append charges its length word, its record and two dispatches"
+    ((2 * Cost.dispatch costs) + (written * costs.Cost.mem_read), written)
+    (append ())
+
 let test_flush_on_detach_durability () =
   let _sys, k, store = fixture () in
   let kdom = Kernel.kernel_domain k in
@@ -956,6 +998,8 @@ let () =
             test_factory_partition_window;
           Alcotest.test_case "cache eviction when full" `Quick
             test_cache_eviction_when_full;
+          Alcotest.test_case "a cache write takes the block" `Quick
+            test_cache_write_takes_the_block;
           Alcotest.test_case "a cache hit lends the line" `Quick
             test_cache_hit_lends_the_line;
           Alcotest.test_case "flush-on-detach durability" `Quick
