@@ -2069,13 +2069,15 @@ module E20 = struct
            ~key:(Printf.sprintf "k%04d" n)
            (Printf.sprintf "value-%04d" n))
     done;
-    (* steady state: sweep gets with an update every 8th op *)
+    (* steady state: sweep gets with an update every 7th op, a period
+       prime to every row's block count, so the stride's gets also reach
+       the blocks its updates evict *)
     let samples = ref [] in
     let fills0 = Clock.read clock Clock.Tlb_fill in
     for n = 0 to ops - 1 do
       let key = key_of ws n in
       let c =
-        if n mod 8 = 7 then
+        if n mod 7 = 6 then
           request ~op:Storewire.kv_put ~key (Printf.sprintf "update-%04d" n)
         else request ~op:Storewire.kv_get ~key ""
       in

@@ -164,6 +164,7 @@ let send st ctx data =
 
 let create api dom ?(config = default_config) () =
   if config.rx_buffers <= 0 then invalid_arg "Netdrv.create: need rx buffers";
+  if config.rx_buffers > Nic.rx_slots then invalid_arg "Netdrv.create: bad rx_buffers";
   if config.tx_slots <= 0 || config.tx_slots > Nic.tx_slots then
     invalid_arg "Netdrv.create: bad tx_slots";
   let vmem = api.Api.vmem in

@@ -18,7 +18,7 @@
       buffers *)
 
 type config = {
-  rx_buffers : int;  (** DMA receive buffers to give the device *)
+  rx_buffers : int;  (** DMA receive buffers to give the device (<= [Nic.rx_slots]) *)
   tx_slots : int;
       (** tx staging pages / max DMAs kept in flight (<= [Nic.tx_slots]).
           The send path posts directly only on an idle ring; the tx_done

@@ -232,29 +232,29 @@ let attach_device t dev =
   t.attached <- { dev; io_base } :: t.attached;
   io_base
 
+(* The device whose register window holds [addr]. A top-level loop that
+   returns the attachment, so that a register access allocates nothing. *)
+let rec find_io addr = function
+  | [] -> raise (Machine_check (Printf.sprintf "no device at io address 0x%x" addr))
+  | a :: rest ->
+    if addr >= a.io_base && addr < a.io_base + (a.dev.Device.reg_count * 4) then a
+    else find_io addr rest
+
 let locate_io t addr =
-  let found =
-    List.find_opt
-      (fun a ->
-        addr >= a.io_base && addr < a.io_base + (a.dev.Device.reg_count * 4))
-      t.attached
-  in
-  match found with
-  | Some a ->
-    if (addr - a.io_base) mod 4 <> 0 then
-      raise (Machine_check (Printf.sprintf "unaligned io access 0x%x" addr));
-    (a.dev, (addr - a.io_base) / 4)
-  | None -> raise (Machine_check (Printf.sprintf "no device at io address 0x%x" addr))
+  let a = find_io addr t.attached in
+  if (addr - a.io_base) mod 4 <> 0 then
+    raise (Machine_check (Printf.sprintf "unaligned io access 0x%x" addr));
+  a
 
 let io_read t addr =
   Clock.advance t.active_clock t.costs.Cost.io_read;
-  let dev, reg = locate_io t addr in
-  dev.Device.reg_read reg
+  let a = locate_io t addr in
+  a.dev.Device.reg_read ((addr - a.io_base) / 4)
 
 let io_write t addr v =
   Clock.advance t.active_clock t.costs.Cost.io_write;
-  let dev, reg = locate_io t addr in
-  dev.Device.reg_write reg v
+  let a = locate_io t addr in
+  a.dev.Device.reg_write ((addr - a.io_base) / 4) v
 
 let devices t =
   List.rev_map (fun a -> (a.dev.Device.name, a.io_base, a.dev.Device.reg_count)) t.attached

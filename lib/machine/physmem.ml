@@ -92,21 +92,21 @@ let write32 t addr v =
 
 (* One blit per frame the range touches, in address order: a copy that
    reaches an unallocated frame has done the frames before it when it
-   raises. *)
+   raises. A top-level loop, so that a copy allocates no closure. *)
+let rec blit_from t ~to_phys addr buf off len d =
+  if d < len then begin
+    let a = addr + d in
+    let data = (frame_at t a).data and o = a mod t.page_size in
+    let n = min (len - d) (t.page_size - o) in
+    if to_phys then Bytes.blit buf (off + d) data o n
+    else Bytes.blit data o buf (off + d) n;
+    blit_from t ~to_phys addr buf off len (d + n)
+  end
+
 let blit t ~to_phys addr buf off len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Physmem: buffer range";
-  let rec go d =
-    if d < len then begin
-      let a = addr + d in
-      let data = (frame_at t a).data and o = a mod t.page_size in
-      let n = min (len - d) (t.page_size - o) in
-      if to_phys then Bytes.blit buf (off + d) data o n
-      else Bytes.blit data o buf (off + d) n;
-      go (d + n)
-    end
-  in
-  go 0
+  blit_from t ~to_phys addr buf off len 0
 
 let read_bytes t addr buf off len = blit t ~to_phys:false addr buf off len
 let write_bytes t addr buf off len = blit t ~to_phys:true addr buf off len

@@ -223,9 +223,11 @@ let media_overlap s m =
   max 0 (min m.complete_at s.exit_at - max m.issue_at s.enter_at)
 
 (* Deepest span containing the media issue — the layer that was
-   actually on the stack while the device worked. *)
+   actually on the stack while the device worked. A span holds the
+   cycles [enter_at, exit_at): a wait issued in the cycle a span exits
+   is its parent's, so it is not lost to a span it cannot overlap. *)
 let rec deepest_containing spans m =
-  let holds s = s.enter_at <= m.issue_at && m.issue_at <= s.exit_at in
+  let holds s = s.enter_at <= m.issue_at && m.issue_at < s.exit_at in
   match List.find_opt holds spans with
   | None -> None
   | Some s -> (

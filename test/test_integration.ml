@@ -252,7 +252,14 @@ let test_rx_ring_overrun_drops_not_crashes () =
     Machine.tick (Kernel.machine k2)
   done;
   Alcotest.(check int) "unattended packets dropped" 5
-    (Machine.io_read (Kernel.machine k2) (Nic.io_base nic2 + 32))
+    (Machine.io_read (Kernel.machine k2) (Nic.io_base nic2 + 32));
+  (* a driver cannot post more buffers than the device's ring holds *)
+  Alcotest.check_raises "more buffers than the rx ring"
+    (Invalid_argument "Netdrv.create: bad rx_buffers") (fun () ->
+      ignore
+        (Netdrv.create (Kernel.api k2) (Kernel.kernel_domain k2)
+           ~config:{ Netdrv.default_config with Netdrv.rx_buffers = Nic.rx_slots + 1 }
+           ()))
 
 let test_component_crash_contained () =
   (* a component whose method raises: the object layer reports Fault-free
@@ -603,6 +610,42 @@ let steps_a sys =
       ignore (Chan.try_send chan (Bytes.of_string (Printf.sprintf "a%d" i)));
       Kernel.step k ~ticks:2 ())
 
+(* A KV boot serving gets over loopback keeps nothing per op: its live
+   heap after 5,000 more gets is what it was after 500. Looped-back
+   frames kept as wire traffic would add about 26K words over this
+   span. *)
+let test_kv_boot_heap_stays_flat () =
+  let sys = System.create ~seed:1 ~key_bits:384 () in
+  let k = System.kernel sys in
+  let _kv, client = System.setup_kv sys ~placement:System.Certified ~cache_capacity:16 in
+  let keys = Array.init 12 (Printf.sprintf "k%04d") in
+  let request ~op key value =
+    ignore (Kv.send client ~op ~key value);
+    Kernel.step k ~ticks:2 ();
+    match Kv.replies client with
+    | [ Ok r ] when r.Storewire.Kvmsg.status = Storewire.Kvmsg.status_ok -> ()
+    | _ -> Alcotest.failf "kv op %d on %s failed" op key
+  in
+  Array.iter (fun key -> request ~op:Storewire.kv_put key "value") keys;
+  let gets n =
+    for i = 0 to n - 1 do
+      request ~op:Storewire.kv_get keys.(i mod Array.length keys) ""
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  gets 500;
+  let before = live () in
+  gets 5000;
+  let after = live () in
+  ignore (Sys.opaque_identity (sys, client));
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d -> %d" before after)
+    true
+    (after - before < 1000)
+
 (* System B: two CPUs, the KV path over loopback net and the block-store
    stack, and a doorbell channel whose consumer is pinned to CPU 1. *)
 let steps_b sys =
@@ -729,5 +772,7 @@ let () =
             test_crash_dump_reads_failing_system;
           Alcotest.test_case "interleaved systems match their solo runs" `Quick
             test_interleaved_systems_match_solo;
+          Alcotest.test_case "a kv boot's heap stays flat" `Quick
+            test_kv_boot_heap_stays_flat;
         ] );
     ]

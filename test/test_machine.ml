@@ -957,18 +957,27 @@ let test_nic_rx_drop_without_buffers () =
   Alcotest.(check int) "dropped" 1 (Machine.io_read m (base + 32));
   Alcotest.(check int) "wire drained" 0 (Nic.pending_wire nic)
 
+(* a looped-back frame goes to the receive side and never reaches the
+   wire, so the capture stays empty *)
 let test_nic_tx_and_loopback () =
   let m, nic = nic_fixture () in
-  let base = Nic.io_base nic in
-  let frame = Physmem.alloc (Machine.phys m) in
-  phys_put (Machine.phys m) "outgoing!" (frame * 256);
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let frame = Physmem.alloc phys and buf = Physmem.alloc phys in
+  phys_put phys "outgoing!" (frame * 256);
   Machine.io_write m base (2 lor 8) (* tx + loopback *);
   Machine.io_write m (base + 20) (frame * 256);
   Machine.io_write m (base + 24) 9;
   Machine.io_write m (base + 28) 1 (* TX_GO *);
   Machine.tick m;
-  Alcotest.(check (list string)) "transmitted" [ "outgoing!" ] (Nic.take_transmitted nic);
-  Alcotest.(check int) "looped back onto wire" 1 (Nic.pending_wire nic);
+  Alcotest.(check int) "looped back to the receive side" 1 (Nic.pending_wire nic);
+  Machine.io_write m (base + 8) (buf * 256) (* RX_FREE <- buffer *);
+  Machine.io_write m base (1 lor 2 lor 8) (* rx + tx + loopback *);
+  Machine.tick m;
+  Alcotest.(check int) "received" 0 (Nic.pending_wire nic);
+  Alcotest.(check int) "rx length" 9 (Machine.io_read m (base + 16));
+  Alcotest.(check string) "in the posted buffer" "outgoing!"
+    (phys_get phys (Machine.io_read m (base + 12)) 9);
+  Alcotest.(check (list string)) "nothing on the wire" [] (Nic.take_transmitted nic);
   Alcotest.check_raises "oversize inject"
     (Invalid_argument "Nic.inject: packet exceeds MTU") (fun () ->
       Nic.inject nic (String.make (Nic.mtu + 1) 'x'))
@@ -1019,6 +1028,132 @@ let test_nic_tx_capture () =
     (List.init Nic.capture (fun k -> payload (k + 3)))
     (Nic.take_transmitted nic);
   Alcotest.(check (list string)) "taken once" [] (Nic.take_transmitted nic)
+
+(* Pop the filled descriptor at the head of the receive ring: its
+   payload, read from the buffer it landed in, and the buffer's address. *)
+let nic_pop m base =
+  let addr = Machine.io_read m (base + 12) and len = Machine.io_read m (base + 16) in
+  let payload = phys_get (Machine.phys m) addr len in
+  Machine.io_write m (base + 4) 1 (* ack pops it *);
+  (payload, addr)
+
+(* the receive ring holds [rx_slots] descriptors: posts past it are
+   dropped, so the frames past it find no buffer; and a filled frame the
+   driver has not popped still holds its slot *)
+let test_nic_rx_ring_capacity () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic in
+  let buf = Physmem.alloc (Machine.phys m) * 256 in
+  for _ = 1 to Nic.rx_slots + 3 do
+    Machine.io_write m (base + 8) buf (* RX_FREE <- buffer *)
+  done;
+  Alcotest.(check int) "RX_FREE reads the capacity" Nic.rx_slots
+    (Machine.io_read m (base + 8));
+  Machine.io_write m base 1 (* rx enable *);
+  for i = 1 to Nic.rx_slots + 3 do
+    Nic.inject nic (Printf.sprintf "f%d" i);
+    Machine.tick m
+  done;
+  Alcotest.(check int) "the extra buffers were dropped" 3 (Machine.io_read m (base + 32));
+  Alcotest.(check int) "every posted buffer filled" 0 (Machine.io_read m (base + 8));
+  Machine.io_write m (base + 8) buf;
+  Alcotest.(check int) "a post against a ring of filled frames is dropped" 0
+    (Machine.io_read m (base + 8));
+  ignore (nic_pop m base);
+  Machine.io_write m (base + 8) buf;
+  Alcotest.(check int) "a pop frees a slot" 1 (Machine.io_read m (base + 8))
+
+(* a driver keeps [posted] buffers on the ring and re-posts each one
+   after its frame, as Netdrv does; over several wraps of the ring every
+   frame lands in the buffer posted longest ago, in order *)
+let test_nic_rx_ring_order () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic in
+  let page = Physmem.alloc (Machine.phys m) * 256 in
+  let posted = 5 and frames = (3 * Nic.rx_slots) + 7 in
+  let buffer i = page + (16 * (i mod 16)) in
+  for i = 0 to posted - 1 do
+    Machine.io_write m (base + 8) (buffer i)
+  done;
+  Machine.io_write m base 1 (* rx enable *);
+  let next_post = ref posted in
+  for i = 0 to frames - 1 do
+    Nic.inject nic (Printf.sprintf "f%d" i);
+    Machine.tick m;
+    let payload, addr = nic_pop m base in
+    Alcotest.(check string) "frame in order" (Printf.sprintf "f%d" i) payload;
+    Alcotest.(check int) "the oldest posted buffer" (buffer i) addr;
+    Machine.io_write m (base + 8) (buffer !next_post);
+    incr next_post
+  done;
+  Alcotest.(check int) "none dropped" 0 (Machine.io_read m (base + 32));
+  Alcotest.(check int) "the driver's buffers still posted" posted
+    (Machine.io_read m (base + 8))
+
+(* TX_GO against a full transmit ring drops the staged descriptor *)
+let test_nic_tx_ring_full () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let frame = Physmem.alloc phys * 256 in
+  Machine.io_write m base 2 (* tx *);
+  for i = 0 to Nic.tx_slots do
+    phys_put phys (Printf.sprintf "t%02d" i) (frame + (4 * i));
+    Machine.io_write m (base + 20) (frame + (4 * i));
+    Machine.io_write m (base + 24) 3;
+    Machine.io_write m (base + 28) 1 (* TX_GO *)
+  done;
+  Alcotest.(check int) "TX_FREE reads 0" 0 (Machine.io_read m (base + 36));
+  for _ = 0 to Nic.tx_slots do
+    Machine.tick m
+  done;
+  Alcotest.(check (list string))
+    "the ring's frames went out; the last kick was dropped"
+    (List.init Nic.tx_slots (Printf.sprintf "t%02d"))
+    (Nic.take_transmitted nic);
+  Alcotest.(check int) "the ring is free again" Nic.tx_slots
+    (Machine.io_read m (base + 36))
+
+(* A looped-back frame's round, the driver's side included (stage, kick,
+   tick, pop, re-post), allocates the frame and the wire's queue cell (3
+   words) and nothing else: no descriptor allocates. [Gc.minor_words] is
+   exact. *)
+let test_nic_loopback_allocates_the_frame () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let tx = Physmem.alloc phys * 256 and rx = Physmem.alloc phys * 256 in
+  let payload = String.make 100 'p' in
+  phys_put phys payload tx;
+  for i = 0 to 7 do
+    Machine.io_write m (base + 8) (rx + (16 * i))
+  done;
+  Machine.io_write m base (1 lor 2 lor 8) (* rx + tx + loopback *);
+  let round () =
+    Machine.io_write m (base + 20) tx;
+    Machine.io_write m (base + 24) (String.length payload);
+    Machine.io_write m (base + 28) 1 (* TX_GO *);
+    Machine.tick m;
+    let addr = Machine.io_read m (base + 12) in
+    ignore (Machine.io_read m (base + 16));
+    Machine.io_write m (base + 4) 3 (* ack rx and tx-done *);
+    Machine.io_write m (base + 8) addr (* re-post *)
+  in
+  for _ = 1 to 3 * Nic.rx_slots do
+    round ()
+  done;
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  (* a 100-byte string: a header and 13 words of bytes and padding *)
+  let frame = 1 + ((String.length payload + 8) / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words a round, the frame is %d" words frame)
+    true
+    (words <= float_of_int (frame + 3));
+  Alcotest.(check int) "every frame received" 0 (Machine.io_read m (base + 32));
+  Alcotest.(check (list string)) "none on the wire" [] (Nic.take_transmitted nic)
 
 let test_io_space_checks () =
   let m = unit_machine () in
@@ -1388,6 +1523,12 @@ let () =
           Alcotest.test_case "nic rx drop" `Quick test_nic_rx_drop_without_buffers;
           Alcotest.test_case "nic tx + loopback" `Quick test_nic_tx_and_loopback;
           Alcotest.test_case "nic tx capture keeps the newest" `Quick test_nic_tx_capture;
+          Alcotest.test_case "nic rx ring holds rx_slots" `Quick test_nic_rx_ring_capacity;
+          Alcotest.test_case "nic rx ring fills in posted order" `Quick
+            test_nic_rx_ring_order;
+          Alcotest.test_case "nic tx ring full drops the kick" `Quick test_nic_tx_ring_full;
+          Alcotest.test_case "nic loopback round allocates the frame" `Quick
+            test_nic_loopback_allocates_the_frame;
           Alcotest.test_case "nic raises one interrupt per tick" `Quick
             test_nic_one_interrupt_per_tick;
           Alcotest.test_case "io space checks" `Quick test_io_space_checks;

@@ -147,6 +147,117 @@ let test_fold_ignores_out_of_window_work () =
         Alcotest.failf "expected no requests, got %d" (List.length reqs)
       | Error e -> Alcotest.fail e)
 
+(* --- the fold against a model ---------------------------------------------- *)
+
+(* A request is a sequence of steps: [Work n] advances the clock n
+   cycles, [Wait (block, n)] is an n-cycle device wait on [block], and
+   [Span (layer, suffix, steps)] encloses its steps in a span whose
+   detail is the layer, or the layer and a word after it, as an
+   observability span's is. *)
+type step = Work of int | Wait of int * int | Span of string * string * step list
+
+let gen_steps =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [ (3, map (fun n -> Work n) (int_range 0 40));
+        (1, map2 (fun b n -> Wait (b, n)) (int_range 0 7) (int_range 1 60)) ]
+  in
+  let layer = oneofl [ "net"; "kv"; "log"; "cache"; "partition"; "driver"; "proxy" ] in
+  let suffix = oneofl [ ""; ""; "echo.echo"; "chan" ] in
+  (* spans nest at most [depth] deep *)
+  let rec steps depth = list_size (int_range 0 4) (step depth)
+  and step depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (2, leaf);
+          (1, map3 (fun l sfx kids -> Span (l, sfx, kids)) layer suffix (steps (depth - 1))) ]
+  in
+  list_size (int_range 1 3) (steps 4)
+
+let rec print_step = function
+  | Work n -> Printf.sprintf "work %d" n
+  | Wait (b, n) -> Printf.sprintf "wait b%d %d" b n
+  | Span (l, sfx, kids) ->
+    Printf.sprintf "[%s%s: %s]" l
+      (if sfx = "" then "" else " " ^ sfx)
+      (String.concat "; " (List.map print_step kids))
+
+let print_requests reqs =
+  String.concat "\n"
+    (List.map (fun steps -> String.concat "; " (List.map print_step steps)) reqs)
+
+(* Record one request's steps from cycle [at]; returns the cycle after. *)
+let rec play j at = function
+  | Work n -> at + n
+  | Wait (block, n) ->
+    record j ~kind:Journal.Blk_issue ~at ~info:block ~domain:0 ();
+    record j ~kind:Journal.Blk_complete ~at:(at + n) ~info:block ~domain:0 ();
+    at + n
+  | Span (layer, sfx, kids) ->
+    let detail = if sfx = "" then layer else layer ^ " " ^ sfx in
+    record j ~kind:Journal.Span_enter ~at ~detail ();
+    let at = List.fold_left (play j) at kids in
+    record j ~kind:Journal.Span_exit ~at ~detail ();
+    at
+
+(* The model: a layer's exclusive cycles are the work done directly in
+   its spans, "net" is the work outside every span, and "media" is every
+   device wait. Zero rows are dropped. *)
+let model_attribution steps =
+  let tally = Hashtbl.create 8 in
+  let add l n = Hashtbl.replace tally l (n + Option.value ~default:0 (Hashtbl.find_opt tally l)) in
+  let rec walk layer = function
+    | Work n -> add layer n
+    | Wait (_, n) -> add "media" n
+    | Span (l, _, kids) -> List.iter (walk l) kids
+  in
+  List.iter (walk "net") steps;
+  Hashtbl.fold (fun l n acc -> if n = 0 then acc else (l, n) :: acc) tally []
+  |> List.sort compare
+
+let prop_attribution_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"attribution telescopes and matches a per-layer model"
+       ~print:print_requests gen_steps
+       (fun reqs ->
+         with_tracing (fun () ->
+             let j = Journal.create () in
+             Journal.set_mode j Journal.Full;
+             (* the requests one after another, 10 idle cycles apart *)
+             ignore
+               (List.fold_left
+                  (fun at steps ->
+                    let rid = Journal.req_begin j ~domain:1 ~at ~detail:"req" in
+                    let at = List.fold_left (play j) at steps in
+                    Journal.req_end j ~domain:1 ~at rid;
+                    at + 10)
+                  100 reqs);
+             match Query.fold ~complete:true (Journal.history j) with
+             | Error e -> QCheck2.Test.fail_reportf "fold refused the history: %s" e
+             | Ok folded ->
+               List.length folded = List.length reqs
+               && List.for_all2
+                    (fun steps r ->
+                      let attr = Query.attribution r in
+                      let sum = List.fold_left (fun a (_, n) -> a + n) 0 attr in
+                      let layers =
+                        List.filter (fun (_, n) -> n <> 0) attr |> List.sort compare
+                      in
+                      let model = model_attribution steps in
+                      if sum <> Query.duration r then
+                        QCheck2.Test.fail_reportf "attribution sums to %d, duration %d" sum
+                          (Query.duration r)
+                      else if layers <> model then
+                        QCheck2.Test.fail_reportf "attribution %s, model %s"
+                          (Query.attribution_to_text r)
+                          (String.concat " "
+                             (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) model))
+                      else true)
+                    reqs folded)))
+
 let test_slowest_and_layer_totals () =
   with_tracing (fun () ->
       let j = Journal.create () in
@@ -320,6 +431,7 @@ let () =
             test_fold_fails_soft;
           Alcotest.test_case "ignores out-of-window work" `Quick
             test_fold_ignores_out_of_window_work;
+          prop_attribution_matches_model;
           Alcotest.test_case "slowest and layer totals" `Quick
             test_slowest_and_layer_totals;
           Alcotest.test_case "obs spans attribute proxy and chan" `Quick
