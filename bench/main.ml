@@ -278,9 +278,8 @@ module E4 = struct
 
   let make_packet ctx ~dst payload_size =
     let payload = String.make payload_size 'p' in
-    let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 (Bytes.of_string payload) in
-    let np = Wire.Net.build ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-    Wire.Frame.build ctx ~dst ~src:13 np
+    Wire.frame ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport
+      ~sport:9 ~dport:7 (Bytes.of_string payload)
 
   let cycles_per_packet placement payload_size =
     let sys = fresh_sys () in
@@ -331,6 +330,10 @@ module E4 = struct
           let cert = cycles_per_packet `Certified size in
           let sand = cycles_per_packet `Sandboxed size in
           let user = cycles_per_packet `User size in
+          if not (cert < sand && cert < user) then
+            failwith
+              (Printf.sprintf "E4: certified (%.1f) is not the cheapest placement at %d B" cert
+                 size);
           [ i size; f1 cert; f1 sand; f1 user; f2 (sand /. cert) ^ "x";
             f2 (user /. cert) ^ "x" ])
         payload_sizes
@@ -777,6 +780,10 @@ module E11 = struct
            let cert = per_packet costs `Certified in
            let sand = per_packet costs `Sandboxed in
            let user = per_packet costs `User in
+           if not (cert < sand && cert < user) then
+             failwith
+               (Printf.sprintf
+                  "E11: certified (%.1f) is not the cheapest placement at sfi_check %d" cert c);
            [ i c; f1 cert; f1 sand; f1 user; f2 (sand /. cert) ^ "x";
              (if sand < user then "sandbox wins" else "user wins") ])
          sfi_costs);
@@ -799,9 +806,8 @@ module E12 = struct
   let filter_src = "byte[19] == 7 && byte[18] == 0"
 
   let make_packet ctx ~dport =
-    let tp = Wire.Transport.build ctx ~sport:9 ~dport (Bytes.make 200 'p') in
-    let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-    Wire.Frame.build ctx ~dst:42 ~src:13 np
+    Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport
+      ~sport:9 ~dport (Bytes.make 200 'p')
 
   let setup () =
     let sys = fresh_sys () in

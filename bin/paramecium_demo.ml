@@ -160,9 +160,11 @@ let packets_cmd =
     in
     let ctx = Kernel.ctx k kdom in
     let payload = String.make size 'p' in
-    let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 (Bytes.of_string payload) in
-    let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-    let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
+    let packet =
+      Bytes.to_string
+        (Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport ~sport:9 ~dport:7
+           (Bytes.of_string payload))
+    in
     let clock = Kernel.clock k in
     let before = Clock.now clock in
     for _ = 1 to n do
@@ -364,9 +366,10 @@ let filter_cmd =
       (* run it against a sample packet built by the stack's own wire code *)
       let clock = Clock.create () in
       let ctx = Call_ctx.make ~clock ~costs:Cost.default ~caller_domain:0 in
-      let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 (Bytes.of_string "sample") in
-      let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-      let frame = Wire.Frame.build ctx ~dst:42 ~src:13 np in
+      let frame =
+        Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport ~sport:9 ~dport:7
+          (Bytes.of_string "sample")
+      in
       Clock.reset clock;
       (match Vm.run ctx ~mem:(Vm.mem_of_bytes frame) program with
       | Vm.Returned v ->

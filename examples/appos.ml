@@ -19,40 +19,43 @@ open Paramecium
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* transport layer without payload checksums: cheaper, weaker *)
+(* transport layer without payload checksums: cheaper, weaker. It keeps
+   the layer contract: encode allocates the frame and copies the payload
+   in, decode hands the payload on where it lies in the frame *)
 let fast_transport api (dom : Domain.t) =
   let encode ctx sport dport payload =
-    let b = Bytes.create (8 + Bytes.length payload) in
-    Bytes.set b 0 (Char.chr (sport lsr 8));
-    Bytes.set b 1 (Char.chr (sport land 0xff));
-    Bytes.set b 2 (Char.chr (dport lsr 8));
-    Bytes.set b 3 (Char.chr (dport land 0xff));
-    Bytes.set b 4 (Char.chr (Bytes.length payload lsr 8));
-    Bytes.set b 5 (Char.chr (Bytes.length payload land 0xff));
+    let len = Bytes.length payload in
+    let b = Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom payload in
+    let off = Wire.headroom - 8 in
+    Bytes.set_uint16_be b off sport;
+    Bytes.set_uint16_be b (off + 2) dport;
+    Bytes.set_uint16_be b (off + 4) len;
     (* checksum field zero: "trust the link" *)
-    Bytes.set b 6 '\000';
-    Bytes.set b 7 '\000';
-    Bytes.blit payload 0 b 8 (Bytes.length payload);
-    (* header-only cost: this is the point of the replacement *)
+    Bytes.set_uint16_be b (off + 6) 0;
+    (* header-only cost besides the payload copy: this is the point of
+       the replacement *)
     Call_ctx.access ctx 8;
-    Ok (Value.Blob b)
+    Ok (Stack.view b ~off ~len:(8 + len))
   in
-  let decode ctx raw =
-    if Bytes.length raw < 8 then Error (Oerror.Fault "fast-transport: truncated")
-    else begin
-      Call_ctx.access ctx 8;
-      let g i = Char.code (Bytes.get raw i) in
-      let sport = (g 0 lsl 8) lor g 1 and dport = (g 2 lsl 8) lor g 3 in
-      let payload = Bytes.sub raw 8 (Bytes.length raw - 8) in
-      Ok (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
-    end
+  let decode ctx = function
+    | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob raw) ] ->
+      if len < 8 || not (Wire.in_bounds raw ~off ~len) then
+        Error (Oerror.Fault "fast-transport: truncated")
+      else begin
+        Call_ctx.access ctx 8;
+        let sport = Bytes.get_uint16_be raw off and dport = Bytes.get_uint16_be raw (off + 2) in
+        Ok
+          (Value.Pair
+             (Value.Pair (Value.Int sport, Value.Int dport), Stack.view raw ~off:(off + 8) ~len:(len - 8)))
+      end
+    | _ -> Error (Oerror.Type_error "fast-transport: decode")
   in
   let iface =
     Iface.make ~name:"layer"
       [
-        Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob encode;
-        Iface.fn1 ~name:"decode" Iface.Blob
-          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob))
+        Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Stack.view_type encode;
+        Iface.meth ~name:"decode" ~args:[ Stack.view_type ]
+          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Stack.view_type))
           decode;
       ]
   in

@@ -17,9 +17,8 @@ open Paramecium
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
 let make_packet ctx ~dst ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst ~src:13 np
+  Wire.frame ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport
+    ~sport:9 ~dport (Bytes.of_string payload)
 
 let () =
   let sys = System.create ~seed:7 () in

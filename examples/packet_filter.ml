@@ -17,9 +17,8 @@ open Paramecium
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
 let make_packet ctx ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst:42 ~src:13 np
+  Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport
+    ~sport:9 ~dport (Bytes.of_string payload)
 
 let () =
   (* the compiler keeps a build record; its certification policy accepts

@@ -89,6 +89,23 @@ let chunk ~slot_size segs =
   |> fun (chunks, cur, _) ->
   List.rev (match cur with [] -> chunks | _ -> List.rev cur :: chunks)
 
+(* A segment is a transport header ([sport] the call id, [dport] the
+   status) and its payload. Building one copies the payload in and
+   reading one copies it out of the batch, each copy charged once, and
+   the header and checksum as the transport charges them. *)
+let segment ctx ~id ~status payload =
+  let len = Bytes.length payload in
+  let seg = Wire.packet ctx ~headroom:Wire.Transport.header_len ~tailroom:0 payload in
+  Wire.Transport.write ctx seg ~off:0 ~sport:id ~dport:status ~len;
+  seg
+
+let segment_payload ctx batch ~off ~len =
+  match Wire.Transport.parse ctx batch ~off ~len with
+  | Error _ as e -> e
+  | Ok { Wire.Transport.sport; dport; off; len } ->
+    Call_ctx.access ctx len;
+    Ok (sport, dport, Bytes.sub batch off len)
+
 (* The batch came from another domain: every header field is checked
    against the batch length before it is used. The segments before the
    first bad field are delivered, none after. *)
@@ -112,7 +129,7 @@ let iter_segments ctx batch f =
             (Printf.sprintf "segment %d of %d: %d bytes declared, %d present" i count slen
                (len - off - 2))
         else begin
-          f (Bytes.sub batch (off + 2) slen);
+          f ~off:(off + 2) ~len:slen;
           walk (i + 1) (off + 2 + slen)
         end
       end
@@ -132,10 +149,10 @@ let run_handler h ctx args =
 let serve_batch conn ctx ~procedures ~raw batch =
   let responses = ref [] in
   let served = ref 0 in
-  iter_segments ctx batch (fun seg ->
-      match Wire.Transport.parse ctx seg with
+  iter_segments ctx batch (fun ~off ~len ->
+      match segment_payload ctx batch ~off ~len with
       | Error e -> Logs.warn (fun m -> m "rpc_chan server: %s" e)
-      | Ok { Wire.Transport.sport = id; dport = _; payload } ->
+      | Ok (id, _, payload) ->
         if Bytes.length payload < 1 then
           Logs.warn (fun m -> m "rpc_chan server: empty request payload")
         else begin
@@ -143,8 +160,8 @@ let serve_batch conn ctx ~procedures ~raw batch =
           if Bytes.length payload < 1 + nlen then
             Logs.warn (fun m -> m "rpc_chan server: truncated procedure name")
           else begin
-            (* payload bytes were materialised (and charged) by the
-               transport parse; slicing them is free *)
+            (* the payload's bytes were charged as they were copied out
+               of the batch; slicing them is free *)
             let name = Bytes.sub_string payload 1 nlen in
             let args = Bytes.sub payload (1 + nlen) (Bytes.length payload - 1 - nlen) in
             (* procedure-table dispatch *)
@@ -160,8 +177,7 @@ let serve_batch conn ctx ~procedures ~raw batch =
                 | None -> (1, Bytes.of_string ("no such procedure " ^ name))
             in
             incr served;
-            responses :=
-              Wire.Transport.build ctx ~sport:id ~dport:status result :: !responses
+            responses := segment ctx ~id ~status result :: !responses
           end
         end)
   |> Result.iter_error (fun e -> Logs.warn (fun m -> m "rpc_chan server: %s" e));
@@ -257,21 +273,19 @@ let client api conn () =
     Bytes.set payload 0 (Char.chr nlen);
     Bytes.blit_string name 0 payload 1 nlen;
     Bytes.blit args 0 payload (1 + nlen) (Bytes.length args);
-    (* the segment's bytes — header and payload — are charged here, by
-       the transport build, directly into the batch under assembly *)
-    let seg = Wire.Transport.build ctx ~sport:id ~dport:0 payload in
-    st.buffered <- seg :: st.buffered;
+    (* the segment's bytes — header and payload — are charged here, as
+       the segment is built for the batch under assembly *)
+    st.buffered <- segment ctx ~id ~status:0 payload :: st.buffered;
     id
   in
   let drain_responses ctx =
     let warn e = Logs.warn (fun m -> m "rpc_chan client: %s" e) in
     List.iter
       (fun batch ->
-        iter_segments ctx batch (fun seg ->
-            match Wire.Transport.parse ctx seg with
+        iter_segments ctx batch (fun ~off ~len ->
+            match segment_payload ctx batch ~off ~len with
             | Error e -> warn e
-            | Ok { Wire.Transport.sport = id; dport = status; payload } ->
-              Hashtbl.replace st.pending id (status, payload))
+            | Ok (id, status, payload) -> Hashtbl.replace st.pending id (status, payload))
         |> Result.iter_error warn)
       (Chan.recv_batch ~account:false conn.resp ())
   in

@@ -13,9 +13,11 @@
     segment carries the call id in [sport] and a
     [[nlen][name][args]] payload; a response segment echoes the id in
     [sport], the status in [dport] (0 = ok) and carries the result
-    bytes. All marshalling bytes are charged through {!Wire}'s
-    accounting; the rings run with [~account:false] so each byte is
-    paid for exactly once per side (the zero-copy contract).
+    bytes. Segments are read where they lie in the batch, and the
+    marshalling bytes are charged as {!Wire} charges them: a segment's
+    header and checksum, and one payload copy on each side. The rings
+    run with [~account:false] so each byte is paid for exactly once per
+    side (the zero-copy contract).
 
     {2 Flow}
 
@@ -36,14 +38,15 @@ type conn
     16-bit length. *)
 val assemble : Pm_obj.Call_ctx.t -> bytes list -> bytes
 
-(** [iter_segments ctx batch f] applies [f] to each segment of [batch]
-    in order; with tracing on, the header's request id becomes the
-    ambient one. A batch comes from another domain, so every header
-    field is checked against the batch length: at the first field that
-    does not fit, the walk stops with [Error] naming it, after [f] has
-    seen the segments before it. Never raises. *)
+(** [iter_segments ctx batch f] applies [f ~off ~len] to each segment
+    of [batch] in order, where it lies; with tracing on, the header's
+    request id becomes the ambient one. A batch comes from another
+    domain, so every header field is checked against the batch length:
+    at the first field that does not fit, the walk stops with [Error]
+    naming it, after [f] has seen the segments before it. Never
+    raises. *)
 val iter_segments :
-  Pm_obj.Call_ctx.t -> bytes -> (bytes -> unit) -> (unit, string) result
+  Pm_obj.Call_ctx.t -> bytes -> (off:int -> len:int -> unit) -> (unit, string) result
 
 val request_chan : conn -> Chan.t
 

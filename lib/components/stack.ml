@@ -7,6 +7,7 @@ module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Invoke = Pm_obj.Invoke
+module Call_ctx = Pm_obj.Call_ctx
 module Path = Pm_names.Path
 
 let proto_transport = 17
@@ -20,9 +21,20 @@ let fault msg = Error (Oerror.Fault msg)
 (* Layer objects: each exports interface "layer" with encode/decode.    *)
 (* ------------------------------------------------------------------ *)
 
-(* ((int * int) * blob): the framer's and transport's decoded header
-   pair and payload *)
-let header_payload = Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob)
+(* A packet passes between layers as a view of the one frame buffer it
+   lives in, ((off, len), frame): each layer writes or checks its header
+   where it lies and hands the next layer the view of the packet it
+   carries. No layer copies a payload. *)
+let view_type = Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob)
+
+let view frame ~off ~len =
+  Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame)
+
+(* a decoded header pair and the view of the packet it carries *)
+let header_view = Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), view_type)
+
+let pair a b payload = Value.Pair (Value.Pair (Value.Int a, Value.Int b), payload)
+let shape meth = Error (Oerror.Type_error ("layer." ^ meth ^ ": bad arguments"))
 
 let layer_object api dom ~class_name ~encode ~decode =
   Instance.create api.Api.registry ~class_name ~domain:dom.Domain.id
@@ -31,54 +43,80 @@ let layer_object api dom ~class_name ~encode ~decode =
 let framer_layer api dom =
   layer_object api dom ~class_name:"stack.framer"
     ~encode:
-      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
-         (fun ctx dst src payload ->
-           Ok (Value.Blob (Wire.Frame.build ctx ~dst ~src payload))))
+      (* the buffer is the frame: the packet must fill it but for this
+         layer's header in front and trailer behind *)
+      (Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; view_type ]
+         ~ret:Vtype.Tblob (fun ctx -> function
+         | [ Value.Int dst; Value.Int src;
+             Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ] ->
+           if
+             off <> Wire.Frame.header_len || len < 0
+             || off + len + Wire.Frame.trailer_len <> Bytes.length frame
+           then fault "frame: packet does not fill its buffer"
+           else begin
+             Wire.Frame.write ctx frame ~off:0 ~dst ~src ~len;
+             Ok (Value.Blob frame)
+           end
+         | _ -> shape "encode"))
     ~decode:
-      (Iface.fn1 ~name:"decode" Iface.Blob ~ret:header_payload (fun ctx raw ->
-           match Wire.Frame.parse ctx raw with
-           | Ok { Wire.Frame.dst; src; payload } ->
-             Ok
-               (Value.Pair
-                  (Value.Pair (Value.Int dst, Value.Int src), Value.Blob payload))
+      (Iface.fn1 ~name:"decode" Iface.Blob ~ret:header_view (fun ctx raw ->
+           match Wire.Frame.parse ctx raw ~off:0 ~len:(Bytes.length raw) with
+           | Ok { Wire.Frame.dst; src; off; len } -> Ok (pair dst src (view raw ~off ~len))
            | Error e -> fault e))
 
 let net_layer api dom =
   layer_object api dom ~class_name:"stack.net"
     ~encode:
-      (Iface.fn4 ~name:"encode" Iface.Int Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
-         (fun ctx src dst proto payload ->
-           Ok
-             (Value.Blob (Wire.Net.build ctx ~src ~dst ~ttl:default_ttl ~proto payload))))
+      (Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tint; view_type ]
+         ~ret:view_type (fun ctx -> function
+         | [ Value.Int src; Value.Int dst; Value.Int proto;
+             Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ] ->
+           let hoff = off - Wire.Net.header_len in
+           if hoff < 0 || not (Wire.in_bounds frame ~off ~len) then
+             fault "net: no headroom for the header"
+           else begin
+             Wire.Net.write ctx frame ~off:hoff ~src ~dst ~ttl:default_ttl ~proto ~len;
+             Ok (view frame ~off:hoff ~len:(Wire.Net.header_len + len))
+           end
+         | _ -> shape "encode"))
     ~decode:
-      (Iface.fn1 ~name:"decode" Iface.Blob
+      (Iface.meth ~name:"decode" ~args:[ view_type ]
          ~ret:
            (Vtype.Tpair
-              ( Vtype.Tpair (Vtype.Tint, Vtype.Tint),
-                Vtype.Tpair (Vtype.Tint, Vtype.Tblob) ))
-         (fun ctx raw ->
-           match Wire.Net.parse ctx raw with
-           | Ok { Wire.Net.src; dst; ttl = _; proto; payload } ->
-             Ok
-               (Value.Pair
-                  ( Value.Pair (Value.Int src, Value.Int dst),
-                    Value.Pair (Value.Int proto, Value.Blob payload) ))
-           | Error e -> fault e))
+              (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tpair (Vtype.Tint, view_type)))
+         (fun ctx -> function
+         | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ]
+           -> (
+           match Wire.Net.parse ctx frame ~off ~len with
+           | Ok { Wire.Net.src; dst; ttl = _; proto; off; len } ->
+             Ok (pair src dst (Value.Pair (Value.Int proto, view frame ~off ~len)))
+           | Error e -> fault e)
+         | _ -> shape "decode"))
 
+(* The transport allocates the frame, with room in front for every
+   header and behind for the trailer, and copies the payload in: the
+   send's one payload copy. *)
 let transport_layer api dom =
   layer_object api dom ~class_name:"stack.transport"
     ~encode:
-      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tblob
+      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:view_type
          (fun ctx sport dport payload ->
-           Ok (Value.Blob (Wire.Transport.build ctx ~sport ~dport payload))))
+           let frame =
+             Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom payload
+           in
+           let off = Wire.headroom - Wire.Transport.header_len in
+           let len = Bytes.length payload in
+           Wire.Transport.write ctx frame ~off ~sport ~dport ~len;
+           Ok (view frame ~off ~len:(Wire.Transport.header_len + len))))
     ~decode:
-      (Iface.fn1 ~name:"decode" Iface.Blob ~ret:header_payload (fun ctx raw ->
-           match Wire.Transport.parse ctx raw with
-           | Ok { Wire.Transport.sport; dport; payload } ->
-             Ok
-               (Value.Pair
-                  (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
-           | Error e -> fault e))
+      (Iface.meth ~name:"decode" ~args:[ view_type ] ~ret:header_view (fun ctx -> function
+         | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ]
+           -> (
+           match Wire.Transport.parse ctx frame ~off ~len with
+           | Ok { Wire.Transport.sport; dport; off; len } ->
+             Ok (pair sport dport (view frame ~off ~len))
+           | Error e -> fault e)
+         | _ -> shape "decode"))
 
 (* ------------------------------------------------------------------ *)
 (* Controller                                                           *)
@@ -194,26 +232,29 @@ and rx_unfiltered st ctx raw =
   match call framer "decode" [ Value.Blob raw ] with
   | Error (Oerror.Fault e) -> drop st e
   | Error e -> Error e
-  | Ok (Value.Pair (Value.Pair (Value.Int fdst, Value.Int _fsrc), Value.Blob np)) ->
+  | Ok (Value.Pair (Value.Pair (Value.Int fdst, Value.Int _fsrc), np)) ->
     if fdst <> st.addr && fdst <> broadcast then drop st "frame not for us"
     else begin
       let* netl = layer st "net" in
-      match call netl "decode" [ Value.Blob np ] with
+      match call netl "decode" [ np ] with
       | Error (Oerror.Fault e) -> drop st e
       | Error e -> Error e
       | Ok
           (Value.Pair
-            ( Value.Pair (Value.Int nsrc, Value.Int ndst),
-              Value.Pair (Value.Int proto, Value.Blob tp) )) ->
+            (Value.Pair (Value.Int nsrc, Value.Int ndst), Value.Pair (Value.Int proto, tp)))
+        ->
         if ndst <> st.addr && ndst <> broadcast then drop st "net not for us"
         else if proto <> proto_transport then drop st "unknown protocol"
         else begin
           let* transport = layer st "transport" in
-          match call transport "decode" [ Value.Blob tp ] with
+          match call transport "decode" [ tp ] with
           | Error (Oerror.Fault e) -> drop st e
           | Error e -> Error e
-          | Ok (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
-            ->
+          | Ok
+              (Value.Pair
+                ( Value.Pair (Value.Int sport, Value.Int dport),
+                  (Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame)
+                   as payload) )) ->
             (* causal tracing: the demux decision is a point on the
                current request's path (rid is ambient from the traced
                wire parse upstream); plain store, zero cycles, no event
@@ -225,12 +266,16 @@ and rx_unfiltered st ctx raw =
                 ~kind:Pm_journal.Journal.Trace_note ~domain:st.dom.Domain.id
                 ~at:(Pm_machine.Clock.now clock) ~info:dport ~detail:"demux"
             end;
+            (* the payload is copied once, into what the application
+               reads: the sink's ring message or the mailbox entry *)
             (match Hashtbl.find_opt st.conns dport with
             | None -> drop st (Printf.sprintf "port %d not bound" dport)
+            | Some _ when not (Wire.in_bounds frame ~off ~len) ->
+              drop st "transport: payload outside the frame"
             | Some { sink = Some sink; _ } ->
               (match
                  Invoke.call ctx sink ~iface:"netsink" ~meth:"deliver"
-                   [ Value.Int nsrc; Value.Int sport; Value.Blob payload ]
+                   [ Value.Int nsrc; Value.Int sport; payload ]
                with
               | Ok _ ->
                 st.rx_ok <- st.rx_ok + 1;
@@ -238,10 +283,9 @@ and rx_unfiltered st ctx raw =
               | Error (Oerror.Fault e) -> drop st e
               | Error e -> Error e)
             | Some conn ->
-              Queue.push
-                (Value.Pair
-                   (Value.Pair (Value.Int nsrc, Value.Int sport), Value.Blob payload))
-                conn.mailbox;
+              let copy = Bytes.sub frame off len in
+              Call_ctx.access ctx len;
+              Queue.push (pair nsrc sport (Value.Blob copy)) conn.mailbox;
               st.rx_ok <- st.rx_ok + 1;
               Ok Value.Unit)
           | Ok _ -> fault "stack: transport decode shape"

@@ -23,13 +23,34 @@
     - [address() -> int]
     - [attach_port(port:int, sink:handle) -> unit] — route the bound
       port's deliveries to [sink]'s ["netsink"] interface
-      ([deliver(src:int, sport:int, payload:blob)]) instead of the
+      ([deliver(src:int, sport:int, payload:view)]) instead of the
       mailbox; {!Pm_net} uses this to feed each port's receive ring
     - [detach_port(port:int) -> unit] — back to mailbox delivery
+
+    Each layer exports ["layer"], and a packet passes between layers as
+    a {!view_type} of the one buffer it lives in ({!Wire}'s one-copy
+    rule):
+    - transport: [encode(sport, dport, payload:blob) -> view] allocates
+      the frame with room for every header and the trailer, and copies
+      the payload in; [decode(view) -> ((sport, dport), view)]
+    - net: [encode(src, dst, proto, view) -> view] writes its header in
+      front of the view; [decode(view) -> ((src, dst), (proto, view))]
+    - framer: [encode(dst, src, view) -> blob] writes its header and
+      trailer and returns the whole buffer, which the view must fill but
+      for them; [decode(frame:blob) -> ((dst, src), view)]
+
+    The receive path copies the payload once, into the mailbox entry or
+    (through the sink) the port's ring message.
 
     Addresses are 16-bit and double as link-layer addresses; [0xffff]
     broadcasts. The driver is bound by name on first use, so load order
     does not matter. *)
+
+(** [((off, len), buf)]: the [len] bytes at [off] of [buf]. *)
+val view_type : Pm_obj.Vtype.t
+
+(** [view buf ~off ~len] is that value. *)
+val view : bytes -> off:int -> len:int -> Pm_obj.Value.t
 
 (** [create api dom ~addr ~driver_path] builds the stack composition in
     [dom]. *)

@@ -44,9 +44,11 @@ let run_packets sys =
   let kdom = Kernel.kernel_domain k in
   let ctx = Kernel.ctx k kdom in
   let payload = String.make 64 'p' in
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-  let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
+  let packet =
+    Bytes.to_string
+      (Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport ~sport:9 ~dport:7
+         (Bytes.of_string payload))
+  in
   for _ = 1 to 8 do
     Nic.inject (Kernel.nic k) packet;
     Kernel.step k ~ticks:1 ()

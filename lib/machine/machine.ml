@@ -137,8 +137,9 @@ let raise_irq t line =
 let set_fault_handler t h = t.fault_handler <- h
 
 (* Resolve a virtual address, invoking the fault handler on faults and
-   retrying once if it claims resolution. A top-level loop, so that a
-   resolve allocates no closure. *)
+   retrying once if it claims resolution. A TLB hit is answered without
+   building a result, and the rest is a top-level loop, so that a
+   resolve allocates nothing unless it misses. *)
 let rec resolve_from t ctx vaddr access attempts =
   match Mmu.translate t.mmu ctx vaddr access with
   | Ok phys -> phys
@@ -153,7 +154,9 @@ let rec resolve_from t ctx vaddr access attempts =
     if resolved then resolve_from t ctx vaddr access (attempts + 1)
     else raise (Fatal_fault fault)
 
-let resolve t ctx vaddr access = resolve_from t ctx vaddr access 0
+let resolve t ctx vaddr access =
+  let phys = Mmu.tlb_hit t.mmu ctx vaddr access in
+  if phys >= 0 then phys else resolve_from t ctx vaddr access 0
 
 let read8 t ctx vaddr =
   Clock.advance t.active_clock t.costs.Cost.mem_read;
@@ -196,26 +199,27 @@ let write32 t ctx vaddr v =
    resolved, no later byte of that page can miss the TLB, fill, fault or
    charge anything on the current context, and off it a translation
    charges nothing: so the rest of the segment is [n - 1] bus accesses
-   and one blit, and every cycle and counter matches a byte loop's. *)
+   and one blit, and every cycle and counter matches a byte loop's.
+   A top-level loop, so that a copy allocates nothing. *)
+let rec copy_from t ctx vaddr buf len access cost d =
+  if d < len then begin
+    let ps = page_size t in
+    let va = vaddr + d in
+    Clock.advance t.active_clock cost;
+    let pa = resolve t ctx va access in
+    let n = min (len - d) (ps - (va mod ps)) in
+    (match access with
+    | Mmu.Write -> Physmem.write_bytes t.phys pa buf d n
+    | _ -> Physmem.read_bytes t.phys pa buf d n);
+    Clock.advance t.active_clock ((n - 1) * cost);
+    copy_from t ctx vaddr buf len access cost (d + n)
+  end
+
 let copy t ctx vaddr buf len access =
-  let ps = page_size t in
   let cost =
     match access with Mmu.Write -> t.costs.Cost.mem_write | _ -> t.costs.Cost.mem_read
   in
-  let rec go d =
-    if d < len then begin
-      let va = vaddr + d in
-      Clock.advance t.active_clock cost;
-      let pa = resolve t ctx va access in
-      let n = min (len - d) (ps - (va mod ps)) in
-      (match access with
-      | Mmu.Write -> Physmem.write_bytes t.phys pa buf d n
-      | _ -> Physmem.read_bytes t.phys pa buf d n);
-      Clock.advance t.active_clock ((n - 1) * cost);
-      go (d + n)
-    end
-  in
-  go 0
+  copy_from t ctx vaddr buf len access cost 0
 
 let read_bytes t ctx vaddr len =
   let b = Bytes.create len in

@@ -125,16 +125,22 @@ let allows prot access =
   | Read_only, Write -> false
   | No_access, (Read | Write | Exec) -> false
 
-let translate t ctx vaddr access =
+(* TLB hit path: only for the current context, and only for an access
+   the cached protection allows; hooked pages are never cached *)
+let tlb_hit t ctx vaddr access =
   if vaddr < 0 then invalid_arg "Mmu.translate: negative address";
-  let vpage = vaddr / t.page_size and off = vaddr mod t.page_size in
-  (* TLB hit path: only for the current context, and only for an access
-     the cached protection allows; hooked pages are never cached *)
+  let vpage = vaddr / t.page_size in
   let slot = vpage land (tlb_size - 1) in
   if ctx = t.current && t.tlb_tags.(slot) = vpage && allows t.tlb_prots.(slot) access
-  then
-    Ok ((t.tlb_frames.(slot) * t.page_size) + off)
+  then (t.tlb_frames.(slot) * t.page_size) + (vaddr mod t.page_size)
+  else -1
+
+let translate t ctx vaddr access =
+  let phys = tlb_hit t ctx vaddr access in
+  if phys >= 0 then Ok phys
   else begin
+    let vpage = vaddr / t.page_size and off = vaddr mod t.page_size in
+    let slot = vpage land (tlb_size - 1) in
     match Hashtbl.find_opt (table_exn t ctx) vpage with
     | None -> Error { ctx; vaddr; access; reason = Unmapped }
     | Some e ->

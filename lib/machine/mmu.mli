@@ -74,4 +74,11 @@ val frame_of : t -> context -> vpage:int -> int option
     to a physical address, or explains the fault. *)
 val translate : t -> context -> int -> access -> (int, fault) result
 
+(** [tlb_hit t ctx vaddr access] is [translate]'s TLB hit alone: the
+    physical address when the TLB holds [vaddr]'s page for the current
+    context [ctx] with a protection allowing [access], [-1] otherwise.
+    It charges nothing, changes nothing and allocates nothing; a [-1]
+    must take [translate]. *)
+val tlb_hit : t -> context -> int -> access -> int
+
 val pp_fault : Format.formatter -> fault -> unit

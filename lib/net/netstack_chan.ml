@@ -51,19 +51,25 @@ let ports t = List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.ports 
 
 (* The object the stack delivers to instead of the port's mailbox: it
    lives in the stack's own domain, so delivery is a plain dispatch —
-   the crossing to the application happens through the ring. *)
+   the crossing to the application happens through the ring. The stack
+   hands it the payload where it lies in the received frame; building
+   the ring message is the receive's one payload copy. *)
 let sink_object api ~stack_domain chan =
   let iface =
     Iface.make ~name:"netsink"
       [
-        Iface.fn3 ~name:"deliver" Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tunit
-          (fun ctx src sport payload ->
-            let msg = Netwire.Delivery.build ctx ~src ~sport payload in
+        Iface.meth ~name:"deliver"
+          ~args:[ Vtype.Tint; Vtype.Tint; Pm_components.Stack.view_type ]
+          ~ret:Vtype.Tunit (fun ctx -> function
+          | [ Value.Int src; Value.Int sport;
+              Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ] ->
+            let msg = Netwire.Delivery.build ctx ~src ~sport frame ~off ~len in
             (* full ring = application not keeping up: drop like a NIC
                would (counted in the ring's stats) rather than stall the
                stack *)
             ignore (Chan.send_or_drop ~account:false chan msg);
-            Ok Value.Unit);
+            Ok Value.Unit
+          | _ -> Error (Oerror.Type_error "netsink.deliver: bad arguments"));
       ]
   in
   Instance.create api.Api.registry ~class_name:"net.sink"

@@ -13,17 +13,16 @@ module Delivery = struct
 
   let header_len = 4
 
-  let build ctx ~src ~sport payload =
+  let build ctx ~src ~sport payload ~off ~len =
     Wire.check16 "delivery src" src;
     Wire.check16 "delivery sport" sport;
     let rl = Trace.rid_len () in
-    let plen = Bytes.length payload in
-    let b = Bytes.create (header_len + rl + plen) in
+    let b = Bytes.create (header_len + rl + len) in
     Bytes.set_uint16_be b 0 src;
     Bytes.set_uint16_be b 2 sport;
     Trace.write_rid b header_len;
-    Bytes.blit payload 0 b (header_len + rl) plen;
-    Call_ctx.access ctx (header_len + plen);
+    Bytes.blit payload off b (header_len + rl) len;
+    Call_ctx.access ctx (header_len + len);
     b
 
   let parse ctx b =

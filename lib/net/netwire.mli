@@ -18,7 +18,13 @@ module Delivery : sig
 
   val header_len : int
 
-  val build : Pm_obj.Call_ctx.t -> src:int -> sport:int -> bytes -> bytes
+  (** [build ctx ~src ~sport b ~off ~len] copies the [len]-byte payload
+      at [off] of [b] (where the stack's parsers left it in the received
+      frame) into a fresh message: the receive's one payload copy,
+      charged with the header. Raises [Invalid_argument] if the range is
+      not inside [b], as [Bytes.blit] does. *)
+  val build :
+    Pm_obj.Call_ctx.t -> src:int -> sport:int -> bytes -> off:int -> len:int -> bytes
 
   val parse : Pm_obj.Call_ctx.t -> bytes -> (t, string) result
 end

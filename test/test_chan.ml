@@ -859,7 +859,10 @@ let codec_ctx () =
 
 let walk batch =
   let segs = ref [] in
-  let r = Rpc_chan.iter_segments (codec_ctx ()) batch (fun s -> segs := s :: !segs) in
+  let r =
+    Rpc_chan.iter_segments (codec_ctx ()) batch (fun ~off ~len ->
+        segs := Bytes.sub batch off len :: !segs)
+  in
   (r, List.rev !segs)
 
 (* with tracing on the header carries a request id word *)

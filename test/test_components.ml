@@ -60,92 +60,116 @@ let test_codegen_allocation () =
 
 (* --- wire ------------------------------------------------------------------ *)
 
+(* a packet of [payload] with [room] bytes in front for one layer's
+   header and [tail] behind it, as [Wire.packet] lays one out *)
+let packet ?(tail = 0) ctx ~room payload =
+  Wire.packet ctx ~headroom:room ~tailroom:tail (Bytes.of_string payload)
+
+let framed ctx ~dst ~src payload =
+  let raw = packet ctx ~room:Wire.Frame.header_len ~tail:Wire.Frame.trailer_len payload in
+  Wire.Frame.write ctx raw ~off:0 ~dst ~src ~len:(String.length payload);
+  raw
+
+let whole f ctx b = f ctx b ~off:0 ~len:(Bytes.length b)
+
 let test_frame_round_trip () =
   let _, ctx = ctx_fixture () in
-  let payload = Bytes.of_string "some payload" in
-  let raw = Wire.Frame.build ctx ~dst:7 ~src:9 payload in
-  (match Wire.Frame.parse ctx raw with
-  | Ok { Wire.Frame.dst; src; payload = p } ->
+  let raw = framed ctx ~dst:7 ~src:9 "some payload" in
+  (match whole Wire.Frame.parse ctx raw with
+  | Ok { Wire.Frame.dst; src; off; len } ->
     Alcotest.(check int) "dst" 7 dst;
     Alcotest.(check int) "src" 9 src;
-    Alcotest.(check string) "payload" "some payload" (Bytes.to_string p)
+    Alcotest.(check string) "payload in place" "some payload" (Bytes.sub_string raw off len)
   | Error e -> Alcotest.fail e)
 
 let test_frame_detects_corruption () =
   let _, ctx = ctx_fixture () in
-  let raw = Wire.Frame.build ctx ~dst:7 ~src:9 (Bytes.of_string "payload") in
+  let raw = framed ctx ~dst:7 ~src:9 "payload" in
   Bytes.set raw 8 'X';
-  (match Wire.Frame.parse ctx raw with
+  (match whole Wire.Frame.parse ctx raw with
   | Error "frame: bad fcs" -> ()
   | _ -> Alcotest.fail "corruption must be detected");
-  (match Wire.Frame.parse ctx (Bytes.create 3) with
+  (match whole Wire.Frame.parse ctx (Bytes.create 3) with
   | Error "frame: truncated" -> ()
   | _ -> Alcotest.fail "truncation must be detected");
-  (match Wire.Frame.parse ctx (Bytes.create 32) with
+  (match whole Wire.Frame.parse ctx (Bytes.make 32 '\000') with
   | Error "frame: bad length" -> ()
-  | _ -> Alcotest.fail "length mismatch must be detected")
+  | _ -> Alcotest.fail "length mismatch must be detected");
+  match Wire.Frame.parse ctx raw ~off:4 ~len:(Bytes.length raw) with
+  | Error "frame: range outside the buffer" -> ()
+  | _ -> Alcotest.fail "a range past the buffer must be refused"
+
+let net_packet ctx ~ttl payload =
+  let raw = packet ctx ~room:Wire.Net.header_len payload in
+  Wire.Net.write ctx raw ~off:0 ~src:1 ~dst:2 ~ttl ~proto:17 ~len:(String.length payload);
+  raw
 
 let test_net_round_trip_and_ttl () =
   let _, ctx = ctx_fixture () in
-  let raw = Wire.Net.build ctx ~src:1 ~dst:2 ~ttl:5 ~proto:17 (Bytes.of_string "x") in
-  (match Wire.Net.parse ctx raw with
-  | Ok { Wire.Net.src = 1; dst = 2; ttl = 5; proto = 17; _ } -> ()
+  let raw = net_packet ctx ~ttl:5 "x" in
+  (match whole Wire.Net.parse ctx raw with
+  | Ok { Wire.Net.src = 1; dst = 2; ttl = 5; proto = 17; off = 10; len = 1 } -> ()
   | Ok _ -> Alcotest.fail "fields wrong"
   | Error e -> Alcotest.fail e);
-  (match Wire.Net.decrement_ttl ctx raw with
+  (match Wire.Net.decrement_ttl ctx raw ~off:0 with
   | Ok () ->
-    (match Wire.Net.parse ctx raw with
+    (match whole Wire.Net.parse ctx raw with
     | Ok { Wire.Net.ttl = 4; _ } -> ()
     | _ -> Alcotest.fail "ttl not decremented or checksum broken")
   | Error e -> Alcotest.fail e);
-  let dying = Wire.Net.build ctx ~src:1 ~dst:2 ~ttl:1 ~proto:17 Bytes.empty in
-  (match Wire.Net.decrement_ttl ctx dying with
+  let dying = net_packet ctx ~ttl:1 "" in
+  (match Wire.Net.decrement_ttl ctx dying ~off:0 with
   | Error "net: ttl expired" -> ()
   | _ -> Alcotest.fail "ttl expiry must be caught")
 
+let segment ctx ~sport ~dport payload =
+  let raw = packet ctx ~room:Wire.Transport.header_len payload in
+  Wire.Transport.write ctx raw ~off:0 ~sport ~dport ~len:(String.length payload);
+  raw
+
 let test_transport_round_trip () =
   let _, ctx = ctx_fixture () in
-  let raw = Wire.Transport.build ctx ~sport:100 ~dport:200 (Bytes.of_string "data") in
-  (match Wire.Transport.parse ctx raw with
-  | Ok { Wire.Transport.sport = 100; dport = 200; payload } ->
-    Alcotest.(check string) "payload" "data" (Bytes.to_string payload)
+  let raw = segment ctx ~sport:100 ~dport:200 "data" in
+  (match whole Wire.Transport.parse ctx raw with
+  | Ok { Wire.Transport.sport = 100; dport = 200; off; len } ->
+    Alcotest.(check string) "payload" "data" (Bytes.sub_string raw off len)
   | Ok _ -> Alcotest.fail "fields wrong"
   | Error e -> Alcotest.fail e);
   Bytes.set raw (Bytes.length raw - 1) '!';
-  (match Wire.Transport.parse ctx raw with
+  (match whole Wire.Transport.parse ctx raw with
   | Error "transport: bad checksum" -> ()
   | _ -> Alcotest.fail "payload corruption must be detected")
 
 let test_net_error_paths () =
   let _, ctx = ctx_fixture () in
-  (match Wire.Net.parse ctx (Bytes.create 3) with
+  (match whole Wire.Net.parse ctx (Bytes.create 3) with
   | Error "net: truncated" -> ()
   | _ -> Alcotest.fail "short net packet must be rejected");
-  let raw = Wire.Net.build ctx ~src:1 ~dst:2 ~ttl:5 ~proto:17 (Bytes.of_string "xy") in
+  let raw = net_packet ctx ~ttl:5 "xy" in
   (* lying length word *)
   let lying = Bytes.cat raw (Bytes.of_string "extra") in
-  (match Wire.Net.parse ctx lying with
+  (match whole Wire.Net.parse ctx lying with
   | Error "net: bad length" -> ()
   | _ -> Alcotest.fail "length mismatch must be rejected");
   (* flipped header byte lands on the checksum *)
   Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 0xff));
-  (match Wire.Net.parse ctx raw with
+  (match whole Wire.Net.parse ctx raw with
   | Error "net: bad checksum" -> ()
   | _ -> Alcotest.fail "header corruption must be rejected");
-  match Wire.Net.decrement_ttl ctx (Bytes.create 2) with
+  match Wire.Net.decrement_ttl ctx (Bytes.create 2) ~off:0 with
   | Error "net: truncated" -> ()
   | _ -> Alcotest.fail "ttl decrement on a stub must be rejected"
 
 let test_transport_error_paths () =
   let _, ctx = ctx_fixture () in
-  (match Wire.Transport.parse ctx (Bytes.create 5) with
+  (match whole Wire.Transport.parse ctx (Bytes.create 5) with
   | Error "transport: truncated" -> ()
   | _ -> Alcotest.fail "short segment must be rejected");
-  let raw = Wire.Transport.build ctx ~sport:1 ~dport:2 (Bytes.of_string "data") in
-  (match Wire.Transport.parse ctx (Bytes.sub raw 0 (Bytes.length raw - 1)) with
+  let raw = segment ctx ~sport:1 ~dport:2 "data" in
+  (match Wire.Transport.parse ctx raw ~off:0 ~len:(Bytes.length raw - 1) with
   | Error "transport: bad length" -> ()
   | _ -> Alcotest.fail "truncated payload must be rejected");
-  match Wire.Transport.parse ctx (Bytes.cat raw (Bytes.of_string "!")) with
+  match whole Wire.Transport.parse ctx (Bytes.cat raw (Bytes.of_string "!")) with
   | Error "transport: bad length" -> ()
   | _ -> Alcotest.fail "trailing garbage must be rejected"
 
@@ -176,14 +200,14 @@ let test_rpc_codec_errors () =
     Alcotest.(check string) "payload" "boom" (Bytes.to_string payload)
   | _ -> Alcotest.fail "well-formed response must decode"
 
+(* framing 100 bytes copies them in (100), writes the header (6) and
+   sums header and payload (106) *)
 let test_wire_charges_accesses () =
   let clock, ctx = ctx_fixture () in
   let before = Clock.counter clock "component_mem_access" in
-  ignore (Wire.Frame.build ctx ~dst:1 ~src:2 (Bytes.create 100));
+  ignore (framed ctx ~dst:1 ~src:2 (String.make 100 'x'));
   let accesses = Clock.counter clock "component_mem_access" - before in
-  Alcotest.(check bool)
-    (Printf.sprintf "per-byte work recorded (%d)" accesses)
-    true (accesses >= 200)
+  Alcotest.(check int) "per-byte work recorded" 212 accesses
 
 (* --- allocator --------------------------------------------------------------- *)
 
@@ -243,9 +267,19 @@ let stack_call k dom stack meth args =
   Invoke.call_exn (Kernel.ctx k dom) stack ~iface:"stack" ~meth args
 
 let make_packet ctx ~src ~dst ~sport ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst ~src np
+  Wire.frame ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport ~sport ~dport
+    (Bytes.of_string payload)
+
+let ( let* ) = Result.bind
+
+(* the ports and payload of the frame at [off], read through the three
+   parsers where they lie *)
+let unwrap ctx frame ~off ~len =
+  let* f = Wire.Frame.parse ctx frame ~off ~len in
+  let* n = Wire.Net.parse ctx frame ~off:f.Wire.Frame.off ~len:f.Wire.Frame.len in
+  let* t = Wire.Transport.parse ctx frame ~off:n.Wire.Net.off ~len:n.Wire.Net.len in
+  Ok (t.Wire.Transport.sport, t.Wire.Transport.dport,
+      Bytes.sub_string frame t.Wire.Transport.off t.Wire.Transport.len)
 
 (* --- netdrv ----------------------------------------------------------------------- *)
 
@@ -275,7 +309,7 @@ let test_netdrv_tx () =
   Kernel.step k ~ticks:2 ();
   (match Nic.take_transmitted (Kernel.nic k) with
   | [ frame ] ->
-    (match Wire.Frame.parse ctx (Bytes.of_string frame) with
+    (match whole Wire.Frame.parse ctx (Bytes.of_string frame) with
     | Ok { Wire.Frame.dst = 13; src = 42; _ } -> ()
     | _ -> Alcotest.fail "frame headers wrong")
   | l -> Alcotest.failf "expected one frame, got %d" (List.length l))
@@ -389,26 +423,31 @@ let test_stack_layer_replacement () =
   let api = Kernel.api k in
   let comp = Stack.create api kdom ~addr:50 ~driver_path:"/services/netdrv" in
   let shouting =
+    (* the layer contract: encode allocates the frame with room for the
+       outer headers and hands the net layer a view of its segment *)
     let encode ctx = function
       | [ Value.Int sport; Value.Int dport; Value.Blob payload ] ->
         let upper = Bytes.of_string (String.uppercase_ascii (Bytes.to_string payload)) in
-        Ok (Value.Blob (Wire.Transport.build ctx ~sport ~dport upper))
+        let frame = Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom upper in
+        let off = Wire.headroom - Wire.Transport.header_len in
+        Wire.Transport.write ctx frame ~off ~sport ~dport ~len:(Bytes.length upper);
+        Ok (Stack.view frame ~off ~len:(Wire.Transport.header_len + Bytes.length upper))
       | _ -> Error (Oerror.Type_error "encode")
     in
     let decode ctx = function
-      | [ Value.Blob raw ] ->
-        (match Wire.Transport.parse ctx raw with
-        | Ok { Wire.Transport.sport; dport; payload } ->
-          Ok (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Value.Blob payload))
+      | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ] ->
+        (match Wire.Transport.parse ctx frame ~off ~len with
+        | Ok { Wire.Transport.sport; dport; off; len } ->
+          Ok (Value.Pair (Value.Pair (Value.Int sport, Value.Int dport), Stack.view frame ~off ~len))
         | Error e -> Error (Oerror.Fault e))
       | _ -> Error (Oerror.Type_error "decode")
     in
     Iface.make ~name:"layer"
       [
         Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
-          ~ret:Vtype.Tblob encode;
-        Iface.meth ~name:"decode" ~args:[ Vtype.Tblob ]
-          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Vtype.Tblob))
+          ~ret:Stack.view_type encode;
+        Iface.meth ~name:"decode" ~args:[ Stack.view_type ]
+          ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Stack.view_type))
           decode;
       ]
   in
@@ -427,16 +466,8 @@ let test_stack_layer_replacement () =
   (match Nic.take_transmitted (Kernel.nic k) with
   | [ frame ] ->
     (* decode with the standard layers: payload must be uppercased *)
-    (match Wire.Frame.parse ctx (Bytes.of_string frame) with
-    | Ok { Wire.Frame.payload = np; _ } ->
-      (match Wire.Net.parse ctx np with
-      | Ok { Wire.Net.payload = tp; _ } ->
-        (match Wire.Transport.parse ctx tp with
-        | Ok { Wire.Transport.payload; _ } ->
-          Alcotest.(check string) "uppercased on the wire" "QUIET"
-            (Bytes.to_string payload)
-        | Error e -> Alcotest.fail e)
-      | Error e -> Alcotest.fail e)
+    (match unwrap ctx (Bytes.of_string frame) ~off:0 ~len:(String.length frame) with
+    | Ok (_, _, payload) -> Alcotest.(check string) "uppercased on the wire" "QUIET" payload
     | Error e -> Alcotest.fail e)
   | l -> Alcotest.failf "expected one frame, got %d" (List.length l));
   ignore sys;
@@ -754,19 +785,207 @@ let allocator_model_prop =
          in
          !ok && avail = total))
 
-(* parser totality: random byte strings never raise out of the wire
-   parsers — malformed frames are Errors, not exceptions *)
+(* parser totality: random byte strings, read at any range inside or
+   around them, never raise out of the wire parsers — malformed frames
+   are Errors, not exceptions *)
 let wire_totality_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"wire parsers are total on junk"
-       QCheck2.Gen.(string_size (int_range 0 128))
-       (fun junk ->
+       QCheck2.Gen.(triple (string_size (int_range 0 128)) (int_range (-4) 132) (int_range (-4) 132))
+       (fun (junk, off, len) ->
          let _, ctx = ctx_fixture () in
          let b = Bytes.of_string junk in
-         (match Wire.Frame.parse ctx b with Ok _ | Error _ -> ());
-         (match Wire.Net.parse ctx (Bytes.copy b) with Ok _ | Error _ -> ());
-         (match Wire.Transport.parse ctx (Bytes.copy b) with Ok _ | Error _ -> ());
-         true))
+         List.for_all
+           (fun (range_off, range_len) ->
+             (match Wire.Frame.parse ctx b ~off:range_off ~len:range_len with Ok _ | Error _ -> ());
+             (match Wire.Net.parse ctx b ~off:range_off ~len:range_len with Ok _ | Error _ -> ());
+             (match Wire.Transport.parse ctx b ~off:range_off ~len:range_len with
+             | Ok _ | Error _ -> ());
+             match Wire.Net.decrement_ttl ctx (Bytes.copy b) ~off:range_off with
+             | Ok () | Error _ -> true)
+           [ (0, Bytes.length b); (off, len) ]))
+
+(* --- mangled frames, in place and through the stack --------------------- *)
+
+(* the reasons a layer or the stack's demux names a drop by *)
+let named_reason r =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix r)
+    [ "frame: "; "net: "; "transport: "; "port " ]
+  || List.mem r [ "frame not for us"; "net not for us"; "unknown protocol" ]
+
+(* every truncation of [frame] and every single-byte flip by [mask] *)
+let mangled frame mask =
+  let n = Bytes.length frame in
+  List.init n (fun t -> Bytes.sub frame 0 t)
+  @ List.init n (fun i ->
+        let b = Bytes.copy frame in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+        b)
+
+(* [m] at offset [k] of a larger buffer whose bytes after [m] are the
+   rest of the valid frame: a parser that reads past its range finds
+   what it would accept there *)
+let embedded ~k ~frame m =
+  let n = Bytes.length frame and t = Bytes.length m in
+  let b = Bytes.make (k + n + 7) '\xa5' in
+  Bytes.blit frame 0 b k n;
+  Bytes.blit m 0 b k t;
+  b
+
+(* the stack logs each drop as "stack: dropped packet (<reason>)" *)
+let drop_reasons logged =
+  let prefix = "stack: dropped packet (" in
+  List.filter_map
+    (fun s ->
+      if String.starts_with ~prefix s then
+        Some (String.sub s (String.length prefix) (String.length s - String.length prefix - 1))
+      else None)
+    logged
+
+let with_debug_log f =
+  let got = ref [] in
+  let report _src _level ~over k msgf =
+    msgf (fun ?header:_ ?tags:_ fmt ->
+        Format.kasprintf
+          (fun s ->
+            got := s :: !got;
+            over ();
+            k ())
+          fmt)
+  in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_reporter { Logs.report };
+  Logs.set_level (Some Logs.Debug);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () -> f got)
+
+let placements =
+  lazy
+    (List.map
+       (fun placement ->
+         let _, k, net = net_fixture ~placement () in
+         let kdom = Kernel.kernel_domain k in
+         ignore (stack_call k kdom net.System.stack "bind_port" [ Value.Int 7 ]);
+         (k, kdom, net.System.stack))
+       [ System.Certified; System.Sandboxed ])
+
+(* Every truncation and single-byte flip of a valid frame (payloads of
+   0–300 B), read by the three parsers at a nonzero offset inside a
+   larger buffer and sent through the stack's rx on the certified and
+   the sandboxed placement: nothing raises, and each one is rejected
+   with an Error naming its layer and dropped, counted in rx_dropped
+   under a named reason. The ones' complement fcs catches any one
+   changed byte, and a cut frame's length word cannot match. The valid
+   frame itself is accepted and delivers the payload sent. *)
+let mangled_frames_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:12 ~name:"mangled frames are dropped by name"
+       QCheck2.Gen.(
+         triple (frequency [ (1, pure 0); (1, pure 300); (4, int_range 1 299) ]) (int_range 1 16)
+           (int_range 1 255))
+       (fun (plen, k, mask) ->
+         let _, ctx = ctx_fixture () in
+         let payload = String.init plen (fun i -> Char.chr ((i * 7) land 0xff)) in
+         let frame = make_packet ctx ~src:13 ~dst:42 ~sport:9 ~dport:7 payload in
+         let n = Bytes.length frame in
+         let sent = Ok (9, 7, payload) in
+         let in_place ~valid m =
+           match unwrap ctx (embedded ~k ~frame m) ~off:k ~len:(Bytes.length m) with
+           | Ok _ as r -> valid && r = sent
+           | Error e -> (not valid) && named_reason e
+         in
+         let through_stack ~valid (k', kdom, stack) m =
+           let stats () =
+             match stack_call k' kdom stack "stats" [] with
+             | Value.List [ Value.Int ok; Value.Int dropped; _; _ ] -> (ok, dropped)
+             | v -> Alcotest.failf "stats returned %s" (Value.to_string v)
+           in
+           let ok0, dropped0 = stats () in
+           with_debug_log (fun logged ->
+               match
+                 Invoke.call (Kernel.ctx k' kdom) stack ~iface:"stack" ~meth:"rx"
+                   [ Value.Blob (Bytes.copy m) ]
+               with
+               | Error e -> Alcotest.failf "rx failed: %s" (Oerror.to_string e)
+               | Ok _ -> (
+                 match (stats (), drop_reasons !logged) with
+                 | (ok, dropped), [ reason ] when ok = ok0 && dropped = dropped0 + 1 ->
+                   (not valid) && named_reason reason
+                 | (ok, dropped), [] when valid && ok = ok0 + 1 && dropped = dropped0 -> (
+                   match stack_call k' kdom stack "recv" [ Value.Int 7 ] with
+                   | Value.List [ Value.Pair (Value.Pair (Value.Int 13, Value.Int 9), Value.Blob b) ]
+                     ->
+                     Bytes.to_string b = payload
+                   | _ -> false)
+                 | _ -> false))
+         in
+         let frames = mangled frame mask in
+         List.length frames = 2 * n
+         && in_place ~valid:true frame
+         && List.for_all (in_place ~valid:false) frames
+         && List.for_all
+              (fun placement ->
+                through_stack ~valid:true placement frame
+                && List.for_all (through_stack ~valid:false placement) frames)
+              (Lazy.force placements)))
+
+(* One frame through the three layer objects and back. The send charges
+   each header, each checksum pass and the one copy of the payload into
+   the frame; the receive each header, each checksum pass and the one
+   copy out into the mailbox entry. Nothing else touches a byte. *)
+let one_copy_accounting_prop =
+  let fixture =
+    lazy
+      (let _, k, _ = net_fixture () in
+       let kdom = Kernel.kernel_domain k in
+       let comp = Stack.create (Kernel.api k) kdom ~addr:50 ~driver_path:"/services/netdrv" in
+       let ctx = Kernel.ctx k kdom in
+       ignore (Invoke.call_exn ctx (Composite.instance comp) ~iface:"stack" ~meth:"bind_port"
+                 [ Value.Int 2 ]);
+       (comp, ctx))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"one frame charges headers, checksums, one copy each way"
+       QCheck2.Gen.(string_size ~gen:char (int_range 0 1400))
+       (fun payload ->
+         let comp, ctx = Lazy.force fixture in
+         let p = String.length payload in
+         let layer name meth args =
+           match Composite.child comp name with
+           | Some inst -> Invoke.call_exn ctx inst ~iface:"layer" ~meth args
+           | None -> Alcotest.failf "no %s layer" name
+         in
+         let charged f =
+           let before = Call_ctx.accesses ctx in
+           let r = f () in
+           (r, Call_ctx.accesses ctx - before)
+         in
+         let frame, sent =
+           charged (fun () ->
+               let seg = layer "transport" "encode" [ Value.Int 1; Value.Int 2; Value.Blob (Bytes.of_string payload) ] in
+               let pkt = layer "net" "encode" [ Value.Int 50; Value.Int 50; Value.Int Stack.proto_transport; seg ] in
+               layer "framer" "encode" [ Value.Int 50; Value.Int 50; pkt ])
+         in
+         let stack = Composite.instance comp in
+         let _, received =
+           charged (fun () -> Invoke.call_exn ctx stack ~iface:"stack" ~meth:"rx" [ frame ])
+         in
+         let headers = Wire.Frame.header_len + Wire.Net.header_len + Wire.Transport.header_len in
+         (* the fcs covers the frame header and the packet; the net
+            checksum its header; the transport checksum the payload *)
+         let checksums = (headers + p) + Wire.Net.header_len + p in
+         let expected = headers + checksums + p in
+         let delivered =
+           Invoke.call_exn ctx stack ~iface:"stack" ~meth:"recv" [ Value.Int 2 ]
+         in
+         sent = expected && received = expected
+         && Value.equal delivered
+              (Value.List
+                 [ Value.Pair (Value.Pair (Value.Int 50, Value.Int 1), Value.Blob (Bytes.of_string payload)) ])))
 
 (* wire round-trip property across all three layers *)
 let wire_roundtrip_prop =
@@ -777,19 +996,10 @@ let wire_roundtrip_prop =
            (int_bound 0xffff))
        (fun (payload, dst, sport, dport) ->
          let _, ctx = ctx_fixture () in
-         let tp = Wire.Transport.build ctx ~sport ~dport (Bytes.of_string payload) in
-         let np = Wire.Net.build ctx ~src:1 ~dst ~ttl:4 ~proto:17 tp in
-         let frame = Wire.Frame.build ctx ~dst ~src:1 np in
-         match Wire.Frame.parse ctx frame with
-         | Error _ -> false
-         | Ok { Wire.Frame.payload = np'; _ } ->
-           (match Wire.Net.parse ctx np' with
-           | Error _ -> false
-           | Ok { Wire.Net.payload = tp'; _ } ->
-             (match Wire.Transport.parse ctx tp' with
-             | Error _ -> false
-             | Ok { Wire.Transport.sport = s'; dport = d'; payload = p' } ->
-               s' = sport && d' = dport && Bytes.to_string p' = payload))))
+         let frame =
+           Wire.frame ctx ~src:1 ~dst ~ttl:4 ~proto:17 ~sport ~dport (Bytes.of_string payload)
+         in
+         unwrap ctx frame ~off:0 ~len:(Bytes.length frame) = Ok (sport, dport, payload)))
 
 let () =
   Alcotest.run "components"
@@ -813,6 +1023,7 @@ let () =
           Alcotest.test_case "access charging" `Quick test_wire_charges_accesses;
           wire_totality_prop;
           wire_roundtrip_prop;
+          mangled_frames_prop;
         ] );
       ( "allocator",
         [
@@ -838,6 +1049,7 @@ let () =
           Alcotest.test_case "loopback send/recv" `Quick test_stack_send_recv_loopback;
           Alcotest.test_case "port management" `Quick test_stack_port_management;
           Alcotest.test_case "layer replacement" `Quick test_stack_layer_replacement;
+          one_copy_accounting_prop;
         ] );
       ( "rpc",
         [

@@ -12,9 +12,8 @@ let stack_call k dom stack meth args =
   Invoke.call_exn (Kernel.ctx k dom) stack ~iface:"stack" ~meth args
 
 let make_packet ctx ~src ~dst ~sport ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst ~src np
+  Wire.frame ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport
+    ~sport ~dport (Bytes.of_string payload)
 
 (* push [n] packets through a configured system; returns cycles consumed
    and the number delivered *)

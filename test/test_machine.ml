@@ -647,6 +647,35 @@ let test_machine_write_string_cost () =
   Alcotest.check cost "n bytes, n writes" (String.length s * c.Cost.mem_write, 0)
     (charged m (fun () -> Machine.write_string m ctx 8 s))
 
+(* A bulk copy whose pages the TLB holds builds nothing: 1,000 16-byte
+   [write_bytes] allocate no word, and 1,000 [read_bytes] only their
+   results (a header and three words each). [Gc.minor_words] is exact;
+   [idle] is what reading it costs. *)
+let test_machine_copies_allocate_nothing () =
+  let m, ctx = costed_machine () in
+  let data = Bytes.make 16 'x' in
+  Machine.write_bytes m ctx 100 data;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let writes =
+    words (fun () ->
+        for _ = 1 to 1_000 do
+          Machine.write_bytes m ctx 100 data
+        done)
+  in
+  let reads =
+    words (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Machine.read_bytes m ctx 100 16))
+        done)
+  in
+  Alcotest.(check (float 0.)) "1,000 writes" idle writes;
+  Alcotest.(check (float 0.)) "1,000 reads, the results alone" (idle +. 4_000.) reads
+
 (* the straddling-word layout: a word at 254 spans vpages 0 and 1 *)
 let test_machine_straddling_word_cost () =
   let m, ctx = costed_machine ~pages:2 () in
@@ -1507,6 +1536,8 @@ let () =
           Alcotest.test_case "write after read cost" `Quick
             test_machine_write_after_read_cost;
           Alcotest.test_case "write_string cost" `Quick test_machine_write_string_cost;
+          Alcotest.test_case "bulk copies allocate only their result" `Quick
+            test_machine_copies_allocate_nothing;
           Alcotest.test_case "fault handler resolves" `Quick
             test_machine_fault_handler_resolves;
           Alcotest.test_case "fatal fault" `Quick test_machine_fatal_fault;

@@ -16,9 +16,8 @@ let fixture () =
 let switch_to k dom = Mmu.switch_context (Machine.mmu (Kernel.machine k)) dom.Domain.id
 
 let make_packet ctx ~src ~dst ~sport ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst ~src np
+  Wire.frame ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport
+    ~sport ~dport (Bytes.of_string payload)
 
 let inject_packets k ~n ~dport =
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
@@ -131,7 +130,7 @@ let test_tx_mpsc_to_wire () =
   let ctx = Kernel.ctx k kdom in
   List.iter
     (fun f ->
-      match Wire.Frame.parse ctx (Bytes.of_string f) with
+      match Wire.Frame.parse ctx (Bytes.of_string f) ~off:0 ~len:(String.length f) with
       | Ok { Wire.Frame.dst; src; _ } ->
         Alcotest.(check int) "framed for the peer" 13 dst;
         Alcotest.(check int) "from our address" 42 src
@@ -230,21 +229,21 @@ let test_channel_echo_server () =
   List.iteri
     (fun i f ->
       let frame = Bytes.of_string f in
-      match Wire.Frame.parse kctx frame with
+      match Wire.Frame.parse kctx frame ~off:0 ~len:(Bytes.length frame) with
       | Error e -> Alcotest.fail e
-      | Ok { Wire.Frame.payload = np; dst; _ } ->
+      | Ok { Wire.Frame.off; len; dst; _ } ->
         Alcotest.(check int) "echo goes back to the requester" 13 dst;
-        (match Wire.Net.parse kctx np with
+        (match Wire.Net.parse kctx frame ~off ~len with
         | Error e -> Alcotest.fail e
-        | Ok { Wire.Net.payload = tp; _ } ->
-          (match Wire.Transport.parse kctx tp with
+        | Ok { Wire.Net.off; len; _ } ->
+          (match Wire.Transport.parse kctx frame ~off ~len with
           | Error e -> Alcotest.fail e
-          | Ok { Wire.Transport.sport; dport; payload } ->
+          | Ok { Wire.Transport.sport; dport; off; len } ->
             Alcotest.(check int) "from the service port" 7 sport;
             Alcotest.(check int) "to the requester's port" 9 dport;
             Alcotest.(check string) "payload round-tripped"
               (Printf.sprintf "msg-%d" (i + 1))
-              (Bytes.to_string payload))))
+              (Bytes.sub_string frame off len))))
     frames
 
 (* --- the ring codecs ----------------------------------------------------- *)
@@ -253,7 +252,8 @@ let gen16 = QCheck2.Gen.int_bound 0xffff
 
 let delivery_spec = QCheck2.Gen.(triple gen16 gen16 (Codec_props.gen_bytes 64))
 
-let build_delivery ctx (src, sport, payload) = Netwire.Delivery.build ctx ~src ~sport payload
+let build_delivery ctx (src, sport, payload) =
+  Netwire.Delivery.build ctx ~src ~sport payload ~off:0 ~len:(Bytes.length payload)
 
 let txreq_spec = QCheck2.Gen.(quad gen16 gen16 gen16 (Codec_props.gen_bytes 64))
 

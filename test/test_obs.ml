@@ -412,9 +412,11 @@ let test_accounting_zero_cost_cross_domain () =
        ~meth:"bind_port" [ Value.Int 7 ]);
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
   let payload = String.make 64 'p' in
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-  let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
+  let packet =
+    Bytes.to_string
+      (Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport ~sport:9 ~dport:7
+         (Bytes.of_string payload))
+  in
   let clock = Kernel.clock k in
   let round () =
     Nic.inject (Kernel.nic k) packet;
@@ -756,9 +758,11 @@ let test_flightrec_always_on () =
   let before = Journal.count j Journal.Irq in
   let ctx = Kernel.ctx k (Kernel.kernel_domain k) in
   let payload = Bytes.of_string (String.make 32 'x') in
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport:7 payload in
-  let np = Wire.Net.build ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport tp in
-  let packet = Bytes.to_string (Wire.Frame.build ctx ~dst:42 ~src:13 np) in
+  let packet =
+    Bytes.to_string
+      (Wire.frame ctx ~src:13 ~dst:42 ~ttl:8 ~proto:Stack.proto_transport ~sport:9 ~dport:7
+         payload)
+  in
   Nic.inject (Kernel.nic k) packet;
   Kernel.step k ~ticks:2 ();
   Alcotest.(check bool) "events recorded while disabled" true

@@ -120,6 +120,113 @@ let test_steal_rehomes_wakeup () =
   Alcotest.(check (list string)) "ran to completion on the thief"
     [ "start"; "resumed" ] (List.rev !log)
 
+(* --- random schedules: determinism and the makespan bound -------------- *)
+
+(* A schedule: 2–4 CPUs, stealing on or off, some CPUs other than 0
+   halted at the start, and threads each homed on a CPU with chunks of
+   work that yield between them; a thread may IPI a CPU after one of
+   its chunks, which wakes that CPU if it is halted. *)
+type schedule = {
+  cpus : int;
+  steal : bool;
+  halted : bool list; (* CPUs 1.. *)
+  threads : (int * int list * (int * int) option) list;
+      (* home CPU, chunk cycles, (IPI target, after chunk) *)
+}
+
+let gen_schedule =
+  QCheck2.Gen.(
+    let* cpus = int_range 2 4 in
+    let* steal = bool in
+    let* halted = list_repeat (cpus - 1) bool in
+    let* threads =
+      list_size (int_range 1 8)
+        (triple (int_bound (cpus - 1))
+           (list_size (int_range 1 4) (int_range 1 300))
+           (opt (pair (int_bound (cpus - 1)) (int_bound 3))))
+    in
+    return { cpus; steal; halted; threads })
+
+let print_schedule s =
+  Printf.sprintf "cpus=%d steal=%b halted=[%s] threads=[%s]" s.cpus s.steal
+    (String.concat ";" (List.map string_of_bool s.halted))
+    (String.concat "; "
+       (List.map
+          (fun (home, chunks, ipi) ->
+            Printf.sprintf "%d:[%s]%s" home
+              (String.concat "," (List.map string_of_int chunks))
+              (match ipi with
+              | Some (cpu, after) -> Printf.sprintf " ipi %d after %d" cpu after
+              | None -> ""))
+          s.threads))
+
+(* Run a schedule on a fresh machine with a Full-mode journal: the
+   journal's export, each CPU's clock before and after the run, the work
+   each CPU ran, read from [Cpu.current] as each chunk runs, and the
+   chunks whose cycles did not land on that CPU's clock. *)
+let run_schedule s =
+  let cpx, smp = smp_fixture s.cpus in
+  let clock () = Machine.clock cpx in
+  let j = Obs.journal (Clock.obs (clock ())) in
+  Journal.set_mode j Journal.Full;
+  let ran = Array.make s.cpus 0 and misplaced = ref 0 in
+  Machine.set_trap_handler cpx 5
+    (Some
+       (fun arg ->
+         ignore (Journal.mark j ~domain:0 ~at:(Clock.now (clock ())) (Printf.sprintf "ipi %d" arg));
+         arg));
+  List.iteri
+    (fun i (home, chunks, ipi) ->
+      ignore
+        (Smp.spawn_on smp home ~name:(Printf.sprintf "t%d" i) (fun () ->
+             List.iteri
+               (fun c cycles ->
+                 let cpu = Cpu.current cpx in
+                 let before = Cpu.now cpx cpu in
+                 Clock.advance (clock ()) cycles;
+                 if Cpu.now cpx cpu - before <> cycles then incr misplaced;
+                 ran.(cpu) <- ran.(cpu) + cycles;
+                 ignore
+                   (Journal.mark j ~domain:0 ~at:(Clock.now (clock ()))
+                      (Printf.sprintf "t%d.%d" i c));
+                 (match ipi with
+                 | Some (cpu, after) when after = c -> Cpu.ipi cpx ~cpu 5 i
+                 | _ -> ());
+                 Scheduler.yield ())
+               chunks)))
+    s.threads;
+  List.iteri (fun k h -> if h then Cpu.halt cpx (k + 1)) s.halted;
+  let start = List.init s.cpus (Cpu.now cpx) in
+  ignore (Smp.run ~steal:s.steal smp);
+  (Journal.export j, start, List.init s.cpus (Cpu.now cpx), Array.to_list ran, !misplaced)
+
+(* The same schedule twice gives byte-identical journals and clocks.
+   Every chunk's cycles land on the clock of the CPU it ran on, so each
+   CPU's clock advanced by at least the work it ran, and the makespan,
+   from the earliest start, is at least the total work over the CPU
+   count. *)
+let schedule_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"random schedules replay and bound the makespan"
+       ~print:print_schedule gen_schedule (fun s ->
+         let journal, start, finish, ran, misplaced = run_schedule s in
+         let journal', start', finish', ran', _ = run_schedule s in
+         let work = List.fold_left ( + ) 0 ran in
+         let makespan = List.fold_left max 0 finish in
+         let earliest = List.fold_left min max_int start in
+         if not (String.equal journal journal') then QCheck2.Test.fail_report "journals differ";
+         if start <> start' || finish <> finish' || ran <> ran' then
+           QCheck2.Test.fail_report "clocks or work differ";
+         if misplaced > 0 then
+           QCheck2.Test.fail_reportf "%d chunks charged another cpu's clock" misplaced;
+         List.iteri
+           (fun k w ->
+             if List.nth finish k - List.nth start k < w then
+               QCheck2.Test.fail_reportf "cpu %d ran %d cycles of work in %d" k w
+                 (List.nth finish k - List.nth start k))
+           ran;
+         (makespan - earliest) * s.cpus >= work))
+
 (* --- cross-CPU channel pricing and doorbell routing --------------------- *)
 
 let sys_fixture () =
@@ -416,6 +523,7 @@ let () =
           Alcotest.test_case "steal spreads load" `Quick test_steal_spreads_load;
           Alcotest.test_case "steal re-homes wakeups" `Quick
             test_steal_rehomes_wakeup;
+          schedule_prop;
         ] );
       ( "channels",
         [

@@ -491,9 +491,8 @@ let test_sfi_out_of_range_jump_stays_out () =
 (* --- stack filter hook --------------------------------------------------------- *)
 
 let make_packet ctx ~dst ~dport payload =
-  let tp = Wire.Transport.build ctx ~sport:9 ~dport (Bytes.of_string payload) in
-  let np = Wire.Net.build ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport tp in
-  Wire.Frame.build ctx ~dst ~src:13 np
+  Wire.frame ctx ~src:13 ~dst ~ttl:8 ~proto:Stack.proto_transport
+    ~sport:9 ~dport (Bytes.of_string payload)
 
 let filter_fixture () =
   let sys = System.create ~key_bits:384 () in
