@@ -1540,7 +1540,7 @@ module E16 = struct
      NIC's one-DMA-per-tick flush is common and excluded. *)
   let tx_args =
     [ Value.Int 13; Value.Int 7; Value.Int 9;
-      Value.Blob (Bytes.of_string payload) ]
+      Stack.view (Bytes.of_string payload) ~off:0 ~len:(String.length payload) ]
 
   let flush_wire k n =
     Kernel.step k ~ticks:(n + 4) ();

@@ -20,22 +20,32 @@ open Paramecium
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
 (* transport layer without payload checksums: cheaper, weaker. It keeps
-   the layer contract: encode allocates the frame and copies the payload
-   in, decode hands the payload on where it lies in the frame *)
+   the layer contract: encode allocates the frame and copies the
+   payload's view in, decode hands the payload on where it lies in the
+   frame *)
 let fast_transport api (dom : Domain.t) =
-  let encode ctx sport dport payload =
-    let len = Bytes.length payload in
-    let b = Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom payload in
-    let off = Wire.headroom - 8 in
-    Bytes.set_uint16_be b off sport;
-    Bytes.set_uint16_be b (off + 2) dport;
-    Bytes.set_uint16_be b (off + 4) len;
-    (* checksum field zero: "trust the link" *)
-    Bytes.set_uint16_be b (off + 6) 0;
-    (* header-only cost besides the payload copy: this is the point of
-       the replacement *)
-    Call_ctx.access ctx 8;
-    Ok (Stack.view b ~off ~len:(8 + len))
+  let encode ctx = function
+    | [ Value.Int sport; Value.Int dport;
+        Value.Pair (Value.Pair (Value.Int poff, Value.Int len), Value.Blob payload) ] ->
+      if not (Wire.in_bounds payload ~off:poff ~len) then
+        Error (Oerror.Fault "fast-transport: payload outside its buffer")
+      else begin
+        let b =
+          Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom payload ~off:poff
+            ~len
+        in
+        let off = Wire.headroom - 8 in
+        Bytes.set_uint16_be b off sport;
+        Bytes.set_uint16_be b (off + 2) dport;
+        Bytes.set_uint16_be b (off + 4) len;
+        (* checksum field zero: "trust the link" *)
+        Bytes.set_uint16_be b (off + 6) 0;
+        (* header-only cost besides the payload copy: this is the point
+           of the replacement *)
+        Call_ctx.access ctx 8;
+        Ok (Stack.view b ~off ~len:(8 + len))
+      end
+    | _ -> Error (Oerror.Type_error "fast-transport: encode")
   in
   let decode ctx = function
     | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob raw) ] ->
@@ -53,7 +63,8 @@ let fast_transport api (dom : Domain.t) =
   let iface =
     Iface.make ~name:"layer"
       [
-        Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:Stack.view_type encode;
+        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Stack.view_type ]
+          ~ret:Stack.view_type encode;
         Iface.meth ~name:"decode" ~args:[ Stack.view_type ]
           ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Stack.view_type))
           decode;
@@ -96,7 +107,8 @@ let () =
       (Clock.measure clock (fun () ->
            ignore
              (Invoke.call_exn ctx stack ~iface:"stack" ~meth:"send"
-                [ Value.Int 60; Value.Int 1; Value.Int 2; Value.Blob payload ])))
+                [ Value.Int 60; Value.Int 1; Value.Int 2;
+                  Stack.view payload ~off:0 ~len:(Bytes.length payload) ])))
   in
   let payload = Bytes.make 1000 'd' in
   let with_checksums = send payload in

@@ -60,7 +60,7 @@ let () =
       ignore
         (Invoke.call_exn ctx net.System.stack ~iface:"stack" ~meth:"send"
            [ Value.Int 13; Value.Int 80; Value.Int 9;
-             Value.Blob (Bytes.make (100 * n) 'r') ]))
+             Stack.view (Bytes.make (100 * n) 'r') ~off:0 ~len:(100 * n) ]))
     [ 1; 2; 3 ];
   Kernel.step k ~ticks:5 ();
 

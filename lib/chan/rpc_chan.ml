@@ -95,7 +95,9 @@ let chunk ~slot_size segs =
    the header and checksum as the transport charges them. *)
 let segment ctx ~id ~status payload =
   let len = Bytes.length payload in
-  let seg = Wire.packet ctx ~headroom:Wire.Transport.header_len ~tailroom:0 payload in
+  let seg =
+    Wire.packet ctx ~headroom:Wire.Transport.header_len ~tailroom:0 payload ~off:0 ~len
+  in
   Wire.Transport.write ctx seg ~off:0 ~sport:id ~dport:status ~len;
   seg
 

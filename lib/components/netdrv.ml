@@ -10,19 +10,15 @@ module Instance = Pm_obj.Instance
 module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
-module Call_ctx = Pm_obj.Call_ctx
 module Invoke = Pm_obj.Invoke
 module Path = Pm_names.Path
 
-type config = {
-  rx_buffers : int;
-  tx_slots : int;
-  loopback : bool;
-  io_sharing : Vmem.sharing;
-}
+type config = { rx_buffers : int; loopback : bool }
 
-let default_config =
-  { rx_buffers = 8; tx_slots = 8; loopback = false; io_sharing = Vmem.Exclusive }
+let default_config = { rx_buffers = 8; loopback = false }
+
+(* tx staging pages, and so the most DMAs kept in flight *)
+let tx_pages = 8
 
 (* NIC register map (see Pm_machine.Nic) *)
 let reg_ctrl = 0
@@ -63,7 +59,7 @@ type state = {
      order), so there is exactly one writer at any time and no frame
      reordering. *)
   mutable tx_inflight : int;
-  tx_backlog : Bytes.t Queue.t;
+  tx_backlog : Bytes.t Queue.t; (* the senders' frames, as they were sent *)
 }
 
 (* Run [f] with the driver's MMU context current (I/O grants are checked
@@ -77,13 +73,14 @@ let in_domain st f =
     Fun.protect ~finally:(fun () -> Mmu.switch_context mmu prev) f
   end
 
-let stage_tx st ctx data =
+(* The device reads the sender's frame where it lies: the DMA into the
+   staging page moves its bytes, and the CPU touches none of them. *)
+let stage_tx st data =
   let vmem = st.api.Api.vmem in
   let len = Bytes.length data in
   let vaddr = st.tx_vaddrs.(st.tx_next) in
   st.tx_next <- (st.tx_next + 1) mod Array.length st.tx_vaddrs;
-  Machine.write_bytes st.api.Api.machine st.dom.Domain.id vaddr data;
-  Call_ctx.note_access ctx len;
+  Machine.dma st.api.Api.machine st.dom.Domain.id vaddr data Mmu.Write;
   let phys = Vmem.phys_of vmem st.dom ~vaddr in
   Vmem.io_write vmem st.grant ~reg:reg_tx_addr phys;
   Vmem.io_write vmem st.grant ~reg:reg_tx_len len;
@@ -91,8 +88,9 @@ let stage_tx st ctx data =
   st.tx_inflight <- st.tx_inflight + 1;
   st.tx_count <- st.tx_count + 1
 
-(* Interrupt body: drain completed receive DMA, push frames to the sink,
-   recycle buffers, acknowledge transmit completions. *)
+(* Interrupt body: drain completed receive DMA, lend each frame to the
+   sink, recycle its buffer once the sink returns, acknowledge transmit
+   completions. *)
 let service_interrupt st () =
   let vmem = st.api.Api.vmem in
   let ctx = Api.ctx st.api st.dom in
@@ -109,7 +107,7 @@ let service_interrupt st () =
           && st.tx_inflight < Array.length st.tx_vaddrs
           && Vmem.io_read vmem st.grant ~reg:reg_tx_free > 0
         then begin
-          stage_tx st ctx (Queue.pop st.tx_backlog);
+          stage_tx st (Queue.pop st.tx_backlog);
           refill ()
         end
       in
@@ -124,14 +122,15 @@ let service_interrupt st () =
         Vmem.io_write vmem st.grant ~reg:reg_status status_rx;
         drain ()
       | Some vaddr ->
-        let data =
-          Machine.read_bytes st.api.Api.machine st.dom.Domain.id vaddr len
-        in
-        Call_ctx.note_access ctx len;
-        (* ack (pops the descriptor) and recycle the buffer *)
+        (* the frame the device wrote, lent to the sink: the sink charges
+           the bytes it reads *)
+        let data = Bytes.create len in
+        Machine.dma st.api.Api.machine st.dom.Domain.id vaddr data Mmu.Read;
+        (* ack: pops the descriptor and exposes the next *)
         Vmem.io_write vmem st.grant ~reg:reg_status status_rx;
-        Vmem.io_write vmem st.grant ~reg:reg_rx_free phys;
         st.rx_count <- st.rx_count + 1;
+        (* the sink has returned the buffer, or raised: either way it is
+           the device's again *)
         (match st.sink with
         | None -> ()
         | Some sink ->
@@ -141,38 +140,35 @@ let service_interrupt st () =
            with
           | Ok _ -> ()
           | Error e ->
-            Logs.warn (fun m -> m "netdrv: sink rx failed: %s" (Oerror.to_string e))));
+            Logs.warn (fun m -> m "netdrv: sink rx failed: %s" (Oerror.to_string e))
+          | exception exn ->
+            Vmem.io_write vmem st.grant ~reg:reg_rx_free phys;
+            raise exn));
+        Vmem.io_write vmem st.grant ~reg:reg_rx_free phys;
         drain ()
     end
   in
   drain ()
 
-let send st ctx data =
-  let len = Bytes.length data in
-  if len > Nic.mtu then Error (Oerror.Fault "netdrv: frame exceeds MTU")
+let send st data =
+  if Bytes.length data > Nic.mtu then Error (Oerror.Fault "netdrv: frame exceeds MTU")
   else begin
     in_domain st (fun () ->
-        if st.tx_inflight > 0 then begin
-          (* ring active: copy into the backlog; the tx_done interrupt
-             stages it onto the wire, in order *)
-          Call_ctx.note_access ctx len;
-          Queue.push (Bytes.copy data) st.tx_backlog
-        end
-        else stage_tx st ctx data;
+        (* ring active: the backlog keeps the frame itself; the tx_done
+           interrupt stages it onto the wire, in order *)
+        if st.tx_inflight > 0 then Queue.push data st.tx_backlog else stage_tx st data;
         Ok Value.Unit)
   end
 
 let create api dom ?(config = default_config) () =
   if config.rx_buffers <= 0 then invalid_arg "Netdrv.create: need rx buffers";
   if config.rx_buffers > Nic.rx_slots then invalid_arg "Netdrv.create: bad rx_buffers";
-  if config.tx_slots <= 0 || config.tx_slots > Nic.tx_slots then
-    invalid_arg "Netdrv.create: bad tx_slots";
   let vmem = api.Api.vmem in
-  let grant = Vmem.alloc_io vmem dom ~device:"nic" ~sharing:config.io_sharing in
+  let grant = Vmem.alloc_io vmem dom ~device:"nic" ~sharing:Vmem.Exclusive in
   let buf_vaddr_of_phys = Hashtbl.create 16 in
-  (* one page per rx buffer plus one staging page per tx slot *)
+  (* one page per rx buffer plus [tx_pages] staging pages *)
   let tx_vaddrs =
-    Array.init config.tx_slots (fun _ ->
+    Array.init tx_pages (fun _ ->
         Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive)
   in
   let st =
@@ -199,8 +195,7 @@ let create api dom ?(config = default_config) () =
   let iface =
     Iface.make ~name:"netdev"
       [
-        Iface.fn1 ~name:"send" Iface.Blob ~ret:Vtype.Tunit (fun ctx data ->
-            send st ctx data);
+        Iface.fn1 ~name:"send" Iface.Blob ~ret:Vtype.Tunit (fun _ data -> send st data);
         Iface.fn1 ~name:"attach" Iface.Str ~ret:Vtype.Tunit (fun _ path ->
             match Api.bind api dom (Path.of_string path) with
             | Ok sink ->

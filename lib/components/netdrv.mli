@@ -15,17 +15,25 @@
     - [stats() -> (rx:int, tx:int)]
     - [mtu() -> int]
     - [dropped() -> int] — rx packets the device dropped for want of
-      buffers *)
+      buffers
+
+    {b The CPU copies nothing.} The device DMAs a frame between its
+    buffer and memory ({!Pm_machine.Machine.dma}), so the driver charges
+    no byte of it: whoever reads or writes a frame's bytes with the CPU
+    charges them. A received frame is lent to the sink for the length of
+    its [rx] call, and the driver re-posts the buffer to the device only
+    after [rx] returns (or raises). A transmitted frame goes out where it lies: the
+    driver stages the sender's frame for the device's DMA, or keeps that
+    same frame in its backlog while the ring is busy, so a sender must
+    not change a frame it has handed to [send]. The driver keeps 8 DMAs
+    in flight at most, one staging page each: [send] posts directly only
+    on an idle ring, and the tx_done interrupt is the sole writer while
+    DMAs are in flight, refilling every free slot from the in-order
+    backlog. Its I/O grant is exclusive. *)
 
 type config = {
   rx_buffers : int;  (** DMA receive buffers to give the device (<= [Nic.rx_slots]) *)
-  tx_slots : int;
-      (** tx staging pages / max DMAs kept in flight (<= [Nic.tx_slots]).
-          The send path posts directly only on an idle ring; the tx_done
-          interrupt is the sole writer while DMAs are in flight, refilling
-          every free slot from the in-order backlog. *)
   loopback : bool;  (** transmitted frames are re-injected (testing/RPC) *)
-  io_sharing : Pm_nucleus.Vmem.sharing;
 }
 
 val default_config : config

@@ -113,7 +113,8 @@ let create_server api dom ~stack_path ~port ~procedures =
         let resp = encode_response ~id ~status result in
         (match
            stack_call ctx stack "send"
-             [ Value.Int src; Value.Int port; Value.Int rport; Value.Blob resp ]
+             [ Value.Int src; Value.Int port; Value.Int rport;
+               Stack.view resp ~off:0 ~len:(Bytes.length resp) ]
          with
         | Ok _ -> ()
         | Error e ->
@@ -208,7 +209,7 @@ let create_client api dom ~stack_path ~port ~server () =
       let* _ =
         stack_call ctx stack "send"
           [ Value.Int server_addr; Value.Int port; Value.Int server_port;
-            Value.Blob req ]
+            Stack.view req ~off:0 ~len:(Bytes.length req) ]
       in
       let rec await polls =
         match Hashtbl.find_opt st.pending id with

@@ -94,20 +94,27 @@ let net_layer api dom =
          | _ -> shape "decode"))
 
 (* The transport allocates the frame, with room in front for every
-   header and behind for the trailer, and copies the payload in: the
-   send's one payload copy. *)
+   header and behind for the trailer, and copies the payload's view in:
+   the send's one payload copy. *)
 let transport_layer api dom =
   layer_object api dom ~class_name:"stack.transport"
     ~encode:
-      (Iface.fn3 ~name:"encode" Iface.Int Iface.Int Iface.Blob ~ret:view_type
-         (fun ctx sport dport payload ->
-           let frame =
-             Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom payload
-           in
-           let off = Wire.headroom - Wire.Transport.header_len in
-           let len = Bytes.length payload in
-           Wire.Transport.write ctx frame ~off ~sport ~dport ~len;
-           Ok (view frame ~off ~len:(Wire.Transport.header_len + len))))
+      (Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; view_type ]
+         ~ret:view_type (fun ctx -> function
+         | [ Value.Int sport; Value.Int dport;
+             Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob src) ] ->
+           if not (Wire.in_bounds src ~off ~len) then
+             fault "transport: payload outside its buffer"
+           else begin
+             let frame =
+               Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom src ~off
+                 ~len
+             in
+             let off = Wire.headroom - Wire.Transport.header_len in
+             Wire.Transport.write ctx frame ~off ~sport ~dport ~len;
+             Ok (view frame ~off ~len:(Wire.Transport.header_len + len))
+           end
+         | _ -> shape "encode"))
     ~decode:
       (Iface.meth ~name:"decode" ~args:[ view_type ] ~ret:header_view (fun ctx -> function
          | [ Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob frame) ]
@@ -294,11 +301,12 @@ and rx_unfiltered st ctx raw =
     end
   | Ok _ -> fault "stack: frame decode shape"
 
-(* Transmit path: transport -> net -> framer -> driver. *)
+(* Transmit path: transport -> net -> framer -> driver. [payload] is a
+   view, handed to the transport as it came. *)
 let send st ctx ~dst ~sport ~dport payload =
   let call inst meth args = Invoke.call ctx inst ~iface:"layer" ~meth args in
   let* transport = layer st "transport" in
-  let* tp = call transport "encode" [ Value.Int sport; Value.Int dport; Value.Blob payload ] in
+  let* tp = call transport "encode" [ Value.Int sport; Value.Int dport; payload ] in
   let* netl = layer st "net" in
   let* np =
     call netl "encode"
@@ -363,8 +371,12 @@ let controller api dom st =
                 0 frames
             in
             Ok (Value.Int ok));
-        Iface.fn4 ~name:"send" Iface.Int Iface.Int Iface.Int Iface.Blob ~ret:Vtype.Tunit
-          (fun ctx dst sport dport payload -> send st ctx ~dst ~sport ~dport payload);
+        Iface.meth ~name:"send"
+          ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tint; view_type ]
+          ~ret:Vtype.Tunit (fun ctx -> function
+          | [ Value.Int dst; Value.Int sport; Value.Int dport; payload ] ->
+            send st ctx ~dst ~sport ~dport payload
+          | _ -> Error (Oerror.Type_error "stack.send: bad arguments"));
         Iface.fn1 ~name:"bind_port" Iface.Int ~ret:Vtype.Tunit (fun _ port ->
             if Hashtbl.mem st.conns port then fault "port already bound"
             else begin

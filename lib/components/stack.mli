@@ -8,7 +8,9 @@
 
     The composition exports one interface, ["stack"]:
     - [rx(frame:blob) -> unit] — entry point the network driver calls
-    - [send(dst:int, sport:int, dport:int, payload:blob) -> unit]
+    - [send(dst:int, sport:int, dport:int, payload:view) -> unit] — the
+      payload is a {!view_type}; a caller holding the whole payload
+      passes [view b ~off:0 ~len:(Bytes.length b)]
     - [bind_port(port:int) -> unit], [unbind_port(port:int) -> unit]
     - [recv(port:int) -> list] — drain the port's mailbox; each element is
       [Pair(Pair(src, sport), payload)]
@@ -30,16 +32,19 @@
     Each layer exports ["layer"], and a packet passes between layers as
     a {!view_type} of the one buffer it lives in ({!Wire}'s one-copy
     rule):
-    - transport: [encode(sport, dport, payload:blob) -> view] allocates
+    - transport: [encode(sport, dport, payload:view) -> view] allocates
       the frame with room for every header and the trailer, and copies
-      the payload in; [decode(view) -> ((sport, dport), view)]
+      the payload's view in (a view outside its buffer is a named fault);
+      [decode(view) -> ((sport, dport), view)]
     - net: [encode(src, dst, proto, view) -> view] writes its header in
       front of the view; [decode(view) -> ((src, dst), (proto, view))]
     - framer: [encode(dst, src, view) -> blob] writes its header and
       trailer and returns the whole buffer, which the view must fill but
       for them; [decode(frame:blob) -> ((dst, src), view)]
 
-    The receive path copies the payload once, into the mailbox entry or
+    The send path copies the payload once, from wherever the caller's
+    view lies (for {!Pm_net}, the transmit ring's message) into the
+    frame; the receive path copies it once, into the mailbox entry or
     (through the sink) the port's ring message.
 
     Addresses are 16-bit and double as link-layer addresses; [0xffff]

@@ -35,14 +35,14 @@ let sum16 ctx b ~off ~len =
    packet's one payload copy, charged a byte at a time. The header and
    trailer room is zeroed so that a layer that leaves a byte unwritten
    leaves it deterministic. *)
-let packet ctx ~headroom ~tailroom payload =
+let packet ctx ~headroom ~tailroom src ~off ~len =
   if headroom < 0 || tailroom < 0 then invalid_arg "Wire.packet: negative room";
-  let plen = Bytes.length payload in
-  let b = Bytes.create (headroom + plen + tailroom) in
+  if not (in_bounds src ~off ~len) then invalid_arg "Wire.packet: range out of bounds";
+  let b = Bytes.create (headroom + len + tailroom) in
   Bytes.fill b 0 headroom '\000';
-  Bytes.blit payload 0 b headroom plen;
-  Bytes.fill b (headroom + plen) tailroom '\000';
-  Call_ctx.access ctx plen;
+  Bytes.blit src off b headroom len;
+  Bytes.fill b (headroom + len) tailroom '\000';
+  Call_ctx.access ctx len;
   b
 
 (* Every [write] checks its room before it stores a byte; every [parse]
@@ -182,7 +182,7 @@ let stack_overhead = headroom + tailroom
 
 let frame ctx ~src ~dst ~ttl ~proto ~sport ~dport payload =
   let len = Bytes.length payload in
-  let b = packet ctx ~headroom ~tailroom payload in
+  let b = packet ctx ~headroom ~tailroom payload ~off:0 ~len in
   let noff = Frame.header_len in
   let toff = noff + Net.header_len in
   Transport.write ctx b ~off:toff ~sport ~dport ~len;

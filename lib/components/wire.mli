@@ -44,11 +44,13 @@ val check16 : string -> int -> unit
     [b]. *)
 val in_bounds : bytes -> off:int -> len:int -> bool
 
-(** [packet ctx ~headroom ~tailroom payload] is a fresh buffer of
-    [headroom] zero bytes, the payload, and [tailroom] zero bytes.
-    Charges one access per payload byte: the one payload copy of a
-    send. *)
-val packet : Pm_obj.Call_ctx.t -> headroom:int -> tailroom:int -> bytes -> bytes
+(** [packet ctx ~headroom ~tailroom src ~off ~len] is a fresh buffer of
+    [headroom] zero bytes, the [len]-byte payload at [off] of [src], and
+    [tailroom] zero bytes. Charges one access per payload byte: the one
+    payload copy of a send. Raises [Invalid_argument] if a room is
+    negative or the range is not inside [src]. *)
+val packet :
+  Pm_obj.Call_ctx.t -> headroom:int -> tailroom:int -> bytes -> off:int -> len:int -> bytes
 
 (** Each [write] raises [Invalid_argument] if a field is out of range or
     the buffer has no room for the header (and trailer) around the

@@ -230,6 +230,10 @@ let write_bytes t ctx vaddr b = copy t ctx vaddr b (Bytes.length b) Mmu.Write
 let read_string t ctx vaddr len = Bytes.unsafe_to_string (read_bytes t ctx vaddr len)
 let write_string t ctx vaddr s = write_bytes t ctx vaddr (Bytes.unsafe_of_string s)
 
+(* The device moves the bytes, not the CPU: every page is resolved as a
+   copy resolves it, and no byte is charged. *)
+let dma t ctx vaddr buf access = copy_from t ctx vaddr buf (Bytes.length buf) access 0 0
+
 let attach_device t dev =
   let io_base = t.next_io_base in
   t.next_io_base <- io_base + (dev.Device.reg_count * 4);

@@ -115,6 +115,21 @@ val write_bytes : t -> Mmu.context -> int -> bytes -> unit
 val read_string : t -> Mmu.context -> int -> int -> string
 val write_string : t -> Mmu.context -> int -> string -> unit
 
+(** [dma t ctx vaddr buf access] moves a device-visible buffer: with
+    [Mmu.Read] it fills [buf] from the [Bytes.length buf] bytes at
+    [vaddr], with [Mmu.Write] it stores [buf] there. The device's DMA
+    engine moves those bytes, not the CPU, so no [mem_read] or
+    [mem_write] is charged; every page the range spans is still resolved
+    in [ctx] as a bulk copy resolves it (a TLB fill, a fault and the
+    fault handler's work are charged and counted the same), so a buffer
+    the driver cannot reach still faults. A driver uses it for its DMA
+    buffers, and whoever reads or writes the buffer's bytes with the CPU
+    charges them ([Call_ctx.access]).
+
+    {!read_bytes} and {!write_bytes} stay as the CPU's own copy: code
+    that moves bytes itself pays for each one. *)
+val dma : t -> Mmu.context -> int -> bytes -> Mmu.access -> unit
+
 (** {1 I/O space and devices} *)
 
 (** [attach_device t dev] assigns the device a register window and returns

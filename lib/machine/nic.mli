@@ -7,6 +7,17 @@
     physical memory, so the protocol stack's per-byte work happens on the
     memory bus — which is what the SFI baseline taxes.
 
+    {b The buffer contract.} The device, not the CPU, moves a frame
+    between the wire and memory, so no byte of it is charged until code
+    reads or writes it (a driver fills or empties its view of a buffer
+    with {!Machine.dma}). A posted receive buffer is the device's until
+    it fills; the driver then lends the frame to the protocol stack and
+    posts the buffer again (RX_FREE) only after the stack's [rx] has
+    returned. On transmit the driver stages the sender's frame for the
+    device without a CPU copy, and the descriptor points at it; the
+    device reads it at its DMA, so a staged frame must not change
+    between TX_GO and its tx-done.
+
     The device's descriptor rings are fixed memory, as on a real NIC:
     the receive ring holds {!rx_slots} descriptors and the transmit ring
     {!tx_slots}, and a descriptor costs no allocation. A receive

@@ -134,12 +134,13 @@ let drain_tx t =
         | Error e ->
           t.tx_failed <- t.tx_failed + 1;
           Logs.warn (fun m -> m "net: bad txreq: %s" e)
-        | Ok { Netwire.Txreq.dst; sport; dport; payload } ->
+        | Ok { Netwire.Txreq.dst; sport; dport; off; len } ->
+          (* the stack reads the payload where it lies in the message *)
           (match
              Invoke.call ctx t.stack ~iface:"stack" ~meth:"send"
                [
                  Value.Int dst; Value.Int sport; Value.Int dport;
-                 Value.Blob payload;
+                 Pm_components.Stack.view msg ~off ~len;
                ]
            with
           | Ok _ -> t.tx_sent <- t.tx_sent + 1

@@ -39,7 +39,7 @@ module Delivery = struct
 end
 
 module Txreq = struct
-  type t = { dst : int; sport : int; dport : int; payload : bytes }
+  type t = { dst : int; sport : int; dport : int; off : int; len : int }
 
   let header_len = 6
 
@@ -67,8 +67,8 @@ module Txreq = struct
       and sport = Bytes.get_uint16_be b 2
       and dport = Bytes.get_uint16_be b 4 in
       Trace.read_rid b header_len;
-      let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
-      Call_ctx.access ctx (total - rl);
-      Ok { dst; sport; dport; payload }
+      (* the payload stays where it lies: its reader charges it *)
+      Call_ctx.access ctx header_len;
+      Ok { dst; sport; dport; off = header_len + rl; len = total - header_len - rl }
     end
 end

@@ -33,12 +33,25 @@ module Txreq : sig
   (** What an application enqueues on the shared transmit group:
       [[dst:2][sport:2][dport:2][payload]]; the stack-side drain decodes
       it and runs the ordinary encode path. *)
-  type t = { dst : int; sport : int; dport : int; payload : bytes }
+  type t = {
+    dst : int;
+    sport : int;
+    dport : int;
+    off : int;  (** where the payload lies in the parsed message *)
+    len : int;
+  }
 
   val header_len : int
 
+  (** [build ctx ~dst ~sport ~dport payload] copies the payload into a
+      fresh message: the sender's side of the ring, charged with the
+      header. *)
   val build :
     Pm_obj.Call_ctx.t -> dst:int -> sport:int -> dport:int -> bytes -> bytes
 
+  (** [parse ctx msg] reads the header and leaves the payload where it
+      lies: it charges the 6 header bytes, and the result's [off]/[len]
+      locate the payload in [msg]. The stack's transport copies it from
+      there into the frame, the send's one charged copy. *)
   val parse : Pm_obj.Call_ctx.t -> bytes -> (t, string) result
 end

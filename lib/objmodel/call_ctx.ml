@@ -18,6 +18,4 @@ let access t n =
   Pm_machine.Clock.advance t.clock (n * t.costs.Pm_machine.Cost.mem_read);
   Pm_machine.Clock.bump_n t.clock Pm_machine.Clock.Component_mem_access n
 
-let note_access t n = Pm_machine.Clock.bump_n t.clock Pm_machine.Clock.Component_mem_access n
-
 let accesses t = Pm_machine.Clock.read t.clock Pm_machine.Clock.Component_mem_access

@@ -30,13 +30,11 @@ val work : t -> int -> unit
 (** [access t n] records [n] component memory accesses: charges the bus
     cost and bumps the clock's [Component_mem_access] counter. The SFI
     sandbox baseline taxes exactly these accesses, so any per-byte work a
-    component does must go through here. *)
+    component does must go through here. A device's DMA is not a
+    component's access: a driver moves its buffers with
+    {!Pm_machine.Machine.dma}, which charges no byte, and whoever then
+    reads or writes those bytes charges them here. *)
 val access : t -> int -> unit
-
-(** [note_access t n] records [n] accesses for sandbox accounting without
-    charging bus cycles — for code whose accesses already went through the
-    machine's memory bus (which charges them itself). *)
-val note_access : t -> int -> unit
 
 (** [accesses t] reads the cumulative component access count. *)
 val accesses : t -> int

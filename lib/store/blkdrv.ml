@@ -7,7 +7,13 @@
    service, and turns completion interrupts into pop-up threads (the
    netdrv idiom). Single ops post one descriptor and wait; [read_many] /
    [write_many] keep up to the whole ring in flight, which is where the
-   device's multiple-outstanding-DMA model pays off (bench E19). *)
+   device's multiple-outstanding-DMA model pays off (bench E19).
+
+   The device DMAs each block between its slot buffer and the media, so
+   the driver's CPU touches no byte of a block ([Machine.dma]): a read
+   hands the reader the block, and the reader charges what it reads of
+   it; a write hands the writer's block to the device. A short write's
+   zero padding is the only data the driver writes, and all it charges. *)
 
 module Api = Pm_nucleus.Api
 module Domain = Pm_nucleus.Domain
@@ -118,17 +124,34 @@ let check_block st block =
     fault (Printf.sprintf "blkdrv: block %d out of range" block)
   else Ok ()
 
-let read_op st ctx block =
+(* the block the device wrote into [slot_buf]'s buffer *)
+let dma_in st slot_buf =
+  let data = Bytes.create st.block_size in
+  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot_buf) data Mmu.Read;
+  data
+
+(* [data] into [slot_buf]'s buffer for the device to write out, padded
+   to a block with zeros: the padding is the CPU's, and charged *)
+let dma_out st ctx slot_buf data =
+  let pad = st.block_size - Bytes.length data in
+  let block =
+    if pad = 0 then data
+    else begin
+      let padded = Bytes.make st.block_size '\000' in
+      Bytes.blit data 0 padded 0 (Bytes.length data);
+      Call_ctx.access ctx pad;
+      padded
+    end
+  in
+  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot_buf) block Mmu.Write
+
+let read_op st block =
   let* () = check_block st block in
   in_domain st (fun () ->
       let slot_buf = st.tail mod ring_slots in
       let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
       let* () = wait_slot st slot in
-      let data =
-        Machine.read_bytes st.api.Api.machine st.dom.Domain.id
-          st.buf_vaddrs.(slot_buf) st.block_size
-      in
-      Call_ctx.note_access ctx st.block_size;
+      let data = dma_in st slot_buf in
       st.reads <- st.reads + 1;
       Ok data)
 
@@ -138,11 +161,7 @@ let write_op st ctx block data =
   else
     in_domain st (fun () ->
         let slot_buf = st.tail mod ring_slots in
-        let padded = Bytes.make st.block_size '\000' in
-        Bytes.blit data 0 padded 0 (Bytes.length data);
-        Machine.write_bytes st.api.Api.machine st.dom.Domain.id
-          st.buf_vaddrs.(slot_buf) padded;
-        Call_ctx.note_access ctx st.block_size;
+        dma_out st ctx slot_buf data;
         let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
         let* () = wait_slot st slot in
         st.writes <- st.writes + 1;
@@ -151,7 +170,7 @@ let write_op st ctx block data =
 (* Batched ops: post a whole window of descriptors before waiting, so up
    to [ring_slots] DMAs are in flight; completion is in-order, so
    waiting on the window's last slot completes the window. *)
-let read_many st ctx bs =
+let read_many st bs =
   in_domain st (fun () ->
       let results = ref [] in
       let rec window = function
@@ -181,13 +200,8 @@ let read_many st ctx bs =
             let* () = wait_slot st last_slot in
             List.iter
               (fun (_, slot_buf) ->
-                let data =
-                  Machine.read_bytes st.api.Api.machine st.dom.Domain.id
-                    st.buf_vaddrs.(slot_buf) st.block_size
-                in
-                Call_ctx.note_access ctx st.block_size;
                 st.reads <- st.reads + 1;
-                results := data :: !results)
+                results := dma_in st slot_buf :: !results)
               posted;
             window rest)
       in
@@ -215,11 +229,7 @@ let write_many st ctx pairs =
                   fault "blkdrv: write exceeds block size"
                 else begin
                   let slot_buf = st.tail mod ring_slots in
-                  let padded = Bytes.make st.block_size '\000' in
-                  Bytes.blit data 0 padded 0 (Bytes.length data);
-                  Machine.write_bytes st.api.Api.machine st.dom.Domain.id
-                    st.buf_vaddrs.(slot_buf) padded;
-                  Call_ctx.note_access ctx st.block_size;
+                  dma_out st ctx slot_buf data;
                   let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
                   Ok (slot :: acc)
                 end)
@@ -315,8 +325,8 @@ let create api dom =
              end)));
   let iface =
     Blockif.methods
-      ~read:(fun ctx block ->
-        Blockif.traced_span api "driver" (fun () -> read_op st ctx block))
+      ~read:(fun _ block ->
+        Blockif.traced_span api "driver" (fun () -> read_op st block))
       ~write:(fun ctx block data ->
         Blockif.traced_span api "driver" (fun () -> write_op st ctx block data))
       ~flush:(fun ctx -> Blockif.traced_span api "driver" (fun () -> flush_op st ctx))
@@ -329,10 +339,10 @@ let create api dom =
     Iface.make ~name:"blkring"
       [
         Iface.fn1 ~name:"read_many" (Iface.List Vtype.Tint) ~ret:(Vtype.Tlist Vtype.Tblob)
-          (fun ctx vs ->
+          (fun _ vs ->
             let bs = List.filter_map (function Value.Int b -> Some b | _ -> None) vs in
             let* datas =
-              Blockif.traced_span api "driver" (fun () -> read_many st ctx bs)
+              Blockif.traced_span api "driver" (fun () -> read_many st bs)
             in
             Ok (Value.List (List.map (fun d -> Value.Blob d) datas)));
         Iface.fn1 ~name:"write_many"

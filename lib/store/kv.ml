@@ -214,19 +214,23 @@ let serve api dom ~kv ~net ~port () =
         | Error _ -> srv.bad <- srv.bad + 1
         | Ok { Netwire.Delivery.src; sport; payload } ->
           (* server-side work is the request's "kv" span: decode, store
-             invocation (log/cache/... spans nest inside), response *)
-          Blockif.traced_span api "kv" (fun () ->
-              match Storewire.Kvmsg.parse_req ctx payload with
-              | Error _ -> srv.bad <- srv.bad + 1
-              | Ok req ->
-                srv.requests <- srv.requests + 1;
-                let status, rpayload = exec_request kv ctx req in
-                let resp = Storewire.Kvmsg.build_resp ctx ~status rpayload in
-                if
-                  not
-                    (Netstack_chan.submit txh ctx ~dst:src ~sport:port
-                       ~dport:sport resp)
-                then srv.replies_dropped <- srv.replies_dropped + 1))
+             invocation (log/cache/... spans nest inside), response. The
+             reply's submit runs the stack's send, which is "net" work,
+             so it follows the span. *)
+          let reply =
+            Blockif.traced_span api "kv" (fun () ->
+                match Storewire.Kvmsg.parse_req ctx payload with
+                | Error _ -> None
+                | Ok req ->
+                  srv.requests <- srv.requests + 1;
+                  let status, rpayload = exec_request kv ctx req in
+                  Some (Storewire.Kvmsg.build_resp ctx ~status rpayload))
+          in
+          (match reply with
+          | None -> srv.bad <- srv.bad + 1
+          | Some resp ->
+            if not (Netstack_chan.submit txh ctx ~dst:src ~sport:port ~dport:sport resp)
+            then srv.replies_dropped <- srv.replies_dropped + 1))
       (Chan.recv_batch ~account:false chan ())
   in
   ignore

@@ -4,8 +4,10 @@
 
    - [roundtrip]: parse (build spec) gives back every field; the rid
      field sits right after the fixed header and parsing makes it the
-     ambient rid; build and parse charge the same accesses, the message
-     length without the rid field.
+     ambient rid; build charges the message length without the rid
+     field, and parse the same unless [parse_charge] names what it
+     charges (a parse that leaves the payload where it lies charges
+     only its header).
    - [hostile]: on random bytes, every truncation of a valid message and
      every single-byte flip of one, parse never raises, and every
      rejection is a named [Error] that leaves the ambient rid alone. *)
@@ -36,7 +38,7 @@ let charged f =
   (r, Call_ctx.accesses c)
 
 (* [rid_at] is the rid field's offset, [None] for an untraced format *)
-let roundtrip name ~gen_spec ~build ~parse ~same ~rid_at =
+let roundtrip ?parse_charge name ~gen_spec ~build ~parse ~same ~rid_at =
   prop name
     QCheck2.Gen.(triple bool gen_rid gen_spec)
     (fun (tracing, rid, spec) ->
@@ -54,7 +56,8 @@ let roundtrip name ~gen_spec ~build ~parse ~same ~rid_at =
           let ambient = if tracing && rid_at <> None then rid else 0 in
           match got with
           | Ok v ->
-            same spec v && field_ok && Trace.current () = ambient && built = parsed
+            same spec v && field_ok && Trace.current () = ambient
+            && parsed = Option.value parse_charge ~default:built
             && built = Bytes.length msg - rl
           | Error _ -> false))
 

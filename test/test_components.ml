@@ -63,7 +63,8 @@ let test_codegen_allocation () =
 (* a packet of [payload] with [room] bytes in front for one layer's
    header and [tail] behind it, as [Wire.packet] lays one out *)
 let packet ?(tail = 0) ctx ~room payload =
-  Wire.packet ctx ~headroom:room ~tailroom:tail (Bytes.of_string payload)
+  Wire.packet ctx ~headroom:room ~tailroom:tail (Bytes.of_string payload) ~off:0
+    ~len:(String.length payload)
 
 let framed ctx ~dst ~src payload =
   let raw = packet ctx ~room:Wire.Frame.header_len ~tail:Wire.Frame.trailer_len payload in
@@ -266,6 +267,9 @@ let net_fixture ?(placement = System.Certified) ?(loopback = false) ?(addr = 42)
 let stack_call k dom stack meth args =
   Invoke.call_exn (Kernel.ctx k dom) stack ~iface:"stack" ~meth args
 
+(* the whole of [b] as the view the stack's send takes *)
+let blob_view b = Stack.view b ~off:0 ~len:(Bytes.length b)
+
 let make_packet ctx ~src ~dst ~sport ~dport payload =
   Wire.frame ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport ~sport ~dport
     (Bytes.of_string payload)
@@ -305,7 +309,7 @@ let test_netdrv_tx () =
   let ctx = Kernel.ctx k kdom in
   ignore
     (stack_call k kdom net.System.stack "send"
-       [ Value.Int 13; Value.Int 5; Value.Int 6; Value.Blob (Bytes.of_string "out") ]);
+       [ Value.Int 13; Value.Int 5; Value.Int 6; blob_view (Bytes.of_string "out") ]);
   Kernel.step k ~ticks:2 ();
   (match Nic.take_transmitted (Kernel.nic k) with
   | [ frame ] ->
@@ -339,6 +343,129 @@ let test_netdrv_exclusive_io () =
   (match Netdrv.create (Kernel.api k) (Kernel.kernel_domain k) () with
   | exception Vmem.Vmem_error _ -> ()
   | _ -> Alcotest.fail "second exclusive grant must fail")
+
+(* The device DMAs a frame from where it lies: a send charges no byte
+   of it, so a 64-byte frame and a 1,400-byte one cost the same. *)
+let test_netdrv_send_cost_is_flat () =
+  let _, k, net = net_fixture () in
+  let kdom = Kernel.kernel_domain k in
+  let ctx = Kernel.ctx k kdom and clock = Kernel.clock k in
+  let send len =
+    let frame = Bytes.make len (Char.chr (len land 0xff)) in
+    let t0 = Clock.now clock and a0 = Call_ctx.accesses ctx in
+    ignore (Invoke.call_exn ctx net.System.driver ~iface:"netdev" ~meth:"send" [ Value.Blob frame ]);
+    let cost = (Clock.now clock - t0, Call_ctx.accesses ctx - a0) in
+    Kernel.step k ~ticks:2 ();
+    (match Nic.take_transmitted (Kernel.nic k) with
+    | [ sent ] -> Alcotest.(check string) "the frame went out as it lay" (Bytes.to_string frame) sent
+    | l -> Alcotest.failf "expected one frame, got %d" (List.length l));
+    cost
+  in
+  (* a round of the eight staging pages first, so that each send below
+     finds its page's translation in the TLB *)
+  for _ = 1 to 8 do
+    ignore (send 64)
+  done;
+  let small = send 64 in
+  let large = send 1400 in
+  Alcotest.(check (pair int int)) "a 1,400 B frame costs what a 64 B one does" small large;
+  Alcotest.(check int) "no byte charged" 0 (snd small)
+
+(* One frame injected on the wire and received through the driver and
+   the certified stack into a mailbox: the stack's charges (each header,
+   each checksum pass, one copy of the payload into the mailbox) and a
+   driver cost that does not depend on the frame's length, since the
+   device, not the CPU, moves the frame. *)
+let driver_rx_accounting_prop =
+  let fixture =
+    lazy
+      (let _, k, net = net_fixture () in
+       let kdom = Kernel.kernel_domain k in
+       ignore (stack_call k kdom net.System.stack "bind_port" [ Value.Int 2 ]);
+       let ctx = Kernel.ctx k kdom in
+       (* a frame through each of the driver's eight receive buffers,
+          so that every buffer's translation is in the TLB *)
+       for _ = 1 to 8 do
+         Nic.inject (Kernel.nic k) (Bytes.to_string (make_packet ctx ~src:13 ~dst:42 ~sport:1 ~dport:2 "warm"));
+         Kernel.step k ~ticks:2 ()
+       done;
+       ignore (stack_call k kdom net.System.stack "recv" [ Value.Int 2 ]);
+       (k, net, ctx, ref None))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60
+       ~name:"a frame through the driver charges the stack's model and a fixed driver cost"
+       QCheck2.Gen.(string_size ~gen:char (int_range 0 1400))
+       (fun payload ->
+         let k, net, ctx, fixed = Lazy.force fixture in
+         let kdom = Kernel.kernel_domain k and clock = Kernel.clock k in
+         let p = String.length payload in
+         (* built on a clock of its own: the wire's side is not charged *)
+         let _, wire_ctx = ctx_fixture () in
+         Nic.inject (Kernel.nic k)
+           (Bytes.to_string (make_packet wire_ctx ~src:13 ~dst:42 ~sport:1 ~dport:2 payload));
+         let t0 = Clock.now clock and a0 = Call_ctx.accesses ctx in
+         Kernel.step k ~ticks:2 ();
+         let cycles = Clock.now clock - t0 and accesses = Call_ctx.accesses ctx - a0 in
+         let headers = Wire.Frame.header_len + Wire.Net.header_len + Wire.Transport.header_len in
+         let checksums = headers + p + Wire.Net.header_len + p in
+         let driver = cycles - (accesses * ctx.Call_ctx.costs.Cost.mem_read) in
+         let same_driver_cost =
+           match !fixed with
+           | None ->
+             fixed := Some driver;
+             true
+           | Some d -> d = driver
+         in
+         let delivered = stack_call k kdom net.System.stack "recv" [ Value.Int 2 ] in
+         accesses = headers + checksums + p
+         && same_driver_cost
+         && Value.equal delivered
+              (Value.List
+                 [ Value.Pair (Value.Pair (Value.Int 13, Value.Int 1), Value.Blob (Bytes.of_string payload)) ])))
+
+(* A received frame is lent to the sink: its buffer goes back to the
+   device only once the sink's [rx] has returned. *)
+let test_netdrv_lends_rx_buffers () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k and api = Kernel.api k in
+  let driver = Netdrv.create api kdom () in
+  Kernel.register_at k "/services/netdrv" driver;
+  (* RX_FREE: buffers posted to the device and not yet filled *)
+  let rx_free () = Machine.io_read (Kernel.machine k) (Nic.io_base (Kernel.nic k) + 8) in
+  let seen = ref [] in
+  let sink =
+    Instance.create api.Api.registry ~class_name:"test.sink" ~domain:kdom.Domain.id
+      [
+        Iface.make ~name:"stack"
+          [
+            Iface.fn1 ~name:"rx" Iface.Blob ~ret:Vtype.Tunit (fun _ frame ->
+                seen := (Bytes.to_string frame, rx_free ()) :: !seen;
+                if Bytes.to_string frame = "boom" then failwith "sink fault";
+                Ok Value.Unit);
+          ];
+      ]
+  in
+  Kernel.register_at k "/test/sink" sink;
+  ignore
+    (Invoke.call_exn (Kernel.ctx k kdom) driver ~iface:"netdev" ~meth:"attach"
+       [ Value.Str "/test/sink" ]);
+  let posted = rx_free () in
+  Alcotest.(check int) "the driver posts its buffers" Netdrv.default_config.Netdrv.rx_buffers posted;
+  Nic.inject (Kernel.nic k) "first";
+  Nic.inject (Kernel.nic k) "second";
+  Kernel.step k ~ticks:4 ();
+  Alcotest.(check (list (pair string int))) "each rx ran with its buffer lent"
+    [ ("first", posted - 1); ("second", posted - 1) ]
+    (List.rev !seen);
+  Alcotest.(check int) "every buffer is back once rx returned" posted (rx_free ());
+  (* a sink that raises hands its buffer back all the same *)
+  for _ = 1 to posted + 1 do
+    Nic.inject (Kernel.nic k) "boom";
+    (try Kernel.step k ~ticks:2 () with Failure _ -> ())
+  done;
+  Alcotest.(check int) "a raising sink loses no buffer" posted (rx_free ())
 
 (* --- stack ------------------------------------------------------------------------- *)
 
@@ -390,7 +517,7 @@ let test_stack_send_recv_loopback () =
   ignore (stack_call k kdom net.System.stack "bind_port" [ Value.Int 30 ]);
   ignore
     (stack_call k kdom net.System.stack "send"
-       [ Value.Int 42; Value.Int 31; Value.Int 30; Value.Blob (Bytes.of_string "self") ]);
+       [ Value.Int 42; Value.Int 31; Value.Int 30; blob_view (Bytes.of_string "self") ]);
   Kernel.step k ~ticks:4 ();
   (match stack_call k kdom net.System.stack "recv" [ Value.Int 30 ] with
   | Value.List [ Value.Pair (Value.Pair (Value.Int 42, Value.Int 31), Value.Blob b) ] ->
@@ -426,9 +553,13 @@ let test_stack_layer_replacement () =
     (* the layer contract: encode allocates the frame with room for the
        outer headers and hands the net layer a view of its segment *)
     let encode ctx = function
-      | [ Value.Int sport; Value.Int dport; Value.Blob payload ] ->
-        let upper = Bytes.of_string (String.uppercase_ascii (Bytes.to_string payload)) in
-        let frame = Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom upper in
+      | [ Value.Int sport; Value.Int dport;
+          Value.Pair (Value.Pair (Value.Int off, Value.Int len), Value.Blob payload) ] ->
+        let upper = Bytes.of_string (String.uppercase_ascii (Bytes.sub_string payload off len)) in
+        let frame =
+          Wire.packet ctx ~headroom:Wire.headroom ~tailroom:Wire.tailroom upper ~off:0
+            ~len:(Bytes.length upper)
+        in
         let off = Wire.headroom - Wire.Transport.header_len in
         Wire.Transport.write ctx frame ~off ~sport ~dport ~len:(Bytes.length upper);
         Ok (Stack.view frame ~off ~len:(Wire.Transport.header_len + Bytes.length upper))
@@ -444,7 +575,7 @@ let test_stack_layer_replacement () =
     in
     Iface.make ~name:"layer"
       [
-        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Vtype.Tblob ]
+        Iface.meth ~name:"encode" ~args:[ Vtype.Tint; Vtype.Tint; Stack.view_type ]
           ~ret:Stack.view_type encode;
         Iface.meth ~name:"decode" ~args:[ Stack.view_type ]
           ~ret:(Vtype.Tpair (Vtype.Tpair (Vtype.Tint, Vtype.Tint), Stack.view_type))
@@ -461,7 +592,7 @@ let test_stack_layer_replacement () =
   ignore (Invoke.call_exn ctx stack ~iface:"stack" ~meth:"bind_port" [ Value.Int 1 ]);
   ignore
     (Invoke.call_exn ctx stack ~iface:"stack" ~meth:"send"
-       [ Value.Int 60; Value.Int 1; Value.Int 2; Value.Blob (Bytes.of_string "quiet") ]);
+       [ Value.Int 60; Value.Int 1; Value.Int 2; blob_view (Bytes.of_string "quiet") ]);
   Kernel.step k ~ticks:2 ();
   (match Nic.take_transmitted (Kernel.nic k) with
   | [ frame ] ->
@@ -966,7 +1097,7 @@ let one_copy_accounting_prop =
          in
          let frame, sent =
            charged (fun () ->
-               let seg = layer "transport" "encode" [ Value.Int 1; Value.Int 2; Value.Blob (Bytes.of_string payload) ] in
+               let seg = layer "transport" "encode" [ Value.Int 1; Value.Int 2; blob_view (Bytes.of_string payload) ] in
                let pkt = layer "net" "encode" [ Value.Int 50; Value.Int 50; Value.Int Stack.proto_transport; seg ] in
                layer "framer" "encode" [ Value.Int 50; Value.Int 50; pkt ])
          in
@@ -1038,6 +1169,11 @@ let () =
           Alcotest.test_case "tx" `Quick test_netdrv_tx;
           Alcotest.test_case "mtu/errors" `Quick test_netdrv_mtu_and_errors;
           Alcotest.test_case "exclusive io" `Quick test_netdrv_exclusive_io;
+          Alcotest.test_case "a send's cost does not depend on the frame" `Quick
+            test_netdrv_send_cost_is_flat;
+          driver_rx_accounting_prop;
+          Alcotest.test_case "a receive buffer is lent until rx returns" `Quick
+            test_netdrv_lends_rx_buffers;
         ] );
       ( "stack",
         [

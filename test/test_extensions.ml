@@ -201,7 +201,7 @@ let test_cluster_frame_delivery () =
   ignore
     (Invoke.call_exn ctx_a (Cluster.net_a cl).System.stack ~iface:"stack" ~meth:"send"
        [ Value.Int Cluster.addr_b; Value.Int 8; Value.Int 9;
-         Value.Blob (Bytes.of_string "hi b") ]);
+         Stack.view (Bytes.of_string "hi b") ~off:0 ~len:4 ]);
   Cluster.step cl ~ticks:5 ();
   (match
      Invoke.call_exn ctx_b netb.System.stack ~iface:"stack" ~meth:"recv" [ Value.Int 9 ]

@@ -89,7 +89,7 @@ let test_interposed_monitor_sees_everything () =
     ignore
       (stack_call k kdom net.System.stack "send"
          [ Value.Int 13; Value.Int 1; Value.Int 2;
-           Value.Blob (Bytes.make (i * 10) 'x') ])
+           Stack.view (Bytes.make (i * 10) 'x') ~off:0 ~len:(i * 10) ])
   done;
   Kernel.step k ~ticks:8 ();
   Alcotest.check value "all sends observed" (Value.Int 5)

@@ -531,6 +531,72 @@ let props =
         match Journal.import_all s with Ok _ | Error _ -> true);
   ]
 
+(* The committed recordings ([golden/*.rec], a dependency of this test)
+   as decoder input: a recording cut short, one byte flipped, one line
+   dropped or one line doubled goes through [Replay.recording_of_string]
+   and then [Journal.import], and each step answers [Ok] or a named
+   [Error] without raising. The files themselves decode. *)
+let golden_recordings =
+  lazy
+    (let dir = if Sys.file_exists "../golden" then "../golden" else "golden" in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f -> Filename.check_suffix f ".rec")
+     |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
+
+type mangle = Cut of int | Flip of int * int | Drop_line of int | Dup_line of int
+
+let mangle s = function
+  | Cut n -> String.sub s 0 (n mod (String.length s + 1))
+  | Flip (i, mask) ->
+    let b = Bytes.of_string s in
+    let i = i mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+    Bytes.to_string b
+  | Drop_line i | Dup_line i as m ->
+    let lines = String.split_on_char '\n' s in
+    let i = i mod List.length lines in
+    List.concat_map
+      (fun (k, l) -> if k <> i then [ l ] else match m with Dup_line _ -> [ l; l ] | _ -> [])
+      (List.mapi (fun k l -> (k, l)) lines)
+    |> String.concat "\n"
+
+let decodes_or_names_its_error s =
+  match Replay.recording_of_string s with
+  | Error e -> e <> ""
+  | Ok r -> (match Journal.import r.Replay.journal with Ok _ -> true | Error e -> e <> "")
+
+let test_golden_recordings_decode () =
+  let files = Lazy.force golden_recordings in
+  Alcotest.(check bool) "the corpus has recordings" true (List.length files >= 8);
+  List.iter
+    (fun (name, s) ->
+      match Replay.recording_of_string s with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok r ->
+        (match Journal.import r.Replay.journal with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: journal: %s" name e))
+    files
+
+let golden_mangle_prop =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_bound 63)
+        (oneof
+           [
+             map (fun n -> Cut n) (int_bound 1_000_000);
+             map2 (fun i m -> Flip (i, m)) (int_bound 1_000_000) (int_range 1 255);
+             map (fun i -> Drop_line i) (int_bound 10_000);
+             map (fun i -> Dup_line i) (int_bound 10_000);
+           ]))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"mangled committed recordings never raise" gen
+       (fun (file, m) ->
+         let files = Lazy.force golden_recordings in
+         let _, s = List.nth files (file mod List.length files) in
+         decodes_or_names_its_error (mangle s m)))
+
 let test_first_divergence () =
   let j = Journal.create () in
   Journal.set_mode j Journal.Full;
@@ -954,6 +1020,9 @@ let () =
             test_adversarial_marks_roundtrip;
           Alcotest.test_case "truncated import fails soft" `Quick
             test_truncated_import_fails_soft;
+          Alcotest.test_case "committed recordings decode" `Quick
+            test_golden_recordings_decode;
+          golden_mangle_prop;
         ] );
       ("properties", props);
       ( "service",

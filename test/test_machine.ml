@@ -763,9 +763,18 @@ type copy_outcome = Copied of string | Faulted of Mmu.fault | Invalid of string
    the result or the raised fault, the cycles, every counter, the
    handler's calls, physical memory, and the TLB left behind (the cost
    of a probe read of each page afterwards). *)
-let run_copy_case ~segmented c =
+type copier = Byte_loop | Segments | Dma
+
+let dma_read_string m ctx vaddr len =
+  let b = Bytes.create len in
+  Machine.dma m ctx vaddr b Mmu.Read;
+  Bytes.to_string b
+
+let dma_write_string m ctx vaddr s = Machine.dma m ctx vaddr (Bytes.of_string s) Mmu.Write
+
+let run_copy_case ?(costs = Cost.default) ~copier c =
   let ps = copy_page_size in
-  let m = Machine.create ~costs:Cost.default ~frames:32 ~page_size:ps () in
+  let m = Machine.create ~costs ~frames:32 ~page_size:ps () in
   let mmu = Machine.mmu m and phys = Machine.phys m in
   let ctx = Mmu.new_context mmu and other = Mmu.new_context mmu in
   let frames =
@@ -819,12 +828,18 @@ let run_copy_case ~segmented c =
   let outcome =
     match
       if c.write then begin
-        (if segmented then Machine.write_string else loop_write_string)
+        (match copier with
+        | Segments -> Machine.write_string
+        | Byte_loop -> loop_write_string
+        | Dma -> dma_write_string)
           m ctx c.vaddr c.data;
         ""
       end
       else
-        (if segmented then Machine.read_string else loop_read_string)
+        (match copier with
+        | Segments -> Machine.read_string
+        | Byte_loop -> loop_read_string
+        | Dma -> dma_read_string)
           m ctx c.vaddr (String.length c.data)
     with
     | s -> Copied s
@@ -848,9 +863,9 @@ let run_copy_case ~segmented c =
   (outcome, cycles, counters, List.rev !calls, memory, probe)
 
 let copy_matches_loop c =
-  let ((o, cyc, cnt, calls, mem, probe) as seg) = run_copy_case ~segmented:true c in
+  let ((o, cyc, cnt, calls, mem, probe) as seg) = run_copy_case ~copier:Segments c in
   let ((o', cyc', cnt', calls', mem', probe') as loop) =
-    run_copy_case ~segmented:false c
+    run_copy_case ~copier:Byte_loop c
   in
   let differ what = QCheck2.Test.fail_reportf "%s differs from the byte loop" what in
   if o <> o' then differ "the result";
@@ -865,6 +880,39 @@ let copy_cost_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"page-segment copies cost what a byte loop costs"
        ~print:print_copy_case gen_copy_case copy_matches_loop)
+
+(* A DMA is a bulk copy whose bytes the bus does not charge: on the
+   default costs it does everything a copy does on a machine whose
+   [mem_read] and [mem_write] are free (the same result or fault, cycles,
+   counters, handler calls, memory and TLB), and charges not one byte. *)
+let dma_matches_free_copy c =
+  let free = { Cost.default with Cost.mem_read = 0; mem_write = 0 } in
+  let o, cyc, cnt, calls, mem, probe = run_copy_case ~copier:Dma c in
+  let o', cyc', cnt', calls', mem', probe' = run_copy_case ~costs:free ~copier:Segments c in
+  let differ what = QCheck2.Test.fail_reportf "%s differs from a free copy" what in
+  if o <> o' then differ "the result";
+  if cyc <> cyc' then QCheck2.Test.fail_reportf "cycles: %d, free copy %d" cyc cyc';
+  if cnt <> cnt' then differ "a counter";
+  (* the handler logs the clock, which the warm-up reads before the DMA
+     advanced by [mem_read] each on the default costs alone *)
+  let warm_reads =
+    if c.current then List.length (List.filter (fun v -> c.pages.(v) = Ro || c.pages.(v) = Rw) c.warm)
+    else 0
+  in
+  let shift = warm_reads * Cost.default.Cost.mem_read in
+  if List.map (fun (t, f) -> (t - shift, f)) calls <> calls' then
+    differ "the fault handler's call log";
+  if mem <> mem' then differ "physical memory";
+  (* each probe is a [read8], which charges [mem_read] on the default
+     costs alone *)
+  if List.map (fun (v, t) -> (v, t - Cost.default.Cost.mem_read)) probe <> probe' then
+    differ "the TLB left behind";
+  true
+
+let dma_cost_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"a DMA costs a copy with free bus accesses"
+       ~print:print_copy_case gen_copy_case dma_matches_free_copy)
 
 let test_machine_fault_handler_resolves () =
   let m = unit_machine () in
@@ -1542,6 +1590,7 @@ let () =
             test_machine_fault_handler_resolves;
           Alcotest.test_case "fatal fault" `Quick test_machine_fatal_fault;
           copy_cost_prop;
+          dma_cost_prop;
           Alcotest.test_case "traps" `Quick test_machine_traps;
           Alcotest.test_case "irqs" `Quick test_machine_irqs;
         ] );

@@ -269,11 +269,14 @@ let codec_props =
       ~rid_at:(Some Netwire.Delivery.header_len);
     Codec_props.hostile "delivery parse on hostile bytes" ~gen_spec:delivery_spec
       ~build:build_delivery ~parse:Netwire.Delivery.parse;
+    (* parse leaves the payload in the message and charges its header *)
     Codec_props.roundtrip "txreq round-trip" ~gen_spec:txreq_spec ~build:build_txreq
-      ~parse:Netwire.Txreq.parse
-      ~same:(fun (dst, sport, dport, payload) (r : Netwire.Txreq.t) ->
-        r.dst = dst && r.sport = sport && r.dport = dport && Bytes.equal r.payload payload)
-      ~rid_at:(Some Netwire.Txreq.header_len);
+      ~parse:(fun ctx msg -> Result.map (fun r -> (r, msg)) (Netwire.Txreq.parse ctx msg))
+      ~same:(fun (dst, sport, dport, payload) ((r : Netwire.Txreq.t), msg) ->
+        r.dst = dst && r.sport = sport && r.dport = dport
+        && Bytes.equal (Bytes.sub msg r.off r.len) payload)
+      ~rid_at:(Some Netwire.Txreq.header_len)
+      ~parse_charge:Netwire.Txreq.header_len;
     Codec_props.hostile "txreq parse on hostile bytes" ~gen_spec:txreq_spec
       ~build:build_txreq ~parse:Netwire.Txreq.parse;
   ]

@@ -70,6 +70,49 @@ let test_driver_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range read must fail")
 
+(* The device DMAs a block between the driver's buffer and the media,
+   so the driver's CPU touches none of its bytes: a read and a
+   full-block write cost the device's [blk_op] and the same descriptor
+   work, and charge no access. A short write charges the zeros it pads
+   the block with, and nothing else. *)
+let test_driver_charges_no_byte () =
+  let _sys, k, store = fixture () in
+  let kdom = Kernel.kernel_domain k in
+  switch_to k kdom;
+  let ctx = Kernel.ctx k kdom and clock = Kernel.clock k in
+  let c = ctx.Call_ctx.costs in
+  let drv = store.System.blk_driver in
+  let charged meth args =
+    let t0 = Clock.now clock and a0 = Call_ctx.accesses ctx in
+    ignore (Invoke.call_exn ctx drv ~iface:"block" ~meth args);
+    (Clock.now clock - t0, Call_ctx.accesses ctx - a0)
+  in
+  let read block = charged "read" [ Value.Int block ] in
+  let write block data = charged "write" [ Value.Int block; Value.Blob data ] in
+  (* the first op fills the TLB for the ring and the buffers *)
+  ignore (read 0);
+  (* before the device's op: the dispatch, the descriptor's three words
+     and the tail doorbell; after it: the completion interrupt's pop-up,
+     which reads and acks the status, then the waiter's read of the
+     descriptor and its ack *)
+  let descriptor_work =
+    Cost.dispatch c + (3 * c.Cost.mem_write) + c.Cost.io_write + c.Cost.interrupt
+    + c.Cost.proto_thread + c.Cost.io_read + c.Cost.io_write + c.Cost.mem_read
+    + c.Cost.io_write
+  in
+  let op = (Cost.blk_op c ~bytes:512 + descriptor_work, 0) in
+  for block = 1 to 4 do
+    Alcotest.(check (pair int int)) "a full-block write" op (write block (Bytes.make 512 'w'));
+    Alcotest.(check (pair int int)) "a read" op (read block)
+  done;
+  let pad = 512 - 12 in
+  Alcotest.(check (pair int int)) "a short write pays for its pad"
+    (fst op + (pad * c.Cost.mem_read), pad)
+    (write 5 (Bytes.of_string "twelve-bytes"));
+  Alcotest.(check string) "the short write reached the media padded"
+    ("twelve-bytes" ^ String.make pad '\000')
+    (media_prefix k ~block:5 512)
+
 let test_ring_wraparound () =
   let _sys, k, store = fixture () in
   let kdom = Kernel.kernel_domain k in
@@ -990,6 +1033,8 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "dma round-trip" `Quick test_driver_roundtrip;
+          Alcotest.test_case "the driver charges no byte it DMAs" `Quick
+            test_driver_charges_no_byte;
           Alcotest.test_case "ring wrap-around" `Quick test_ring_wraparound;
         ] );
       ( "stack",
