@@ -1213,12 +1213,17 @@ module E14 = struct
         float_of_int (Clock.now clock - before) /. float_of_int per_epoch
       in
       costs := cyc :: !costs;
+      (* the placement this epoch's packets ran under, read before the
+         epoch acts on them *)
+      let placement =
+        match Placer.placement placer with
+        | Some p -> Placer.placement_to_string p
+        | None -> Placer.placement_to_string (match start with `User -> Placer.User | `Certified -> Placer.Certified)
+      in
       let actions = if adaptive then Placer.epoch placer else [ Placer.Hold ] in
       rows :=
         [ i e;
-          (match Placer.placement placer with
-          | Some p -> Placer.placement_to_string p
-          | None -> Placer.placement_to_string (match start with `User -> Placer.User | `Certified -> Placer.Certified));
+          placement;
           Printf.sprintf "%.3f" (Placer.crossing_share placer);
           f1 cyc;
           String.concat " " (List.map action_to_string actions) ]
@@ -1287,13 +1292,16 @@ module E14 = struct
       done;
       let cyc = float_of_int (Clock.now clock - before) /. float_of_int msgs in
       costs := cyc :: !costs;
+      (* the mode this epoch's messages ran under, read before the epoch
+         acts on them *)
+      let mode = match Chan.mode chan with Chan.Doorbell -> "doorbell" | Chan.Poll -> "poll" in
       let actions = if adaptive then Placer.epoch placer else [ Placer.Hold ] in
       (* the share counts each ring's crossing as it was paid, so it is
          part of the epoch's cycles *)
       assert (Placer.doorbell_share placer <= 1.);
       rows :=
         [ i e;
-          (match Chan.mode chan with Chan.Doorbell -> "doorbell" | Chan.Poll -> "poll");
+          mode;
           Printf.sprintf "%.3f" (Placer.doorbell_share placer);
           f1 cyc;
           String.concat " " (List.map action_to_string actions) ]

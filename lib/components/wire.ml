@@ -1,4 +1,6 @@
 module Call_ctx = Pm_obj.Call_ctx
+module Cksum = Pm_machine.Cksum
+module Nic = Pm_machine.Nic
 
 let check16 label v =
   if v < 0 || v > 0xffff then invalid_arg (Printf.sprintf "Wire: %s out of range" label)
@@ -10,26 +12,11 @@ let set32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 let in_bounds b ~off ~len = off >= 0 && len >= 0 && off <= Bytes.length b - len
 
-(* 16-bit ones' complement sum of [len] bytes at [off], uncharged. *)
-let fold16 b ~off ~len =
-  let acc = ref 0 in
-  let i = ref off in
-  let last = off + len in
-  while !i < last do
-    let word =
-      if !i + 1 < last then Bytes.get_uint16_be b !i else Char.code (Bytes.get b !i) lsl 8
-    in
-    acc := !acc + word;
-    if !acc > 0xffff then acc := (!acc land 0xffff) + 1;
-    i := !i + 2
-  done;
-  lnot !acc land 0xffff
-
 (* charges one access per byte summed *)
 let sum16 ctx b ~off ~len =
   if not (in_bounds b ~off ~len) then invalid_arg "Wire.sum16: range out of bounds";
   Call_ctx.access ctx len;
-  fold16 b ~off ~len
+  Cksum.fold16 b ~off ~len
 
 (* The one buffer a packet lives in: copying the payload in is the
    packet's one payload copy, charged a byte at a time. The header and
@@ -53,7 +40,10 @@ module Frame = struct
   type t = { dst : int; src : int; off : int; len : int }
 
   let header_len = 6
-  let trailer_len = 2
+
+  (* the device's fcs: written as the frame leaves, checked as it
+     arrives *)
+  let trailer_len = Nic.fcs_len
 
   let write ctx b ~off ~dst ~src ~len =
     check16 "frame dst" dst;
@@ -64,9 +54,7 @@ module Frame = struct
     Bytes.set_uint16_be b off dst;
     Bytes.set_uint16_be b (off + 2) src;
     Bytes.set_uint16_be b (off + 4) len;
-    Call_ctx.access ctx header_len;
-    let fcs = sum16 ctx b ~off ~len:(header_len + len) in
-    Bytes.set_uint16_be b (off + header_len + len) fcs
+    Call_ctx.access ctx header_len
 
   let parse ctx b ~off ~len =
     if not (in_bounds b ~off ~len) then Error "frame: range outside the buffer"
@@ -77,12 +65,7 @@ module Frame = struct
       and src = Bytes.get_uint16_be b (off + 2)
       and plen = Bytes.get_uint16_be b (off + 4) in
       if len <> header_len + plen + trailer_len then Error "frame: bad length"
-      else begin
-        let fcs = sum16 ctx b ~off ~len:(header_len + plen) in
-        if fcs <> Bytes.get_uint16_be b (off + header_len + plen) then
-          Error "frame: bad fcs"
-        else Ok { dst; src; off = off + header_len; len = plen }
-      end
+      else Ok { dst; src; off = off + header_len; len = plen }
     end
 end
 
@@ -96,7 +79,7 @@ module Net = struct
      over the whole header. *)
   let header_sum ctx b off =
     Call_ctx.access ctx header_len;
-    fold16 b ~off ~len:(header_len - 2)
+    Cksum.fold16 b ~off ~len:(header_len - 2)
 
   let write ctx b ~off ~src ~dst ~ttl ~proto ~len =
     check16 "net src" src;
@@ -188,4 +171,5 @@ let frame ctx ~src ~dst ~ttl ~proto ~sport ~dport payload =
   Transport.write ctx b ~off:toff ~sport ~dport ~len;
   Net.write ctx b ~off:noff ~src ~dst ~ttl ~proto ~len:(Transport.header_len + len);
   Frame.write ctx b ~off:0 ~dst ~src ~len:(Net.header_len + Transport.header_len + len);
+  Nic.seal b;
   b

@@ -1,14 +1,18 @@
 (** Packet wire formats for the protocol-stack component.
 
-    Three layers, each with explicit header write/parse and a 16-bit
-    ones' complement checksum. Every byte touched is recorded through
+    Three layers, each with explicit header write/parse; the net and
+    transport layers carry a 16-bit ones' complement checksum
+    ({!Pm_machine.Cksum.fold16}). Every byte touched is recorded through
     {!Pm_obj.Call_ctx.access}, so per-packet protocol work scales with
     packet size and is visible to the SFI sandbox baseline.
 
     All integer fields are big-endian.
 
-    - Frame: [dst(2) src(2) len(2)] payload [fcs(2)] — fcs covers header
-      and payload.
+    - Frame: [dst(2) src(2) len(2)] payload [fcs(2)] — the fcs covers
+      header and payload. It is the NIC's: the device writes it as the
+      frame leaves and drops a frame whose fcs does not match before it
+      reaches memory ({!Pm_machine.Nic}), so the framer makes no pass
+      over the packet.
     - Net: [src(2) dst(2) ttl(1) proto(1) total_len(2) cksum(2)] payload —
       cksum covers the header.
     - Transport: [sport(2) dport(2) len(2) cksum(2)] payload — cksum
@@ -23,10 +27,8 @@
     returns the offset and length of the packet it carries inside the
     same buffer. Nothing here copies a payload out: the one receive copy
     is the consumer's, into what the application reads. The charges
-    follow the bytes touched: a layer's header bytes, its checksum pass,
-    and the one payload copy in {!packet}. *)
-
-val sum16 : Pm_obj.Call_ctx.t -> bytes -> off:int -> len:int -> int
+    follow the bytes touched: a layer's header bytes, the net and
+    transport checksum passes, and the one payload copy in {!packet}. *)
 
 (** Unsigned big-endian 32-bit fields, shared by every wire format in
     the system ([set32] keeps the low 32 bits). 16-bit fields use
@@ -66,12 +68,14 @@ module Frame : sig
   val trailer_len : int
 
   (** [write ctx b ~off ~dst ~src ~len] frames the [len]-byte packet at
-      [off + header_len]: the header goes at [off] and the fcs right
-      after the packet. Charges the header and the fcs pass. *)
+      [off + header_len]: the header goes at [off], and the
+      [trailer_len] bytes after the packet are left for the fcs, which
+      the NIC writes as the frame leaves. Charges the header. *)
   val write :
     Pm_obj.Call_ctx.t -> bytes -> off:int -> dst:int -> src:int -> len:int -> unit
 
-  (** Charges the header and the fcs pass. *)
+  (** Checks the header's length word against [len] and charges the
+      header. The fcs is not read: the NIC checked it on arrival. *)
   val parse : Pm_obj.Call_ctx.t -> bytes -> off:int -> len:int -> (t, string) result
 end
 
@@ -129,8 +133,9 @@ val stack_overhead : int
 
 (** [frame ctx ~src ~dst ~ttl ~proto ~sport ~dport payload] is a whole
     frame built as the stack's three layers build one: {!packet}, then
-    each layer's [write], inside out. [src] and [dst] address both the
-    frame and the network header. *)
+    each layer's [write], inside out, then sealed ({!Pm_machine.Nic.seal})
+    as the sending device would seal it, ready to inject on the wire.
+    [src] and [dst] address both the frame and the network header. *)
 val frame :
   Pm_obj.Call_ctx.t ->
   src:int ->

@@ -13,6 +13,20 @@ let tx_slots = 16
    that never drains them must not grow with every frame it sends. *)
 let capture = 4096
 
+(* The frame check sequence: a frame's last [fcs_len] bytes hold the
+   ones' complement sum of every byte before them. *)
+let fcs_len = 2
+
+let seal frame =
+  let n = Bytes.length frame - fcs_len in
+  if n < 0 then invalid_arg "Nic.seal: frame shorter than its fcs";
+  Bytes.set_uint16_be frame n (Cksum.fold16 frame ~off:0 ~len:n)
+
+let fcs_ok packet =
+  let frame = Bytes.unsafe_of_string packet in
+  let n = Bytes.length frame - fcs_len in
+  n >= 0 && Cksum.fold16 frame ~off:0 ~len:n = Bytes.get_uint16_be frame n
+
 (* The descriptor rings are fixed arrays indexed by running counts
    (slot = count mod capacity), so a descriptor costs no allocation. On
    the receive ring, [rx_head, rx_fill) are filled frames awaiting the
@@ -39,6 +53,7 @@ type t = {
   mutable tx_tail : int;
   transmitted : string Queue.t; (* the newest <= [capture], oldest first *)
   mutable rx_dropped : int;
+  mutable rx_bad_fcs : int;
 }
 
 let ctrl_rx_enable = 1
@@ -61,6 +76,7 @@ let reg_read t reg =
   | 7 -> 0
   | 8 -> t.rx_dropped
   | 9 -> tx_slots - (t.tx_tail - t.tx_head)
+  | 10 -> t.rx_bad_fcs
   | _ -> 0
 
 let reg_write t reg v =
@@ -97,7 +113,9 @@ let interrupt t =
    then raise one interrupt if either completed. The driver services
    every cause in one entry, so a loopback frame's tx-done and rx share
    it. A looped-back frame goes to the receive side only: it never
-   reaches the wire, so it is not captured. *)
+   reaches the wire, so it is not captured. The device seals each frame
+   as it leaves and checks each one that arrives: a frame whose fcs does
+   not match is counted and dropped before it takes a buffer. *)
 let tick t =
   let phys = Machine.phys t.machine in
   let fired = ref false in
@@ -107,6 +125,7 @@ let tick t =
     let len = t.tx_len.(slot) in
     let frame = Bytes.create len in
     Physmem.read_bytes phys t.tx_addr.(slot) frame 0 len;
+    if len >= fcs_len then seal frame;
     let frame = Bytes.unsafe_to_string frame in
     if t.ctrl land ctrl_loopback <> 0 then Queue.push frame t.wire_in
     else begin
@@ -118,7 +137,8 @@ let tick t =
   end;
   if t.ctrl land ctrl_rx_enable <> 0 && not (Queue.is_empty t.wire_in) then begin
     let packet = Queue.pop t.wire_in in
-    if t.rx_fill = t.rx_tail then t.rx_dropped <- t.rx_dropped + 1
+    if not (fcs_ok packet) then t.rx_bad_fcs <- t.rx_bad_fcs + 1
+    else if t.rx_fill = t.rx_tail then t.rx_dropped <- t.rx_dropped + 1
     else begin
       let slot = t.rx_fill mod rx_slots in
       let len = String.length packet in
@@ -153,10 +173,11 @@ let create machine ~irq_line =
       tx_tail = 0;
       transmitted = Queue.create ();
       rx_dropped = 0;
+      rx_bad_fcs = 0;
     }
   in
   let dev =
-    Device.make ~name:"nic" ~reg_count:10 ~reg_read:(reg_read t)
+    Device.make ~name:"nic" ~reg_count:11 ~reg_read:(reg_read t)
       ~reg_write:(reg_write t) ~tick:(fun () -> tick t)
   in
   t.io_base <- Machine.attach_device machine dev;

@@ -18,6 +18,19 @@
     device reads it at its DMA, so a staged frame must not change
     between TX_GO and its tx-done.
 
+    {b The frame check sequence.} The device, not the CPU, computes and
+    checks each frame's fcs, as Ethernet controllers do: a frame's last
+    {!fcs_len} bytes hold the ones' complement sum ({!Cksum.fold16}) of
+    every byte before them. On transmit the device writes that sum into
+    the frame's trailer as the frame leaves (the staged bytes in memory
+    are not written back); a frame shorter than the trailer goes out as
+    it lies. On receive it checks the sum before anything else: a frame
+    whose sum does not match is counted in RX_BAD_FCS and dropped. It
+    takes no buffer, is never DMA'd and raises no interrupt. The sum is
+    the device's work and charges no cycle; a frame injected on the wire
+    must come sealed ({!seal}), as the sending device would have left
+    it.
+
     The device's descriptor rings are fixed memory, as on a real NIC:
     the receive ring holds {!rx_slots} descriptors and the transmit ring
     {!tx_slots}, and a descriptor costs no allocation. A receive
@@ -43,7 +56,9 @@
       the descriptor is dropped and nothing is counted — check TX_FREE
       first)
     - 8 [RX_DROPPED] (read-only): packets dropped for want of buffers
-    - 9 [TX_FREE] (read-only): free tx descriptor slots *)
+    - 9 [TX_FREE] (read-only): free tx descriptor slots
+    - 10 [RX_BAD_FCS] (read-only): frames dropped because their fcs did
+      not match *)
 
 type t
 
@@ -56,6 +71,15 @@ val rx_slots : int
 (** Transmit descriptor-ring capacity. *)
 val tx_slots : int
 
+(** The frame check sequence's length: a frame's last 2 bytes. *)
+val fcs_len : int
+
+(** [seal frame] writes the fcs into [frame]'s last {!fcs_len} bytes: the
+    ones' complement sum of every byte before them, what the device writes
+    as a frame leaves. Raises [Invalid_argument] if [frame] is shorter
+    than {!fcs_len}. *)
+val seal : bytes -> unit
+
 (** [create machine ~irq_line] builds the NIC and attaches it to the
     machine. *)
 val create : Machine.t -> irq_line:int -> t
@@ -64,8 +88,9 @@ val io_base : t -> int
 
 (** {1 The wire} — test/workload side of the device. *)
 
-(** [inject t packet] queues a packet for delivery on a later tick.
-    Raises [Invalid_argument] if longer than [mtu]. *)
+(** [inject t packet] queues a packet for delivery on a later tick; the
+    device drops it there unless its fcs matches (see {!seal}). Raises
+    [Invalid_argument] if longer than [mtu]. *)
 val inject : t -> string -> unit
 
 (** How many transmitted frames the wire keeps between two

@@ -5,7 +5,8 @@
    key -> log sequence number. [recover] replays the log front-to-back
    to rebuild the index — the log is the store, the index is a cache of
    it. Durability = [flush], which pushes the cache's dirty blocks and
-   then the log's superblock down to the device.
+   then the log's superblock down to the device; a net client asks for
+   it with a {!Storewire.kv_flush} request.
 
    [serve] exports the store over the channel-backed network path: a
    {!Pm_net.Netstack_chan} port ring on the receive side, the shared
@@ -188,12 +189,16 @@ let exec_request kv ctx (req : Storewire.Kvmsg.req) =
     with
     | Ok _ -> (Kvmsg.status_ok, Bytes.empty)
     | Error _ -> (Kvmsg.status_error, Bytes.empty)
-  else
+  else if req.Kvmsg.op = kv_del then
     match
       Invoke.call ctx kv ~iface:"kv" ~meth:"del" [ Value.Blob req.Kvmsg.key ]
     with
     | Ok (Value.Bool true) -> (Kvmsg.status_ok, Bytes.empty)
     | Ok _ -> (Kvmsg.status_not_found, Bytes.empty)
+    | Error _ -> (Kvmsg.status_error, Bytes.empty)
+  else
+    match Invoke.call ctx kv ~iface:"kv" ~meth:"flush" [] with
+    | Ok _ -> (Kvmsg.status_ok, Bytes.empty)
     | Error _ -> (Kvmsg.status_error, Bytes.empty)
 
 (* [serve api dom ~kv ~net ~port ()] binds [port]'s receive ring to

@@ -134,13 +134,16 @@ let kv_get = 1
 let kv_put = 2
 let kv_del = 3
 
+(* makes every write answered so far durable; key and value empty *)
+let kv_flush = 4
+
 module Kvmsg = struct
   type req = { op : int; key : bytes; value : bytes }
 
   let req_header_len = 3
 
   let build_req ctx ~op ~key value =
-    if op < kv_get || op > kv_del then invalid_arg "Storewire: bad kv op";
+    if op < kv_get || op > kv_flush then invalid_arg "Storewire: bad kv op";
     let klen = Bytes.length key in
     Wire.check16 "kv key length" klen;
     let rl = Trace.rid_len () in
@@ -160,7 +163,7 @@ module Kvmsg = struct
     if total < req_header_len + rl then Error "kv req: truncated"
     else begin
       let op = Char.code (Bytes.get b 0) in
-      if op < kv_get || op > kv_del then Error "kv req: bad op"
+      if op < kv_get || op > kv_flush then Error "kv req: bad op"
       else begin
         let klen = Bytes.get_uint16_be b 1 in
         if total < req_header_len + rl + klen then Error "kv req: truncated key"

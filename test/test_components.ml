@@ -73,6 +73,16 @@ let framed ctx ~dst ~src payload =
 
 let whole f ctx b = f ctx b ~off:0 ~len:(Bytes.length b)
 
+(* [body] as a sending device leaves it on the wire: followed by its
+   fcs, which the receiving NIC checks before it takes the frame *)
+let sealed body =
+  let b = Bytes.of_string (body ^ String.make Nic.fcs_len '\000') in
+  Nic.seal b;
+  Bytes.to_string b
+
+(* RX_BAD_FCS, the NIC's count of frames it dropped for a bad fcs *)
+let bad_fcs machine nic = Machine.io_read machine (Nic.io_base nic + 40)
+
 let test_frame_round_trip () =
   let _, ctx = ctx_fixture () in
   let raw = framed ctx ~dst:7 ~src:9 "some payload" in
@@ -83,13 +93,26 @@ let test_frame_round_trip () =
     Alcotest.(check string) "payload in place" "some payload" (Bytes.sub_string raw off len)
   | Error e -> Alcotest.fail e)
 
+(* The framer checks the frame's length; the fcs is the NIC's, so a
+   changed byte is the device's to catch: it drops the frame before any
+   DMA, counts it, and raises no interrupt. *)
 let test_frame_detects_corruption () =
   let _, ctx = ctx_fixture () in
   let raw = framed ctx ~dst:7 ~src:9 "payload" in
+  Nic.seal raw;
   Bytes.set raw 8 'X';
-  (match whole Wire.Frame.parse ctx raw with
-  | Error "frame: bad fcs" -> ()
-  | _ -> Alcotest.fail "corruption must be detected");
+  let m = Machine.create ~costs:Cost.unit_costs ~frames:8 ~page_size:256 () in
+  let nic = Nic.create m ~irq_line:1 in
+  let irqs = ref 0 in
+  Machine.set_irq_handler m 1 (Some (fun () -> incr irqs));
+  let base = Nic.io_base nic in
+  Machine.io_write m (base + 8) (Physmem.alloc (Machine.phys m) * 256) (* RX_FREE *);
+  Machine.io_write m base 5 (* rx + irq enable *);
+  Nic.inject nic (Bytes.to_string raw);
+  Machine.tick m;
+  Alcotest.(check int) "corruption is dropped by the NIC" 1 (bad_fcs m nic);
+  Alcotest.(check int) "and raises no interrupt" 0 !irqs;
+  Alcotest.(check int) "its buffer is still posted" 1 (Machine.io_read m (base + 8));
   (match whole Wire.Frame.parse ctx (Bytes.create 3) with
   | Error "frame: truncated" -> ()
   | _ -> Alcotest.fail "truncation must be detected");
@@ -208,7 +231,7 @@ let test_wire_charges_accesses () =
   let before = Clock.counter clock "component_mem_access" in
   ignore (framed ctx ~dst:1 ~src:2 (String.make 100 'x'));
   let accesses = Clock.counter clock "component_mem_access" - before in
-  Alcotest.(check int) "per-byte work recorded" 212 accesses
+  Alcotest.(check int) "per-byte work recorded" 106 accesses
 
 (* --- allocator --------------------------------------------------------------- *)
 
@@ -357,7 +380,10 @@ let test_netdrv_send_cost_is_flat () =
     let cost = (Clock.now clock - t0, Call_ctx.accesses ctx - a0) in
     Kernel.step k ~ticks:2 ();
     (match Nic.take_transmitted (Kernel.nic k) with
-    | [ sent ] -> Alcotest.(check string) "the frame went out as it lay" (Bytes.to_string frame) sent
+    | [ sent ] ->
+      Alcotest.(check string) "the frame went out as it lay, sealed by the device"
+        (sealed (Bytes.sub_string frame 0 (len - Nic.fcs_len)))
+        sent
     | l -> Alcotest.failf "expected one frame, got %d" (List.length l));
     cost
   in
@@ -373,7 +399,8 @@ let test_netdrv_send_cost_is_flat () =
 
 (* One frame injected on the wire and received through the driver and
    the certified stack into a mailbox: the stack's charges (each header,
-   each checksum pass, one copy of the payload into the mailbox) and a
+   the net and transport checksum passes, one copy of the payload into
+   the mailbox) and a
    driver cost that does not depend on the frame's length, since the
    device, not the CPU, moves the frame. *)
 let driver_rx_accounting_prop =
@@ -408,7 +435,9 @@ let driver_rx_accounting_prop =
          Kernel.step k ~ticks:2 ();
          let cycles = Clock.now clock - t0 and accesses = Call_ctx.accesses ctx - a0 in
          let headers = Wire.Frame.header_len + Wire.Net.header_len + Wire.Transport.header_len in
-         let checksums = headers + p + Wire.Net.header_len + p in
+         (* the net checksum's pass over its header, the transport's over
+            the payload; the fcs is the NIC's and charges nothing *)
+         let checksums = Wire.Net.header_len + p in
          let driver = cycles - (accesses * ctx.Call_ctx.costs.Cost.mem_read) in
          let same_driver_cost =
            match !fixed with
@@ -423,6 +452,47 @@ let driver_rx_accounting_prop =
          && Value.equal delivered
               (Value.List
                  [ Value.Pair (Value.Pair (Value.Int 13, Value.Int 1), Value.Blob (Bytes.of_string payload)) ])))
+
+(* The parent framer's fcs, from the definition: the ones' complement
+   of the ones' complement sum of the frame's big-endian 16-bit words
+   before the trailer, an odd last byte padded with a zero. *)
+let framer_fcs b n =
+  let sum = ref 0 in
+  for i = 0 to n - 1 do
+    let byte = Char.code (Bytes.get b i) in
+    sum := !sum + if i land 1 = 0 then byte lsl 8 else byte
+  done;
+  while !sum > 0xffff do
+    sum := (!sum land 0xffff) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xffff
+
+(* Every frame the stack sends leaves the NIC with the trailer the
+   framer used to write, over payloads of 0–1,400 B: the device sums the
+   header and packet as the frame goes out, and the rest of the frame is
+   what the three layers wrote. *)
+let nic_trailer_prop =
+  let fixture =
+    lazy
+      (let _, k, net = net_fixture () in
+       (k, net, Kernel.ctx k (Kernel.kernel_domain k)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"the NIC writes the trailer the framer wrote"
+       QCheck2.Gen.(string_size ~gen:char (int_range 0 1400))
+       (fun payload ->
+         let k, net, ctx = Lazy.force fixture in
+         ignore
+           (stack_call k (Kernel.kernel_domain k) net.System.stack "send"
+              [ Value.Int 13; Value.Int 5; Value.Int 6; blob_view (Bytes.of_string payload) ]);
+         Kernel.step k ~ticks:2 ();
+         match Nic.take_transmitted (Kernel.nic k) with
+         | [ sent ] ->
+           let b = Bytes.of_string sent in
+           let n = Bytes.length b - Wire.Frame.trailer_len in
+           Bytes.get_uint16_be b n = framer_fcs b n
+           && unwrap ctx b ~off:0 ~len:(Bytes.length b) = Ok (5, 6, payload)
+         | _ -> false))
 
 (* A received frame is lent to the sink: its buffer goes back to the
    device only once the sink's [rx] has returned. *)
@@ -442,7 +512,7 @@ let test_netdrv_lends_rx_buffers () =
           [
             Iface.fn1 ~name:"rx" Iface.Blob ~ret:Vtype.Tunit (fun _ frame ->
                 seen := (Bytes.to_string frame, rx_free ()) :: !seen;
-                if Bytes.to_string frame = "boom" then failwith "sink fault";
+                if Bytes.to_string frame = sealed "boom" then failwith "sink fault";
                 Ok Value.Unit);
           ];
       ]
@@ -453,16 +523,16 @@ let test_netdrv_lends_rx_buffers () =
        [ Value.Str "/test/sink" ]);
   let posted = rx_free () in
   Alcotest.(check int) "the driver posts its buffers" Netdrv.default_config.Netdrv.rx_buffers posted;
-  Nic.inject (Kernel.nic k) "first";
-  Nic.inject (Kernel.nic k) "second";
+  Nic.inject (Kernel.nic k) (sealed "first");
+  Nic.inject (Kernel.nic k) (sealed "second");
   Kernel.step k ~ticks:4 ();
   Alcotest.(check (list (pair string int))) "each rx ran with its buffer lent"
-    [ ("first", posted - 1); ("second", posted - 1) ]
+    [ (sealed "first", posted - 1); (sealed "second", posted - 1) ]
     (List.rev !seen);
   Alcotest.(check int) "every buffer is back once rx returned" posted (rx_free ());
   (* a sink that raises hands its buffer back all the same *)
   for _ = 1 to posted + 1 do
-    Nic.inject (Kernel.nic k) "boom";
+    Nic.inject (Kernel.nic k) (sealed "boom");
     (try Kernel.step k ~ticks:2 () with Failure _ -> ())
   done;
   Alcotest.(check int) "a raising sink loses no buffer" posted (rx_free ())
@@ -499,16 +569,18 @@ let test_stack_drops_corrupt_and_unbound () =
   let kdom = Kernel.kernel_domain k in
   let ctx = Kernel.ctx k kdom in
   ignore (stack_call k kdom net.System.stack "bind_port" [ Value.Int 7 ]);
-  (* corrupt FCS *)
+  (* a corrupt frame: its fcs no longer matches, so the NIC drops it *)
   let raw = make_packet ctx ~src:13 ~dst:42 ~sport:9 ~dport:7 "x" in
   Bytes.set raw 10 (Char.chr (Char.code (Bytes.get raw 10) lxor 0xff));
   Nic.inject (Kernel.nic k) (Bytes.to_string raw);
-  (* port 8 is not bound *)
+  (* port 8 is not bound: the stack drops it *)
   Nic.inject (Kernel.nic k)
     (Bytes.to_string (make_packet ctx ~src:13 ~dst:42 ~sport:9 ~dport:8 "y"));
   Kernel.step k ~ticks:4 ();
+  Alcotest.(check int) "the NIC dropped the corrupt frame" 1
+    (bad_fcs (Kernel.machine k) (Kernel.nic k));
   (match stack_call k kdom net.System.stack "stats" [] with
-  | Value.List [ Value.Int 0; Value.Int 2; Value.Int 0; Value.Int 0 ] -> ()
+  | Value.List [ Value.Int 0; Value.Int 1; Value.Int 0; Value.Int 0 ] -> ()
   | v -> Alcotest.failf "unexpected %s" (Value.to_string v))
 
 let test_stack_send_recv_loopback () =
@@ -1004,14 +1076,55 @@ let placements =
          (k, kdom, net.System.stack))
        [ System.Certified; System.Sandboxed ])
 
+(* What became of a frame injected on the wire of a booted stack: the
+   NIC dropped it (RX_BAD_FCS rose by one, no interrupt fired and the
+   stack saw nothing), the stack dropped it under the one reason it
+   logged, or port 7 received its payload. *)
+type fate = Nic_dropped | Stack_dropped of string | Delivered of string | Unexplained
+
+let fate (k, kdom, stack) m =
+  let machine = Kernel.machine k and nic = Kernel.nic k and clock = Kernel.clock k in
+  let stats () =
+    match stack_call k kdom stack "stats" [] with
+    | Value.List [ Value.Int ok; Value.Int dropped; _; _ ] -> (ok, dropped)
+    | v -> Alcotest.failf "stats returned %s" (Value.to_string v)
+  in
+  let bad0 = bad_fcs machine nic and irqs0 = Clock.read clock Clock.Interrupt in
+  let ok0, dropped0 = stats () in
+  with_debug_log (fun logged ->
+      Nic.inject nic (Bytes.to_string m);
+      Kernel.step k ~ticks:2 ();
+      let bad = bad_fcs machine nic - bad0 and irqs = Clock.read clock Clock.Interrupt - irqs0 in
+      match (stats (), drop_reasons !logged) with
+      | (ok, dropped), [] when bad = 1 && irqs = 0 && ok = ok0 && dropped = dropped0 ->
+        Nic_dropped
+      | (ok, dropped), [ reason ] when bad = 0 && ok = ok0 && dropped = dropped0 + 1 ->
+        Stack_dropped reason
+      | (ok, dropped), [] when bad = 0 && ok = ok0 + 1 && dropped = dropped0 -> (
+        match stack_call k kdom stack "recv" [ Value.Int 7 ] with
+        | Value.List [ Value.Pair (Value.Pair (Value.Int 13, Value.Int 9), Value.Blob b) ] ->
+          Delivered (Bytes.to_string b)
+        | _ -> Unexplained)
+      | _ -> Unexplained)
+
+(* the device's check: resealing a frame whose fcs matches changes
+   nothing *)
+let fcs_holds m =
+  Bytes.length m >= Nic.fcs_len
+  &&
+  let c = Bytes.copy m in
+  Nic.seal c;
+  Bytes.equal c m
+
 (* Every truncation and single-byte flip of a valid frame (payloads of
-   0–300 B), read by the three parsers at a nonzero offset inside a
-   larger buffer and sent through the stack's rx on the certified and
-   the sandboxed placement: nothing raises, and each one is rejected
-   with an Error naming its layer and dropped, counted in rx_dropped
-   under a named reason. The ones' complement fcs catches any one
-   changed byte, and a cut frame's length word cannot match. The valid
-   frame itself is accepted and delivers the payload sent. *)
+   0–300 B), injected on the wire of the certified and the sandboxed
+   stack, is dropped and never delivered: the NIC drops it for its fcs
+   (the ones' complement sum catches any one changed byte), or the
+   framer's length check drops it by name (a cut frame whose last two
+   bytes happen to sum right). Read in place by the three parsers at a
+   nonzero offset inside a larger buffer, nothing raises, and a mangled
+   frame the parsers accept is one whose fcs the device refuses. The
+   valid frame itself is delivered. *)
 let mangled_frames_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:12 ~name:"mangled frames are dropped by name"
@@ -1023,36 +1136,16 @@ let mangled_frames_prop =
          let payload = String.init plen (fun i -> Char.chr ((i * 7) land 0xff)) in
          let frame = make_packet ctx ~src:13 ~dst:42 ~sport:9 ~dport:7 payload in
          let n = Bytes.length frame in
-         let sent = Ok (9, 7, payload) in
          let in_place ~valid m =
            match unwrap ctx (embedded ~k ~frame m) ~off:k ~len:(Bytes.length m) with
-           | Ok _ as r -> valid && r = sent
+           | Ok r -> if valid then r = (9, 7, payload) else not (fcs_holds m)
            | Error e -> (not valid) && named_reason e
          in
-         let through_stack ~valid (k', kdom, stack) m =
-           let stats () =
-             match stack_call k' kdom stack "stats" [] with
-             | Value.List [ Value.Int ok; Value.Int dropped; _; _ ] -> (ok, dropped)
-             | v -> Alcotest.failf "stats returned %s" (Value.to_string v)
-           in
-           let ok0, dropped0 = stats () in
-           with_debug_log (fun logged ->
-               match
-                 Invoke.call (Kernel.ctx k' kdom) stack ~iface:"stack" ~meth:"rx"
-                   [ Value.Blob (Bytes.copy m) ]
-               with
-               | Error e -> Alcotest.failf "rx failed: %s" (Oerror.to_string e)
-               | Ok _ -> (
-                 match (stats (), drop_reasons !logged) with
-                 | (ok, dropped), [ reason ] when ok = ok0 && dropped = dropped0 + 1 ->
-                   (not valid) && named_reason reason
-                 | (ok, dropped), [] when valid && ok = ok0 + 1 && dropped = dropped0 -> (
-                   match stack_call k' kdom stack "recv" [ Value.Int 7 ] with
-                   | Value.List [ Value.Pair (Value.Pair (Value.Int 13, Value.Int 9), Value.Blob b) ]
-                     ->
-                     Bytes.to_string b = payload
-                   | _ -> false)
-                 | _ -> false))
+         let dropped placement m =
+           match fate placement m with
+           | Nic_dropped -> true
+           | Stack_dropped reason -> String.starts_with ~prefix:"frame: " reason
+           | Delivered _ | Unexplained -> false
          in
          let frames = mangled frame mask in
          List.length frames = 2 * n
@@ -1060,14 +1153,15 @@ let mangled_frames_prop =
          && List.for_all (in_place ~valid:false) frames
          && List.for_all
               (fun placement ->
-                through_stack ~valid:true placement frame
-                && List.for_all (through_stack ~valid:false placement) frames)
+                fate placement frame = Delivered payload
+                && List.for_all (dropped placement) frames)
               (Lazy.force placements)))
 
 (* One frame through the three layer objects and back. The send charges
-   each header, each checksum pass and the one copy of the payload into
-   the frame; the receive each header, each checksum pass and the one
-   copy out into the mailbox entry. Nothing else touches a byte. *)
+   each header, the net and transport checksum passes and the one copy
+   of the payload into the frame; the receive each header, the same two
+   checksum passes and the one copy out into the mailbox entry. Nothing
+   else touches a byte: the framer makes no pass over the packet. *)
 let one_copy_accounting_prop =
   let fixture =
     lazy
@@ -1106,9 +1200,9 @@ let one_copy_accounting_prop =
            charged (fun () -> Invoke.call_exn ctx stack ~iface:"stack" ~meth:"rx" [ frame ])
          in
          let headers = Wire.Frame.header_len + Wire.Net.header_len + Wire.Transport.header_len in
-         (* the fcs covers the frame header and the packet; the net
-            checksum its header; the transport checksum the payload *)
-         let checksums = (headers + p) + Wire.Net.header_len + p in
+         (* the net checksum covers its header and the transport
+            checksum the payload; the fcs is the NIC's *)
+         let checksums = Wire.Net.header_len + p in
          let expected = headers + checksums + p in
          let delivered =
            Invoke.call_exn ctx stack ~iface:"stack" ~meth:"recv" [ Value.Int 2 ]
@@ -1172,6 +1266,7 @@ let () =
           Alcotest.test_case "a send's cost does not depend on the frame" `Quick
             test_netdrv_send_cost_is_flat;
           driver_rx_accounting_prop;
+          nic_trailer_prop;
           Alcotest.test_case "a receive buffer is lent until rx returns" `Quick
             test_netdrv_lends_rx_buffers;
         ] );

@@ -15,6 +15,13 @@ let make_packet ctx ~src ~dst ~sport ~dport payload =
   Wire.frame ctx ~src ~dst ~ttl:8 ~proto:Stack.proto_transport
     ~sport ~dport (Bytes.of_string payload)
 
+(* [body] followed by its fcs, as a sending device leaves a frame on the
+   wire: the receiving NIC drops any other *)
+let sealed body =
+  let b = Bytes.of_string (body ^ String.make Nic.fcs_len '\000') in
+  Nic.seal b;
+  Bytes.to_string b
+
 (* push [n] packets through a configured system; returns cycles consumed
    and the number delivered *)
 let pump_packets sys net ~n ~payload_size =
@@ -232,7 +239,7 @@ let test_rx_ring_overrun_drops_not_crashes () =
   let ctx = Kernel.ctx k kdom in
   (* flood: many packets, few buffers, no ticks in between *)
   for _ = 1 to 20 do
-    Nic.inject (Kernel.nic k) "flood"
+    Nic.inject (Kernel.nic k) (sealed "flood")
   done;
   Kernel.step k ~ticks:30 ();
   (match Invoke.call_exn ctx driver ~iface:"netdev" ~meth:"dropped" [] with
@@ -245,7 +252,7 @@ let test_rx_ring_overrun_drops_not_crashes () =
   let nic2 = Kernel.nic k2 in
   Machine.io_write (Kernel.machine k2) (Nic.io_base nic2) 1;
   for _ = 1 to 5 do
-    Nic.inject nic2 "lost"
+    Nic.inject nic2 (sealed "lost")
   done;
   for _ = 1 to 6 do
     Machine.tick (Kernel.machine k2)

@@ -1004,6 +1004,17 @@ let nic_fixture () =
   let nic = Nic.create m ~irq_line:1 in
   (m, nic)
 
+(* [body] with room behind it for the fcs the device writes as the
+   frame leaves *)
+let unsealed body = body ^ String.make Nic.fcs_len '\000'
+
+(* [body] as a sending device leaves it on the wire: followed by its
+   fcs, which the receiving device checks before it takes the frame *)
+let sealed body =
+  let b = Bytes.of_string (unsealed body) in
+  Nic.seal b;
+  Bytes.to_string b
+
 let test_nic_rx_dma () =
   let m, nic = nic_fixture () in
   let irqs = ref 0 in
@@ -1012,14 +1023,14 @@ let test_nic_rx_dma () =
   let frame = Physmem.alloc (Machine.phys m) in
   Machine.io_write m (base + 8) (frame * 256) (* RX_FREE <- buffer *);
   Machine.io_write m base 5 (* rx + irq enable *);
-  Nic.inject nic "packet-one";
+  Nic.inject nic (sealed "packet-one");
   Machine.tick m;
   Alcotest.(check int) "irq" 1 !irqs;
   Alcotest.(check int) "status rx" 1 (Machine.io_read m (base + 4) land 1);
   let addr = Machine.io_read m (base + 12) in
   let len = Machine.io_read m (base + 16) in
   Alcotest.(check int) "buffer addr" (frame * 256) addr;
-  Alcotest.(check string) "payload" "packet-one"
+  Alcotest.(check string) "payload" (sealed "packet-one")
     (phys_get (Machine.phys m) addr len);
   (* ack pops it *)
   Machine.io_write m (base + 4) 1;
@@ -1029,10 +1040,92 @@ let test_nic_rx_drop_without_buffers () =
   let m, nic = nic_fixture () in
   let base = Nic.io_base nic in
   Machine.io_write m base 1 (* rx enable, no buffers *);
-  Nic.inject nic "lost";
+  Nic.inject nic (sealed "lost");
   Machine.tick m;
   Alcotest.(check int) "dropped" 1 (Machine.io_read m (base + 32));
   Alcotest.(check int) "wire drained" 0 (Nic.pending_wire nic)
+
+(* The fcs is RFC 1071's ones' complement sum: its worked example's
+   words 0001 f203 f4f5 f6f7 sum to 0xddf2, and the fcs is its
+   complement. An odd last byte is the high half of a word. *)
+let test_nic_fcs_known_answers () =
+  List.iter
+    (fun (body, fcs) ->
+      let b = Bytes.of_string (unsealed body) in
+      Nic.seal b;
+      Alcotest.(check int)
+        (Printf.sprintf "fcs of %S" body)
+        fcs
+        (Bytes.get_uint16_be b (String.length body)))
+    [
+      ("\x00\x01\xf2\x03\xf4\xf5\xf6\xf7", 0x220d);
+      ("\x00\x01\xf2\x03\xf4\xf5\xf6", 0x2304);
+      ("", 0xffff);
+    ];
+  Alcotest.check_raises "a frame shorter than its fcs"
+    (Invalid_argument "Nic.seal: frame shorter than its fcs") (fun () ->
+      Nic.seal (Bytes.create 1))
+
+(* The device writes each frame's fcs as it leaves: the staged bytes in
+   memory keep their empty trailer, and a frame shorter than the fcs
+   goes out as it lies. *)
+let test_nic_seals_on_transmit () =
+  let m, nic = nic_fixture () in
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let tx = Physmem.alloc phys * 256 in
+  Machine.io_write m base 2 (* tx *);
+  let send frame at =
+    phys_put phys frame (tx + at);
+    Machine.io_write m (base + 20) (tx + at);
+    Machine.io_write m (base + 24) (String.length frame);
+    Machine.io_write m (base + 28) 1 (* TX_GO *);
+    Machine.tick m
+  in
+  let body = "header and packet" in
+  send (unsealed body) 0;
+  send "z" 64;
+  send "" 128;
+  Alcotest.(check (list string)) "sealed on the wire" [ sealed body; "z"; "" ]
+    (Nic.take_transmitted nic);
+  Alcotest.(check string) "memory keeps the staged bytes" (unsealed body)
+    (phys_get phys tx (String.length (unsealed body)))
+
+(* The device checks each arriving frame's fcs before anything else: a
+   frame whose sum does not match, or that is shorter than its fcs, is
+   counted in RX_BAD_FCS (read-only) and dropped. It takes no buffer, is
+   never DMA'd and raises no interrupt; a sealed frame after it is
+   taken as usual. *)
+let test_nic_drops_bad_fcs () =
+  let m, nic = nic_fixture () in
+  let irqs = ref 0 in
+  Machine.set_irq_handler m 1 (Some (fun () -> incr irqs));
+  let base = Nic.io_base nic and phys = Machine.phys m in
+  let buf = Physmem.alloc phys * 256 in
+  Machine.io_write m (base + 8) buf (* RX_FREE <- buffer *);
+  Machine.io_write m base 5 (* rx + irq enable *);
+  let good = sealed "payload" in
+  let flipped = Bytes.of_string good in
+  Bytes.set flipped 3 (Char.chr (Char.code (Bytes.get flipped 3) lxor 0x10));
+  let bad = [ Bytes.to_string flipped; String.sub good 0 (String.length good - 1); "x"; "" ] in
+  List.iteri
+    (fun i frame ->
+      Nic.inject nic frame;
+      Machine.tick m;
+      Alcotest.(check int) (Printf.sprintf "%S counted" frame) (i + 1)
+        (Machine.io_read m (base + 40)))
+    bad;
+  Machine.io_write m (base + 40) 0;
+  Alcotest.(check int) "RX_BAD_FCS is read-only" (List.length bad) (Machine.io_read m (base + 40));
+  Alcotest.(check int) "no interrupt" 0 !irqs;
+  Alcotest.(check int) "no rx pending" 0 (Machine.io_read m (base + 4) land 1);
+  Alcotest.(check int) "the buffer is still posted" 1 (Machine.io_read m (base + 8));
+  Alcotest.(check int) "not a want of buffers" 0 (Machine.io_read m (base + 32));
+  Alcotest.(check string) "nothing DMA'd" (String.make 16 '\000') (phys_get phys buf 16);
+  Nic.inject nic good;
+  Machine.tick m;
+  Alcotest.(check int) "a sealed frame raises its interrupt" 1 !irqs;
+  Alcotest.(check string) "and is DMA'd" good (phys_get phys buf (String.length good));
+  Alcotest.(check int) "the count stands" (List.length bad) (Machine.io_read m (base + 40))
 
 (* a looped-back frame goes to the receive side and never reaches the
    wire, so the capture stays empty *)
@@ -1040,10 +1133,10 @@ let test_nic_tx_and_loopback () =
   let m, nic = nic_fixture () in
   let base = Nic.io_base nic and phys = Machine.phys m in
   let frame = Physmem.alloc phys and buf = Physmem.alloc phys in
-  phys_put phys "outgoing!" (frame * 256);
+  phys_put phys (unsealed "outgoing!") (frame * 256);
   Machine.io_write m base (2 lor 8) (* tx + loopback *);
   Machine.io_write m (base + 20) (frame * 256);
-  Machine.io_write m (base + 24) 9;
+  Machine.io_write m (base + 24) 11;
   Machine.io_write m (base + 28) 1 (* TX_GO *);
   Machine.tick m;
   Alcotest.(check int) "looped back to the receive side" 1 (Nic.pending_wire nic);
@@ -1051,9 +1144,9 @@ let test_nic_tx_and_loopback () =
   Machine.io_write m base (1 lor 2 lor 8) (* rx + tx + loopback *);
   Machine.tick m;
   Alcotest.(check int) "received" 0 (Nic.pending_wire nic);
-  Alcotest.(check int) "rx length" 9 (Machine.io_read m (base + 16));
-  Alcotest.(check string) "in the posted buffer" "outgoing!"
-    (phys_get phys (Machine.io_read m (base + 12)) 9);
+  Alcotest.(check int) "rx length" 11 (Machine.io_read m (base + 16));
+  Alcotest.(check string) "in the posted buffer, sealed" (sealed "outgoing!")
+    (phys_get phys (Machine.io_read m (base + 12)) 11);
   Alcotest.(check (list string)) "nothing on the wire" [] (Nic.take_transmitted nic);
   Alcotest.check_raises "oversize inject"
     (Invalid_argument "Nic.inject: packet exceeds MTU") (fun () ->
@@ -1079,7 +1172,7 @@ let test_nic_one_interrupt_per_tick () =
   Machine.tick m;
   Alcotest.(check int) "tx-done and rx share one interrupt" 1 !irqs;
   Alcotest.(check int) "both causes pending" 3 (Machine.io_read m (base + 4) land 3);
-  Nic.inject nic "rx-only";
+  Nic.inject nic (sealed "rx-only");
   Machine.tick m;
   Alcotest.(check int) "a second rx raises its own" 2 !irqs;
   Machine.tick m;
@@ -1094,15 +1187,15 @@ let test_nic_tx_capture () =
   let payload i = Printf.sprintf "frame-%05d" i in
   Machine.io_write m base 2 (* tx *);
   for i = 0 to Nic.capture + 2 do
-    phys_put (Machine.phys m) (payload i) (frame * 256);
+    phys_put (Machine.phys m) (unsealed (payload i)) (frame * 256);
     Machine.io_write m (base + 20) (frame * 256);
-    Machine.io_write m (base + 24) (String.length (payload i));
+    Machine.io_write m (base + 24) (String.length (unsealed (payload i)));
     Machine.io_write m (base + 28) 1 (* TX_GO *);
     Machine.tick m
   done;
   Alcotest.(check (list string))
     "the newest frames, oldest first"
-    (List.init Nic.capture (fun k -> payload (k + 3)))
+    (List.init Nic.capture (fun k -> sealed (payload (k + 3))))
     (Nic.take_transmitted nic);
   Alcotest.(check (list string)) "taken once" [] (Nic.take_transmitted nic)
 
@@ -1128,7 +1221,7 @@ let test_nic_rx_ring_capacity () =
     (Machine.io_read m (base + 8));
   Machine.io_write m base 1 (* rx enable *);
   for i = 1 to Nic.rx_slots + 3 do
-    Nic.inject nic (Printf.sprintf "f%d" i);
+    Nic.inject nic (sealed (Printf.sprintf "f%d" i));
     Machine.tick m
   done;
   Alcotest.(check int) "the extra buffers were dropped" 3 (Machine.io_read m (base + 32));
@@ -1155,10 +1248,10 @@ let test_nic_rx_ring_order () =
   Machine.io_write m base 1 (* rx enable *);
   let next_post = ref posted in
   for i = 0 to frames - 1 do
-    Nic.inject nic (Printf.sprintf "f%d" i);
+    Nic.inject nic (sealed (Printf.sprintf "f%d" i));
     Machine.tick m;
     let payload, addr = nic_pop m base in
-    Alcotest.(check string) "frame in order" (Printf.sprintf "f%d" i) payload;
+    Alcotest.(check string) "frame in order" (sealed (Printf.sprintf "f%d" i)) payload;
     Alcotest.(check int) "the oldest posted buffer" (buffer i) addr;
     Machine.io_write m (base + 8) (buffer !next_post);
     incr next_post
@@ -1174,9 +1267,9 @@ let test_nic_tx_ring_full () =
   let frame = Physmem.alloc phys * 256 in
   Machine.io_write m base 2 (* tx *);
   for i = 0 to Nic.tx_slots do
-    phys_put phys (Printf.sprintf "t%02d" i) (frame + (4 * i));
-    Machine.io_write m (base + 20) (frame + (4 * i));
-    Machine.io_write m (base + 24) 3;
+    phys_put phys (unsealed (Printf.sprintf "t%02d" i)) (frame + (8 * i));
+    Machine.io_write m (base + 20) (frame + (8 * i));
+    Machine.io_write m (base + 24) 5;
     Machine.io_write m (base + 28) 1 (* TX_GO *)
   done;
   Alcotest.(check int) "TX_FREE reads 0" 0 (Machine.io_read m (base + 36));
@@ -1185,7 +1278,7 @@ let test_nic_tx_ring_full () =
   done;
   Alcotest.(check (list string))
     "the ring's frames went out; the last kick was dropped"
-    (List.init Nic.tx_slots (Printf.sprintf "t%02d"))
+    (List.init Nic.tx_slots (fun i -> sealed (Printf.sprintf "t%02d" i)))
     (Nic.take_transmitted nic);
   Alcotest.(check int) "the ring is free again" Nic.tx_slots
     (Machine.io_read m (base + 36))
@@ -1602,6 +1695,10 @@ let () =
           Alcotest.test_case "nic rx dma" `Quick test_nic_rx_dma;
           Alcotest.test_case "nic rx drop" `Quick test_nic_rx_drop_without_buffers;
           Alcotest.test_case "nic tx + loopback" `Quick test_nic_tx_and_loopback;
+          Alcotest.test_case "nic fcs known answers" `Quick test_nic_fcs_known_answers;
+          Alcotest.test_case "nic seals each frame it transmits" `Quick test_nic_seals_on_transmit;
+          Alcotest.test_case "nic drops a frame whose fcs does not match" `Quick
+            test_nic_drops_bad_fcs;
           Alcotest.test_case "nic tx capture keeps the newest" `Quick test_nic_tx_capture;
           Alcotest.test_case "nic rx ring holds rx_slots" `Quick test_nic_rx_ring_capacity;
           Alcotest.test_case "nic rx ring fills in posted order" `Quick

@@ -452,8 +452,9 @@ let cut_layer api dom ~lower =
       [ iface ] )
 
 (* A fresh partition (blocks [512, 512 + count) of the store device),
-   cut, [lines]-line cache and log, named by [epoch]: a crash abandons
-   one stack and recovers on the next over the same blocks. *)
+   cut, [lines]-line cache and log (at [/store/crash<epoch>-log]), named
+   by [epoch]: a crash abandons one stack and recovers on the next over
+   the same blocks. *)
 let cut_stack k ~epoch ~count ~lines =
   let api = Kernel.api k and kdom = Kernel.kernel_domain k in
   let name part = Printf.sprintf "crash%d-%s" epoch part in
@@ -466,7 +467,9 @@ let cut_stack k ~epoch ~count ~lines =
   Kernel.register_at k (path "cache")
     (Block_cache.create api kdom ~name:(name "cache") ~lower:(path "cut")
        ~capacity:lines ());
-  (c, Blocklog.create api kdom ~name:(name "log") ~lower:(path "cache") ())
+  let log = Blocklog.create api kdom ~name:(name "log") ~lower:(path "cache") () in
+  Kernel.register_at k (path "log") log;
+  (c, log)
 
 let log_append ctx log payload =
   Invoke.call ctx log ~iface:"log" ~meth:"append" [ Value.Blob (Bytes.of_string payload) ]
@@ -1006,6 +1009,156 @@ let kv_model_prop =
          ignore (List.fold_left step Smap.empty requests);
          true))
 
+(* --- kv over a cut, through the net path ------------------------------------ *)
+
+type kv_op =
+  | Put of string * int (* key, value length *)
+  | Del of string
+  | Get of string
+  | Flush_kv
+  | Crash_kv of int (* a flush cut after k device writes, then a fresh kv recovers *)
+
+let kv_keys = List.init 6 (Printf.sprintf "key-%d")
+
+let print_kv_op = function
+  | Put (key, n) -> Printf.sprintf "Put (%s, %d)" key n
+  | Del key -> "Del " ^ key
+  | Get key -> "Get " ^ key
+  | Flush_kv -> "Flush"
+  | Crash_kv k -> Printf.sprintf "Crash %d" k
+
+let gen_kv_op =
+  let key = QCheck2.Gen.oneofl kv_keys in
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map2 (fun key n -> Put (key, n)) key (int_range 0 24));
+        (2, map2 (fun key n -> Put (key, n)) key (int_range 0 400));
+        (2, map (fun key -> Del key) key);
+        (3, map (fun key -> Get key) key);
+        (2, pure Flush_kv);
+        (2, map (fun k -> Crash_kv k) (int_range 0 6));
+      ])
+
+(* Random puts, dels, gets and flushes over six keys, sent through the
+   KV client over the loopback net path to a store whose 1-4-line cache
+   sits on a cut layer over a 32-block partition. A crash cuts a flush
+   request after k device writes, then a fresh partition, cache, log
+   and kv recover over the same blocks and serve the port. The gets of
+   every key must then return the model map whole: as of the cut flush
+   if its superblock reached the device, as of the last completed flush
+   if not, and never a mix. Every other reply matches the model. *)
+let kv_crash_cut_prop =
+  let count = 32 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"a kv cut mid-flush recovers a whole committed map"
+       ~print:QCheck2.Print.(pair int (list print_kv_op))
+       QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 1 30) gen_kv_op))
+       (fun (lines, ops) ->
+         let sys = System.create ~seed:0xBEEF ~key_bits:384 () in
+         let k = System.kernel sys in
+         let net =
+           System.setup_networking sys ~placement:System.Certified ~addr:42 ~loopback:true ()
+         in
+         let nsc, _ = System.channel_net sys net () in
+         ignore (System.setup_store sys ~placement:System.Certified ());
+         let api = Kernel.api k and kdom = Kernel.kernel_domain k in
+         let ctx = Kernel.ctx k kdom in
+         let fail op fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) (print_kv_op op) in
+         (* a fresh store over the window, served on port 70 *)
+         let open_kv epoch =
+           let cut, _ = cut_stack k ~epoch ~count ~lines in
+           let kv =
+             Kv.create api kdom ~name:(Printf.sprintf "kv%d" epoch)
+               ~log:(Printf.sprintf "/store/crash%d-log" epoch) ()
+           in
+           (cut, kv)
+         in
+         let serve kv =
+           match Kv.serve api kdom ~kv ~net:nsc ~port:70 () with
+           | Ok _ -> ()
+           | Error e -> Alcotest.failf "serve: %s" (Oerror.to_string e)
+         in
+         let cut, kv = open_kv 0 in
+         serve kv;
+         let cut = ref cut in
+         let client =
+           match
+             Kv.client api (System.new_domain sys "kvclient") ~net:nsc ~port:71 ~dst:42 ~dport:70
+           with
+           | Ok c -> c
+           | Error e -> Alcotest.failf "client: %s" (Oerror.to_string e)
+         in
+         let request op ~code ~key value =
+           if not (Kv.send client ~op:code ~key value) then fail op "request not enqueued";
+           Kernel.step k ~ticks:4 ();
+           match Kv.replies client with
+           | [ Ok r ] -> (r.Storewire.Kvmsg.status, Bytes.to_string r.Storewire.Kvmsg.payload)
+           | [ Error e ] -> fail op "%s" e
+           | replies -> fail op "%d replies" (List.length replies)
+         in
+         let expect op what (status, payload) (want_status, want) =
+           if status <> want_status || payload <> want then
+             fail op "%s: got (%d, %d bytes), expected (%d, %d bytes)" what status
+               (String.length payload) want_status (String.length want)
+         in
+         let ok = (Storewire.Kvmsg.status_ok, "") in
+         (* the map the store answers for, the map the last completed
+            flush made durable, values made, crashes *)
+         let model = ref Smap.empty and durable = ref Smap.empty in
+         let made = ref 0 and epoch = ref 0 in
+         let get_reply m key = fst (kv_model_step m (Storewire.kv_get, key, "")) in
+         let exchange op what ((code, key, value) as req) =
+           let want, next = kv_model_step !model req in
+           expect op what (request op ~code ~key value) want;
+           model := next
+         in
+         let step op =
+           match op with
+           | Put (key, n) ->
+             let value =
+               String.init n (fun j -> Char.chr (((!made * 37) + (j * 11)) land 0xff))
+             in
+             incr made;
+             exchange op "put" (Storewire.kv_put, key, value)
+           | Del key -> exchange op "del" (Storewire.kv_del, key, "")
+           | Get key -> exchange op "get" (Storewire.kv_get, key, "")
+           | Flush_kv ->
+             expect op "flush" (request op ~code:Storewire.kv_flush ~key:"" "") ok;
+             durable := !model
+           | Crash_kv budget ->
+             !cut.budget <- budget;
+             !cut.passed <- [];
+             expect op "cut flush" (request op ~code:Storewire.kv_flush ~key:"" "") ok;
+             let committed = if List.mem 0 !cut.passed then !model else !durable in
+             incr epoch;
+             let fresh_cut, fresh = open_kv !epoch in
+             (match Invoke.call ctx fresh ~iface:"kv" ~meth:"recover" [] with
+             | Ok (Value.Int live) when live = Smap.cardinal committed -> ()
+             | Ok v ->
+               fail op "recover returned %s, %d keys committed" (Value.to_string v)
+                 (Smap.cardinal committed)
+             | Error e -> fail op "recover: %s" (Oerror.to_string e));
+             (match Netstack_chan.unbind nsc ~port:70 with
+             | Ok () -> ()
+             | Error e -> fail op "unbind: %s" e);
+             serve fresh;
+             cut := fresh_cut;
+             let recovered =
+               List.map (fun key -> (key, request op ~code:Storewire.kv_get ~key "")) kv_keys
+             in
+             let whole m = List.for_all (fun (key, reply) -> reply = get_reply m key) recovered in
+             if not (whole committed) then
+               fail op "the recovered map is %s"
+                 (if whole !model then "the cut flush's, whose superblock was lost"
+                  else if whole !durable then "the last flush's, though the cut flush committed"
+                  else "neither flush's whole map");
+             model := committed;
+             durable := committed
+         in
+         List.iter step ops;
+         true))
+
 let replays name =
   match Replay.record name with
   | Error e -> Alcotest.fail e
@@ -1081,6 +1234,7 @@ let () =
           Alcotest.test_case "kv-spill scenario replays" `Quick
             test_kv_spill_scenario_replays;
           kv_model_prop;
+          kv_crash_cut_prop;
         ] );
       ( "codecs",
         Alcotest.test_case "truncated kv key keeps the ambient rid" `Quick
