@@ -3,9 +3,7 @@
    The paper (HotOS '95) publishes no tables or figures, so each
    experiment here regenerates a *claim* from the text; DESIGN.md §4 maps
    E1..E8 to the claims. All primary numbers are simulated cycles from the
-   machine's cost model — deterministic run to run — followed by an
-   optional Bechamel wall-clock suite over the same workloads
-   (`--wall`). *)
+   machine's cost model — deterministic run to run. *)
 
 open Paramecium
 
@@ -2710,132 +2708,8 @@ module Ereplay = struct
     line " and the journal export plus /stats snapshot compared byte-for-byte)"
 end
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite                                           *)
-(* ------------------------------------------------------------------ *)
-
-let wall_clock_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  line "";
-  line "==============================================================================";
-  line "Wall-clock micro-benchmarks (Bechamel, monotonic clock, ns/op)";
-  line "(steady-state operations on prebuilt systems)";
-  line "==============================================================================";
-  (* prebuilt fixtures so the measured closure is the steady-state
-     operation, not system boot *)
-  let e1 = E1.make_fixture () in
-  let e2_clock, e2_ctx, e2_ns = E2.fixture () in
-  ignore e2_clock;
-  let e2_root = View.of_namespace e2_ns in
-  let e2_path = E2.deep_path 4 in
-  let e3_k, _, e3_udom, _, _, e3_proxy = E3.fixture () in
-  Mmu.switch_context (Machine.mmu (Kernel.machine e3_k)) e3_udom.Domain.id;
-  let e3_ctx = Kernel.ctx e3_k e3_udom in
-  let e4_sys = fresh_sys () in
-  let e4_k = System.kernel e4_sys in
-  let e4_kdom = Kernel.kernel_domain e4_k in
-  let e4_net = System.setup_networking e4_sys ~placement:System.Certified ~addr:42 () in
-  let e4_ctx = Kernel.ctx e4_k e4_kdom in
-  ignore
-    (Invoke.call_exn e4_ctx e4_net.System.stack ~iface:"stack" ~meth:"bind_port"
-       [ Value.Int 7 ]);
-  let e4_packet = Bytes.to_string (E4.make_packet e4_ctx ~dst:42 256) in
-  let e5_sys = fresh_sys () in
-  let e5_k = System.kernel e5_sys in
-  let e5_image =
-    Images.image ~name:"e5wall" ~size:24_576 ~type_safe:true E5.null_construct
-  in
-  let e5_image, _ = Images.certify (System.authority e5_sys) ~now:0 e5_image in
-  let e5_cert = Option.get e5_image.Loader.cert in
-  let e6_sys = fresh_sys () in
-  let e6_k = System.kernel e6_sys in
-  ignore
-    (Events.register_popup (Kernel.events e6_k) (Events.Irq 7)
-       ~domain:(Kernel.kernel_domain e6_k) ~sched:(Kernel.sched e6_k) (fun _ -> ()));
-  let e7_sys = fresh_sys () in
-  let e7_k = System.kernel e7_sys in
-  let e7_kdom = Kernel.kernel_domain e7_k in
-  let e7_net = System.setup_networking e7_sys ~placement:System.Certified ~addr:42 () in
-  let e7_target =
-    let t = Interpose.packet_monitor (Kernel.api e7_k) e7_kdom ~target:e7_net.System.driver in
-    Interpose.packet_monitor (Kernel.api e7_k) e7_kdom ~target:t
-  in
-  let e7_ctx = Kernel.ctx e7_k e7_kdom in
-  let e7_frame = Value.Blob (Bytes.create 256) in
-  let e8_rng = Prng.create ~seed:0xCA in
-  let e8_auth = Authority.create e8_rng ~name:"ca" ~key_bits:512 in
-  ignore
-    (Authority.add_delegate e8_auth e8_rng ~name:"compiler"
-       ~policy:Policies.trusted_compiler ~latency:1 ());
-  let e8_meta = Meta.make ~type_safe:true ~name:"m" ~size:4096 () in
-  let tests =
-    Test.make_grouped ~name:"paramecium"
-      [
-        Test.make ~name:"e1_invoke_grain100"
-          (Staged.stage (fun () ->
-               ignore
-                 (Invoke.call e1.E1.ctx e1.E1.plain ~iface:"work" ~meth:"run"
-                    [ Value.Int 100 ])));
-        Test.make ~name:"e2_bind_depth4"
-          (Staged.stage (fun () -> ignore (View.bind e2_ctx e2_root e2_path)));
-        Test.make ~name:"e3_crossdomain_call"
-          (Staged.stage (fun () ->
-               ignore
-                 (Invoke.call e3_ctx e3_proxy ~iface:"echo" ~meth:"echo"
-                    [ Value.Int 1 ])));
-        Test.make ~name:"e4_packet_rx_certified"
-          (Staged.stage (fun () ->
-               Nic.inject (Kernel.nic e4_k) e4_packet;
-               Kernel.step e4_k ~ticks:1 ();
-               ignore
-                 (Invoke.call_exn e4_ctx e4_net.System.stack ~iface:"stack"
-                    ~meth:"recv" [ Value.Int 7 ])));
-        Test.make ~name:"e5_validate_24k"
-          (Staged.stage (fun () ->
-               ignore
-                 (Certsvc.validate (Kernel.certification e5_k) e5_cert
-                    ~code:e5_image.Loader.code)));
-        Test.make ~name:"e6_popup_event"
-          (Staged.stage (fun () -> Machine.raise_irq (Kernel.machine e6_k) 7));
-        Test.make ~name:"e7_send_2_monitors"
-          (Staged.stage (fun () ->
-               ignore
-                 (Invoke.call_exn e7_ctx e7_target ~iface:"netdev" ~meth:"send"
-                    [ e7_frame ]);
-               Kernel.step e7_k ~ticks:1 ();
-               ignore (Nic.take_transmitted (Kernel.nic e7_k))));
-        Test.make ~name:"e8_certify_compiler"
-          (Staged.stage (fun () ->
-               ignore (Authority.certify e8_auth e8_meta ~code:"code" ~now:0)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some [ e ] -> Printf.sprintf "%.0f" e
-          | _ -> "n/a"
-        in
-        [ name; est ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_table ~columns:[ ("benchmark", ()); ("ns/op", ()) ] rows
-
 let () =
-  let wall = Array.exists (fun a -> a = "--wall") Sys.argv in
-  let only =
-    Array.to_list Sys.argv |> List.tl
-    |> List.filter (fun a -> a <> "--wall")
-  in
+  let only = List.tl (Array.to_list Sys.argv) in
   let experiments =
     [ ("e1", E1.run); ("e2", E2.run); ("e3", E3.run); ("e4", E4.run);
       ("e5", E5.run); ("e6", E6.run); ("e7", E7.run); ("e8", E8.run);
@@ -2849,5 +2723,4 @@ let () =
   line "(simulated cycles, deterministic; cost model: SPARC-era defaults)";
   List.iter
     (fun (name, run) -> if only = [] || List.mem name only then run ())
-    experiments;
-  if wall then wall_clock_suite ()
+    experiments

@@ -143,14 +143,8 @@ let iter_segments ctx batch f =
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_handler h ctx args =
-  match h ctx args with
-  | Ok r -> (status_ok, r)
-  | Error e -> (1, Bytes.of_string e)
-
-let serve_batch conn ctx ~procedures ~raw batch =
+let serve_batch conn ctx ~procedures batch =
   let responses = ref [] in
-  let served = ref 0 in
   iter_segments ctx batch (fun ~off ~len ->
       match segment_payload ctx batch ~off ~len with
       | Error e -> Logs.warn (fun m -> m "rpc_chan server: %s" e)
@@ -169,81 +163,33 @@ let serve_batch conn ctx ~procedures ~raw batch =
             (* procedure-table dispatch *)
             Call_ctx.charge ctx ctx.Call_ctx.costs.Cost.indirect_call;
             let status, result =
-              if nlen = 0 then
-                match raw with
-                | Some h -> run_handler h ctx args
-                | None -> (1, Bytes.of_string "rpc_chan: no raw handler")
-              else
-                match List.assoc_opt name procedures with
-                | Some h -> run_handler h ctx args
-                | None -> (1, Bytes.of_string ("no such procedure " ^ name))
+              match List.assoc_opt name procedures with
+              | None -> (1, Bytes.of_string ("no such procedure " ^ name))
+              | Some h -> (
+                match h ctx args with
+                | Ok r -> (status_ok, r)
+                | Error e -> (1, Bytes.of_string e))
             in
-            incr served;
             responses := segment ctx ~id ~status result :: !responses
           end
         end)
   |> Result.iter_error (fun e -> Logs.warn (fun m -> m "rpc_chan server: %s" e));
-  (match List.rev !responses with
+  match List.rev !responses with
   | [] -> ()
   | segs ->
     List.iter
       (fun group -> Chan.send ~account:false conn.resp (assemble ctx group))
-      (chunk ~slot_size:(Chan.slot_size conn.resp) segs));
-  !served
+      (chunk ~slot_size:(Chan.slot_size conn.resp) segs)
 
-(* [serve], returning the inline drain: it serves every pending request
-   batch and says how many calls it served *)
-let serve_drain api conn ~procedures ~raw =
+let serve api conn ~procedures () =
   let ctx = Api.ctx api conn.server_dom in
   let drain () =
-    List.fold_left
-      (fun acc batch -> acc + serve_batch conn ctx ~procedures ~raw batch)
-      0
-      (Chan.recv_batch ~account:false conn.req ())
+    List.iter (serve_batch conn ctx ~procedures) (Chan.recv_batch ~account:false conn.req ())
   in
-  ignore
-    (Chan.on_doorbell conn.req ~events:api.Api.events ~sched:api.Api.sched (fun () ->
-         ignore (drain ())));
+  ignore (Chan.on_doorbell conn.req ~events:api.Api.events ~sched:api.Api.sched drain);
   (* catch up with anything flushed before the pop-up existed; the dry
      drain re-arms the doorbell *)
-  ignore (drain ());
-  drain
-
-let serve api conn ~procedures ?raw () =
-  ignore (serve_drain api conn ~procedures ~raw : unit -> int)
-
-(* The channel-backed mode of {!Pm_components.Rpc.create_server}: same
-   ["rpc.server"] interface (poll/requests/failures), same classic wire
-   format — carried as raw segments over the ring pair instead of stack
-   packets, so a caller in another domain pays one doorbell per batch
-   rather than a proxy fault per call. Served calls are normally drained
-   by the doorbell pop-up; [poll] catches up inline like the stack
-   server's poll does. *)
-let create_server api conn ~procedures () =
-  let requests = ref 0 and failures = ref 0 in
-  let raw ctx args =
-    match Pm_components.Rpc.raw_handler ~procedures ctx args with
-    | Ok resp ->
-      incr requests;
-      (match Pm_components.Rpc.decode_response resp with
-      | Ok (_, status, _) when status <> Pm_components.Rpc.status_ok -> incr failures
-      | _ -> ());
-      Ok resp
-    | Error e ->
-      incr failures;
-      Error e
-  in
-  let drain = serve_drain api conn ~procedures:[] ~raw:(Some raw) in
-  let iface =
-    Iface.make ~name:"rpc.server"
-      [
-        Iface.fn0 ~name:"poll" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (drain ())));
-        Iface.fn0 ~name:"requests" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !requests));
-        Iface.fn0 ~name:"failures" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int !failures));
-      ]
-  in
-  Instance.create api.Api.registry ~class_name:"chan.rpc_server"
-    ~domain:conn.server_dom.Domain.id [ iface ]
+  drain ()
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
@@ -365,13 +311,5 @@ let client api conn () =
             | None -> Error (Oerror.Type_error "call_many([(str, blob); ...])"));
       ]
   in
-  let transport_iface =
-    Iface.make ~name:"rpc.transport"
-      [
-        Iface.fn1 ~name:"call" Iface.Blob ~ret:Vtype.Tblob (fun ctx req ->
-            call ctx ~name:"" ~args:req);
-      ]
-  in
   Instance.create api.Api.registry ~class_name:"chan.rpc_client"
-    ~domain:conn.client_dom.Domain.id
-    [ batch_iface; transport_iface ]
+    ~domain:conn.client_dom.Domain.id [ batch_iface ]

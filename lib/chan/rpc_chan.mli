@@ -4,7 +4,10 @@
     per-word argument mapping on {e every} call (E3: ~93–174× the
     same-domain dispatch), this transport marshals N calls into one ring
     slot and pays the crossing — one doorbell (a trap from a user-domain
-    client), one pop-up, two context switches — once per batch.
+    client), one pop-up, two context switches — once per batch. It is
+    the one ring carrier for calls: {!Pm_components.Rpc} rides the
+    protocol stack, and a single object call crosses by the kernel's
+    proxy.
 
     {2 Wire format}
 
@@ -63,15 +66,14 @@ val connect :
 
 (** [serve api conn ~procedures ()] registers the server's doorbell
     pop-up: each ring drains every pending batch, dispatches the named
-    procedures and publishes one response batch per request batch.
-    [raw] (if given) handles requests submitted with an empty name —
-    the hook {!transport} uses to carry foreign protocols such as
-    {!Pm_components.Rpc}. *)
+    procedures and publishes one response batch per request batch. A
+    call whose name is not in [procedures] is answered with the remote
+    error ["no such procedure <name>"]; the empty name is a name like
+    any other. *)
 val serve :
   Pm_nucleus.Api.t ->
   conn ->
   procedures:(string * Pm_components.Rpc.handler) list ->
-  ?raw:Pm_components.Rpc.handler ->
   unit ->
   unit
 
@@ -85,24 +87,5 @@ val serve :
     - [call_many(list of (name, args) pairs) -> list of blob] — the
       batch verb: N calls, one crossing each way
 
-    and ["rpc.transport"]: [call(blob) -> blob], a synchronous
-    request/response round trip for layering {!Pm_components.Rpc}
-    ({!Pm_components.Rpc.create_client_via}) over a channel. A [take]
-    gives up after 10000 yield-polls. *)
+    A [take] gives up after 10000 yield-polls. *)
 val client : Pm_nucleus.Api.t -> conn -> unit -> Pm_obj.Instance.t
-
-(** [create_server api conn ~procedures ()] is the channel-backed mode
-    of {!Pm_components.Rpc.create_server}: the same ["rpc.server"]
-    object — [poll() -> int], [requests() -> int], [failures() -> int] —
-    speaking the same classic wire format, but served from the ring
-    pair via {!serve} (mounted through
-    {!Pm_components.Rpc.raw_handler}), so a user-space server never
-    sees a per-call proxy fault. Pair it with
-    {!Pm_components.Rpc.create_client_via} riding {!client}'s
-    ["rpc.transport"], or with {!client}'s batched verbs directly. *)
-val create_server :
-  Pm_nucleus.Api.t ->
-  conn ->
-  procedures:(string * Pm_components.Rpc.handler) list ->
-  unit ->
-  Pm_obj.Instance.t

@@ -31,6 +31,7 @@ let reg_tx_len = 6
 let reg_tx_go = 7
 let reg_rx_dropped = 8
 let reg_tx_free = 9
+let reg_rx_bad_fcs = 10
 
 let ctrl_rx = 1
 let ctrl_tx = 2
@@ -211,7 +212,8 @@ let create api dom ?(config = default_config) () =
         Iface.fn0 ~name:"mtu" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int Nic.mtu));
         Iface.fn0 ~name:"dropped" ~ret:Vtype.Tint (fun _ ->
             in_domain st (fun () ->
-                Ok (Value.Int (Vmem.io_read vmem st.grant ~reg:reg_rx_dropped))));
+                let io_read reg = Vmem.io_read vmem st.grant ~reg in
+                Ok (Value.Int (io_read reg_rx_dropped + io_read reg_rx_bad_fcs))));
       ]
   in
   Instance.create api.Api.registry ~class_name:"toolbox.netdrv" ~domain:dom.Domain.id

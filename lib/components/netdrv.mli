@@ -14,8 +14,8 @@
     - [detach() -> unit]
     - [stats() -> (rx:int, tx:int)]
     - [mtu() -> int]
-    - [dropped() -> int] — rx packets the device dropped for want of
-      buffers
+    - [dropped() -> int] — rx frames the device dropped: for want of
+      buffers (RX_DROPPED) or for a bad fcs (RX_BAD_FCS)
 
     {b The CPU copies nothing.} The device DMAs a frame between its
     buffer and memory ({!Pm_machine.Machine.dma}), so the driver charges

@@ -59,28 +59,6 @@ let decode_response b =
 
 (* --- server --------------------------------------------------------- *)
 
-(* One classic-wire exchange as a raw [handler]: decode the request,
-   dispatch the procedure table, encode the response (application status
-   inside, like the stack-based server sends). This is what a channel
-   carrier mounts as its [raw] hook to give [create_server] a
-   channel-backed mode — see {!Pm_chan.Rpc_chan.create_server}. *)
-let raw_handler ~procedures : handler =
- fun ctx req ->
-  match decode_request req with
-  | Error e -> Error e
-  | Ok (id, _rport, name, payload) ->
-    (* procedure-table dispatch *)
-    Call_ctx.charge ctx ctx.Call_ctx.costs.Pm_machine.Cost.indirect_call;
-    let status, result =
-      match List.assoc_opt name procedures with
-      | None -> (status_error, Bytes.of_string ("no such procedure " ^ name))
-      | Some h ->
-        (match h ctx payload with
-        | Ok r -> (status_ok, r)
-        | Error e -> (status_error, Bytes.of_string e))
-    in
-    Ok (encode_response ~id ~status result)
-
 let stack_call ctx stack meth args = Invoke.call ctx stack ~iface:"stack" ~meth args
 
 let create_server api dom ~stack_path ~port ~procedures =
@@ -164,7 +142,6 @@ let count_call st cycles =
     st.measured := Value.Pair (Value.Int (calls + 1), Value.Int (total + cycles))
   | _ -> ()
 
-(* Both clients export the same ["rpc"] interface over their own carrier. *)
 let client_object api dom st call =
   let iface =
     Iface.make ~state:st.measured ~name:"rpc"
@@ -230,33 +207,6 @@ let create_client api dom ~stack_path ~port ~server () =
           end
       in
       await 0)
-
-(* A client whose requests ride an arbitrary transport object — e.g. a
-   shared-memory channel's ["rpc.transport"] (Rpc_chan) — instead of the
-   protocol stack. Same wire format, same failure propagation; only the
-   carrier differs. *)
-let create_client_via api dom ~transport () =
-  let st = client_state () in
-  client_object api dom st (fun (ctx : Call_ctx.t) name args ->
-      let started = Clock.now ctx.Call_ctx.clock in
-      let id = st.next_id in
-      st.next_id <- id + 1;
-      let req = encode_request ~id ~rport:0 ~name args in
-      match
-        Invoke.call ctx transport ~iface:"rpc.transport" ~meth:"call" [ Value.Blob req ]
-      with
-      | Error e -> Error e
-      | Ok (Value.Blob resp) ->
-        (match decode_response resp with
-        | Error e -> fault e
-        | Ok (rid, status, payload) ->
-          if rid <> id then fault "rpc: response id mismatch"
-          else begin
-            count_call st (Clock.now ctx.Call_ctx.clock - started);
-            if status = status_ok then Ok (Value.Blob payload)
-            else fault ("rpc: remote error: " ^ Bytes.to_string payload)
-          end)
-      | Ok _ -> fault "rpc: transport shape")
 
 let add_measurement client =
   match Instance.get_interface client "rpc" with

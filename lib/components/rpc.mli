@@ -22,8 +22,9 @@ type handler = Pm_obj.Call_ctx.t -> bytes -> (bytes, string) result
 
 (** {2 Wire codecs}
 
-    Exposed so alternative carriers (channels) and tests can speak the
-    protocol without a stack in the loop. *)
+    Exposed for the codec tests, which check them without a stack in the
+    loop. The stack is this protocol's one carrier; batched calls over a
+    ring pair are {!Pm_chan.Rpc_chan}'s, in its own format. *)
 
 val encode_request : id:int -> rport:int -> name:string -> bytes -> bytes
 
@@ -36,20 +37,8 @@ val encode_response : id:int -> status:int -> bytes -> bytes
 
 val decode_response : bytes -> (int * int * bytes, string) result
 
-(** [raw_handler ~procedures] is one classic-wire exchange as a
-    {!handler}: decode a request, dispatch the procedure table, encode
-    the response (application status inside). Mounting it as a channel
-    carrier's raw hook is the server's channel-backed mode —
-    {!Pm_chan.Rpc_chan.create_server} packages exactly that, giving a
-    ["rpc.server"] object whose callers never pay a per-call proxy
-    fault. *)
-val raw_handler : procedures:(string * handler) list -> handler
-
 (** [create_server api dom ~stack_path ~port ~procedures] binds [port] on
-    the stack and serves the given procedures. For the channel-backed
-    mode of the same server — same wire format, same ["rpc.server"]
-    interface, but requests arriving over a shared-memory ring pair
-    instead of the stack — see {!Pm_chan.Rpc_chan.create_server}. *)
+    the stack and serves the given procedures. *)
 val create_server :
   Pm_nucleus.Api.t ->
   Pm_nucleus.Domain.t ->
@@ -67,19 +56,6 @@ val create_client :
   stack_path:string ->
   port:int ->
   server:int * int ->
-  unit ->
-  Pm_obj.Instance.t
-
-(** [create_client_via api dom ~transport ()] makes a client whose
-    requests ride [transport] — any instance exporting ["rpc.transport"]
-    with [call(blob) -> blob], e.g. a shared-memory channel endpoint
-    ({!Pm_chan.Rpc_chan.client}) — instead of the protocol stack. Wire
-    format and failure propagation are identical; only the carrier
-    differs. *)
-val create_client_via :
-  Pm_nucleus.Api.t ->
-  Pm_nucleus.Domain.t ->
-  transport:Pm_obj.Instance.t ->
   unit ->
   Pm_obj.Instance.t
 

@@ -127,7 +127,6 @@ module Partition = Pm_store.Partition
 module Block_cache = Pm_store.Cache
 module Blocklog = Pm_store.Blocklog
 module Kv = Pm_store.Kv
-module Storechan = Pm_store.Storechan
 module Store_svc = Pm_store.Store_svc
 
 (* downloaded-code substrate *)

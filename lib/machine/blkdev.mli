@@ -36,6 +36,10 @@
 
 type t
 
+(** A descriptor's op codes, its cmd word's bits 0-1. *)
+val op_read : int
+val op_write : int
+
 (** [create machine ~name ~irq_line ~blocks ~block_size] attaches a
     device that {!Machine.find_device} (and so the I/O-space service)
     finds by [name]. *)

@@ -111,13 +111,6 @@ let unbind t ~port =
     Hashtbl.remove t.ports port;
     Ok ()
 
-let set_rx_mode t ~port mode =
-  match Hashtbl.find_opt t.ports port with
-  | None -> Error (Printf.sprintf "net: port %d not channel-bound" port)
-  | Some p ->
-    Chan.set_mode p.chan mode;
-    Ok ()
-
 (* ------------------------------------------------------------------ *)
 (* Transmit side: one MPSC group into the stack                        *)
 (* ------------------------------------------------------------------ *)

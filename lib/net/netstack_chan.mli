@@ -17,8 +17,9 @@
     application), and attaches a same-domain sink so decoded payloads
     are enqueued as {!Netwire.Delivery} messages instead of queued in a
     mailbox. The application drains with {!Pm_chan.Chan.recv_batch} —
-    doorbell or poll, selectable per port with {!set_rx_mode} so a
-    placement agent ({!Pm_obs_agent.Placer}) can manage the trade.
+    doorbell or poll, chosen per port by [bind]'s [mode]. The ring
+    [bind] returns is an ordinary {!Pm_chan.Chan.t}, so
+    {!Pm_chan.Chan.set_mode} on it flips the mode later.
 
     {b Transmit}: all senders share one {!Pm_chan.Mpsc} group draining
     into the stack's domain. {!attach_tx} gives each producer its own
@@ -61,9 +62,6 @@ val bind :
 
 (** [unbind t ~port] detaches the sink and unbinds the port. *)
 val unbind : t -> port:int -> (unit, string) result
-
-(** Flip one port's receive ring between [Doorbell] and [Poll]. *)
-val set_rx_mode : t -> port:int -> Pm_chan.Chan.mode -> (unit, string) result
 
 (** The shared transmit group (created on first use). *)
 val tx_group : t -> Pm_chan.Mpsc.t

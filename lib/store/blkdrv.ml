@@ -149,7 +149,7 @@ let read_op st block =
   let* () = check_block st block in
   in_domain st (fun () ->
       let slot_buf = st.tail mod ring_slots in
-      let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
+      let slot = post st ~op:Blkdev.op_read ~block ~slot_buf in
       let* () = wait_slot st slot in
       let data = dma_in st slot_buf in
       st.reads <- st.reads + 1;
@@ -162,7 +162,7 @@ let write_op st ctx block data =
     in_domain st (fun () ->
         let slot_buf = st.tail mod ring_slots in
         dma_out st ctx slot_buf data;
-        let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
+        let slot = post st ~op:Blkdev.op_write ~block ~slot_buf in
         let* () = wait_slot st slot in
         st.writes <- st.writes + 1;
         Ok ())
@@ -189,7 +189,7 @@ let read_many st bs =
                 let* acc = acc in
                 let* () = check_block st block in
                 let slot_buf = st.tail mod ring_slots in
-                let slot = post st ~op:Storewire.op_read ~block ~slot_buf in
+                let slot = post st ~op:Blkdev.op_read ~block ~slot_buf in
                 Ok ((slot, slot_buf) :: acc))
               (Ok []) chunk
           in
@@ -230,7 +230,7 @@ let write_many st ctx pairs =
                 else begin
                   let slot_buf = st.tail mod ring_slots in
                   dma_out st ctx slot_buf data;
-                  let slot = post st ~op:Storewire.op_write ~block ~slot_buf in
+                  let slot = post st ~op:Blkdev.op_write ~block ~slot_buf in
                   Ok (slot :: acc)
                 end)
               (Ok []) chunk

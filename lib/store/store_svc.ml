@@ -122,7 +122,6 @@ let stat_labels = function
     [ "hits"; "misses"; "evictions"; "writebacks"; "dirty"; "capacity" ]
   | Storereg.Log -> [ "appends"; "gets"; "segments"; "flushed" ]
   | Storereg.Kv -> [ "puts"; "gets"; "dels"; "recovers" ]
-  | Storereg.Proxy -> [ "reqs"; "polls"; "drops"; "stale" ]
 
 let stats_object api (e : Storereg.entry) =
   let inst = e.Storereg.instance in

@@ -8,7 +8,7 @@
 module Machine = Pm_machine.Machine
 module Instance = Pm_obj.Instance
 
-type kind = Driver | Partition | Cache | Log | Kv | Proxy
+type kind = Driver | Partition | Cache | Log | Kv
 
 let kind_to_string = function
   | Driver -> "driver"
@@ -16,7 +16,6 @@ let kind_to_string = function
   | Cache -> "cache"
   | Log -> "log"
   | Kv -> "kv"
-  | Proxy -> "proxy"
 
 type entry = {
   name : string;

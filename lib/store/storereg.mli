@@ -9,7 +9,7 @@
     stay bound after its component detaches. Plain OCaml state; reading
     charges no simulated cycles. *)
 
-type kind = Driver | Partition | Cache | Log | Kv | Proxy
+type kind = Driver | Partition | Cache | Log | Kv
 
 val kind_to_string : kind -> string
 

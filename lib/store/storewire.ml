@@ -2,85 +2,14 @@ module Call_ctx = Pm_obj.Call_ctx
 module Wire = Pm_components.Wire
 module Trace = Pm_journal.Trace
 
-(* Each [Call_ctx.access] below pays for materializing bytes into/out of
-   a ring message; the rings run with [~account:false], so each payload
-   byte is paid for exactly once per side — the same zero-copy contract
-   as Netwire. Block and KV messages carry the {!Trace} rid field after
-   their fixed header, as Netwire's do. Log [Record]s never carry a rid:
-   they are durable data, and their stored bytes must not depend on who
-   wrote them. *)
-
-(* ------------------------------------------------------------------ *)
-(* Block requests/responses over rings (the Storechan path).           *)
-(* ------------------------------------------------------------------ *)
-
-let op_read = 1
-let op_write = 2
-let op_flush = 3
-
-module Blkreq = struct
-  type t = { op : int; tag : int; block : int; payload : bytes }
-
-  let header_len = 7
-
-  let build ctx ~op ~tag ~block payload =
-    if op < op_read || op > op_flush then invalid_arg "Storewire: bad block op";
-    Wire.check16 "blkreq tag" tag;
-    if block < 0 then invalid_arg "Storewire: negative block";
-    let rl = Trace.rid_len () in
-    let plen = Bytes.length payload in
-    let b = Bytes.create (header_len + rl + plen) in
-    Bytes.set b 0 (Char.chr op);
-    Bytes.set_uint16_be b 1 tag;
-    Wire.set32 b 3 block;
-    Trace.write_rid b header_len;
-    Bytes.blit payload 0 b (header_len + rl) plen;
-    Call_ctx.access ctx (header_len + plen);
-    b
-
-  let parse ctx b =
-    let total = Bytes.length b in
-    let rl = Trace.rid_len () in
-    if total < header_len + rl then Error "blkreq: truncated"
-    else begin
-      let op = Char.code (Bytes.get b 0) in
-      if op < op_read || op > op_flush then Error "blkreq: bad op"
-      else begin
-        let tag = Bytes.get_uint16_be b 1 and block = Wire.get32 b 3 in
-        Trace.read_rid b header_len;
-        let payload = Bytes.sub b (header_len + rl) (total - header_len - rl) in
-        Call_ctx.access ctx (total - rl);
-        Ok { op; tag; block; payload }
-      end
-    end
-end
-
-module Blkresp = struct
-  type t = { tag : int; status : int; payload : bytes }
-
-  let header_len = 3
-  let status_ok = 0
-
-  let build ctx ~tag ~status payload =
-    Wire.check16 "blkresp tag" tag;
-    let plen = Bytes.length payload in
-    let b = Bytes.create (header_len + plen) in
-    Bytes.set_uint16_be b 0 tag;
-    Bytes.set b 2 (Char.chr (status land 0xff));
-    Bytes.blit payload 0 b header_len plen;
-    Call_ctx.access ctx (header_len + plen);
-    b
-
-  let parse ctx b =
-    let total = Bytes.length b in
-    if total < header_len then Error "blkresp: truncated"
-    else begin
-      let tag = Bytes.get_uint16_be b 0 and status = Char.code (Bytes.get b 2) in
-      let payload = Bytes.sub b header_len (total - header_len) in
-      Call_ctx.access ctx total;
-      Ok { tag; status; payload }
-    end
-end
+(* Each [Call_ctx.access] below pays for materializing a KV message's
+   bytes into/out of a Pm_net port's ring, or a log record's into/out of
+   its block. The rings run with [~account:false] (but for the KV
+   client's reply drain, see [Kv.replies]), so each payload byte is paid
+   for exactly once per side — the same zero-copy contract as Netwire.
+   KV messages carry the {!Trace} rid field after their fixed header, as
+   Netwire's do. Log [Record]s never carry a rid: they are durable data,
+   and their stored bytes must not depend on who wrote them. *)
 
 (* ------------------------------------------------------------------ *)
 (* Log records: how the KV store serializes entries into the log.      *)

@@ -1,8 +1,7 @@
 (* Tests for the shared-memory channel subsystem: ring wrap-around,
    back-pressure, doorbell pop-up delivery, the /shared/chan factory,
    interposing on a channel endpoint, and batched RPC over a ring pair
-   (including cross-domain failure propagation through
-   Rpc.create_client_via). *)
+   (including cross-domain failure propagation). *)
 
 open Paramecium
 
@@ -693,23 +692,7 @@ let rpc_fixture () =
       ("fail", fun _ctx _ -> Error "application exploded");
     ]
   in
-  (* raw requests carry the classic Rpc wire format over the channel:
-     decode, dispatch to the same procedure table, encode the response *)
-  let raw ctx req =
-    match Rpc.decode_request req with
-    | Error e -> Error e
-    | Ok (id, _rport, name, args) ->
-      let status, payload =
-        match List.assoc_opt name procedures with
-        | Some h -> (
-          match h ctx args with
-          | Ok r -> (Rpc.status_ok, r)
-          | Error e -> (Rpc.status_error, Bytes.of_string e))
-        | None -> (Rpc.status_error, Bytes.of_string ("no such procedure " ^ name))
-      in
-      Ok (Rpc.encode_response ~id ~status payload)
-  in
-  Rpc_chan.serve api conn ~procedures ~raw ();
+  Rpc_chan.serve api conn ~procedures ();
   let client = Rpc_chan.client api conn () in
   switch_to k udom;
   (k, udom, conn, client)
@@ -753,80 +736,22 @@ let test_rpc_chan_round_trip () =
       "rpc_chan: remote error: application exploded" msg
   | _ -> Alcotest.fail "remote error must fault"
 
+(* the empty name is a name like any other: nothing is registered under it *)
 let test_rpc_chan_unknown_procedure () =
   let k, udom, _conn, client = rpc_fixture () in
   let ctx = Kernel.ctx k udom in
-  match
-    Invoke.call ctx client ~iface:"rpc.batch" ~meth:"call"
-      [ Value.Str "nope"; Value.Blob Bytes.empty ]
-  with
-  | Error (Oerror.Fault msg) ->
-    Alcotest.(check string) "unknown procedure"
-      "rpc_chan: remote error: no such procedure nope" msg
-  | _ -> Alcotest.fail "unknown procedure must fault"
-
-let test_rpc_over_channel_transport () =
-  let k, udom, _conn, client = rpc_fixture () in
-  let api = Kernel.api k in
-  (* the classic Rpc client, riding the channel instead of the stack *)
-  let rpc = Rpc.create_client_via api udom ~transport:client () in
-  let ctx = Kernel.ctx k udom in
-  (match
-     Invoke.call_exn ctx rpc ~iface:"rpc" ~meth:"call"
-       [ Value.Str "upper"; Value.Blob (Bytes.of_string "quiet") ]
-   with
-  | Value.Blob b -> Alcotest.(check string) "result via channel" "QUIET" (Bytes.to_string b)
-  | v -> Alcotest.failf "call returned %s" (Value.to_string v));
-  (* Rpc's own failure propagation is carrier-independent *)
-  match
-    Invoke.call ctx rpc ~iface:"rpc" ~meth:"call"
-      [ Value.Str "fail"; Value.Blob Bytes.empty ]
-  with
-  | Error (Oerror.Fault msg) ->
-    Alcotest.(check bool) "remote error prefixed" true
-      (String.length msg >= 4 && String.sub msg 0 4 = "rpc:")
-  | _ -> Alcotest.fail "remote failure must fault through both layers"
-
-(* the channel-backed server mode: same "rpc.server" object, same wire
-   format, served from the ring pair instead of a stack port *)
-let test_rpc_chan_create_server () =
-  let _, k, kdom = fixture () in
-  let api = Kernel.api k in
-  let udom = Kernel.create_domain k ~name:"rpc-client2" () in
-  let conn = Rpc_chan.connect api ~client:udom ~server:kdom () in
-  let server =
-    Rpc_chan.create_server api conn
-      ~procedures:
-        [ ("echo", fun _ctx b -> Ok b); ("fail", fun _ctx _ -> Error "boom") ]
-      ()
-  in
-  let transport = Rpc_chan.client api conn () in
-  let rpc = Rpc.create_client_via api udom ~transport () in
-  switch_to k udom;
-  let uctx = Kernel.ctx k udom in
-  (match
-     Invoke.call_exn uctx rpc ~iface:"rpc" ~meth:"call"
-       [ Value.Str "echo"; Value.Blob (Bytes.of_string "ping") ]
-   with
-  | Value.Blob b -> Alcotest.(check string) "echoed" "ping" (Bytes.to_string b)
-  | v -> Alcotest.failf "call returned %s" (Value.to_string v));
-  (match
-     Invoke.call uctx rpc ~iface:"rpc" ~meth:"call"
-       [ Value.Str "fail"; Value.Blob Bytes.empty ]
-   with
-  | Error (Oerror.Fault _) -> ()
-  | _ -> Alcotest.fail "application error must fault");
-  switch_to k kdom;
-  let kctx = Kernel.ctx k kdom in
-  (match Invoke.call_exn kctx server ~iface:"rpc.server" ~meth:"requests" [] with
-  | Value.Int n -> Alcotest.(check int) "both requests counted" 2 n
-  | v -> Alcotest.failf "requests returned %s" (Value.to_string v));
-  (match Invoke.call_exn kctx server ~iface:"rpc.server" ~meth:"failures" [] with
-  | Value.Int n -> Alcotest.(check int) "one failure counted" 1 n
-  | v -> Alcotest.failf "failures returned %s" (Value.to_string v));
-  match Invoke.call_exn kctx server ~iface:"rpc.server" ~meth:"poll" [] with
-  | Value.Int n -> Alcotest.(check int) "nothing left pending" 0 n
-  | v -> Alcotest.failf "poll returned %s" (Value.to_string v)
+  List.iter
+    (fun name ->
+      match
+        Invoke.call ctx client ~iface:"rpc.batch" ~meth:"call"
+          [ Value.Str name; Value.Blob Bytes.empty ]
+      with
+      | Error (Oerror.Fault msg) ->
+        Alcotest.(check string) (Printf.sprintf "unknown procedure %S" name)
+          ("rpc_chan: remote error: no such procedure " ^ name)
+          msg
+      | _ -> Alcotest.failf "unknown procedure %S must fault" name)
+    [ "nope"; "" ]
 
 (* --- hostile request batches ------------------------------------------ *)
 
@@ -954,10 +879,6 @@ let () =
         [
           Alcotest.test_case "round trip + batching" `Quick test_rpc_chan_round_trip;
           Alcotest.test_case "unknown procedure" `Quick test_rpc_chan_unknown_procedure;
-          Alcotest.test_case "Rpc over channel transport" `Quick
-            test_rpc_over_channel_transport;
-          Alcotest.test_case "channel-backed server" `Quick
-            test_rpc_chan_create_server;
           Alcotest.test_case "hostile batch headers" `Quick
             test_rpc_chan_hostile_batches;
         ]

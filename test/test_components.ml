@@ -537,6 +537,22 @@ let test_netdrv_lends_rx_buffers () =
   done;
   Alcotest.(check int) "a raising sink loses no buffer" posted (rx_free ())
 
+(* A frame the NIC drops for a bad fcs never reaches the driver's ring,
+   so [dropped] is where the driver's clients see it; [stats] counts
+   only frames that arrived or left. *)
+let test_netdrv_counts_bad_fcs () =
+  let _, k, net = net_fixture () in
+  let kdom = Kernel.kernel_domain k in
+  let ctx = Kernel.ctx k kdom in
+  let netdev meth = Invoke.call_exn ctx net.System.driver ~iface:"netdev" ~meth [] in
+  let stats = netdev "stats" in
+  let raw = make_packet ctx ~src:13 ~dst:42 ~sport:9 ~dport:7 "x" in
+  Bytes.set raw 10 (Char.chr (Char.code (Bytes.get raw 10) lxor 0xff));
+  Nic.inject (Kernel.nic k) (Bytes.to_string raw);
+  Kernel.step k ~ticks:4 ();
+  Alcotest.check value "the bad-fcs drop is counted" (Value.Int 1) (netdev "dropped");
+  Alcotest.check value "stats do not move" stats (netdev "stats")
+
 (* --- stack ------------------------------------------------------------------------- *)
 
 let test_stack_filters_wrong_destination () =
@@ -1269,6 +1285,8 @@ let () =
           nic_trailer_prop;
           Alcotest.test_case "a receive buffer is lent until rx returns" `Quick
             test_netdrv_lends_rx_buffers;
+          Alcotest.test_case "a bad-fcs drop reads in dropped" `Quick
+            test_netdrv_counts_bad_fcs;
         ] );
       ( "stack",
         [

@@ -87,9 +87,7 @@ let test_rx_ring_doorbell () =
   inject_packets k ~n:3 ~dport:8;
   Alcotest.(check int) "pop-ups drained every delivery" 3 (List.length !got);
   (* flipping to Poll silences the doorbell; messages wait for a drain *)
-  (match Netstack_chan.set_rx_mode nsc ~port:8 Chan.Poll with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  Chan.set_mode chan Chan.Poll;
   inject_packets k ~n:2 ~dport:8;
   Alcotest.(check int) "no pop-up in poll mode" 3 (List.length !got);
   Alcotest.(check int) "poll drain picks them up" 2

@@ -2,8 +2,8 @@
    durability at the simulated media), the partition/cache/log layers
    (eviction under a full cache, flush-on-detach durability, recovery),
    the /shared/store factory with cross-domain callers, placement of the
-   policy layers, interposition on the block path, the channel-backed
-   block proxy, and the KV workload end-to-end over the loopback NIC. *)
+   policy layers, interposition on the block path, and the KV workload
+   end-to-end over the loopback NIC. *)
 
 open Paramecium
 
@@ -726,9 +726,12 @@ let test_placement_user_domain () =
   let cctx = Kernel.ctx k cdom in
   block_write cctx cache ~block:8 "cross-domain";
   let back = block_read cctx cache ~block:8 in
+  ignore (block_flush cctx cache);
   switch_to k (Kernel.kernel_domain k);
   Alcotest.(check string) "round-trip across three domains" "cross-domain"
-    (Bytes.sub_string back 0 12)
+    (Bytes.sub_string back 0 12);
+  Alcotest.(check string) "a flush from the client domain reached the media"
+    "cross-domain" (media_prefix k ~block:8 12)
 
 (* --- interposition ------------------------------------------------------ *)
 
@@ -751,31 +754,6 @@ let test_interpose_on_block_path () =
   | v -> Alcotest.failf "monitor returned %s" (Value.to_string v));
   Alcotest.(check string) "data still reaches the media through the agent"
     "spied-on" (media_prefix k ~block:21 8)
-
-(* --- channel-backed block path ------------------------------------------ *)
-
-let test_storechan_cross_domain () =
-  let sys, k, _store = fixture () in
-  let kdom = Kernel.kernel_domain k in
-  let api = Kernel.api k in
-  let server = Storechan.create_server api kdom ~target:"/store/cache0" () in
-  let cdom = System.new_domain sys "blkclient" in
-  let proxy = Storechan.connect server ~name:"proxy0" ~client:cdom () in
-  Alcotest.(check int) "proxy lives in the client domain" cdom.Domain.id
-    proxy.Instance.domain;
-  switch_to k cdom;
-  let cctx = Kernel.ctx k cdom in
-  block_write cctx proxy ~block:44 "over-the-ring";
-  let back = block_read cctx proxy ~block:44 in
-  Alcotest.(check string) "round-trip over request/response rings"
-    "over-the-ring"
-    (Bytes.sub_string back 0 13);
-  ignore (block_flush cctx proxy);
-  switch_to k kdom;
-  Alcotest.(check string) "flush over the ring reached the media"
-    "over-the-ring" (media_prefix k ~block:44 13);
-  Alcotest.(check bool) "server counted the requests" true
-    (Storechan.served server >= 3)
 
 (* --- kv over the network ------------------------------------------------ *)
 
@@ -887,21 +865,7 @@ let test_kv_truncated_key_keeps_rid () =
 
 (* --- the ring and log codecs --------------------------------------------- *)
 
-let gen16 = QCheck2.Gen.int_bound 0xffff
 let gen_payload = Codec_props.gen_bytes 64
-
-let blkreq_spec =
-  QCheck2.Gen.(
-    quad (int_range Storewire.op_read Storewire.op_flush) gen16 (int_bound 0xffff_ffff)
-      gen_payload)
-
-let build_blkreq ctx (op, tag, block, payload) =
-  Storewire.Blkreq.build ctx ~op ~tag ~block payload
-
-let blkresp_spec = QCheck2.Gen.(triple gen16 (int_bound 0xff) gen_payload)
-
-let build_blkresp ctx (tag, status, payload) =
-  Storewire.Blkresp.build ctx ~tag ~status payload
 
 let record_spec =
   QCheck2.Gen.(triple (oneofl [ Storewire.rec_put; Storewire.rec_del ]) gen_payload gen_payload)
@@ -918,20 +882,6 @@ let build_kvresp ctx (status, payload) = Storewire.Kvmsg.build_resp ctx ~status 
 let codec_props =
   let open Storewire in
   [
-    Codec_props.roundtrip "blkreq round-trip" ~gen_spec:blkreq_spec ~build:build_blkreq
-      ~parse:Blkreq.parse
-      ~same:(fun (op, tag, block, payload) (r : Blkreq.t) ->
-        r.op = op && r.tag = tag && r.block = block && Bytes.equal r.payload payload)
-      ~rid_at:(Some Blkreq.header_len);
-    Codec_props.hostile "blkreq parse on hostile bytes" ~gen_spec:blkreq_spec
-      ~build:build_blkreq ~parse:Blkreq.parse;
-    Codec_props.roundtrip "blkresp round-trip" ~gen_spec:blkresp_spec ~build:build_blkresp
-      ~parse:Blkresp.parse
-      ~same:(fun (tag, status, payload) (r : Blkresp.t) ->
-        r.tag = tag && r.status = status && Bytes.equal r.payload payload)
-      ~rid_at:None;
-    Codec_props.hostile "blkresp parse on hostile bytes" ~gen_spec:blkresp_spec
-      ~build:build_blkresp ~parse:Blkresp.parse;
     Codec_props.roundtrip "record round-trip" ~gen_spec:record_spec ~build:build_record
       ~parse:Record.parse
       ~same:(fun (op, key, value) (r : Record.t) ->
@@ -1224,8 +1174,6 @@ let () =
             test_interpose_on_block_path;
           Alcotest.test_case "stats published at /stats/store" `Quick
             test_store_stats_published;
-          Alcotest.test_case "channel-backed proxy" `Quick
-            test_storechan_cross_domain;
         ] );
       ( "workload",
         [
