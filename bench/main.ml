@@ -1120,7 +1120,6 @@ module E14 = struct
     | Placer.Migrated p -> "-> " ^ Placer.placement_to_string p
     | Placer.Flipped Chan.Doorbell -> "-> doorbell"
     | Placer.Flipped Chan.Poll -> "-> poll"
-    | Placer.Repinned c -> Printf.sprintf "-> cpu%d" c
 
   let verdict label adaptive best =
     let m = (adaptive -. best) /. best in
@@ -1169,8 +1168,6 @@ module E14 = struct
         let placement, dom =
           match p with
           | Placer.Certified -> (System.Certified, kdom)
-          (* E14 manages without [verified_ok], so this arm never fires *)
-          | Placer.Verified -> (System.Certified, kdom)
           | Placer.User -> (System.User udom, udom)
         in
         (match System.install sys image ~placement ~at:"/services/stack" with
@@ -1185,9 +1182,7 @@ module E14 = struct
           migration_cost := !migration_cost + (Clock.now clock - before);
           true)
     in
-    let placer =
-      Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 ()
-    in
+    let placer = Placer.create ~clock () in
     if adaptive then
       Placer.manage placer ~watch:[ kdom.Domain.id ]
         ~placement:(match start with `User -> Placer.User | `Certified -> Placer.Certified)
@@ -1274,9 +1269,7 @@ module E14 = struct
          (fun () -> ignore (Chan.recv_batch chan ())));
     let clock = Kernel.clock k in
     Obs.enable (Clock.obs clock);
-    let placer =
-      Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 ()
-    in
+    let placer = Placer.create ~clock () in
     if adaptive then Placer.manage_channel placer chan;
     let msg = Bytes.make 32 'm' in
     let msgs = 4 * per_epoch in

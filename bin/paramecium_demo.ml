@@ -252,7 +252,7 @@ let packets_cmd =
       let stats_obj = Kernel.bind k kdom "/stats/kernel" in
       let call meth =
         match
-          Invoke.call_exn ctx stats_obj ~iface:"stats" ~meth [ Value.Str "text" ]
+          Invoke.call_exn ctx stats_obj ~iface:"stats" ~meth []
         with
         | Value.Str s -> s
         | _ -> ""

@@ -13,16 +13,13 @@ module Subsume = Pm_check.Subsume
 
 type call_hook = iface:string -> meth:string -> Value.t list -> unit
 
-type result_hook =
-  iface:string -> meth:string -> Value.t list -> (Value.t, Oerror.t) result -> unit
-
 let rec blob_bytes_of = function
   | Value.Blob b -> Bytes.length b
   | Value.Str _ | Value.Int _ | Value.Bool _ | Value.Unit | Value.Handle _ -> 0
   | Value.Pair (a, b) -> blob_bytes_of a + blob_bytes_of b
   | Value.List xs -> List.fold_left (fun acc v -> acc + blob_bytes_of v) 0 xs
 
-let wrap api dom ~target ?on_call ?on_result ?(overrides = []) () =
+let wrap api dom ~target ?on_call ?(overrides = []) () =
   let calls = ref 0 and blob_bytes = ref 0 in
   let observe args =
     incr calls;
@@ -41,15 +38,9 @@ let wrap api dom ~target ?on_call ?on_result ?(overrides = []) () =
       (match on_call with
       | Some h -> h ~iface:iface_name ~meth:m.Iface.mname args
       | None -> ());
-      let result =
-        match override with
-        | Some impl -> impl ctx args
-        | None -> Invoke.call ctx target ~iface:iface_name ~meth:m.Iface.mname args
-      in
-      (match on_result with
-      | Some h -> h ~iface:iface_name ~meth:m.Iface.mname args result
-      | None -> ());
-      result
+      match override with
+      | Some impl -> impl ctx args
+      | None -> Invoke.call ctx target ~iface:iface_name ~meth:m.Iface.mname args
     in
     { m with Iface.impl }
   in

@@ -7,23 +7,15 @@
     original object) and replace the object handle in the name space."
 
     {!wrap} builds the interposing object: every interface of the target
-    is re-exported with forwarding methods, optional call/result hooks
-    observe traffic, optional overrides reimplement chosen methods, and a
+    is re-exported with forwarding methods, an optional call hook
+    observes traffic, optional overrides reimplement chosen methods, and a
     ["monitor"] interface (the superset part) exposes counters. {!attach}
     swaps it into the name space. *)
 
 (** Called before each forwarded invocation. *)
 type call_hook = iface:string -> meth:string -> Pm_obj.Value.t list -> unit
 
-(** Called after, with the result. *)
-type result_hook =
-  iface:string ->
-  meth:string ->
-  Pm_obj.Value.t list ->
-  (Pm_obj.Value.t, Pm_obj.Oerror.t) result ->
-  unit
-
-(** [wrap api dom ~target ?on_call ?on_result ?overrides ()] builds the
+(** [wrap api dom ~target ?on_call ?overrides ()] builds the
     agent in [dom]. [overrides] entries are
     [(iface, method, replacement_impl)]; overridden methods do not
     forward (the replacement may itself invoke [target]). The ["monitor"]
@@ -34,7 +26,6 @@ val wrap :
   Pm_nucleus.Domain.t ->
   target:Pm_obj.Instance.t ->
   ?on_call:call_hook ->
-  ?on_result:result_hook ->
   ?overrides:(string * string * Pm_obj.Iface.impl) list ->
   unit ->
   Pm_obj.Instance.t

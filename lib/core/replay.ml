@@ -275,8 +275,7 @@ let stats_snapshot sys =
   let kdom = Kernel.kernel_domain k in
   let ksvc = Kernel.bind k kdom "/stats/kernel" in
   match
-    Invoke.call (Kernel.ctx k kdom) ksvc ~iface:"stats" ~meth:"snapshot"
-      [ Value.Str "text" ]
+    Invoke.call (Kernel.ctx k kdom) ksvc ~iface:"stats" ~meth:"snapshot" []
   with
   | Ok (Value.Str s) -> s
   | Ok _ | Error _ -> failwith "Replay.stats_snapshot: /stats/kernel failed"

@@ -125,5 +125,3 @@ let stats m k =
   let c = get m k in
   { cpu = k; cycles = Clock.now c.Machine.clock; halted_now = c.halted;
     ipis_sent = c.ipis_sent; ipis_recv = c.ipis_recv; synced = c.synced }
-
-let all_stats m = List.init (count m) (stats m)

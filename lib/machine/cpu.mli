@@ -83,4 +83,3 @@ type cpu_stats = {
 }
 
 val stats : t -> int -> cpu_stats
-val all_stats : t -> cpu_stats list

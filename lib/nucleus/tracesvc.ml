@@ -67,20 +67,6 @@ let snapshot_text t =
     (Journal.count j Journal.Span_exit) (List.length spans) (Journal.spans_to_text spans)
     (Metrics.to_text (Obs.metrics (obs t)))
 
-let span_to_json (s : Journal.span) =
-  let e = s.Journal.enter in
-  Printf.sprintf
-    "{\"seq\":%d,\"domain\":%d,\"rid\":%d,\"detail\":\"%s\",\"start\":%d,\"end\":%d,\"depth\":%d}"
-    e.Journal.seq e.Journal.domain e.Journal.rid (Pm_journal.Json.escape e.Journal.detail)
-    e.Journal.at s.Journal.exit_at s.Journal.depth
-
-let snapshot_json t =
-  let j = Obs.journal (obs t) in
-  Printf.sprintf "{\"recorded\":%d,\"spans\":[%s],\"metrics\":%s}"
-    (Journal.count j Journal.Span_exit)
-    (String.concat "," (List.map span_to_json (Journal.spans j)))
-    (Metrics.to_json (Obs.metrics (obs t)))
-
 let service_object t registry kdom =
   let unit_m name body =
     Iface.fn0 ~name ~ret:Vtype.Tunit (fun _ ->
@@ -95,9 +81,8 @@ let service_object t registry kdom =
         unit_m "reset" Obs.reset;
         Iface.fn0 ~name:"enabled" ~ret:Vtype.Tbool (fun _ ->
             Ok (Value.Bool (Obs.enabled (obs t))));
-        Iface.text_or_json "snapshot"
-          ~text:(fun () -> snapshot_text t)
-          ~json:(fun () -> snapshot_json t);
+        Iface.fn0 ~name:"snapshot" ~ret:Vtype.Tstr (fun _ ->
+            Ok (Value.Str (snapshot_text t)));
         Iface.fn2 ~name:"histogram" Iface.Int Iface.Str ~ret:Vtype.Tstr
           (fun _ domain name ->
             match Metrics.summary (Obs.metrics (obs t)) ~domain name with

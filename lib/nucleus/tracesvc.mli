@@ -35,8 +35,8 @@ val uninterpose : t -> string -> (unit, string) result
     [start()], [stop()], [enabled() : bool],
     [reset()] (clears the metrics, and with them the accounting view
     over them; never the journal),
-    [snapshot(fmt) : str] with [fmt] one of ["text"]/["json"] (the
-    journal's span view plus the metrics),
+    [snapshot() : str] (the journal's span view plus the metrics, as
+    text),
     [histogram(domain, name) : str],
     [interpose(path) : int] (the agent's handle), and
     [uninterpose(path)]. *)

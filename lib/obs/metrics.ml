@@ -146,17 +146,3 @@ let to_text t =
        (fun (d, n, s) -> Printf.sprintf "dom %-2d %-28s %s" d n (summary_to_text s))
        (histograms t));
   Buffer.contents b
-
-let to_json t =
-  let entry (d, n, v) =
-    Printf.sprintf "{\"domain\":%d,\"name\":\"%s\",\"value\":%d}" d (Pm_journal.Json.escape n) v
-  in
-  let histo_entry (d, n, s) =
-    Printf.sprintf
-      "{\"domain\":%d,\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d}"
-      d (Pm_journal.Json.escape n) s.count s.sum s.min s.max s.p50 s.p90 s.p99
-  in
-  Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}"
-    (String.concat "," (List.map entry (counters t)))
-    (String.concat "," (List.map entry (gauges t)))
-    (String.concat "," (List.map histo_entry (histograms t)))

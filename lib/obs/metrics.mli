@@ -55,4 +55,3 @@ val gauges : t -> (int * string * int) list
 val histograms : t -> (int * string * summary) list
 val reset : t -> unit
 val to_text : t -> string
-val to_json : t -> string

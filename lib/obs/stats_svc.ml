@@ -12,6 +12,7 @@ module Vmem = Pm_nucleus.Vmem
 module Machine = Pm_machine.Machine
 module Clock = Pm_machine.Clock
 module Instance = Pm_obj.Instance
+module Registry = Pm_obj.Registry
 module Iface = Pm_obj.Iface
 module Value = Pm_obj.Value
 module Vtype = Pm_obj.Vtype
@@ -20,7 +21,6 @@ module Path = Pm_names.Path
 module Obs = Pm_obs.Obs
 module Metrics = Pm_obs.Metrics
 module Journal = Pm_journal.Journal
-module Json = Pm_journal.Json
 
 type t = {
   api : Api.t;
@@ -56,16 +56,6 @@ let dom_line id name row =
   Printf.sprintf "dom %-2d %-12s %s" id name
     (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) row))
 
-let json_obj row =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Json.escape k) v) row)
-  ^ "}"
-
-let dom_json id name row =
-  Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s}" id (Json.escape name)
-    (json_obj row)
-
 let snapshot_text t =
   let rows = capture t in
   let header =
@@ -74,11 +64,6 @@ let snapshot_text t =
   in
   let lines = List.map (fun (id, name, r) -> dom_line id name r) rows in
   String.concat "\n" ((header :: lines) @ [ Metrics.to_text (Obs.metrics (obs t)) ])
-
-let snapshot_json t =
-  Printf.sprintf "{\"at\":%d,\"domains\":[%s],\"metrics\":%s}" (Clock.now (clock t))
-    (String.concat "," (List.map (fun (id, name, r) -> dom_json id name r) (capture t)))
-    (Metrics.to_json (Obs.metrics (obs t)))
 
 (* diff against the last [mark] — counters as deltas, pages as-is. A
    mark older than the latest [Obs.reset] counts as zero: the counts it
@@ -105,11 +90,6 @@ let diff_text t =
   String.concat "\n"
     (header :: List.map (fun (id, name, r) -> dom_line id name r) (diff_rows t))
 
-let diff_json t =
-  let now = Clock.now (clock t) in
-  Printf.sprintf "{\"from\":%d,\"to\":%d,\"domains\":[%s]}" t.baseline_at now
-    (String.concat "," (List.map (fun (id, name, r) -> dom_json id name r) (diff_rows t)))
-
 (* ---------------- per-domain directory objects ----------------------- *)
 
 (* the metrics keyed to [d]: counters and gauges as (name, value) *)
@@ -132,19 +112,10 @@ let domain_text t (d : Domain.t) =
     @ List.map kv (mine d (Metrics.gauges m))
     @ histos)
 
-let domain_json t (d : Domain.t) =
-  let m = Obs.metrics (obs t) in
-  Printf.sprintf "{\"id\":%d,\"name\":\"%s\",\"acct\":%s,\"counters\":%s,\"gauges\":%s}"
-    d.Domain.id (Json.escape d.Domain.name) (json_obj (row t d))
-    (json_obj (mine d (Metrics.counters m)))
-    (json_obj (mine d (Metrics.gauges m)))
-
 let domain_iface t (d : Domain.t) =
   Iface.make ~name:"stats.domain"
     [
-      Iface.text_or_json "read"
-        ~text:(fun () -> domain_text t d)
-        ~json:(fun () -> domain_json t d);
+      Iface.fn0 ~name:"read" ~ret:Vtype.Tstr (fun _ -> Ok (Value.Str (domain_text t d)));
       Iface.fn1 ~name:"value" Iface.Str ~ret:Vtype.Tint (fun _ name ->
           match List.assoc_opt name (row t d) with
           | Some v -> Ok (Value.Int v)
@@ -156,67 +127,35 @@ let domain_object t (d : Domain.t) =
     ~domain:t.api.Api.kernel_domain.Domain.id [ domain_iface t d ]
 
 (* register /stats/<name> for every live domain that has none yet; the
-   kernel domain is covered by /stats/kernel itself *)
+   kernel domain is covered by /stats/kernel itself. The object is built
+   once and goes under the first free path: a name collision between
+   domains qualifies the path with the id. *)
 let publish t =
   let fresh = ref 0 in
   List.iter
     (fun d ->
       if (not (Domain.is_kernel d)) && not (Hashtbl.mem t.published d.Domain.id) then begin
+        let obj = domain_object t d in
         let base = "/stats/" ^ d.Domain.name in
-        let path =
-          match Directory.register t.api.Api.directory (Path.of_string base) (domain_object t d) with
-          | Ok () -> Some base
-          | Error _ ->
-            (* name collision between domains: qualify with the id *)
-            let alt = Printf.sprintf "%s.%d" base d.Domain.id in
-            (match
-               Directory.register t.api.Api.directory (Path.of_string alt)
-                 (domain_object t d)
-             with
-            | Ok () -> Some alt
-            | Error _ -> None)
+        let free p =
+          Result.is_ok (Directory.register t.api.Api.directory (Path.of_string p) obj)
         in
-        match path with
+        match List.find_opt free [ base; Printf.sprintf "%s.%d" base d.Domain.id ] with
         | Some p ->
           Hashtbl.replace t.published d.Domain.id p;
           incr fresh
-        | None -> ()
+        | None -> Registry.remove t.api.Api.registry (Instance.handle obj)
       end)
     (live_domains t);
   !fresh
 
-(* ---------------- per-CPU view --------------------------------------- *)
-
-module Cpu = Pm_machine.Cpu
-
-(* One line per CPU of the machine. *)
-let cpus_text t =
-  Cpu.all_stats t.api.Api.machine
-  |> List.map (fun (s : Cpu.cpu_stats) ->
-         Printf.sprintf
-           "cpu %d  cycles=%-10d halted=%d ipis_sent=%d ipis_recv=%d synced=%d"
-           s.Cpu.cpu s.Cpu.cycles
-           (if s.Cpu.halted_now then 1 else 0)
-           s.Cpu.ipis_sent s.Cpu.ipis_recv s.Cpu.synced)
-  |> String.concat "\n"
-
-let cpus_json t =
-  let one (s : Cpu.cpu_stats) =
-    Printf.sprintf
-      "{\"cpu\":%d,\"cycles\":%d,\"halted\":%b,\"ipis_sent\":%d,\"ipis_recv\":%d,\"synced\":%d}"
-      s.Cpu.cpu s.Cpu.cycles s.Cpu.halted_now s.Cpu.ipis_sent s.Cpu.ipis_recv
-      s.Cpu.synced
-  in
-  "[" ^ String.concat "," (List.map one (Cpu.all_stats t.api.Api.machine)) ^ "]"
-
 (* ---------------- the /stats/kernel service object ------------------- *)
 
 let kernel_iface t =
-  let thunk f () = f t in
   Iface.make ~name:"stats"
     [
-      Iface.text_or_json "snapshot" ~text:(thunk snapshot_text) ~json:(thunk snapshot_json);
-      Iface.text_or_json "diff" ~text:(thunk diff_text) ~json:(thunk diff_json);
+      Iface.fn0 ~name:"snapshot" ~ret:Vtype.Tstr (fun _ -> Ok (Value.Str (snapshot_text t)));
+      Iface.fn0 ~name:"diff" ~ret:Vtype.Tstr (fun _ -> Ok (Value.Str (diff_text t)));
       Iface.fn0 ~name:"mark" ~ret:Vtype.Tunit (fun _ ->
           mark t;
           Ok Value.Unit);
@@ -224,7 +163,6 @@ let kernel_iface t =
       Iface.fn1 ~name:"flight" Iface.Int ~ret:Vtype.Tstr (fun _ n ->
           Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n)));
       Iface.fn0 ~name:"publish" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (publish t)));
-      Iface.text_or_json "cpus" ~text:(thunk cpus_text) ~json:(thunk cpus_json);
     ]
 
 let create api ~domains () =

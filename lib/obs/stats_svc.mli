@@ -3,13 +3,12 @@
     over the span metrics — plus the pages {!Pm_nucleus.Vmem} says it
     holds.
 
-    [/stats/kernel] is the kernel-wide service — snapshot and diff
-    exporters (text or JSON, reusing {!Pm_obs.Metrics} for the keyed
-    data), the always-on flight-recorder dump, and [publish] which
-    registers one directory object per live user domain at
-    [/stats/<name>] (iface ["stats.domain"]: [read fmt] and
-    [value field]). The kernel object also exports ["stats.domain"] for
-    the kernel domain itself.
+    [/stats/kernel] is the kernel-wide service — [snapshot] and [diff]
+    exporters (text, reusing {!Pm_obs.Metrics} for the keyed data), the
+    always-on flight-recorder dump, and [publish] which registers one
+    directory object per live user domain at [/stats/<name>] (iface
+    ["stats.domain"]: [read] and [value field]). The kernel object also
+    exports ["stats.domain"] for the kernel domain itself.
 
     Because these are plain instances in the name space, a user domain
     reads them through the normal proxy path, and a monitor agent can
@@ -25,7 +24,9 @@ val create : Pm_nucleus.Api.t -> domains:(unit -> Pm_nucleus.Domain.t list) -> u
 val kernel_object : t -> Pm_obj.Instance.t
 
 (** Register [/stats/<name>] objects for live user domains that have
-    none yet; returns how many were newly registered. *)
+    none yet; returns how many were newly registered. Each domain's
+    object is built once; when another domain holds the name it goes to
+    [/stats/<name>.<id>], and when that is taken too it is dropped. *)
 val publish : t -> int
 
 (** Paths registered so far by {!publish}. *)
@@ -36,16 +37,8 @@ val published : t -> string list
     reset instead: the marked counts no longer exist. *)
 val mark : t -> unit
 
-(** {2 Direct exporters} — the same strings the object methods return. *)
+(** {2 Direct exporters} — the text the [snapshot] and [diff] methods
+    return. *)
 
 val snapshot_text : t -> string
-val snapshot_json : t -> string
 val diff_text : t -> string
-val diff_json : t -> string
-
-(** Per-CPU load of the machine (cycles, halted, IPIs, reconciliation
-    idle), one line/object per CPU. Also exported as the [cpus] method
-    of [/stats/kernel]. *)
-val cpus_text : t -> string
-
-val cpus_json : t -> string

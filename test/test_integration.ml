@@ -408,7 +408,7 @@ let test_tracing_whole_workload () =
        "events.irq"
     <> None);
   Mmu.switch_context (Machine.mmu (Kernel.machine k)) udom.Domain.id;
-  (match Invoke.call uctx trace ~iface:"trace" ~meth:"snapshot" [ Value.Str "text" ] with
+  (match Invoke.call uctx trace ~iface:"trace" ~meth:"snapshot" [] with
   | Ok (Value.Str text) ->
     Alcotest.(check bool) "snapshot crosses the domain boundary" true
       (String.length text > 0)

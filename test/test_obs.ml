@@ -291,16 +291,16 @@ let test_trace_service_cross_domain () =
          [ Value.Blob (Bytes.create 32) ])
   done;
   Mmu.switch_context (Machine.mmu (Kernel.machine k)) udom.Domain.id;
-  (match call "snapshot" [ Value.Str "json" ] with
-  | Ok (Value.Str json) ->
+  (match call "snapshot" [] with
+  | Ok (Value.Str text) ->
     Alcotest.(check bool) "snapshot mentions the agent" true
       (let sub = "trace:toolbox.netdrv" in
        let rec find i =
-         i + String.length sub <= String.length json
-         && (String.sub json i (String.length sub) = sub || find (i + 1))
+         i + String.length sub <= String.length text
+         && (String.sub text i (String.length sub) = sub || find (i + 1))
        in
        find 0)
-  | _ -> Alcotest.fail "snapshot json");
+  | _ -> Alcotest.fail "snapshot");
   (match call "histogram" [ Value.Int kdom.Domain.id; Value.Str "invoke.dispatch" ] with
   | Ok (Value.Str text) ->
     Alcotest.(check bool) "histogram has samples" true
@@ -505,7 +505,7 @@ let test_diff_after_reset () =
   calls 5 "enabled";
   calls 1 "reset";
   calls 3 "enabled";
-  match call stats "stats" "diff" [ Value.Str "text" ] with
+  match call stats "stats" "diff" [] with
   | Value.Str text ->
     let row = dom_row text kdom.Domain.id in
     List.iter
@@ -534,7 +534,7 @@ let test_span_sample_agree () =
       ignore (Invoke.call_exn (Kernel.ctx k d) obj ~iface:"trace" ~meth args)
     done
   in
-  as_domain kdom "/nucleus/trace" "snapshot" [ Value.Str "text" ];
+  as_domain kdom "/nucleus/trace" "snapshot" [];
   (* through the proxy: invoke spans in the user domain and the kernel *)
   as_domain udom "/nucleus/trace" "enabled" [];
   Mmu.switch_context (Machine.mmu (Kernel.machine k)) kdom.Domain.id;
@@ -713,7 +713,7 @@ let prop_view_matches_model ops =
          (List.init nf Fun.id) counter_fields
   in
   let state_ok () =
-    match call stats "stats" "diff" [ Value.Str "text" ] with
+    match call stats "stats" "diff" [] with
     | Value.Str diff -> Array.for_all Fun.id (Array.mapi (domain_ok diff) doms)
     | _ -> false
   in
@@ -786,7 +786,7 @@ let test_stats_namespace () =
   Mmu.switch_context (Machine.mmu (Kernel.machine k)) udom.Domain.id;
   let uctx = Kernel.ctx k udom in
   (match
-     Invoke.call uctx mine ~iface:"stats.domain" ~meth:"read" [ Value.Str "text" ]
+     Invoke.call uctx mine ~iface:"stats.domain" ~meth:"read" []
    with
   | Ok (Value.Str s) ->
     Alcotest.(check bool) "readout names the domain" true
@@ -812,15 +812,15 @@ let test_stats_namespace () =
   (* kernel-wide service: snapshot, mark, diff *)
   let ksvc = Kernel.bind k udom "/stats/kernel" in
   let call meth args = Invoke.call uctx ksvc ~iface:"stats" ~meth args in
-  (match call "snapshot" [ Value.Str "json" ] with
+  (match call "snapshot" [] with
   | Ok (Value.Str s) ->
-    Alcotest.(check bool) "snapshot json has domains" true
-      (String.length s > 0 && s.[0] = '{')
+    Alcotest.(check bool) "snapshot header" true
+      (String.starts_with ~prefix:"/stats snapshot @ " s)
   | _ -> Alcotest.fail "snapshot");
   (match call "mark" [] with
   | Ok Value.Unit -> ()
   | _ -> Alcotest.fail "mark");
-  (match call "diff" [ Value.Str "text" ] with
+  (match call "diff" [] with
   | Ok (Value.Str s) ->
     Alcotest.(check bool) "diff header" true
       (String.length s >= 11 && String.sub s 0 11 = "/stats diff")
@@ -856,7 +856,7 @@ let test_stats_interposable () =
     Alcotest.(check bool) "binding resolves to the agent" true (bound == agent);
     let ctx = Kernel.ctx k kdom in
     (match
-       Invoke.call ctx agent ~iface:"stats" ~meth:"snapshot" [ Value.Str "text" ]
+       Invoke.call ctx agent ~iface:"stats" ~meth:"snapshot" []
      with
     | Ok (Value.Str s) ->
       Alcotest.(check bool) "snapshot flows through the agent" true
@@ -873,24 +873,42 @@ let test_stats_interposable () =
       Alcotest.(check bool) "original restored" true (restored == original));
     Obs.disable (Clock.obs (Kernel.clock k))
 
-(* the one format verb: a bad format is a Type_error naming it, on every
-   exporter, and nothing raises *)
-let test_bad_format_named () =
+(* a domain whose name another domain holds gets one object, at
+   /stats/<name>.<id>; one whose qualified path is taken too gets
+   none, and leaves none behind *)
+let test_stats_name_collision () =
   let sys = sys_fixture () in
   let k = System.kernel sys in
   let kdom = Kernel.kernel_domain k in
-  List.iter
-    (fun (path, iface) ->
-      match
-        Invoke.call (Kernel.ctx k kdom) (Kernel.bind k kdom path) ~iface ~meth:"snapshot"
-          [ Value.Str "xml" ]
-      with
-      | Error (Oerror.Type_error msg) ->
-        Alcotest.(check string) path {|snapshot("text"|"json"), not "xml"|} msg
-      | Error e -> Alcotest.failf "%s: %s" path (Oerror.to_string e)
-      | Ok _ -> Alcotest.failf "%s accepted \"xml\"" path
-      | exception e -> Alcotest.failf "%s raised %s" path (Printexc.to_string e))
-    [ ("/nucleus/trace", "trace"); ("/stats/kernel", "stats") ]
+  let stats = System.stats sys in
+  let registry = (Kernel.api k).Api.registry in
+  ignore (System.new_domain sys "client");
+  let twin = Kernel.create_domain k ~name:"client" () in
+  let before = Registry.size registry in
+  Alcotest.(check int) "the twin is published" 1 (Stats_svc.publish stats);
+  Alcotest.(check int) "one object built" (before + 1) (Registry.size registry);
+  let alt = Printf.sprintf "/stats/client.%d" twin.Domain.id in
+  Alcotest.(check bool) "under the qualified path" true
+    (List.mem alt (Stats_svc.published stats));
+  (match
+     Invoke.call (Kernel.ctx k kdom) (Kernel.bind k kdom alt) ~iface:"stats.domain"
+       ~meth:"read" []
+   with
+  | Ok (Value.Str s) ->
+    Alcotest.(check bool) "it reads the twin" true
+      (String.starts_with ~prefix:(Printf.sprintf "dom %-2d client" twin.Domain.id) s)
+  | _ -> Alcotest.fail "read");
+  let third = Kernel.create_domain k ~name:"client" () in
+  (match
+     Directory.register (Kernel.directory k)
+       (Path.of_string (Printf.sprintf "/stats/client.%d" third.Domain.id))
+       (Stats_svc.kernel_object stats)
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "squat the qualified path");
+  let before = Registry.size registry in
+  Alcotest.(check int) "no free path, nothing published" 0 (Stats_svc.publish stats);
+  Alcotest.(check int) "no object left behind" before (Registry.size registry)
 
 (* --- the placement agent's hysteresis ----------------------------------- *)
 
@@ -906,11 +924,13 @@ let fault_burst obs ~domain n =
 let test_placer_hysteresis () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
+  let placer = Placer.create ~clock () in
   let migrated = ref [] in
-  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
+  Placer.manage placer ~watch:[ 1; 2 ] ~placement:Placer.User
     ~migrate:(fun p ->
       migrated := p :: !migrated;
+      (* what the move itself costs: certification, reloading *)
+      Clock.advance clock (match p with Placer.Certified -> 10_000 | Placer.User -> 2_000);
       true)
     ();
   let epoch_with ~cross ~faults =
@@ -943,150 +963,20 @@ let test_placer_hysteresis () =
   | [ Placer.Migrated Placer.User ] -> ()
   | _ -> Alcotest.fail "expected demotion to user");
   Alcotest.(check bool) "demotion ran the closure" true
-    (List.hd !migrated = Placer.User)
-
-(* two components under one agent: each keeps its own streak and
-   cooldown, and a verifiable one migrates up to Verified *)
-let test_placer_multi_component () =
-  let clock = Clock.create () in
-  let obs = Clock.obs clock in
-  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 ~cooldown:1 () in
-  let moved_a = ref [] and moved_b = ref [] in
-  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User
-    ~migrate:(fun p ->
-      moved_a := p :: !moved_a;
-      true)
-    ();
-  Placer.manage placer ~watch:[ 2 ] ~placement:Placer.User ~verified_ok:true
-    ~migrate:(fun p ->
-      moved_b := p :: !moved_b;
-      true)
-    ();
-  Alcotest.(check int) "two components" 2 (List.length (Placer.placements placer));
-  let epoch_with ~cross1 ~cross2 =
-    Clock.advance clock 1_000;
-    crossing obs ~domain:1 cross1;
-    crossing obs ~domain:2 cross2;
-    Placer.epoch placer
-  in
-  (* only component B runs hot: A must hold while B confirms and moves —
-     and because B is verifiable, the up-target is Verified *)
-  ignore (epoch_with ~cross1:0 ~cross2:500);
-  (match epoch_with ~cross1:0 ~cross2:500 with
-  | [ Placer.Migrated Placer.Verified ] -> ()
-  | acts ->
-    Alcotest.failf "expected one Verified migration, got %d action(s)"
-      (List.length acts));
-  Alcotest.(check bool) "A untouched" true (!moved_a = []);
-  Alcotest.(check bool) "B moved to Verified" true (!moved_b = [ Placer.Verified ]);
-  Alcotest.(check (list string)) "placements reflect both" [ "user"; "verified" ]
-    (List.map Placer.placement_to_string (Placer.placements placer));
-  (* now A runs hot while B cools down; A converges independently *)
-  ignore (epoch_with ~cross1:500 ~cross2:0);
-  (match epoch_with ~cross1:500 ~cross2:0 with
-  | [ Placer.Migrated Placer.Certified ] -> ()
-  | _ -> Alcotest.fail "expected A to migrate to Certified");
-  Alcotest.(check int) "two moves total" 2 (Placer.moves placer);
-  Alcotest.(check (list string)) "both converged" [ "certified"; "verified" ]
-    (List.map Placer.placement_to_string (Placer.placements placer))
-
-(* a verifiable component whose migrate closure refuses Verified falls
-   back to the certificate path *)
-let test_placer_verified_fallback () =
-  let clock = Clock.create () in
-  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
-  let attempts = ref [] in
-  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~verified_ok:true
-    ~migrate:(fun p ->
-      attempts := p :: !attempts;
-      p = Placer.Certified)
-    ();
-  Clock.advance clock 1_000;
-  crossing (Clock.obs clock) ~domain:1 500;
-  (match Placer.epoch placer with
-  | [ Placer.Migrated Placer.Certified ] -> ()
-  | _ -> Alcotest.fail "expected fallback migration to Certified");
-  Alcotest.(check bool) "tried Verified first" true
-    (List.rev !attempts = [ Placer.Verified; Placer.Certified ]);
-  Alcotest.(check bool) "placement is Certified" true
-    (Placer.placement placer = Some Placer.Certified)
-
-(* the payback-horizon check: a costly migration is deferred while the
-   projected steady-state saving cannot cover it *)
-let test_placer_payback_deferral () =
-  let clock = Clock.create () in
-  let placer =
-    Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0
-      ~payback_window:2 ()
-  in
-  let moved = ref 0 in
-  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~move_cost:10_000
-    ~migrate:(fun _ ->
-      incr moved;
-      true)
-    ();
-  let epoch_with cross =
-    Clock.advance clock 1_000;
-    crossing (Clock.obs clock) ~domain:1 cross;
-    Placer.epoch placer
-  in
-  (* hot by share (0.5 >= 0.2), but 2 epochs x 500 cycles saved never
-     repays a 10k-cycle move: the agent must hold and count a deferral *)
-  Alcotest.(check bool) "costly move deferred" true
-    (epoch_with 500 = [ Placer.Hold ]);
-  Alcotest.(check int) "deferral counted" 1 (Placer.deferrals placer);
-  Alcotest.(check int) "no move" 0 !moved;
-  (* crossings heavy enough that the window covers the cost: migrate *)
-  (match epoch_with 6_000 with
-  | [ Placer.Migrated Placer.Certified ] -> ()
-  | _ -> Alcotest.fail "expected migration once the saving covers the cost");
-  Alcotest.(check int) "one move" 1 !moved;
-  Alcotest.(check int) "still one deferral" 1 (Placer.deferrals placer)
-
-(* the payback estimate is learned, not configured: each migration is
-   timed on the clock, the first observation replaces the seed, later
-   ones average in — and every move lands in the journal with its
-   measured latency *)
-let test_placer_move_cost_learning () =
-  let clock = Clock.create () in
-  let obs = Clock.obs clock in
-  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
-  let latency = ref 10_000 in
-  Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~move_cost:500
-    ~migrate:(fun _ ->
-      Clock.advance clock !latency;
-      true)
-    ();
-  Alcotest.(check (list int)) "seed before any move" [ 500 ]
-    (Placer.move_costs placer);
-  let epoch_with ~cross ~faults =
-    Clock.advance clock 1_000;
-    crossing obs ~domain:1 cross;
-    fault_burst obs ~domain:1 faults;
-    Placer.epoch placer
-  in
-  (* first move: the measured 10k replaces the 500-cycle guess outright *)
-  (match epoch_with ~cross:900 ~faults:0 with
-  | [ Placer.Migrated Placer.Certified ] -> ()
-  | _ -> Alcotest.fail "expected migration");
-  Alcotest.(check (list int)) "first observation replaces the seed" [ 10_000 ]
-    (Placer.move_costs placer);
-  (* second move (a fault demotion) averages in: (10000 + 2000 + 1) / 2 *)
-  latency := 2_000;
-  (match epoch_with ~cross:0 ~faults:5 with
-  | [ Placer.Migrated Placer.User ] -> ()
-  | _ -> Alcotest.fail "expected demotion");
-  Alcotest.(check (list int)) "later observations average in" [ 6_000 ]
-    (Placer.move_costs placer);
+    (List.hd !migrated = Placer.User);
+  (* every move lands in the journal once: its target, the cycles the
+     closure charged, the first watched domain *)
   let migrates =
     List.filter
       (fun e -> e.Journal.kind = Journal.Migrate)
       (Journal.structural (Obs.journal obs))
   in
-  Alcotest.(check (list int)) "journalled with measured latencies"
-    [ 10_000; 2_000 ]
+  Alcotest.(check (list string)) "journalled with the target"
+    [ "certified"; "user" ]
+    (List.map (fun e -> e.Journal.detail) migrates);
+  Alcotest.(check (list int)) "with the cycles the move took" [ 10_000; 2_000 ]
     (List.map (fun e -> e.Journal.info) migrates);
-  Alcotest.(check (list int)) "charged to the watched domain" [ 1; 1 ]
+  Alcotest.(check (list int)) "charged to the first watched domain" [ 1; 1 ]
     (List.map (fun e -> e.Journal.domain) migrates)
 
 (* an Obs reset between two epochs: the baseline's counts are gone, so
@@ -1094,7 +984,7 @@ let test_placer_move_cost_learning () =
 let test_placer_after_reset () =
   let clock = Clock.create () in
   let obs = Clock.obs clock in
-  let placer = Placer.create ~clock ~costs:Cost.default ~confirm:2 () in
+  let placer = Placer.create ~clock () in
   Placer.manage placer ~watch:[ 1 ] ~placement:Placer.User ~migrate:(fun _ -> true) ();
   let epoch_with cross =
     Clock.advance clock 1_000;
@@ -1111,11 +1001,11 @@ let test_placer_after_reset () =
 
 (* The bell share prices each ring as it was paid: a ring from the
    kernel's protection domain calls into the nucleus, one from a user
-   domain traps. Either way the share is its crossings' cycles over the
-   epoch's, at most 1, and a channel that rings on every message still
-   flips to polling. *)
+   domain traps. Either way each epoch's share is its crossings' cycles
+   over the epoch's, at most 1, and a channel that rings on every
+   message flips to polling once two epochs in a row have asked. *)
 let test_placer_bell_share () =
-  let epoch ~kernel_rung =
+  let run ~kernel_rung =
     let sys = sys_fixture () in
     let k = System.kernel sys in
     let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "bell-user" in
@@ -1129,34 +1019,75 @@ let test_placer_bell_share () =
          (fun () -> ignore (Chan.recv_batch chan ())));
     Mmu.switch_context (Machine.mmu (Kernel.machine k)) producer.Domain.id;
     let clock = Kernel.clock k in
-    let placer = Placer.create ~clock ~costs:Cost.default ~confirm:1 ~cooldown:0 () in
+    let placer = Placer.create ~clock () in
     Placer.manage_channel placer chan;
-    let t0 = Clock.now clock in
-    for _ = 1 to 10 do
-      Chan.send chan (Bytes.of_string "ring")
-    done;
-    let dt = Clock.now clock - t0 in
-    let actions = Placer.epoch placer in
-    (Chan.stats chan, dt, actions, Placer.doorbell_share placer)
+    let epoch () =
+      let s0 = Chan.stats chan and t0 = Clock.now clock in
+      for _ = 1 to 10 do
+        Chan.send chan (Bytes.of_string "ring")
+      done;
+      let dt = Clock.now clock - t0 in
+      let actions = Placer.epoch placer in
+      let s1 = Chan.stats chan in
+      ( s1.Chan.doorbells - s0.Chan.doorbells,
+        s1.Chan.bell_cycles - s0.Chan.bell_cycles,
+        dt, actions, Placer.doorbell_share placer )
+    in
+    let first = epoch () in
+    let second = epoch () in
+    [ (1, first, [ Placer.Hold ]); (2, second, [ Placer.Flipped Chan.Poll ]) ]
   in
   List.iter
     (fun (kernel_rung, label, crossing) ->
-      let stats, dt, actions, share = epoch ~kernel_rung in
-      Alcotest.(check int) (label ^ ": every send rang") 10 stats.Chan.doorbells;
-      Alcotest.(check int) (label ^ ": the crossings recorded") (10 * crossing)
-        stats.Chan.bell_cycles;
-      Alcotest.(check (float 0.)) (label ^ ": share = crossings / epoch")
-        (float_of_int (10 * crossing) /. float_of_int dt)
-        share;
-      Alcotest.(check bool) (label ^ ": share <= 1") true (share <= 1.);
-      Alcotest.(check bool) (label ^ ": flips to poll") true
-        (actions = [ Placer.Flipped Chan.Poll ]))
+      List.iter
+        (fun (n, (doorbells, bell_cycles, dt, actions, share), expected) ->
+          let label = Printf.sprintf "%s, epoch %d" label n in
+          Alcotest.(check int) (label ^ ": every send rang") 10 doorbells;
+          Alcotest.(check int) (label ^ ": the crossings recorded") (10 * crossing)
+            bell_cycles;
+          Alcotest.(check (float 0.)) (label ^ ": share = crossings / epoch")
+            (float_of_int (10 * crossing) /. float_of_int dt)
+            share;
+          Alcotest.(check bool) (label ^ ": share <= 1") true (share <= 1.);
+          Alcotest.(check bool) (label ^ ": action") true (actions = expected))
+        (run ~kernel_rung))
     [
       (* call 8 + two switches 640 + pop-up 60 *)
       (true, "kernel-rung", 708);
       (* trap 280 + two switches 640 + pop-up 60 *)
       (false, "user-rung", 980);
     ]
+
+(* the other half of the channel decision: a polled channel that goes
+   quiet goes back to sleeping on its doorbell, once two idle epochs in
+   a row have asked *)
+let test_placer_idle_flips_back () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "idle-user" in
+  let chan =
+    Chan.create (Kernel.machine k) (Kernel.vmem k) ~slots:8 ~slot_size:16 ~mode:Chan.Poll
+      ~producer:kdom ()
+  in
+  ignore (Chan.accept chan ~into:udom);
+  let clock = Kernel.clock k in
+  let placer = Placer.create ~clock () in
+  Placer.manage_channel placer chan;
+  let epoch ~sends =
+    for _ = 1 to sends do
+      Chan.send chan (Bytes.of_string "poll")
+    done;
+    ignore (Chan.recv_batch chan ());
+    Clock.advance clock 1_000;
+    Placer.epoch placer
+  in
+  Alcotest.(check bool) "a busy epoch keeps polling" true (epoch ~sends:3 = [ Placer.Hold ]);
+  Alcotest.(check bool) "the first idle epoch holds" true (epoch ~sends:0 = [ Placer.Hold ]);
+  Alcotest.(check bool) "the second flips to doorbell" true
+    (epoch ~sends:0 = [ Placer.Flipped Chan.Doorbell ]);
+  Alcotest.(check bool) "the channel sleeps on its doorbell" true
+    (Chan.mode chan = Chan.Doorbell);
+  Alcotest.(check int) "one flip" 1 (Placer.flips placer)
 
 (* --- clock snapshot helpers -------------------------------------------- *)
 
@@ -1234,19 +1165,16 @@ let () =
         [
           Alcotest.test_case "cross-domain reads" `Quick test_stats_namespace;
           Alcotest.test_case "interposable" `Quick test_stats_interposable;
-          Alcotest.test_case "bad format named" `Quick test_bad_format_named;
+          Alcotest.test_case "a name collision builds one object" `Quick
+            test_stats_name_collision;
         ] );
       ( "placer",
         [
           Alcotest.test_case "hysteresis" `Quick test_placer_hysteresis;
-          Alcotest.test_case "multi-component" `Quick test_placer_multi_component;
-          Alcotest.test_case "verified fallback" `Quick test_placer_verified_fallback;
-          Alcotest.test_case "payback deferral" `Quick test_placer_payback_deferral;
-          Alcotest.test_case "move-cost learning" `Quick
-            test_placer_move_cost_learning;
           Alcotest.test_case "reset between epochs" `Quick test_placer_after_reset;
           Alcotest.test_case "bell share prices each ring as paid" `Quick
             test_placer_bell_share;
+          Alcotest.test_case "idle channel flips back" `Quick test_placer_idle_flips_back;
         ] );
       ( "interposer",
         [

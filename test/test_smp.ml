@@ -382,62 +382,6 @@ let test_cpu_stamp_per_machine () =
   Alcotest.(check int) "A's event is on A's cpu 0" 0 (cpu_of a "on-a");
   Alcotest.(check int) "B's event is on B's cpu 1" 1 (cpu_of b "on-b")
 
-(* --- the placement agent's CPU dimension -------------------------------- *)
-
-let test_placer_repins () =
-  let sys, _, _, cpx = sys_fixture () in
-  let clock = System.clock sys in
-  let costs = Machine.costs (Kernel.machine (System.kernel sys)) in
-  let udom = System.new_domain sys "hot" in
-  let placer = Placer.create ~clock ~costs () in
-  let c0 = ref 0 and c1 = ref 0 in
-  Placer.manage_cpu placer ~complex:cpx ~domain:udom.Domain.id
-    ~loads:(fun () -> [ (0, !c0); (1, !c1) ])
-    ~move_cost:1 ();
-  Alcotest.(check int) "starts on cpu 0" 0 (Cpu.cpu_of cpx ~domain:udom.Domain.id);
-  (* two epochs of cpu 0 out-running cpu 1 by the whole epoch: the
-     default confirm streak is 2, so the first confirms, the second
-     re-pins *)
-  Clock.advance clock 100;
-  c0 := !c0 + 100;
-  Alcotest.(check int) "first epoch holds" 0
-    (List.length
-       (List.filter (function Placer.Repinned _ -> true | _ -> false)
-          (Placer.epoch placer)));
-  Clock.advance clock 100;
-  c0 := !c0 + 100;
-  (match
-     List.filter (function Placer.Repinned _ -> true | _ -> false)
-       (Placer.epoch placer)
-   with
-  | [ Placer.Repinned 1 ] -> ()
-  | _ -> Alcotest.fail "second epoch must re-pin to cpu 1");
-  Alcotest.(check int) "pinned to the idle cpu" 1
-    (Cpu.cpu_of cpx ~domain:udom.Domain.id);
-  Alcotest.(check int) "move counted" 1 (Placer.cpu_moves placer);
-  Alcotest.(check bool) "imbalance observed" true
-    (Placer.cpu_imbalance placer > 0.)
-
-let test_placer_payback_defers () =
-  let sys, _, _, cpx = sys_fixture () in
-  let clock = System.clock sys in
-  let costs = Machine.costs (Kernel.machine (System.kernel sys)) in
-  let udom = System.new_domain sys "lukewarm" in
-  let placer = Placer.create ~clock ~costs () in
-  let c0 = ref 0 and c1 = ref 0 in
-  (* an exorbitant re-pin cost: the horizon can never cover it *)
-  Placer.manage_cpu placer ~complex:cpx ~domain:udom.Domain.id
-    ~loads:(fun () -> [ (0, !c0); (1, !c1) ])
-    ~move_cost:1_000_000 ();
-  for _ = 1 to 4 do
-    Clock.advance clock 100;
-    c0 := !c0 + 100;
-    ignore (Placer.epoch placer)
-  done;
-  Alcotest.(check int) "never moved" 0 (Placer.cpu_moves placer);
-  Alcotest.(check int) "still on cpu 0" 0 (Cpu.cpu_of cpx ~domain:udom.Domain.id);
-  Alcotest.(check bool) "defers counted" true (Placer.cpu_deferrals placer > 0)
-
 (* --- Kernel.step at any CPU count ----------------------------------------- *)
 
 (* The RPC demo's shape: loopback networking, a server pumped by a
@@ -539,11 +483,6 @@ let () =
             test_journal_cpu_roundtrip;
           Alcotest.test_case "cpu stamp is per machine" `Quick
             test_cpu_stamp_per_machine;
-        ] );
-      ( "placer",
-        [
-          Alcotest.test_case "re-pins to the idle cpu" `Quick test_placer_repins;
-          Alcotest.test_case "payback defers" `Quick test_placer_payback_defers;
         ] );
       ( "step",
         List.map
