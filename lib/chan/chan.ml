@@ -457,17 +457,13 @@ let rec recv ?(account = true) t =
     Sync.Waitq.wait t.not_empty;
     recv ~account t
 
-let recv_batch ?(account = true) ?(max = max_int) t () =
-  let rec go n acc =
-    if n >= max then List.rev acc
-    else
-      match try_recv ~account t with
-      | Some msg -> go (n + 1) (msg :: acc)
-      | None ->
-        (* dry: re-arm so the next enqueue rings; when the drain stopped
-           at [max] with messages left, the doorbell stays quiet and the
-           caller is expected to keep polling — load skips doorbells *)
-        if t.chan_mode = Doorbell then arm t;
-        List.rev acc
+let recv_batch ?(account = true) t () =
+  let rec go acc =
+    match try_recv ~account t with
+    | Some msg -> go (msg :: acc)
+    | None ->
+      (* dry: re-arm so the next enqueue rings *)
+      if t.chan_mode = Doorbell then arm t;
+      List.rev acc
   in
-  go 0 []
+  go []

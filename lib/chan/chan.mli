@@ -143,9 +143,9 @@ val try_recv : ?account:bool -> t -> bytes option
 (** [recv t] blocks on an empty ring until the producer enqueues. *)
 val recv : ?account:bool -> t -> bytes
 
-(** [recv_batch t ()] drains up to [max] messages (default: everything),
-    then re-arms the doorbell when in [Doorbell] mode and dry. *)
-val recv_batch : ?account:bool -> ?max:int -> t -> unit -> bytes list
+(** [recv_batch t ()] drains every message, then re-arms the doorbell
+    when in [Doorbell] mode. *)
+val recv_batch : ?account:bool -> t -> unit -> bytes list
 
 (** [arm t] requests a doorbell for the next enqueue (consumer side). *)
 val arm : t -> unit

@@ -43,8 +43,6 @@ let tx_endpoint api chan =
       (Iface.fn1 ~name:"send" Iface.Blob ~ret:Vtype.Tunit (fun _ msg ->
            Chan.send chan msg;
            Ok Value.Unit)
-      :: Iface.fn1 ~name:"try_send" Iface.Blob ~ret:Vtype.Tbool (fun _ msg ->
-             Ok (Value.Bool (Chan.try_send chan msg)))
       :: common chan)
   in
   (* a tx endpoint can pose as a receive sink ("stack".rx): what a NIC
@@ -71,9 +69,6 @@ let rx_endpoint api chan =
     Iface.make ~name:"chan.rx"
       (Iface.fn0 ~name:"recv" ~ret:(Vtype.Tlist Vtype.Tblob) (fun _ ->
            Ok (Value.List (List.map (fun b -> Value.Blob b) (Chan.recv_batch chan ()))))
-      :: Iface.fn0 ~name:"arm" ~ret:Vtype.Tunit (fun _ ->
-             Chan.arm chan;
-             Ok Value.Unit)
       :: common chan)
   in
   Instance.create api.Api.registry ~class_name:"chan.rx" ~domain:dom.Domain.id

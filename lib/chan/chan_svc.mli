@@ -18,11 +18,12 @@
     [/chan/<name>/tx] monitors every message crossing the channel, just
     like any other agent.
 
-    A transmit endpoint exports ["chan.tx"] ([send], [try_send],
-    [pending], [stats]) and also ["stack"] with [rx(blob)], so it can
-    stand in for a protocol stack as a NIC driver's receive sink — the
+    A transmit endpoint exports ["chan.tx"] ([send], [pending],
+    [stats]) and also ["stack"] with [rx(blob)], so it can stand in for
+    a protocol stack as a NIC driver's receive sink — the
     channel-backed receive path ({!bridge}). A receive endpoint exports
-    ["chan.rx"] ([recv] — drain a batch, [arm], [pending], [stats]). *)
+    ["chan.rx"] ([recv] — drain a batch and re-arm the doorbell,
+    [pending], [stats]). *)
 
 (** [create api ~domain_of_id ()] builds the factory instance in the
     kernel domain. [domain_of_id] resolves a call's origin domain id to

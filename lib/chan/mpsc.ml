@@ -256,31 +256,24 @@ let try_recv ?account t =
   in
   if n = 0 then None else scan 0
 
-let recv_batch ?account ?(max = max_int) t () =
+let recv_batch ?account t () =
   if nrings t = 0 then []
   else begin
     (* the dirty hint short-circuits a dry drain with one shared read
        instead of touching every sub-ring's tail *)
-    let dirty = hread t off_dirty in
-    if dirty = 0 then begin
-      if t.gmode = Chan.Doorbell then arm t;
-      []
-    end
-    else begin
-      hwrite t off_dirty 0;
-      let rec go n acc =
-        if n >= max then (false, List.rev acc)
-        else
+    let msgs =
+      if hread t off_dirty = 0 then []
+      else begin
+        hwrite t off_dirty 0;
+        let rec go acc =
           match try_recv ?account t with
-          | Some msg -> go (n + 1) (msg :: acc)
-          | None -> (true, List.rev acc)
-      in
-      let dry, msgs = go 0 [] in
-      (* dry: re-arm so the next enqueue from any producer rings; when
-         the drain stopped at [max] the caller keeps polling, so the
-         hint stays set for the messages left behind *)
-      if not dry then hwrite t off_dirty dirty
-      else if t.gmode = Chan.Doorbell then arm t;
-      msgs
-    end
+          | Some msg -> go (msg :: acc)
+          | None -> List.rev acc
+        in
+        go []
+      end
+    in
+    (* dry: re-arm so the next enqueue from any producer rings *)
+    if t.gmode = Chan.Doorbell then arm t;
+    msgs
   end

@@ -122,11 +122,10 @@ val send_or_drop : ?account:bool -> tx -> bytes -> bool
     advancing the fairness cursor. *)
 val try_recv : ?account:bool -> t -> bytes option
 
-(** [recv_batch t ()] drains up to [max] messages round-robin. A dry
-    group costs one shared read (the dirty hint) and re-arms the group
-    doorbell in [Doorbell] mode; a drain stopped at [max] leaves the
-    hint set, so the next drain finds what it left. *)
-val recv_batch : ?account:bool -> ?max:int -> t -> unit -> bytes list
+(** [recv_batch t ()] drains every message round-robin, then re-arms
+    the group doorbell in [Doorbell] mode. A dry group costs one shared
+    read (the dirty hint). *)
+val recv_batch : ?account:bool -> t -> unit -> bytes list
 
 (** [arm t] requests a group doorbell for the next enqueue from any
     producer (consumer side). *)

@@ -239,7 +239,7 @@ let client api conn () =
   in
   let flush ctx =
     match List.rev st.buffered with
-    | [] -> 0
+    | [] -> ()
     | segs ->
       st.buffered <- [];
       with_flush_span conn (fun () ->
@@ -248,8 +248,7 @@ let client api conn () =
             (chunk ~slot_size:(Chan.slot_size conn.req) segs);
           (* the doorbell pop-up normally served the batch synchronously
              inside the enqueue; collect whatever is already back *)
-          drain_responses ctx;
-          List.length segs)
+          drain_responses ctx)
   in
   let take ctx id =
     let rec await polls =
@@ -272,7 +271,7 @@ let client api conn () =
   in
   let call ctx ~name ~args =
     let id = submit ctx ~name ~args in
-    ignore (flush ctx);
+    flush ctx;
     take ctx id
   in
   (* the elements are [any] in the signature, so their shape is checked
@@ -285,7 +284,7 @@ let client api conn () =
   in
   let call_many ctx calls =
     let ids = List.map (fun (name, args) -> submit ctx ~name ~args) calls in
-    ignore (flush ctx);
+    flush ctx;
     let rec collect acc = function
       | [] -> Ok (Value.List (List.rev acc))
       | id :: rest ->
@@ -298,10 +297,6 @@ let client api conn () =
   let batch_iface =
     Iface.make ~name:"rpc.batch"
       [
-        Iface.fn2 ~name:"submit" Iface.Str Iface.Blob ~ret:Vtype.Tint
-          (fun ctx name args -> Ok (Value.Int (submit ctx ~name ~args)));
-        Iface.fn0 ~name:"flush" ~ret:Vtype.Tint (fun ctx -> Ok (Value.Int (flush ctx)));
-        Iface.fn1 ~name:"take" Iface.Int ~ret:Vtype.Tblob take;
         Iface.fn2 ~name:"call" Iface.Str Iface.Blob ~ret:Vtype.Tblob (fun ctx name args ->
             call ctx ~name ~args);
         Iface.fn1 ~name:"call_many" (Iface.List Vtype.Tany) ~ret:(Vtype.Tlist Vtype.Tblob)

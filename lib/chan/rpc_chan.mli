@@ -24,13 +24,14 @@
 
     {2 Flow}
 
-    The client buffers [submit]ed calls and [flush] publishes them: one
+    Inside [call] and [call_many] the client marshals each call into the
+    batch under assembly (submit), then publishes the batch (flush): one
     blocking enqueue, a doorbell if the server is dry, and — because the
     server's drain runs as a pop-up proto-thread inside the doorbell
     trap — responses are usually waiting in the reply ring by the time
-    [flush] returns. [take] yield-polls for stragglers (a server handler
-    that blocked promotes its proto-thread and completes under the
-    scheduler). *)
+    the flush returns. Collecting a result (take) yield-polls for
+    stragglers (a server handler that blocked promotes its proto-thread
+    and completes under the scheduler). *)
 
 type conn
 
@@ -79,13 +80,11 @@ val serve :
 
 (** [client api conn ()] builds the client endpoint object (in the
     client domain). It exports ["rpc.batch"]:
-    - [submit(name:str, args:blob) -> int] — marshal now, send later
-    - [flush() -> int] — publish the batch, returns calls flushed
-    - [take(id:int) -> blob] — result of a flushed call ([Fault] on a
-      remote error or timeout)
-    - [call(name:str, args:blob) -> blob] — submit+flush+take of one
+    - [call(name:str, args:blob) -> blob] — one call, one crossing each
+      way
     - [call_many(list of (name, args) pairs) -> list of blob] — the
       batch verb: N calls, one crossing each way
 
-    A [take] gives up after 10000 yield-polls. *)
+    A result is a [Fault] on a remote error, or when it has not arrived
+    after 10000 yield-polls. *)
 val client : Pm_nucleus.Api.t -> conn -> unit -> Pm_obj.Instance.t

@@ -39,9 +39,9 @@ val set_gauge : t -> domain:int -> string -> int -> unit
 val reset : t -> unit
 
 (** How many times {!reset} has run. A reader that kept a baseline
-    (a [/stats] mark, a placer epoch) compares the count it saw then:
-    a baseline from before the latest reset counts as zero, so the
-    reader's delta is the activity since the reset. *)
+    (the placer's epoch) compares the count it saw then: a baseline from
+    before the latest reset counts as zero, so the reader's delta is the
+    activity since the reset. *)
 val resets : t -> int
 
 (** {2 Per-domain accounting} *)

@@ -1,6 +1,6 @@
 (* The /stats namespace: per-domain accounting made visible as ordinary
-   objects. One service object at /stats/kernel exports kernel-wide
-   snapshot/diff/flight, and each protection domain gets a directory
+   objects. One service object at /stats/kernel exports the kernel-wide
+   snapshot and flight dump, and each protection domain gets a directory
    object at /stats/<name> — both reachable cross-domain through the
    normal proxy path and interposable like any agent, because they are
    nothing but named instances. *)
@@ -25,10 +25,7 @@ module Journal = Pm_journal.Journal
 type t = {
   api : Api.t;
   domains : unit -> Domain.t list;
-  published : (int, string) Hashtbl.t; (* domain id -> /stats path *)
-  mutable baseline : (int * (string * int) list) list; (* id, row at the mark *)
-  mutable baseline_at : int;
-  mutable baseline_resets : int; (* [Obs.resets] at the mark *)
+  published : (int, string * Instance.t) Hashtbl.t; (* domain id -> path, object *)
   mutable kernel_obj : Instance.t option;
 }
 
@@ -45,11 +42,6 @@ let row t (d : Domain.t) =
 
 let capture t = List.map (fun d -> (d.Domain.id, d.Domain.name, row t d)) (live_domains t)
 
-let mark t =
-  t.baseline <- List.map (fun (id, _, r) -> (id, r)) (capture t);
-  t.baseline_at <- Clock.now (clock t);
-  t.baseline_resets <- Obs.resets (obs t)
-
 (* ---------------- exporters (reusing Metrics for the keyed data) ------ *)
 
 let dom_line id name row =
@@ -64,31 +56,6 @@ let snapshot_text t =
   in
   let lines = List.map (fun (id, name, r) -> dom_line id name r) rows in
   String.concat "\n" ((header :: lines) @ [ Metrics.to_text (Obs.metrics (obs t)) ])
-
-(* diff against the last [mark] — counters as deltas, pages as-is. A
-   mark older than the latest [Obs.reset] counts as zero: the counts it
-   saw are gone, so the delta is the activity since the reset. *)
-let diff_rows t =
-  let stale = Obs.resets (obs t) <> t.baseline_resets in
-  List.map
-    (fun (id, name, after) ->
-      match List.assoc_opt id t.baseline with
-      | Some before when not stale ->
-        ( id, name,
-          List.map2
-            (fun (k, a) (_, b) -> (k, if String.equal k "pages" then a else a - b))
-            after before )
-      | _ -> (id, name, after))
-    (capture t)
-
-let diff_text t =
-  let now = Clock.now (clock t) in
-  let header =
-    Printf.sprintf "/stats diff over %d cyc (%d..%d)" (now - t.baseline_at)
-      t.baseline_at now
-  in
-  String.concat "\n"
-    (header :: List.map (fun (id, name, r) -> dom_line id name r) (diff_rows t))
 
 (* ---------------- per-domain directory objects ----------------------- *)
 
@@ -126,11 +93,30 @@ let domain_object t (d : Domain.t) =
   Instance.create t.api.Api.registry ~class_name:"obs.stats.domain"
     ~domain:t.api.Api.kernel_domain.Domain.id [ domain_iface t d ]
 
-(* register /stats/<name> for every live domain that has none yet; the
-   kernel domain is covered by /stats/kernel itself. The object is built
-   once and goes under the first free path: a name collision between
-   domains qualifies the path with the id. *)
+(* A torn-down domain's object is a kernel-domain instance, so the
+   teardown's sweep passed it by: take its path and its registry slot
+   back, as an unload does, which frees the name for the next domain. *)
+let retire t (path, obj) =
+  ignore (Directory.unregister t.api.Api.directory (Path.of_string path));
+  Instance.revoke obj;
+  Directory.release t.api.Api.directory obj;
+  Registry.remove t.api.Api.registry (Instance.handle obj)
+
+(* reconcile /stats with the live domains: retire the objects of dead
+   ones, then register /stats/<name> for every live domain that has none
+   yet; the kernel domain is covered by /stats/kernel itself. The object
+   is built once and goes under the first free path: a name collision
+   between domains qualifies the path with the id. *)
 let publish t =
+  let live = live_domains t in
+  Hashtbl.filter_map_inplace
+    (fun id entry ->
+      if List.exists (fun d -> d.Domain.id = id) live then Some entry
+      else begin
+        retire t entry;
+        None
+      end)
+    t.published;
   let fresh = ref 0 in
   List.iter
     (fun d ->
@@ -142,11 +128,11 @@ let publish t =
         in
         match List.find_opt free [ base; Printf.sprintf "%s.%d" base d.Domain.id ] with
         | Some p ->
-          Hashtbl.replace t.published d.Domain.id p;
+          Hashtbl.replace t.published d.Domain.id (p, obj);
           incr fresh
         | None -> Registry.remove t.api.Api.registry (Instance.handle obj)
       end)
-    (live_domains t);
+    live;
   !fresh
 
 (* ---------------- the /stats/kernel service object ------------------- *)
@@ -155,22 +141,13 @@ let kernel_iface t =
   Iface.make ~name:"stats"
     [
       Iface.fn0 ~name:"snapshot" ~ret:Vtype.Tstr (fun _ -> Ok (Value.Str (snapshot_text t)));
-      Iface.fn0 ~name:"diff" ~ret:Vtype.Tstr (fun _ -> Ok (Value.Str (diff_text t)));
-      Iface.fn0 ~name:"mark" ~ret:Vtype.Tunit (fun _ ->
-          mark t;
-          Ok Value.Unit);
       (* n <= 0: the whole surviving ring; n > 0: just the last n events *)
       Iface.fn1 ~name:"flight" Iface.Int ~ret:Vtype.Tstr (fun _ n ->
           Ok (Value.Str (Journal.flight_to_text (Obs.journal (obs t)) n)));
-      Iface.fn0 ~name:"publish" ~ret:Vtype.Tint (fun _ -> Ok (Value.Int (publish t)));
     ]
 
 let create api ~domains () =
-  let t =
-    { api; domains; published = Hashtbl.create 8; baseline = []; baseline_at = 0;
-      baseline_resets = 0; kernel_obj = None }
-  in
-  mark t;
+  let t = { api; domains; published = Hashtbl.create 8; kernel_obj = None } in
   (* /stats/kernel doubles as the kernel domain's own directory object:
      it exports "stats" (kernel-wide) plus "stats.domain" bound to the
      kernel domain *)
@@ -185,4 +162,4 @@ let create api ~domains () =
 let kernel_object t =
   match t.kernel_obj with Some i -> i | None -> assert false
 
-let published t = Hashtbl.fold (fun _ p acc -> p :: acc) t.published []
+let published t = Hashtbl.fold (fun _ (p, _) acc -> p :: acc) t.published []

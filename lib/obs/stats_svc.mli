@@ -3,10 +3,10 @@
     over the span metrics — plus the pages {!Pm_nucleus.Vmem} says it
     holds.
 
-    [/stats/kernel] is the kernel-wide service — [snapshot] and [diff]
-    exporters (text, reusing {!Pm_obs.Metrics} for the keyed data), the
-    always-on flight-recorder dump, and [publish] which registers one
-    directory object per live user domain at [/stats/<name>] (iface
+    [/stats/kernel] is the kernel-wide service: the [snapshot] exporter
+    (text, reusing {!Pm_obs.Metrics} for the keyed data) and the
+    always-on flight-recorder dump. {!publish} registers one directory
+    object per live user domain at [/stats/<name>] (iface
     ["stats.domain"]: [read] and [value field]). The kernel object also
     exports ["stats.domain"] for the kernel domain itself.
 
@@ -23,22 +23,18 @@ val create : Pm_nucleus.Api.t -> domains:(unit -> Pm_nucleus.Domain.t list) -> u
 
 val kernel_object : t -> Pm_obj.Instance.t
 
-(** Register [/stats/<name>] objects for live user domains that have
-    none yet; returns how many were newly registered. Each domain's
-    object is built once; when another domain holds the name it goes to
-    [/stats/<name>.<id>], and when that is taken too it is dropped. *)
+(** Reconcile [/stats] with the live domains. First the object of each
+    domain torn down since the last call leaves its path and the
+    registry, so its name is free again. Then every live user domain
+    that has no object gets one; returns how many were newly
+    registered. Each domain's object is built once; when another domain
+    holds the name it goes to [/stats/<name>.<id>], and when that is
+    taken too it is dropped. [System.new_domain] calls this. *)
 val publish : t -> int
 
-(** Paths registered so far by {!publish}. *)
+(** The paths {!publish} holds: one per live user domain that has an
+    object. *)
 val published : t -> string list
 
-(** Reset the diff baseline to the current accounting state. A diff
-    taken after an [Obs.reset] that followed the mark counts from the
-    reset instead: the marked counts no longer exist. *)
-val mark : t -> unit
-
-(** {2 Direct exporters} — the text the [snapshot] and [diff] methods
-    return. *)
-
+(** The text the [snapshot] method returns. *)
 val snapshot_text : t -> string
-val diff_text : t -> string

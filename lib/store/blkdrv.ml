@@ -5,9 +5,7 @@
    The driver allocates the descriptor ring and per-slot data buffers in
    its own domain, maps the register window through the I/O-space
    service, and turns completion interrupts into pop-up threads (the
-   netdrv idiom). Single ops post one descriptor and wait; [read_many] /
-   [write_many] keep up to the whole ring in flight, which is where the
-   device's multiple-outstanding-DMA model pays off (bench E19).
+   netdrv idiom). Each op posts one descriptor and waits for it.
 
    The device DMAs each block between its slot buffer and the media, so
    the driver's CPU touches no byte of a block ([Machine.dma]): a read
@@ -22,10 +20,7 @@ module Events = Pm_nucleus.Events
 module Machine = Pm_machine.Machine
 module Mmu = Pm_machine.Mmu
 module Blkdev = Pm_machine.Blkdev
-module Iface = Pm_obj.Iface
 module Instance = Pm_obj.Instance
-module Value = Pm_obj.Value
-module Vtype = Pm_obj.Vtype
 module Oerror = Pm_obj.Oerror
 module Call_ctx = Pm_obj.Call_ctx
 
@@ -79,18 +74,16 @@ let in_domain st f =
     Fun.protect ~finally:(fun () -> Mmu.switch_context mmu prev) f
   end
 
-(* Post one descriptor at the next ring slot; the caller ensures no more
-   than [ring_slots] are outstanding. Returns the slot index used. *)
-let post st ~op ~block ~slot_buf =
+(* Post one descriptor at [slot], the next ring slot, naming the slot's
+   own data buffer. *)
+let post st ~op ~block slot =
   let machine = st.api.Api.machine in
-  let slot = st.tail mod ring_slots in
   let d = st.ring_vaddr + (slot * desc_bytes) in
   Machine.write32 machine st.dom.Domain.id d op;
   Machine.write32 machine st.dom.Domain.id (d + 4) block;
-  Machine.write32 machine st.dom.Domain.id (d + 8) st.buf_phys.(slot_buf);
+  Machine.write32 machine st.dom.Domain.id (d + 8) st.buf_phys.(slot);
   st.tail <- st.tail + 1;
-  Vmem.io_write st.api.Api.vmem st.grant ~reg:reg_tail st.tail;
-  slot
+  Vmem.io_write st.api.Api.vmem st.grant ~reg:reg_tail st.tail
 
 let max_spins = 10_000
 
@@ -124,15 +117,15 @@ let check_block st block =
     fault (Printf.sprintf "blkdrv: block %d out of range" block)
   else Ok ()
 
-(* the block the device wrote into [slot_buf]'s buffer *)
-let dma_in st slot_buf =
+(* the block the device wrote into [slot]'s buffer *)
+let dma_in st slot =
   let data = Bytes.create st.block_size in
-  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot_buf) data Mmu.Read;
+  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot) data Mmu.Read;
   data
 
-(* [data] into [slot_buf]'s buffer for the device to write out, padded
-   to a block with zeros: the padding is the CPU's, and charged *)
-let dma_out st ctx slot_buf data =
+(* [data] into [slot]'s buffer for the device to write out, padded to a
+   block with zeros: the padding is the CPU's, and charged *)
+let dma_out st ctx slot data =
   let pad = st.block_size - Bytes.length data in
   let block =
     if pad = 0 then data
@@ -143,15 +136,15 @@ let dma_out st ctx slot_buf data =
       padded
     end
   in
-  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot_buf) block Mmu.Write
+  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot) block Mmu.Write
 
 let read_op st block =
   let* () = check_block st block in
   in_domain st (fun () ->
-      let slot_buf = st.tail mod ring_slots in
-      let slot = post st ~op:Blkdev.op_read ~block ~slot_buf in
+      let slot = st.tail mod ring_slots in
+      post st ~op:Blkdev.op_read ~block slot;
       let* () = wait_slot st slot in
-      let data = dma_in st slot_buf in
+      let data = dma_in st slot in
       st.reads <- st.reads + 1;
       Ok data)
 
@@ -160,90 +153,12 @@ let write_op st ctx block data =
   if Bytes.length data > st.block_size then fault "blkdrv: write exceeds block size"
   else
     in_domain st (fun () ->
-        let slot_buf = st.tail mod ring_slots in
-        dma_out st ctx slot_buf data;
-        let slot = post st ~op:Blkdev.op_write ~block ~slot_buf in
+        let slot = st.tail mod ring_slots in
+        dma_out st ctx slot data;
+        post st ~op:Blkdev.op_write ~block slot;
         let* () = wait_slot st slot in
         st.writes <- st.writes + 1;
         Ok ())
-
-(* Batched ops: post a whole window of descriptors before waiting, so up
-   to [ring_slots] DMAs are in flight; completion is in-order, so
-   waiting on the window's last slot completes the window. *)
-let read_many st bs =
-  in_domain st (fun () ->
-      let results = ref [] in
-      let rec window = function
-        | [] -> Ok ()
-        | chunk_blocks ->
-          let chunk, rest =
-            let rec split n acc = function
-              | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
-              | tl -> (List.rev acc, tl)
-            in
-            split ring_slots [] chunk_blocks
-          in
-          let* posted =
-            List.fold_left
-              (fun acc block ->
-                let* acc = acc in
-                let* () = check_block st block in
-                let slot_buf = st.tail mod ring_slots in
-                let slot = post st ~op:Blkdev.op_read ~block ~slot_buf in
-                Ok ((slot, slot_buf) :: acc))
-              (Ok []) chunk
-          in
-          let posted = List.rev posted in
-          (match List.rev posted with
-          | [] -> Ok ()
-          | (last_slot, _) :: _ ->
-            let* () = wait_slot st last_slot in
-            List.iter
-              (fun (_, slot_buf) ->
-                st.reads <- st.reads + 1;
-                results := dma_in st slot_buf :: !results)
-              posted;
-            window rest)
-      in
-      let* () = window bs in
-      Ok (List.rev !results))
-
-let write_many st ctx pairs =
-  in_domain st (fun () ->
-      let rec window = function
-        | [] -> Ok 0
-        | chunk_pairs ->
-          let chunk, rest =
-            let rec split n acc = function
-              | x :: tl when n > 0 -> split (n - 1) (x :: acc) tl
-              | tl -> (List.rev acc, tl)
-            in
-            split ring_slots [] chunk_pairs
-          in
-          let* posted =
-            List.fold_left
-              (fun acc (block, data) ->
-                let* acc = acc in
-                let* () = check_block st block in
-                if Bytes.length data > st.block_size then
-                  fault "blkdrv: write exceeds block size"
-                else begin
-                  let slot_buf = st.tail mod ring_slots in
-                  dma_out st ctx slot_buf data;
-                  let slot = post st ~op:Blkdev.op_write ~block ~slot_buf in
-                  Ok (slot :: acc)
-                end)
-              (Ok []) chunk
-          in
-          (match posted with
-          | [] -> Ok 0
-          | last_slot :: _ ->
-            let* () = wait_slot st last_slot in
-            st.writes <- st.writes + List.length posted;
-            let* n = window rest in
-            Ok (List.length posted + n))
-      in
-      window pairs)
 
 (* The device writes through to the media at DMA completion, so flushing
    is waiting for the ring to drain. *)
@@ -334,34 +249,9 @@ let create api dom =
       ~blocksize:(fun () -> st.block_size)
       ~stats:(fun () -> [ st.reads; st.writes; st.irq_acks ])
   in
-  (* Invoke has checked every element against the signature *)
-  let ring_iface =
-    Iface.make ~name:"blkring"
-      [
-        Iface.fn1 ~name:"read_many" (Iface.List Vtype.Tint) ~ret:(Vtype.Tlist Vtype.Tblob)
-          (fun _ vs ->
-            let bs = List.filter_map (function Value.Int b -> Some b | _ -> None) vs in
-            let* datas =
-              Blockif.traced_span api "driver" (fun () -> read_many st bs)
-            in
-            Ok (Value.List (List.map (fun d -> Value.Blob d) datas)));
-        Iface.fn1 ~name:"write_many"
-          (Iface.List (Vtype.Tpair (Vtype.Tint, Vtype.Tblob)))
-          ~ret:Vtype.Tint
-          (fun ctx vs ->
-            let pairs =
-              List.filter_map
-                (function
-                  | Value.Pair (Value.Int b, Value.Blob d) -> Some (b, d) | _ -> None)
-                vs
-            in
-            Blockif.traced_span api "driver" (fun () ->
-                Result.map (fun n -> Value.Int n) (write_many st ctx pairs)));
-      ]
-  in
   let inst =
     Instance.create api.Api.registry ~class_name:"store.blkdrv"
-      ~domain:dom.Domain.id [ iface; ring_iface ]
+      ~domain:dom.Domain.id [ iface ]
   in
   ignore
     (Storereg.register ~machine ~name:"blkdrv" ~kind:Storereg.Driver ~instance:inst

@@ -3,8 +3,6 @@ module Cost = Pm_machine.Cost
 
 type state = Ready | Running | Blocked | Finished
 
-type policy = Priority | Fifo | Lottery of int
-
 type thread = {
   tid : int;
   name : string;
@@ -22,9 +20,7 @@ type thread = {
 and t = {
   clock : Clock.t;
   costs : Cost.t;
-  policy : policy;
-  mutable lottery_state : int; (* xorshift state for Lottery *)
-  mutable arrivals : int; (* stamp source for Fifo ordering *)
+  mutable arrivals : int; (* stamp source: a thief takes the oldest entry *)
   mutable mmu : Pm_machine.Mmu.t option;
   ready : (int * int * thread * (unit -> unit)) Queue.t array;
       (* (arrival stamp, ready-at cycles, thread, continuation) per
@@ -50,12 +46,10 @@ type _ Effect.t +=
 
 let priorities = 8
 
-let create ?(policy = Priority) clock costs =
+let create clock costs =
   {
     clock;
     costs;
-    policy;
-    lottery_state = (match policy with Lottery seed -> (seed lor 1) land 0x3FFFFFFF | _ -> 1);
     arrivals = 0;
     mmu = None;
     ready = Array.init priorities (fun _ -> Queue.create ());
@@ -220,15 +214,7 @@ let popup t ?(priority = 1) ?(name = "popup") ?domain body =
   match_with body () handler;
   not !promoted
 
-(* xorshift step, deterministic per seed; cheap and dependency-free *)
-let lottery_draw t bound =
-  let x = t.lottery_state in
-  let x = x lxor (x lsl 13) land 0x3FFFFFFF in
-  let x = x lxor (x lsr 17) in
-  let x = x lxor (x lsl 5) land 0x3FFFFFFF in
-  t.lottery_state <- x;
-  x mod bound
-
+(* strict priority levels, round-robin within one *)
 let take_by_priority t =
   let rec scan p =
     if p >= priorities then None
@@ -254,39 +240,12 @@ let take_fifo t =
     t.ready;
   match !best with Some (_, p) -> Queue.take_opt t.ready.(p) | None -> None
 
-(* a level-p thread holds (priorities - p) tickets per queued entry *)
-let take_lottery t =
-  let tickets = ref 0 in
-  Array.iteri
-    (fun p q -> tickets := !tickets + (Queue.length q * (priorities - p)))
-    t.ready;
-  if !tickets = 0 then None
-  else begin
-    let winner = lottery_draw t !tickets in
-    let acc = ref 0 in
-    let chosen = ref None in
-    Array.iteri
-      (fun p q ->
-        if !chosen = None then begin
-          let weight = Queue.length q * (priorities - p) in
-          if winner < !acc + weight then chosen := Some p else acc := !acc + weight
-        end)
-      t.ready;
-    match !chosen with Some p -> Queue.take_opt t.ready.(p) | None -> None
-  end
-
-let take_ready t =
-  match t.policy with
-  | Priority -> take_by_priority t
-  | Fifo -> take_fifo t
-  | Lottery _ -> take_lottery t
-
 let ready_count t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.ready
 
 (* Steal the oldest ready entry from [from] and queue it on [into],
    re-homing the thread so its later yields and wakeups stay with the
-   thief. Oldest-first is the classic stealing choice and independent of
-   the victim's dispatch policy. Pricing (cache-line transfer of the
+   thief. Oldest-first is the classic stealing choice, whatever the
+   entry's priority. Pricing (cache-line transfer of the
    queue entry) and clock reconciliation to [ready_at] belong to the SMP
    layer, which knows whose clock is whose. *)
 let steal ~from ~into =
@@ -305,7 +264,7 @@ let run t ?budget () =
   let rec loop () =
     if exhausted () then ()
     else begin
-      match take_ready t with
+      match take_by_priority t with
       | None -> ()
       | Some (_, _, th, fn) ->
         incr dispatches;

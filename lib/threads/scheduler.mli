@@ -38,15 +38,10 @@ type resumer = { thread : thread; resume : unit -> unit }
 
 val priorities : int
 
-(** Dispatch policy — the thread package is a component, and its policy
-    is an application choice:
-    - [Priority]: strict priority levels, round-robin within one (default)
-    - [Fifo]: global arrival order, priorities ignored
-    - [Lottery of seed]: weighted lottery, a level-[p] thread holding
-      [priorities - p] tickets (deterministic for a given seed) *)
-type policy = Priority | Fifo | Lottery of int
-
-val create : ?policy:policy -> Pm_machine.Clock.t -> Pm_machine.Cost.t -> t
+(** [create clock costs] is an empty scheduler. It dispatches by strict
+    priority level, round-robin within one. An application that wants
+    another dispatch rule loads another thread package. *)
+val create : Pm_machine.Clock.t -> Pm_machine.Cost.t -> t
 
 (** [set_mmu t mmu] teaches the scheduler to switch MMU contexts when
     dispatching threads that declare a domain. *)

@@ -14,7 +14,7 @@ type t
 (** [create cpus ~boot] builds one scheduler per CPU of the machine:
     CPU 0 uses [boot] (the kernel's existing scheduler — threads already
     spawned stay valid); CPUs 1.. get fresh schedulers on their own
-    clocks, with the default policy and the machine's MMU applied. *)
+    clocks, with the machine's MMU applied. *)
 val create : Pm_machine.Cpu.t -> boot:Scheduler.t -> t
 
 (** The scheduler instance owned by CPU [k]. *)

@@ -30,59 +30,6 @@ module Waitq = struct
     Queue.fold (fun acc r -> r.Scheduler.thread :: acc) [] q |> List.rev
 end
 
-module Mutex = struct
-  type t = { mutable locked : bool; waiters : Waitq.t }
-
-  let create () = { locked = false; waiters = Waitq.create () }
-
-  let lock m =
-    if not m.locked then m.locked <- true
-    else
-      (* hand-off: unlock passes ownership straight to the oldest waiter,
-         so no re-check loop is needed here *)
-      Waitq.wait m.waiters
-
-  let try_lock m =
-    if m.locked then false
-    else begin
-      m.locked <- true;
-      true
-    end
-
-  let unlock m =
-    if not m.locked then invalid_arg "Mutex.unlock: not locked";
-    if not (Waitq.signal m.waiters) then m.locked <- false
-
-  let locked m = m.locked
-
-  let with_lock m f =
-    lock m;
-    match f () with
-    | v ->
-      unlock m;
-      v
-    | exception e ->
-      unlock m;
-      raise e
-end
-
-module Condvar = struct
-  type t = { waiters : Waitq.t }
-
-  let create () = { waiters = Waitq.create () }
-
-  let wait cv m =
-    (* release and park in one step: the resumer is registered before the
-       scheduler runs anyone else, so a signal between unlock and park is
-       impossible in this cooperative setting *)
-    Mutex.unlock m;
-    Waitq.wait cv.waiters;
-    Mutex.lock m
-
-  let signal cv = ignore (Waitq.signal cv.waiters)
-  let broadcast cv = ignore (Waitq.broadcast cv.waiters)
-end
-
 module Semaphore = struct
   type t = { mutable count : int; waiters : Waitq.t }
 

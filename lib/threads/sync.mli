@@ -28,42 +28,6 @@ module Waitq : sig
   val waiters : t -> Scheduler.thread list
 end
 
-(** {1 Mutual exclusion} with direct hand-off to the oldest waiter. *)
-
-module Mutex : sig
-  type t
-
-  val create : unit -> t
-
-  val lock : t -> unit
-
-  (** [try_lock m] never blocks. *)
-  val try_lock : t -> bool
-
-  (** [unlock m] raises [Invalid_argument] if [m] is not locked. *)
-  val unlock : t -> unit
-
-  val locked : t -> bool
-
-  (** [with_lock m f] brackets [f] with lock/unlock. *)
-  val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-(** {1 Condition variables} (Mesa semantics: re-check your predicate). *)
-
-module Condvar : sig
-  type t
-
-  val create : unit -> t
-
-  (** [wait cv m] atomically releases [m], parks, and re-acquires [m]
-      after wake-up. *)
-  val wait : t -> Mutex.t -> unit
-
-  val signal : t -> unit
-  val broadcast : t -> unit
-end
-
 (** {1 Counting semaphores} *)
 
 module Semaphore : sig

@@ -408,15 +408,6 @@ let test_mpsc_doorbell_coalescing () =
   Alcotest.(check (list string)) "dry drain empty" []
     (List.map Bytes.to_string (Mpsc.recv_batch g ()))
 
-(* A drain stopped at [max] leaves the rest for the next drain. *)
-let test_mpsc_bounded_drain () =
-  let k, kdom, _, _, _, g = mpsc_fixture () in
-  let tx = Mpsc.attach g ~producer:kdom in
-  List.iter (fun m -> ignore (send_as k kdom tx m)) [ "a"; "b"; "c" ];
-  let drain ?max () = List.map Bytes.to_string (Mpsc.recv_batch ?max g ()) in
-  Alcotest.(check (list string)) "bounded drain" [ "a" ] (drain ~max:1 ());
-  Alcotest.(check (list string)) "the rest follows" [ "b"; "c" ] (drain ())
-
 (* A producer that scribbles its own sub-ring's length word cannot stop
    the consumer's drain of the group. *)
 let test_mpsc_scribbled_length_word () =
@@ -478,7 +469,7 @@ let dispatch_root =
 
 (* A ring under test, plain or MPSC: per producer its domain, its own
    SPSC ring and its send; per producer the model queue of sequence
-   numbers sent and not yet received; the consumer's bounded drain. *)
+   numbers sent and not yet received; the consumer's drain. *)
 type ring = {
   txs : (Domain.t * Chan.t * (bytes -> bool)) array;
   model : int Queue.t array;
@@ -488,13 +479,11 @@ type ring = {
 }
 
 (* per ring: [None] for a plain channel or [Some n] for an MPSC group of
-   [n] producers, its slots, and its pop-up's drain bound; then the
-   sends as (ring, producer) picks *)
+   [n] producers, and its slots; then the sends as (ring, producer)
+   picks *)
 let gen_dispatch =
   QCheck2.Gen.(
-    let spec kind =
-      map2 (fun slots max -> (kind, slots, max)) (int_range 2 4) (opt (int_range 1 3))
-    in
+    let spec kind = map (fun slots -> (kind, slots)) (int_range 2 4) in
     let* plain = int_range 1 6 and* groups = list_size (int_range 1 3) (int_range 1 3) in
     let* specs =
       flatten_l
@@ -508,11 +497,10 @@ let print_dispatch (specs, sends) =
   Printf.sprintf "rings [%s] sends [%s]"
     (String.concat "; "
        (List.map
-          (fun (kind, slots, max) ->
-            Printf.sprintf "%s/%d/%s"
+          (fun (kind, slots) ->
+            Printf.sprintf "%s/%d"
               (match kind with None -> "chan" | Some n -> Printf.sprintf "mpsc%d" n)
-              slots
-              (match max with None -> "all" | Some m -> string_of_int m))
+              slots)
           specs))
     (String.concat "; " (List.map (fun (r, p) -> Printf.sprintf "%d.%d" r p) sends))
 
@@ -530,7 +518,7 @@ let dispatch_holds (specs, sends) =
       if Queue.is_empty q || Queue.pop q <> seq then ok := false
     | _ -> ok := false
   in
-  let make i (kind, slots, max) =
+  let make i (kind, slots) =
     let domain what = Kernel.create_domain k ~name:(Printf.sprintf "%s%d" what i) () in
     let consumer = domain "c" in
     let r, on_doorbell =
@@ -542,7 +530,7 @@ let dispatch_holds (specs, sends) =
         ( {
             txs = [| (producer, c, fun m -> Chan.try_send c m) |];
             model = [| Queue.create () |];
-            drain = (fun () -> Chan.recv_batch ?max c ());
+            drain = (fun () -> Chan.recv_batch c ());
             doorbells = (fun () -> (Chan.stats c).Chan.doorbells);
             runs = ref 0;
           },
@@ -558,7 +546,7 @@ let dispatch_holds (specs, sends) =
         ( {
             txs;
             model = Array.init n (fun _ -> Queue.create ());
-            drain = (fun () -> Mpsc.recv_batch ?max g ());
+            drain = (fun () -> Mpsc.recv_batch g ());
             doorbells = (fun () -> (Mpsc.stats g).Mpsc.doorbells);
             runs = ref 0;
           },
@@ -591,9 +579,9 @@ let dispatch_holds (specs, sends) =
       (* each pop-up ran once per doorbell of its own ring, never for
          another ring's *)
       if !(r.runs) <> r.doorbells () then ok := false;
-      (* the consumer polls with its bound until a drain comes back
-         empty: what the pop-ups left behind arrives in per-producer
-         order, and then every model queue is empty *)
+      (* the consumer polls until a drain comes back empty: what the
+         pop-ups left behind arrives in per-producer order, and then
+         every model queue is empty *)
       let rec poll () =
         match r.drain () with
         | [] -> ()
@@ -864,7 +852,6 @@ let () =
             test_mpsc_backpressure_fairness;
           Alcotest.test_case "doorbell coalescing" `Quick
             test_mpsc_doorbell_coalescing;
-          Alcotest.test_case "bounded drain" `Quick test_mpsc_bounded_drain;
           Alcotest.test_case "scribbled length word" `Quick
             test_mpsc_scribbled_length_word;
           Alcotest.test_case "ids are per machine" `Quick test_ids_per_machine;

@@ -503,8 +503,8 @@ let test_every_method_checks_its_arguments () =
       Alcotest.(check bool) (name ^ " walked") true (Hashtbl.mem ifaces name))
     [ "directory"; "memory"; "events"; "certification"; "trace"; "journal"; "query";
       "check"; "stats"; "stats.domain"; "stats.store"; "netdev"; "stack"; "netfactory";
-      "net.tx"; "chan.tx"; "chan.rx"; "chanfactory"; "store.factory"; "block";
-      "blkring"; "log"; "kv" ];
+      "net.tx"; "chan.tx"; "chan.rx"; "chanfactory"; "store.factory"; "block"; "log";
+      "kv" ];
   Alcotest.(check bool) (Printf.sprintf "%d ill-typed calls" !calls) true (!calls > 200)
 
 (* --- hermetic systems: no state outlives or crosses its system ------------ *)

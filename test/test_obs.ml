@@ -481,39 +481,12 @@ let row_fields line =
       | None -> None)
     (String.split_on_char ' ' line)
 
-(* the fields of domain [id]'s line in a /stats snapshot or diff *)
+(* the fields of domain [id]'s line in a /stats snapshot *)
 let dom_row text id =
   let prefix = Printf.sprintf "dom %-2d " id in
   match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text) with
   | Some line -> row_fields line
   | None -> Alcotest.failf "no row for domain %d in:\n%s" id text
-
-(* a /nucleus/trace reset between a mark and a diff: the marked counts are
-   gone, so the diff counts from the reset and no field goes negative *)
-let test_diff_after_reset () =
-  let sys = sys_fixture () in
-  let k = System.kernel sys in
-  let kdom = Kernel.kernel_domain k in
-  let ctx = Kernel.ctx k kdom in
-  let trace = Kernel.bind k kdom "/nucleus/trace" in
-  let stats = Kernel.bind k kdom "/stats/kernel" in
-  let call obj iface meth args = Invoke.call_exn ctx obj ~iface ~meth args in
-  let calls n meth = for _ = 1 to n do ignore (call trace "trace" meth []) done in
-  Obs.enable (Clock.obs (Kernel.clock k));
-  calls 20 "enabled";
-  ignore (call stats "stats" "mark" []);
-  calls 5 "enabled";
-  calls 1 "reset";
-  calls 3 "enabled";
-  match call stats "stats" "diff" [] with
-  | Value.Str text ->
-    let row = dom_row text kdom.Domain.id in
-    List.iter
-      (fun (field, v) -> Alcotest.(check bool) (field ^ " not negative") true (v >= 0))
-      row;
-    Alcotest.(check int) "the reset call and the three after it" 4
-      (List.assoc "dispatches" row)
-  | _ -> Alcotest.fail "diff text"
 
 (* a span's histogram sample is its journalled duration: in a Full-mode
    journal each domain's invoke.dispatch sum is the sum of exit - enter
@@ -603,13 +576,11 @@ let span_kinds =
 type op =
   | Span of int * int * int  (** domain index, span kind, body cycles *)
   | Switch of int  (** one scheduler dispatch of a thread in the domain *)
-  | Mark
   | Reset
 
 let op_to_string = function
   | Span (d, kind, n) -> Printf.sprintf "span(%d,%s,%d)" d (snd span_kinds.(kind)) n
   | Switch d -> Printf.sprintf "switch(%d)" d
-  | Mark -> "mark"
   | Reset -> "reset"
 
 let gen_ops =
@@ -619,7 +590,6 @@ let gen_ops =
          [
            (6, map3 (fun d kind n -> Span (d, kind, n)) (int_bound 2) (int_bound 4) (int_bound 400));
            (2, map (fun d -> Switch d) (int_bound 2));
-           (1, return Mark);
            (1, return Reset);
          ]))
 
@@ -628,9 +598,9 @@ let counter_fields =
   [ "cycles"; "dispatches"; "traps"; "irqs"; "faults"; "crossings"; "crossing_cycles";
     "sched_runs" ]
 
-(* One booted system serves every case: each starts from a reset and a
-   mark. The /stats and /nucleus/trace calls run with Obs off, so only
-   the ops themselves are accounted. *)
+(* One booted system serves every case: each starts from a reset. The
+   /stats and /nucleus/trace calls run with Obs off, so only the ops
+   themselves are accounted. *)
 let model_fixture =
   lazy
     (let sys = sys_fixture () in
@@ -656,13 +626,10 @@ let prop_view_matches_model ops =
   in
   let call obj iface meth args = quiet (fun () -> Invoke.call_exn ctx obj ~iface ~meth args) in
   let nf = List.length counter_fields in
-  (* per domain: counts since the last reset, and the diff baseline *)
+  (* per domain: counts since the last reset *)
   let cur = Array.init 3 (fun _ -> Array.make nf 0) in
-  let base = Array.init 3 (fun _ -> Array.make nf 0) in
-  let zero a = Array.iter (fun r -> Array.fill r 0 nf 0) a in
   let bump d i n = cur.(d).(i) <- cur.(d).(i) + n in
   ignore (call trace "trace" "reset" []);
-  ignore (call stats "stats" "mark" []);
   Obs.enable obs;
   let apply = function
     | Span (d, kind, n) ->
@@ -679,18 +646,14 @@ let prop_view_matches_model ops =
       ignore (Scheduler.run sched ());
       Mmu.switch_context (Machine.mmu (Kernel.machine k)) kdom.Domain.id;
       bump d 7 1
-    | Mark ->
-      ignore (call stats "stats" "mark" []);
-      Array.iteri (fun d r -> Array.blit r 0 base.(d) 0 nf) cur
     | Reset ->
       ignore (call trace "trace" "reset" []);
-      zero cur;
-      zero base
+      Array.iter (fun r -> Array.fill r 0 nf 0) cur
   in
-  (* the live view of one domain against the model: value(field) is the
-     count since the reset, the diff row the count since the later of
-     mark and reset, and cycles the total of the five span sums *)
-  let domain_ok diff d (dom : Domain.t) =
+  (* the live view of one domain against the model: value(field) and the
+     snapshot row are the count since the reset, and cycles the total of
+     the five span sums *)
+  let domain_ok snapshot d (dom : Domain.t) =
     let value field =
       match call readers.(d) "stats.domain" "value" [ Value.Str field ] with
       | Value.Int v -> v
@@ -701,20 +664,19 @@ let prop_view_matches_model ops =
       | Some s -> s.Metrics.sum
       | None -> 0
     in
-    let pages = Vmem.pages_of (Kernel.vmem k) dom and drow = dom_row diff dom.Domain.id in
+    let pages = Vmem.pages_of (Kernel.vmem k) dom
+    and srow = dom_row snapshot dom.Domain.id in
     (Obs.account obs ~domain:dom.Domain.id).Obs.cycles
     = Array.fold_left (fun acc (_, metric) -> acc + sum metric) 0 span_kinds
     && value "pages" = pages
-    && List.assoc "pages" drow = pages
+    && List.assoc "pages" srow = pages
     && List.for_all2
-         (fun i field ->
-           let delta = List.assoc field drow in
-           value field = cur.(d).(i) && delta = cur.(d).(i) - base.(d).(i) && delta >= 0)
+         (fun i field -> value field = cur.(d).(i) && List.assoc field srow = cur.(d).(i))
          (List.init nf Fun.id) counter_fields
   in
   let state_ok () =
-    match call stats "stats" "diff" [] with
-    | Value.Str diff -> Array.for_all Fun.id (Array.mapi (domain_ok diff) doms)
+    match call stats "stats" "snapshot" [] with
+    | Value.Str snapshot -> Array.for_all Fun.id (Array.mapi (domain_ok snapshot) doms)
     | _ -> false
   in
   Fun.protect
@@ -809,7 +771,7 @@ let test_stats_namespace () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown field must fail");
-  (* kernel-wide service: snapshot, mark, diff *)
+  (* kernel-wide service: snapshot and flight *)
   let ksvc = Kernel.bind k udom "/stats/kernel" in
   let call meth args = Invoke.call uctx ksvc ~iface:"stats" ~meth args in
   (match call "snapshot" [] with
@@ -817,14 +779,6 @@ let test_stats_namespace () =
     Alcotest.(check bool) "snapshot header" true
       (String.starts_with ~prefix:"/stats snapshot @ " s)
   | _ -> Alcotest.fail "snapshot");
-  (match call "mark" [] with
-  | Ok Value.Unit -> ()
-  | _ -> Alcotest.fail "mark");
-  (match call "diff" [] with
-  | Ok (Value.Str s) ->
-    Alcotest.(check bool) "diff header" true
-      (String.length s >= 11 && String.sub s 0 11 = "/stats diff")
-  | _ -> Alcotest.fail "diff");
   (match call "flight" [ Value.Int 0 ] with
   | Ok (Value.Str s) ->
     Alcotest.(check bool) "flight dump" true
@@ -909,6 +863,36 @@ let test_stats_name_collision () =
   let before = Registry.size registry in
   Alcotest.(check int) "no free path, nothing published" 0 (Stats_svc.publish stats);
   Alcotest.(check int) "no object left behind" before (Registry.size registry)
+
+(* a torn-down domain's object leaves with it: the next publish takes
+   back its path and its registry slot, so each round's "worker" gets
+   the plain name and up/down rounds leave the registry as boot left it *)
+let test_stats_teardown_frees_name () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k in
+  let stats = System.stats sys in
+  let registry = (Kernel.api k).Api.registry in
+  let boot = Registry.size registry in
+  for round = 1 to 6 do
+    let dom = System.new_domain sys "worker" in
+    let says = Printf.sprintf "round %d: %s" round in
+    Alcotest.(check int) (says "one object") (boot + 1) (Registry.size registry);
+    Alcotest.(check (list string)) (says "the plain name") [ "/stats/worker" ]
+      (Stats_svc.published stats);
+    (match
+       Invoke.call (Kernel.ctx k kdom) (Kernel.bind k kdom "/stats/worker")
+         ~iface:"stats.domain" ~meth:"read" []
+     with
+    | Ok (Value.Str s) ->
+      Alcotest.(check bool) (says "it reads the live domain") true
+        (String.starts_with ~prefix:(Printf.sprintf "dom %-2d worker" dom.Domain.id) s)
+    | _ -> Alcotest.fail (says "read"));
+    Kernel.destroy_domain k dom
+  done;
+  Alcotest.(check int) "the last teardown publishes nothing new" 0 (Stats_svc.publish stats);
+  Alcotest.(check int) "the registry is back at its boot size" boot (Registry.size registry);
+  Alcotest.(check (list string)) "nothing published" [] (Stats_svc.published stats)
 
 (* --- the placement agent's hysteresis ----------------------------------- *)
 
@@ -1146,8 +1130,6 @@ let () =
             test_accounting_zero_cost_cross_domain;
           Alcotest.test_case "reset keeps the journal" `Quick
             test_reset_keeps_history;
-          Alcotest.test_case "diff after a reset counts from the reset" `Quick
-            test_diff_after_reset;
           Alcotest.test_case "span and sample agree" `Quick test_span_sample_agree;
           Alcotest.test_case "sched.switches per domain" `Quick
             test_sched_switches_per_domain;
@@ -1167,6 +1149,8 @@ let () =
           Alcotest.test_case "interposable" `Quick test_stats_interposable;
           Alcotest.test_case "a name collision builds one object" `Quick
             test_stats_name_collision;
+          Alcotest.test_case "a torn-down domain frees its name" `Quick
+            test_stats_teardown_frees_name;
         ] );
       ( "placer",
         [

@@ -403,6 +403,84 @@ let test_query_service_cross_domain () =
   | Ok _ -> Alcotest.fail "bound_at() invented a binding"
   | Error _ -> Alcotest.fail "bound_at() failed for the wrong reason"
 
+(* Every other method of /nucleus/query, asked from a user domain
+   through the proxy, answers what Pm_query gives for the same journal:
+   two recorded requests, a page shared into the user domain and a
+   component installed there. *)
+let test_query_service_answers () =
+  Journal.set_default_mode Journal.Full;
+  Fun.protect
+    ~finally:(fun () -> Journal.set_default_mode Journal.Tail)
+    (fun () ->
+      with_tracing (fun () ->
+          let sys = System.create ~key_bits:384 () in
+          let k = System.kernel sys in
+          let kdom = Kernel.kernel_domain k and udom = System.new_domain sys "inspector" in
+          let vmem = Kernel.vmem k and machine = Kernel.machine k in
+          let j = Obs.journal (Clock.obs (System.clock sys)) in
+          let first = build_request j in
+          let second = build_request j in
+          let vaddr = Vmem.alloc_pages vmem kdom ~count:1 ~sharing:Vmem.Shared in
+          ignore (Vmem.map_shared vmem ~from_dom:kdom ~vaddr ~count:1 ~into:udom ~prot:Mmu.Read_only);
+          let frame = Vmem.phys_of vmem kdom ~vaddr / Machine.page_size machine in
+          let probe (api : Api.t) (dom : Domain.t) =
+            Instance.create api.Api.registry ~class_name:"test.probe" ~domain:dom.Domain.id
+              [ Iface.make ~name:"probe" [] ]
+          in
+          ignore
+            (System.install_exn sys (Images.image ~name:"probe" ~size:512 probe)
+               ~placement:(System.User udom) ~at:"/svc/probe");
+          let now = Clock.now (System.clock sys) in
+          let reqs =
+            match Query.fold ~complete:true (Journal.history j) with
+            | Ok reqs -> reqs
+            | Error e -> Alcotest.fail e
+          in
+          let structural = Journal.structural j in
+          let svc = Kernel.bind k udom "/nucleus/query" in
+          Mmu.switch_context (Machine.mmu machine) udom.Domain.id;
+          let ctx = Kernel.ctx k udom in
+          let ask meth args = Invoke.call_exn ctx svc ~iface:"query" ~meth args in
+          let lines rs = Value.Str (String.concat "\n" (List.map Query.request_line rs)) in
+          let same what expected got =
+            Alcotest.(check string) what (Value.to_string expected) (Value.to_string got)
+          in
+          Alcotest.(check (list int)) "both requests folded" [ first; second ]
+            (List.map (fun r -> r.Query.rid) reqs);
+          same "snapshot" (lines reqs) (ask "snapshot" []);
+          List.iter
+            (fun r ->
+              same
+                (Printf.sprintf "request %d" r.Query.rid)
+                (Value.Str (Query.request_to_text r))
+                (ask "request" [ Value.Int r.Query.rid ]))
+            reqs;
+          same "slowest 1" (lines (Query.slowest 1 reqs)) (ask "slowest" [ Value.Int 1 ]);
+          Alcotest.(check (list int)) "the user domain holds the shared frame" [ udom.Domain.id ]
+            (Query.frame_holders structural ~frame ~at:now);
+          same "frame_holders"
+            (Value.List
+               (List.map (fun d -> Value.Int d) (Query.frame_holders structural ~frame ~at:now)))
+            (ask "frame_holders" [ Value.Int frame; Value.Int now ]);
+          Alcotest.(check (option int)) "the probe's owner" (Some udom.Domain.id)
+            (Query.owner_of structural ~name:"probe" ~at:now);
+          same "owner_of" (Value.Int udom.Domain.id)
+            (ask "owner_of" [ Value.Str "probe"; Value.Int now ]);
+          (match Invoke.call ctx svc ~iface:"query" ~meth:"request" [ Value.Int 999 ] with
+          | Error (Oerror.Fault m) ->
+            Alcotest.(check bool) "an unknown request faults by name" true
+              (contains m "no request 999")
+          | _ -> Alcotest.fail "request() invented a request");
+          (match
+             Invoke.call ctx svc ~iface:"query" ~meth:"owner_of"
+               [ Value.Str "nobody"; Value.Int now ]
+           with
+          | Error (Oerror.Fault m) ->
+            Alcotest.(check bool) "an unknown component faults by name" true
+              (contains m "no component nobody")
+          | _ -> Alcotest.fail "owner_of() invented an owner");
+          Mmu.switch_context (Machine.mmu machine) kdom.Domain.id))
+
 (* A traced wire parse inside a store span leaves its own rid ambient;
    the span must still exit under the rid it entered with, or the fold
    pairs the exit with the wrong request. *)
@@ -445,5 +523,7 @@ let () =
         [
           Alcotest.test_case "cross-domain /nucleus/query" `Quick
             test_query_service_cross_domain;
+          Alcotest.test_case "every method answers what Pm_query gives" `Quick
+            test_query_service_answers;
         ] );
     ]

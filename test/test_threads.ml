@@ -82,7 +82,28 @@ let test_self () =
   | Some me -> Alcotest.(check int) "self is me" th.Scheduler.tid me.Scheduler.tid
   | None -> Alcotest.fail "self not captured")
 
-(* --- waitq / mutex / condvar / semaphore / ivar ------------------------- *)
+(* A thief takes the victim's oldest ready entry, whatever its
+   priority, and re-homes the thread: a priority-7 thread spawned before
+   a priority-0 one is the entry that moves. *)
+let test_steal_takes_oldest () =
+  let clock, victim = sched_fixture () in
+  let thief = Scheduler.create clock Cost.unit_costs in
+  let log = Buffer.create 8 in
+  let low = Scheduler.spawn victim ~priority:7 (fun () -> Buffer.add_char log 'l') in
+  ignore (Scheduler.spawn victim ~priority:0 (fun () -> Buffer.add_char log 'h'));
+  (match Scheduler.steal ~from:victim ~into:thief with
+  | Some (_, th) ->
+    Alcotest.(check int) "the older entry moved" low.Scheduler.tid th.Scheduler.tid;
+    Alcotest.(check bool) "re-homed on the thief" true
+      (match th.Scheduler.home with Some s -> s == thief | None -> false)
+  | None -> Alcotest.fail "nothing stolen");
+  Alcotest.(check int) "one entry left behind" 1 (Scheduler.ready_count victim);
+  ignore (Scheduler.run thief ());
+  Alcotest.(check string) "the thief ran it" "l" (Buffer.contents log);
+  ignore (Scheduler.run victim ());
+  Alcotest.(check string) "the victim ran the rest" "lh" (Buffer.contents log)
+
+(* --- waitq / semaphore / ivar ---------------------------------------- *)
 
 let test_waitq () =
   let _, s = sched_fixture () in
@@ -103,79 +124,6 @@ let test_waitq () =
   ignore (Scheduler.run s ());
   Alcotest.(check int) "all woken" 3 !woken;
   Alcotest.(check bool) "empty signal" false (Sync.Waitq.signal q)
-
-let test_mutex_exclusion () =
-  let _, s = sched_fixture () in
-  let m = Sync.Mutex.create () in
-  let in_section = ref 0 and max_seen = ref 0 and done_count = ref 0 in
-  for _ = 1 to 4 do
-    ignore
-      (Scheduler.spawn s (fun () ->
-           Sync.Mutex.lock m;
-           incr in_section;
-           if !in_section > !max_seen then max_seen := !in_section;
-           Scheduler.yield ();
-           (* hold across a reschedule *)
-           decr in_section;
-           Sync.Mutex.unlock m;
-           incr done_count))
-  done;
-  ignore (Scheduler.run s ());
-  Alcotest.(check int) "mutual exclusion" 1 !max_seen;
-  Alcotest.(check int) "all completed" 4 !done_count;
-  Alcotest.(check bool) "unlocked at end" false (Sync.Mutex.locked m)
-
-let test_mutex_trylock_with_lock () =
-  let _, s = sched_fixture () in
-  let m = Sync.Mutex.create () in
-  ignore
-    (Scheduler.spawn s (fun () ->
-         Alcotest.(check bool) "try_lock free" true (Sync.Mutex.try_lock m);
-         Alcotest.(check bool) "try_lock held" false (Sync.Mutex.try_lock m);
-         Sync.Mutex.unlock m;
-         let r = Sync.Mutex.with_lock m (fun () -> 42) in
-         Alcotest.(check int) "with_lock result" 42 r;
-         Alcotest.(check bool) "released after" false (Sync.Mutex.locked m);
-         (match Sync.Mutex.with_lock m (fun () -> failwith "inner") with
-         | exception Failure _ -> ()
-         | _ -> Alcotest.fail "exception propagates");
-         Alcotest.(check bool) "released after exn" false (Sync.Mutex.locked m)));
-  ignore (Scheduler.run s ());
-  Alcotest.check_raises "unlock unlocked" (Invalid_argument "Mutex.unlock: not locked")
-    (fun () -> Sync.Mutex.unlock m)
-
-let test_condvar_producer_consumer () =
-  let _, s = sched_fixture () in
-  let m = Sync.Mutex.create () in
-  let cv = Sync.Condvar.create () in
-  let queue = Queue.create () in
-  let consumed = ref [] in
-  ignore
-    (Scheduler.spawn s ~name:"consumer" (fun () ->
-         Sync.Mutex.lock m;
-         let rec take n =
-           if n > 0 then begin
-             while Queue.is_empty queue do
-               Sync.Condvar.wait cv m
-             done;
-             consumed := Queue.pop queue :: !consumed;
-             take (n - 1)
-           end
-         in
-         take 3;
-         Sync.Mutex.unlock m));
-  ignore
-    (Scheduler.spawn s ~name:"producer" (fun () ->
-         List.iter
-           (fun v ->
-             Sync.Mutex.lock m;
-             Queue.push v queue;
-             Sync.Condvar.signal cv;
-             Sync.Mutex.unlock m;
-             Scheduler.yield ())
-           [ 1; 2; 3 ]));
-  ignore (Scheduler.run s ());
-  Alcotest.(check (list int)) "consumed in order" [ 1; 2; 3 ] (List.rev !consumed)
 
 let test_semaphore () =
   let _, s = sched_fixture () in
@@ -296,78 +244,6 @@ let test_effects_outside_thread_rejected () =
   | exception Effect.Unhandled _ -> ()
   | _ -> Alcotest.fail "yield outside thread must be unhandled")
 
-
-(* --- scheduling policies ------------------------------------------------- *)
-
-let test_policy_fifo_ignores_priority () =
-  let clock = Clock.create () in
-  let s = Scheduler.create ~policy:Scheduler.Fifo clock Cost.unit_costs in
-  let log = Buffer.create 8 in
-  (* low priority spawned first runs first under FIFO *)
-  ignore (Scheduler.spawn s ~priority:7 (fun () -> Buffer.add_char log 'l'));
-  ignore (Scheduler.spawn s ~priority:0 (fun () -> Buffer.add_char log 'h'));
-  ignore (Scheduler.run s ());
-  Alcotest.(check string) "arrival order" "lh" (Buffer.contents log)
-
-let test_policy_lottery_deterministic () =
-  let order policy =
-    let clock = Clock.create () in
-    let s = Scheduler.create ~policy clock Cost.unit_costs in
-    let log = Buffer.create 16 in
-    for i = 0 to 7 do
-      ignore
-        (Scheduler.spawn s ~priority:(i mod Scheduler.priorities) (fun () ->
-             Buffer.add_char log (Char.chr (Char.code '0' + i))))
-    done;
-    ignore (Scheduler.run s ());
-    Buffer.contents log
-  in
-  Alcotest.(check string) "same seed, same order"
-    (order (Scheduler.Lottery 42))
-    (order (Scheduler.Lottery 42));
-  Alcotest.(check bool) "different seeds eventually differ" true
-    (order (Scheduler.Lottery 1) <> order (Scheduler.Lottery 99)
-    || order (Scheduler.Lottery 2) <> order (Scheduler.Lottery 77))
-
-let test_policy_lottery_favors_high_priority () =
-  (* two yield-loop threads; count how often each runs: the high-priority
-     one holds 8 tickets to the low one's 1 *)
-  let clock = Clock.create () in
-  let s = Scheduler.create ~policy:(Scheduler.Lottery 7) clock Cost.unit_costs in
-  let high = ref 0 and low = ref 0 in
-  let loop counter () =
-    for _ = 1 to 200 do
-      incr counter;
-      Scheduler.yield ()
-    done
-  in
-  ignore (Scheduler.spawn s ~priority:0 (loop high));
-  ignore (Scheduler.spawn s ~priority:7 (loop low));
-  (* run a bounded number of dispatches so the mix is observable *)
-  ignore (Scheduler.run s ~budget:150 ());
-  Alcotest.(check bool)
-    (Printf.sprintf "8:1 tickets show (high=%d low=%d)" !high !low)
-    true
-    (!high > !low * 2);
-  ignore (Scheduler.run s ())
-
-let test_policy_all_complete () =
-  List.iter
-    (fun policy ->
-      let clock = Clock.create () in
-      let s = Scheduler.create ~policy clock Cost.unit_costs in
-      let completed = ref 0 in
-      for i = 0 to 19 do
-        ignore
-          (Scheduler.spawn s ~priority:(i mod Scheduler.priorities) (fun () ->
-               Scheduler.yield ();
-               incr completed))
-      done;
-      ignore (Scheduler.run s ());
-      Alcotest.(check int) "all complete" 20 !completed;
-      Alcotest.(check int) "none live" 0 (Scheduler.live s))
-    [ Scheduler.Priority; Scheduler.Fifo; Scheduler.Lottery 3 ]
-
 (* --- properties ------------------------------------------------------------ *)
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:100 ~name gen f)
@@ -433,26 +309,14 @@ let () =
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "crash isolated" `Quick test_crash_isolated;
           Alcotest.test_case "self" `Quick test_self;
+          Alcotest.test_case "a thief takes the oldest entry" `Quick
+            test_steal_takes_oldest;
         ] );
       ( "sync",
         [
           Alcotest.test_case "waitq" `Quick test_waitq;
-          Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
-          Alcotest.test_case "mutex try/with" `Quick test_mutex_trylock_with_lock;
-          Alcotest.test_case "condvar producer/consumer" `Quick
-            test_condvar_producer_consumer;
           Alcotest.test_case "semaphore" `Quick test_semaphore;
           Alcotest.test_case "ivar" `Quick test_ivar;
-        ] );
-      ( "policies",
-        [
-          Alcotest.test_case "fifo ignores priority" `Quick
-            test_policy_fifo_ignores_priority;
-          Alcotest.test_case "lottery deterministic" `Quick
-            test_policy_lottery_deterministic;
-          Alcotest.test_case "lottery favors high priority" `Quick
-            test_policy_lottery_favors_high_priority;
-          Alcotest.test_case "all policies complete" `Quick test_policy_all_complete;
         ] );
       ( "popup",
         [
