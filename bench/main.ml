@@ -2161,19 +2161,22 @@ module E20 = struct
           plus their two block copies" media;
     line "the spilled median pays the device: %d cycles at %d keys, %d over \
           the resident median" spilled_p50 spilled_ws (spilled_p50 - resident_p50);
-    (* no translation artifact may dominate the op: TLB refills stay a
-       small share of the steady state's cycles *)
+    (* no translation artifact on the op: the drivers DMA by frame, so
+       the resident steady state takes no TLB fill at all; a spilled op's
+       descriptor words are the block driver's own loads and stores and
+       still translate, a small share of its cycles *)
     let shares =
-      List.map
-        (fun (ws, (samples, fill_cyc)) ->
+      List.mapi
+        (fun k (ws, (samples, fill_cyc)) ->
           let total = List.fold_left ( + ) 0 samples in
           let share = 100. *. float_of_int fill_cyc /. float_of_int total in
-          assert (share < 5.);
+          if k = 0 then assert (fill_cyc = 0) else assert (share < 5.);
           Printf.sprintf "%.1f%% at %d keys" share ws)
         runs
     in
-    line "steady-state tlb_fill share of cycles: %s (each under 5%%)"
-      (String.concat ", " shares)
+    line "steady-state tlb_fill share of cycles: %s (no fill at %d keys; each \
+          spilled row under 5%%)"
+      (String.concat ", " shares) (List.hd working_sets)
 end
 
 (* ------------------------------------------------------------------ *)

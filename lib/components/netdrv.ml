@@ -45,11 +45,13 @@ type state = {
   api : Api.t;
   dom : Domain.t;
   grant : Vmem.io_grant;
-  buf_vaddr_of_phys : (int, int) Hashtbl.t;
-  (* tx staging pages, used round-robin; a page is reused only after
-     [Array.length tx_vaddrs] later stagings, by which time its DMA (FIFO
-     on the device) has completed *)
-  tx_vaddrs : int array;
+  (* the receive buffers' frames, as posted: the only addresses the
+     driver takes a frame from *)
+  rx_frames : int array;
+  (* tx staging pages' frames, used round-robin; a page is reused only
+     after [Array.length tx_frames] later stagings, by which time its DMA
+     (FIFO on the device) has completed *)
+  tx_frames : int array;
   mutable tx_next : int;
   mutable sink : Instance.t option;
   mutable rx_count : int;
@@ -75,14 +77,14 @@ let in_domain st f =
   end
 
 (* The device reads the sender's frame where it lies: the DMA into the
-   staging page moves its bytes, and the CPU touches none of them. *)
+   staging page's frame moves its bytes, and the CPU touches none of
+   them. *)
 let stage_tx st data =
   let vmem = st.api.Api.vmem in
   let len = Bytes.length data in
-  let vaddr = st.tx_vaddrs.(st.tx_next) in
-  st.tx_next <- (st.tx_next + 1) mod Array.length st.tx_vaddrs;
-  Machine.dma st.api.Api.machine st.dom.Domain.id vaddr data Mmu.Write;
-  let phys = Vmem.phys_of vmem st.dom ~vaddr in
+  let phys = st.tx_frames.(st.tx_next) in
+  st.tx_next <- (st.tx_next + 1) mod Array.length st.tx_frames;
+  Machine.dma st.api.Api.machine phys data Mmu.Write;
   Vmem.io_write vmem st.grant ~reg:reg_tx_addr phys;
   Vmem.io_write vmem st.grant ~reg:reg_tx_len len;
   Vmem.io_write vmem st.grant ~reg:reg_tx_go 1;
@@ -105,7 +107,7 @@ let service_interrupt st () =
       let rec refill () =
         if
           (not (Queue.is_empty st.tx_backlog))
-          && st.tx_inflight < Array.length st.tx_vaddrs
+          && st.tx_inflight < Array.length st.tx_frames
           && Vmem.io_read vmem st.grant ~reg:reg_tx_free > 0
         then begin
           stage_tx st (Queue.pop st.tx_backlog);
@@ -117,16 +119,16 @@ let service_interrupt st () =
     if status land status_rx <> 0 then begin
       let phys = Vmem.io_read vmem st.grant ~reg:reg_rx_addr in
       let len = Vmem.io_read vmem st.grant ~reg:reg_rx_len in
-      match Hashtbl.find_opt st.buf_vaddr_of_phys phys with
-      | None ->
+      if not (Array.mem phys st.rx_frames) then begin
         (* not one of ours: ack and drop *)
         Vmem.io_write vmem st.grant ~reg:reg_status status_rx;
         drain ()
-      | Some vaddr ->
+      end
+      else begin
         (* the frame the device wrote, lent to the sink: the sink charges
            the bytes it reads *)
         let data = Bytes.create len in
-        Machine.dma st.api.Api.machine st.dom.Domain.id vaddr data Mmu.Read;
+        Machine.dma st.api.Api.machine phys data Mmu.Read;
         (* ack: pops the descriptor and exposes the next *)
         Vmem.io_write vmem st.grant ~reg:reg_status status_rx;
         st.rx_count <- st.rx_count + 1;
@@ -147,6 +149,7 @@ let service_interrupt st () =
             raise exn));
         Vmem.io_write vmem st.grant ~reg:reg_rx_free phys;
         drain ()
+      end
     end
   in
   drain ()
@@ -166,21 +169,22 @@ let create api dom ?(config = default_config) () =
   if config.rx_buffers > Nic.rx_slots then invalid_arg "Netdrv.create: bad rx_buffers";
   let vmem = api.Api.vmem in
   let grant = Vmem.alloc_io vmem dom ~device:"nic" ~sharing:Vmem.Exclusive in
-  let buf_vaddr_of_phys = Hashtbl.create 16 in
-  (* one page per rx buffer plus [tx_pages] staging pages *)
-  let tx_vaddrs =
-    Array.init tx_pages (fun _ ->
-        Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive)
+  (* one page per rx buffer plus [tx_pages] staging pages, each known to
+     the driver by its frame from here on *)
+  let page () =
+    let vaddr = Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive in
+    Vmem.phys_of vmem dom ~vaddr
   in
+  let tx_frames = Array.init tx_pages (fun _ -> page ()) in
   let st =
-    { api; dom; grant; buf_vaddr_of_phys; tx_vaddrs; tx_next = 0; sink = None;
-      rx_count = 0; tx_count = 0; tx_inflight = 0; tx_backlog = Queue.create () }
+    { api; dom; grant; rx_frames = Array.make config.rx_buffers 0; tx_frames;
+      tx_next = 0; sink = None; rx_count = 0; tx_count = 0; tx_inflight = 0;
+      tx_backlog = Queue.create () }
   in
   in_domain st (fun () ->
-      for _ = 1 to config.rx_buffers do
-        let vaddr = Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive in
-        let phys = Vmem.phys_of vmem dom ~vaddr in
-        Hashtbl.replace buf_vaddr_of_phys phys vaddr;
+      for i = 0 to config.rx_buffers - 1 do
+        let phys = page () in
+        st.rx_frames.(i) <- phys;
         Vmem.io_write vmem grant ~reg:reg_rx_free phys
       done;
       let ctrl =

@@ -17,19 +17,23 @@
     - [dropped() -> int] — rx frames the device dropped: for want of
       buffers (RX_DROPPED) or for a bad fcs (RX_BAD_FCS)
 
-    {b The CPU copies nothing.} The device DMAs a frame between its
-    buffer and memory ({!Pm_machine.Machine.dma}), so the driver charges
-    no byte of it: whoever reads or writes a frame's bytes with the CPU
-    charges them. A received frame is lent to the sink for the length of
-    its [rx] call, and the driver re-posts the buffer to the device only
-    after [rx] returns (or raises). A transmitted frame goes out where it lies: the
-    driver stages the sender's frame for the device's DMA, or keeps that
-    same frame in its backlog while the ring is busy, so a sender must
-    not change a frame it has handed to [send]. The driver keeps 8 DMAs
-    in flight at most, one staging page each: [send] posts directly only
-    on an idle ring, and the tx_done interrupt is the sole writer while
-    DMAs are in flight, refilling every free slot from the in-order
-    backlog. Its I/O grant is exclusive. *)
+    {b The CPU copies and translates nothing.} The device DMAs a frame
+    between its buffer and memory by the buffer's physical address
+    ({!Pm_machine.Machine.dma}), so the driver charges no byte of it and
+    takes no TLB fill for it: whoever reads or writes a frame's bytes
+    with the CPU charges them. The driver learns each buffer's frame
+    once, when [create] allocates it, and takes a received frame only
+    from an address it posted (any other is acknowledged and dropped).
+    A received frame is lent to the sink for the length of its [rx]
+    call, and the driver re-posts the buffer to the device only after
+    [rx] returns (or raises). A transmitted frame goes out where it
+    lies: the driver stages the sender's frame for the device's DMA, or
+    keeps that same frame in its backlog while the ring is busy, so a
+    sender must not change a frame it has handed to [send]. The driver
+    keeps 8 DMAs in flight at most, one staging page each: [send] posts
+    directly only on an idle ring, and the tx_done interrupt is the sole
+    writer while DMAs are in flight, refilling every free slot from the
+    in-order backlog. Its I/O grant is exclusive. *)
 
 type config = {
   rx_buffers : int;  (** DMA receive buffers to give the device (<= [Nic.rx_slots]) *)

@@ -230,9 +230,20 @@ let write_bytes t ctx vaddr b = copy t ctx vaddr b (Bytes.length b) Mmu.Write
 let read_string t ctx vaddr len = Bytes.unsafe_to_string (read_bytes t ctx vaddr len)
 let write_string t ctx vaddr s = write_bytes t ctx vaddr (Bytes.unsafe_of_string s)
 
-(* The device moves the bytes, not the CPU: every page is resolved as a
-   copy resolves it, and no byte is charged. *)
-let dma t ctx vaddr buf access = copy_from t ctx vaddr buf (Bytes.length buf) access 0 0
+(* The device moves the bytes, not the CPU, and names memory by the
+   physical address its driver posted: nothing is translated, charged or
+   counted. A transfer stays inside one allocated frame, and the machine
+   refuses any other before it moves a byte. *)
+let dma t paddr buf access =
+  let ps = page_size t and len = Bytes.length buf in
+  if paddr < 0 || (paddr mod ps) + len > ps then
+    raise
+      (Machine_check (Printf.sprintf "dma of %d bytes at 0x%x leaves its frame" len paddr));
+  if not (Physmem.is_allocated t.phys (paddr / ps)) then
+    raise (Machine_check (Printf.sprintf "dma into unallocated frame %d" (paddr / ps)));
+  match access with
+  | Mmu.Write -> Physmem.write_bytes t.phys paddr buf 0 len
+  | _ -> Physmem.read_bytes t.phys paddr buf 0 len
 
 let attach_device t dev =
   let io_base = t.next_io_base in

@@ -115,20 +115,22 @@ val write_bytes : t -> Mmu.context -> int -> bytes -> unit
 val read_string : t -> Mmu.context -> int -> int -> string
 val write_string : t -> Mmu.context -> int -> string -> unit
 
-(** [dma t ctx vaddr buf access] moves a device-visible buffer: with
-    [Mmu.Read] it fills [buf] from the [Bytes.length buf] bytes at
-    [vaddr], with [Mmu.Write] it stores [buf] there. The device's DMA
-    engine moves those bytes, not the CPU, so no [mem_read] or
-    [mem_write] is charged; every page the range spans is still resolved
-    in [ctx] as a bulk copy resolves it (a TLB fill, a fault and the
-    fault handler's work are charged and counted the same), so a buffer
-    the driver cannot reach still faults. A driver uses it for its DMA
-    buffers, and whoever reads or writes the buffer's bytes with the CPU
-    charges them ([Call_ctx.access]).
+(** [dma t paddr buf access] moves a device-visible buffer by the
+    physical address its driver posted to the device: with [Mmu.Read] it
+    fills [buf] from the [Bytes.length buf] bytes at [paddr], with
+    [Mmu.Write] it stores [buf] there. The device's DMA engine moves
+    those bytes, not the CPU, and a device names memory by frame: nothing
+    is translated, no cycle is charged, no counter moves and the TLB is
+    left as it was. The transfer must lie inside one allocated frame: one
+    that runs past its frame's end or lands in an unallocated frame
+    raises [Machine_check] before any byte moves. A driver keeps its
+    buffers' physical addresses from the time it allocates them, and
+    whoever reads or writes a buffer's bytes with the CPU charges them
+    ([Call_ctx.access]).
 
     {!read_bytes} and {!write_bytes} stay as the CPU's own copy: code
     that moves bytes itself pays for each one. *)
-val dma : t -> Mmu.context -> int -> bytes -> Mmu.access -> unit
+val dma : t -> int -> bytes -> Mmu.access -> unit
 
 (** {1 I/O space and devices} *)
 

@@ -8,15 +8,19 @@
     memory bus — which is what the SFI baseline taxes.
 
     {b The buffer contract.} The device, not the CPU, moves a frame
-    between the wire and memory, so no byte of it is charged until code
-    reads or writes it (a driver fills or empties its view of a buffer
-    with {!Machine.dma}). A posted receive buffer is the device's until
-    it fills; the driver then lends the frame to the protocol stack and
-    posts the buffer again (RX_FREE) only after the stack's [rx] has
-    returned. On transmit the driver stages the sender's frame for the
-    device without a CPU copy, and the descriptor points at it; the
-    device reads it at its DMA, so a staged frame must not change
-    between TX_GO and its tx-done.
+    between the wire and memory, and it names a buffer by the physical
+    address the driver posted: no byte is charged and no address is
+    translated until code reads or writes the frame (a driver fills or
+    empties a buffer with {!Machine.dma} at that address, so it keeps
+    each buffer's frame from the time it allocates it). A posted
+    receive buffer is the device's until it fills; RX_ADDR then reports
+    its address, and the driver takes the frame from there only if it
+    posted that address, lends it to the protocol stack and posts the
+    buffer again (RX_FREE) only after the stack's [rx] has returned. On
+    transmit the driver stages the sender's frame for the device without
+    a CPU copy, and the descriptor points at it; the device reads it at
+    its DMA, so a staged frame must not change between TX_GO and its
+    tx-done.
 
     {b The frame check sequence.} The device, not the CPU, computes and
     checks each frame's fcs, as Ethernet controllers do: a frame's last

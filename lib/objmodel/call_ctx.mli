@@ -32,8 +32,9 @@ val work : t -> int -> unit
     sandbox baseline taxes exactly these accesses, so any per-byte work a
     component does must go through here. A device's DMA is not a
     component's access: a driver moves its buffers with
-    {!Pm_machine.Machine.dma}, which charges no byte, and whoever then
-    reads or writes those bytes charges them here. *)
+    {!Pm_machine.Machine.dma} by their physical addresses, which charges
+    no byte and translates nothing, and whoever then reads or writes
+    those bytes charges them here. *)
 val access : t -> int -> unit
 
 (** [accesses t] reads the cumulative component access count. *)

@@ -11,8 +11,10 @@ type t = {
 
 let find_child t name = List.assoc_opt name t.kids
 
-(* Build the forwarding interface for one export, resolving the child at
-   call time so child replacement transparently re-wires. *)
+(* Build the forwarding interface for one export, resolving the child
+   and its method at call time so child replacement transparently
+   re-wires. The caller's dispatch of the composition is the call's one
+   dispatch: the forwarder charges no second one. *)
 let forwarding_iface t e =
   match find_child t e.child with
   | None -> invalid_arg (Printf.sprintf "Composite: no child %S" e.child)
@@ -26,7 +28,7 @@ let forwarding_iface t e =
         let impl ctx args =
           match find_child t e.child with
           | None -> Error (Oerror.Fault ("composition lost child " ^ e.child))
-          | Some kid -> Invoke.call ctx kid ~iface:e.iface ~meth:m.Iface.mname args
+          | Some kid -> Invoke.forward ctx kid ~iface:e.iface ~meth:m.Iface.mname args
         in
         { m with Iface.impl }
       in

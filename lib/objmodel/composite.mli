@@ -5,10 +5,20 @@
     ordinary {!Instance.t} whose exported interfaces forward to its
     children, so composition nests recursively.
 
+    A call through a composition is one dispatch. The caller's
+    {!Invoke.call} on the composition charges the one indirect call,
+    invocation count and invoke span; each exported method then finds
+    its child, and the child's current method, at call time and runs it
+    with {!Invoke.forward}, which charges no second dispatch however deep
+    the nesting. The child's delegation hops and its argument and result
+    checks stay, and a revoked child answers [Revoked].
+
     A [Static] composition models link-time assembly (the resident part of
     the kernel): its children cannot be replaced. A [Dynamic] composition
     is assembled at run time and allows children to be swapped for new
-    instances, re-wiring the exported interfaces. *)
+    instances, re-wiring the exported interfaces: the next call reaches
+    the new child, also through an outer composition that holds this one
+    as its child. *)
 
 type mode = Static | Dynamic
 

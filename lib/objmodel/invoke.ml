@@ -2,9 +2,9 @@ module Cost = Pm_machine.Cost
 module Clock = Pm_machine.Clock
 module Obs = Pm_obs.Obs
 
-let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
-  Clock.advance ctx.clock ctx.costs.Cost.indirect_call;
-  Clock.bump ctx.clock Clock.Method_invocation;
+(* a call but its dispatch charge: the method found now, its delegation
+   hops, its argument and result checks *)
+let forward (ctx : Call_ctx.t) obj ~iface ~meth args =
   match Instance.resolve_method obj ~iface ~meth with
   | Error e -> Error e
   | Ok (m, hops) ->
@@ -27,6 +27,11 @@ let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
             (Oerror.Type_error
                (Printf.sprintf "%s.%s returned an ill-typed value" iface meth))
     end
+
+let dispatch (ctx : Call_ctx.t) obj ~iface ~meth args =
+  Clock.advance ctx.clock ctx.costs.Cost.indirect_call;
+  Clock.bump ctx.clock Clock.Method_invocation;
+  forward ctx obj ~iface ~meth args
 
 (* the flag is tested here as well as in [Clock.span] so the untraced
    hot path allocates no closure *)

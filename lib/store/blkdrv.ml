@@ -2,16 +2,20 @@
    and exports the standard "block" interface at the bottom of every
    storage stack.
 
-   The driver allocates the descriptor ring and per-slot data buffers in
-   its own domain, maps the register window through the I/O-space
-   service, and turns completion interrupts into pop-up threads (the
-   netdrv idiom). Each op posts one descriptor and waits for it.
+   The driver allocates the descriptor ring and one data buffer in its
+   own domain, maps the register window through the I/O-space service,
+   and turns completion interrupts into pop-up threads (the netdrv
+   idiom). Each op posts one descriptor and waits for it, so one buffer
+   is all an op ever has in flight: every descriptor names it.
 
-   The device DMAs each block between its slot buffer and the media, so
-   the driver's CPU touches no byte of a block ([Machine.dma]): a read
-   hands the reader the block, and the reader charges what it reads of
-   it; a write hands the writer's block to the device. A short write's
-   zero padding is the only data the driver writes, and all it charges. *)
+   The device DMAs each block between the buffer's frame and the media,
+   by the physical address the driver kept at [create], so the driver's
+   CPU touches no byte of a block and translates no address for it
+   ([Machine.dma]): a read hands the reader the block, and the reader
+   charges what it reads of it; a write hands the writer's block to the
+   device. A short write's zero padding is the only data the driver
+   writes, and all it charges. The descriptor words are the CPU's own
+   stores and loads on the ring page, translated and charged. *)
 
 module Api = Pm_nucleus.Api
 module Domain = Pm_nucleus.Domain
@@ -53,8 +57,7 @@ type state = {
   dom : Domain.t;
   grant : Vmem.io_grant;
   ring_vaddr : int;
-  buf_vaddrs : int array; (* one data buffer per ring slot *)
-  buf_phys : int array;
+  buf_phys : int; (* the data buffer's physical address *)
   blocks : int;
   block_size : int;
   mutable tail : int; (* free-running producer index, mirrors the device *)
@@ -74,14 +77,14 @@ let in_domain st f =
     Fun.protect ~finally:(fun () -> Mmu.switch_context mmu prev) f
   end
 
-(* Post one descriptor at [slot], the next ring slot, naming the slot's
-   own data buffer. *)
+(* Post one descriptor at [slot], the next ring slot, naming the data
+   buffer. *)
 let post st ~op ~block slot =
   let machine = st.api.Api.machine in
   let d = st.ring_vaddr + (slot * desc_bytes) in
   Machine.write32 machine st.dom.Domain.id d op;
   Machine.write32 machine st.dom.Domain.id (d + 4) block;
-  Machine.write32 machine st.dom.Domain.id (d + 8) st.buf_phys.(slot);
+  Machine.write32 machine st.dom.Domain.id (d + 8) st.buf_phys;
   st.tail <- st.tail + 1;
   Vmem.io_write st.api.Api.vmem st.grant ~reg:reg_tail st.tail
 
@@ -117,15 +120,15 @@ let check_block st block =
     fault (Printf.sprintf "blkdrv: block %d out of range" block)
   else Ok ()
 
-(* the block the device wrote into [slot]'s buffer *)
-let dma_in st slot =
+(* the block the device wrote into the buffer *)
+let dma_in st =
   let data = Bytes.create st.block_size in
-  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot) data Mmu.Read;
+  Machine.dma st.api.Api.machine st.buf_phys data Mmu.Read;
   data
 
-(* [data] into [slot]'s buffer for the device to write out, padded to a
-   block with zeros: the padding is the CPU's, and charged *)
-let dma_out st ctx slot data =
+(* [data] into the buffer for the device to write out, padded to a block
+   with zeros: the padding is the CPU's, and charged *)
+let dma_out st ctx data =
   let pad = st.block_size - Bytes.length data in
   let block =
     if pad = 0 then data
@@ -136,7 +139,7 @@ let dma_out st ctx slot data =
       padded
     end
   in
-  Machine.dma st.api.Api.machine st.dom.Domain.id st.buf_vaddrs.(slot) block Mmu.Write
+  Machine.dma st.api.Api.machine st.buf_phys block Mmu.Write
 
 let read_op st block =
   let* () = check_block st block in
@@ -144,7 +147,7 @@ let read_op st block =
       let slot = st.tail mod ring_slots in
       post st ~op:Blkdev.op_read ~block slot;
       let* () = wait_slot st slot in
-      let data = dma_in st slot in
+      let data = dma_in st in
       st.reads <- st.reads + 1;
       Ok data)
 
@@ -154,14 +157,16 @@ let write_op st ctx block data =
   else
     in_domain st (fun () ->
         let slot = st.tail mod ring_slots in
-        dma_out st ctx slot data;
+        dma_out st ctx data;
         post st ~op:Blkdev.op_write ~block slot;
         let* () = wait_slot st slot in
         st.writes <- st.writes + 1;
         Ok ())
 
 (* The device writes through to the media at DMA completion, so flushing
-   is waiting for the ring to drain. *)
+   is waiting for the ring to drain. Every op has waited for its own
+   descriptor, so the first poll finds the ring empty; the poll stays,
+   because it is the barrier a layer above flushes through. *)
 let flush_op st _ctx =
   in_domain st (fun () ->
       let rec spin n =
@@ -187,26 +192,14 @@ let create api dom =
   if ring_slots * desc_bytes > page_size then
     invalid_arg "Blkdrv.create: ring exceeds one page";
   let ring_vaddr = Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive in
-  (* per-slot data buffers, packed into as few pages as needed; a buffer
-     never straddles pages while block_size divides page_size *)
-  let per_page = max 1 (page_size / block_size) in
-  let pages_needed = (ring_slots + per_page - 1) / per_page in
-  let page_vaddrs =
-    Array.init pages_needed (fun _ ->
-        Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive)
-  in
-  let buf_vaddrs =
-    Array.init ring_slots (fun i ->
-        page_vaddrs.(i / per_page) + (i mod per_page * block_size))
-  in
+  let buf_vaddr = Vmem.alloc_pages vmem dom ~count:1 ~sharing:Vmem.Exclusive in
   let st =
     {
       api;
       dom;
       grant;
       ring_vaddr;
-      buf_vaddrs;
-      buf_phys = Array.make ring_slots 0;
+      buf_phys = Vmem.phys_of vmem dom ~vaddr:buf_vaddr;
       blocks;
       block_size;
       tail = 0;
@@ -216,12 +209,6 @@ let create api dom =
     }
   in
   in_domain st (fun () ->
-      Array.iteri
-        (fun i vaddr ->
-          let page_vaddr = vaddr - (vaddr mod page_size) in
-          let page_phys = Vmem.phys_of vmem dom ~vaddr:page_vaddr in
-          st.buf_phys.(i) <- page_phys + (vaddr mod page_size))
-        buf_vaddrs;
       let ring_phys = Vmem.phys_of vmem dom ~vaddr:ring_vaddr in
       Vmem.io_write vmem grant ~reg:reg_ring_base ring_phys;
       Vmem.io_write vmem grant ~reg:reg_ring_slots ring_slots;

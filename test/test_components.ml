@@ -537,6 +537,54 @@ let test_netdrv_lends_rx_buffers () =
   done;
   Alcotest.(check int) "a raising sink loses no buffer" posted (rx_free ())
 
+(* The device DMAs a frame by the frame its driver posted, so neither a
+   send nor a receive translates the buffer: right after a context
+   switch, which flushes the TLB, neither takes a TLB fill. *)
+let test_netdrv_dma_takes_no_tlb_fill () =
+  let sys = sys_fixture () in
+  let k = System.kernel sys in
+  let kdom = Kernel.kernel_domain k and api = Kernel.api k and nic = Kernel.nic k in
+  let driver = Netdrv.create api kdom () in
+  Kernel.register_at k "/services/netdrv" driver;
+  let got = ref [] in
+  let sink =
+    Instance.create api.Api.registry ~class_name:"test.sink" ~domain:kdom.Domain.id
+      [
+        Iface.make ~name:"stack"
+          [
+            Iface.fn1 ~name:"rx" Iface.Blob ~ret:Vtype.Tunit (fun _ frame ->
+                got := Bytes.to_string frame :: !got;
+                Ok Value.Unit);
+          ];
+      ]
+  in
+  Kernel.register_at k "/test/sink" sink;
+  let ctx = Kernel.ctx k kdom in
+  ignore (Invoke.call_exn ctx driver ~iface:"netdev" ~meth:"attach" [ Value.Str "/test/sink" ]);
+  let mmu = Machine.mmu (Kernel.machine k) and clock = Kernel.clock k in
+  let away = Mmu.new_context mmu in
+  let fills f =
+    Mmu.switch_context mmu away;
+    let switches = Clock.read clock Clock.Context_switch
+    and fills = Clock.read clock Clock.Tlb_fill in
+    f ();
+    Alcotest.(check bool) "the driver's context came back" true
+      (Clock.read clock Clock.Context_switch > switches);
+    Clock.read clock Clock.Tlb_fill - fills
+  in
+  let out = sealed "out" in
+  Alcotest.(check int) "a send takes no TLB fill" 0
+    (fills (fun () ->
+         ignore
+           (Invoke.call_exn ctx driver ~iface:"netdev" ~meth:"send"
+              [ Value.Blob (Bytes.of_string out) ])));
+  Kernel.step k ~ticks:2 ();
+  Alcotest.(check (list string)) "the frame went out" [ out ] (Nic.take_transmitted nic);
+  Nic.inject nic (sealed "in");
+  Alcotest.(check int) "a receive takes no TLB fill" 0
+    (fills (fun () -> Kernel.step k ~ticks:2 ()));
+  Alcotest.(check (list string)) "the frame came in" [ sealed "in" ] !got
+
 (* A frame the NIC drops for a bad fcs never reaches the driver's ring,
    so [dropped] is where the driver's clients see it; [stats] counts
    only frames that arrived or left. *)
@@ -1285,6 +1333,8 @@ let () =
             test_netdrv_lends_rx_buffers;
           Alcotest.test_case "a bad-fcs drop reads in dropped" `Quick
             test_netdrv_counts_bad_fcs;
+          Alcotest.test_case "a DMA'd frame takes no TLB fill" `Quick
+            test_netdrv_dma_takes_no_tlb_fill;
         ] );
       ( "stack",
         [

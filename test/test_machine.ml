@@ -757,24 +757,28 @@ let print_copy_case c =
     (if c.write then "write" else "read")
     (String.length c.data) c.vaddr
 
-type copy_outcome = Copied of string | Faulted of Mmu.fault | Invalid of string
+type copy_outcome =
+  | Copied of string
+  | Faulted of Mmu.fault
+  | Invalid of string
+  | Refused of string  (** [Machine_check] *)
+
+(* the bytes a case's vpage holds before the copy *)
+let page_bytes vpage =
+  String.init copy_page_size (fun i -> Char.chr (65 + (((vpage * 7) + i) mod 26)))
 
 (* Run one case on a fresh machine and report what an observer can see:
    the result or the raised fault, the cycles, every counter, the
    handler's calls, physical memory, and the TLB left behind (the cost
-   of a probe read of each page afterwards). *)
-type copier = Byte_loop | Segments | Dma
+   of a probe read of each page afterwards). [Dma] moves the case's
+   bytes by frame, at [vaddr]'s offset in the frame its page maps (an
+   absent page names the last frame, which no case allocates); [Idle]
+   moves nothing. *)
+type copier = Byte_loop | Segments | Dma | Idle
 
-let dma_read_string m ctx vaddr len =
-  let b = Bytes.create len in
-  Machine.dma m ctx vaddr b Mmu.Read;
-  Bytes.to_string b
-
-let dma_write_string m ctx vaddr s = Machine.dma m ctx vaddr (Bytes.of_string s) Mmu.Write
-
-let run_copy_case ?(costs = Cost.default) ~copier c =
+let run_copy_case ~copier c =
   let ps = copy_page_size in
-  let m = Machine.create ~costs ~frames:32 ~page_size:ps () in
+  let m = Machine.create ~frames:32 ~page_size:ps () in
   let mmu = Machine.mmu m and phys = Machine.phys m in
   let ctx = Mmu.new_context mmu and other = Mmu.new_context mmu in
   let frames =
@@ -786,12 +790,24 @@ let run_copy_case ?(costs = Cost.default) ~copier c =
           let prot = if p = Ro then Mmu.Read_only else Mmu.Read_write in
           Mmu.map mmu ctx ~vpage ~frame ~prot;
           if p = Hooked then Mmu.set_fault_hook mmu ctx ~vpage true;
-          phys_put phys
-            (String.init ps (fun i -> Char.chr (65 + (((vpage * 7) + i) mod 26))))
-            (frame * ps);
+          phys_put phys (page_bytes vpage) (frame * ps);
           Some frame
         end)
       c.pages
+  in
+  let frame_addr vaddr =
+    let frame =
+      match frames.(vaddr / ps) with
+      | Some f -> f
+      | None -> Physmem.total_frames phys - 1
+    in
+    (frame * ps) + (vaddr mod ps)
+  in
+  let dma_write m _ vaddr s = Machine.dma m (frame_addr vaddr) (Bytes.of_string s) Mmu.Write in
+  let dma_read m _ vaddr len =
+    let b = Bytes.create len in
+    Machine.dma m (frame_addr vaddr) b Mmu.Read;
+    Bytes.to_string b
   in
   Array.iteri
     (fun vpage p -> if p = Dangling then Physmem.release phys (Option.get frames.(vpage)))
@@ -831,7 +847,8 @@ let run_copy_case ?(costs = Cost.default) ~copier c =
         (match copier with
         | Segments -> Machine.write_string
         | Byte_loop -> loop_write_string
-        | Dma -> dma_write_string)
+        | Dma -> dma_write
+        | Idle -> fun _ _ _ _ -> ())
           m ctx c.vaddr c.data;
         ""
       end
@@ -839,12 +856,14 @@ let run_copy_case ?(costs = Cost.default) ~copier c =
         (match copier with
         | Segments -> Machine.read_string
         | Byte_loop -> loop_read_string
-        | Dma -> dma_read_string)
+        | Dma -> dma_read
+        | Idle -> fun _ _ _ _ -> "")
           m ctx c.vaddr (String.length c.data)
     with
     | s -> Copied s
     | exception Machine.Fatal_fault f -> Faulted f
     | exception Invalid_argument e -> Invalid e
+    | exception Machine.Machine_check e -> Refused e
   in
   let cycles = Clock.now clock - t0 and counters = Clock.counters clock in
   Machine.set_fault_handler m None;
@@ -881,38 +900,63 @@ let copy_cost_prop =
     (QCheck2.Test.make ~count:500 ~name:"page-segment copies cost what a byte loop costs"
        ~print:print_copy_case gen_copy_case copy_matches_loop)
 
-(* A DMA is a bulk copy whose bytes the bus does not charge: on the
-   default costs it does everything a copy does on a machine whose
-   [mem_read] and [mem_write] are free (the same result or fault, cycles,
-   counters, handler calls, memory and TLB), and charges not one byte. *)
-let dma_matches_free_copy c =
-  let free = { Cost.default with Cost.mem_read = 0; mem_write = 0 } in
+(* A DMA by frame, over the copy generator's cases: the device names
+   memory by physical address, so nothing is translated, charged or
+   counted, no fault handler runs, and the TLB is left as it was (the
+   same cycles, counters, handler calls and probe as moving nothing). A
+   transfer inside an allocated frame moves exactly its bytes; one past
+   its frame's end, or into an unallocated frame (an absent page's, or a
+   dangling page's released one), is refused and moves none. *)
+let dma_by_frame c =
   let o, cyc, cnt, calls, mem, probe = run_copy_case ~copier:Dma c in
-  let o', cyc', cnt', calls', mem', probe' = run_copy_case ~costs:free ~copier:Segments c in
-  let differ what = QCheck2.Test.fail_reportf "%s differs from a free copy" what in
-  if o <> o' then differ "the result";
-  if cyc <> cyc' then QCheck2.Test.fail_reportf "cycles: %d, free copy %d" cyc cyc';
-  if cnt <> cnt' then differ "a counter";
-  (* the handler logs the clock, which the warm-up reads before the DMA
-     advanced by [mem_read] each on the default costs alone *)
-  let warm_reads =
-    if c.current then List.length (List.filter (fun v -> c.pages.(v) = Ro || c.pages.(v) = Rw) c.warm)
-    else 0
+  let _, _, cnt', calls', mem', probe' = run_copy_case ~copier:Idle c in
+  let ps = copy_page_size and len = String.length c.data in
+  let vpage = c.vaddr / ps and off = c.vaddr mod ps in
+  if cyc <> 0 then QCheck2.Test.fail_reportf "the DMA charged %d cycles" cyc;
+  if cnt <> cnt' then QCheck2.Test.fail_reportf "the DMA moved a counter";
+  if calls <> calls' then QCheck2.Test.fail_reportf "the DMA called the fault handler";
+  (* a probe reads each page: its cost shows the TLB, its value the
+     memory, which is checked below *)
+  let tlb = List.map (fun (v, t) -> (Option.is_some v, t)) in
+  if tlb probe <> tlb probe' then QCheck2.Test.fail_reportf "the DMA changed the TLB";
+  let allocated =
+    match c.pages.(vpage) with Ro | Rw | Hooked -> true | Absent | Dangling -> false
   in
-  let shift = warm_reads * Cost.default.Cost.mem_read in
-  if List.map (fun (t, f) -> (t - shift, f)) calls <> calls' then
-    differ "the fault handler's call log";
-  if mem <> mem' then differ "physical memory";
-  (* each probe is a [read8], which charges [mem_read] on the default
-     costs alone *)
-  if List.map (fun (v, t) -> (v, t - Cost.default.Cost.mem_read)) probe <> probe' then
-    differ "the TLB left behind";
+  (match o with
+  | Refused _ ->
+    if off + len <= ps && allocated then
+      QCheck2.Test.fail_reportf "a transfer inside an allocated frame was refused";
+    if mem <> mem' then QCheck2.Test.fail_reportf "a refused DMA moved a byte"
+  | Copied s ->
+    if off + len > ps then QCheck2.Test.fail_reportf "a transfer left its frame";
+    if not allocated then QCheck2.Test.fail_reportf "a transfer reached an unallocated frame";
+    let before = page_bytes vpage in
+    if c.write then begin
+      (* exactly one frame changed: the page's, by exactly the data *)
+      let after =
+        String.sub before 0 off ^ c.data ^ String.sub before (off + len) (ps - off - len)
+      in
+      let changed = List.filter (fun (a, b) -> a <> b) (List.combine mem' mem) in
+      match changed with
+      | [] -> if after <> before then QCheck2.Test.fail_reportf "the write moved no byte"
+      | [ (Some b, Some a) ] ->
+        if b <> before || a <> after then
+          QCheck2.Test.fail_reportf "the write moved other bytes than its own"
+      | _ -> QCheck2.Test.fail_reportf "the write changed another frame"
+    end
+    else begin
+      if s <> String.sub before off len then
+        QCheck2.Test.fail_reportf "the read returned %S" s;
+      if mem <> mem' then QCheck2.Test.fail_reportf "the read moved a byte"
+    end
+  | Faulted _ | Invalid _ -> QCheck2.Test.fail_reportf "the DMA raised other than Machine_check");
   true
 
-let dma_cost_prop =
+let dma_by_frame_prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~name:"a DMA costs a copy with free bus accesses"
-       ~print:print_copy_case gen_copy_case dma_matches_free_copy)
+    (QCheck2.Test.make ~count:500
+       ~name:"a frame DMA is exact, free, TLB-neutral"
+       ~print:print_copy_case gen_copy_case dma_by_frame)
 
 let test_machine_fault_handler_resolves () =
   let m = unit_machine () in
@@ -1683,7 +1727,7 @@ let () =
             test_machine_fault_handler_resolves;
           Alcotest.test_case "fatal fault" `Quick test_machine_fatal_fault;
           copy_cost_prop;
-          dma_cost_prop;
+          dma_by_frame_prop;
           Alcotest.test_case "traps" `Quick test_machine_traps;
           Alcotest.test_case "irqs" `Quick test_machine_irqs;
         ] );

@@ -406,6 +406,76 @@ let test_composite_add_child () =
   | None -> ()
   | Some _ -> Alcotest.fail "unexpected child zz")
 
+(* a one-child dynamic composition exporting the child's "counter" *)
+let wrap registry name child =
+  Composite.make registry ~class_name:name ~domain:0 ~mode:Composite.Dynamic
+    ~children:[ ("c", child) ]
+    ~exports:[ { Composite.as_name = "counter"; child = "c"; iface = "counter" } ]
+
+(* A call through a composition is one dispatch: the caller's dispatch
+   of the composition is the only indirect call and the only invocation
+   counted, however deep the nesting, and the rest is the body. *)
+let test_composite_one_dispatch () =
+  let registry = Registry.create () in
+  let body = 100 in
+  let worker =
+    Instance.create registry ~class_name:"test.worker" ~domain:0
+      [
+        Iface.make ~name:"counter"
+          [
+            Iface.meth ~name:"get" ~args:[] ~ret:Vtype.Tint (fun ctx _ ->
+                Call_ctx.charge ctx body;
+                Ok (Value.Int 7));
+          ];
+      ]
+  in
+  let one = wrap registry "test.one" worker in
+  let two = wrap registry "test.two" (Composite.instance one) in
+  let costs = Cost.default in
+  List.iter
+    (fun (what, obj) ->
+      let clock = Clock.create () in
+      let ctx = Call_ctx.make ~clock ~costs ~caller_domain:0 in
+      Alcotest.check value (what ^ ": the child answers") (Value.Int 7)
+        (Invoke.call_exn ctx obj ~iface:"counter" ~meth:"get" []);
+      Alcotest.(check int) (what ^ ": one invocation") 1
+        (Clock.read clock Clock.Method_invocation);
+      Alcotest.(check int) (what ^ ": one indirect call and the body")
+        (costs.Cost.indirect_call + body) (Clock.now clock))
+    [ ("direct", worker); ("one level", Composite.instance one);
+      ("two levels", Composite.instance two) ]
+
+(* The outer composition finds its child's current method at each call,
+   so replacing the inner composition's child re-routes the outer one
+   too. *)
+let test_composite_nested_replace () =
+  let registry = Registry.create () in
+  let a = counter_object registry () and b = counter_object registry () in
+  let mid = wrap registry "test.mid" a in
+  let outer = Composite.instance (wrap registry "test.outer" (Composite.instance mid)) in
+  let _, ctx = ctx_fixture () in
+  ignore (Invoke.call_exn ctx outer ~iface:"counter" ~meth:"incr" [ Value.Int 5 ]);
+  Composite.replace_child mid "c" b;
+  Alcotest.check value "the fresh child answers" (Value.Int 0)
+    (Invoke.call_exn ctx outer ~iface:"counter" ~meth:"get" []);
+  ignore (Invoke.call_exn ctx outer ~iface:"counter" ~meth:"incr" [ Value.Int 3 ]);
+  Alcotest.check value "and takes the calls" (Value.Int 3)
+    (Invoke.call_exn ctx b ~iface:"counter" ~meth:"get" []);
+  Alcotest.check value "the old child keeps its state" (Value.Int 5)
+    (Invoke.call_exn ctx a ~iface:"counter" ~meth:"get" [])
+
+let test_composite_revoked_child () =
+  let registry = Registry.create () in
+  let inner = counter_object registry () in
+  let outer = Composite.instance (wrap registry "test.comp" inner) in
+  let _, ctx = ctx_fixture () in
+  ignore (Invoke.call_exn ctx outer ~iface:"counter" ~meth:"incr" [ Value.Int 1 ]);
+  Instance.revoke inner;
+  (match Invoke.call ctx outer ~iface:"counter" ~meth:"get" [] with
+  | Error Oerror.Revoked -> ()
+  | Ok v -> Alcotest.failf "a revoked child answered %s" (Value.to_string v)
+  | Error e -> Alcotest.failf "expected Revoked, got %s" (Oerror.to_string e))
+
 let test_iface_state_pointer () =
   (* the "state pointers" part of §2's interface definition *)
   let registry = Registry.create () in
@@ -482,6 +552,13 @@ let () =
           Alcotest.test_case "static sealed" `Quick test_composite_static_is_sealed;
           Alcotest.test_case "recursive" `Quick test_composite_recursive;
           Alcotest.test_case "add child" `Quick test_composite_add_child;
+          Alcotest.test_case "a call through a composite is one dispatch" `Quick
+            test_composite_one_dispatch;
+          Alcotest.test_case
+            "replacing a nested composite's child re-routes the outer composite" `Quick
+            test_composite_nested_replace;
+          Alcotest.test_case "a revoked child answers Revoked through its composite"
+            `Quick test_composite_revoked_child;
           Alcotest.test_case "state pointer" `Quick test_iface_state_pointer;
         ] );
       ("properties", props);
